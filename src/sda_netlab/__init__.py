@@ -44,7 +44,6 @@ from .routing import (
     LatencyReport,
     SatLatency,
     downhaul_latencies,
-    fixpoint_latencies,
     onorbit_latencies,
 )
 from .tle import TleElements, parse_tle, tle_to_position

@@ -73,13 +73,18 @@ def _parse_walker_shell(data: dict, errors: list[str], where: str) -> WalkerShel
     if bad:
         errors.append(f"{where}: unknown walker key(s) {', '.join(bad)}")
         return None
+    error_count = len(errors)
+    for key in ("planes", "sats_per_plane", "phasing_f"):
+        _parse_number(data, key, errors, None, kind=int, name=f"{where}: {key}")
+    if len(errors) > error_count:
+        return None
     try:
         spec = WalkerSpec(
             altitude_km=float(data["altitude_km"]),
             inclination_deg=float(data["inclination_deg"]),
-            planes=int(data["planes"]),
-            sats_per_plane=int(data["sats_per_plane"]),
-            phasing_f=int(data.get("phasing_f", 0)),
+            planes=data["planes"],
+            sats_per_plane=data["sats_per_plane"],
+            phasing_f=data.get("phasing_f", 0),
             raan_offset_deg=float(data.get("raan_offset_deg", 0.0)),
         )
         return WalkerShell(
@@ -148,23 +153,28 @@ def _parse_constellation(
     if path is None:
         return None
     at = data.get("tle_at_seconds")
-    return ConstellationSource(tle_file=path, tle_at_seconds=float(at) if at is not None else None)
+    if at is not None:
+        at = _parse_number(data, "tle_at_seconds", errors, None, name="constellation.tle_at_seconds")
+    return ConstellationSource(tle_file=path, tle_at_seconds=at)
 
 
-def _parse_number(data: dict, key: str, errors: list[str], default, kind=float):
+def _parse_number(data: dict, key: str, errors: list[str], default, kind=float, name=None):
+    """``data[key]`` as ``kind``, or ``default`` when absent; a bad value
+    appends an error prefixed by ``name`` (default: the key)."""
     if key not in data:
         return default
+    name = key if name is None else name
     raw = data[key]
     if isinstance(raw, bool) or (kind is int and not isinstance(raw, int)):
-        errors.append(f"{key}: must be an integer, got {raw!r}")
+        errors.append(f"{name}: must be an integer, got {raw!r}")
         return default
     try:
         value = kind(raw)
     except (TypeError, ValueError):
-        errors.append(f"{key}: must be a number, got {raw!r}")
+        errors.append(f"{name}: must be a number, got {raw!r}")
         return default
     if isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"{key}: must be finite")
+        errors.append(f"{name}: must be finite")
         return default
     return value
 

@@ -75,12 +75,6 @@ class ConstellationSnapshot:
     def ids(self) -> list[str]:
         return [s.id for s in self.satellites]
 
-    def index_of(self, sat_id: str) -> int:
-        for i, s in enumerate(self.satellites):
-            if s.id == sat_id:
-                return i
-        raise KeyError(sat_id)
-
     def actuator_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.satellites) if s.is_actuator]
 

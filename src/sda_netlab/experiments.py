@@ -421,6 +421,7 @@ def attack_scenario(
     )
     baseline = route_report(graph, snapshot, stations, terminus, cfg.mode, cfg.reroute_penalty_ms)
     attacked_graph = apply_overlay(graph, snapshot, stations, overlay)
+    del graph  # frees the baseline graph and its adjacency before the attacked solve
     attacked = route_report(
         graph=attacked_graph,
         snapshot=snapshot,

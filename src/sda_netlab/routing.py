@@ -16,26 +16,35 @@ Architecture semantics
   every actuator at distance zero.  A hop is penalty-free when it lands
   directly on an actuator; every other relay hop pays the reroute penalty.
 
-Two solvers cover every mode: a heap-based Dijkstra and an independent
-Jacobi/Bellman-Ford sweep (:func:`fixpoint_latencies`).  Both evaluate the
-identical candidate expression ``edge_weight + neighbor_label``, so their
-labels agree exactly, bit for bit.  Tie-breaking (equal-delay paths) prefers
-the lower node index and is applied in a shared deterministic path
-extraction that only depends on the converged labels.
+One engine
+----------
+Every mode is one relaxation problem over the graph's satellite adjacency,
+which is built once per graph and shared by all solves on it.  Jacobi
+sweeps apply ``label[v] = min(label[v], weight(u, v) + label[u])`` along
+the hops leaving the nodes whose label dropped in the previous sweep (along
+every hop at once when those are a large share), until a sweep lowers
+nothing, so a relay chain costs O(E) relaxations, not O(V * E).
+
+The labels do not depend on the relaxation order: every weight is >= 0 and
+``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
+improves ends at the minimum over paths of the floating-point path cost,
+bit for bit what a heap Dijkstra returns.  The tests keep one as the
+oracle.  Hops, next hop and terminal come from the labels alone, with
+equal-cost ties broken toward the lower node index.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .constellation import ConstellationSnapshot, GroundStationNode, TerminusNode
 from .geo import propagation_delay_ms, surface_distance_km
-from .topology import VisibilityGraph
+from .topology import SatAdjacency, VisibilityGraph
 
 TERMINUS_NAME = "terminus"
 
@@ -78,9 +87,6 @@ class LatencyReport:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def latencies_ms(self) -> list[float]:
-        return [e.latency_ms for e in self.entries]
-
     def finite_latencies_ms(self) -> list[float]:
         return [e.latency_ms for e in self.entries if e.reachable]
 
@@ -112,140 +118,151 @@ class RelaySource:
 
 @dataclass
 class _RelayProblem:
-    """Directed relaxation problem shared by both solvers.
+    """Directed relaxation problem over a graph's cached satellite adjacency.
 
-    Edge (src, dst, weight) means ``label[dst]`` may be improved to
-    ``weight + label[src]``.  Penalties are already folded into the weights
-    and edges into seed nodes have been dropped (seed labels are immutable).
+    Hop (src, dst, weight) means ``label[dst]`` may be improved to
+    ``weight + label[src]``.  A hop between satellites weighs
+    ``delay + penalty_ms`` unless its source is ``exempt``.  The ``ground_*``
+    arrays hold penalty-free hops from seeds past the satellites (the
+    stations of downhaul-optimal) into satellites.  Seed labels are
+    immutable: no hop relaxes into a seed.
     """
 
-    node_count: int
-    sat_count: int
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
+    adjacency: SatAdjacency
+    penalty_ms: float
+    exempt: np.ndarray  # (sat_count,) bool
     seeds: list[RelaySource]
     node_names: list[str]
-    terminal_override: dict[int, str]
+    ground_src: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    ground_dst: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    ground_weight: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def node_count(self) -> int:
+        return len(self.node_names)
+
+    @property
+    def sat_count(self) -> int:
+        return self.adjacency.indptr.size - 1
+
+    def sat_weights(self, src: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
+        """Penalised weights of satellite hops leaving ``src``."""
+        if self.penalty_ms == 0.0:
+            return delays_ms
+        return np.where(self.exempt[src], delays_ms, delays_ms + self.penalty_ms)
+
+    @cached_property
+    def in_weights(self) -> np.ndarray:
+        """Penalised weight of every adjacency entry read as the hop
+        ``neighbors[k] -> row``: row ``v`` lists the hops into ``v``."""
+        return self.sat_weights(self.adjacency.neighbors, self.adjacency.delays_ms)
+
+    def out_hops(self, sats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every hop between satellites leaving ``sats`` (distinct satellite
+        indices) as (src, dst, weight)."""
+        adj = self.adjacency
+        starts = adj.indptr[sats]
+        counts = adj.indptr[sats + 1] - starts
+        ends = np.cumsum(counts)
+        # Concatenated ranges starts[k]:starts[k] + counts[k], without a loop.
+        idx = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+        src = np.repeat(sats, counts)
+        return src, adj.neighbors[idx], self.sat_weights(src, adj.delays_ms[idx])
+
+    def best_candidates(self, labels: np.ndarray) -> np.ndarray:
+        """Lowest candidate over all hops between satellites into each node;
+        inf where there is none."""
+        adj = self.adjacency
+        best = np.full(self.node_count, math.inf)
+        rows = np.flatnonzero(np.diff(adj.indptr))
+        cand = self.in_weights + labels[adj.neighbors]
+        best[rows] = np.minimum.reduceat(cand, adj.indptr[rows])
+        return best
 
 
-def _build_problem(
-    node_count: int,
-    sat_count: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weight: np.ndarray,
-    seeds: list[RelaySource],
-    node_names: list[str],
-    terminal_override: dict[int, str] | None = None,
-) -> _RelayProblem:
-    seed_mask = np.zeros(node_count, dtype=bool)
-    for s in seeds:
-        seed_mask[s.node] = True
-    keep = ~seed_mask[dst]
-    return _RelayProblem(
-        node_count=node_count,
-        sat_count=sat_count,
-        src=src[keep],
-        dst=dst[keep],
-        weight=weight[keep],
-        seeds=seeds,
-        node_names=node_names,
-        terminal_override=dict(terminal_override or {}),
-    )
+@dataclass(frozen=True)
+class _Fixpoint:
+    labels: np.ndarray
+    sweeps: int  # sweeps that lowered at least one label
+    relaxed_edges: int  # hops whose candidate was evaluated, over all sweeps
 
 
-def _directed_sat_edges(
-    graph: VisibilityGraph,
-    penalty_ms: float,
-    exempt_sources: set[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of every inter-satellite edge; the penalty applies
-    unless the edge leaves a penalty-exempt source node."""
-    e_i = graph.sat_edges[:, 0].astype(np.int64)
-    e_j = graph.sat_edges[:, 1].astype(np.int64)
-    w = graph.sat_delays_ms
-    src = np.concatenate([e_i, e_j])
-    dst = np.concatenate([e_j, e_i])
-    weight = np.concatenate([w, w])
-    if penalty_ms != 0.0:
-        exempt = np.zeros(graph.sat_count, dtype=bool)
-        for node in exempt_sources:
-            exempt[node] = True
-        weight = np.where(exempt[src], weight, weight + penalty_ms)
-    return src, dst, weight
+# A pull sweep reads every hop, at roughly a quarter of a push's cost per hop
+# (one gather and a contiguous min-reduce instead of gathers and a scatter).
+_PULL_WHEN_FRONTIER_HOPS_EXCEED = 0.25
 
 
-def _solve(problem: _RelayProblem, solver: str, max_sweeps: int | None = None) -> np.ndarray:
-    if solver == "dijkstra":
-        if max_sweeps is not None:
-            raise ValueError("max_sweeps only applies to the bellman solver")
-        return _dijkstra_labels(problem)
-    if solver == "bellman":
-        return _bellman_labels(problem, max_sweeps)
-    raise ValueError(f"unknown solver {solver!r}")
+def _relax(problem: _RelayProblem) -> _Fixpoint:
+    """Jacobi sweeps of the relay update until no label drops.
 
-
-def _dijkstra_labels(problem: _RelayProblem) -> np.ndarray:
+    A sweep relaxes the hops leaving the satellites whose label dropped in
+    the previous sweep (push), or, when those are a large share, every hop
+    by a per-node min-reduce (pull); both give the labels of a full sweep.
+    Ground hops leave immutable seeds, so they are relaxed once, up front.
+    """
     n = problem.node_count
-    order = np.lexsort((problem.dst, problem.src))
-    src = problem.src[order]
-    nbrs = problem.dst[order].tolist()
-    wts = problem.weight[order].tolist()
-    counts = np.bincount(src, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).tolist()
-
-    dist = [math.inf] * n
+    labels = np.full(n, math.inf)
+    fixed = np.zeros(n, dtype=bool)
     for s in problem.seeds:
-        if s.label_ms < dist[s.node]:
-            dist[s.node] = s.label_ms
-    heap = [(dist[node], node) for node in sorted({s.node for s in problem.seeds})]
-    heapq.heapify(heap)
-    done = bytearray(n)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        du, u = pop(heap)
-        if done[u] or du > dist[u]:
-            continue
-        done[u] = 1
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbrs[k]
-            cand = wts[k] + du
-            if cand < dist[v]:
-                dist[v] = cand
-                push(heap, (cand, v))
-    return np.array(dist, dtype=np.float64)
+        labels[s.node] = min(labels[s.node], s.label_ms)
+        fixed[s.node] = True
+    np.minimum.at(labels, problem.ground_dst, problem.ground_weight + labels[problem.ground_src])
+    frontier = np.flatnonzero(np.isfinite(labels[: problem.sat_count]))
+    stamp = np.zeros(n, dtype=np.int64)
+    indptr = problem.adjacency.indptr
+    sweeps, relaxed = 0, problem.ground_src.size
+    for _ in range(n + 1):
+        frontier_hops = np.sum(indptr[frontier + 1] - indptr[frontier])
+        if frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * indptr[-1]:
+            best = problem.best_candidates(labels)
+            relaxed += int(indptr[-1])
+            lowered = (best < labels) & ~fixed
+            labels[lowered] = best[lowered]
+            frontier = np.flatnonzero(lowered)
+        else:
+            src, dst, weight = problem.out_hops(frontier)
+            relaxed += src.size
+            cand = weight + labels[src]
+            better = (cand < labels[dst]) & ~fixed[dst]
+            dst = dst[better]
+            np.minimum.at(labels, dst, cand[better])
+            # Distinct nodes of dst in O(len(dst)): exactly one position of
+            # each node holds the stamp that node received.
+            positions = np.arange(dst.size)
+            stamp[dst] = positions
+            frontier = dst[stamp[dst] == positions]
+        if frontier.size == 0:
+            return _Fixpoint(labels, sweeps, relaxed)
+        sweeps += 1
+    raise RuntimeError("relay fixpoint failed to stabilize within node-count sweeps")
 
 
-def _bellman_labels(problem: _RelayProblem, max_sweeps: int | None = None) -> np.ndarray:
-    """Jacobi sweeps of the relay update until no label changes."""
-    labels = np.full(problem.node_count, math.inf)
-    for s in problem.seeds:
-        if s.label_ms < labels[s.node]:
-            labels[s.node] = s.label_ms
-    limit = problem.node_count + 1 if max_sweeps is None else max_sweeps
-    converged = False
-    for _ in range(limit):
-        cand = problem.weight + labels[problem.src]
-        new = labels.copy()
-        np.minimum.at(new, problem.dst, cand)
-        if np.array_equal(new, labels):
-            converged = True
-            break
-        labels = new
-    if max_sweeps is None and not converged:
-        raise RuntimeError("relay fixpoint failed to stabilize within node-count sweeps")
-    return labels
+def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
+    """Parent of every reachable non-seed node, -1 elsewhere.
+
+    Among in-hops that attain the node's label exactly, prefer one that
+    makes strict progress (smaller parent label), then the lower node index.
+    """
+    n = problem.node_count
+    adj = problem.adjacency
+    cand = problem.in_weights + labels[adj.neighbors]
+    attain = np.flatnonzero(cand == np.repeat(labels[: problem.sat_count], np.diff(adj.indptr)))
+    dst = np.searchsorted(adj.indptr, attain, side="right") - 1
+    src = adj.neighbors[attain].astype(np.int64)
+    ground = problem.ground_weight + labels[problem.ground_src] == labels[problem.ground_dst]
+    dst = np.concatenate([dst, problem.ground_dst[ground]])
+    src = np.concatenate([src, problem.ground_src[ground]])
+    keep = np.isfinite(labels[dst])
+    dst, src = dst[keep], src[keep]
+    key = np.where(labels[src] < labels[dst], src, src + n)
+    parent_key = np.full(n, 2 * n, dtype=np.int64)
+    np.minimum.at(parent_key, dst, key)
+    return np.where(parent_key < 2 * n, parent_key % n, -1)
 
 
 def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: ConstellationSnapshot) -> LatencyReport:
-    """Derive hops / next hop / terminal from the converged labels.
-
-    Parent choice: among in-edges that attain the label exactly, prefer one
-    that makes strict progress (smaller parent label), then the lower node
-    index.  This depends only on the labels, so both solvers produce
-    identical reports.
-    """
+    """Derive hops / next hop / terminal from the converged labels, with the
+    parent rule of :func:`_parents`, which depends only on the labels."""
     n = problem.node_count
     seed_at: dict[int, RelaySource] = {}
     for s in problem.seeds:
@@ -256,15 +273,12 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: Conste
     hops = np.full(n, -1, dtype=np.int64)
     next_hop: list[str | None] = [None] * n
     terminal: list[str | None] = [None] * n
+    parent = _parents(problem, labels)
 
-    finite_dst = np.isfinite(labels[problem.dst])
-    cand = problem.weight + labels[problem.src]
-    attain = finite_dst & (cand == labels[problem.dst])
-    strict = labels[problem.src] < labels[problem.dst]
-    key = np.where(strict, problem.src, problem.src + n)
-    parent_key = np.full(n, 2 * n, dtype=np.int64)
-    np.minimum.at(parent_key, problem.dst[attain], key[attain])
-    parent = np.where(parent_key < 2 * n, parent_key % n, -1)
+    def inherit(node: int, p: int) -> None:
+        hops[node] = hops[p] + 1
+        next_hop[node] = problem.node_names[p]
+        terminal[node] = terminal[p]
 
     pending: list[int] = []
     for node in np.lexsort((np.arange(n), labels)):
@@ -280,7 +294,7 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: Conste
         if p < 0:
             raise RuntimeError(f"no attaining relay edge for node {problem.node_names[node]}")
         if hops[p] >= 0:
-            _inherit(problem, hops, next_hop, terminal, int(node), p)
+            inherit(int(node), p)
         else:
             pending.append(int(node))
     # Equal-label chains (zero-delay edges) may leave stragglers; settle them
@@ -292,7 +306,7 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: Conste
         for node in pending:
             p = int(parent[node])
             if hops[p] >= 0:
-                _inherit(problem, hops, next_hop, terminal, node, p)
+                inherit(node, p)
         if len(still) == len(pending):
             raise RuntimeError("zero-delay relay cycle: cannot orient delivery paths")
         pending = still
@@ -306,19 +320,6 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: Conste
         else:
             entries.append(SatLatency(sat.id, math.inf, None, None, None))
     return LatencyReport(tuple(entries))
-
-
-def _inherit(
-    problem: _RelayProblem,
-    hops: np.ndarray,
-    next_hop: list,
-    terminal: list,
-    node: int,
-    parent: int,
-) -> None:
-    hops[node] = hops[parent] + 1
-    next_hop[node] = problem.node_names[parent]
-    terminal[node] = problem.terminal_override.get(parent, terminal[parent])
 
 
 # --- Source builders ----------------------------------------------------------
@@ -385,51 +386,35 @@ def _sat_problem(
     reroute_penalty_ms: float,
     exempt_sources_from_penalty: bool,
 ) -> _RelayProblem:
-    exempt = {s.node for s in sources} if exempt_sources_from_penalty else set()
-    src, dst, weight = _directed_sat_edges(graph, reroute_penalty_ms, exempt)
-    return _build_problem(
-        node_count=graph.sat_count,
-        sat_count=graph.sat_count,
-        src=src,
-        dst=dst,
-        weight=weight,
+    """Satellites only; with the exemption, hops leaving a source are
+    penalty-free."""
+    exempt = np.zeros(graph.sat_count, dtype=bool)
+    if exempt_sources_from_penalty:
+        exempt[[s.node for s in sources]] = True
+    return _RelayProblem(
+        adjacency=graph.adjacency,
+        penalty_ms=reroute_penalty_ms,
+        exempt=exempt,
         seeds=sources,
         node_names=snapshot.ids(),
     )
+
+
+def _route(problem: _RelayProblem, snapshot: ConstellationSnapshot) -> LatencyReport:
+    return _extract_report(problem, _relax(problem).labels, snapshot)
 
 
 def onorbit_latencies(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
     reroute_penalty_ms: float = 0.0,
-    solver: str = "dijkstra",
 ) -> LatencyReport:
     """Latency to the nearest on-orbit actuator over inter-satellite links.
 
     Zero actuators is legal and yields an all-unreachable report.
     """
     sources = actuator_sources(snapshot)
-    problem = _sat_problem(graph, snapshot, sources, reroute_penalty_ms, True)
-    return _extract_report(problem, _solve(problem, solver), snapshot)
-
-
-def fixpoint_latencies(
-    graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
-    sources: list[RelaySource],
-    reroute_penalty_ms: float = 0.0,
-    exempt_sources_from_penalty: bool = False,
-    max_sweeps: int | None = None,
-) -> LatencyReport:
-    """Reference oracle: Bellman-Ford sweeps of the relay update from the
-    given immutable sources until no label changes.
-
-    Must equal the Dijkstra-based engines exactly on identical inputs.
-    ``max_sweeps`` caps the sweeps (for demonstrating that a bounded number
-    of passes is insufficient); the default runs to the fixpoint.
-    """
-    problem = _sat_problem(graph, snapshot, sources, reroute_penalty_ms, exempt_sources_from_penalty)
-    return _extract_report(problem, _solve(problem, "bellman", max_sweeps), snapshot)
+    return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, True), snapshot)
 
 
 def downhaul_latencies(
@@ -439,18 +424,16 @@ def downhaul_latencies(
     terminus: TerminusNode,
     mode: ArchitectureMode = ArchitectureMode.DOWNHAUL_GREEDY,
     reroute_penalty_ms: float = 0.0,
-    solver: str = "dijkstra",
 ) -> LatencyReport:
     """Latency to the ground terminus via the station network."""
     if not stations:
         raise ValueError("downhaul requires at least one ground station")
     if mode is ArchitectureMode.DOWNHAUL_GREEDY:
         sources = greedy_downhaul_sources(graph, snapshot, stations, terminus)
-        problem = _sat_problem(graph, snapshot, sources, reroute_penalty_ms, False)
-        return _extract_report(problem, _solve(problem, solver), snapshot)
+        return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False), snapshot)
     if mode is ArchitectureMode.DOWNHAUL_OPTIMAL:
         problem = _augmented_problem(graph, snapshot, stations, terminus, reroute_penalty_ms)
-        return _extract_report(problem, _solve(problem, solver), snapshot)
+        return _route(problem, snapshot)
     raise ValueError(f"downhaul_latencies cannot run mode {mode.value!r}")
 
 
@@ -461,32 +444,22 @@ def _augmented_problem(
     terminus: TerminusNode,
     reroute_penalty_ms: float,
 ) -> _RelayProblem:
-    """Satellites + stations + terminus, directed against the data flow:
-    terminus -> station -> satellite -> satellite."""
+    """Satellites and stations, directed against the data flow: station ->
+    satellite -> satellite.  Each station is a seed holding its surface leg
+    to the terminus, as if reached over the hop terminus -> station."""
     n_sat = graph.sat_count
-    n_st = len(stations)
-    terminus_node = n_sat + n_st
-    ground = ground_delays_ms(stations, terminus)
-
-    src_ss, dst_ss, w_ss = _directed_sat_edges(graph, reroute_penalty_ms, set())
-    # Station -> satellite downlinks (reverse of the data direction).
-    src_gs = graph.station_edges[:, 1].astype(np.int64) + n_sat
-    dst_gs = graph.station_edges[:, 0].astype(np.int64)
-    w_gs = graph.station_delays_ms
-    # Terminus -> station surface legs.
-    src_t = np.full(n_st, terminus_node, dtype=np.int64)
-    dst_t = np.arange(n_st, dtype=np.int64) + n_sat
-    w_t = np.array(ground, dtype=np.float64)
-
-    names = snapshot.ids() + [st.id for st in stations] + [TERMINUS_NAME]
-    seeds = [RelaySource(node=terminus_node, label_ms=0.0, terminal=TERMINUS_NAME, next_hop=None, hops=0)]
-    return _build_problem(
-        node_count=terminus_node + 1,
-        sat_count=n_sat,
-        src=np.concatenate([src_ss, src_gs, src_t]),
-        dst=np.concatenate([dst_ss, dst_gs, dst_t]),
-        weight=np.concatenate([w_ss, w_gs, w_t]),
+    seeds = [
+        RelaySource(node=n_sat + g, label_ms=leg, terminal=st.id, next_hop=TERMINUS_NAME, hops=1)
+        for g, (st, leg) in enumerate(zip(stations, ground_delays_ms(stations, terminus)))
+    ]
+    return _RelayProblem(
+        adjacency=graph.adjacency,
+        penalty_ms=reroute_penalty_ms,
+        exempt=np.zeros(n_sat, dtype=bool),
         seeds=seeds,
-        node_names=names,
-        terminal_override={n_sat + g: stations[g].id for g in range(n_st)},
+        node_names=snapshot.ids() + [st.id for st in stations],
+        # Station -> satellite downlinks (reverse of the data direction).
+        ground_src=graph.station_edges[:, 1].astype(np.int64) + n_sat,
+        ground_dst=graph.station_edges[:, 0].astype(np.int64),
+        ground_weight=graph.station_delays_ms,
     )

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,33 @@ class VisibilityGraph:
     @property
     def station_edge_count(self) -> int:
         return int(self.station_edges.shape[0])
+
+    @cached_property
+    def adjacency(self) -> "SatAdjacency":
+        """Both directions of every inter-satellite edge, grouped by row;
+        built on first use and shared by every routing solve on the graph."""
+        i = self.sat_edges[:, 0]
+        j = self.sat_edges[:, 1]
+        rows = np.concatenate([j, i])
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(self.sat_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.sat_count), out=indptr[1:])
+        return SatAdjacency(
+            indptr=indptr,
+            neighbors=np.concatenate([i, j])[order],
+            delays_ms=np.concatenate([self.sat_delays_ms, self.sat_delays_ms])[order],
+        )
+
+
+@dataclass(frozen=True)
+class SatAdjacency:
+    """Compressed sparse rows over satellites: row ``u`` lists its
+    neighbours ``neighbors[indptr[u]:indptr[u + 1]]`` and the one-way
+    delays to them.  Every edge appears once in each endpoint's row."""
+
+    indptr: np.ndarray  # (sat_count + 1,) int64
+    neighbors: np.ndarray  # (2E,) int32
+    delays_ms: np.ndarray  # (2E,) float64
 
 
 def resolve_thread_count(threads: int | None) -> int:
@@ -237,14 +265,6 @@ class AttackOverlay:
             raise ValueError(
                 f"reroute_penalty_ms must be finite and >= 0, got {self.reroute_penalty_ms}"
             )
-
-    def is_empty(self) -> bool:
-        return not (
-            self.disabled_satellites
-            or self.disabled_stations
-            or self.disabled_links
-            or self.jam_regions
-        )
 
     @staticmethod
     def normalize_link(a: str, b: str) -> tuple[str, str]:

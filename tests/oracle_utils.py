@@ -2,18 +2,27 @@
 
 These deliberately re-derive results through different code paths than the
 package (sampling instead of minimization, naive sums instead of fsum,
-double loops instead of vectorization).
+double loops instead of vectorization, a heap Dijkstra with per-node parent
+scans instead of frontier sweeps over the adjacency).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
 import numpy as np
 
 from sda_netlab.constellation import ConstellationSnapshot, SatelliteNode
-from sda_netlab.geo import EcefPosition, EllipsoidModel, WGS84
+from sda_netlab.geo import (
+    EcefPosition,
+    EllipsoidModel,
+    WGS84,
+    propagation_delay_ms,
+    surface_distance_km,
+)
+from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySource, SatLatency
 
 _SAMPLE_CACHE: dict[int, np.ndarray] = {}
 
@@ -91,3 +100,92 @@ def grazing_pair(rng: random.Random, radius_km: float) -> tuple[EcefPosition, Ec
         radius_km * (c * uz + s * vz),
     )
     return p, q
+
+
+def dijkstra_oracle(graph, snapshot, sources, penalty=0.0, exempt=False) -> LatencyReport:
+    """Shortest relay paths over the inter-satellite links from the given
+    immutable sources.  Every hop pays ``penalty`` unless ``exempt`` is set
+    and the hop leaves a source."""
+    exempt_nodes = {s.node for s in sources} if exempt else set()
+    edges = []
+    for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
+        for u, v in ((i, j), (j, i)):
+            edges.append((u, v, d if u in exempt_nodes else d + penalty))
+    return _dijkstra_report(snapshot, graph.sat_count, edges, sources, snapshot.ids(), {})
+
+
+def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) -> LatencyReport:
+    """downhaul-optimal on the augmented graph: the terminus (the one
+    source) reaches each station over its surface leg, each station reaches
+    the satellites it sees, and satellites relay with the penalty."""
+    n_sat = graph.sat_count
+    t = n_sat + len(stations)
+    edges = []
+    for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
+        edges += [(i, j, d + penalty), (j, i, d + penalty)]
+    for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
+        edges.append((n_sat + g, i, d))
+    for g, st in enumerate(stations):
+        leg = propagation_delay_ms(surface_distance_km(st.geodetic, terminus.geodetic))
+        edges.append((t, n_sat + g, leg))
+    names = snapshot.ids() + [st.id for st in stations] + [TERMINUS_NAME]
+    overrides = {n_sat + g: st.id for g, st in enumerate(stations)}
+    seeds = [RelaySource(node=t, label_ms=0.0, terminal=TERMINUS_NAME, next_hop=None, hops=0)]
+    return _dijkstra_report(snapshot, t + 1, edges, seeds, names, overrides)
+
+
+def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> LatencyReport:
+    """Heap Dijkstra to every node, then the report's path fields.
+
+    A node's parent is, among its in-edges whose candidate equals its label
+    exactly, one from a strictly smaller label if any, then the lowest index.
+    Nothing relaxes into a source; a source keeps its own report fields.
+    """
+    seed = {}
+    dist = [math.inf] * node_count
+    for s in sources:
+        if s.label_ms < dist[s.node]:
+            dist[s.node] = s.label_ms
+            seed[s.node] = s
+    out = [[] for _ in range(node_count)]
+    into = [[] for _ in range(node_count)]
+    for u, v, w in edges:
+        if v not in seed:
+            out[u].append((v, w))
+            into[v].append((u, w))
+
+    heap = [(dist[v], v) for v in seed]
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in done or du > dist[u]:
+            continue
+        done.add(u)
+        for v, w in out[u]:
+            if w + du < dist[v]:
+                dist[v] = w + du
+                heapq.heappush(heap, (dist[v], v))
+
+    fields = {v: (s.hops, s.next_hop, s.terminal) for v, s in seed.items()}
+    for start in range(node_count):
+        chain, v = [], start
+        while v not in fields and math.isfinite(dist[v]):
+            attaining = [u for u, w in into[v] if w + dist[u] == dist[v]]
+            strict = [u for u in attaining if dist[u] < dist[v]]
+            chain.append(v)
+            v = min(strict or attaining)
+            assert len(chain) <= node_count, "parent cycle"
+        for child in reversed(chain):
+            hops, _, terminal = fields[v]
+            fields[child] = (hops + 1, names[v], overrides.get(v, terminal))
+            v = child
+
+    entries = []
+    for i, sat in enumerate(snapshot.satellites):
+        if math.isfinite(dist[i]):
+            hops, next_hop, terminal = fields[i]
+            entries.append(SatLatency(sat.id, dist[i], hops, next_hop, terminal))
+        else:
+            entries.append(SatLatency(sat.id, math.inf, None, None, None))
+    return LatencyReport(tuple(entries))

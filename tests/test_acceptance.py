@@ -33,12 +33,13 @@ from sda_netlab.routing import (
     ArchitectureMode,
     actuator_sources,
     downhaul_latencies,
-    fixpoint_latencies,
     greedy_downhaul_sources,
     onorbit_latencies,
 )
 from sda_netlab.topology import AttackOverlay, JamRegion, build_visibility_graph
 from oracle_utils import (
+    dijkstra_oracle,
+    dijkstra_oracle_optimal,
     grazing_pair,
     random_orbital_point,
     random_shell,
@@ -225,19 +226,22 @@ def test_criterion_7_oracle_equivalence(stations):
         graph = build_visibility_graph(snap, stations, threads=1)
         penalty = rng.choice([0.0, 0.0, 0.3, 1.1])
         engine = onorbit_latencies(graph, snap, penalty)
-        oracle = fixpoint_latencies(
-            graph, snap, actuator_sources(snap), penalty, exempt_sources_from_penalty=True
-        )
+        oracle = dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True)
         if engine != oracle:
             mismatches += 1
         terminus = TerminusNode(stations[0].geodetic)
         greedy_engine = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
-        greedy_oracle = fixpoint_latencies(
+        greedy_oracle = dijkstra_oracle(
             graph, snap, greedy_downhaul_sources(graph, snap, stations, terminus), penalty
         )
         if greedy_engine != greedy_oracle:
+            mismatches += 1
+        optimal_engine = downhaul_latencies(
+            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
+        )
+        if optimal_engine != dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty):
             mismatches += 1
 
     rng = random.Random(424242)
@@ -255,7 +259,8 @@ def test_criterion_7_oracle_equivalence(stations):
     ok = mismatches == 0 and los_disagreements == 0
     report_line(
         7, ok,
-        f"100 random 50-node instances: {mismatches} engine/oracle mismatches (exact compare); "
+        f"100 random 50-node instances x 3 modes: {mismatches} engine/Dijkstra-oracle "
+        f"mismatches (exact compare); "
         f"LOS vs 1e5-sample oracle on {len(pairs)} pairs: {los_disagreements} disagreements "
         f"({in_band} pairs inside the 1e-6 band skipped)",
     )

@@ -101,6 +101,30 @@ def test_validate_config_rejects_malformed_overlays_and_numbers():
         assert any(needle in e for e in errors), (payload, errors)
 
 
+def test_cli_rejects_a_non_numeric_tle_epoch(tmp_path, capsys):
+    tle = write(tmp_path / "sats.tle", "")
+    cfg = write(tmp_path / "tle.json", json.dumps({
+        "constellation": {"tle_file": tle, "tle_at_seconds": "abc"},
+    }))
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: constellation.tle_at_seconds: must be a number, got 'abc'\n"
+
+
+def test_validate_config_rejects_non_integral_walker_counts(tmp_path, capsys):
+    shell = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 4, "sats_per_plane": 8}
+    cases = [("planes", 2.7), ("sats_per_plane", True), ("phasing_f", 1.5), ("planes", "4")]
+    for key, raw in cases:
+        text = json.dumps({"constellation": {"walker": [shell, {**shell, key: raw}]}})
+        cfg, errors = validate_config(text)
+        assert cfg is None
+        assert errors == [f"constellation.walker[1]: {key}: must be an integer, got {raw!r}"]
+
+    bad = write(tmp_path / "planes.json", json.dumps({"constellation": {"walker": {**shell, "planes": 2.7}}}))
+    assert run(["generate", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: constellation.walker[0]: planes: must be an integer, got 2.7\n"
+
+
 def test_cli_generate_and_simulate(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "out"

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
@@ -14,15 +15,22 @@ from sda_netlab.constellation import (
 from sda_netlab.geo import EcefPosition, GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import (
     ArchitectureMode,
+    _relax,
+    _sat_problem,
     actuator_sources,
     downhaul_latencies,
-    fixpoint_latencies,
     greedy_downhaul_sources,
     ground_delays_ms,
     onorbit_latencies,
 )
-from sda_netlab.topology import VisibilityGraph, build_visibility_graph
-from oracle_utils import random_shell
+from sda_netlab.topology import (
+    AttackOverlay,
+    JamRegion,
+    VisibilityGraph,
+    apply_overlay,
+    build_visibility_graph,
+)
+from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, random_shell
 
 MEAN_R = 6371.0088
 
@@ -146,22 +154,39 @@ def test_star_topology_single_sweep_matches_dijkstra():
     )
     snap = ConstellationSnapshot("star", (center,) + leaves)
     graph = manual_graph(6, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
-    engine = onorbit_latencies(graph, snap)
-    one_sweep = fixpoint_latencies(
-        graph, snap, actuator_sources(snap), exempt_sources_from_penalty=True, max_sweeps=1
-    )
-    assert engine == one_sweep
+    sources = actuator_sources(snap)
+    assert _relax(_sat_problem(graph, snap, sources, 0.0, True)).sweeps == 1
+    assert onorbit_latencies(graph, snap) == dijkstra_oracle(graph, snap, sources, exempt=True)
 
 
 def test_single_pass_cannot_resolve_a_relay_chain():
     snap = chain_snapshot()
     graph = manual_graph(3, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
     sources = actuator_sources(snap)
-    one = fixpoint_latencies(graph, snap, sources, exempt_sources_from_penalty=True, max_sweeps=1)
-    assert one.entry("A").latency_ms == math.inf  # one pass leaves the far node unlabeled
-    full = fixpoint_latencies(graph, snap, sources, exempt_sources_from_penalty=True)
-    assert full == onorbit_latencies(graph, snap)
+    # One sweep labels only B; the far node A needs a second.
+    assert _relax(_sat_problem(graph, snap, sources, 0.0, True)).sweeps == 2
+    full = onorbit_latencies(graph, snap)
+    assert full == dijkstra_oracle(graph, snap, sources, exempt=True)
     assert full.entry("A").reachable
+
+
+def test_frontier_relaxes_a_long_path_in_linear_work():
+    # 3000 satellites in a line with the actuator at one end: full Jacobi
+    # sweeps would relax all 2E directed edges in each of ~3000 sweeps.
+    n = 3000
+    sats = tuple(
+        SatelliteNode(f"p{k:04d}", EcefPosition(7000.0, 10.0 * k, 0.0), is_actuator=k == 0)
+        for k in range(n)
+    )
+    snap = ConstellationSnapshot("path", sats)
+    graph = manual_graph(n, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
+    sources = actuator_sources(snap)
+    fixpoint = _relax(_sat_problem(graph, snap, sources, 0.25, True))
+    assert fixpoint.sweeps == n - 1
+    assert fixpoint.relaxed_edges <= 2 * graph.sat_edge_count
+    engine = onorbit_latencies(graph, snap, 0.25)
+    assert engine == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
+    assert engine.entries[-1].hops == n - 1
 
 
 def _random_instance(seed):
@@ -173,17 +198,15 @@ def _random_instance(seed):
     return snap, graph, penalty
 
 
-def test_fixpoint_oracle_equals_onorbit_engine_on_random_instances():
+def test_dijkstra_oracle_equals_onorbit_engine_on_random_instances():
     for seed in range(40):
         snap, graph, penalty = _random_instance(seed)
         engine = onorbit_latencies(graph, snap, penalty)
-        oracle = fixpoint_latencies(
-            graph, snap, actuator_sources(snap), penalty, exempt_sources_from_penalty=True
-        )
+        oracle = dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True)
         assert engine == oracle
 
 
-def test_fixpoint_oracle_equals_greedy_downhaul_engine_on_random_instances():
+def test_dijkstra_oracle_equals_greedy_downhaul_engine_on_random_instances():
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\ng1,10,30,0\ng2,-40,150,0\ng3,65,-100,0\n"
     )
@@ -194,7 +217,7 @@ def test_fixpoint_oracle_equals_greedy_downhaul_engine_on_random_instances():
         engine = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
-        oracle = fixpoint_latencies(
+        oracle = dijkstra_oracle(
             graph, snap, greedy_downhaul_sources(graph, snap, stations, terminus), penalty
         )
         assert engine == oracle
@@ -208,14 +231,95 @@ def test_bellman_solver_equals_dijkstra_for_optimal_mode():
     for seed in range(15):
         snap, _, penalty = _random_instance(seed + 2000)
         graph = build_visibility_graph(snap, stations, threads=1)
-        via_dijkstra = downhaul_latencies(
+        via_bellman = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
         )
-        via_bellman = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty,
-            solver="bellman",
-        )
+        via_dijkstra = dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty)
         assert via_dijkstra == via_bellman
+
+
+PROPERTY_STATIONS = load_ground_stations_csv(
+    "id,lat_deg,lon_deg,alt_km\ng1,10,30,0\ng2,-40,150,0\ng3,65,-100,0\ng4,-5,-60,0\n"
+)
+
+
+def _engine_and_oracle(graph, snap, stations, terminus, penalty):
+    """(engine report, oracle report) for every mode."""
+    greedy = ArchitectureMode.DOWNHAUL_GREEDY
+    optimal = ArchitectureMode.DOWNHAUL_OPTIMAL
+    greedy_sources = greedy_downhaul_sources(graph, snap, stations, terminus)
+    return {
+        "onorbit": (
+            onorbit_latencies(graph, snap, penalty),
+            dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True),
+        ),
+        "greedy": (
+            downhaul_latencies(graph, snap, stations, terminus, greedy, penalty),
+            dijkstra_oracle(graph, snap, greedy_sources, penalty),
+        ),
+        "optimal": (
+            downhaul_latencies(graph, snap, stations, terminus, optimal, penalty),
+            dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty),
+        ),
+    }
+
+
+def _draw_overlay(data, graph, snap, stations):
+    ids = snap.ids()
+    links = [(ids[i], ids[j]) for i, j in graph.sat_edges.tolist()]
+    links += [(ids[i], stations[g].id) for i, g in graph.station_edges.tolist()]
+    some_links = st.lists(st.sampled_from(links), max_size=8) if links else st.just([])
+    regions = st.lists(
+        st.tuples(st.floats(-80.0, 80.0), st.floats(-180.0, 180.0), st.floats(200.0, 2500.0)),
+        max_size=2,
+    )
+    return AttackOverlay(
+        disabled_satellites=frozenset(data.draw(st.lists(st.sampled_from(ids), max_size=5))),
+        disabled_stations=frozenset(
+            data.draw(st.lists(st.sampled_from([s.id for s in stations]), max_size=2))
+        ),
+        disabled_links=frozenset(AttackOverlay.normalize_link(a, b) for a, b in data.draw(some_links)),
+        jam_regions=tuple(
+            JamRegion(GeodeticPosition(lat, lon, 0.0), radius)
+            for lat, lon, radius in data.draw(regions)
+        ),
+        reroute_penalty_ms=data.draw(st.sampled_from([0.0, 0.3])),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(shell_seed=st.integers(0, 2**31), count=st.integers(2, 45), data=st.data())
+def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count, data):
+    stations = PROPERTY_STATIONS
+    snap = random_shell(shell_seed, count=count)
+    snap = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
+    terminus = TerminusNode(data.draw(st.sampled_from(stations)).geodetic)
+    penalty = data.draw(st.sampled_from([0.0, 0.25, 1.75]))
+    graph = build_visibility_graph(snap, stations, threads=1)
+    overlay = _draw_overlay(data, graph, snap, stations)
+    attacked = apply_overlay(graph, snap, stations, overlay)
+
+    before = _engine_and_oracle(graph, snap, stations, terminus, penalty)
+    after = _engine_and_oracle(
+        attacked, snap, stations, terminus, penalty + overlay.reroute_penalty_ms
+    )
+    for mode in before:
+        assert before[mode][0] == before[mode][1], mode
+        assert after[mode][0] == after[mode][1], mode
+
+    # Shortest paths only lose edges and gain penalty.  Greedy labels can
+    # drop when an attack moves a satellite's downlink, so greedy is held to
+    # this only when every attacked source is a baseline source and every
+    # dropped source lost all its inter-satellite links.
+    monotone = ["onorbit", "optimal"]
+    base_sources = set(greedy_downhaul_sources(graph, snap, stations, terminus))
+    attacked_sources = set(greedy_downhaul_sources(attacked, snap, stations, terminus))
+    dropped = {s.node for s in base_sources - attacked_sources}
+    if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
+        monotone.append("greedy")
+    for mode in monotone:
+        for b, a in zip(before[mode][0].entries, after[mode][0].entries):
+            assert a.latency_ms >= b.latency_ms, mode
 
 
 def test_optimal_never_exceeds_greedy_pointwise():

@@ -11,8 +11,10 @@ from sda_netlab.constellation import (
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
+    select_actuators,
 )
 from sda_netlab.geo import EcefPosition, GeodeticPosition, euclidean_km, has_line_of_sight, propagation_delay_ms
+from sda_netlab.routing import onorbit_latencies
 from sda_netlab.topology import (
     AttackOverlay,
     JamRegion,
@@ -55,6 +57,32 @@ def test_build_matches_brute_force_double_loop_exactly():
     assert graph.sat_delays_ms.tolist() == sd  # bit-exact, same expressions
     assert [tuple(e) for e in graph.station_edges] == gs
     assert graph.station_delays_ms.tolist() == gd
+
+
+def test_adjacency_lists_each_edge_under_both_endpoints_and_is_built_once():
+    snap = select_actuators(random_shell(11, count=40), 6, 11)
+    graph = build_visibility_graph(snap, threads=1)
+    assert "adjacency" not in vars(graph)  # nothing is built before the first solve
+    onorbit_latencies(graph, snap)
+    adj = vars(graph)["adjacency"]
+    onorbit_latencies(graph, select_actuators(snap, 12, 11))
+    assert graph.adjacency is adj
+
+    expected = sorted(
+        (u, v, d)
+        for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist())
+        for u, v in ((i, j), (j, i))
+    )
+    listed = sorted(
+        (u, int(v), float(d))
+        for u in range(graph.sat_count)
+        for v, d in zip(
+            adj.neighbors[adj.indptr[u]:adj.indptr[u + 1]],
+            adj.delays_ms[adj.indptr[u]:adj.indptr[u + 1]],
+        )
+    )
+    assert listed == expected
+    assert adj.indptr[0] == 0 and adj.indptr[-1] == 2 * graph.sat_edge_count
 
 
 def test_build_trivial_two_satellite_cases():
