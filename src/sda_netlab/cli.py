@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
-from .constellation import WalkerSpec, select_actuators, snapshot_to_csv
+from .constellation import WalkerSpec, snapshot_to_csv
 from .experiments import (
     PRESET_NAMES,
     ConstellationSource,
@@ -27,28 +26,26 @@ from .experiments import (
     attack_scenario,
     compare_architectures,
     config_to_dict,
+    flagged_snapshot,
     preset_shells,
     report_to_csv,
-    resolve_actuator_count,
-    resolve_snapshot,
     run_scenario,
 )
 from .geo import GeodeticPosition
 from .routing import ArchitectureMode
-from .topology import AttackOverlay, resolve_thread_count
+from .topology import AttackOverlay, json_number, resolve_thread_count
 
 SWEEP_CSV_HEADER = "fraction,mean_ms,median_ms,p95_ms,unreachable"
 
-_WALKER_KEYS = {
-    "altitude_km",
-    "inclination_deg",
-    "planes",
-    "sats_per_plane",
-    "phasing_f",
-    "raan_offset_deg",
-    "id_prefix",
-    "label",
+_WALKER_NUMBERS = {
+    "altitude_km": float,
+    "inclination_deg": float,
+    "planes": int,
+    "sats_per_plane": int,
+    "phasing_f": int,
+    "raan_offset_deg": float,
 }
+_WALKER_KEYS = {*_WALKER_NUMBERS, "id_prefix", "label"}
 _TOP_KEYS = {
     "constellation",
     "stations_csv",
@@ -73,27 +70,18 @@ def _parse_walker_shell(data: dict, errors: list[str], where: str) -> WalkerShel
     if bad:
         errors.append(f"{where}: unknown walker key(s) {', '.join(bad)}")
         return None
-    error_count = len(errors)
-    for key in ("planes", "sats_per_plane", "phasing_f"):
-        _parse_number(data, key, errors, None, kind=int, name=f"{where}: {key}")
-    if len(errors) > error_count:
+    missing = [k for k in ("altitude_km", "inclination_deg", "planes", "sats_per_plane") if k not in data]
+    if missing:
+        errors.append(f"{where}: missing required key {missing[0]!r}")
         return None
     try:
-        spec = WalkerSpec(
-            altitude_km=float(data["altitude_km"]),
-            inclination_deg=float(data["inclination_deg"]),
-            planes=data["planes"],
-            sats_per_plane=data["sats_per_plane"],
-            phasing_f=data.get("phasing_f", 0),
-            raan_offset_deg=float(data.get("raan_offset_deg", 0.0)),
-        )
+        spec = WalkerSpec(**{
+            key: json_number(data[key], key, kind) for key, kind in _WALKER_NUMBERS.items() if key in data
+        })
         return WalkerShell(
             spec, str(data.get("id_prefix", "sat")), str(data.get("label", "walker"))
         )
-    except KeyError as exc:
-        errors.append(f"{where}: missing required key {exc.args[0]!r}")
-        return None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         errors.append(f"{where}: {exc}")
         return None
 
@@ -159,24 +147,16 @@ def _parse_constellation(
 
 
 def _parse_number(data: dict, key: str, errors: list[str], default, kind=float, name=None):
-    """``data[key]`` as ``kind``, or ``default`` when absent; a bad value
-    appends an error prefixed by ``name`` (default: the key)."""
+    """``data[key]`` checked by :func:`json_number`, or ``default`` when
+    absent; a bad value appends an error prefixed by ``name`` (default: the
+    key)."""
     if key not in data:
         return default
-    name = key if name is None else name
-    raw = data[key]
-    if isinstance(raw, bool) or (kind is int and not isinstance(raw, int)):
-        errors.append(f"{name}: must be an integer, got {raw!r}")
-        return default
     try:
-        value = kind(raw)
-    except (TypeError, ValueError):
-        errors.append(f"{name}: must be a number, got {raw!r}")
+        return json_number(data[key], key if name is None else name, kind)
+    except ValueError as exc:
+        errors.append(str(exc))
         return default
-    if isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"{name}: must be finite")
-        return default
-    return value
 
 
 def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | None, list[str]]:
@@ -211,9 +191,9 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
         else:
             try:
                 terminus = GeodeticPosition(
-                    float(t["lat_deg"]), float(t["lon_deg"]), float(t.get("alt_km", 0.0))
+                    *(json_number(t.get(key, 0.0), key) for key in ("lat_deg", "lon_deg", "alt_km"))
                 )
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 errors.append(f"terminus: {exc}")
 
     mode = ArchitectureMode.ON_ORBIT
@@ -240,7 +220,9 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
     if margin < 0.0:
         errors.append(f"los_margin_km: must be >= 0, got {margin}")
         margin = 0.0
-    min_elev = _parse_number(data, "min_elevation_deg", errors, None)
+    min_elev = None  # null, as in the documented example, means no horizon mask
+    if data.get("min_elevation_deg") is not None:
+        min_elev = _parse_number(data, "min_elevation_deg", errors, None)
     penalty = _parse_number(data, "reroute_penalty_ms", errors, 0.0)
     if penalty < 0.0:
         errors.append(f"reroute_penalty_ms: must be >= 0, got {penalty}")
@@ -266,25 +248,20 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
         else:
             errors.append("overlay: must be a path or an object")
 
-    sweep_fractions = None
-    if data.get("sweep_fractions") is not None:
-        raw = data["sweep_fractions"]
-        if not isinstance(raw, list) or not raw:
-            errors.append("sweep_fractions: must be a non-empty array of numbers")
-        else:
-            try:
-                sweep_fractions = tuple(float(f) for f in raw)
-            except (TypeError, ValueError):
-                errors.append("sweep_fractions: must be a non-empty array of numbers")
-            if sweep_fractions is not None:
-                for f in sweep_fractions:
-                    if not 0.0 <= f <= 1.0:
-                        errors.append(f"sweep_fractions: fraction {f} outside [0, 1]")
-                        sweep_fractions = None
-                        break
-                if sweep_fractions is not None and list(sweep_fractions) != sorted(sweep_fractions):
-                    errors.append("sweep_fractions: must be sorted ascending")
-                    sweep_fractions = None
+    sweep_fractions = raw = data.get("sweep_fractions")
+    if raw is not None:
+        try:
+            if not isinstance(raw, list) or not raw:
+                raise ValueError("sweep_fractions: must be a non-empty array of numbers")
+            sweep_fractions = tuple(json_number(f, f"sweep_fractions[{k}]") for k, f in enumerate(raw))
+            outside = [f for f in sweep_fractions if not 0.0 <= f <= 1.0]
+            if outside:
+                raise ValueError(f"sweep_fractions: fraction {outside[0]} outside [0, 1]")
+            if list(sweep_fractions) != sorted(sweep_fractions):
+                raise ValueError("sweep_fractions: must be sorted ascending")
+        except ValueError as exc:
+            errors.append(str(exc))
+            sweep_fractions = None
 
     if errors or source is None:
         return None, errors
@@ -390,8 +367,7 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
 
 
 def _cmd_generate(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
-    snapshot = resolve_snapshot(cfg.constellation)
-    snapshot = select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
+    snapshot = flagged_snapshot(cfg)
     path = os.path.join(out_dir, "snapshot.csv")
     _write_text(path, snapshot_to_csv(snapshot))
     say(f"wrote {path} ({len(snapshot)} satellites)")
@@ -419,10 +395,7 @@ def _cmd_sweep(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
 
 
 def _cmd_attack(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
-    if cfg.overlay is None:
-        raise ValueError("overlay: the attack subcommand requires an overlay in the config")
-    baseline_cfg = replace(cfg, overlay=None, overlay_path=None)
-    outcome = attack_scenario(baseline_cfg, cfg.overlay, threads=args.threads)
+    outcome = attack_scenario(cfg, threads=args.threads)
     path = os.path.join(out_dir, "attack.json")
     _write_json(path, {
         "baseline": outcome.baseline.to_dict(),
@@ -436,10 +409,7 @@ def _cmd_attack(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
 
 
 def _cmd_compare(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
-    down_mode = cfg.mode if cfg.mode is not ArchitectureMode.ON_ORBIT else ArchitectureMode.DOWNHAUL_GREEDY
-    cfg_down = replace(cfg, mode=down_mode)
-    cfg_orbit = replace(cfg, mode=ArchitectureMode.ON_ORBIT)
-    result = compare_architectures(cfg_down, cfg_orbit, threads=args.threads)
+    result = compare_architectures(cfg, threads=args.threads)
     down_path = os.path.join(out_dir, "report_downhaul.csv")
     orbit_path = os.path.join(out_dir, "report_onorbit.csv")
     summary_path = os.path.join(out_dir, "summary.json")

@@ -1,11 +1,12 @@
-"""Experiment orchestration: scenario configuration, metric summaries,
-architecture comparison, actuator-fraction sweeps, and attack scenarios."""
+"""Experiment orchestration: scenario configuration, metric summaries, the
+shared network stage, architecture comparison, actuator-fraction sweeps,
+and attack scenarios."""
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .constellation import (
     ConstellationSnapshot,
@@ -21,6 +22,7 @@ from .constellation import (
 )
 from .geo import GeodeticPosition
 from .routing import (
+    TERMINUS_NAME,
     ArchitectureMode,
     LatencyReport,
     downhaul_latencies,
@@ -262,7 +264,7 @@ def resolve_terminus(cfg: ScenarioConfig, stations: list[GroundStationNode]) -> 
 def route_report(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
-    stations: list[GroundStationNode],
+    stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: TerminusNode | None,
     mode: ArchitectureMode,
     reroute_penalty_ms: float,
@@ -272,6 +274,62 @@ def route_report(
     if terminus is None:
         raise ValueError("downhaul modes require ground stations or an explicit terminus")
     return downhaul_latencies(graph, snapshot, stations, terminus, mode, reroute_penalty_ms)
+
+
+# --- The shared network stage ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Network:
+    """What every study routes: the actuator-flagged snapshot, the stations,
+    the terminus, and the visibility graph with any overlay applied.
+    ``penalty_ms`` is the config's reroute penalty plus the overlay's."""
+
+    snapshot: ConstellationSnapshot
+    stations: tuple[GroundStationNode, ...]
+    terminus: TerminusNode | None
+    graph: VisibilityGraph
+    penalty_ms: float
+
+    def route(self, mode: ArchitectureMode) -> LatencyReport:
+        return route_report(
+            self.graph, self.snapshot, self.stations, self.terminus, mode, self.penalty_ms
+        )
+
+    def with_overlay(self, overlay: AttackOverlay) -> "Network":
+        return replace(
+            self,
+            graph=apply_overlay(self.graph, self.snapshot, self.stations, overlay),
+            penalty_ms=self.penalty_ms + overlay.reroute_penalty_ms,
+        )
+
+
+def flagged_snapshot(cfg: ScenarioConfig) -> ConstellationSnapshot:
+    """The configured snapshot with the configured actuators flagged."""
+    snapshot = resolve_snapshot(cfg.constellation)
+    return select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
+
+
+def prepare(cfg: ScenarioConfig, threads: int | None = None) -> Network:
+    """The one network stage: resolve and flag the snapshot, load the
+    stations and the terminus, build the visibility graph, apply
+    ``cfg.overlay``.  ``simulate``, ``sweep`` and ``compare`` route this
+    network; ``attack`` routes it without and then with the overlay."""
+    snapshot = flagged_snapshot(cfg)
+    stations = tuple(resolve_stations(cfg))
+    sat_ids = set(snapshot.ids())
+    for st in stations:
+        if st.id in sat_ids or st.id == TERMINUS_NAME:
+            what = "a satellite id" if st.id in sat_ids else "reserved for the terminus"
+            raise ValueError(f"stations_csv: station id {st.id!r} is {what}")
+    graph = build_visibility_graph(
+        snapshot, stations, margin_km=cfg.los_margin_km,
+        min_elevation_deg=cfg.min_elevation_deg, threads=threads,
+    )
+    network = Network(
+        snapshot, stations, resolve_terminus(cfg, stations), graph, cfg.reroute_penalty_ms
+    )
+    return network if cfg.overlay is None else network.with_overlay(cfg.overlay)
 
 
 @dataclass(frozen=True)
@@ -285,21 +343,12 @@ class ScenarioRun:
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int | None = None) -> ScenarioRun:
-    """Resolve the snapshot, build the graph, apply any overlay, and route."""
-    snapshot = resolve_snapshot(cfg.constellation)
-    snapshot = select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
-    stations = resolve_stations(cfg)
-    terminus = resolve_terminus(cfg, stations)
-    graph = build_visibility_graph(
-        snapshot, stations, margin_km=cfg.los_margin_km,
-        min_elevation_deg=cfg.min_elevation_deg, threads=threads,
+    """Route ``cfg.mode`` on the prepared network."""
+    network = prepare(cfg, threads)
+    report = network.route(cfg.mode)
+    return ScenarioRun(
+        cfg, network.snapshot, network.stations, network.graph, report, summarize(report)
     )
-    penalty = cfg.reroute_penalty_ms
-    if cfg.overlay is not None:
-        graph = apply_overlay(graph, snapshot, stations, cfg.overlay)
-        penalty = penalty + cfg.overlay.reroute_penalty_ms
-    report = route_report(graph, snapshot, stations, terminus, cfg.mode, penalty)
-    return ScenarioRun(cfg, snapshot, tuple(stations), graph, report, summarize(report))
 
 
 # --- Studies --------------------------------------------------------------------
@@ -313,35 +362,18 @@ class ArchitectureComparison:
     onorbit_report: LatencyReport
 
 
-def compare_architectures(
-    cfg_downhaul: ScenarioConfig,
-    cfg_onorbit: ScenarioConfig,
-    threads: int | None = None,
-) -> ArchitectureComparison:
-    """Run both engines on the identical snapshot and pair the summaries."""
-    if cfg_downhaul.constellation != cfg_onorbit.constellation:
-        raise ValueError("mismatched snapshot sources between the two configs")
-    if cfg_downhaul.mode is ArchitectureMode.ON_ORBIT:
-        raise ValueError("cfg_downhaul must use a downhaul mode")
-    if cfg_onorbit.mode is not ArchitectureMode.ON_ORBIT:
-        raise ValueError("cfg_onorbit must use the onorbit mode")
-    if cfg_downhaul.los_margin_km != cfg_onorbit.los_margin_km:
-        raise ValueError("both configs must agree on los_margin_km")
+def compare_architectures(cfg: ScenarioConfig, threads: int | None = None) -> ArchitectureComparison:
+    """Route a downhaul mode and the on-orbit mode on one prepared network.
 
-    snapshot = resolve_snapshot(cfg_onorbit.constellation)
-    snapshot = select_actuators(
-        snapshot, resolve_actuator_count(cfg_onorbit, len(snapshot)), cfg_onorbit.seed
-    )
-    stations = resolve_stations(cfg_downhaul)
-    terminus = resolve_terminus(cfg_downhaul, stations)
-    graph = build_visibility_graph(
-        snapshot, stations, margin_km=cfg_downhaul.los_margin_km,
-        min_elevation_deg=cfg_downhaul.min_elevation_deg, threads=threads,
-    )
-    down = route_report(
-        graph, snapshot, stations, terminus, cfg_downhaul.mode, cfg_downhaul.reroute_penalty_ms
-    )
-    orbit = onorbit_latencies(graph, snapshot, cfg_onorbit.reroute_penalty_ms)
+    The downhaul mode is ``cfg.mode``, or greedy when that is on-orbit, so
+    each report equals what ``run_scenario`` gives for that mode.
+    """
+    network = prepare(cfg, threads)
+    down_mode = cfg.mode
+    if down_mode is ArchitectureMode.ON_ORBIT:
+        down_mode = ArchitectureMode.DOWNHAUL_GREEDY
+    down = network.route(down_mode)
+    orbit = network.route(ArchitectureMode.ON_ORBIT)
     return ArchitectureComparison(summarize(down), summarize(orbit), down, orbit)
 
 
@@ -354,40 +386,24 @@ class SweepPoint:
 
 def actuator_sweep(
     cfg: ScenarioConfig,
-    fractions: tuple[float, ...] | None = None,
-    seed: int | None = None,
     independent_draws: bool = False,
     threads: int | None = None,
 ) -> list[SweepPoint]:
-    """Latency as a function of the actuator fraction on one fixed graph.
+    """Latency as a function of ``cfg.sweep_fractions`` on one prepared network.
 
     By default the actuator sets are nested (prefixes of one seeded
     permutation), which makes the mean over finite latencies exactly
     non-increasing on a connected shell.  ``independent_draws`` redraws the
     selection per point instead.
     """
-    fractions = tuple(fractions if fractions is not None else cfg.sweep_fractions)
-    if list(fractions) != sorted(fractions):
-        raise ValueError("fractions must be sorted ascending")
-    seed = cfg.seed if seed is None else seed
-    snapshot = resolve_snapshot(cfg.constellation)
-    stations = resolve_stations(cfg)
-    terminus = resolve_terminus(cfg, stations)
-    graph = build_visibility_graph(
-        snapshot, stations, margin_km=cfg.los_margin_km,
-        min_elevation_deg=cfg.min_elevation_deg, threads=threads,
-    )
-    penalty = cfg.reroute_penalty_ms
-    if cfg.overlay is not None:
-        graph = apply_overlay(graph, snapshot, stations, cfg.overlay)
-        penalty = penalty + cfg.overlay.reroute_penalty_ms
-
-    rng = SplitMix64(seed)
+    network = prepare(cfg, threads)
+    n = len(network.snapshot)
+    rng = SplitMix64(cfg.seed)
     points = []
-    for fraction in fractions:
-        point_seed = rng.next_u64() if independent_draws else seed
-        flagged = select_actuators(snapshot, half_up_count(fraction, len(snapshot)), point_seed)
-        report = route_report(graph, flagged, stations, terminus, cfg.mode, penalty)
+    for fraction in cfg.sweep_fractions:
+        point_seed = rng.next_u64() if independent_draws else cfg.seed
+        flagged = select_actuators(network.snapshot, half_up_count(fraction, n), point_seed)
+        report = replace(network, snapshot=flagged).route(cfg.mode)
         points.append(SweepPoint(fraction, len(flagged.actuator_indices()), summarize(report)))
     return points
 
@@ -400,36 +416,20 @@ class AttackOutcome:
     availability_loss: int
 
 
-def attack_scenario(
-    cfg: ScenarioConfig,
-    overlay: AttackOverlay,
-    threads: int | None = None,
-) -> AttackOutcome:
-    """Route before and after the overlay on the same snapshot.
+def attack_scenario(cfg: ScenarioConfig, threads: int | None = None) -> AttackOutcome:
+    """Route the network without and then with ``cfg.overlay``.
 
     ``delta_mean_ms`` averages the per-satellite latency increase over
     satellites reachable in both runs (None when that set is empty); the
     overlay's own reroute penalty applies only to the attacked run.
     """
-    snapshot = resolve_snapshot(cfg.constellation)
-    snapshot = select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
-    stations = resolve_stations(cfg)
-    terminus = resolve_terminus(cfg, stations)
-    graph = build_visibility_graph(
-        snapshot, stations, margin_km=cfg.los_margin_km,
-        min_elevation_deg=cfg.min_elevation_deg, threads=threads,
-    )
-    baseline = route_report(graph, snapshot, stations, terminus, cfg.mode, cfg.reroute_penalty_ms)
-    attacked_graph = apply_overlay(graph, snapshot, stations, overlay)
-    del graph  # frees the baseline graph and its adjacency before the attacked solve
-    attacked = route_report(
-        graph=attacked_graph,
-        snapshot=snapshot,
-        stations=stations,
-        terminus=terminus,
-        mode=cfg.mode,
-        reroute_penalty_ms=cfg.reroute_penalty_ms + overlay.reroute_penalty_ms,
-    )
+    if cfg.overlay is None:
+        raise ValueError("overlay: the attack subcommand requires an overlay in the config")
+    network = prepare(replace(cfg, overlay=None, overlay_path=None), threads)
+    baseline = network.route(cfg.mode)
+    # Rebinding frees the baseline graph and its adjacency before the attacked solve.
+    network = network.with_overlay(cfg.overlay)
+    attacked = network.route(cfg.mode)
     deltas = [
         a.latency_ms - b.latency_ms
         for a, b in zip(attacked.entries, baseline.entries)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -239,6 +240,20 @@ def _elevation_mask(
 # --- Attack overlays ------------------------------------------------------------
 
 
+def json_number(raw, name: str, kind: type = float):
+    """``raw`` as ``kind`` when it is a finite JSON number (for ``kind=int``,
+    an integer); a bool or a string is never one.  Raises ``ValueError``
+    prefixed by ``name``.  Every numeric config value goes through here."""
+    integer = kind is int
+    if isinstance(raw, bool) or not isinstance(raw, int if integer else (int, float)):
+        raise ValueError(f"{name}: must be {'an integer' if integer else 'a number'}, got {raw!r}")
+    if integer:
+        return raw
+    if not abs(raw) <= sys.float_info.max:  # NaN, infinities, integers beyond a float
+        raise ValueError(f"{name}: must be finite")
+    return float(raw)
+
+
 @dataclass(frozen=True)
 class JamRegion:
     center: GeodeticPosition
@@ -284,30 +299,38 @@ class AttackOverlay:
         for key in data:
             if key not in allowed:
                 raise ValueError(f"unknown overlay key {key!r}")
+
+        def entries(key: str) -> list:
+            value = data.get(key, [])
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key}: must be a list, got {value!r}")
+            return value
+
         links = set()
-        for pair in data.get("disabled_links", []):
+        for pair in entries("disabled_links"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
             links.add(cls.normalize_link(str(pair[0]), str(pair[1])))
         regions = []
-        for r in data.get("jam_regions", []):
+        for k, r in enumerate(entries("jam_regions")):
             if not isinstance(r, dict) or not {"lat_deg", "lon_deg", "radius_km"} <= set(r):
                 raise ValueError(
                     "jam_regions entries need lat_deg, lon_deg and radius_km, got "
                     f"{r!r}"
                 )
-            regions.append(
-                JamRegion(
-                    GeodeticPosition(float(r["lat_deg"]), float(r["lon_deg"]), 0.0),
-                    float(r["radius_km"]),
-                )
+            lat, lon, radius = (
+                json_number(r[key], f"jam_regions[{k}].{key}")
+                for key in ("lat_deg", "lon_deg", "radius_km")
             )
+            regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
         return cls(
-            disabled_satellites=frozenset(map(str, data.get("disabled_satellites", []))),
-            disabled_stations=frozenset(map(str, data.get("disabled_stations", []))),
+            disabled_satellites=frozenset(map(str, entries("disabled_satellites"))),
+            disabled_stations=frozenset(map(str, entries("disabled_stations"))),
             disabled_links=frozenset(links),
             jam_regions=tuple(regions),
-            reroute_penalty_ms=float(data.get("reroute_penalty_ms", 0.0)),
+            reroute_penalty_ms=json_number(
+                data.get("reroute_penalty_ms", 0.0), "reroute_penalty_ms"
+            ),
         )
 
     def to_dict(self) -> dict:

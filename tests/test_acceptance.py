@@ -8,6 +8,7 @@ import json
 import os
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_criterion_6_diminishing_returns():
         seed=SEEDS[0],
     )
     fractions = tuple(i / 20 for i in range(1, 21))
-    points = actuator_sweep(cfg, fractions=fractions)
+    points = actuator_sweep(replace(cfg, sweep_fractions=fractions))
     means = [p.summary.mean_ms for p in points]
     non_increasing = all(b <= a for a, b in zip(means, means[1:]))
     m10, m50, m100 = means[1], means[9], means[19]
@@ -273,7 +274,7 @@ def test_criterion_8_attack_properties(stations):
         mode=ArchitectureMode.DOWNHAUL_GREEDY, seed=SEEDS[0],
     )
     station_denial = AttackOverlay(disabled_stations=frozenset(s.id for s in stations))
-    denial = attack_scenario(downhaul_cfg, station_denial)
+    denial = attack_scenario(replace(downhaul_cfg, overlay=station_denial))
     total = denial.baseline.satellite_count
     denial_ok = (
         denial.attacked.unreachable_count == total
@@ -286,7 +287,9 @@ def test_criterion_8_attack_properties(stations):
     solo_id = select_actuators(snap, 1, SEEDS[0]).satellites[
         select_actuators(snap, 1, SEEDS[0]).actuator_indices()[0]
     ].id
-    solo = attack_scenario(solo_cfg, AttackOverlay(disabled_satellites=frozenset({solo_id})))
+    solo = attack_scenario(
+        replace(solo_cfg, overlay=AttackOverlay(disabled_satellites=frozenset({solo_id})))
+    )
     solo_ok = solo.attacked.unreachable_count == solo.attacked.satellite_count - 1
 
     rng = random.Random(777)
@@ -310,7 +313,7 @@ def test_criterion_8_attack_properties(stations):
             else (),
             reroute_penalty_ms=rng.choice([0.0, 0.0, 0.4]),
         )
-        outcome = attack_scenario(onorbit_cfg, overlay)
+        outcome = attack_scenario(replace(onorbit_cfg, overlay=overlay))
         if outcome.availability_loss < 0:
             violations += 1
         if outcome.delta_mean_ms is not None and outcome.delta_mean_ms < -1e-12:

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from sda_netlab.cli import run, validate_config
+from sda_netlab.experiments import PRESET_NAMES
 from sda_netlab.routing import ArchitectureMode
 
 
@@ -42,6 +45,10 @@ def test_validate_config_minimal_defaults(tmp_path):
     assert cfg.seed == 0
     assert cfg.mode is ArchitectureMode.ON_ORBIT
     assert cfg.constellation.walker_shells[0].spec.planes == 18
+
+    text = json.dumps({"constellation": {"preset": "oneweb-like"}, "min_elevation_deg": None})
+    cfg, errors = validate_config(text, base_dir=str(tmp_path))
+    assert errors == [] and cfg.min_elevation_deg is None
 
 
 def test_validate_config_reports_all_errors_at_once(tmp_path):
@@ -88,17 +95,145 @@ def test_validate_config_rejects_non_json():
 
 def test_validate_config_rejects_malformed_overlays_and_numbers():
     base = {"constellation": {"preset": "oneweb-like"}}
+    shell = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 4, "sats_per_plane": 8}
     cases = [
         ({**base, "overlay": {"jam_regions": [{"lat_deg": 0}]}}, "jam_regions"),
         ({**base, "overlay": {"disabled_links": ["solo"]}}, "id pairs"),
         ({**base, "actuator_count": 1.5}, "integer"),
         ({**base, "seed": True}, "integer"),
         ({**base, "sweep_fractions": [0.2, 1.4]}, "sweep_fractions"),
+        # Wrong-typed overlay fields are errors, not a TypeError.
+        ({**base, "overlay": {"reroute_penalty_ms": None}},
+         "overlay: reroute_penalty_ms: must be a number, got None"),
+        ({**base, "overlay": {"disabled_links": 5}}, "overlay: disabled_links: must be a list, got 5"),
+        ({**base, "overlay": {"disabled_satellites": 5}},
+         "overlay: disabled_satellites: must be a list, got 5"),
+        ({**base, "overlay": {"jam_regions": [{"lat_deg": None, "lon_deg": 0, "radius_km": 500}]}},
+         "overlay: jam_regions[0].lat_deg: must be a number, got None"),
+        # One number rule: a finite JSON number, never a bool or a string.
+        ({**base, "sweep_fractions": ["0.1", 0.2]}, "sweep_fractions[0]: must be a number, got '0.1'"),
+        ({**base, "terminus": {"lat_deg": True, "lon_deg": 0}},
+         "terminus: lat_deg: must be a number, got True"),
+        ({"constellation": {"walker": {**shell, "altitude_km": "550"}}},
+         "constellation.walker[0]: altitude_km: must be a number, got '550'"),
+        ({"constellation": {"walker": {**shell, "inclination_deg": True}}},
+         "constellation.walker[0]: inclination_deg: must be a number, got True"),
+        ({**base, "overlay": {"reroute_penalty_ms": "1.5"}},
+         "overlay: reroute_penalty_ms: must be a number, got '1.5'"),
+        ({**base, "actuator_fraction": True}, "actuator_fraction: must be a number, got True"),
     ]
     for payload, needle in cases:
         cfg, errors = validate_config(json.dumps(payload))
         assert cfg is None
         assert any(needle in e for e in errors), (payload, errors)
+
+
+def test_cli_reports_a_wrong_typed_overlay_field_as_an_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, overlay={"disabled_links": 5})
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: overlay: disabled_links: must be a list, got 5\n"
+
+
+def test_cli_rejects_station_ids_that_collide(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    for clash, why in [("t-p000-s003", "a satellite id"), ("terminus", "reserved for the terminus")]:
+        write(tmp_path / "stations.csv", f"id,lat_deg,lon_deg,alt_km\ngA,5,-20,0\n{clash},48,2,0\n")
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: stations_csv: station id {clash!r} is {why}\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_any_json(valid):
+    """A plausible value three times in four, else any JSON value."""
+    return st.integers(0, 3).flatmap(lambda k: _JSON if k == 0 else valid)
+
+
+def _schema(required=(), **fields):
+    """Objects over the schema's keys; the ``required`` ones always present."""
+    return st.fixed_dictionaries(
+        {key: _or_any_json(fields[key]) for key in required},
+        optional={key: _or_any_json(v) for key, v in fields.items() if key not in required},
+    )
+
+
+_UNIT = st.floats(0.0, 1.0)
+_WALKER = _schema(
+    ("altitude_km", "inclination_deg", "planes", "sats_per_plane"),
+    altitude_km=st.floats(-10.0, 2000.0), inclination_deg=st.floats(0.0, 180.0),
+    planes=st.integers(0, 6), sats_per_plane=st.integers(0, 6), phasing_f=st.integers(0, 6),
+    raan_offset_deg=st.floats(0.0, 360.0), id_prefix=st.text(max_size=3), label=st.text(max_size=3),
+)
+_CONFIG = _schema(
+    ("constellation",),
+    constellation=st.one_of(
+        _schema(("preset",), preset=st.sampled_from(PRESET_NAMES)),
+        _schema(("walker",), walker=_WALKER | st.lists(_WALKER, max_size=2)),
+        _schema(
+            preset=st.sampled_from(PRESET_NAMES), walker=_WALKER,
+            snapshot_csv=st.text(max_size=4), tle_file=st.text(max_size=4), tle_at_seconds=st.floats(),
+        ),
+    ),
+    stations_csv=st.none(),
+    terminus=_schema(
+        ("lat_deg", "lon_deg"),
+        lat_deg=st.floats(-100.0, 100.0), lon_deg=st.floats(-400.0, 400.0), alt_km=st.floats(-1.0, 9.0),
+    ),
+    mode=st.sampled_from([m.value for m in ArchitectureMode]),
+    actuator_fraction=_UNIT,
+    actuator_count=st.integers(0, 50),
+    seed=st.integers(0, 2**64 - 1),
+    los_margin_km=st.floats(0.0, 50.0),
+    min_elevation_deg=st.none() | st.floats(-10.0, 90.0),
+    reroute_penalty_ms=st.floats(0.0, 5.0),
+    overlay=_schema(
+        disabled_satellites=st.lists(st.text(max_size=3), max_size=2),
+        disabled_stations=st.lists(st.text(max_size=3), max_size=2),
+        disabled_links=st.lists(st.lists(st.text(max_size=3), min_size=2, max_size=2), max_size=2),
+        jam_regions=st.lists(
+            _schema(("lat_deg", "lon_deg", "radius_km"),
+                    lat_deg=st.floats(-90.0, 90.0), lon_deg=st.floats(-180.0, 180.0),
+                    radius_km=st.floats(-10.0, 3000.0)),
+            max_size=2,
+        ),
+        reroute_penalty_ms=st.floats(0.0, 5.0),
+    ),
+    sweep_fractions=st.lists(_UNIT, min_size=1, max_size=3).map(sorted),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_CONFIG)
+def test_validate_config_returns_a_config_or_errors_and_never_raises(tmp_path, payload):
+    cfg, errors = validate_config(json.dumps(payload), base_dir=str(tmp_path))
+    if cfg is None:
+        assert errors and all(isinstance(e, str) for e in errors)
+    else:
+        assert errors == []
+
+
+def test_compare_writes_what_two_simulate_runs_write(tmp_path):
+    # The overlay disables two stations and adds a relay penalty, so it
+    # changes both architectures' reports.
+    overlay = {"disabled_stations": ["gA", "gB"], "reroute_penalty_ms": 0.5}
+    cfg = tiny_config(tmp_path, overlay=overlay)
+    out = tmp_path / "compare"
+    assert run(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    compared = json.loads((out / "summary.json").read_text())
+    for mode, block in (("downhaul-greedy", "downhaul"), ("onorbit", "onorbit")):
+        sim = tmp_path / mode
+        assert run(["simulate", "--config", cfg, "--out", str(sim), "--mode", mode, "--quiet"]) == 0
+        assert (out / f"report_{block}.csv").read_bytes() == (sim / "report.csv").read_bytes()
+        simulated = json.loads((sim / "summary.json").read_text())
+        del simulated["config"]
+        assert compared[block] == simulated
 
 
 def test_cli_rejects_a_non_numeric_tle_epoch(tmp_path, capsys):
