@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .geo import GeodeticPosition
 from .routing import ArchitectureMode
-from .topology import AttackOverlay, json_number, resolve_thread_count
+from .topology import AttackOverlay, json_number, json_string, resolve_thread_count
 
 SWEEP_CSV_HEADER = "fraction,mean_ms,median_ms,p95_ms,unreachable"
 
@@ -79,14 +79,20 @@ def _parse_walker_shell(data: dict, errors: list[str], where: str) -> WalkerShel
             key: json_number(data[key], key, kind) for key, kind in _WALKER_NUMBERS.items() if key in data
         })
         return WalkerShell(
-            spec, str(data.get("id_prefix", "sat")), str(data.get("label", "walker"))
+            spec, json_string(data.get("id_prefix", "sat"), "id_prefix"),
+            json_string(data.get("label", "walker"), "label"),
         )
     except ValueError as exc:
         errors.append(f"{where}: {exc}")
         return None
 
 
-def _resolve_path(path: str, base_dir: str, key: str, errors: list[str]) -> str | None:
+def _resolve_path(path, base_dir: str, key: str, errors: list[str]) -> str | None:
+    try:
+        path = json_string(path, key)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
     full = os.path.abspath(os.path.join(base_dir, path))
     if not os.path.isfile(full):
         errors.append(f"{key}: file not found: {path}")
@@ -135,9 +141,9 @@ def _parse_constellation(
             return None
         return ConstellationSource(walker_shells=tuple(shells))
     if "snapshot_csv" in data:
-        path = _resolve_path(str(data["snapshot_csv"]), base_dir, "constellation.snapshot_csv", errors)
+        path = _resolve_path(data["snapshot_csv"], base_dir, "constellation.snapshot_csv", errors)
         return ConstellationSource(snapshot_csv=path) if path else None
-    path = _resolve_path(str(data["tle_file"]), base_dir, "constellation.tle_file", errors)
+    path = _resolve_path(data["tle_file"], base_dir, "constellation.tle_file", errors)
     if path is None:
         return None
     at = data.get("tle_at_seconds")
@@ -181,7 +187,7 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
 
     stations_csv = None
     if data.get("stations_csv") is not None:
-        stations_csv = _resolve_path(str(data["stations_csv"]), base_dir, "stations_csv", errors)
+        stations_csv = _resolve_path(data["stations_csv"], base_dir, "stations_csv", errors)
 
     terminus = None
     if data.get("terminus") is not None:
@@ -199,7 +205,7 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
     mode = ArchitectureMode.ON_ORBIT
     if "mode" in data:
         try:
-            mode = ArchitectureMode.from_string(str(data["mode"]))
+            mode = ArchitectureMode.from_string(data["mode"])
         except ValueError as exc:
             errors.append(f"mode: {exc}")
 
@@ -223,6 +229,9 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
     min_elev = None  # null, as in the documented example, means no horizon mask
     if data.get("min_elevation_deg") is not None:
         min_elev = _parse_number(data, "min_elevation_deg", errors, None)
+        if min_elev is not None and not -90.0 <= min_elev <= 90.0:
+            errors.append(f"min_elevation_deg: must be in [-90, 90], got {min_elev}")
+            min_elev = None
     penalty = _parse_number(data, "reroute_penalty_ms", errors, 0.0)
     if penalty < 0.0:
         errors.append(f"reroute_penalty_ms: must be >= 0, got {penalty}")

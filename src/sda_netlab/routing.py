@@ -56,6 +56,8 @@ class ArchitectureMode(str, Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "ArchitectureMode":
+        if not isinstance(text, str):
+            raise ValueError(f"must be a string, got {text!r}")
         for mode in cls:
             if mode.value == text:
                 return mode

@@ -36,9 +36,10 @@ _ROW_BLOCK = 128
 class VisibilityGraph:
     """Immutable weighted visibility graph.
 
-    ``sat_edges`` holds index pairs (i, j) with i < j in ascending order;
-    ``station_edges`` holds (satellite index, station index) pairs.  Delays
-    are one-way propagation times in milliseconds.
+    ``sat_edges`` holds index pairs (i, j) with i < j in ascending (i, j)
+    order; ``station_edges`` holds (satellite index, station index) pairs in
+    ascending (i, g) order.  :func:`apply_overlay` relies on both orders.
+    Delays are one-way propagation times in milliseconds.
     """
 
     sat_count: int
@@ -254,6 +255,14 @@ def json_number(raw, name: str, kind: type = float):
     return float(raw)
 
 
+def json_string(raw, name: str) -> str:
+    """``raw`` when it is a JSON string; raises ``ValueError`` prefixed by
+    ``name``.  Config ids and paths go through here, never ``str()``."""
+    if not isinstance(raw, str):
+        raise ValueError(f"{name}: must be a string, got {raw!r}")
+    return raw
+
+
 @dataclass(frozen=True)
 class JamRegion:
     center: GeodeticPosition
@@ -306,11 +315,16 @@ class AttackOverlay:
                 raise ValueError(f"{key}: must be a list, got {value!r}")
             return value
 
+        def ids(key: str) -> frozenset[str]:
+            return frozenset(json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key)))
+
         links = set()
-        for pair in entries("disabled_links"):
+        for k, pair in enumerate(entries("disabled_links")):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
-            links.add(cls.normalize_link(str(pair[0]), str(pair[1])))
+            links.add(cls.normalize_link(
+                *(json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair))
+            ))
         regions = []
         for k, r in enumerate(entries("jam_regions")):
             if not isinstance(r, dict) or not {"lat_deg", "lon_deg", "radius_km"} <= set(r):
@@ -324,8 +338,8 @@ class AttackOverlay:
             )
             regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
         return cls(
-            disabled_satellites=frozenset(map(str, entries("disabled_satellites"))),
-            disabled_stations=frozenset(map(str, entries("disabled_stations"))),
+            disabled_satellites=ids("disabled_satellites"),
+            disabled_stations=ids("disabled_stations"),
             disabled_links=frozenset(links),
             jam_regions=tuple(regions),
             reroute_penalty_ms=json_number(
@@ -375,6 +389,20 @@ def _jammed_mask(
     return sat_jammed, st_jammed
 
 
+def _clear_listed(keep: np.ndarray, edges: np.ndarray, width: int, keys: list[int]) -> None:
+    """Clear ``keep`` at every edge whose key ``edges[:, 0] * width +
+    edges[:, 1]`` is in ``keys``.  The edge keys must be strictly
+    increasing; one int64 key array is the only edge-sized transient."""
+    if not keys or not len(edges):
+        return
+    edge_keys = edges[:, 0].astype(np.int64)
+    edge_keys *= width
+    edge_keys += edges[:, 1]
+    wanted = np.array(keys, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(edge_keys, wanted), len(edge_keys) - 1)
+    keep[pos[edge_keys[pos] == wanted]] = False
+
+
 def apply_overlay(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
@@ -384,7 +412,15 @@ def apply_overlay(
 ) -> VisibilityGraph:
     """Remove every edge incident to a disabled or jammed node, plus the
     explicitly listed links.  The result's edge set is a subset of the
-    input's, in the same canonical order."""
+    input's, in the same canonical order.
+
+    Listed links are matched by index key, not by id: a satellite pair
+    (i, j) is the key ``min(i, j) * sat_count + max(i, j)`` and a
+    satellite-station pair (i, g) is ``i * station_count + g``; both edge
+    arrays are sorted by these keys, so one binary search finds each link.
+    A link between two stations, from a node to itself, or between nodes
+    with no edge removes nothing.  Ids the snapshot and the stations do not
+    know raise ``ValueError``."""
     sat_ids = snapshot.ids()
     sat_index = {s: i for i, s in enumerate(sat_ids)}
     station_ids = [st.id for st in stations]
@@ -417,16 +453,17 @@ def apply_overlay(
         sat_dead[graph.station_edges[:, 0]] | st_dead[graph.station_edges[:, 1]]
     ) if graph.station_edge_count else np.zeros(0, dtype=bool)
 
-    if overlay.disabled_links:
-        links = overlay.disabled_links
-        for k in np.nonzero(keep_ss)[0]:
-            i, j = graph.sat_edges[k]
-            if AttackOverlay.normalize_link(sat_ids[i], sat_ids[j]) in links:
-                keep_ss[k] = False
-        for k in np.nonzero(keep_sg)[0]:
-            i, g = graph.station_edges[k]
-            if AttackOverlay.normalize_link(sat_ids[i], station_ids[g]) in links:
-                keep_sg[k] = False
+    n, stations_n = graph.sat_count, graph.station_count
+    ss_keys, sg_keys = [], []
+    for a, b in overlay.disabled_links:
+        ia, ib = sat_index.get(a), sat_index.get(b)
+        if ia is not None and ib is not None:
+            ss_keys.append(min(ia, ib) * n + max(ia, ib))
+        for i, g in ((ia, station_index.get(b)), (ib, station_index.get(a))):
+            if i is not None and g is not None:
+                sg_keys.append(i * stations_n + g)
+    _clear_listed(keep_ss, graph.sat_edges, n, ss_keys)
+    _clear_listed(keep_sg, graph.station_edges, stations_n, sg_keys)
 
     return VisibilityGraph(
         sat_count=graph.sat_count,

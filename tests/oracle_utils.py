@@ -3,7 +3,8 @@
 These deliberately re-derive results through different code paths than the
 package (sampling instead of minimization, naive sums instead of fsum,
 double loops instead of vectorization, a heap Dijkstra with per-node parent
-scans instead of frontier sweeps over the adjacency).
+scans instead of frontier sweeps over the adjacency, per-edge id matching
+instead of index keys for overlays).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from sda_netlab.geo import (
     surface_distance_km,
 )
 from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySource, SatLatency
+from sda_netlab.topology import AttackOverlay, VisibilityGraph, _jammed_mask
 
 _SAMPLE_CACHE: dict[int, np.ndarray] = {}
 
@@ -189,3 +191,36 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
         else:
             entries.append(SatLatency(sat.id, math.inf, None, None, None))
     return LatencyReport(tuple(entries))
+
+
+def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
+    """The attacked graph by matching every surviving edge's id pair
+    against ``overlay.disabled_links`` in a Python loop."""
+    sat_ids = snapshot.ids()
+    station_ids = [st.id for st in stations]
+    sat_dead, st_dead = _jammed_mask(snapshot, stations, overlay.jam_regions, WGS84)
+    sat_dead |= np.array([s in overlay.disabled_satellites for s in sat_ids], dtype=bool)
+    st_dead |= np.array([s in overlay.disabled_stations for s in station_ids], dtype=bool)
+
+    keep_ss = ~(sat_dead[graph.sat_edges[:, 0]] | sat_dead[graph.sat_edges[:, 1]])
+    keep_sg = ~(
+        sat_dead[graph.station_edges[:, 0]] | st_dead[graph.station_edges[:, 1]]
+    ) if graph.station_edge_count else np.zeros(0, dtype=bool)
+    links = overlay.disabled_links
+    for k in np.nonzero(keep_ss)[0]:
+        i, j = graph.sat_edges[k]
+        if AttackOverlay.normalize_link(sat_ids[i], sat_ids[j]) in links:
+            keep_ss[k] = False
+    for k in np.nonzero(keep_sg)[0]:
+        i, g = graph.station_edges[k]
+        if AttackOverlay.normalize_link(sat_ids[i], station_ids[g]) in links:
+            keep_sg[k] = False
+
+    return VisibilityGraph(
+        sat_count=graph.sat_count,
+        station_count=graph.station_count,
+        sat_edges=graph.sat_edges[keep_ss],
+        sat_delays_ms=graph.sat_delays_ms[keep_ss],
+        station_edges=graph.station_edges[keep_sg],
+        station_delays_ms=graph.station_delays_ms[keep_sg],
+    )

@@ -128,6 +128,50 @@ def test_validate_config_rejects_malformed_overlays_and_numbers():
         assert any(needle in e for e in errors), (payload, errors)
 
 
+def test_validate_config_rejects_ids_and_paths_that_are_not_strings(tmp_path, capsys):
+    base = {"constellation": {"preset": "oneweb-like"}}
+    shell = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 4, "sats_per_plane": 8}
+    cases = [
+        ({"constellation": {"walker": {**shell, "id_prefix": 5}}},
+         "constellation.walker[0]: id_prefix: must be a string, got 5"),
+        ({"constellation": {"walker": {**shell, "label": None}}},
+         "constellation.walker[0]: label: must be a string, got None"),
+        ({**base, "overlay": {"disabled_stations": ["gA", 5, None]}},
+         "overlay: disabled_stations[1]: must be a string, got 5"),
+        ({**base, "overlay": {"disabled_satellites": [None]}},
+         "overlay: disabled_satellites[0]: must be a string, got None"),
+        ({**base, "overlay": {"disabled_links": [["a", "b"], ["a", 7]]}},
+         "overlay: disabled_links[1][1]: must be a string, got 7"),
+        ({**base, "stations_csv": 5}, "stations_csv: must be a string, got 5"),
+        ({"constellation": {"snapshot_csv": 5}}, "constellation.snapshot_csv: must be a string, got 5"),
+        ({"constellation": {"tle_file": ["a.tle"]}},
+         "constellation.tle_file: must be a string, got ['a.tle']"),
+        ({**base, "mode": 5}, "mode: must be a string, got 5"),
+    ]
+    for payload, message in cases:
+        cfg, errors = validate_config(json.dumps(payload), base_dir=str(tmp_path))
+        assert (cfg, errors) == (None, [message])
+
+    cfg = tiny_config(tmp_path, overlay={"disabled_stations": [5, None]})
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: overlay: disabled_stations[0]: must be a string, got 5\n"
+
+
+def test_validate_config_range_checks_min_elevation(tmp_path, capsys):
+    for raw in (-90, 0.5, 90):
+        cfg, errors = validate_config(json.dumps({"constellation": {"preset": "oneweb-like"},
+                                                  "min_elevation_deg": raw}))
+        assert errors == [] and cfg.min_elevation_deg == raw
+    for raw in (1000, -90.5):
+        cfg, errors = validate_config(json.dumps({"constellation": {"preset": "oneweb-like"},
+                                                  "min_elevation_deg": raw}))
+        assert (cfg, errors) == (None, [f"min_elevation_deg: must be in [-90, 90], got {float(raw)}"])
+
+    cfg = tiny_config(tmp_path, min_elevation_deg=1000)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: min_elevation_deg: must be in [-90, 90], got 1000.0\n"
+
+
 def test_cli_reports_a_wrong_typed_overlay_field_as_an_error(tmp_path, capsys):
     cfg = tiny_config(tmp_path, overlay={"disabled_links": 5})
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
@@ -22,7 +23,7 @@ from sda_netlab.topology import (
     build_visibility_graph,
     resolve_thread_count,
 )
-from oracle_utils import random_shell
+from oracle_utils import overlay_oracle, random_shell
 
 STATIONS = load_ground_stations_csv(
     "id,lat_deg,lon_deg,alt_km\n"
@@ -258,3 +259,78 @@ def test_overlay_json_round_trip():
         AttackOverlay.from_dict({"disabled_sats": []})
     with pytest.raises(ValueError, match="radius"):
         AttackOverlay.from_dict({"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 0}]})
+
+
+GRAPH_FIELDS = ("sat_edges", "sat_delays_ms", "station_edges", "station_delays_ms")
+
+
+def assert_same_graph(got, want):
+    assert (got.sat_count, got.station_count) == (want.sat_count, want.station_count)
+    for field in GRAPH_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+
+
+def assert_keys_increase(graph):
+    for edges, width in ((graph.sat_edges, graph.sat_count), (graph.station_edges, graph.station_count)):
+        keys = edges[:, 0].astype(np.int64) * width + edges[:, 1]
+        assert np.all(np.diff(keys) > 0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(2, 300),
+    sites=st.lists(st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0)), max_size=4),
+    data=st.data(),
+)
+def test_overlay_equals_the_id_matching_oracle(shell_seed, count, sites, data):
+    # Ids sort apart from indices: station ids fall on both sides of the
+    # satellite ids, and the satellites are shuffled.
+    stations = load_ground_stations_csv(
+        "id,lat_deg,lon_deg,alt_km\n"
+        + "".join(f"{'at'[k % 2]}{k},{lat!r},{lon!r},0\n" for k, (lat, lon) in enumerate(sites))
+    )
+    shell = random_shell(shell_seed, count=count).satellites
+    order = data.draw(st.permutations(range(count)))
+    snap = ConstellationSnapshot("shuffled", tuple(shell[k] for k in order))
+    graph = build_visibility_graph(snap, stations, threads=1)
+    assert_same_graph(build_visibility_graph(snap, stations, threads=2), graph)
+    assert_keys_increase(graph)
+
+    sat_ids = snap.ids()
+    st_ids = [s.id for s in stations]
+    dead_sats = data.draw(st.lists(st.sampled_from(sat_ids), max_size=4))
+    dead_stations = data.draw(st.lists(st.sampled_from(st_ids), max_size=2)) if st_ids else []
+    sat_links = [(sat_ids[i], sat_ids[j]) for i, j in graph.sat_edges.tolist()]
+    station_links = [(sat_ids[i], st_ids[g]) for i, g in graph.station_edges.tolist()]
+    # Links from a disabled satellite, so some listed links are already gone.
+    on_dead = [pair for pair in sat_links + station_links if set(dead_sats) & set(pair)]
+    nodes = sat_ids + st_ids
+    links = []
+    for pool in (sat_links, station_links, on_dead):
+        if pool:
+            links += data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    # Non-edges, station-station pairs and self-pairs remove nothing.
+    any_pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    self_pair = st.sampled_from(nodes).map(lambda v: (v, v))
+    links += data.draw(st.lists(any_pair | self_pair, max_size=4))
+    if st_ids:
+        links += data.draw(st.lists(st.tuples(st.sampled_from(st_ids), st.sampled_from(st_ids)), max_size=2))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links)))
+    regions = data.draw(st.lists(
+        st.tuples(st.floats(-80.0, 80.0), st.floats(-180.0, 180.0), st.floats(200.0, 2500.0)),
+        max_size=2,
+    ))
+    overlay = AttackOverlay.from_dict({
+        "disabled_satellites": dead_sats,
+        "disabled_stations": dead_stations,
+        "disabled_links": [[b, a] if flip else [a, b] for (a, b), flip in zip(links, flips)],
+        "jam_regions": [{"lat_deg": lat, "lon_deg": lon, "radius_km": r} for lat, lon, r in regions],
+    })
+
+    for ov in (overlay, AttackOverlay()):
+        attacked = apply_overlay(graph, snap, stations, ov)
+        assert_same_graph(attacked, overlay_oracle(graph, snap, stations, ov))
+        assert_keys_increase(attacked)
