@@ -42,7 +42,6 @@ from .geo import (
 from .routing import (
     ArchitectureMode,
     LatencyReport,
-    SatLatency,
     downhaul_latencies,
     onorbit_latencies,
 )

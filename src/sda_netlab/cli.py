@@ -217,6 +217,9 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
     if fraction is not None and not 0.0 <= fraction <= 1.0:
         errors.append(f"actuator_fraction: must be in [0, 1], got {fraction}")
         fraction = None
+    if count is not None and count < 0:
+        errors.append(f"actuator_count: must be >= 0, got {count}")
+        count = None
 
     seed = _parse_number(data, "seed", errors, 0, kind=int)
     if not 0 <= seed < 2**64:

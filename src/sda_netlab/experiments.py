@@ -8,6 +8,8 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .constellation import (
     ConstellationSnapshot,
     GroundStationNode,
@@ -82,7 +84,8 @@ def nearest_rank_percentile(sorted_values: list[float], percentile: float) -> fl
 def summarize(report: LatencyReport) -> MetricsSummary:
     if len(report) == 0:
         raise ValueError("cannot summarize an empty report")
-    finite = sorted(report.finite_latencies_ms())
+    reached = np.isfinite(report.latency_ms)
+    finite = np.sort(report.latency_ms[reached]).tolist()
     unreachable = len(report) - len(finite)
     if not finite:
         return MetricsSummary(
@@ -96,7 +99,7 @@ def summarize(report: LatencyReport) -> MetricsSummary:
             max_ms=None,
             mean_hops=None,
         )
-    hops = [e.hops for e in report.entries if e.reachable]
+    hops = report.hops[reached].tolist()
     return MetricsSummary(
         satellite_count=len(report),
         unreachable_count=unreachable,
@@ -117,9 +120,10 @@ def report_to_csv(report: LatencyReport) -> str:
     """Per-satellite rows; unreachable satellites carry the literal `inf`
     and empty hops/terminal fields."""
     lines = [REPORT_CSV_HEADER]
-    for e in report.entries:
-        hops = "" if e.hops is None else str(e.hops)
-        lines.append(f"{e.sat_id},{e.latency_ms!r},{hops},{e.terminal or ''}")
+    for sat_id, latency, hops, terminal in zip(
+        report.sat_ids, report.latency_ms.tolist(), report.hops.tolist(), report.terminal.tolist()
+    ):
+        lines.append(f"{sat_id},{latency!r},{'' if hops < 0 else hops},{terminal or ''}")
     return "\n".join(lines) + "\n"
 
 
@@ -430,11 +434,8 @@ def attack_scenario(cfg: ScenarioConfig, threads: int | None = None) -> AttackOu
     # Rebinding frees the baseline graph and its adjacency before the attacked solve.
     network = network.with_overlay(cfg.overlay)
     attacked = network.route(cfg.mode)
-    deltas = [
-        a.latency_ms - b.latency_ms
-        for a, b in zip(attacked.entries, baseline.entries)
-        if a.reachable and b.reachable
-    ]
+    both = np.isfinite(attacked.latency_ms) & np.isfinite(baseline.latency_ms)
+    deltas = (attacked.latency_ms[both] - baseline.latency_ms[both]).tolist()
     baseline_summary = summarize(baseline)
     attacked_summary = summarize(attacked)
     return AttackOutcome(

@@ -262,26 +262,3 @@ def propagation_delay_ms(distance_km: float) -> float:
     if distance_km < 0.0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
     return distance_km / SPEED_OF_LIGHT_KM_S * 1000.0
-
-
-def elevation_angle_deg(station: GeodeticPosition, station_ecef: EcefPosition, target: EcefPosition) -> float:
-    """Elevation of ``target`` above the station's geodetic horizon, degrees."""
-    lat = math.radians(station.latitude_deg)
-    lon = math.radians(station.longitude_deg)
-    up = (
-        math.cos(lat) * math.cos(lon),
-        math.cos(lat) * math.sin(lon),
-        math.sin(lat),
-    )
-    vx = target.x - station_ecef.x
-    vy = target.y - station_ecef.y
-    vz = target.z - station_ecef.z
-    vnorm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if vnorm == 0.0:
-        raise ValueError("elevation is undefined for coincident points")
-    sin_el = (up[0] * vx + up[1] * vy + up[2] * vz) / vnorm
-    if sin_el > 1.0:
-        sin_el = 1.0
-    elif sin_el < -1.0:
-        sin_el = -1.0
-    return math.degrees(math.asin(sin_el))

@@ -29,8 +29,9 @@ The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
 improves ends at the minimum over paths of the floating-point path cost,
 bit for bit what a heap Dijkstra returns.  The tests keep one as the
-oracle.  Hops, next hop and terminal come from the labels alone, with
-equal-cost ties broken toward the lower node index.
+oracle.  Hops, next hop and terminal come from the labels alone: each
+node's parent is an in-hop that attains its label (equal-cost ties broken
+toward the lower node index), and the report reads the resulting forest.
 """
 
 from __future__ import annotations
@@ -67,39 +68,36 @@ class ArchitectureMode(str, Enum):
         )
 
 
-@dataclass(frozen=True)
-class SatLatency:
-    """Delivery latency for one satellite; ``math.inf`` marks unreachable."""
-
-    sat_id: str
-    latency_ms: float
-    hops: int | None
-    next_hop: str | None
-    terminal: str | None
-
-    @property
-    def reachable(self) -> bool:
-        return math.isfinite(self.latency_ms)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatencyReport:
-    entries: tuple[SatLatency, ...]
+    """Delivery results, one array per field, each aligned with
+    ``snapshot.satellites``.
+
+    ``latency_ms`` is float64 with ``inf`` for an unreachable satellite;
+    ``hops`` is int64 with -1 for one; ``next_hop`` and ``terminal`` are
+    object arrays of ``str`` or ``None`` (None when unreachable; ``next_hop``
+    is also None at a satellite that delivers to itself).
+    """
+
+    sat_ids: tuple[str, ...]
+    latency_ms: np.ndarray
+    hops: np.ndarray
+    next_hop: np.ndarray
+    terminal: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.sat_ids)
 
-    def finite_latencies_ms(self) -> list[float]:
-        return [e.latency_ms for e in self.entries if e.reachable]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LatencyReport):
+            return NotImplemented
+        return self.sat_ids == other.sat_ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("latency_ms", "hops", "next_hop", "terminal")
+        )
 
     def unreachable_count(self) -> int:
-        return sum(1 for e in self.entries if not e.reachable)
-
-    def entry(self, sat_id: str) -> SatLatency:
-        for e in self.entries:
-            if e.sat_id == sat_id:
-                return e
-        raise KeyError(sat_id)
+        return int(np.count_nonzero(np.isinf(self.latency_ms)))
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,8 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
 
 
 def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
-    """Parent of every reachable non-seed node, -1 elsewhere.
+    """Parent of every reachable node with an attaining in-hop, -1
+    elsewhere.  A seed may get one too; the caller ignores it.
 
     Among in-hops that attain the node's label exactly, prefer one that
     makes strict progress (smaller parent label), then the lower node index.
@@ -263,65 +262,61 @@ def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
 
 
 def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: ConstellationSnapshot) -> LatencyReport:
-    """Derive hops / next hop / terminal from the converged labels, with the
-    parent rule of :func:`_parents`, which depends only on the labels."""
+    """Derive hops / next hop / terminal from the converged labels.
+
+    The parent rule of :func:`_parents` depends only on the labels; with the
+    seeds as roots it makes a forest.  A seed keeps its own report fields
+    (the lowest label wins, then the first seed listed), and every other
+    node takes its root's terminal and hops plus its depth below the root,
+    found by pointer jumping in O(log n) rounds.
+    """
     n = problem.node_count
     seed_at: dict[int, RelaySource] = {}
     for s in problem.seeds:
         held = seed_at.get(s.node)
         if held is None or s.label_ms < held.label_ms:
             seed_at[s.node] = s
+    # -1 hops marks a node that is no seed: an unreachable node is its own
+    # root at depth 0, so it keeps -1 and None.
+    seed_hops = np.full(n, -1, dtype=np.int64)
+    seed_next_hop = np.full(n, None, dtype=object)
+    seed_terminal = np.full(n, None, dtype=object)
+    for node, s in seed_at.items():
+        seed_hops[node], seed_next_hop[node], seed_terminal[node] = s.hops, s.next_hop, s.terminal
 
-    hops = np.full(n, -1, dtype=np.int64)
-    next_hop: list[str | None] = [None] * n
-    terminal: list[str | None] = [None] * n
+    nodes = np.arange(n)
     parent = _parents(problem, labels)
+    roots = np.fromiter(seed_at, dtype=np.int64, count=len(seed_at))
+    parent[roots] = roots
+    orphans = np.flatnonzero(np.isfinite(labels) & (parent < 0))
+    if orphans.size:
+        node = orphans[np.argmin(labels[orphans])]
+        raise RuntimeError(f"no attaining relay edge for node {problem.node_names[node]}")
+    parent = np.where(parent < 0, nodes, parent)
 
-    def inherit(node: int, p: int) -> None:
-        hops[node] = hops[p] + 1
-        next_hop[node] = problem.node_names[p]
-        terminal[node] = terminal[p]
-
-    pending: list[int] = []
-    for node in np.lexsort((np.arange(n), labels)):
-        if not math.isfinite(labels[node]):
+    # After k rounds jump[v] is 2**k steps above v, or v's root, and depth[v]
+    # counts the steps; a path of n nodes reaches its root within
+    # n.bit_length() rounds, and a parent cycle never does.
+    jump = parent
+    depth = (parent != nodes).astype(np.int64)
+    for _ in range(n.bit_length() + 1):
+        if np.array_equal(parent[jump], jump):
             break
-        source = seed_at.get(int(node))
-        if source is not None and labels[node] == source.label_ms:
-            hops[node] = source.hops
-            next_hop[node] = source.next_hop
-            terminal[node] = source.terminal
-            continue
-        p = int(parent[node])
-        if p < 0:
-            raise RuntimeError(f"no attaining relay edge for node {problem.node_names[node]}")
-        if hops[p] >= 0:
-            inherit(int(node), p)
-        else:
-            pending.append(int(node))
-    # Equal-label chains (zero-delay edges) may leave stragglers; settle them
-    # with repeated passes and fail loudly on a genuine cycle.
-    for _ in range(len(pending)):
-        if not pending:
-            break
-        still = [node for node in pending if hops[parent[node]] < 0]
-        for node in pending:
-            p = int(parent[node])
-            if hops[p] >= 0:
-                inherit(node, p)
-        if len(still) == len(pending):
-            raise RuntimeError("zero-delay relay cycle: cannot orient delivery paths")
-        pending = still
+        depth += depth[jump]
+        jump = jump[jump]
+    else:
+        raise RuntimeError("zero-delay relay cycle: cannot orient delivery paths")
 
-    entries = []
-    for i, sat in enumerate(snapshot.satellites):
-        if math.isfinite(labels[i]):
-            entries.append(
-                SatLatency(sat.id, float(labels[i]), int(hops[i]), next_hop[i], terminal[i])
-            )
-        else:
-            entries.append(SatLatency(sat.id, math.inf, None, None, None))
-    return LatencyReport(tuple(entries))
+    m = len(snapshot)
+    parent, root = parent[:m], jump[:m]
+    names = np.array(problem.node_names, dtype=object)
+    return LatencyReport(
+        sat_ids=tuple(snapshot.ids()),
+        latency_ms=labels[:m],
+        hops=seed_hops[root] + depth[:m],
+        next_hop=np.where(parent == nodes[:m], seed_next_hop[:m], names[parent]),
+        terminal=seed_terminal[root],
+    )
 
 
 # --- Source builders ----------------------------------------------------------

@@ -19,11 +19,12 @@ from sda_netlab.constellation import ConstellationSnapshot, SatelliteNode
 from sda_netlab.geo import (
     EcefPosition,
     EllipsoidModel,
+    GeodeticPosition,
     WGS84,
     propagation_delay_ms,
     surface_distance_km,
 )
-from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySource, SatLatency
+from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySource
 from sda_netlab.topology import AttackOverlay, VisibilityGraph, _jammed_mask
 
 _SAMPLE_CACHE: dict[int, np.ndarray] = {}
@@ -102,6 +103,30 @@ def grazing_pair(rng: random.Random, radius_km: float) -> tuple[EcefPosition, Ec
         radius_km * (c * uz + s * vz),
     )
     return p, q
+
+
+def elevation_angle_deg(station: GeodeticPosition, station_ecef: EcefPosition, target: EcefPosition) -> float:
+    """Elevation of ``target`` above the station's geodetic horizon, degrees:
+    the scalar reference for ``topology._elevation_mask``."""
+    lat = math.radians(station.latitude_deg)
+    lon = math.radians(station.longitude_deg)
+    up = (
+        math.cos(lat) * math.cos(lon),
+        math.cos(lat) * math.sin(lon),
+        math.sin(lat),
+    )
+    vx = target.x - station_ecef.x
+    vy = target.y - station_ecef.y
+    vz = target.z - station_ecef.z
+    vnorm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if vnorm == 0.0:
+        raise ValueError("elevation is undefined for coincident points")
+    sin_el = (up[0] * vx + up[1] * vy + up[2] * vz) / vnorm
+    if sin_el > 1.0:
+        sin_el = 1.0
+    elif sin_el < -1.0:
+        sin_el = -1.0
+    return math.degrees(math.asin(sin_el))
 
 
 def dijkstra_oracle(graph, snapshot, sources, penalty=0.0, exempt=False) -> LatencyReport:
@@ -183,14 +208,16 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
             fields[child] = (hops + 1, names[v], overrides.get(v, terminal))
             v = child
 
-    entries = []
-    for i, sat in enumerate(snapshot.satellites):
-        if math.isfinite(dist[i]):
-            hops, next_hop, terminal = fields[i]
-            entries.append(SatLatency(sat.id, dist[i], hops, next_hop, terminal))
-        else:
-            entries.append(SatLatency(sat.id, math.inf, None, None, None))
-    return LatencyReport(tuple(entries))
+    rows = [
+        fields[i] if math.isfinite(dist[i]) else (-1, None, None) for i in range(len(snapshot))
+    ]
+    return LatencyReport(
+        sat_ids=tuple(snapshot.ids()),
+        latency_ms=np.array(dist[: len(snapshot)], dtype=np.float64),
+        hops=np.array([hops for hops, _, _ in rows], dtype=np.int64),
+        next_hop=np.array([next_hop for _, next_hop, _ in rows], dtype=object),
+        terminal=np.array([terminal for _, _, terminal in rows], dtype=object),
+    )
 
 
 def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:

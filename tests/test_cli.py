@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -352,6 +354,37 @@ def test_cli_outputs_are_byte_identical_across_thread_counts(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out4 / "summary.json").read_bytes()
 
 
+ONEWEB_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "oneweb_like.json")
+
+# sha256 of report.csv and of summary.json without its config block (which
+# echoes absolute paths) for `simulate` on configs/oneweb_like.json.
+ONEWEB_SIMULATE_SHA256 = {
+    "downhaul-greedy": (
+        "08bcadd915e768e0ee86937b2cf4183d2e3df62cad40036a648ef9024672f627",
+        "6256ee4951e3803f826175354317044cb67c0c6828ee6d50950fdd4a73747e6d",
+    ),
+    "downhaul-optimal": (
+        "68f3424143621940bba9ab1824ff2fc159eaabc9732c60d0b2c9ee53d137feb0",
+        "f7b7670573492e008663b730eca170b9ae141456fe619dbb59e3a2cf0b901e0e",
+    ),
+    "onorbit": (
+        "aa1385b9ee10f939bf04696c39bc150788988fd50423e51c041d7c68ccd99354",
+        "7366e0286e46d7434e99c2478ef3e584b6318f07042ccbd392ffc0647001f327",
+    ),
+}
+
+
+def test_simulate_writes_the_pinned_bytes_in_every_mode(tmp_path):
+    for mode, (report_sha, summary_sha) in ONEWEB_SIMULATE_SHA256.items():
+        out = tmp_path / mode
+        assert run(["simulate", "--config", ONEWEB_CONFIG, "--mode", mode, "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["config"]
+        summary_bytes = (json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+        assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == report_sha, mode
+        assert hashlib.sha256(summary_bytes).hexdigest() == summary_sha, mode
+
+
 def test_cli_sweep_and_compare(tmp_path):
     fractions = [0.0, 0.25, 0.5, 1.0]
     cfg = tiny_config(tmp_path, sweep_fractions=fractions)
@@ -402,6 +435,12 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
     }))
     assert run(["simulate", "--config", unknown_key, "--out", str(tmp_path)]) == 1
     assert "actuatr_fraction" in capsys.readouterr().err
+
+    negative = write(tmp_path / "negative.json", json.dumps({
+        "constellation": {"preset": "oneweb-like"}, "actuator_count": -1,
+    }))
+    assert run(["simulate", "--config", negative, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: actuator_count: must be >= 0, got -1\n"
 
     assert run(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
     assert run(["simulate"]) == 1  # missing --config is a usage/validation error

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sda_netlab.constellation import WalkerSpec
@@ -23,16 +24,20 @@ from sda_netlab.experiments import (
     summarize,
 )
 from sda_netlab.geo import GeodeticPosition
-from sda_netlab.routing import ArchitectureMode, LatencyReport, SatLatency
+from sda_netlab.routing import ArchitectureMode, LatencyReport
 from sda_netlab.topology import AttackOverlay, JamRegion
 
 
 def report_of(latencies, hops=None):
-    entries = []
-    for k, value in enumerate(latencies):
-        h = None if math.isinf(value) else (hops[k] if hops else 1)
-        entries.append(SatLatency(f"s{k}", value, h, None, None))
-    return LatencyReport(tuple(entries))
+    n = len(latencies)
+    return LatencyReport(
+        sat_ids=tuple(f"s{k}" for k in range(n)),
+        latency_ms=np.array(latencies, dtype=np.float64),
+        hops=np.array([-1 if math.isinf(value) else (hops[k] if hops else 1)
+                       for k, value in enumerate(latencies)], dtype=np.int64),
+        next_hop=np.full(n, None, dtype=object),
+        terminal=np.full(n, None, dtype=object),
+    )
 
 
 def small_source(planes=4, spp=8, altitude=1200.0):

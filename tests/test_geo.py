@@ -8,14 +8,13 @@ from sda_netlab.geo import (
     GeodeticPosition,
     WGS84,
     ecef_to_geodetic,
-    elevation_angle_deg,
     geodetic_to_ecef,
     has_line_of_sight,
     min_scaled_norm,
     propagation_delay_ms,
     surface_distance_km,
 )
-from oracle_utils import grazing_pair, random_orbital_point, segment_blocked_by_sampling
+from oracle_utils import elevation_angle_deg, grazing_pair, random_orbital_point, segment_blocked_by_sampling
 
 
 def test_geodetic_to_ecef_equator_prime_meridian():

@@ -63,15 +63,15 @@ def test_greedy_picks_nearest_station_optimal_picks_cheapest_path():
     graph = manual_graph(1, 2, [], [(0, 0, 500.0), (0, 1, 800.0)])
 
     greedy = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
-    assert greedy.entries[0].latency_ms == pytest.approx(31.688589043824443, abs=2e-3)
-    assert greedy.entries[0].terminal == "A"
-    assert greedy.entries[0].next_hop == "A"
-    assert greedy.entries[0].hops == 2
+    assert greedy.latency_ms[0] == pytest.approx(31.688589043824443, abs=2e-3)
+    assert greedy.terminal[0] == "A"
+    assert greedy.next_hop[0] == "A"
+    assert greedy.hops[0] == 2
 
     optimal = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_OPTIMAL)
-    assert optimal.entries[0].latency_ms == pytest.approx(9.339794665548258, abs=2e-3)
-    assert optimal.entries[0].terminal == "B"
-    assert optimal.entries[0].hops == 2
+    assert optimal.latency_ms[0] == pytest.approx(9.339794665548258, abs=2e-3)
+    assert optimal.terminal[0] == "B"
+    assert optimal.hops[0] == 2
 
 
 def test_downhaul_unreachable_and_colocated_terminus():
@@ -79,13 +79,13 @@ def test_downhaul_unreachable_and_colocated_terminus():
     stations = [station_at_arc("A", 9000.0)]
     isolated = manual_graph(1, 1, [], [])
     report = downhaul_latencies(isolated, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
-    assert report.entries[0].latency_ms == math.inf
-    assert report.entries[0].hops is None and report.entries[0].terminal is None
+    assert report.latency_ms[0] == math.inf
+    assert report.hops[0] == -1 and report.terminal[0] is None
 
     graph = manual_graph(1, 1, [], [(0, 0, 500.0)])
     colocated = TerminusNode(stations[0].geodetic)
     report = downhaul_latencies(graph, snapshot, stations, colocated, ArchitectureMode.DOWNHAUL_GREEDY)
-    assert report.entries[0].latency_ms == propagation_delay_ms(500.0)
+    assert report.latency_ms[0] == propagation_delay_ms(500.0)
 
     with pytest.raises(ValueError, match="ground station"):
         downhaul_latencies(graph, snapshot, [], TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
@@ -108,20 +108,22 @@ def test_onorbit_trivial_cases_and_forced_chain():
         "all", tuple(SatelliteNode(s.id, s.position, True) for s in snap.satellites)
     )
     report = onorbit_latencies(graph, all_act)
-    assert all(e.latency_ms == 0.0 and e.hops == 0 and e.terminal == e.sat_id for e in report.entries)
+    assert all(
+        latency == 0.0 and hops == 0 and terminal == sat_id
+        for sat_id, latency, hops, terminal in zip(report.sat_ids, report.latency_ms, report.hops, report.terminal)
+    )
 
     none_act = ConstellationSnapshot(
         "none", tuple(SatelliteNode(s.id, s.position, False) for s in snap.satellites)
     )
     report = onorbit_latencies(graph, none_act)
-    assert all(e.latency_ms == math.inf for e in report.entries)
+    assert all(latency == math.inf for latency in report.latency_ms)
 
     report = onorbit_latencies(graph, snap)
-    a, b, c = report.entries
-    assert a.latency_ms == pytest.approx(6.671281903963041, abs=1e-9)
-    assert (a.hops, a.next_hop, a.terminal) == (2, "B", "C")
-    assert (b.hops, b.next_hop, b.terminal) == (1, "C", "C")
-    assert (c.latency_ms, c.hops, c.next_hop, c.terminal) == (0.0, 0, None, "C")
+    assert report.latency_ms[0] == pytest.approx(6.671281903963041, abs=1e-9)
+    assert (report.hops[0], report.next_hop[0], report.terminal[0]) == (2, "B", "C")
+    assert (report.hops[1], report.next_hop[1], report.terminal[1]) == (1, "C", "C")
+    assert (report.latency_ms[2], report.hops[2], report.next_hop[2], report.terminal[2]) == (0.0, 0, None, "C")
 
 
 def test_onorbit_penalty_applies_beyond_first_hop():
@@ -130,8 +132,8 @@ def test_onorbit_penalty_applies_beyond_first_hop():
     pen = 0.5
     report = onorbit_latencies(graph, snap, reroute_penalty_ms=pen)
     w = propagation_delay_ms(1000.0)
-    assert report.entries[1].latency_ms == w  # direct hop to the actuator: no penalty
-    assert report.entries[0].latency_ms == pytest.approx((w + pen) + w, abs=0.0)
+    assert report.latency_ms[1] == w  # direct hop to the actuator: no penalty
+    assert report.latency_ms[0] == pytest.approx((w + pen) + w, abs=0.0)
 
 
 def test_onorbit_ties_break_to_lower_index():
@@ -142,9 +144,38 @@ def test_onorbit_ties_break_to_lower_index():
     )
     snap = ConstellationSnapshot("tie", sats)
     graph = build_visibility_graph(snap, threads=1)
-    entry = onorbit_latencies(graph, snap).entry("mid")
-    assert entry.terminal == "left"
-    assert entry.next_hop == "left"
+    report = onorbit_latencies(graph, snap)
+    mid = report.sat_ids.index("mid")
+    assert report.terminal[mid] == "left"
+    assert report.next_hop[mid] == "left"
+
+
+def _line_snapshot(actuator):
+    sats = tuple(
+        SatelliteNode(f"s{k}", EcefPosition(7000.0, 100.0 * k, 0.0), is_actuator=k == actuator)
+        for k in range(3)
+    )
+    return ConstellationSnapshot("line", sats)
+
+
+def test_a_node_tied_with_a_higher_index_seed_gets_its_path_fields():
+    # Node 0 reaches the seed at node 1 over a zero-delay link, so it ties
+    # the seed's label and precedes it in label order; node 2 hangs off node 0.
+    snap = _line_snapshot(actuator=1)
+    graph = manual_graph(3, 0, [(0, 1, 0.0), (0, 2, 100.0)], [])
+    report = onorbit_latencies(graph, snap)
+    assert report == dijkstra_oracle(graph, snap, actuator_sources(snap), exempt=True)
+    assert report.hops.tolist() == [1, 0, 2]
+    assert report.next_hop.tolist() == ["s1", None, "s0"]
+
+
+def test_a_zero_delay_parent_cycle_is_an_error():
+    # Every label is 0, and the label-only parent rule makes nodes 0 and 1
+    # each other's parent: no delivery path can be oriented.
+    snap = _line_snapshot(actuator=2)
+    graph = manual_graph(3, 0, [(0, 1, 0.0), (1, 2, 0.0)], [])
+    with pytest.raises(RuntimeError, match="zero-delay relay cycle"):
+        onorbit_latencies(graph, snap)
 
 
 def test_star_topology_single_sweep_matches_dijkstra():
@@ -167,7 +198,7 @@ def test_single_pass_cannot_resolve_a_relay_chain():
     assert _relax(_sat_problem(graph, snap, sources, 0.0, True)).sweeps == 2
     full = onorbit_latencies(graph, snap)
     assert full == dijkstra_oracle(graph, snap, sources, exempt=True)
-    assert full.entry("A").reachable
+    assert math.isfinite(full.latency_ms[full.sat_ids.index("A")])
 
 
 def test_frontier_relaxes_a_long_path_in_linear_work():
@@ -186,7 +217,7 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     assert fixpoint.relaxed_edges <= 2 * graph.sat_edge_count
     engine = onorbit_latencies(graph, snap, 0.25)
     assert engine == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
-    assert engine.entries[-1].hops == n - 1
+    assert engine.hops[-1] == n - 1
 
 
 def _random_instance(seed):
@@ -318,8 +349,8 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
         monotone.append("greedy")
     for mode in monotone:
-        for b, a in zip(before[mode][0].entries, after[mode][0].entries):
-            assert a.latency_ms >= b.latency_ms, mode
+        for b, a in zip(before[mode][0].latency_ms, after[mode][0].latency_ms):
+            assert a >= b, mode
 
 
 def test_optimal_never_exceeds_greedy_pointwise():
@@ -336,8 +367,8 @@ def test_optimal_never_exceeds_greedy_pointwise():
         optimal = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
         )
-        for g, o in zip(greedy.entries, optimal.entries):
-            assert o.latency_ms <= g.latency_ms
+        for g, o in zip(greedy.latency_ms, optimal.latency_ms):
+            assert o <= g
 
 
 def test_more_actuators_never_hurt():
@@ -346,8 +377,8 @@ def test_more_actuators_never_hurt():
         graph = build_visibility_graph(snap, threads=1)
         small = onorbit_latencies(graph, select_actuators(snap, 6, 77))
         large = onorbit_latencies(graph, select_actuators(snap, 14, 77))  # nested superset
-        for s, l in zip(small.entries, large.entries):
-            assert l.latency_ms <= s.latency_ms
+        for s, l in zip(small.latency_ms, large.latency_ms):
+            assert l <= s
 
 
 def test_edge_removal_never_decreases_shortest_path_latency():
@@ -364,8 +395,8 @@ def test_edge_removal_never_decreases_shortest_path_latency():
         )
         before = onorbit_latencies(graph, snap)
         after = onorbit_latencies(pruned, snap)
-        for b, a in zip(before.entries, after.entries):
-            assert a.latency_ms >= b.latency_ms
+        for b, a in zip(before.latency_ms, after.latency_ms):
+            assert a >= b
 
 
 def test_greedy_latency_can_legitimately_drop_when_an_edge_is_removed():
@@ -377,7 +408,7 @@ def test_greedy_latency_can_legitimately_drop_when_an_edge_is_removed():
     cut = manual_graph(1, 2, [], [(0, 1, 800.0)])
     before = downhaul_latencies(full, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
     after = downhaul_latencies(cut, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
-    assert after.entries[0].latency_ms < before.entries[0].latency_ms
+    assert after.latency_ms[0] < before.latency_ms[0]
 
 
 def test_all_visible_means_direct_delay_to_nearest_actuator():
@@ -397,13 +428,13 @@ def test_all_visible_means_direct_delay_to_nearest_actuator():
     report = onorbit_latencies(graph, snap)
     delays = {tuple(sorted((int(i), int(j)))): d for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist())}
     actuators = set(snap.actuator_indices())
-    for idx, entry in enumerate(report.entries):
+    for idx in range(len(report)):
         if idx in actuators:
-            assert entry.latency_ms == 0.0
+            assert report.latency_ms[idx] == 0.0
             continue
         direct = min(delays[tuple(sorted((idx, a)))] for a in actuators)
-        assert entry.latency_ms == direct
-        assert entry.hops == 1
+        assert report.latency_ms[idx] == direct
+        assert report.hops[idx] == 1
 
 
 def _edge_delay_maps(graph, snapshot, stations):
@@ -423,13 +454,13 @@ def resum_report(report, graph, snapshot, stations, terminus, penalty, mode):
     ground = dict(zip((s.id for s in stations), ground_delays_ms(stations, terminus))) if stations else {}
     station_ids = {s.id for s in stations}
     actuators = {snapshot.satellites[i].id for i in snapshot.actuator_indices()}
+    index = {sid: k for k, sid in enumerate(report.sat_ids)}
     memo = {}
 
     def total(sid):
         if sid in memo:
             return memo[sid]
-        e = report.entry(sid)
-        nh = e.next_hop
+        nh = report.next_hop[index[sid]]
         if nh is None:
             value = 0.0  # actuator self-delivery
         elif nh in station_ids:
@@ -444,9 +475,9 @@ def resum_report(report, graph, snapshot, stations, terminus, penalty, mode):
         memo[sid] = value
         return value
 
-    for e in report.entries:
-        if e.reachable:
-            assert abs(total(e.sat_id) - e.latency_ms) <= 1e-9
+    for sid, latency in zip(report.sat_ids, report.latency_ms):
+        if math.isfinite(latency):
+            assert abs(total(sid) - latency) <= 1e-9
 
 
 def test_reported_paths_resum_to_reported_latency():
@@ -474,4 +505,4 @@ def test_reported_paths_resum_to_reported_latency():
 def test_report_covers_every_satellite_exactly_once():
     snap, graph, _ = _random_instance(8000)
     report = onorbit_latencies(graph, snap)
-    assert [e.sat_id for e in report.entries] == snap.ids()
+    assert list(report.sat_ids) == snap.ids()

@@ -19,11 +19,12 @@ from sda_netlab.routing import onorbit_latencies
 from sda_netlab.topology import (
     AttackOverlay,
     JamRegion,
+    _elevation_mask,
     apply_overlay,
     build_visibility_graph,
     resolve_thread_count,
 )
-from oracle_utils import overlay_oracle, random_shell
+from oracle_utils import elevation_angle_deg, overlay_oracle, random_shell
 
 STATIONS = load_ground_stations_csv(
     "id,lat_deg,lon_deg,alt_km\n"
@@ -148,6 +149,25 @@ def test_min_elevation_knob_prunes_grazing_links():
     pruned_set = {tuple(e) for e in pruned.station_edges.tolist()}
     assert pruned_set < base_set
     assert base.sat_edge_count == pruned.sat_edge_count  # satellite links untouched
+
+
+def test_elevation_mask_agrees_with_the_scalar_elevation_angle():
+    rng = random.Random(17)
+    snap = random_shell(17, count=150, alt_lo_km=300.0, alt_hi_km=2500.0)
+    stations = load_ground_stations_csv("id,lat_deg,lon_deg,alt_km\n" + "".join(
+        f"g{k},{rng.uniform(-90.0, 90.0)!r},{rng.uniform(-180.0, 180.0)!r},{rng.uniform(0.0, 3.0)!r}\n"
+        for k in range(12)
+    ))
+    angles = np.array([
+        [elevation_angle_deg(st.geodetic, st.ecef, sat.position) for st in stations]
+        for sat in snap.satellites
+    ])
+    positions = np.array(snap.positions(), dtype=np.float64)
+    for min_elev in (-90.0, -20.0, 0.0, 10.0, 47.5, 90.0):
+        clear = np.abs(angles - min_elev) > 1e-9
+        assert clear.mean() > 0.99
+        mask = _elevation_mask(positions, stations, min_elev)
+        assert np.array_equal(mask[clear], (angles >= min_elev)[clear]), min_elev
 
 
 def test_resolve_thread_count(monkeypatch):
