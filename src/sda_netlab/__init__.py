@@ -4,7 +4,6 @@ data-delivery networks."""
 from .constellation import (
     ConstellationSnapshot,
     GroundStationNode,
-    SatelliteNode,
     TerminusNode,
     WalkerSpec,
     generate_walker,
@@ -35,7 +34,6 @@ from .geo import (
     WGS84,
     ecef_to_geodetic,
     geodetic_to_ecef,
-    has_line_of_sight,
     propagation_delay_ms,
     surface_distance_km,
 )

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .geo import (
     EcefPosition,
     EllipsoidModel,
@@ -15,13 +17,6 @@ from .geo import (
 )
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True)
-class SatelliteNode:
-    id: str
-    position: EcefPosition
-    is_actuator: bool = False
 
 
 @dataclass(frozen=True)
@@ -48,38 +43,52 @@ class TerminusNode:
     geodetic: GeodeticPosition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstellationSnapshot:
-    """Instantaneous, immutable set of satellite nodes.
+    """Instantaneous, immutable set of satellites, one column per field.
 
-    ``epoch_seconds`` (seconds since J2000) is informational only; routing
-    uses the stored positions as-is.
+    Row ``i`` is satellite ``ids[i]`` at ECEF ``positions[i]`` (km, an
+    ``(n, 3)`` float64 array), flagged as an actuator where ``actuators[i]``
+    (an ``(n,)`` bool array, all False unless given).  Both arrays are
+    read-only copies.  ``epoch_seconds`` (seconds since J2000) is
+    informational only; routing uses the stored positions as-is.
     """
 
     label: str
-    satellites: tuple[SatelliteNode, ...]
+    ids: tuple[str, ...]
+    positions: np.ndarray
+    actuators: np.ndarray | None = None
     epoch_seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        ids = tuple(self.ids)
+        n = len(ids)
+        positions = np.array(self.positions, dtype=np.float64)
+        actuators = np.zeros(n, dtype=bool)
+        if self.actuators is not None:
+            actuators = np.array(self.actuators, dtype=bool)
+        if positions.shape != (n, 3) or actuators.shape != (n,):
+            raise ValueError(f"{n} ids do not match the shape of positions {positions.shape} "
+                             f"or of actuators {actuators.shape}")
         seen: set[str] = set()
-        for sat in self.satellites:
-            if sat.id in seen:
-                raise ValueError(f"duplicate satellite id {sat.id!r}")
-            seen.add(sat.id)
-            if sat.position.norm() <= WGS84.semi_major_a:
-                raise ValueError(f"satellite {sat.id!r} is not above the surface")
+        for sat_id in ids:
+            if sat_id in seen:
+                raise ValueError(f"duplicate satellite id {sat_id!r}")
+            seen.add(sat_id)
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"satellite {ids[np.argmin(finite)]!r} has a non-finite position")
+        x, y, z = positions.T
+        buried = np.sqrt((x * x + y * y) + z * z) <= WGS84.semi_major_a
+        if buried.any():
+            raise ValueError(f"satellite {ids[np.argmax(buried)]!r} is not above the surface")
+        positions.flags.writeable = actuators.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "actuators", actuators)
 
     def __len__(self) -> int:
-        return len(self.satellites)
-
-    def ids(self) -> list[str]:
-        return [s.id for s in self.satellites]
-
-    def actuator_indices(self) -> list[int]:
-        return [i for i, s in enumerate(self.satellites) if s.is_actuator]
-
-    def positions(self) -> list[tuple[float, float, float]]:
-        return [s.position.as_tuple() for s in self.satellites]
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ def generate_walker(
     radius = e.semi_major_a + spec.altitude_km
     inc = math.radians(spec.inclination_deg)
     cos_i, sin_i = math.cos(inc), math.sin(inc)
-    sats = []
+    ids, positions = [], []
     for p in range(spec.planes):
         raan = math.radians(spec.raan_offset_deg + 360.0 * p / spec.planes)
         cos_o, sin_o = math.cos(raan), math.sin(raan)
@@ -139,20 +148,19 @@ def generate_walker(
             z1 = y0 * sin_i
             x = x0 * cos_o - y1 * sin_o
             y = x0 * sin_o + y1 * cos_o
-            sats.append(
-                SatelliteNode(f"{id_prefix}-p{p:03d}-s{k:03d}", EcefPosition(x, y, z1))
-            )
-    return ConstellationSnapshot(label, tuple(sats), epoch_seconds)
+            ids.append(f"{id_prefix}-p{p:03d}-s{k:03d}")
+            positions.append((x, y, z1))
+    return ConstellationSnapshot(label, tuple(ids), positions, epoch_seconds=epoch_seconds)
 
 
 def merge_snapshots(label: str, *snapshots: ConstellationSnapshot) -> ConstellationSnapshot:
     """Union of snapshots, preserving order; ids must stay unique."""
     if not snapshots:
         raise ValueError("need at least one snapshot to merge")
-    sats: list[SatelliteNode] = []
-    for snap in snapshots:
-        sats.extend(snap.satellites)
-    return ConstellationSnapshot(label, tuple(sats), snapshots[0].epoch_seconds)
+    ids = tuple(sat_id for snap in snapshots for sat_id in snap.ids)
+    positions = np.concatenate([snap.positions for snap in snapshots])
+    actuators = np.concatenate([snap.actuators for snap in snapshots])
+    return ConstellationSnapshot(label, ids, positions, actuators, snapshots[0].epoch_seconds)
 
 
 # --- CSV interchange ----------------------------------------------------------
@@ -164,9 +172,8 @@ STATIONS_CSV_HEADER = "id,lat_deg,lon_deg,alt_km"
 def snapshot_to_csv(snapshot: ConstellationSnapshot) -> str:
     """Serialize with repr precision so a read-back is bit-exact."""
     lines = [SNAPSHOT_CSV_HEADER]
-    for s in snapshot.satellites:
-        p = s.position
-        lines.append(f"{s.id},{p.x!r},{p.y!r},{p.z!r}")
+    for sat_id, (x, y, z) in zip(snapshot.ids, snapshot.positions.tolist()):
+        lines.append(f"{sat_id},{x!r},{y!r},{z!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -193,7 +200,7 @@ def load_snapshot_csv(text: str, label: str = "snapshot") -> ConstellationSnapsh
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SNAPSHOT_CSV_HEADER:
         raise ValueError(f"line 1: expected header {SNAPSHOT_CSV_HEADER!r}")
-    sats: list[SatelliteNode] = []
+    ids, positions = [], []
     seen: set[str] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         sat_id, xs, ys, zs = _split_csv_line(line, 4, line_no)
@@ -209,8 +216,9 @@ def load_snapshot_csv(text: str, label: str = "snapshot") -> ConstellationSnapsh
         )
         if pos.norm() <= WGS84.semi_major_a:
             raise ValueError(f"line {line_no}: satellite {sat_id!r} is not above the surface")
-        sats.append(SatelliteNode(sat_id, pos))
-    return ConstellationSnapshot(label, tuple(sats))
+        ids.append(sat_id)
+        positions.append(pos.as_tuple())
+    return ConstellationSnapshot(label, tuple(ids), np.reshape(positions, (len(ids), 3)))
 
 
 def load_ground_stations_csv(text: str, e: EllipsoidModel = WGS84) -> list[GroundStationNode]:
@@ -285,8 +293,6 @@ def select_actuators(
     n = len(snapshot)
     if not 0 <= count <= n:
         raise ValueError(f"actuator count must be in [0, {n}], got {count}")
-    chosen = set(seeded_permutation(n, seed)[:count])
-    sats = tuple(
-        replace(sat, is_actuator=(i in chosen)) for i, sat in enumerate(snapshot.satellites)
-    )
-    return ConstellationSnapshot(snapshot.label, sats, snapshot.epoch_seconds)
+    mask = np.zeros(n, dtype=bool)
+    mask[seeded_permutation(n, seed)[:count]] = True
+    return replace(snapshot, actuators=mask)

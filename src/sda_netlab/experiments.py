@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -227,33 +228,46 @@ def half_up_count(fraction: float, total: int) -> int:
 def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
     if cfg.actuator_count is not None:
         if cfg.actuator_count > total:
-            raise ValueError(f"actuator_count {cfg.actuator_count} exceeds {total} satellites")
+            raise ValueError(f"actuator_count: {cfg.actuator_count} exceeds {total} satellites")
         return cfg.actuator_count
     return half_up_count(cfg.actuator_fraction, total)
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+@contextmanager
+def _config_key(key: str):
+    """Prefix a ``ValueError`` raised inside with ``key``, the config key of its input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
     if source.walker_shells:
-        snaps = [
-            generate_walker(shell.spec, label=shell.label, id_prefix=shell.id_prefix)
-            for shell in source.walker_shells
-        ]
-        if len(snaps) == 1:
-            return snaps[0]
-        return merge_snapshots("+".join(s.label for s in snaps), *snaps)
+        with _config_key("constellation.walker"):
+            snaps = [
+                generate_walker(shell.spec, label=shell.label, id_prefix=shell.id_prefix)
+                for shell in source.walker_shells
+            ]
+            return merge_snapshots("+".join(s.label for s in snaps), *snaps)
     if source.snapshot_csv is not None:
-        with open(source.snapshot_csv, "r", encoding="utf-8") as fh:
-            return load_snapshot_csv(fh.read(), label=os.path.basename(source.snapshot_csv))
-    with open(source.tle_file, "r", encoding="utf-8") as fh:
-        entries = load_tle_file(fh.read())
-    return snapshot_from_tles(entries, source.tle_at_seconds, label=os.path.basename(source.tle_file))
+        with _config_key("constellation.snapshot_csv"):
+            return load_snapshot_csv(_read(source.snapshot_csv), os.path.basename(source.snapshot_csv))
+    with _config_key("constellation.tle_file"):
+        entries = load_tle_file(_read(source.tle_file))
+        return snapshot_from_tles(entries, source.tle_at_seconds, os.path.basename(source.tle_file))
 
 
 def resolve_stations(cfg: ScenarioConfig) -> list[GroundStationNode]:
     if cfg.stations_csv is None:
         return []
-    with open(cfg.stations_csv, "r", encoding="utf-8") as fh:
-        return load_ground_stations_csv(fh.read())
+    with _config_key("stations_csv"):
+        return load_ground_stations_csv(_read(cfg.stations_csv))
 
 
 def resolve_terminus(cfg: ScenarioConfig, stations: list[GroundStationNode]) -> TerminusNode | None:
@@ -321,7 +335,7 @@ def prepare(cfg: ScenarioConfig, threads: int | None = None) -> Network:
     network; ``attack`` routes it without and then with the overlay."""
     snapshot = flagged_snapshot(cfg)
     stations = tuple(resolve_stations(cfg))
-    sat_ids = set(snapshot.ids())
+    sat_ids = set(snapshot.ids)
     for st in stations:
         if st.id in sat_ids or st.id == TERMINUS_NAME:
             what = "a satellite id" if st.id in sat_ids else "reserved for the terminus"
@@ -408,7 +422,7 @@ def actuator_sweep(
         point_seed = rng.next_u64() if independent_draws else cfg.seed
         flagged = select_actuators(network.snapshot, half_up_count(fraction, n), point_seed)
         report = replace(network, snapshot=flagged).route(cfg.mode)
-        points.append(SweepPoint(fraction, len(flagged.actuator_indices()), summarize(report)))
+        points.append(SweepPoint(fraction, int(flagged.actuators.sum()), summarize(report)))
     return points
 
 

@@ -1,11 +1,9 @@
-"""WGS84 ellipsoid geometry: coordinate conversions, line-of-sight tests,
-surface distances, and propagation delay.
+"""WGS84 ellipsoid geometry: coordinate conversions, surface distances,
+and propagation delay.
 
 All functions here are pure and operate on kilometers, degrees, and
-milliseconds.  The line-of-sight test is written so that the scalar form and
-the vectorized form in :mod:`sda_netlab.topology` evaluate the exact same
-floating-point expressions; do not reorder the arithmetic without updating
-both sides.
+milliseconds.  The line-of-sight test itself is vectorized in
+:mod:`sda_netlab.topology`.
 """
 
 from __future__ import annotations
@@ -164,76 +162,6 @@ def ecef_to_geodetic(
     else:
         alt = p.z / sin_lat - n * (1.0 - e2)
     return GeodeticPosition(math.degrees(lat), lon_deg, alt)
-
-
-def euclidean_km(p: EcefPosition, q: EcefPosition) -> float:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    dz = p.z - q.z
-    return math.sqrt((dx * dx + dy * dy) + dz * dz)
-
-
-def min_scaled_norm_sq(
-    p: EcefPosition,
-    q: EcefPosition,
-    e: EllipsoidModel = WGS84,
-    margin_km: float = 0.0,
-) -> float:
-    """Squared minimum norm of the segment p-q after scaling the
-    margin-inflated ellipsoid to the unit sphere.
-
-    The endpoints are put in lexicographic (x, y, z) order first so the
-    result is exactly symmetric in (p, q), bit for bit.  The vectorized
-    graph builder mirrors this expression; keep the two in sync.
-    """
-    if margin_km < 0.0:
-        raise ValueError(f"margin_km must be >= 0, got {margin_km}")
-    if p.as_tuple() == q.as_tuple():
-        raise ValueError("line-of-sight is undefined for coincident points")
-    if q.as_tuple() < p.as_tuple():
-        p, q = q, p
-    inv_ae = 1.0 / (e.semi_major_a + margin_km)
-    inv_be = 1.0 / (e.semi_minor_b + margin_km)
-    phx = p.x * inv_ae
-    phy = p.y * inv_ae
-    phz = p.z * inv_be
-    qhx = q.x * inv_ae
-    qhy = q.y * inv_ae
-    qhz = q.z * inv_be
-    dx = qhx - phx
-    dy = qhy - phy
-    dz = qhz - phz
-    dd = (dx * dx + dy * dy) + dz * dz
-    pd = (phx * dx + phy * dy) + phz * dz
-    t = -pd / dd
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    ex = phx + t * dx
-    ey = phy + t * dy
-    ez = phz + t * dz
-    return (ex * ex + ey * ey) + ez * ez
-
-
-def min_scaled_norm(
-    p: EcefPosition,
-    q: EcefPosition,
-    e: EllipsoidModel = WGS84,
-    margin_km: float = 0.0,
-) -> float:
-    return math.sqrt(min_scaled_norm_sq(p, q, e, margin_km))
-
-
-def has_line_of_sight(
-    p: EcefPosition,
-    q: EcefPosition,
-    e: EllipsoidModel = WGS84,
-    margin_km: float = 0.0,
-) -> bool:
-    """True iff the open segment between p and q stays outside the ellipsoid
-    inflated by ``margin_km``.  Endpoints on the surface do not block."""
-    return min_scaled_norm_sq(p, q, e, margin_km) >= LOS_THRESHOLD_SQ
 
 
 def surface_distance_km(

@@ -71,7 +71,7 @@ class ArchitectureMode(str, Enum):
 @dataclass(frozen=True, eq=False)
 class LatencyReport:
     """Delivery results, one array per field, each aligned with
-    ``snapshot.satellites``.
+    ``snapshot.ids``.
 
     ``latency_ms`` is float64 with ``inf`` for an unreachable satellite;
     ``hops`` is int64 with -1 for one; ``next_hop`` and ``terminal`` are
@@ -100,20 +100,30 @@ class LatencyReport:
         return int(np.count_nonzero(np.isinf(self.latency_ms)))
 
 
-@dataclass(frozen=True)
-class RelaySource:
-    """A node that delivers directly, with its fixed boundary label and the
-    report fields to emit when the label is used as-is."""
+@dataclass(frozen=True, eq=False)
+class RelaySeeds:
+    """The nodes that deliver directly, one entry per node, with each one's
+    fixed boundary label and the report fields to emit where it is used
+    as-is: aligned columns ``node`` and ``hops`` (int64), ``label_ms``
+    (float64), ``next_hop`` and ``terminal`` (``str`` or ``None``).  A
+    scalar field is broadcast to every node."""
 
-    node: int
-    label_ms: float
-    terminal: str
-    next_hop: str | None
-    hops: int
+    node: np.ndarray
+    label_ms: np.ndarray
+    hops: np.ndarray
+    next_hop: np.ndarray
+    terminal: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.label_ms >= 0.0:
-            raise ValueError(f"source label must be >= 0, got {self.label_ms}")
+        shape = np.shape(self.node)
+        for name, dtype in (("node", np.int64), ("label_ms", np.float64), ("hops", np.int64),
+                            ("next_hop", object), ("terminal", object)):
+            column = np.broadcast_to(np.asarray(getattr(self, name), dtype=dtype), shape)
+            object.__setattr__(self, name, column)
+        if not (self.label_ms >= 0.0).all():
+            raise ValueError(f"seed labels must be >= 0, got {self.label_ms.min()}")
+        if np.unique(self.node).size != self.node.size:
+            raise ValueError("a node is seeded more than once")
 
 
 @dataclass
@@ -131,8 +141,8 @@ class _RelayProblem:
     adjacency: SatAdjacency
     penalty_ms: float
     exempt: np.ndarray  # (sat_count,) bool
-    seeds: list[RelaySource]
-    node_names: list[str]
+    seeds: RelaySeeds
+    node_names: tuple[str, ...]
     ground_src: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     ground_dst: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     ground_weight: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -203,9 +213,8 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
     n = problem.node_count
     labels = np.full(n, math.inf)
     fixed = np.zeros(n, dtype=bool)
-    for s in problem.seeds:
-        labels[s.node] = min(labels[s.node], s.label_ms)
-        fixed[s.node] = True
+    labels[problem.seeds.node] = problem.seeds.label_ms
+    fixed[problem.seeds.node] = True
     np.minimum.at(labels, problem.ground_dst, problem.ground_weight + labels[problem.ground_src])
     frontier = np.flatnonzero(np.isfinite(labels[: problem.sat_count]))
     stamp = np.zeros(n, dtype=np.int64)
@@ -261,33 +270,28 @@ def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
     return np.where(parent_key < 2 * n, parent_key % n, -1)
 
 
-def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: ConstellationSnapshot) -> LatencyReport:
+def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport:
     """Derive hops / next hop / terminal from the converged labels.
 
     The parent rule of :func:`_parents` depends only on the labels; with the
-    seeds as roots it makes a forest.  A seed keeps its own report fields
-    (the lowest label wins, then the first seed listed), and every other
-    node takes its root's terminal and hops plus its depth below the root,
-    found by pointer jumping in O(log n) rounds.
+    seeds as roots it makes a forest.  A seed keeps its own report fields,
+    and every other node takes its root's terminal and hops plus its depth
+    below the root, found by pointer jumping in O(log n) rounds.
     """
     n = problem.node_count
-    seed_at: dict[int, RelaySource] = {}
-    for s in problem.seeds:
-        held = seed_at.get(s.node)
-        if held is None or s.label_ms < held.label_ms:
-            seed_at[s.node] = s
+    seeds = problem.seeds
     # -1 hops marks a node that is no seed: an unreachable node is its own
     # root at depth 0, so it keeps -1 and None.
     seed_hops = np.full(n, -1, dtype=np.int64)
     seed_next_hop = np.full(n, None, dtype=object)
     seed_terminal = np.full(n, None, dtype=object)
-    for node, s in seed_at.items():
-        seed_hops[node], seed_next_hop[node], seed_terminal[node] = s.hops, s.next_hop, s.terminal
+    seed_hops[seeds.node] = seeds.hops
+    seed_next_hop[seeds.node] = seeds.next_hop
+    seed_terminal[seeds.node] = seeds.terminal
 
     nodes = np.arange(n)
     parent = _parents(problem, labels)
-    roots = np.fromiter(seed_at, dtype=np.int64, count=len(seed_at))
-    parent[roots] = roots
+    parent[seeds.node] = seeds.node
     orphans = np.flatnonzero(np.isfinite(labels) & (parent < 0))
     if orphans.size:
         node = orphans[np.argmin(labels[orphans])]
@@ -307,11 +311,11 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: Conste
     else:
         raise RuntimeError("zero-delay relay cycle: cannot orient delivery paths")
 
-    m = len(snapshot)
+    m = problem.sat_count
     parent, root = parent[:m], jump[:m]
     names = np.array(problem.node_names, dtype=object)
     return LatencyReport(
-        sat_ids=tuple(snapshot.ids()),
+        sat_ids=problem.node_names[:m],
         latency_ms=labels[:m],
         hops=seed_hops[root] + depth[:m],
         next_hop=np.where(parent == nodes[:m], seed_next_hop[:m], names[parent]),
@@ -322,12 +326,10 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray, snapshot: Conste
 # --- Source builders ----------------------------------------------------------
 
 
-def actuator_sources(snapshot: ConstellationSnapshot) -> list[RelaySource]:
+def actuator_sources(snapshot: ConstellationSnapshot) -> RelaySeeds:
     """On-orbit boundary: every actuator delivers to itself at zero cost."""
-    return [
-        RelaySource(node=i, label_ms=0.0, terminal=snapshot.satellites[i].id, next_hop=None, hops=0)
-        for i in snapshot.actuator_indices()
-    ]
+    node = np.flatnonzero(snapshot.actuators)
+    return RelaySeeds(node, 0.0, 0, None, np.array(snapshot.ids, dtype=object)[node])
 
 
 def ground_delays_ms(
@@ -345,32 +347,19 @@ def greedy_downhaul_sources(
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: TerminusNode,
-) -> list[RelaySource]:
+) -> RelaySeeds:
     """Label every station-visible satellite with its greedy downlink:
     nearest visible station by straight-line distance (ties to the lower
     station index), plus that station's surface leg to the terminus."""
-    ground = ground_delays_ms(stations, terminus)
-    best_delay = [math.inf] * graph.sat_count
-    best_station = [-1] * graph.sat_count
-    edges = graph.station_edges
-    delays = graph.station_delays_ms
-    for k in range(edges.shape[0]):
-        i = int(edges[k, 0])
-        g = int(edges[k, 1])
-        d = float(delays[k])
-        if d < best_delay[i]:
-            best_delay[i] = d
-            best_station[i] = g
-    sources = []
-    for i in range(graph.sat_count):
-        g = best_station[i]
-        if g < 0:
-            continue
-        label = best_delay[i] + ground[g]
-        sources.append(
-            RelaySource(node=i, label_ms=label, terminal=stations[g].id, next_hop=stations[g].id, hops=2)
-        )
-    return sources
+    rows = graph.station_edges[:, 0]
+    # Stable: among a row's equal delays the first edge, i.e. the lower
+    # station index, comes first.
+    order = np.lexsort((graph.station_delays_ms, rows))
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    station = graph.station_edges[first, 1]
+    label = graph.station_delays_ms[first] + np.array(ground_delays_ms(stations, terminus))[station]
+    terminal = np.array([st.id for st in stations], dtype=object)[station]
+    return RelaySeeds(rows[first], label, 2, terminal, terminal)
 
 
 # --- Engines --------------------------------------------------------------------
@@ -379,7 +368,7 @@ def greedy_downhaul_sources(
 def _sat_problem(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
-    sources: list[RelaySource],
+    sources: RelaySeeds,
     reroute_penalty_ms: float,
     exempt_sources_from_penalty: bool,
 ) -> _RelayProblem:
@@ -387,18 +376,18 @@ def _sat_problem(
     penalty-free."""
     exempt = np.zeros(graph.sat_count, dtype=bool)
     if exempt_sources_from_penalty:
-        exempt[[s.node for s in sources]] = True
+        exempt[sources.node] = True
     return _RelayProblem(
         adjacency=graph.adjacency,
         penalty_ms=reroute_penalty_ms,
         exempt=exempt,
         seeds=sources,
-        node_names=snapshot.ids(),
+        node_names=snapshot.ids,
     )
 
 
-def _route(problem: _RelayProblem, snapshot: ConstellationSnapshot) -> LatencyReport:
-    return _extract_report(problem, _relax(problem).labels, snapshot)
+def _route(problem: _RelayProblem) -> LatencyReport:
+    return _extract_report(problem, _relax(problem).labels)
 
 
 def onorbit_latencies(
@@ -411,7 +400,7 @@ def onorbit_latencies(
     Zero actuators is legal and yields an all-unreachable report.
     """
     sources = actuator_sources(snapshot)
-    return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, True), snapshot)
+    return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, True))
 
 
 def downhaul_latencies(
@@ -427,10 +416,9 @@ def downhaul_latencies(
         raise ValueError("downhaul requires at least one ground station")
     if mode is ArchitectureMode.DOWNHAUL_GREEDY:
         sources = greedy_downhaul_sources(graph, snapshot, stations, terminus)
-        return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False), snapshot)
+        return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False))
     if mode is ArchitectureMode.DOWNHAUL_OPTIMAL:
-        problem = _augmented_problem(graph, snapshot, stations, terminus, reroute_penalty_ms)
-        return _route(problem, snapshot)
+        return _route(_augmented_problem(graph, snapshot, stations, terminus, reroute_penalty_ms))
     raise ValueError(f"downhaul_latencies cannot run mode {mode.value!r}")
 
 
@@ -445,16 +433,14 @@ def _augmented_problem(
     satellite -> satellite.  Each station is a seed holding its surface leg
     to the terminus, as if reached over the hop terminus -> station."""
     n_sat = graph.sat_count
-    seeds = [
-        RelaySource(node=n_sat + g, label_ms=leg, terminal=st.id, next_hop=TERMINUS_NAME, hops=1)
-        for g, (st, leg) in enumerate(zip(stations, ground_delays_ms(stations, terminus)))
-    ]
+    station_ids = tuple(st.id for st in stations)
+    legs = ground_delays_ms(stations, terminus)
     return _RelayProblem(
         adjacency=graph.adjacency,
         penalty_ms=reroute_penalty_ms,
         exempt=np.zeros(n_sat, dtype=bool),
-        seeds=seeds,
-        node_names=snapshot.ids() + [st.id for st in stations],
+        seeds=RelaySeeds(n_sat + np.arange(len(stations)), legs, 1, TERMINUS_NAME, station_ids),
+        node_names=snapshot.ids + station_ids,
         # Station -> satellite downlinks (reverse of the data direction).
         ground_src=graph.station_edges[:, 1].astype(np.int64) + n_sat,
         ground_dst=graph.station_edges[:, 0].astype(np.int64),

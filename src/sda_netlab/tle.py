@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from .constellation import ConstellationSnapshot, SatelliteNode
+from .constellation import ConstellationSnapshot
 from .geo import ConvergenceError, EcefPosition, EllipsoidModel, WGS84
 
 EARTH_GM_KM3_S2 = 398600.4418
@@ -108,30 +108,6 @@ def parse_tle(line1: str, line2: str) -> TleElements:
         mean_anomaly_deg=_field_float(line2, 43, 51, "mean anomaly", 2),
         mean_motion_rev_per_day=_field_float(line2, 52, 63, "mean motion", 2),
     )
-
-
-def format_tle_lines(el: TleElements) -> tuple[str, str]:
-    """Render the stored fields back to fixed columns.
-
-    Fields this simulator does not keep (derivatives, drag, designators)
-    are written as canonical zeros, so formatting is only faithful for the
-    numeric fields round-tripped by :func:`parse_tle`.
-    """
-    moment = _J2000 + timedelta(seconds=el.epoch_seconds)
-    year = moment.year
-    day = (moment - datetime(year, 1, 1)).total_seconds() / 86400.0 + 1.0
-    catalog = (el.catalog_id or "0")[:5]
-    body1 = (
-        f"1 {catalog:>5}U 00000A   {year % 100:02d}{day:012.8f}  "
-        f".00000000  00000-0  00000-0 0    0"
-    )
-    ecc_digits = f"{round(el.eccentricity * 1e7):07d}"
-    body2 = (
-        f"2 {catalog:>5} {el.inclination_deg:8.4f} {el.raan_deg:8.4f} "
-        f"{ecc_digits} {el.arg_perigee_deg:8.4f} {el.mean_anomaly_deg:8.4f} "
-        f"{el.mean_motion_rev_per_day:11.8f}    0"
-    )
-    return body1 + str(line_checksum(body1)), body2 + str(line_checksum(body2))
 
 
 def load_tle_file(text: str) -> list[tuple[str, TleElements]]:
@@ -229,12 +205,13 @@ def snapshot_from_tles(
         raise ValueError("no TLE entries to build a snapshot from")
     if t_seconds_j2000 is None:
         t_seconds_j2000 = entries[0][1].epoch_seconds
-    sats = []
+    ids, positions = [], []
     seen: set[str] = set()
     for idx, (name, el) in enumerate(entries):
         sat_id = name or el.catalog_id or f"tle-{idx:05d}"
         if sat_id in seen:
             sat_id = f"{sat_id}#{idx}"
         seen.add(sat_id)
-        sats.append(SatelliteNode(sat_id, tle_to_position(el, t_seconds_j2000, e)))
-    return ConstellationSnapshot(label, tuple(sats), t_seconds_j2000)
+        ids.append(sat_id)
+        positions.append(tle_to_position(el, t_seconds_j2000, e).as_tuple())
+    return ConstellationSnapshot(label, tuple(ids), positions, epoch_seconds=t_seconds_j2000)

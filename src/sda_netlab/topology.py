@@ -2,9 +2,10 @@
 
 The pairwise build is vectorized and may be partitioned across worker
 threads; every row block is computed with the same floating-point
-expressions as :func:`sda_netlab.geo.min_scaled_norm_sq` (including the
-lexicographic endpoint ordering), so the edge set is bit-identical to a
-scalar double loop and independent of the thread count.
+expressions as the scalar reference ``min_scaled_norm_sq`` in the tests'
+``oracle_utils`` (including the lexicographic endpoint ordering), so the
+edge set is bit-identical to a scalar double loop and independent of the
+thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .constellation import ConstellationSnapshot, GroundStationNode
 from .geo import (
     LOS_THRESHOLD_SQ,
     SPEED_OF_LIGHT_KM_S,
+    EcefPosition,
     EllipsoidModel,
     GeodeticPosition,
     WGS84,
@@ -178,7 +180,7 @@ def build_visibility_graph(
     if margin_km < 0.0:
         raise ValueError(f"margin_km must be >= 0, got {margin_km}")
     n = len(snapshot)
-    positions = np.array(snapshot.positions(), dtype=np.float64)
+    positions = snapshot.positions
     inv_ae = 1.0 / (e.semi_major_a + margin_km)
     inv_be = 1.0 / (e.semi_minor_b + margin_km)
     scaled = positions * np.array([inv_ae, inv_ae, inv_be])
@@ -370,23 +372,17 @@ def _jammed_mask(
     regions: tuple[JamRegion, ...],
     e: EllipsoidModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes whose sub-point falls inside any jam region."""
-    sat_jammed = np.zeros(len(snapshot), dtype=bool)
-    st_jammed = np.zeros(len(stations), dtype=bool)
+    """Nodes whose sub-point falls inside any jam region (the surface
+    distance reads only latitude and longitude)."""
+    n = len(snapshot)
     if not regions:
-        return sat_jammed, st_jammed
-    for i, sat in enumerate(snapshot.satellites):
-        sub = ecef_to_geodetic(sat.position, e)
-        sub = GeodeticPosition(sub.latitude_deg, sub.longitude_deg, 0.0)
-        sat_jammed[i] = any(
-            surface_distance_km(sub, r.center, e) <= r.radius_km for r in regions
-        )
-    for k, st in enumerate(stations):
-        sub = GeodeticPosition(st.geodetic.latitude_deg, st.geodetic.longitude_deg, 0.0)
-        st_jammed[k] = any(
-            surface_distance_km(sub, r.center, e) <= r.radius_km for r in regions
-        )
-    return sat_jammed, st_jammed
+        return np.zeros(n, dtype=bool), np.zeros(len(stations), dtype=bool)
+    subs = [ecef_to_geodetic(EcefPosition(*p), e) for p in snapshot.positions.tolist()]
+    subs += [st.geodetic for st in stations]
+    jammed = np.array([
+        any(surface_distance_km(sub, r.center, e) <= r.radius_km for r in regions) for sub in subs
+    ], dtype=bool)
+    return jammed[:n], jammed[n:]
 
 
 def _clear_listed(keep: np.ndarray, edges: np.ndarray, width: int, keys: list[int]) -> None:
@@ -421,8 +417,7 @@ def apply_overlay(
     A link between two stations, from a node to itself, or between nodes
     with no edge removes nothing.  Ids the snapshot and the stations do not
     know raise ``ValueError``."""
-    sat_ids = snapshot.ids()
-    sat_index = {s: i for i, s in enumerate(sat_ids)}
+    sat_index = {s: i for i, s in enumerate(snapshot.ids)}
     station_ids = [st.id for st in stations]
     station_index = {s: i for i, s in enumerate(station_ids)}
 

@@ -4,7 +4,10 @@ These deliberately re-derive results through different code paths than the
 package (sampling instead of minimization, naive sums instead of fsum,
 double loops instead of vectorization, a heap Dijkstra with per-node parent
 scans instead of frontier sweeps over the adjacency, per-edge id matching
-instead of index keys for overlays).
+instead of index keys for overlays, a per-edge loop instead of a sort for
+greedy downlinks).  The scalar geometry references (``min_scaled_norm_sq``,
+``has_line_of_sight``, ``euclidean_km``) and the TLE writer live here too:
+only the tests call them.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from datetime import datetime, timedelta
 
 import numpy as np
 
-from sda_netlab.constellation import ConstellationSnapshot, SatelliteNode
+from sda_netlab.constellation import ConstellationSnapshot
 from sda_netlab.geo import (
+    LOS_THRESHOLD_SQ,
     EcefPosition,
     EllipsoidModel,
     GeodeticPosition,
@@ -24,8 +29,103 @@ from sda_netlab.geo import (
     propagation_delay_ms,
     surface_distance_km,
 )
-from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySource
+from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySeeds, ground_delays_ms
+from sda_netlab.tle import _J2000, TleElements, line_checksum
 from sda_netlab.topology import AttackOverlay, VisibilityGraph, _jammed_mask
+
+def euclidean_km(p: EcefPosition, q: EcefPosition) -> float:
+    dx = p.x - q.x
+    dy = p.y - q.y
+    dz = p.z - q.z
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def min_scaled_norm_sq(
+    p: EcefPosition,
+    q: EcefPosition,
+    e: EllipsoidModel = WGS84,
+    margin_km: float = 0.0,
+) -> float:
+    """Squared minimum norm of the segment p-q after scaling the
+    margin-inflated ellipsoid to the unit sphere.
+
+    The endpoints are put in lexicographic (x, y, z) order first so the
+    result is exactly symmetric in (p, q), bit for bit.  The vectorized
+    graph builder mirrors this expression; keep the two in sync.
+    """
+    if margin_km < 0.0:
+        raise ValueError(f"margin_km must be >= 0, got {margin_km}")
+    if p.as_tuple() == q.as_tuple():
+        raise ValueError("line-of-sight is undefined for coincident points")
+    if q.as_tuple() < p.as_tuple():
+        p, q = q, p
+    inv_ae = 1.0 / (e.semi_major_a + margin_km)
+    inv_be = 1.0 / (e.semi_minor_b + margin_km)
+    phx = p.x * inv_ae
+    phy = p.y * inv_ae
+    phz = p.z * inv_be
+    qhx = q.x * inv_ae
+    qhy = q.y * inv_ae
+    qhz = q.z * inv_be
+    dx = qhx - phx
+    dy = qhy - phy
+    dz = qhz - phz
+    dd = (dx * dx + dy * dy) + dz * dz
+    pd = (phx * dx + phy * dy) + phz * dz
+    t = -pd / dd
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    ex = phx + t * dx
+    ey = phy + t * dy
+    ez = phz + t * dz
+    return (ex * ex + ey * ey) + ez * ez
+
+
+def min_scaled_norm(
+    p: EcefPosition,
+    q: EcefPosition,
+    e: EllipsoidModel = WGS84,
+    margin_km: float = 0.0,
+) -> float:
+    return math.sqrt(min_scaled_norm_sq(p, q, e, margin_km))
+
+
+def has_line_of_sight(
+    p: EcefPosition,
+    q: EcefPosition,
+    e: EllipsoidModel = WGS84,
+    margin_km: float = 0.0,
+) -> bool:
+    """True iff the open segment between p and q stays outside the ellipsoid
+    inflated by ``margin_km``.  Endpoints on the surface do not block."""
+    return min_scaled_norm_sq(p, q, e, margin_km) >= LOS_THRESHOLD_SQ
+
+
+def format_tle_lines(el: TleElements) -> tuple[str, str]:
+    """Render the stored fields back to fixed columns.
+
+    Fields this simulator does not keep (derivatives, drag, designators)
+    are written as canonical zeros, so formatting is only faithful for the
+    numeric fields round-tripped by :func:`sda_netlab.tle.parse_tle`.
+    """
+    moment = _J2000 + timedelta(seconds=el.epoch_seconds)
+    year = moment.year
+    day = (moment - datetime(year, 1, 1)).total_seconds() / 86400.0 + 1.0
+    catalog = (el.catalog_id or "0")[:5]
+    body1 = (
+        f"1 {catalog:>5}U 00000A   {year % 100:02d}{day:012.8f}  "
+        f".00000000  00000-0  00000-0 0    0"
+    )
+    ecc_digits = f"{round(el.eccentricity * 1e7):07d}"
+    body2 = (
+        f"2 {catalog:>5} {el.inclination_deg:8.4f} {el.raan_deg:8.4f} "
+        f"{ecc_digits} {el.arg_perigee_deg:8.4f} {el.mean_anomaly_deg:8.4f} "
+        f"{el.mean_motion_rev_per_day:11.8f}    0"
+    )
+    return body1 + str(line_checksum(body1)), body2 + str(line_checksum(body2))
+
 
 _SAMPLE_CACHE: dict[int, np.ndarray] = {}
 
@@ -62,11 +162,8 @@ def segment_blocked_by_sampling(
 def random_shell(seed: int, count: int = 50, alt_lo_km: float = 400.0, alt_hi_km: float = 1500.0) -> ConstellationSnapshot:
     """Satellites in uniformly random directions at random shell altitudes."""
     rng = random.Random(seed)
-    sats = [
-        SatelliteNode(f"s{k:03d}", random_orbital_point(rng, alt_lo_km, alt_hi_km))
-        for k in range(count)
-    ]
-    return ConstellationSnapshot("random", tuple(sats))
+    points = [random_orbital_point(rng, alt_lo_km, alt_hi_km).as_tuple() for _ in range(count)]
+    return ConstellationSnapshot("random", tuple(f"s{k:03d}" for k in range(count)), points)
 
 
 def random_orbital_point(rng: random.Random, alt_lo_km: float = 300.0, alt_hi_km: float = 2500.0) -> EcefPosition:
@@ -129,16 +226,42 @@ def elevation_angle_deg(station: GeodeticPosition, station_ecef: EcefPosition, t
     return math.degrees(math.asin(sin_el))
 
 
+def seed_rows(seeds: RelaySeeds) -> list[tuple]:
+    """(node, label_ms, hops, next_hop, terminal) for every seed."""
+    return list(zip(*(
+        getattr(seeds, name).tolist() for name in ("node", "label_ms", "hops", "next_hop", "terminal")
+    )))
+
+
+def greedy_sources_oracle(graph, stations, terminus) -> RelaySeeds:
+    """Greedy downlink seeds by a loop over the station edges in order: a
+    strictly lower delay takes a satellite's downlink, so ties stay with
+    the lower station index.  The reference for
+    ``routing.greedy_downhaul_sources``."""
+    ground = ground_delays_ms(stations, terminus)
+    best_delay = [math.inf] * graph.sat_count
+    best_station = [-1] * graph.sat_count
+    for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
+        if d < best_delay[i]:
+            best_delay[i] = d
+            best_station[i] = g
+    nodes = [i for i, g in enumerate(best_station) if g >= 0]
+    labels = [best_delay[i] + ground[best_station[i]] for i in nodes]
+    ids = [stations[best_station[i]].id for i in nodes]
+    return RelaySeeds(nodes, labels, 2, ids, ids)
+
+
 def dijkstra_oracle(graph, snapshot, sources, penalty=0.0, exempt=False) -> LatencyReport:
     """Shortest relay paths over the inter-satellite links from the given
-    immutable sources.  Every hop pays ``penalty`` unless ``exempt`` is set
-    and the hop leaves a source."""
-    exempt_nodes = {s.node for s in sources} if exempt else set()
+    immutable sources (a ``RelaySeeds``).  Every hop pays ``penalty``
+    unless ``exempt`` is set and the hop leaves a source."""
+    rows = seed_rows(sources)
+    exempt_nodes = {row[0] for row in rows} if exempt else set()
     edges = []
     for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
         for u, v in ((i, j), (j, i)):
             edges.append((u, v, d if u in exempt_nodes else d + penalty))
-    return _dijkstra_report(snapshot, graph.sat_count, edges, sources, snapshot.ids(), {})
+    return _dijkstra_report(snapshot, graph.sat_count, edges, rows, list(snapshot.ids), {})
 
 
 def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) -> LatencyReport:
@@ -155,25 +278,26 @@ def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) ->
     for g, st in enumerate(stations):
         leg = propagation_delay_ms(surface_distance_km(st.geodetic, terminus.geodetic))
         edges.append((t, n_sat + g, leg))
-    names = snapshot.ids() + [st.id for st in stations] + [TERMINUS_NAME]
+    names = list(snapshot.ids) + [st.id for st in stations] + [TERMINUS_NAME]
     overrides = {n_sat + g: st.id for g, st in enumerate(stations)}
-    seeds = [RelaySource(node=t, label_ms=0.0, terminal=TERMINUS_NAME, next_hop=None, hops=0)]
+    seeds = [(t, 0.0, 0, None, TERMINUS_NAME)]
     return _dijkstra_report(snapshot, t + 1, edges, seeds, names, overrides)
 
 
 def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> LatencyReport:
     """Heap Dijkstra to every node, then the report's path fields.
 
-    A node's parent is, among its in-edges whose candidate equals its label
+    ``sources`` are (node, label_ms, hops, next_hop, terminal) rows.  A
+    node's parent is, among its in-edges whose candidate equals its label
     exactly, one from a strictly smaller label if any, then the lowest index.
     Nothing relaxes into a source; a source keeps its own report fields.
     """
     seed = {}
     dist = [math.inf] * node_count
-    for s in sources:
-        if s.label_ms < dist[s.node]:
-            dist[s.node] = s.label_ms
-            seed[s.node] = s
+    for node, label_ms, hops, next_hop, terminal in sources:
+        if label_ms < dist[node]:
+            dist[node] = label_ms
+            seed[node] = (hops, next_hop, terminal)
     out = [[] for _ in range(node_count)]
     into = [[] for _ in range(node_count)]
     for u, v, w in edges:
@@ -194,7 +318,7 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
                 dist[v] = w + du
                 heapq.heappush(heap, (dist[v], v))
 
-    fields = {v: (s.hops, s.next_hop, s.terminal) for v, s in seed.items()}
+    fields = dict(seed)
     for start in range(node_count):
         chain, v = [], start
         while v not in fields and math.isfinite(dist[v]):
@@ -212,7 +336,7 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
         fields[i] if math.isfinite(dist[i]) else (-1, None, None) for i in range(len(snapshot))
     ]
     return LatencyReport(
-        sat_ids=tuple(snapshot.ids()),
+        sat_ids=snapshot.ids,
         latency_ms=np.array(dist[: len(snapshot)], dtype=np.float64),
         hops=np.array([hops for hops, _, _ in rows], dtype=np.int64),
         next_hop=np.array([next_hop for _, next_hop, _ in rows], dtype=object),
@@ -223,7 +347,7 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
 def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
     """The attacked graph by matching every surviving edge's id pair
     against ``overlay.disabled_links`` in a Python loop."""
-    sat_ids = snapshot.ids()
+    sat_ids = snapshot.ids
     station_ids = [st.id for st in stations]
     sat_dead, st_dead = _jammed_mask(snapshot, stations, overlay.jam_regions, WGS84)
     sat_dead |= np.array([s in overlay.disabled_satellites for s in sat_ids], dtype=bool)

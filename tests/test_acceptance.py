@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sda_netlab.cli import run as cli_run
@@ -30,12 +31,11 @@ from sda_netlab.experiments import (
     starlink_like_shell,
     summarize,
 )
-from sda_netlab.geo import GeodeticPosition, WGS84, min_scaled_norm, has_line_of_sight
+from sda_netlab.geo import GeodeticPosition, WGS84
 from sda_netlab.routing import (
     ArchitectureMode,
     actuator_sources,
     downhaul_latencies,
-    greedy_downhaul_sources,
     onorbit_latencies,
 )
 from sda_netlab.topology import AttackOverlay, JamRegion, build_visibility_graph
@@ -43,6 +43,9 @@ from oracle_utils import (
     dijkstra_oracle,
     dijkstra_oracle_optimal,
     grazing_pair,
+    greedy_sources_oracle,
+    has_line_of_sight,
+    min_scaled_norm,
     random_orbital_point,
     random_shell,
     segment_blocked_by_sampling,
@@ -236,7 +239,7 @@ def test_criterion_7_oracle_equivalence(stations):
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
         greedy_oracle = dijkstra_oracle(
-            graph, snap, greedy_downhaul_sources(graph, snap, stations, terminus), penalty
+            graph, snap, greedy_sources_oracle(graph, stations, terminus), penalty
         )
         if greedy_engine != greedy_oracle:
             mismatches += 1
@@ -285,16 +288,14 @@ def test_criterion_8_attack_properties(stations):
 
     solo_cfg = ScenarioConfig(constellation=source, actuator_count=1, seed=SEEDS[0])
     snap = resolve_snapshot(source)
-    solo_id = select_actuators(snap, 1, SEEDS[0]).satellites[
-        select_actuators(snap, 1, SEEDS[0]).actuator_indices()[0]
-    ].id
+    solo_id = snap.ids[int(np.flatnonzero(select_actuators(snap, 1, SEEDS[0]).actuators)[0])]
     solo = attack_scenario(
         replace(solo_cfg, overlay=AttackOverlay(disabled_satellites=frozenset({solo_id})))
     )
     solo_ok = solo.attacked.unreachable_count == solo.attacked.satellite_count - 1
 
     rng = random.Random(777)
-    ids = snap.ids()
+    ids = snap.ids
     station_ids = [s.id for s in stations]
     onorbit_cfg = ScenarioConfig(
         constellation=source, stations_csv=os.path.abspath(STATIONS_FILE), seed=SEEDS[1],

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sda_netlab.cli import run, validate_config
@@ -385,6 +386,41 @@ def test_simulate_writes_the_pinned_bytes_in_every_mode(tmp_path):
         assert hashlib.sha256(summary_bytes).hexdigest() == summary_sha, mode
 
 
+COMBINED_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "combined.json")
+# sha256 of the snapshot.csv that `generate` writes for configs/combined.json
+# (two Walker shells merged into one snapshot).
+COMBINED_SNAPSHOT_SHA256 = "eb9dfe4a74897a61c72609f7e97599566e4131ea8356f1217769bc3c623dd860"
+
+
+def test_generate_writes_the_pinned_merged_snapshot(tmp_path):
+    assert run(["generate", "--config", COMBINED_CONFIG, "--out", str(tmp_path), "--quiet"]) == 0
+    assert hashlib.sha256((tmp_path / "snapshot.csv").read_bytes()).hexdigest() == COMBINED_SNAPSHOT_SHA256
+
+
+WALKER_SHELL = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 1, "sats_per_plane": 4}
+
+
+@pytest.mark.parametrize("source, files, expected", [
+    ({"walker": [dict(WALKER_SHELL, id_prefix="a"), dict(WALKER_SHELL, id_prefix="a")]}, {},
+     "constellation.walker: duplicate satellite id 'a-p000-s000'"),
+    ({"snapshot_csv": "sats.csv"}, {"sats.csv": "id,x_km,y_km,z_km\na,7000,0,0\na,7100,0,0\n"},
+     "constellation.snapshot_csv: line 3: duplicate satellite id 'a'"),
+    ({"tle_file": "empty.tle"}, {"empty.tle": "\n"},
+     "constellation.tle_file: no TLE entries to build a snapshot from"),
+    ({"walker": WALKER_SHELL}, {"stations.csv": "id,lat_deg,lon_deg,alt_km\ng1,0,0,0\ng1,10,0,0\n"},
+     "stations_csv: line 3: duplicate station id 'g1'"),
+], ids=["walker", "snapshot_csv", "tle_file", "stations_csv"])
+def test_cli_names_the_config_key_of_a_bad_input_file(tmp_path, capsys, source, files, expected):
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    cfg = {"constellation": source, "actuator_count": 0}
+    if "stations.csv" in files:
+        cfg["stations_csv"] = "stations.csv"
+    path = write(tmp_path / "scenario.json", json.dumps(cfg))
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_cli_sweep_and_compare(tmp_path):
     fractions = [0.0, 0.25, 0.5, 1.0]
     cfg = tiny_config(tmp_path, sweep_fractions=fractions)
@@ -441,6 +477,15 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
     }))
     assert run(["simulate", "--config", negative, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: actuator_count: must be >= 0, got -1\n"
+
+    too_many = write(tmp_path / "too_many.json", json.dumps({
+        "constellation": {"walker": {
+            "altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 2, "sats_per_plane": 3,
+        }},
+        "actuator_count": 100,
+    }))
+    assert run(["simulate", "--config", too_many, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: actuator_count: 100 exceeds 6 satellites\n"
 
     assert run(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
     assert run(["simulate"]) == 1  # missing --config is a usage/validation error

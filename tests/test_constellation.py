@@ -1,11 +1,11 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
-    SatelliteNode,
     SplitMix64,
     WalkerSpec,
     generate_walker,
@@ -16,16 +16,14 @@ from sda_netlab.constellation import (
     select_actuators,
     snapshot_to_csv,
 )
-from sda_netlab.geo import EcefPosition, WGS84
+from sda_netlab.geo import WGS84
 
 
 def test_walker_equatorial_square():
     snap = generate_walker(WalkerSpec(621.863, 0.0, 1, 4))
-    got = sorted(
-        (round(p[0], 6), round(p[1], 6)) for p in ((s.position.x, s.position.y) for s in snap.satellites)
-    )
+    got = sorted((round(x, 6), round(y, 6)) for x, y, _ in snap.positions.tolist())
     assert got == [(-7000.0, 0.0), (-0.0, -7000.0), (0.0, 7000.0), (7000.0, 0.0)]
-    assert all(abs(s.position.z) < 1e-9 for s in snap.satellites)
+    assert all(abs(z) < 1e-9 for _, _, z in snap.positions.tolist())
 
 
 def test_walker_shell_radii_and_separation():
@@ -33,13 +31,10 @@ def test_walker_shell_radii_and_separation():
     snap = generate_walker(spec)
     assert len(snap) == 48
     radius = WGS84.semi_major_a + 550.0
-    for s in snap.satellites:
-        assert s.position.norm() == pytest.approx(radius, abs=1e-9)
-    min_sep = min(
-        math.dist(a.position.as_tuple(), b.position.as_tuple())
-        for i, a in enumerate(snap.satellites)
-        for b in snap.satellites[i + 1:]
-    )
+    points = snap.positions.tolist()
+    for p in points:
+        assert math.hypot(*p) == pytest.approx(radius, abs=1e-9)
+    min_sep = min(math.dist(a, b) for i, a in enumerate(points) for b in points[i + 1:])
     assert min_sep > 0.0
 
 
@@ -63,10 +58,10 @@ def test_walker_phasing_offsets_second_plane():
                     z1,
                 )
             )
-    for sat, exp in zip(snap.satellites, expected):
-        assert sat.position.x == pytest.approx(exp[0], abs=1e-9)
-        assert sat.position.y == pytest.approx(exp[1], abs=1e-9)
-        assert sat.position.z == pytest.approx(exp[2], abs=1e-9)
+    for (x, y, z), exp in zip(snap.positions.tolist(), expected):
+        assert x == pytest.approx(exp[0], abs=1e-9)
+        assert y == pytest.approx(exp[1], abs=1e-9)
+        assert z == pytest.approx(exp[2], abs=1e-9)
 
 
 def test_walker_spec_validation():
@@ -77,19 +72,37 @@ def test_walker_spec_validation():
 
 
 def test_snapshot_rejects_duplicate_ids_and_buried_satellites():
-    pos = EcefPosition(7000.0, 0.0, 0.0)
+    pos = (7000.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="duplicate"):
-        ConstellationSnapshot("x", (SatelliteNode("a", pos), SatelliteNode("a", pos)))
+        ConstellationSnapshot("x", ("a", "a"), [pos, pos])
     with pytest.raises(ValueError, match="surface"):
-        ConstellationSnapshot("x", (SatelliteNode("a", EcefPosition(6000.0, 0.0, 0.0)),))
+        ConstellationSnapshot("x", ("a",), [(6000.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="'b' is not above the surface"):
+        ConstellationSnapshot("x", ("a", "b", "c"), [pos, (0.0, 6000.0, 0.0), (0.0, 0.0, 6000.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="'b' has a non-finite position"):
+            ConstellationSnapshot("x", ("a", "b"), [pos, (7000.0, bad, 0.0)])
+    with pytest.raises(ValueError, match="shape"):
+        ConstellationSnapshot("x", ("a", "b"), [pos])
+    with pytest.raises(ValueError, match="shape"):
+        ConstellationSnapshot("x", ("a",), [pos], actuators=[True, False])
+
+    given = np.array([pos, (0.0, 7000.0, 0.0)])
+    snap = ConstellationSnapshot("x", ("a", "b"), given)
+    assert snap.actuators.tolist() == [False, False]
+    given[0, 0] = 8000.0  # the snapshot holds a copy
+    assert snap.positions[0, 0] == 7000.0
+    for column in (snap.positions, snap.actuators):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
 
 
 def test_snapshot_csv_round_trip_is_exact():
     snap = generate_walker(WalkerSpec(550.0, 53.0, 3, 5, phasing_f=1), label="rt")
     back = load_snapshot_csv(snapshot_to_csv(snap), label="rt")
-    assert back.ids() == snap.ids()
-    for a, b in zip(back.satellites, snap.satellites):
-        assert a.position == b.position  # bit-exact through repr
+    assert back.ids == snap.ids
+    assert back.positions.tolist() == snap.positions.tolist()  # bit-exact through repr
 
 
 def test_snapshot_csv_errors_name_the_line():
@@ -128,6 +141,9 @@ def test_merge_snapshots_rejects_id_collisions():
     b = generate_walker(WalkerSpec(1200.0, 87.9, 1, 4), id_prefix="b")
     merged = merge_snapshots("u", a, b)
     assert len(merged) == 8
+    flagged = merge_snapshots("u", select_actuators(a, 4, 1), b)
+    assert flagged.actuators.tolist() == [True] * 4 + [False] * 4
+    assert flagged.positions.tolist() == a.positions.tolist() + b.positions.tolist()
     with pytest.raises(ValueError, match="duplicate"):
         merge_snapshots("u", a, a)
 
@@ -162,8 +178,8 @@ def test_seeded_permutation_matches_manual_fisher_yates():
 
 def test_select_actuators_endpoints_and_errors():
     snap = generate_walker(WalkerSpec(550.0, 53.0, 4, 5))
-    assert select_actuators(snap, 0, 5).actuator_indices() == []
-    assert len(select_actuators(snap, 20, 5).actuator_indices()) == 20
+    assert not select_actuators(snap, 0, 5).actuators.any()
+    assert select_actuators(snap, 20, 5).actuators.all()
     with pytest.raises(ValueError):
         select_actuators(snap, 21, 5)
     with pytest.raises(ValueError):
@@ -173,11 +189,13 @@ def test_select_actuators_endpoints_and_errors():
 def test_select_actuators_nested_and_deterministic():
     snap = generate_walker(WalkerSpec(1200.0, 87.9, 6, 10))
     for seed in (0, 3, 12345):
-        small = set(select_actuators(snap, 5, seed).actuator_indices())
-        large = set(select_actuators(snap, 10, seed).actuator_indices())
-        assert small <= large
-        again = set(select_actuators(snap, 5, seed).actuator_indices())
-        assert small == again
-    a = select_actuators(snap, 10, 1).actuator_indices()
-    b = select_actuators(snap, 10, 2).actuator_indices()
-    assert a != b
+        small = select_actuators(snap, 5, seed).actuators
+        large = select_actuators(snap, 10, seed).actuators
+        assert small.sum() == 5 and large.sum() == 10
+        assert not (small & ~large).any()
+        again = select_actuators(snap, 5, seed).actuators
+        assert np.array_equal(small, again)
+        assert np.flatnonzero(small).tolist() == sorted(seeded_permutation(len(snap), seed)[:5])
+    a = select_actuators(snap, 10, 1).actuators
+    b = select_actuators(snap, 10, 2).actuators
+    assert not np.array_equal(a, b)

@@ -214,8 +214,8 @@ def test_attack_scenario_identity_and_total_station_denial(tmp_path):
 def test_attack_scenario_jamming_the_sole_actuator():
     cfg = ScenarioConfig(constellation=small_source(planes=6, spp=10), actuator_count=1, seed=11)
     base = run_scenario(cfg, threads=1)
-    the_actuator = base.snapshot.satellites[base.snapshot.actuator_indices()[0]]
-    overlay = AttackOverlay(disabled_satellites=frozenset({the_actuator.id}))
+    (the_actuator,) = np.flatnonzero(base.snapshot.actuators)
+    overlay = AttackOverlay(disabled_satellites=frozenset({base.snapshot.ids[the_actuator]}))
     outcome = attack_scenario(replace(cfg, overlay=overlay), threads=1)
     # A jammed actuator loses its links, not its own data: every OTHER
     # satellite becomes unreachable.

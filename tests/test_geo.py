@@ -9,12 +9,17 @@ from sda_netlab.geo import (
     WGS84,
     ecef_to_geodetic,
     geodetic_to_ecef,
-    has_line_of_sight,
-    min_scaled_norm,
     propagation_delay_ms,
     surface_distance_km,
 )
-from oracle_utils import elevation_angle_deg, grazing_pair, random_orbital_point, segment_blocked_by_sampling
+from oracle_utils import (
+    elevation_angle_deg,
+    grazing_pair,
+    has_line_of_sight,
+    min_scaled_norm,
+    random_orbital_point,
+    segment_blocked_by_sampling,
+)
 
 
 def test_geodetic_to_ecef_equator_prime_meridian():

