@@ -18,12 +18,14 @@ from dataclasses import replace
 
 from .constellation import WalkerSpec, snapshot_to_csv
 from .experiments import (
+    FIELD_RULES,
     PRESET_NAMES,
     ConstellationSource,
     ScenarioConfig,
     WalkerShell,
     actuator_sweep,
     attack_scenario,
+    check_fields,
     compare_architectures,
     config_to_dict,
     flagged_snapshot,
@@ -46,20 +48,7 @@ _WALKER_NUMBERS = {
     "raan_offset_deg": float,
 }
 _WALKER_KEYS = {*_WALKER_NUMBERS, "id_prefix", "label"}
-_TOP_KEYS = {
-    "constellation",
-    "stations_csv",
-    "terminus",
-    "mode",
-    "actuator_fraction",
-    "actuator_count",
-    "seed",
-    "los_margin_km",
-    "min_elevation_deg",
-    "reroute_penalty_ms",
-    "overlay",
-    "sweep_fractions",
-}
+_TOP_KEYS = {"constellation", "stations_csv", "terminus", "mode", "overlay", *FIELD_RULES}
 
 
 def _parse_walker_shell(data: dict, errors: list[str], where: str) -> WalkerShell | None:
@@ -148,21 +137,12 @@ def _parse_constellation(
         return None
     at = data.get("tle_at_seconds")
     if at is not None:
-        at = _parse_number(data, "tle_at_seconds", errors, None, name="constellation.tle_at_seconds")
+        try:
+            at = json_number(at, "constellation.tle_at_seconds")
+        except ValueError as exc:
+            errors.append(str(exc))
+            return None
     return ConstellationSource(tle_file=path, tle_at_seconds=at)
-
-
-def _parse_number(data: dict, key: str, errors: list[str], default, kind=float, name=None):
-    """``data[key]`` checked by :func:`json_number`, or ``default`` when
-    absent; a bad value appends an error prefixed by ``name`` (default: the
-    key)."""
-    if key not in data:
-        return default
-    try:
-        return json_number(data[key], key if name is None else name, kind)
-    except ValueError as exc:
-        errors.append(str(exc))
-        return default
 
 
 def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | None, list[str]]:
@@ -209,36 +189,8 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
         except ValueError as exc:
             errors.append(f"mode: {exc}")
 
-    fraction = _parse_number(data, "actuator_fraction", errors, None)
-    count = _parse_number(data, "actuator_count", errors, None, kind=int)
-    if fraction is not None and count is not None:
-        errors.append("actuator_fraction: mutually exclusive with actuator_count")
-        count = None
-    if fraction is not None and not 0.0 <= fraction <= 1.0:
-        errors.append(f"actuator_fraction: must be in [0, 1], got {fraction}")
-        fraction = None
-    if count is not None and count < 0:
-        errors.append(f"actuator_count: must be >= 0, got {count}")
-        count = None
-
-    seed = _parse_number(data, "seed", errors, 0, kind=int)
-    if not 0 <= seed < 2**64:
-        errors.append(f"seed: must be an unsigned 64-bit integer, got {seed}")
-        seed = 0
-    margin = _parse_number(data, "los_margin_km", errors, 0.0)
-    if margin < 0.0:
-        errors.append(f"los_margin_km: must be >= 0, got {margin}")
-        margin = 0.0
-    min_elev = None  # null, as in the documented example, means no horizon mask
-    if data.get("min_elevation_deg") is not None:
-        min_elev = _parse_number(data, "min_elevation_deg", errors, None)
-        if min_elev is not None and not -90.0 <= min_elev <= 90.0:
-            errors.append(f"min_elevation_deg: must be in [-90, 90], got {min_elev}")
-            min_elev = None
-    penalty = _parse_number(data, "reroute_penalty_ms", errors, 0.0)
-    if penalty < 0.0:
-        errors.append(f"reroute_penalty_ms: must be >= 0, got {penalty}")
-        penalty = 0.0
+    fields, field_errors = check_fields({key: data[key] for key in FIELD_RULES if key in data})
+    errors += field_errors
 
     overlay = None
     overlay_path = None
@@ -260,44 +212,17 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
         else:
             errors.append("overlay: must be a path or an object")
 
-    sweep_fractions = raw = data.get("sweep_fractions")
-    if raw is not None:
-        try:
-            if not isinstance(raw, list) or not raw:
-                raise ValueError("sweep_fractions: must be a non-empty array of numbers")
-            sweep_fractions = tuple(json_number(f, f"sweep_fractions[{k}]") for k, f in enumerate(raw))
-            outside = [f for f in sweep_fractions if not 0.0 <= f <= 1.0]
-            if outside:
-                raise ValueError(f"sweep_fractions: fraction {outside[0]} outside [0, 1]")
-            if list(sweep_fractions) != sorted(sweep_fractions):
-                raise ValueError("sweep_fractions: must be sorted ascending")
-        except ValueError as exc:
-            errors.append(str(exc))
-            sweep_fractions = None
-
     if errors or source is None:
         return None, errors
-
-    kwargs = dict(
+    return ScenarioConfig(
         constellation=source,
         stations_csv=stations_csv,
         terminus=terminus,
         mode=mode,
-        actuator_fraction=fraction,
-        actuator_count=count,
-        seed=seed,
-        los_margin_km=margin,
-        min_elevation_deg=min_elev,
-        reroute_penalty_ms=penalty,
         overlay=overlay,
         overlay_path=overlay_path,
-    )
-    if sweep_fractions is not None:
-        kwargs["sweep_fractions"] = sweep_fractions
-    try:
-        return ScenarioConfig(**kwargs), []
-    except ValueError as exc:
-        return None, [str(exc)]
+        **fields,
+    ), []
 
 
 # --- Output writers -------------------------------------------------------------
@@ -369,10 +294,17 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
     cfg, errors = validate_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
     if cfg is None:
         return None, errors
+    # A flag runs the rule of what it sets, whose error names the field or
+    # the argument (``seed``, ``threads``); report it under the flag.
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            return None, [f"--seed: must be an unsigned 64-bit integer, got {args.seed}"]
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            return None, [f"--{exc}"]
+    try:
+        resolve_thread_count(args.threads)
+    except ValueError as exc:
+        return None, [f"--{exc}" if args.threads is not None else str(exc)]
     if args.mode is not None:
         cfg = replace(cfg, mode=ArchitectureMode.from_string(args.mode))
     return cfg, []
@@ -463,7 +395,6 @@ def run(argv: list[str]) -> int:
         return 1
 
     try:
-        resolve_thread_count(args.threads)
         out_dir = os.path.abspath(args.out)
         os.makedirs(out_dir, exist_ok=True)
         say = (lambda msg: None) if args.quiet else (lambda msg: print(msg))

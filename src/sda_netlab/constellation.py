@@ -43,6 +43,14 @@ class TerminusNode:
     geodetic: GeodeticPosition
 
 
+class SnapshotRowError(ValueError):
+    """A snapshot rule broken by the satellite in row ``row``."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True, eq=False)
 class ConstellationSnapshot:
     """Instantaneous, immutable set of satellites, one column per field.
@@ -51,7 +59,8 @@ class ConstellationSnapshot:
     ``(n, 3)`` float64 array), flagged as an actuator where ``actuators[i]``
     (an ``(n,)`` bool array, all False unless given).  Both arrays are
     read-only copies.  ``epoch_seconds`` (seconds since J2000) is
-    informational only; routing uses the stored positions as-is.
+    informational only; routing uses the stored positions as-is.  A
+    satellite that breaks a rule raises :class:`SnapshotRowError`.
     """
 
     label: str
@@ -67,21 +76,25 @@ class ConstellationSnapshot:
         actuators = np.zeros(n, dtype=bool)
         if self.actuators is not None:
             actuators = np.array(self.actuators, dtype=bool)
+        if n == 0:
+            raise ValueError("snapshot must contain at least one satellite")
         if positions.shape != (n, 3) or actuators.shape != (n,):
             raise ValueError(f"{n} ids do not match the shape of positions {positions.shape} "
                              f"or of actuators {actuators.shape}")
         seen: set[str] = set()
-        for sat_id in ids:
+        for row, sat_id in enumerate(ids):
             if sat_id in seen:
-                raise ValueError(f"duplicate satellite id {sat_id!r}")
+                raise SnapshotRowError(row, f"duplicate satellite id {sat_id!r}")
             seen.add(sat_id)
         finite = np.isfinite(positions).all(axis=1)
         if not finite.all():
-            raise ValueError(f"satellite {ids[np.argmin(finite)]!r} has a non-finite position")
+            row = int(np.argmin(finite))
+            raise SnapshotRowError(row, f"satellite {ids[row]!r} has a non-finite position")
         x, y, z = positions.T
         buried = np.sqrt((x * x + y * y) + z * z) <= WGS84.semi_major_a
         if buried.any():
-            raise ValueError(f"satellite {ids[np.argmax(buried)]!r} is not above the surface")
+            row = int(np.argmax(buried))
+            raise SnapshotRowError(row, f"satellite {ids[row]!r} is not above the surface")
         positions.flags.writeable = actuators.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", positions)
@@ -197,28 +210,25 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
 
 
 def load_snapshot_csv(text: str, label: str = "snapshot") -> ConstellationSnapshot:
+    """The snapshot checks the parsed rows; an error names the row's line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SNAPSHOT_CSV_HEADER:
         raise ValueError(f"line 1: expected header {SNAPSHOT_CSV_HEADER!r}")
     ids, positions = [], []
-    seen: set[str] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         sat_id, xs, ys, zs = _split_csv_line(line, 4, line_no)
         if not sat_id:
             raise ValueError(f"line {line_no}: empty satellite id")
-        if sat_id in seen:
-            raise ValueError(f"line {line_no}: duplicate satellite id {sat_id!r}")
-        seen.add(sat_id)
-        pos = EcefPosition(
+        ids.append(sat_id)
+        positions.append((
             _parse_float(xs, "x_km", line_no),
             _parse_float(ys, "y_km", line_no),
             _parse_float(zs, "z_km", line_no),
-        )
-        if pos.norm() <= WGS84.semi_major_a:
-            raise ValueError(f"line {line_no}: satellite {sat_id!r} is not above the surface")
-        ids.append(sat_id)
-        positions.append(pos.as_tuple())
-    return ConstellationSnapshot(label, tuple(ids), np.reshape(positions, (len(ids), 3)))
+        ))
+    try:
+        return ConstellationSnapshot(label, tuple(ids), np.reshape(positions, (len(ids), 3)))
+    except SnapshotRowError as exc:
+        raise ValueError(f"line {exc.row + 2}: {exc}") from None
 
 
 def load_ground_stations_csv(text: str, e: EllipsoidModel = WGS84) -> list[GroundStationNode]:
@@ -291,8 +301,10 @@ def select_actuators(
     ``count``.
     """
     n = len(snapshot)
-    if not 0 <= count <= n:
-        raise ValueError(f"actuator count must be in [0, {n}], got {count}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count > n:
+        raise ValueError(f"actuator_count: {count} exceeds {n} satellites")
     mask = np.zeros(n, dtype=bool)
     mask[seeded_permutation(n, seed)[:count]] = True
     return replace(snapshot, actuators=mask)

@@ -32,7 +32,9 @@ from .routing import (
     onorbit_latencies,
 )
 from .tle import load_tle_file, snapshot_from_tles
-from .topology import AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph
+from .topology import (
+    AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, json_number, reroute_penalty,
+)
 
 DEFAULT_ACTUATOR_FRACTION = 0.15
 DEFAULT_SWEEP_FRACTIONS = tuple(i / 20 for i in range(1, 21))
@@ -180,6 +182,64 @@ class ConstellationSource:
             raise ValueError("tle_at_seconds requires tle_file")
 
 
+def _bounded(kind: type, test, text: str, optional: bool = False):
+    """The rule of one numeric field: a number of ``kind`` by
+    :func:`json_number` that passes ``test``; None too when ``optional``."""
+
+    def rule(value, key: str):
+        if value is None and optional:
+            return None
+        value = json_number(value, key, kind)
+        if not test(value):
+            raise ValueError(f"{key}: {text}, got {value}")
+        return value
+
+    return rule
+
+
+def _sweep_fractions(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{key}: must be a non-empty array of numbers")
+    fractions = tuple(json_number(f, f"{key}[{k}]") for k, f in enumerate(value))
+    outside = [f for f in fractions if not 0.0 <= f <= 1.0]
+    if outside:
+        raise ValueError(f"{key}: fraction {outside[0]} outside [0, 1]")
+    if list(fractions) != sorted(fractions):
+        raise ValueError(f"{key}: must be sorted ascending")
+    return fractions
+
+
+# The rule of each checked ScenarioConfig field, by name: ``rule(value, key)``
+# returns the value as the field holds it, or raises ``ValueError`` keyed
+# ``key``.  ScenarioConfig raises the first error of check_fields, and
+# validate_config reports them all, so JSON and Python configs obey one set.
+FIELD_RULES = {
+    "actuator_fraction": _bounded(float, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]", optional=True),
+    "actuator_count": _bounded(int, lambda v: v >= 0, "must be >= 0", optional=True),
+    "seed": _bounded(int, lambda v: 0 <= v < 2**64, "must be an unsigned 64-bit integer"),
+    "los_margin_km": _bounded(float, lambda v: v >= 0.0, "must be >= 0"),
+    "min_elevation_deg": _bounded(float, lambda v: abs(v) <= 90.0, "must be in [-90, 90]", optional=True),
+    "reroute_penalty_ms": reroute_penalty,
+    "sweep_fractions": _sweep_fractions,
+}
+
+
+def check_fields(fields: dict) -> tuple[dict, list[str]]:
+    """Run :data:`FIELD_RULES` on the fields present in ``fields`` and the
+    rule that the actuator fraction and count exclude each other.  Returns
+    the checked values and every error."""
+    values, errors = {}, []
+    for key, rule in FIELD_RULES.items():
+        if key in fields:
+            try:
+                values[key] = rule(fields[key], key)
+            except ValueError as exc:
+                errors.append(str(exc))
+    if fields.get("actuator_fraction") is not None and fields.get("actuator_count") is not None:
+        errors.append("actuator_fraction: mutually exclusive with actuator_count")
+    return values, errors
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One full experiment description; see README for the JSON schema."""
@@ -201,23 +261,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.actuator_fraction is None and self.actuator_count is None:
             object.__setattr__(self, "actuator_fraction", DEFAULT_ACTUATOR_FRACTION)
-        if self.actuator_fraction is not None and self.actuator_count is not None:
-            raise ValueError("actuator_fraction and actuator_count are mutually exclusive")
-        if self.actuator_fraction is not None and not 0.0 <= self.actuator_fraction <= 1.0:
-            raise ValueError(f"actuator_fraction must be in [0, 1], got {self.actuator_fraction}")
-        if self.actuator_count is not None and self.actuator_count < 0:
-            raise ValueError(f"actuator_count must be >= 0, got {self.actuator_count}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.los_margin_km < 0.0:
-            raise ValueError("los_margin_km must be >= 0")
-        if not math.isfinite(self.reroute_penalty_ms) or self.reroute_penalty_ms < 0.0:
-            raise ValueError("reroute_penalty_ms must be finite and >= 0")
-        for f in self.sweep_fractions:
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"sweep fraction {f} outside [0, 1]")
-        if list(self.sweep_fractions) != sorted(self.sweep_fractions):
-            raise ValueError("sweep_fractions must be sorted ascending")
+        _, errors = check_fields(vars(self))
+        if errors:
+            raise ValueError(errors[0])
 
 
 def half_up_count(fraction: float, total: int) -> int:
@@ -226,9 +272,9 @@ def half_up_count(fraction: float, total: int) -> int:
 
 
 def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
+    """The configured count, or the fraction of ``total``; ``select_actuators``
+    rejects a count above ``total``."""
     if cfg.actuator_count is not None:
-        if cfg.actuator_count > total:
-            raise ValueError(f"actuator_count: {cfg.actuator_count} exceeds {total} satellites")
         return cfg.actuator_count
     return half_up_count(cfg.actuator_fraction, total)
 
@@ -289,8 +335,6 @@ def route_report(
 ) -> LatencyReport:
     if mode is ArchitectureMode.ON_ORBIT:
         return onorbit_latencies(graph, snapshot, reroute_penalty_ms)
-    if terminus is None:
-        raise ValueError("downhaul modes require ground stations or an explicit terminus")
     return downhaul_latencies(graph, snapshot, stations, terminus, mode, reroute_penalty_ms)
 
 
@@ -328,11 +372,12 @@ def flagged_snapshot(cfg: ScenarioConfig) -> ConstellationSnapshot:
     return select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
 
 
-def prepare(cfg: ScenarioConfig, threads: int | None = None) -> Network:
+def prepare(cfg: ScenarioConfig, threads: int | None = None, baseline: bool = False) -> Network:
     """The one network stage: resolve and flag the snapshot, load the
-    stations and the terminus, build the visibility graph, apply
-    ``cfg.overlay``.  ``simulate``, ``sweep`` and ``compare`` route this
-    network; ``attack`` routes it without and then with the overlay."""
+    stations and the terminus, check the ids of ``cfg.overlay``, build the
+    visibility graph, apply the overlay unless ``baseline``.  ``simulate``,
+    ``sweep`` and ``compare`` route this network; ``attack`` routes the
+    baseline and then applies the overlay."""
     snapshot = flagged_snapshot(cfg)
     stations = tuple(resolve_stations(cfg))
     sat_ids = set(snapshot.ids)
@@ -340,6 +385,8 @@ def prepare(cfg: ScenarioConfig, threads: int | None = None) -> Network:
         if st.id in sat_ids or st.id == TERMINUS_NAME:
             what = "a satellite id" if st.id in sat_ids else "reserved for the terminus"
             raise ValueError(f"stations_csv: station id {st.id!r} is {what}")
+    if cfg.overlay is not None:
+        cfg.overlay.check_ids(sat_ids, (st.id for st in stations))
     graph = build_visibility_graph(
         snapshot, stations, margin_km=cfg.los_margin_km,
         min_elevation_deg=cfg.min_elevation_deg, threads=threads,
@@ -347,7 +394,7 @@ def prepare(cfg: ScenarioConfig, threads: int | None = None) -> Network:
     network = Network(
         snapshot, stations, resolve_terminus(cfg, stations), graph, cfg.reroute_penalty_ms
     )
-    return network if cfg.overlay is None else network.with_overlay(cfg.overlay)
+    return network if cfg.overlay is None or baseline else network.with_overlay(cfg.overlay)
 
 
 @dataclass(frozen=True)
@@ -443,7 +490,7 @@ def attack_scenario(cfg: ScenarioConfig, threads: int | None = None) -> AttackOu
     """
     if cfg.overlay is None:
         raise ValueError("overlay: the attack subcommand requires an overlay in the config")
-    network = prepare(replace(cfg, overlay=None, overlay_path=None), threads)
+    network = prepare(cfg, threads, baseline=True)
     baseline = network.route(cfg.mode)
     # Rebinding frees the baseline graph and its adjacency before the attacked solve.
     network = network.with_overlay(cfg.overlay)

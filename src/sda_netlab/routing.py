@@ -344,7 +344,6 @@ def ground_delays_ms(
 
 def greedy_downhaul_sources(
     graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: TerminusNode,
 ) -> RelaySeeds:
@@ -413,9 +412,9 @@ def downhaul_latencies(
 ) -> LatencyReport:
     """Latency to the ground terminus via the station network."""
     if not stations:
-        raise ValueError("downhaul requires at least one ground station")
+        raise ValueError("stations_csv: downhaul modes need at least one ground station")
     if mode is ArchitectureMode.DOWNHAUL_GREEDY:
-        sources = greedy_downhaul_sources(graph, snapshot, stations, terminus)
+        sources = greedy_downhaul_sources(graph, stations, terminus)
         return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False))
     if mode is ArchitectureMode.DOWNHAUL_OPTIMAL:
         return _route(_augmented_problem(graph, snapshot, stations, terminus, reroute_penalty_ms))

@@ -88,16 +88,19 @@ class SatAdjacency:
 
 
 def resolve_thread_count(threads: int | None) -> int:
-    """Explicit value > SDA_NETLAB_THREADS env var > available parallelism."""
-    if threads is None:
-        env = os.environ.get("SDA_NETLAB_THREADS", "").strip()
-        if env:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
+    """Explicit value > SDA_NETLAB_THREADS env var > available parallelism.
+    A bad value raises ``ValueError`` keyed by its source: ``threads`` or
+    ``SDA_NETLAB_THREADS``."""
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"threads: must be >= 1, got {threads}")
+        return threads
+    env = os.environ.get("SDA_NETLAB_THREADS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"SDA_NETLAB_THREADS: must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def _canonical_pairs(
@@ -175,8 +178,6 @@ def build_visibility_graph(
     ``min_elevation_deg`` optionally adds a station-horizon mask on top of
     the geometric test; by default visibility is purely geometric.
     """
-    if len(snapshot) == 0:
-        raise ValueError("snapshot must contain at least one satellite")
     if margin_km < 0.0:
         raise ValueError(f"margin_km must be >= 0, got {margin_km}")
     n = len(snapshot)
@@ -257,6 +258,15 @@ def json_number(raw, name: str, kind: type = float):
     return float(raw)
 
 
+def reroute_penalty(raw, name: str = "reroute_penalty_ms") -> float:
+    """``raw`` as a per-relay-hop penalty: a number by :func:`json_number`
+    and >= 0.  The config and the overlay penalty both go through here."""
+    value = json_number(raw, name)
+    if value < 0.0:
+        raise ValueError(f"{name}: must be >= 0, got {value}")
+    return value
+
+
 def json_string(raw, name: str) -> str:
     """``raw`` when it is a JSON string; raises ``ValueError`` prefixed by
     ``name``.  Config ids and paths go through here, never ``str()``."""
@@ -287,14 +297,26 @@ class AttackOverlay:
     reroute_penalty_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.reroute_penalty_ms) or self.reroute_penalty_ms < 0.0:
-            raise ValueError(
-                f"reroute_penalty_ms must be finite and >= 0, got {self.reroute_penalty_ms}"
-            )
+        reroute_penalty(self.reroute_penalty_ms)
 
     @staticmethod
     def normalize_link(a: str, b: str) -> tuple[str, str]:
         return (a, b) if a <= b else (b, a)
+
+    def check_ids(self, sat_ids, station_ids) -> None:
+        """Raise ``ValueError`` keyed ``overlay`` at the first id that is
+        neither in ``sat_ids`` nor in ``station_ids``."""
+        sats, stations = set(sat_ids), set(station_ids)
+        unknown = sorted(set(self.disabled_satellites) - sats)
+        if unknown:
+            raise ValueError(f"overlay: names unknown satellites: {', '.join(unknown)}")
+        unknown = sorted(set(self.disabled_stations) - stations)
+        if unknown:
+            raise ValueError(f"overlay: names unknown stations: {', '.join(unknown)}")
+        for a, b in sorted(self.disabled_links):
+            for node in (a, b):
+                if node not in sats and node not in stations:
+                    raise ValueError(f"overlay: link names unknown node: {node}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttackOverlay":
@@ -344,9 +366,7 @@ class AttackOverlay:
             disabled_stations=ids("disabled_stations"),
             disabled_links=frozenset(links),
             jam_regions=tuple(regions),
-            reroute_penalty_ms=json_number(
-                data.get("reroute_penalty_ms", 0.0), "reroute_penalty_ms"
-            ),
+            reroute_penalty_ms=reroute_penalty(data.get("reroute_penalty_ms", 0.0)),
         )
 
     def to_dict(self) -> dict:
@@ -416,22 +436,10 @@ def apply_overlay(
     arrays are sorted by these keys, so one binary search finds each link.
     A link between two stations, from a node to itself, or between nodes
     with no edge removes nothing.  Ids the snapshot and the stations do not
-    know raise ``ValueError``."""
+    know raise ``ValueError`` (:meth:`AttackOverlay.check_ids`)."""
     sat_index = {s: i for i, s in enumerate(snapshot.ids)}
-    station_ids = [st.id for st in stations]
-    station_index = {s: i for i, s in enumerate(station_ids)}
-
-    unknown = sorted(set(overlay.disabled_satellites) - set(sat_index))
-    if unknown:
-        raise ValueError(f"overlay names unknown satellites: {', '.join(unknown)}")
-    unknown = sorted(set(overlay.disabled_stations) - set(station_index))
-    if unknown:
-        raise ValueError(f"overlay names unknown stations: {', '.join(unknown)}")
-    known = set(sat_index) | set(station_index)
-    for a, b in sorted(overlay.disabled_links):
-        for node in (a, b):
-            if node not in known:
-                raise ValueError(f"overlay link names unknown node: {node}")
+    station_index = {st.id: i for i, st in enumerate(stations)}
+    overlay.check_ids(sat_index, station_index)
 
     sat_dead = np.zeros(graph.sat_count, dtype=bool)
     for s in overlay.disabled_satellites:

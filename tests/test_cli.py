@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sda_netlab import experiments
 from sda_netlab.cli import run, validate_config
-from sda_netlab.experiments import PRESET_NAMES
+from sda_netlab.experiments import PRESET_NAMES, ConstellationSource, ScenarioConfig, preset_shells
 from sda_netlab.routing import ArchitectureMode
 
 
@@ -264,6 +267,90 @@ def test_validate_config_returns_a_config_or_errors_and_never_raises(tmp_path, p
         assert errors and all(isinstance(e, str) for e in errors)
     else:
         assert errors == []
+
+
+def _around(lo, hi, step):
+    """Finite numbers on both sides of [lo, hi], the bounds themselves included."""
+    kind = st.integers if isinstance(step, int) else st.floats
+    return st.sampled_from([lo, hi]) | kind(lo - step, lo + step) | kind(hi - step, hi + step)
+
+
+_FIELDS = st.fixed_dictionaries({}, optional={
+    "actuator_fraction": _around(0.0, 1.0, 0.5),
+    "actuator_count": _around(0, 630, 3),
+    "seed": _around(0, 2**64 - 1, 3),
+    "los_margin_km": _around(0.0, 0.0, 5.0),
+    "min_elevation_deg": _around(-90.0, 90.0, 1000.0),
+    "reroute_penalty_ms": _around(0.0, 0.0, 5.0),
+    "sweep_fractions": st.lists(_around(0.0, 1.0, 0.5), max_size=3),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_FIELDS)
+def test_python_and_json_configs_obey_the_same_rules(fields):
+    validated, errors = validate_config(json.dumps({"constellation": {"preset": "oneweb-like"}, **fields}))
+    source = ConstellationSource(walker_shells=preset_shells("oneweb-like"))
+    python_fields = {k: tuple(v) if k == "sweep_fractions" else v for k, v in fields.items()}
+    try:
+        direct = ScenarioConfig(constellation=source, **python_fields)
+    except ValueError as exc:
+        assert validated is None and str(exc) in errors, (exc, errors)
+    else:
+        assert errors == [] and validated == direct
+
+
+_NO_STATIONS = {"stations_csv": None, "terminus": {"lat_deg": 64.8, "lon_deg": -147.7}}
+
+
+@pytest.mark.parametrize("command, extra, flags, env, expected", [
+    ("simulate", {"overlay": {"disabled_satellites": ["nope"]}}, [], {},
+     "overlay: names unknown satellites: nope"),
+    ("attack", {"overlay": {"disabled_stations": ["nope"]}}, [], {},
+     "overlay: names unknown stations: nope"),
+    ("sweep", {"overlay": {"disabled_links": [["gA", "nope"]]}}, [], {},
+     "overlay: link names unknown node: nope"),
+    ("attack", {"overlay": {"reroute_penalty_ms": -1}}, [], {},
+     "overlay: reroute_penalty_ms: must be >= 0, got -1.0"),
+    ("simulate", {}, ["--seed", str(2**64)], {},
+     f"--seed: must be an unsigned 64-bit integer, got {2**64}"),
+    ("simulate", {}, ["--threads", "0"], {}, "--threads: must be >= 1, got 0"),
+    ("generate", {}, [], {"SDA_NETLAB_THREADS": "abc"},
+     "SDA_NETLAB_THREADS: must be an integer >= 1, got 'abc'"),
+    ("generate", {"constellation": {"snapshot_csv": "header_only.csv"}}, [], {},
+     "constellation.snapshot_csv: snapshot must contain at least one satellite"),
+    ("simulate", _NO_STATIONS, ["--mode", "downhaul-greedy"], {},
+     "stations_csv: downhaul modes need at least one ground station"),
+    ("compare", _NO_STATIONS, [], {}, "stations_csv: downhaul modes need at least one ground station"),
+    ("simulate", {"min_elevation_deg": 1000}, [], {}, "min_elevation_deg: must be in [-90, 90], got 1000.0"),
+    ("simulate", {"los_margin_km": math.inf}, [], {}, "los_margin_km: must be finite"),
+    ("sweep", {"sweep_fractions": []}, [], {}, "sweep_fractions: must be a non-empty array of numbers"),
+], ids=["overlay-satellite", "overlay-station", "overlay-link", "overlay-penalty", "seed-flag",
+        "threads-flag", "threads-env", "header-only-snapshot", "downhaul-no-stations",
+        "compare-no-stations", "min-elevation", "infinite-margin", "empty-sweep"])
+def test_every_rejected_input_ends_as_keyed_error_lines(
+    tmp_path, monkeypatch, capsys, command, extra, flags, env, expected
+):
+    write(tmp_path / "header_only.csv", "id,x_km,y_km,z_km\n")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = tiny_config(tmp_path, **extra)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", *flags]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(re.match(r"^error: (--)?[A-Za-z_][\w.\[\]-]*: ", line) for line in err.splitlines()), err
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare", "attack"])
+def test_overlay_ids_are_checked_before_the_graph_build(tmp_path, monkeypatch, capsys, command):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(experiments, "build_visibility_graph", no_build)
+    cfg = tiny_config(tmp_path, overlay={"disabled_satellites": ["t-p000-s000", "nope"]})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: overlay: names unknown satellites: nope\n"
 
 
 def test_compare_writes_what_two_simulate_runs_write(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sda_netlab.constellation import WalkerSpec
+from sda_netlab.constellation import WalkerSpec, generate_walker, select_actuators
 from sda_netlab.experiments import (
     ArchitectureComparison,
     ConstellationSource,
@@ -121,8 +121,9 @@ def test_half_up_count_and_resolution():
     assert half_up_count(0.5, 630) == 315
     cfg = ScenarioConfig(constellation=small_source(), actuator_count=7)
     assert resolve_actuator_count(cfg, 32) == 7
-    with pytest.raises(ValueError):
-        resolve_actuator_count(cfg, 5)
+    five = generate_walker(WalkerSpec(1200.0, 87.9, 1, 5))
+    with pytest.raises(ValueError, match="actuator_count: 7 exceeds 5 satellites"):
+        select_actuators(five, resolve_actuator_count(cfg, len(five)), cfg.seed)
 
 
 def test_scenario_config_validation():
@@ -134,6 +135,10 @@ def test_scenario_config_validation():
         ScenarioConfig(constellation=small_source(), sweep_fractions=(0.5, 0.1))
     with pytest.raises(ValueError, match="exactly one constellation source"):
         ConstellationSource()
+    with pytest.raises(ValueError, match=r"^reroute_penalty_ms: must be >= 0, got -1.0$"):
+        AttackOverlay(reroute_penalty_ms=-1.0)
+    with pytest.raises(ValueError, match=r"^reroute_penalty_ms: must be finite$"):
+        AttackOverlay(reroute_penalty_ms=math.inf)
     cfg = ScenarioConfig(constellation=small_source())
     assert cfg.actuator_fraction == 0.15
 

@@ -122,7 +122,7 @@ def test_greedy_ties_go_to_the_lower_station_index():
     stations = [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)]
     # s0 sees both stations at the same delay; s1 sees B nearer.
     graph = manual_graph(2, 2, [], [(0, 0, 500.0), (0, 1, 500.0), (1, 0, 800.0), (1, 1, 300.0)])
-    seeds = greedy_downhaul_sources(graph, snapshot, stations, TERMINUS)
+    seeds = greedy_downhaul_sources(graph, stations, TERMINUS)
     assert seeds.terminal.tolist() == ["A", "B"]
     assert_same_seeds(seeds, greedy_sources_oracle(graph, stations, TERMINUS))
     report = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
@@ -144,7 +144,7 @@ def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elev
     snap = random_shell(shell_seed, count=count)
     graph = build_visibility_graph(snap, stations, min_elevation_deg=min_elevation_deg, threads=1)
     assert_same_seeds(
-        greedy_downhaul_sources(graph, snap, stations, terminus),
+        greedy_downhaul_sources(graph, stations, terminus),
         greedy_sources_oracle(graph, stations, terminus),
     )
 
@@ -388,8 +388,8 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     # this only when every attacked source is a baseline source and every
     # dropped source lost all its inter-satellite links.
     monotone = ["onorbit", "optimal"]
-    base_sources = set(seed_rows(greedy_downhaul_sources(graph, snap, stations, terminus)))
-    attacked_sources = set(seed_rows(greedy_downhaul_sources(attacked, snap, stations, terminus)))
+    base_sources = set(seed_rows(greedy_downhaul_sources(graph, stations, terminus)))
+    attacked_sources = set(seed_rows(greedy_downhaul_sources(attacked, stations, terminus)))
     dropped = {node for node, *_ in base_sources - attacked_sources}
     if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
         monotone.append("greedy")
