@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .constellation import WalkerSpec, snapshot_to_csv
 from .experiments import (
@@ -35,19 +35,12 @@ from .experiments import (
 )
 from .geo import GeodeticPosition
 from .routing import ArchitectureMode
-from .topology import AttackOverlay, json_number, json_string, resolve_thread_count
+from .jsonvalues import json_number, json_string
+from .topology import AttackOverlay, resolve_thread_count
 
 SWEEP_CSV_HEADER = "fraction,mean_ms,median_ms,p95_ms,unreachable"
 
-_WALKER_NUMBERS = {
-    "altitude_km": float,
-    "inclination_deg": float,
-    "planes": int,
-    "sats_per_plane": int,
-    "phasing_f": int,
-    "raan_offset_deg": float,
-}
-_WALKER_KEYS = {*_WALKER_NUMBERS, "id_prefix", "label"}
+_WALKER_KEYS = {*(f.name for f in fields(WalkerSpec)), "id_prefix", "label"}
 _TOP_KEYS = {"constellation", "stations_csv", "terminus", "mode", "overlay", *FIELD_RULES}
 
 
@@ -64,9 +57,7 @@ def _parse_walker_shell(data: dict, errors: list[str], where: str) -> WalkerShel
         errors.append(f"{where}: missing required key {missing[0]!r}")
         return None
     try:
-        spec = WalkerSpec(**{
-            key: json_number(data[key], key, kind) for key, kind in _WALKER_NUMBERS.items() if key in data
-        })
+        spec = WalkerSpec(**{key: value for key, value in data.items() if key not in ("id_prefix", "label")})
         return WalkerShell(
             spec, json_string(data.get("id_prefix", "sat"), "id_prefix"),
             json_string(data.get("label", "walker"), "label"),
@@ -135,14 +126,11 @@ def _parse_constellation(
     path = _resolve_path(data["tle_file"], base_dir, "constellation.tle_file", errors)
     if path is None:
         return None
-    at = data.get("tle_at_seconds")
-    if at is not None:
-        try:
-            at = json_number(at, "constellation.tle_at_seconds")
-        except ValueError as exc:
-            errors.append(str(exc))
-            return None
-    return ConstellationSource(tle_file=path, tle_at_seconds=at)
+    try:
+        return ConstellationSource(tle_file=path, tle_at_seconds=data.get("tle_at_seconds"))
+    except ValueError as exc:
+        errors.append(f"constellation.{exc}")
+        return None
 
 
 def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | None, list[str]]:
@@ -260,8 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the scenario JSON config")
     common.add_argument("--out", default=".", help="output directory (created if missing)")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--threads", type=int, default=None,
+    # --seed and --threads stay text here: _load_config parses them, so a bad
+    # one ends as a keyed error line rather than a usage block.
+    common.add_argument("--seed", default=None, help="override the config seed")
+    common.add_argument("--threads", default=None,
                         help="worker threads (default: SDA_NETLAB_THREADS or all cores)")
     common.add_argument("--mode", default=None,
                         choices=[m.value for m in ArchitectureMode],
@@ -286,6 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
+    errors = []
+    for flag in ("seed", "threads"):
+        raw = getattr(args, flag)
+        if raw is not None:
+            try:
+                setattr(args, flag, int(raw))
+            except ValueError:
+                errors.append(f"--{flag}: must be an integer, got {raw!r}")
+    if errors:
+        return None, errors
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -15,6 +15,7 @@ from .geo import (
     WGS84,
     geodetic_to_ecef,
 )
+from .jsonvalues import json_number
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -104,6 +105,18 @@ class ConstellationSnapshot:
         return len(self.ids)
 
 
+# The kind of each WalkerSpec field, in field order: an int field takes
+# only an integer.
+_WALKER_NUMBERS = {
+    "altitude_km": float,
+    "inclination_deg": float,
+    "planes": int,
+    "sats_per_plane": int,
+    "phasing_f": int,
+    "raan_offset_deg": float,
+}
+
+
 @dataclass(frozen=True)
 class WalkerSpec:
     """Walker-delta shell: circular orbits on evenly spaced planes."""
@@ -116,6 +129,8 @@ class WalkerSpec:
     raan_offset_deg: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, kind in _WALKER_NUMBERS.items():
+            object.__setattr__(self, name, json_number(getattr(self, name), name, kind))
         if self.planes < 1 or self.sats_per_plane < 1:
             raise ValueError("planes and sats_per_plane must be >= 1")
         if not 0 <= self.phasing_f <= self.planes - 1:

@@ -24,6 +24,7 @@ from .constellation import (
     select_actuators,
 )
 from .geo import GeodeticPosition
+from .jsonvalues import json_number
 from .routing import (
     TERMINUS_NAME,
     ArchitectureMode,
@@ -33,7 +34,7 @@ from .routing import (
 )
 from .tle import load_tle_file, snapshot_from_tles
 from .topology import (
-    AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, json_number, reroute_penalty,
+    AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, reroute_penalty,
 )
 
 DEFAULT_ACTUATOR_FRACTION = 0.15
@@ -178,8 +179,10 @@ class ConstellationSource:
         )
         if given != 1:
             raise ValueError("exactly one constellation source must be given")
-        if self.tle_at_seconds is not None and self.tle_file is None:
-            raise ValueError("tle_at_seconds requires tle_file")
+        if self.tle_at_seconds is not None:
+            if self.tle_file is None:
+                raise ValueError("tle_at_seconds requires tle_file")
+            object.__setattr__(self, "tle_at_seconds", json_number(self.tle_at_seconds, "tle_at_seconds"))
 
 
 def _bounded(kind: type, test, text: str, optional: bool = False):
@@ -492,7 +495,8 @@ def attack_scenario(cfg: ScenarioConfig, threads: int | None = None) -> AttackOu
         raise ValueError("overlay: the attack subcommand requires an overlay in the config")
     network = prepare(cfg, threads, baseline=True)
     baseline = network.route(cfg.mode)
-    # Rebinding frees the baseline graph and its adjacency before the attacked solve.
+    # The attacked adjacency is a masked copy of the baseline's; rebinding frees
+    # the baseline graph before the attacked solve.
     network = network.with_overlay(cfg.overlay)
     attacked = network.route(cfg.mode)
     both = np.isfinite(attacked.latency_ms) & np.isfinite(baseline.latency_ms)

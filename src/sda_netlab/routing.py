@@ -19,7 +19,7 @@ Architecture semantics
 One engine
 ----------
 Every mode is one relaxation problem over the graph's satellite adjacency,
-which is built once per graph and shared by all solves on it.  Jacobi
+which the graph build emits and every solve on the graph shares.  Jacobi
 sweeps apply ``label[v] = min(label[v], weight(u, v) + label[u])`` along
 the hops leaving the nodes whose label dropped in the previous sweep (along
 every hop at once when those are a large share), until a sweep lowers
@@ -128,7 +128,7 @@ class RelaySeeds:
 
 @dataclass
 class _RelayProblem:
-    """Directed relaxation problem over a graph's cached satellite adjacency.
+    """Directed relaxation problem over a graph's satellite adjacency.
 
     Hop (src, dst, weight) means ``label[dst]`` may be improved to
     ``weight + label[src]``.  A hop between satellites weighs
@@ -256,8 +256,9 @@ def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
     n = problem.node_count
     adj = problem.adjacency
     cand = problem.in_weights + labels[adj.neighbors]
+    # np.repeat of the row labels is faster than gathering them by adj.rows.
     attain = np.flatnonzero(cand == np.repeat(labels[: problem.sat_count], np.diff(adj.indptr)))
-    dst = np.searchsorted(adj.indptr, attain, side="right") - 1
+    dst = adj.rows[attain]
     src = adj.neighbors[attain].astype(np.int64)
     ground = problem.ground_weight + labels[problem.ground_src] == labels[problem.ground_dst]
     dst = np.concatenate([dst, problem.ground_dst[ground]])

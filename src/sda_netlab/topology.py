@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,61 +28,73 @@ from .geo import (
     ecef_to_geodetic,
     surface_distance_km,
 )
+from .jsonvalues import json_number, json_string
 
 _ROW_BLOCK = 128
+
+
+@dataclass(frozen=True)
+class SatAdjacency:
+    """Compressed sparse rows over satellites: row ``u`` lists its
+    neighbours ``neighbors[indptr[u]:indptr[u + 1]]`` in ascending order,
+    and the one-way delays to them.  Every edge appears once in each
+    endpoint's row, with the same delay bits; no row lists its own
+    satellite.  ``rows[k]`` is the row of entry ``k``."""
+
+    indptr: np.ndarray  # (sat_count + 1,) int64
+    neighbors: np.ndarray  # (2E,) int32
+    delays_ms: np.ndarray  # (2E,) float64
+    rows: np.ndarray = field(init=False, repr=False)  # (2E,) int32
+
+    def __post_init__(self) -> None:
+        counts = np.diff(self.indptr)
+        object.__setattr__(self, "rows", np.repeat(np.arange(counts.size, dtype=np.int32), counts))
 
 
 @dataclass(frozen=True)
 class VisibilityGraph:
     """Immutable weighted visibility graph.
 
-    ``sat_edges`` holds index pairs (i, j) with i < j in ascending (i, j)
-    order; ``station_edges`` holds (satellite index, station index) pairs in
-    ascending (i, g) order.  :func:`apply_overlay` relies on both orders.
-    Delays are one-way propagation times in milliseconds.
+    ``adjacency`` holds the inter-satellite links; ``station_edges`` holds
+    (satellite index, station index) pairs in ascending (i, g) order, which
+    :func:`apply_overlay` relies on.  Delays are one-way propagation times
+    in milliseconds.
     """
 
-    sat_count: int
     station_count: int
-    sat_edges: np.ndarray  # (E, 2) int32
-    sat_delays_ms: np.ndarray  # (E,) float64
+    adjacency: SatAdjacency
     station_edges: np.ndarray  # (F, 2) int32
     station_delays_ms: np.ndarray  # (F,) float64
 
     @property
+    def sat_count(self) -> int:
+        return self.adjacency.indptr.size - 1
+
+    @property
     def sat_edge_count(self) -> int:
-        return int(self.sat_edges.shape[0])
+        return int(self.adjacency.indptr[-1]) // 2
 
     @property
     def station_edge_count(self) -> int:
         return int(self.station_edges.shape[0])
 
-    @cached_property
-    def adjacency(self) -> "SatAdjacency":
-        """Both directions of every inter-satellite edge, grouped by row;
-        built on first use and shared by every routing solve on the graph."""
-        i = self.sat_edges[:, 0]
-        j = self.sat_edges[:, 1]
-        rows = np.concatenate([j, i])
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(self.sat_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.sat_count), out=indptr[1:])
-        return SatAdjacency(
-            indptr=indptr,
-            neighbors=np.concatenate([i, j])[order],
-            delays_ms=np.concatenate([self.sat_delays_ms, self.sat_delays_ms])[order],
-        )
+    @property
+    def sat_edges(self) -> np.ndarray:
+        """(E, 2) int32 read-only pairs (i, j) with i < j in ascending (i, j)
+        order, derived from the adjacency on each access."""
+        adj = self.adjacency
+        upper = adj.neighbors > adj.rows
+        edges = np.stack([adj.rows[upper], adj.neighbors[upper]], axis=1)
+        edges.flags.writeable = False
+        return edges
 
-
-@dataclass(frozen=True)
-class SatAdjacency:
-    """Compressed sparse rows over satellites: row ``u`` lists its
-    neighbours ``neighbors[indptr[u]:indptr[u + 1]]`` and the one-way
-    delays to them.  Every edge appears once in each endpoint's row."""
-
-    indptr: np.ndarray  # (sat_count + 1,) int64
-    neighbors: np.ndarray  # (2E,) int32
-    delays_ms: np.ndarray  # (2E,) float64
+    @property
+    def sat_delays_ms(self) -> np.ndarray:
+        """(E,) float64 read-only delays aligned with :attr:`sat_edges`."""
+        adj = self.adjacency
+        delays = adj.delays_ms[adj.neighbors > adj.rows]
+        delays.flags.writeable = False
+        return delays
 
 
 def resolve_thread_count(threads: int | None) -> int:
@@ -155,13 +165,11 @@ def _delays_ms(distances: np.ndarray) -> np.ndarray:
 def _sat_block(
     positions: np.ndarray, scaled: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges (i, j) with lo <= i < hi and j > i."""
-    visible = _visible_mask(scaled[lo:hi], scaled)
-    cols = np.arange(positions.shape[0])
-    upper = cols[np.newaxis, :] > (np.arange(lo, hi)[:, np.newaxis])
-    rows, cols_idx = np.nonzero(visible & upper)
-    dist = _pair_distances(positions[lo:hi], positions)[rows, cols_idx]
-    return rows + lo, cols_idx, _delays_ms(dist)
+    """Rows lo:hi of the adjacency: each row's visible satellites in
+    ascending order, their delays, and the count per row."""
+    rows, cols = np.nonzero(_visible_mask(scaled[lo:hi], scaled))
+    dist = _pair_distances(positions[lo:hi], positions)[rows, cols]
+    return cols.astype(np.int32), _delays_ms(dist), np.bincount(rows, minlength=hi - lo)
 
 
 def build_visibility_graph(
@@ -194,10 +202,17 @@ def build_visibility_graph(
     else:
         results = [_sat_block(positions, scaled, lo, hi) for lo, hi in blocks]
 
-    sat_i = np.concatenate([r[0] for r in results])
-    sat_j = np.concatenate([r[1] for r in results])
-    sat_delays = np.concatenate([r[2] for r in results])
-    sat_edges = np.stack([sat_i, sat_j], axis=1).astype(np.int32)
+    # A row lists both orders of each pair: the LOS test orders the two
+    # endpoints and (p - q)**2 == (q - p)**2, so both entries of a pair carry
+    # the same bits.  A satellite never sees itself: coincident points are
+    # not visible.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([r[2] for r in results]), out=indptr[1:])
+    adjacency = SatAdjacency(
+        indptr=indptr,
+        neighbors=np.concatenate([r[0] for r in results]),
+        delays_ms=np.concatenate([r[1] for r in results]),
+    )
 
     if stations:
         st_pos = np.array([s.ecef.as_tuple() for s in stations], dtype=np.float64)
@@ -214,10 +229,8 @@ def build_visibility_graph(
         station_delays = np.empty(0, dtype=np.float64)
 
     return VisibilityGraph(
-        sat_count=n,
         station_count=len(stations),
-        sat_edges=sat_edges,
-        sat_delays_ms=sat_delays,
+        adjacency=adjacency,
         station_edges=station_edges,
         station_delays_ms=station_delays,
     )
@@ -244,20 +257,6 @@ def _elevation_mask(
 # --- Attack overlays ------------------------------------------------------------
 
 
-def json_number(raw, name: str, kind: type = float):
-    """``raw`` as ``kind`` when it is a finite JSON number (for ``kind=int``,
-    an integer); a bool or a string is never one.  Raises ``ValueError``
-    prefixed by ``name``.  Every numeric config value goes through here."""
-    integer = kind is int
-    if isinstance(raw, bool) or not isinstance(raw, int if integer else (int, float)):
-        raise ValueError(f"{name}: must be {'an integer' if integer else 'a number'}, got {raw!r}")
-    if integer:
-        return raw
-    if not abs(raw) <= sys.float_info.max:  # NaN, infinities, integers beyond a float
-        raise ValueError(f"{name}: must be finite")
-    return float(raw)
-
-
 def reroute_penalty(raw, name: str = "reroute_penalty_ms") -> float:
     """``raw`` as a per-relay-hop penalty: a number by :func:`json_number`
     and >= 0.  The config and the overlay penalty both go through here."""
@@ -265,14 +264,6 @@ def reroute_penalty(raw, name: str = "reroute_penalty_ms") -> float:
     if value < 0.0:
         raise ValueError(f"{name}: must be >= 0, got {value}")
     return value
-
-
-def json_string(raw, name: str) -> str:
-    """``raw`` when it is a JSON string; raises ``ValueError`` prefixed by
-    ``name``.  Config ids and paths go through here, never ``str()``."""
-    if not isinstance(raw, str):
-        raise ValueError(f"{name}: must be a string, got {raw!r}")
-    return raw
 
 
 @dataclass(frozen=True)
@@ -405,18 +396,18 @@ def _jammed_mask(
     return jammed[:n], jammed[n:]
 
 
-def _clear_listed(keep: np.ndarray, edges: np.ndarray, width: int, keys: list[int]) -> None:
-    """Clear ``keep`` at every edge whose key ``edges[:, 0] * width +
-    edges[:, 1]`` is in ``keys``.  The edge keys must be strictly
-    increasing; one int64 key array is the only edge-sized transient."""
-    if not keys or not len(edges):
+def _clear_listed(keep: np.ndarray, first: np.ndarray, second: np.ndarray, width: int, keys: list[int]) -> None:
+    """Clear ``keep`` at every entry whose key ``first * width + second`` is
+    in ``keys``.  The entry keys must be strictly increasing; one int64 key
+    array is the only entry-sized transient."""
+    if not keys or not len(first):
         return
-    edge_keys = edges[:, 0].astype(np.int64)
-    edge_keys *= width
-    edge_keys += edges[:, 1]
+    entry_keys = first.astype(np.int64)
+    entry_keys *= width
+    entry_keys += second
     wanted = np.array(keys, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(edge_keys, wanted), len(edge_keys) - 1)
-    keep[pos[edge_keys[pos] == wanted]] = False
+    pos = np.minimum(np.searchsorted(entry_keys, wanted), len(entry_keys) - 1)
+    keep[pos[entry_keys[pos] == wanted]] = False
 
 
 def apply_overlay(
@@ -428,15 +419,17 @@ def apply_overlay(
 ) -> VisibilityGraph:
     """Remove every edge incident to a disabled or jammed node, plus the
     explicitly listed links.  The result's edge set is a subset of the
-    input's, in the same canonical order.
+    input's, in the same order: its adjacency is the input's with the
+    removed entries masked out.
 
     Listed links are matched by index key, not by id: a satellite pair
-    (i, j) is the key ``min(i, j) * sat_count + max(i, j)`` and a
-    satellite-station pair (i, g) is ``i * station_count + g``; both edge
-    arrays are sorted by these keys, so one binary search finds each link.
-    A link between two stations, from a node to itself, or between nodes
-    with no edge removes nothing.  Ids the snapshot and the stations do not
-    know raise ``ValueError`` (:meth:`AttackOverlay.check_ids`)."""
+    (i, j) clears the adjacency entries ``i * sat_count + j`` and
+    ``j * sat_count + i``, and a satellite-station pair (i, g) is
+    ``i * station_count + g``; the adjacency and the station edges are
+    sorted by these keys, so one binary search finds each link.  A link
+    between two stations, from a node to itself, or between nodes with no
+    edge removes nothing.  Ids the snapshot and the stations do not know
+    raise ``ValueError`` (:meth:`AttackOverlay.check_ids`)."""
     sat_index = {s: i for i, s in enumerate(snapshot.ids)}
     station_index = {st.id: i for i, st in enumerate(stations)}
     overlay.check_ids(sat_index, station_index)
@@ -451,7 +444,8 @@ def apply_overlay(
     sat_dead |= sat_jam
     st_dead |= st_jam
 
-    keep_ss = ~(sat_dead[graph.sat_edges[:, 0]] | sat_dead[graph.sat_edges[:, 1]])
+    adj = graph.adjacency
+    keep_ss = ~(sat_dead[adj.rows] | sat_dead[adj.neighbors])
     keep_sg = ~(
         sat_dead[graph.station_edges[:, 0]] | st_dead[graph.station_edges[:, 1]]
     ) if graph.station_edge_count else np.zeros(0, dtype=bool)
@@ -461,18 +455,18 @@ def apply_overlay(
     for a, b in overlay.disabled_links:
         ia, ib = sat_index.get(a), sat_index.get(b)
         if ia is not None and ib is not None:
-            ss_keys.append(min(ia, ib) * n + max(ia, ib))
+            ss_keys += [ia * n + ib, ib * n + ia]
         for i, g in ((ia, station_index.get(b)), (ib, station_index.get(a))):
             if i is not None and g is not None:
                 sg_keys.append(i * stations_n + g)
-    _clear_listed(keep_ss, graph.sat_edges, n, ss_keys)
-    _clear_listed(keep_sg, graph.station_edges, stations_n, sg_keys)
+    _clear_listed(keep_ss, adj.rows, adj.neighbors, n, ss_keys)
+    _clear_listed(keep_sg, graph.station_edges[:, 0], graph.station_edges[:, 1], stations_n, sg_keys)
 
+    kept = np.zeros(keep_ss.size + 1, dtype=np.int64)
+    np.cumsum(keep_ss, out=kept[1:])
     return VisibilityGraph(
-        sat_count=graph.sat_count,
         station_count=graph.station_count,
-        sat_edges=graph.sat_edges[keep_ss],
-        sat_delays_ms=graph.sat_delays_ms[keep_ss],
+        adjacency=SatAdjacency(kept[adj.indptr], adj.neighbors[keep_ss], adj.delays_ms[keep_ss]),
         station_edges=graph.station_edges[keep_sg],
         station_delays_ms=graph.station_delays_ms[keep_sg],
     )

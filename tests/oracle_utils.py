@@ -5,9 +5,10 @@ package (sampling instead of minimization, naive sums instead of fsum,
 double loops instead of vectorization, a heap Dijkstra with per-node parent
 scans instead of frontier sweeps over the adjacency, per-edge id matching
 instead of index keys for overlays, a per-edge loop instead of a sort for
-greedy downlinks).  The scalar geometry references (``min_scaled_norm_sq``,
-``has_line_of_sight``, ``euclidean_km``) and the TLE writer live here too:
-only the tests call them.
+greedy downlinks, a stable sort of an edge list instead of the build's row
+blocks for the satellite adjacency).  The scalar geometry references
+(``min_scaled_norm_sq``, ``has_line_of_sight``, ``euclidean_km``) and the
+TLE writer live here too: only the tests call them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from sda_netlab.geo import (
 )
 from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySeeds, ground_delays_ms
 from sda_netlab.tle import _J2000, TleElements, line_checksum
-from sda_netlab.topology import AttackOverlay, VisibilityGraph, _jammed_mask
+from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph, _jammed_mask
+
 
 def euclidean_km(p: EcefPosition, q: EcefPosition) -> float:
     dx = p.x - q.x
@@ -353,13 +355,14 @@ def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
     sat_dead |= np.array([s in overlay.disabled_satellites for s in sat_ids], dtype=bool)
     st_dead |= np.array([s in overlay.disabled_stations for s in station_ids], dtype=bool)
 
-    keep_ss = ~(sat_dead[graph.sat_edges[:, 0]] | sat_dead[graph.sat_edges[:, 1]])
+    sat_edges = graph.sat_edges  # derived on each access
+    keep_ss = ~(sat_dead[sat_edges[:, 0]] | sat_dead[sat_edges[:, 1]])
     keep_sg = ~(
         sat_dead[graph.station_edges[:, 0]] | st_dead[graph.station_edges[:, 1]]
     ) if graph.station_edge_count else np.zeros(0, dtype=bool)
     links = overlay.disabled_links
     for k in np.nonzero(keep_ss)[0]:
-        i, j = graph.sat_edges[k]
+        i, j = sat_edges[k]
         if AttackOverlay.normalize_link(sat_ids[i], sat_ids[j]) in links:
             keep_ss[k] = False
     for k in np.nonzero(keep_sg)[0]:
@@ -367,11 +370,34 @@ def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
         if AttackOverlay.normalize_link(sat_ids[i], station_ids[g]) in links:
             keep_sg[k] = False
 
+    return graph_from_edges(
+        graph.sat_count, graph.station_count,
+        sat_edges[keep_ss], graph.sat_delays_ms[keep_ss],
+        graph.station_edges[keep_sg], graph.station_delays_ms[keep_sg],
+    )
+
+
+def graph_from_edges(
+    sat_count, station_count, sat_edges, sat_delays_ms, station_edges, station_delays_ms
+) -> VisibilityGraph:
+    """The graph whose satellite links are the (i, j) pairs of ``sat_edges``
+    (i < j, ascending), listed under both endpoints by a stable argsort of
+    the rows: the reference adjacency for the build and the overlay."""
+    sat_edges = np.asarray(sat_edges, dtype=np.int32).reshape(-1, 2)
+    sat_delays_ms = np.asarray(sat_delays_ms, dtype=np.float64)
+    i, j = sat_edges[:, 0], sat_edges[:, 1]
+    rows = np.concatenate([j, i])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(sat_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=sat_count), out=indptr[1:])
+    adjacency = SatAdjacency(
+        indptr=indptr,
+        neighbors=np.concatenate([i, j])[order],
+        delays_ms=np.concatenate([sat_delays_ms, sat_delays_ms])[order],
+    )
     return VisibilityGraph(
-        sat_count=graph.sat_count,
-        station_count=graph.station_count,
-        sat_edges=graph.sat_edges[keep_ss],
-        sat_delays_ms=graph.sat_delays_ms[keep_ss],
-        station_edges=graph.station_edges[keep_sg],
-        station_delays_ms=graph.station_delays_ms[keep_sg],
+        station_count,
+        adjacency,
+        np.asarray(station_edges, dtype=np.int32).reshape(-1, 2),
+        np.asarray(station_delays_ms, dtype=np.float64),
     )

@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sda_netlab import experiments
 from sda_netlab.cli import run, validate_config
+from sda_netlab.constellation import WalkerSpec
 from sda_netlab.experiments import PRESET_NAMES, ConstellationSource, ScenarioConfig, preset_shells
 from sda_netlab.routing import ArchitectureMode
 
@@ -300,6 +305,38 @@ def test_python_and_json_configs_obey_the_same_rules(fields):
         assert errors == [] and validated == direct
 
 
+_WALKER_NUMBER = st.integers(-2, 40) | st.floats(-100.0, 2000.0) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, True, "4", 2.5, None]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shell=st.fixed_dictionaries(
+    {key: _WALKER_NUMBER for key in ("altitude_km", "inclination_deg", "planes", "sats_per_plane")},
+    optional={"phasing_f": _WALKER_NUMBER, "raan_offset_deg": _WALKER_NUMBER},
+))
+def test_python_and_json_walker_shells_obey_the_same_rules(shell):
+    validated, errors = validate_config(json.dumps({"constellation": {"walker": shell}}))
+    try:
+        spec = WalkerSpec(**shell)
+    except ValueError as exc:
+        assert validated is None and errors == [f"constellation.walker[0]: {exc}"], (exc, errors)
+    else:
+        assert errors == [] and validated.constellation.walker_shells[0].spec == spec
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WalkerSpec(550.0, math.inf, 2, 2), "inclination_deg: must be finite"),
+    (lambda: WalkerSpec(550.0, 53.0, 2.5, 2), "planes: must be an integer, got 2.5"),
+    (lambda: WalkerSpec(True, 53.0, 2, 2), "altitude_km: must be a number, got True"),
+    (lambda: ConstellationSource(tle_file="x", tle_at_seconds=math.nan), "tle_at_seconds: must be finite"),
+], ids=["infinite-inclination", "fractional-planes", "bool-altitude", "nan-tle-epoch"])
+def test_python_built_sources_obey_the_json_number_rule(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 _NO_STATIONS = {"stations_csv": None, "terminus": {"lat_deg": 64.8, "lon_deg": -147.7}}
 
 
@@ -325,9 +362,12 @@ _NO_STATIONS = {"stations_csv": None, "terminus": {"lat_deg": 64.8, "lon_deg": -
     ("simulate", {"min_elevation_deg": 1000}, [], {}, "min_elevation_deg: must be in [-90, 90], got 1000.0"),
     ("simulate", {"los_margin_km": math.inf}, [], {}, "los_margin_km: must be finite"),
     ("sweep", {"sweep_fractions": []}, [], {}, "sweep_fractions: must be a non-empty array of numbers"),
+    ("simulate", {}, ["--seed", "abc"], {}, "--seed: must be an integer, got 'abc'"),
+    ("simulate", {}, ["--threads", "x"], {}, "--threads: must be an integer, got 'x'"),
 ], ids=["overlay-satellite", "overlay-station", "overlay-link", "overlay-penalty", "seed-flag",
         "threads-flag", "threads-env", "header-only-snapshot", "downhaul-no-stations",
-        "compare-no-stations", "min-elevation", "infinite-margin", "empty-sweep"])
+        "compare-no-stations", "min-elevation", "infinite-margin", "empty-sweep",
+        "non-integer-seed", "non-integer-threads"])
 def test_every_rejected_input_ends_as_keyed_error_lines(
     tmp_path, monkeypatch, capsys, command, extra, flags, env, expected
 ):
@@ -440,6 +480,68 @@ def test_cli_outputs_are_byte_identical_across_thread_counts(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", str(out4), "--threads", "4", "--quiet"]) == 0
     assert (out1 / "report.csv").read_bytes() == (out4 / "report.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out4 / "summary.json").read_bytes()
+
+
+# 25 to 150 satellites a shell, so runs span one and several row blocks of
+# the visibility build, which is where the thread count enters.
+_SHELL = st.tuples(
+    st.floats(400.0, 2000.0), st.floats(0.0, 98.0), st.integers(5, 15), st.integers(5, 10), st.integers(0, 14)
+)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    shells=st.lists(_SHELL, min_size=1, max_size=2),
+    mode=st.sampled_from([m.value for m in ArchitectureMode]),
+    fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, seed, data):
+    walker, ids = [], []
+    for prefix, (altitude, inclination, planes, per_plane, phasing) in zip("ab", shells):
+        walker.append({
+            "altitude_km": altitude, "inclination_deg": inclination, "planes": planes,
+            "sats_per_plane": per_plane, "phasing_f": phasing % planes, "id_prefix": prefix,
+        })
+        ids += [f"{prefix}-p{p:03d}-s{k:03d}" for p in range(planes) for k in range(per_plane)]
+    nodes = ids + ["gA", "gB", "gC", "gD", "gE"]
+    overlay = data.draw(st.none() | st.fixed_dictionaries({
+        "disabled_satellites": st.lists(st.sampled_from(ids), max_size=3),
+        "disabled_stations": st.lists(st.sampled_from(nodes[len(ids):]), max_size=1),
+        "disabled_links": st.lists(st.lists(st.sampled_from(nodes), min_size=2, max_size=2), max_size=6),
+        "jam_regions": st.lists(st.fixed_dictionaries({
+            "lat_deg": st.floats(-80.0, 80.0), "lon_deg": st.floats(-180.0, 180.0),
+            "radius_km": st.floats(200.0, 2500.0),
+        }), max_size=1),
+        "reroute_penalty_ms": st.floats(0.0, 1.0),
+    }))
+    commands = ["simulate"] if overlay is None else ["simulate", "attack"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = {
+            "constellation": {"walker": walker}, "stations_csv": stations_csv(tmp), "mode": mode,
+            "actuator_fraction": fraction, "seed": seed,
+        }
+        if overlay is not None:
+            cfg["overlay"] = overlay
+        path = write(tmp / "scenario.json", json.dumps(cfg))
+        # A run may fail, e.g. near-coincident satellites make a zero-delay
+        # relay cycle; then it must fail alike under either thread count.
+        outcomes = {}
+        for threads in ("1", "2"):
+            for command in commands:
+                out = str(tmp / threads / command)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run([command, "--config", path, "--out", out, "--threads", threads, "--quiet"])
+                outcomes.setdefault(command, []).append((code, err.getvalue()))
+        for command in commands:
+            assert outcomes[command][0] == outcomes[command][1]
+            one, two = tmp / "1" / command, tmp / "2" / command
+            assert sorted(os.listdir(one)) == sorted(os.listdir(two))
+            for name in os.listdir(one):
+                assert (one / name).read_bytes() == (two / name).read_bytes(), (command, name)
 
 
 ONEWEB_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "oneweb_like.json")

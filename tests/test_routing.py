@@ -26,13 +26,13 @@ from sda_netlab.routing import (
 from sda_netlab.topology import (
     AttackOverlay,
     JamRegion,
-    VisibilityGraph,
     apply_overlay,
     build_visibility_graph,
 )
 from oracle_utils import (
     dijkstra_oracle,
     dijkstra_oracle_optimal,
+    graph_from_edges,
     greedy_sources_oracle,
     random_shell,
     seed_rows,
@@ -47,7 +47,7 @@ def manual_graph(sat_count, station_count, sat_links, station_links):
     sat_delays = np.array([propagation_delay_ms(d) for _, _, d in sat_links])
     st_edges = np.array([(i, g) for i, g, _ in station_links], dtype=np.int32).reshape(-1, 2)
     st_delays = np.array([propagation_delay_ms(d) for _, _, d in station_links])
-    return VisibilityGraph(sat_count, station_count, sat_edges, sat_delays, st_edges, st_delays)
+    return graph_from_edges(sat_count, station_count, sat_edges, sat_delays, st_edges, st_delays)
 
 
 def single_sat_snapshot():
@@ -433,7 +433,7 @@ def test_edge_removal_never_decreases_shortest_path_latency():
         snap = select_actuators(snap, 8, seed)
         graph = build_visibility_graph(snap, threads=1)
         keep = np.array([rng.random() > 0.3 for _ in range(graph.sat_edge_count)])
-        pruned = VisibilityGraph(
+        pruned = graph_from_edges(
             graph.sat_count, graph.station_count,
             graph.sat_edges[keep], graph.sat_delays_ms[keep],
             graph.station_edges, graph.station_delays_ms,

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from sda_netlab.constellation import (
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
-    select_actuators,
 )
 from sda_netlab.geo import EcefPosition, GeodeticPosition, propagation_delay_ms
-from sda_netlab.routing import onorbit_latencies
 from sda_netlab.topology import (
     AttackOverlay,
     JamRegion,
@@ -26,6 +25,8 @@ from sda_netlab.topology import (
 from oracle_utils import (
     elevation_angle_deg,
     euclidean_km,
+    graph_from_edges,
+    grazing_pair,
     has_line_of_sight,
     overlay_oracle,
     random_shell,
@@ -44,7 +45,8 @@ def brute_force_edges(snapshot, stations, margin_km=0.0):
     sats = [EcefPosition(*p) for p in snapshot.positions.tolist()]
     for i in range(len(sats)):
         for j in range(i + 1, len(sats)):
-            if has_line_of_sight(sats[i], sats[j], margin_km=margin_km):
+            # Coincident satellites do not see each other.
+            if sats[i] != sats[j] and has_line_of_sight(sats[i], sats[j], margin_km=margin_km):
                 sat_edges.append((i, j))
                 sat_delays.append(propagation_delay_ms(euclidean_km(sats[i], sats[j])))
     st_edges, st_delays = [], []
@@ -66,15 +68,44 @@ def test_build_matches_brute_force_double_loop_exactly():
     assert graph.station_delays_ms.tolist() == gd
 
 
-def test_adjacency_lists_each_edge_under_both_endpoints_and_is_built_once():
-    snap = select_actuators(random_shell(11, count=40), 6, 11)
-    graph = build_visibility_graph(snap, threads=1)
-    assert "adjacency" not in vars(graph)  # nothing is built before the first solve
-    onorbit_latencies(graph, snap)
-    adj = vars(graph)["adjacency"]
-    onorbit_latencies(graph, select_actuators(snap, 12, 11))
-    assert graph.adjacency is adj
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    shells=st.lists(
+        st.tuples(st.integers(0, 2**31), st.integers(1, 100), st.floats(300.0, 2500.0), st.floats(0.0, 1500.0)),
+        min_size=1, max_size=3,
+    ),
+    grazing_seed=st.integers(0, 2**31),
+    grazing_pairs=st.integers(0, 4),
+    margin_km=st.just(0.0) | st.floats(0.0, 200.0),
+    coincident=st.booleans(),
+)
+def test_adjacency_equals_the_edge_list_reference(shells, grazing_seed, grazing_pairs, margin_km, coincident):
+    # Multi-shell snapshots with pairs near the limb and, maybe, two
+    # satellites at one point.
+    points = []
+    for seed, count, alt_lo, span in shells:
+        points += random_shell(seed, count, alt_lo, alt_lo + span).positions.tolist()
+    rng = random.Random(grazing_seed)
+    for _ in range(grazing_pairs):
+        points += [p.as_tuple() for p in grazing_pair(rng, rng.uniform(6800.0, 8500.0))]
+    if coincident:
+        points.append(points[-1])
+    snap = ConstellationSnapshot("multi", tuple(f"s{k:03d}" for k in range(len(points))), points)
+    graph = build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=1)
 
+    reference = graph_from_edges(len(snap), len(STATIONS), *brute_force_edges(snap, STATIONS, margin_km))
+    assert_same_graph(graph, reference)
+    adj = graph.adjacency
+    assert np.all(adj.neighbors != adj.rows)
+    same_row = adj.rows[1:] == adj.rows[:-1]
+    assert np.all(np.diff(adj.neighbors.astype(np.int64))[same_row] > 0)
+    for threads in (2, 3):
+        assert_same_graph(build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=threads), graph)
+
+
+def test_adjacency_lists_each_edge_under_both_endpoints():
+    graph = build_visibility_graph(random_shell(11, count=40), threads=1)
+    adj = graph.adjacency
     expected = sorted(
         (u, v, d)
         for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist())
@@ -282,15 +313,18 @@ def test_overlay_json_round_trip():
         AttackOverlay.from_dict({"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 0}]})
 
 
-GRAPH_FIELDS = ("sat_edges", "sat_delays_ms", "station_edges", "station_delays_ms")
+GRAPH_FIELDS = (
+    "adjacency.indptr", "adjacency.neighbors", "adjacency.delays_ms", "adjacency.rows",
+    "sat_edges", "sat_delays_ms", "station_edges", "station_delays_ms",
+)
 
 
 def assert_same_graph(got, want):
     assert (got.sat_count, got.station_count) == (want.sat_count, want.station_count)
     for field in GRAPH_FIELDS:
-        a, b = getattr(got, field), getattr(want, field)
+        a, b = attrgetter(field)(got), attrgetter(field)(want)
         assert a.dtype == b.dtype and a.shape == b.shape, field
-        assert np.array_equal(a, b), field
+        assert a.tobytes() == b.tobytes(), field
 
 
 def assert_keys_increase(graph):
