@@ -4,7 +4,6 @@ data-delivery networks."""
 from .constellation import (
     ConstellationSnapshot,
     GroundStationNode,
-    TerminusNode,
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
@@ -29,9 +28,7 @@ from .experiments import (
 )
 from .geo import (
     EcefPosition,
-    EllipsoidModel,
     GeodeticPosition,
-    WGS84,
     ecef_to_geodetic,
     geodetic_to_ecef,
     propagation_delay_ms,

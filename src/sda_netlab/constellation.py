@@ -8,13 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geo import (
-    EcefPosition,
-    EllipsoidModel,
-    GeodeticPosition,
-    WGS84,
-    geodetic_to_ecef,
-)
+from .geo import SEMI_MAJOR_A_KM, EcefPosition, GeodeticPosition, geodetic_to_ecef
 from .jsonvalues import json_number
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -27,21 +21,12 @@ class GroundStationNode:
     ecef: EcefPosition
 
     @classmethod
-    def from_geodetic(
-        cls, station_id: str, geodetic: GeodeticPosition, e: EllipsoidModel = WGS84
-    ) -> "GroundStationNode":
+    def from_geodetic(cls, station_id: str, geodetic: GeodeticPosition) -> "GroundStationNode":
         if not -0.5 <= geodetic.altitude_km <= 9.0:
             raise ValueError(
                 f"station altitude must be in [-0.5, 9] km, got {geodetic.altitude_km}"
             )
-        return cls(station_id, geodetic, geodetic_to_ecef(geodetic, e))
-
-
-@dataclass(frozen=True)
-class TerminusNode:
-    """Location of the centralized ground data sink."""
-
-    geodetic: GeodeticPosition
+        return cls(station_id, geodetic, geodetic_to_ecef(geodetic))
 
 
 class SnapshotRowError(ValueError):
@@ -59,16 +44,13 @@ class ConstellationSnapshot:
     Row ``i`` is satellite ``ids[i]`` at ECEF ``positions[i]`` (km, an
     ``(n, 3)`` float64 array), flagged as an actuator where ``actuators[i]``
     (an ``(n,)`` bool array, all False unless given).  Both arrays are
-    read-only copies.  ``epoch_seconds`` (seconds since J2000) is
-    informational only; routing uses the stored positions as-is.  A
-    satellite that breaks a rule raises :class:`SnapshotRowError`.
+    read-only copies.  A satellite that breaks a rule raises
+    :class:`SnapshotRowError`.
     """
 
-    label: str
     ids: tuple[str, ...]
     positions: np.ndarray
     actuators: np.ndarray | None = None
-    epoch_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         ids = tuple(self.ids)
@@ -92,7 +74,7 @@ class ConstellationSnapshot:
             row = int(np.argmin(finite))
             raise SnapshotRowError(row, f"satellite {ids[row]!r} has a non-finite position")
         x, y, z = positions.T
-        buried = np.sqrt((x * x + y * y) + z * z) <= WGS84.semi_major_a
+        buried = np.sqrt((x * x + y * y) + z * z) <= SEMI_MAJOR_A_KM
         if buried.any():
             row = int(np.argmax(buried))
             raise SnapshotRowError(row, f"satellite {ids[row]!r} is not above the surface")
@@ -145,13 +127,7 @@ class WalkerSpec:
         return self.planes * self.sats_per_plane
 
 
-def generate_walker(
-    spec: WalkerSpec,
-    e: EllipsoidModel = WGS84,
-    label: str = "walker",
-    id_prefix: str = "sat",
-    epoch_seconds: float = 0.0,
-) -> ConstellationSnapshot:
+def generate_walker(spec: WalkerSpec, id_prefix: str = "sat") -> ConstellationSnapshot:
     """Build a snapshot of a Walker-delta shell.
 
     Plane p (0-indexed) has RAAN = raan_offset + 360*p/P; satellite k in
@@ -159,7 +135,7 @@ def generate_walker(
     orbital frame is identified with ECEF at snapshot time: only relative
     geometry matters for latency.
     """
-    radius = e.semi_major_a + spec.altitude_km
+    radius = SEMI_MAJOR_A_KM + spec.altitude_km
     inc = math.radians(spec.inclination_deg)
     cos_i, sin_i = math.cos(inc), math.sin(inc)
     ids, positions = [], []
@@ -178,17 +154,17 @@ def generate_walker(
             y = x0 * sin_o + y1 * cos_o
             ids.append(f"{id_prefix}-p{p:03d}-s{k:03d}")
             positions.append((x, y, z1))
-    return ConstellationSnapshot(label, tuple(ids), positions, epoch_seconds=epoch_seconds)
+    return ConstellationSnapshot(tuple(ids), positions)
 
 
-def merge_snapshots(label: str, *snapshots: ConstellationSnapshot) -> ConstellationSnapshot:
+def merge_snapshots(*snapshots: ConstellationSnapshot) -> ConstellationSnapshot:
     """Union of snapshots, preserving order; ids must stay unique."""
     if not snapshots:
         raise ValueError("need at least one snapshot to merge")
     ids = tuple(sat_id for snap in snapshots for sat_id in snap.ids)
     positions = np.concatenate([snap.positions for snap in snapshots])
     actuators = np.concatenate([snap.actuators for snap in snapshots])
-    return ConstellationSnapshot(label, ids, positions, actuators, snapshots[0].epoch_seconds)
+    return ConstellationSnapshot(ids, positions, actuators)
 
 
 # --- CSV interchange ----------------------------------------------------------
@@ -224,7 +200,7 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def load_snapshot_csv(text: str, label: str = "snapshot") -> ConstellationSnapshot:
+def load_snapshot_csv(text: str) -> ConstellationSnapshot:
     """The snapshot checks the parsed rows; an error names the row's line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SNAPSHOT_CSV_HEADER:
@@ -241,12 +217,12 @@ def load_snapshot_csv(text: str, label: str = "snapshot") -> ConstellationSnapsh
             _parse_float(zs, "z_km", line_no),
         ))
     try:
-        return ConstellationSnapshot(label, tuple(ids), np.reshape(positions, (len(ids), 3)))
+        return ConstellationSnapshot(tuple(ids), np.reshape(positions, (len(ids), 3)))
     except SnapshotRowError as exc:
         raise ValueError(f"line {exc.row + 2}: {exc}") from None
 
 
-def load_ground_stations_csv(text: str, e: EllipsoidModel = WGS84) -> list[GroundStationNode]:
+def load_ground_stations_csv(text: str) -> list[GroundStationNode]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != STATIONS_CSV_HEADER:
         raise ValueError(f"line 1: expected header {STATIONS_CSV_HEADER!r}")
@@ -265,7 +241,7 @@ def load_ground_stations_csv(text: str, e: EllipsoidModel = WGS84) -> list[Groun
                 _parse_float(lon, "lon_deg", line_no),
                 _parse_float(alt, "alt_km", line_no),
             )
-            station = GroundStationNode.from_geodetic(station_id, geodetic, e)
+            station = GroundStationNode.from_geodetic(station_id, geodetic)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
         stations.append(station)

@@ -5,16 +5,14 @@ and attack scenarios."""
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .constellation import (
     ConstellationSnapshot,
     GroundStationNode,
-    TerminusNode,
     WalkerSpec,
     SplitMix64,
     generate_walker,
@@ -63,17 +61,7 @@ class MetricsSummary:
     mean_hops: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "satellite_count": self.satellite_count,
-            "unreachable_count": self.unreachable_count,
-            "reachable_fraction": self.reachable_fraction,
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "p5_ms": self.p5_ms,
-            "p95_ms": self.p95_ms,
-            "max_ms": self.max_ms,
-            "mean_hops": self.mean_hops,
-        }
+        return asdict(self)
 
 
 def nearest_rank_percentile(sorted_values: list[float], percentile: float) -> float:
@@ -299,17 +287,14 @@ def _config_key(key: str):
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
     if source.walker_shells:
         with _config_key("constellation.walker"):
-            snaps = [
-                generate_walker(shell.spec, label=shell.label, id_prefix=shell.id_prefix)
-                for shell in source.walker_shells
-            ]
-            return merge_snapshots("+".join(s.label for s in snaps), *snaps)
+            return merge_snapshots(*(
+                generate_walker(shell.spec, id_prefix=shell.id_prefix) for shell in source.walker_shells
+            ))
     if source.snapshot_csv is not None:
         with _config_key("constellation.snapshot_csv"):
-            return load_snapshot_csv(_read(source.snapshot_csv), os.path.basename(source.snapshot_csv))
+            return load_snapshot_csv(_read(source.snapshot_csv))
     with _config_key("constellation.tle_file"):
-        entries = load_tle_file(_read(source.tle_file))
-        return snapshot_from_tles(entries, source.tle_at_seconds, os.path.basename(source.tle_file))
+        return snapshot_from_tles(load_tle_file(_read(source.tle_file)), source.tle_at_seconds)
 
 
 def resolve_stations(cfg: ScenarioConfig) -> list[GroundStationNode]:
@@ -319,12 +304,12 @@ def resolve_stations(cfg: ScenarioConfig) -> list[GroundStationNode]:
         return load_ground_stations_csv(_read(cfg.stations_csv))
 
 
-def resolve_terminus(cfg: ScenarioConfig, stations: list[GroundStationNode]) -> TerminusNode | None:
+def resolve_terminus(cfg: ScenarioConfig, stations: list[GroundStationNode]) -> GeodeticPosition | None:
     """Configured terminus, else the first station's location."""
     if cfg.terminus is not None:
-        return TerminusNode(cfg.terminus)
+        return cfg.terminus
     if stations:
-        return TerminusNode(stations[0].geodetic)
+        return stations[0].geodetic
     return None
 
 
@@ -332,7 +317,7 @@ def route_report(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: TerminusNode | None,
+    terminus: GeodeticPosition | None,
     mode: ArchitectureMode,
     reroute_penalty_ms: float,
 ) -> LatencyReport:
@@ -352,7 +337,7 @@ class Network:
 
     snapshot: ConstellationSnapshot
     stations: tuple[GroundStationNode, ...]
-    terminus: TerminusNode | None
+    terminus: GeodeticPosition | None
     graph: VisibilityGraph
     penalty_ms: float
 
@@ -402,10 +387,7 @@ def prepare(cfg: ScenarioConfig, threads: int | None = None, baseline: bool = Fa
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    config: ScenarioConfig
     snapshot: ConstellationSnapshot
-    stations: tuple[GroundStationNode, ...]
-    graph: VisibilityGraph
     report: LatencyReport
     summary: MetricsSummary
 
@@ -414,9 +396,7 @@ def run_scenario(cfg: ScenarioConfig, threads: int | None = None) -> ScenarioRun
     """Route ``cfg.mode`` on the prepared network."""
     network = prepare(cfg, threads)
     report = network.route(cfg.mode)
-    return ScenarioRun(
-        cfg, network.snapshot, network.stations, network.graph, report, summarize(report)
-    )
+    return ScenarioRun(network.snapshot, report, summarize(report))
 
 
 # --- Studies --------------------------------------------------------------------
@@ -516,21 +496,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     ScenarioConfig (paths are stored absolute)."""
     source = cfg.constellation
     if source.walker_shells:
-        constellation = {
-            "walker": [
-                {
-                    "altitude_km": shell.spec.altitude_km,
-                    "inclination_deg": shell.spec.inclination_deg,
-                    "planes": shell.spec.planes,
-                    "sats_per_plane": shell.spec.sats_per_plane,
-                    "phasing_f": shell.spec.phasing_f,
-                    "raan_offset_deg": shell.spec.raan_offset_deg,
-                    "id_prefix": shell.id_prefix,
-                    "label": shell.label,
-                }
-                for shell in source.walker_shells
-            ]
-        }
+        constellation = {"walker": [
+            {**asdict(shell.spec), "id_prefix": shell.id_prefix, "label": shell.label}
+            for shell in source.walker_shells
+        ]}
     elif source.snapshot_csv is not None:
         constellation = {"snapshot_csv": source.snapshot_csv}
     else:
@@ -538,7 +507,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         if source.tle_at_seconds is not None:
             constellation["tle_at_seconds"] = source.tle_at_seconds
 
-    out: dict = {"constellation": constellation, "mode": cfg.mode.value, "seed": cfg.seed}
+    out: dict = {"constellation": constellation, "mode": cfg.mode.value}
+    for key in FIELD_RULES:
+        if getattr(cfg, key) is not None:
+            out[key] = getattr(cfg, key)
     if cfg.stations_csv is not None:
         out["stations_csv"] = cfg.stations_csv
     if cfg.terminus is not None:
@@ -547,17 +519,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "lon_deg": cfg.terminus.longitude_deg,
             "alt_km": cfg.terminus.altitude_km,
         }
-    if cfg.actuator_count is not None:
-        out["actuator_count"] = cfg.actuator_count
-    else:
-        out["actuator_fraction"] = cfg.actuator_fraction
-    out["los_margin_km"] = cfg.los_margin_km
-    if cfg.min_elevation_deg is not None:
-        out["min_elevation_deg"] = cfg.min_elevation_deg
-    out["reroute_penalty_ms"] = cfg.reroute_penalty_ms
     if cfg.overlay_path is not None:
         out["overlay"] = cfg.overlay_path
     elif cfg.overlay is not None:
         out["overlay"] = cfg.overlay.to_dict()
-    out["sweep_fractions"] = list(cfg.sweep_fractions)
     return out

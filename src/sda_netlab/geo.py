@@ -23,31 +23,12 @@ class ConvergenceError(ValueError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-@dataclass(frozen=True)
-class EllipsoidModel:
-    """Oblate ellipsoid (default WGS84) plus the mean radius used for
-    surface paths."""
-
-    semi_major_a: float = 6378.137
-    flattening_f: float = 1.0 / 298.257223563
-    surface_mean_radius: float = 6371.0088
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.flattening_f < 1.0:
-            raise ValueError(f"flattening must be in (0, 1), got {self.flattening_f}")
-        if self.semi_major_a <= 0.0:
-            raise ValueError(f"semi-major axis must be positive, got {self.semi_major_a}")
-
-    @property
-    def semi_minor_b(self) -> float:
-        return self.semi_major_a * (1.0 - self.flattening_f)
-
-    @property
-    def eccentricity_sq(self) -> float:
-        return self.flattening_f * (2.0 - self.flattening_f)
-
-
-WGS84 = EllipsoidModel()
+# The WGS84 ellipsoid, plus the mean radius used for surface paths.
+SEMI_MAJOR_A_KM = 6378.137
+FLATTENING_F = 1.0 / 298.257223563
+SEMI_MINOR_B_KM = SEMI_MAJOR_A_KM * (1.0 - FLATTENING_F)
+ECCENTRICITY_SQ = FLATTENING_F * (2.0 - FLATTENING_F)
+MEAN_RADIUS_KM = 6371.0088
 
 
 @dataclass(frozen=True)
@@ -97,27 +78,23 @@ class GeodeticPosition:
         object.__setattr__(self, "longitude_deg", lon)
 
 
-def geodetic_to_ecef(g: GeodeticPosition, e: EllipsoidModel = WGS84) -> EcefPosition:
+def geodetic_to_ecef(g: GeodeticPosition) -> EcefPosition:
     """Convert geodetic coordinates to ECEF via the prime-vertical radius."""
     lat = math.radians(g.latitude_deg)
     lon = math.radians(g.longitude_deg)
     sin_lat = math.sin(lat)
     cos_lat = math.cos(lat)
-    e2 = e.eccentricity_sq
-    n = e.semi_major_a / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
+    e2 = ECCENTRICITY_SQ
+    n = SEMI_MAJOR_A_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
     x = (n + g.altitude_km) * cos_lat * math.cos(lon)
     y = (n + g.altitude_km) * cos_lat * math.sin(lon)
     z = (n * (1.0 - e2) + g.altitude_km) * sin_lat
     return EcefPosition(x, y, z)
 
 
-def ecef_to_geodetic(
-    p: EcefPosition,
-    e: EllipsoidModel = WGS84,
-    tolerance_rad: float = 1e-12,
-    max_iterations: int = 20,
-) -> GeodeticPosition:
-    """Convert ECEF to geodetic by fixed-point iteration on latitude.
+def ecef_to_geodetic(p: EcefPosition, max_iterations: int = 20) -> GeodeticPosition:
+    """Convert ECEF to geodetic by fixed-point iteration on latitude, until
+    the latitude moves less than 1e-12 rad.
 
     Raises:
         ConvergenceError: the latitude iteration did not settle within
@@ -126,12 +103,12 @@ def ecef_to_geodetic(
     """
     if p.norm() == 0.0:
         raise ValueError("cannot convert the Earth-center point to geodetic coordinates")
-    e2 = e.eccentricity_sq
+    e2 = ECCENTRICITY_SQ
     p_xy = math.hypot(p.x, p.y)
     if p_xy < 1e-9:
         # Polar axis: longitude is undefined, normalize it to 0.
         lat = 90.0 if p.z >= 0.0 else -90.0
-        return GeodeticPosition(lat, 0.0, abs(p.z) - e.semi_minor_b)
+        return GeodeticPosition(lat, 0.0, abs(p.z) - SEMI_MINOR_B_KM)
 
     lon_deg = math.degrees(math.atan2(p.y, p.x))
     if lon_deg <= -180.0:
@@ -140,13 +117,13 @@ def ecef_to_geodetic(
     lat = math.atan2(p.z, p_xy * (1.0 - e2))
     for _ in range(max_iterations):
         sin_lat = math.sin(lat)
-        n = e.semi_major_a / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
+        n = SEMI_MAJOR_A_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
         if abs(sin_lat) < 0.7071067811865476:
             alt = p_xy / math.cos(lat) - n
         else:
             alt = p.z / sin_lat - n * (1.0 - e2)
         new_lat = math.atan2(p.z, p_xy * (1.0 - e2 * n / (n + alt)))
-        done = abs(new_lat - lat) < tolerance_rad
+        done = abs(new_lat - lat) < 1e-12
         lat = new_lat
         if done:
             break
@@ -156,7 +133,7 @@ def ecef_to_geodetic(
         )
 
     sin_lat = math.sin(lat)
-    n = e.semi_major_a / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
+    n = SEMI_MAJOR_A_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
     if abs(sin_lat) < 0.7071067811865476:
         alt = p_xy / math.cos(lat) - n
     else:
@@ -164,11 +141,7 @@ def ecef_to_geodetic(
     return GeodeticPosition(math.degrees(lat), lon_deg, alt)
 
 
-def surface_distance_km(
-    g1: GeodeticPosition,
-    g2: GeodeticPosition,
-    e: EllipsoidModel = WGS84,
-) -> float:
+def surface_distance_km(g1: GeodeticPosition, g2: GeodeticPosition) -> float:
     """Great-circle distance on the mean-radius sphere; altitudes ignored.
 
     A mean-radius great circle stays within 0.6% of the ellipsoidal geodesic
@@ -182,7 +155,7 @@ def surface_distance_km(
     if h > 1.0:
         h = 1.0
     angle = 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
-    return e.surface_mean_radius * angle
+    return MEAN_RADIUS_KM * angle
 
 
 def propagation_delay_ms(distance_km: float) -> float:

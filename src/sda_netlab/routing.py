@@ -43,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .constellation import ConstellationSnapshot, GroundStationNode, TerminusNode
-from .geo import propagation_delay_ms, surface_distance_km
+from .constellation import ConstellationSnapshot, GroundStationNode
+from .geo import GeodeticPosition, propagation_delay_ms, surface_distance_km
 from .topology import SatAdjacency, VisibilityGraph
 
 TERMINUS_NAME = "terminus"
@@ -335,10 +335,10 @@ def actuator_sources(snapshot: ConstellationSnapshot) -> RelaySeeds:
 
 def ground_delays_ms(
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: TerminusNode,
+    terminus: GeodeticPosition,
 ) -> list[float]:
     return [
-        propagation_delay_ms(surface_distance_km(st.geodetic, terminus.geodetic))
+        propagation_delay_ms(surface_distance_km(st.geodetic, terminus))
         for st in stations
     ]
 
@@ -346,7 +346,7 @@ def ground_delays_ms(
 def greedy_downhaul_sources(
     graph: VisibilityGraph,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: TerminusNode,
+    terminus: GeodeticPosition,
 ) -> RelaySeeds:
     """Label every station-visible satellite with its greedy downlink:
     nearest visible station by straight-line distance (ties to the lower
@@ -407,7 +407,7 @@ def downhaul_latencies(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: TerminusNode,
+    terminus: GeodeticPosition,
     mode: ArchitectureMode = ArchitectureMode.DOWNHAUL_GREEDY,
     reroute_penalty_ms: float = 0.0,
 ) -> LatencyReport:
@@ -426,7 +426,7 @@ def _augmented_problem(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: TerminusNode,
+    terminus: GeodeticPosition,
     reroute_penalty_ms: float,
 ) -> _RelayProblem:
     """Satellites and stations, directed against the data flow: station ->

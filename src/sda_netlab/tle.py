@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .constellation import ConstellationSnapshot
-from .geo import ConvergenceError, EcefPosition, EllipsoidModel, WGS84
+from .geo import ConvergenceError, EcefPosition
 
 EARTH_GM_KM3_S2 = 398600.4418
 _J2000 = datetime(2000, 1, 1, 12, 0, 0)
@@ -135,20 +135,16 @@ def semi_major_axis_km(mean_motion_rev_per_day: float) -> float:
     return (EARTH_GM_KM3_S2 / (n_rad_s * n_rad_s)) ** (1.0 / 3.0)
 
 
-def solve_kepler(
-    mean_anomaly_rad: float,
-    eccentricity: float,
-    tolerance_rad: float = 1e-12,
-    max_iterations: int = 50,
-) -> float:
-    """Newton iteration for E - e*sin(E) = M."""
+def solve_kepler(mean_anomaly_rad: float, eccentricity: float) -> float:
+    """Newton iteration for E - e*sin(E) = M, until a step is below 1e-12 rad
+    (at most 50 steps)."""
     m = math.fmod(mean_anomaly_rad, 2.0 * math.pi)
     e = eccentricity
     big_e = m if e < 0.8 else math.pi
-    for _ in range(max_iterations):
+    for _ in range(50):
         delta = (big_e - e * math.sin(big_e) - m) / (1.0 - e * math.cos(big_e))
         big_e -= delta
-        if abs(delta) < tolerance_rad:
+        if abs(delta) < 1e-12:
             return big_e
     raise ConvergenceError(
         f"Kepler iteration did not converge (M={mean_anomaly_rad}, e={eccentricity})"
@@ -171,9 +167,7 @@ def _rot_x(x: float, y: float, z: float, angle_rad: float) -> tuple[float, float
     return (x, y * c - z * s, y * s + z * c)
 
 
-def tle_to_position(
-    el: TleElements, t_seconds_j2000: float, e: EllipsoidModel = WGS84
-) -> EcefPosition:
+def tle_to_position(el: TleElements, t_seconds_j2000: float) -> EcefPosition:
     """Two-body position at time ``t``, rotated into ECEF by GMST."""
     n_rad_s = el.mean_motion_rev_per_day * 2.0 * math.pi / 86400.0
     a = semi_major_axis_km(el.mean_motion_rev_per_day)
@@ -197,8 +191,6 @@ def tle_to_position(
 def snapshot_from_tles(
     entries: list[tuple[str, TleElements]],
     t_seconds_j2000: float | None = None,
-    label: str = "tle",
-    e: EllipsoidModel = WGS84,
 ) -> ConstellationSnapshot:
     """Evaluate every element set at one common time (default: first epoch)."""
     if not entries:
@@ -213,5 +205,5 @@ def snapshot_from_tles(
             sat_id = f"{sat_id}#{idx}"
         seen.add(sat_id)
         ids.append(sat_id)
-        positions.append(tle_to_position(el, t_seconds_j2000, e).as_tuple())
-    return ConstellationSnapshot(label, tuple(ids), positions, epoch_seconds=t_seconds_j2000)
+        positions.append(tle_to_position(el, t_seconds_j2000).as_tuple())
+    return ConstellationSnapshot(tuple(ids), positions)

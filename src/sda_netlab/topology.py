@@ -20,11 +20,11 @@ import numpy as np
 from .constellation import ConstellationSnapshot, GroundStationNode
 from .geo import (
     LOS_THRESHOLD_SQ,
+    SEMI_MAJOR_A_KM,
+    SEMI_MINOR_B_KM,
     SPEED_OF_LIGHT_KM_S,
     EcefPosition,
-    EllipsoidModel,
     GeodeticPosition,
-    WGS84,
     ecef_to_geodetic,
     surface_distance_km,
 )
@@ -151,10 +151,11 @@ def _visible_mask(
     return m2 >= LOS_THRESHOLD_SQ
 
 
-def _pair_distances(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
-    dx = pa[:, 0:1] - qa[np.newaxis, :, 0]
-    dy = pa[:, 1:2] - qa[np.newaxis, :, 1]
-    dz = pa[:, 2:3] - qa[np.newaxis, :, 2]
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise distance between two (k, 3) arrays of endpoints."""
+    dx = p[:, 0] - q[:, 0]
+    dy = p[:, 1] - q[:, 1]
+    dz = p[:, 2] - q[:, 2]
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
@@ -168,14 +169,13 @@ def _sat_block(
     """Rows lo:hi of the adjacency: each row's visible satellites in
     ascending order, their delays, and the count per row."""
     rows, cols = np.nonzero(_visible_mask(scaled[lo:hi], scaled))
-    dist = _pair_distances(positions[lo:hi], positions)[rows, cols]
+    dist = _distances(positions[lo + rows], positions[cols])
     return cols.astype(np.int32), _delays_ms(dist), np.bincount(rows, minlength=hi - lo)
 
 
 def build_visibility_graph(
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...] = (),
-    e: EllipsoidModel = WGS84,
     margin_km: float = 0.0,
     min_elevation_deg: float | None = None,
     threads: int | None = None,
@@ -190,8 +190,8 @@ def build_visibility_graph(
         raise ValueError(f"margin_km must be >= 0, got {margin_km}")
     n = len(snapshot)
     positions = snapshot.positions
-    inv_ae = 1.0 / (e.semi_major_a + margin_km)
-    inv_be = 1.0 / (e.semi_minor_b + margin_km)
+    inv_ae = 1.0 / (SEMI_MAJOR_A_KM + margin_km)
+    inv_be = 1.0 / (SEMI_MINOR_B_KM + margin_km)
     scaled = positions * np.array([inv_ae, inv_ae, inv_be])
 
     blocks = [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
@@ -221,7 +221,7 @@ def build_visibility_graph(
         if min_elevation_deg is not None:
             visible &= _elevation_mask(positions, stations, min_elevation_deg)
         rows, cols = np.nonzero(visible)
-        dist = _pair_distances(positions, st_pos)[rows, cols]
+        dist = _distances(positions[rows], st_pos[cols])
         station_edges = np.stack([rows, cols], axis=1).astype(np.int32)
         station_delays = _delays_ms(dist)
     else:
@@ -381,17 +381,16 @@ def _jammed_mask(
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     regions: tuple[JamRegion, ...],
-    e: EllipsoidModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes whose sub-point falls inside any jam region (the surface
     distance reads only latitude and longitude)."""
     n = len(snapshot)
     if not regions:
         return np.zeros(n, dtype=bool), np.zeros(len(stations), dtype=bool)
-    subs = [ecef_to_geodetic(EcefPosition(*p), e) for p in snapshot.positions.tolist()]
+    subs = [ecef_to_geodetic(EcefPosition(*p)) for p in snapshot.positions.tolist()]
     subs += [st.geodetic for st in stations]
     jammed = np.array([
-        any(surface_distance_km(sub, r.center, e) <= r.radius_km for r in regions) for sub in subs
+        any(surface_distance_km(sub, r.center) <= r.radius_km for r in regions) for sub in subs
     ], dtype=bool)
     return jammed[:n], jammed[n:]
 
@@ -415,7 +414,6 @@ def apply_overlay(
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     overlay: AttackOverlay,
-    e: EllipsoidModel = WGS84,
 ) -> VisibilityGraph:
     """Remove every edge incident to a disabled or jammed node, plus the
     explicitly listed links.  The result's edge set is a subset of the
@@ -440,7 +438,7 @@ def apply_overlay(
     st_dead = np.zeros(graph.station_count, dtype=bool)
     for s in overlay.disabled_stations:
         st_dead[station_index[s]] = True
-    sat_jam, st_jam = _jammed_mask(snapshot, stations, overlay.jam_regions, e)
+    sat_jam, st_jam = _jammed_mask(snapshot, stations, overlay.jam_regions)
     sat_dead |= sat_jam
     st_dead |= st_jam
 

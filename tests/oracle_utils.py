@@ -23,10 +23,10 @@ import numpy as np
 from sda_netlab.constellation import ConstellationSnapshot
 from sda_netlab.geo import (
     LOS_THRESHOLD_SQ,
+    SEMI_MAJOR_A_KM,
+    SEMI_MINOR_B_KM,
     EcefPosition,
-    EllipsoidModel,
     GeodeticPosition,
-    WGS84,
     propagation_delay_ms,
     surface_distance_km,
 )
@@ -45,7 +45,6 @@ def euclidean_km(p: EcefPosition, q: EcefPosition) -> float:
 def min_scaled_norm_sq(
     p: EcefPosition,
     q: EcefPosition,
-    e: EllipsoidModel = WGS84,
     margin_km: float = 0.0,
 ) -> float:
     """Squared minimum norm of the segment p-q after scaling the
@@ -61,8 +60,8 @@ def min_scaled_norm_sq(
         raise ValueError("line-of-sight is undefined for coincident points")
     if q.as_tuple() < p.as_tuple():
         p, q = q, p
-    inv_ae = 1.0 / (e.semi_major_a + margin_km)
-    inv_be = 1.0 / (e.semi_minor_b + margin_km)
+    inv_ae = 1.0 / (SEMI_MAJOR_A_KM + margin_km)
+    inv_be = 1.0 / (SEMI_MINOR_B_KM + margin_km)
     phx = p.x * inv_ae
     phy = p.y * inv_ae
     phz = p.z * inv_be
@@ -88,21 +87,19 @@ def min_scaled_norm_sq(
 def min_scaled_norm(
     p: EcefPosition,
     q: EcefPosition,
-    e: EllipsoidModel = WGS84,
     margin_km: float = 0.0,
 ) -> float:
-    return math.sqrt(min_scaled_norm_sq(p, q, e, margin_km))
+    return math.sqrt(min_scaled_norm_sq(p, q, margin_km))
 
 
 def has_line_of_sight(
     p: EcefPosition,
     q: EcefPosition,
-    e: EllipsoidModel = WGS84,
     margin_km: float = 0.0,
 ) -> bool:
     """True iff the open segment between p and q stays outside the ellipsoid
     inflated by ``margin_km``.  Endpoints on the surface do not block."""
-    return min_scaled_norm_sq(p, q, e, margin_km) >= LOS_THRESHOLD_SQ
+    return min_scaled_norm_sq(p, q, margin_km) >= LOS_THRESHOLD_SQ
 
 
 def format_tle_lines(el: TleElements) -> tuple[str, str]:
@@ -135,7 +132,6 @@ _SAMPLE_CACHE: dict[int, np.ndarray] = {}
 def segment_blocked_by_sampling(
     p: EcefPosition,
     q: EcefPosition,
-    e: EllipsoidModel = WGS84,
     margin_km: float = 0.0,
     samples: int = 100_000,
 ) -> bool:
@@ -146,9 +142,9 @@ def segment_blocked_by_sampling(
         t = np.linspace(0.0, 1.0, samples)
         _SAMPLE_CACHE[samples] = t
     scale = np.array([
-        1.0 / (e.semi_major_a + margin_km),
-        1.0 / (e.semi_major_a + margin_km),
-        1.0 / (e.semi_minor_b + margin_km),
+        1.0 / (SEMI_MAJOR_A_KM + margin_km),
+        1.0 / (SEMI_MAJOR_A_KM + margin_km),
+        1.0 / (SEMI_MINOR_B_KM + margin_km),
     ])
     a = np.array(p.as_tuple()) * scale
     b = np.array(q.as_tuple()) * scale
@@ -165,7 +161,7 @@ def random_shell(seed: int, count: int = 50, alt_lo_km: float = 400.0, alt_hi_km
     """Satellites in uniformly random directions at random shell altitudes."""
     rng = random.Random(seed)
     points = [random_orbital_point(rng, alt_lo_km, alt_hi_km).as_tuple() for _ in range(count)]
-    return ConstellationSnapshot("random", tuple(f"s{k:03d}" for k in range(count)), points)
+    return ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(count)), points)
 
 
 def random_orbital_point(rng: random.Random, alt_lo_km: float = 300.0, alt_hi_km: float = 2500.0) -> EcefPosition:
@@ -175,14 +171,14 @@ def random_orbital_point(rng: random.Random, alt_lo_km: float = 300.0, alt_hi_km
         norm = math.sqrt(gx * gx + gy * gy + gz * gz)
         if norm > 1e-6:
             break
-    r = WGS84.semi_major_a + rng.uniform(alt_lo_km, alt_hi_km)
+    r = SEMI_MAJOR_A_KM + rng.uniform(alt_lo_km, alt_hi_km)
     return EcefPosition(gx / norm * r, gy / norm * r, gz / norm * r)
 
 
 def grazing_pair(rng: random.Random, radius_km: float) -> tuple[EcefPosition, EcefPosition]:
     """Two same-radius points separated by a central angle near the spherical
     grazing limit, to stress the LOS boundary."""
-    theta = 2.0 * math.acos(WGS84.semi_major_a / radius_km) + rng.uniform(-2e-4, 2e-4)
+    theta = 2.0 * math.acos(SEMI_MAJOR_A_KM / radius_km) + rng.uniform(-2e-4, 2e-4)
     # Random plane: orthonormal u, v.
     u = random_orbital_point(rng)
     un = u.norm()
@@ -278,7 +274,7 @@ def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) ->
     for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
         edges.append((n_sat + g, i, d))
     for g, st in enumerate(stations):
-        leg = propagation_delay_ms(surface_distance_km(st.geodetic, terminus.geodetic))
+        leg = propagation_delay_ms(surface_distance_km(st.geodetic, terminus))
         edges.append((t, n_sat + g, leg))
     names = list(snapshot.ids) + [st.id for st in stations] + [TERMINUS_NAME]
     overrides = {n_sat + g: st.id for g, st in enumerate(stations)}
@@ -351,7 +347,7 @@ def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
     against ``overlay.disabled_links`` in a Python loop."""
     sat_ids = snapshot.ids
     station_ids = [st.id for st in stations]
-    sat_dead, st_dead = _jammed_mask(snapshot, stations, overlay.jam_regions, WGS84)
+    sat_dead, st_dead = _jammed_mask(snapshot, stations, overlay.jam_regions)
     sat_dead |= np.array([s in overlay.disabled_satellites for s in sat_ids], dtype=bool)
     st_dead |= np.array([s in overlay.disabled_stations for s in station_ids], dtype=bool)
 

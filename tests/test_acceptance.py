@@ -16,7 +16,6 @@ import pytest
 
 from sda_netlab.cli import run as cli_run
 from sda_netlab.constellation import (
-    TerminusNode,
     load_ground_stations_csv,
     select_actuators,
 )
@@ -31,7 +30,7 @@ from sda_netlab.experiments import (
     starlink_like_shell,
     summarize,
 )
-from sda_netlab.geo import GeodeticPosition, WGS84
+from sda_netlab.geo import SEMI_MAJOR_A_KM, GeodeticPosition
 from sda_netlab.routing import (
     ArchitectureMode,
     actuator_sources,
@@ -138,7 +137,7 @@ def test_criterion_3_combined_band_and_below_oneweb(combined_bundle, oneweb_bund
 def test_criterion_4_downhaul_dominates_onorbit(
     stations, oneweb_bundle, starlink_bundle, combined_bundle
 ):
-    default_terminus = TerminusNode(stations[0].geodetic)
+    default_terminus = stations[0].geodetic
     greedy_means = {}
     details = []
     ok = True
@@ -167,8 +166,8 @@ def test_criterion_4_downhaul_dominates_onorbit(
         details.append(f"{name}: greedy {greedy:.2f} ms = {ratio:.1f}x on-orbit")
 
     # The terminus choice must not rescue the ordering: try two more.
-    for terminus in (TerminusNode(GeodeticPosition(0.0, 0.0, 0.0)),
-                     TerminusNode(GeodeticPosition(-5.0, 160.0, 0.0))):
+    for terminus in (GeodeticPosition(0.0, 0.0, 0.0),
+                     GeodeticPosition(-5.0, 160.0, 0.0)):
         snapshot, graph, onorbit_mean = cases["oneweb"]
         flagged = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
         greedy = summarize(
@@ -177,7 +176,7 @@ def test_criterion_4_downhaul_dominates_onorbit(
         ).mean_ms
         ok &= greedy / onorbit_mean >= 5.0
         details.append(
-            f"oneweb@({terminus.geodetic.latitude_deg:.0f},{terminus.geodetic.longitude_deg:.0f}): "
+            f"oneweb@({terminus.latitude_deg:.0f},{terminus.longitude_deg:.0f}): "
             f"{greedy / onorbit_mean:.1f}x"
         )
 
@@ -234,7 +233,7 @@ def test_criterion_7_oracle_equivalence(stations):
         oracle = dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True)
         if engine != oracle:
             mismatches += 1
-        terminus = TerminusNode(stations[0].geodetic)
+        terminus = stations[0].geodetic
         greedy_engine = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
@@ -251,8 +250,8 @@ def test_criterion_7_oracle_equivalence(stations):
 
     rng = random.Random(424242)
     pairs = [(random_orbital_point(rng), random_orbital_point(rng)) for _ in range(7000)]
-    pairs += [grazing_pair(rng, WGS84.semi_major_a + 550.0) for _ in range(1500)]
-    pairs += [grazing_pair(rng, WGS84.semi_major_a + 1200.0) for _ in range(1500)]
+    pairs += [grazing_pair(rng, SEMI_MAJOR_A_KM + 550.0) for _ in range(1500)]
+    pairs += [grazing_pair(rng, SEMI_MAJOR_A_KM + 1200.0) for _ in range(1500)]
     in_band = 0
     los_disagreements = 0
     for p, q in pairs:

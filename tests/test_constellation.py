@@ -16,7 +16,7 @@ from sda_netlab.constellation import (
     select_actuators,
     snapshot_to_csv,
 )
-from sda_netlab.geo import WGS84
+from sda_netlab.geo import SEMI_MAJOR_A_KM
 
 
 def test_walker_equatorial_square():
@@ -30,7 +30,7 @@ def test_walker_shell_radii_and_separation():
     spec = WalkerSpec(550.0, 53.0, 6, 8, phasing_f=2)
     snap = generate_walker(spec)
     assert len(snap) == 48
-    radius = WGS84.semi_major_a + 550.0
+    radius = SEMI_MAJOR_A_KM + 550.0
     points = snap.positions.tolist()
     for p in points:
         assert math.hypot(*p) == pytest.approx(radius, abs=1e-9)
@@ -42,7 +42,7 @@ def test_walker_phasing_offsets_second_plane():
     # F=1, P=2, spp=2: plane 1 in-plane angles are offset by 360*1*1/(2*2) = 90 deg.
     spec = WalkerSpec(1000.0, 90.0, 2, 2, phasing_f=1)
     snap = generate_walker(spec)
-    r = WGS84.semi_major_a + 1000.0
+    r = SEMI_MAJOR_A_KM + 1000.0
     inc = math.radians(90.0)
     expected = []
     for p in range(2):
@@ -74,21 +74,21 @@ def test_walker_spec_validation():
 def test_snapshot_rejects_duplicate_ids_and_buried_satellites():
     pos = (7000.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="duplicate"):
-        ConstellationSnapshot("x", ("a", "a"), [pos, pos])
+        ConstellationSnapshot(("a", "a"), [pos, pos])
     with pytest.raises(ValueError, match="surface"):
-        ConstellationSnapshot("x", ("a",), [(6000.0, 0.0, 0.0)])
+        ConstellationSnapshot(("a",), [(6000.0, 0.0, 0.0)])
     with pytest.raises(ValueError, match="'b' is not above the surface"):
-        ConstellationSnapshot("x", ("a", "b", "c"), [pos, (0.0, 6000.0, 0.0), (0.0, 0.0, 6000.0)])
+        ConstellationSnapshot(("a", "b", "c"), [pos, (0.0, 6000.0, 0.0), (0.0, 0.0, 6000.0)])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="'b' has a non-finite position"):
-            ConstellationSnapshot("x", ("a", "b"), [pos, (7000.0, bad, 0.0)])
+            ConstellationSnapshot(("a", "b"), [pos, (7000.0, bad, 0.0)])
     with pytest.raises(ValueError, match="shape"):
-        ConstellationSnapshot("x", ("a", "b"), [pos])
+        ConstellationSnapshot(("a", "b"), [pos])
     with pytest.raises(ValueError, match="shape"):
-        ConstellationSnapshot("x", ("a",), [pos], actuators=[True, False])
+        ConstellationSnapshot(("a",), [pos], actuators=[True, False])
 
     given = np.array([pos, (0.0, 7000.0, 0.0)])
-    snap = ConstellationSnapshot("x", ("a", "b"), given)
+    snap = ConstellationSnapshot(("a", "b"), given)
     assert snap.actuators.tolist() == [False, False]
     given[0, 0] = 8000.0  # the snapshot holds a copy
     assert snap.positions[0, 0] == 7000.0
@@ -99,8 +99,8 @@ def test_snapshot_rejects_duplicate_ids_and_buried_satellites():
 
 
 def test_snapshot_csv_round_trip_is_exact():
-    snap = generate_walker(WalkerSpec(550.0, 53.0, 3, 5, phasing_f=1), label="rt")
-    back = load_snapshot_csv(snapshot_to_csv(snap), label="rt")
+    snap = generate_walker(WalkerSpec(550.0, 53.0, 3, 5, phasing_f=1))
+    back = load_snapshot_csv(snapshot_to_csv(snap))
     assert back.ids == snap.ids
     assert back.positions.tolist() == snap.positions.tolist()  # bit-exact through repr
 
@@ -139,13 +139,13 @@ def test_ground_station_csv_thirteen_rows():
 def test_merge_snapshots_rejects_id_collisions():
     a = generate_walker(WalkerSpec(550.0, 53.0, 1, 4), id_prefix="a")
     b = generate_walker(WalkerSpec(1200.0, 87.9, 1, 4), id_prefix="b")
-    merged = merge_snapshots("u", a, b)
+    merged = merge_snapshots(a, b)
     assert len(merged) == 8
-    flagged = merge_snapshots("u", select_actuators(a, 4, 1), b)
+    flagged = merge_snapshots(select_actuators(a, 4, 1), b)
     assert flagged.actuators.tolist() == [True] * 4 + [False] * 4
     assert flagged.positions.tolist() == a.positions.tolist() + b.positions.tolist()
     with pytest.raises(ValueError, match="duplicate"):
-        merge_snapshots("u", a, a)
+        merge_snapshots(a, a)
 
 
 def test_splitmix64_matches_independent_reimplementation():

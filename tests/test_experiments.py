@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import WalkerSpec, generate_walker, select_actuators
 from sda_netlab.experiments import (
@@ -229,26 +230,54 @@ def test_attack_scenario_jamming_the_sole_actuator():
     assert outcome.availability_loss == outcome.attacked.satellite_count - 1
 
 
-def test_attack_scenario_random_overlays_are_monotone():
-    rng = random.Random(17)
-    cfg = ScenarioConfig(constellation=small_source(planes=6, spp=10), seed=13)
-    snapshot_ids = [f"t-p{p:03d}-s{k:03d}" for p in range(6) for k in range(10)]
-    for _ in range(12):
-        overlay = AttackOverlay(
-            disabled_satellites=frozenset(rng.sample(snapshot_ids, rng.randint(0, 8))),
-            jam_regions=(
-                JamRegion(
-                    GeodeticPosition(rng.uniform(-80, 80), rng.uniform(-180, 180), 0.0),
-                    rng.uniform(200.0, 1500.0),
-                ),
-            )
-            if rng.random() < 0.5
-            else (),
-            reroute_penalty_ms=rng.choice([0.0, 0.2]),
-        )
-        outcome = attack_scenario(replace(cfg, overlay=overlay), threads=1)
-        assert outcome.availability_loss >= 0
-        assert outcome.delta_mean_ms is None or outcome.delta_mean_ms >= 0.0
+@pytest.fixture(scope="module")
+def stations_csv(tmp_path_factory):
+    return write_stations(tmp_path_factory.mktemp("stations"))
+
+
+_MONOTONE_SATS = [f"t-p{p:03d}-s{k:03d}" for p in range(6) for k in range(10)]
+_MONOTONE_STATIONS = ["gA", "gB", "gC", "gD", "gE"]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    mode=st.sampled_from([ArchitectureMode.ON_ORBIT, ArchitectureMode.DOWNHAUL_OPTIMAL]),
+    seed=st.integers(0, 2**64 - 1),
+    disabled_satellites=st.frozensets(st.sampled_from(_MONOTONE_SATS), max_size=8),
+    disabled_stations=st.frozensets(st.sampled_from(_MONOTONE_STATIONS), max_size=3),
+    links=st.lists(
+        st.tuples(st.sampled_from(_MONOTONE_SATS), st.sampled_from(_MONOTONE_SATS + _MONOTONE_STATIONS)),
+        max_size=12,
+    ),
+    jam_regions=st.lists(
+        st.builds(
+            JamRegion,
+            st.builds(GeodeticPosition, st.floats(-80.0, 80.0), st.floats(-180.0, 180.0)),
+            st.floats(200.0, 1500.0),
+        ),
+        max_size=1,
+    ),
+    penalty=st.sampled_from([0.0, 0.2]),
+)
+def test_attack_scenario_random_overlays_are_monotone(
+    stations_csv, mode, seed, disabled_satellites, disabled_stations, links, jam_regions, penalty
+):
+    # Shortest paths only lose edges and gain penalty under an overlay.
+    # Greedy stays out: its latency can legitimately drop (see
+    # test_greedy_latency_can_legitimately_drop_when_an_edge_is_removed).
+    cfg = ScenarioConfig(
+        constellation=small_source(planes=6, spp=10), stations_csv=stations_csv, mode=mode, seed=seed,
+        overlay=AttackOverlay(
+            disabled_satellites=disabled_satellites,
+            disabled_stations=disabled_stations,
+            disabled_links=frozenset(AttackOverlay.normalize_link(a, b) for a, b in links),
+            jam_regions=tuple(jam_regions),
+            reroute_penalty_ms=penalty,
+        ),
+    )
+    outcome = attack_scenario(cfg, threads=1)
+    assert outcome.availability_loss >= 0
+    assert outcome.delta_mean_ms is None or outcome.delta_mean_ms >= 0.0
 
 
 def test_attack_overlay_penalty_applies_only_to_attacked_run():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
-    TerminusNode,
     load_ground_stations_csv,
     select_actuators,
 )
@@ -51,7 +50,7 @@ def manual_graph(sat_count, station_count, sat_links, station_links):
 
 
 def single_sat_snapshot():
-    return ConstellationSnapshot("one", ("sat",), [(7000.0, 0.0, 0.0)])
+    return ConstellationSnapshot(("sat",), [(7000.0, 0.0, 0.0)])
 
 
 def station_at_arc(station_id, arc_km):
@@ -59,7 +58,7 @@ def station_at_arc(station_id, arc_km):
     return load_ground_stations_csv(f"id,lat_deg,lon_deg,alt_km\n{station_id},{lat},0,0\n")[0]
 
 
-TERMINUS = TerminusNode(GeodeticPosition(0.0, 0.0, 0.0))
+TERMINUS = GeodeticPosition(0.0, 0.0, 0.0)
 
 
 def test_greedy_picks_nearest_station_optimal_picks_cheapest_path():
@@ -89,7 +88,7 @@ def test_downhaul_unreachable_and_colocated_terminus():
     assert report.hops[0] == -1 and report.terminal[0] is None
 
     graph = manual_graph(1, 1, [], [(0, 0, 500.0)])
-    colocated = TerminusNode(stations[0].geodetic)
+    colocated = stations[0].geodetic
     report = downhaul_latencies(graph, snapshot, stations, colocated, ArchitectureMode.DOWNHAUL_GREEDY)
     assert report.latency_ms[0] == propagation_delay_ms(500.0)
 
@@ -118,7 +117,7 @@ def test_relay_seeds_broadcast_scalars_and_reject_repeats_and_negative_labels():
 
 
 def test_greedy_ties_go_to_the_lower_station_index():
-    snapshot = ConstellationSnapshot("two", ("s0", "s1"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
+    snapshot = ConstellationSnapshot(("s0", "s1"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
     stations = [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)]
     # s0 sees both stations at the same delay; s1 sees B nearer.
     graph = manual_graph(2, 2, [], [(0, 0, 500.0), (0, 1, 500.0), (1, 0, 800.0), (1, 1, 300.0)])
@@ -140,7 +139,7 @@ def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elev
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\n" + "".join(f"g{k},{lat!r},{lon!r},0\n" for k, (lat, lon) in enumerate(sites))
     )
-    terminus = TerminusNode(stations[-1].geodetic)
+    terminus = stations[-1].geodetic
     snap = random_shell(shell_seed, count=count)
     graph = build_visibility_graph(snap, stations, min_elevation_deg=min_elevation_deg, threads=1)
     assert_same_seeds(
@@ -151,7 +150,7 @@ def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elev
 
 def chain_snapshot(actuators=(False, False, True)):
     positions = [(7000.0, 0.0, 0.0), (7000.0, 1000.0, 0.0), (7000.0, 2000.0, 0.0)]
-    return ConstellationSnapshot("chain", ("A", "B", "C"), positions, actuators)
+    return ConstellationSnapshot(("A", "B", "C"), positions, actuators)
 
 
 def test_onorbit_trivial_cases_and_forced_chain():
@@ -188,7 +187,7 @@ def test_onorbit_penalty_applies_beyond_first_hop():
 
 def test_onorbit_ties_break_to_lower_index():
     snap = ConstellationSnapshot(
-        "tie", ("mid", "left", "right"),
+        ("mid", "left", "right"),
         [(7000.0, 0.0, 0.0), (7000.0, -500.0, 0.0), (7000.0, 500.0, 0.0)],
         actuators=(False, True, True),
     )
@@ -201,7 +200,7 @@ def test_onorbit_ties_break_to_lower_index():
 
 def _line_snapshot(actuator):
     return ConstellationSnapshot(
-        "line", ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)],
+        ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)],
         actuators=np.arange(3) == actuator,
     )
 
@@ -228,7 +227,7 @@ def test_a_zero_delay_parent_cycle_is_an_error():
 
 def test_star_topology_single_sweep_matches_dijkstra():
     snap = ConstellationSnapshot(
-        "star", ("hub",) + tuple(f"leaf{k}" for k in range(5)),
+        ("hub",) + tuple(f"leaf{k}" for k in range(5)),
         [(7000.0, 100.0 * k, 0.0) for k in range(6)],
         actuators=np.arange(6) == 0,
     )
@@ -254,7 +253,7 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     # sweeps would relax all 2E directed edges in each of ~3000 sweeps.
     n = 3000
     snap = ConstellationSnapshot(
-        "path", tuple(f"p{k:04d}" for k in range(n)), [(7000.0, 10.0 * k, 0.0) for k in range(n)],
+        tuple(f"p{k:04d}" for k in range(n)), [(7000.0, 10.0 * k, 0.0) for k in range(n)],
         actuators=np.arange(n) == 0,
     )
     graph = manual_graph(n, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
@@ -288,7 +287,7 @@ def test_dijkstra_oracle_equals_greedy_downhaul_engine_on_random_instances():
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\ng1,10,30,0\ng2,-40,150,0\ng3,65,-100,0\n"
     )
-    terminus = TerminusNode(stations[0].geodetic)
+    terminus = stations[0].geodetic
     for seed in range(25):
         snap, graph, penalty = _random_instance(seed + 1000)
         graph = build_visibility_graph(snap, stations, threads=1)
@@ -303,7 +302,7 @@ def test_bellman_solver_equals_dijkstra_for_optimal_mode():
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\ng1,10,30,0\ng2,-40,150,0\ng3,65,-100,0\n"
     )
-    terminus = TerminusNode(stations[1].geodetic)
+    terminus = stations[1].geodetic
     for seed in range(15):
         snap, _, penalty = _random_instance(seed + 2000)
         graph = build_visibility_graph(snap, stations, threads=1)
@@ -369,7 +368,7 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     stations = PROPERTY_STATIONS
     snap = random_shell(shell_seed, count=count)
     snap = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
-    terminus = TerminusNode(data.draw(st.sampled_from(stations)).geodetic)
+    terminus = data.draw(st.sampled_from(stations)).geodetic
     penalty = data.draw(st.sampled_from([0.0, 0.25, 1.75]))
     graph = build_visibility_graph(snap, stations, threads=1)
     overlay = _draw_overlay(data, graph, snap, stations)
@@ -402,7 +401,7 @@ def test_optimal_never_exceeds_greedy_pointwise():
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\ng1,0,0,0\ng2,30,90,0\ng3,-30,-90,0\ng4,60,180,0\n"
     )
-    terminus = TerminusNode(stations[0].geodetic)
+    terminus = stations[0].geodetic
     for seed in range(10):
         snap, _, penalty = _random_instance(seed + 3000)
         graph = build_visibility_graph(snap, stations, threads=1)
@@ -466,7 +465,7 @@ def test_all_visible_means_direct_delay_to_nearest_actuator():
         s = math.sqrt(1.0 - z * z)
         r = 6378.137 + 5000.0
         positions.append((r * s * math.cos(az), r * s * math.sin(az), r * z))
-    snap = ConstellationSnapshot("cap", tuple(f"s{k:03d}" for k in range(25)), positions)
+    snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(25)), positions)
     snap = select_actuators(snap, 5, 3)
     graph = build_visibility_graph(snap, threads=1)
     assert graph.sat_edge_count == 25 * 24 // 2
@@ -529,7 +528,7 @@ def test_reported_paths_resum_to_reported_latency():
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\ng1,20,-10,0\ng2,-55,140,0\n"
     )
-    terminus = TerminusNode(stations[0].geodetic)
+    terminus = stations[0].geodetic
     for seed in (1, 2, 3):
         snap, _, penalty = _random_instance(seed + 7000)
         graph = build_visibility_graph(snap, stations, threads=1)

@@ -90,7 +90,7 @@ def test_adjacency_equals_the_edge_list_reference(shells, grazing_seed, grazing_
         points += [p.as_tuple() for p in grazing_pair(rng, rng.uniform(6800.0, 8500.0))]
     if coincident:
         points.append(points[-1])
-    snap = ConstellationSnapshot("multi", tuple(f"s{k:03d}" for k in range(len(points))), points)
+    snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(len(points))), points)
     graph = build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=1)
 
     reference = graph_from_edges(len(snap), len(STATIONS), *brute_force_edges(snap, STATIONS, margin_km))
@@ -124,9 +124,9 @@ def test_adjacency_lists_each_edge_under_both_endpoints():
 
 
 def test_build_trivial_two_satellite_cases():
-    over = ConstellationSnapshot("t", ("a", "b"), [(7000, 0, 0), (8000, 0, 0)])
+    over = ConstellationSnapshot(("a", "b"), [(7000, 0, 0), (8000, 0, 0)])
     assert build_visibility_graph(over).sat_edge_count == 1
-    anti = ConstellationSnapshot("t", ("a", "b"), [(7000, 0, 0), (-7000, 0, 0)])
+    anti = ConstellationSnapshot(("a", "b"), [(7000, 0, 0), (-7000, 0, 0)])
     assert build_visibility_graph(anti).sat_edge_count == 0
 
 
@@ -155,7 +155,7 @@ def test_build_is_order_independent_up_to_relabeling():
     order = list(range(len(snap)))
     rng.shuffle(order)
     shuffled = ConstellationSnapshot(
-        "shuffled", tuple(snap.ids[i] for i in order), snap.positions[order]
+        tuple(snap.ids[i] for i in order), snap.positions[order]
     )
     g1 = build_visibility_graph(snap, STATIONS, threads=1)
     g2 = build_visibility_graph(shuffled, STATIONS, threads=1)
@@ -261,7 +261,7 @@ def test_jam_region_isolates_exactly_the_satellite_underneath():
     # Chain of satellites along one meridian, 30 deg apart; index 0 is polar.
     phis = [math.radians(lat) for lat in (90.0, 60.0, 30.0, 0.0, -30.0)]
     snap = ConstellationSnapshot(
-        "jam", tuple(f"m{k}" for k in range(5)),
+        tuple(f"m{k}" for k in range(5)),
         [(7000 * math.cos(phi), 0.0, 7000 * math.sin(phi)) for phi in phis],
     )
     graph = build_visibility_graph(snap, threads=1)
@@ -349,7 +349,7 @@ def test_overlay_equals_the_id_matching_oracle(shell_seed, count, sites, data):
     )
     shell = random_shell(shell_seed, count=count)
     order = data.draw(st.permutations(range(count)))
-    snap = ConstellationSnapshot("shuffled", tuple(shell.ids[k] for k in order), shell.positions[order])
+    snap = ConstellationSnapshot(tuple(shell.ids[k] for k in order), shell.positions[order])
     graph = build_visibility_graph(snap, stations, threads=1)
     assert_same_graph(build_visibility_graph(snap, stations, threads=2), graph)
     assert_keys_increase(graph)
