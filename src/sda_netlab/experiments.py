@@ -24,7 +24,6 @@ from .constellation import (
 from .geo import GeodeticPosition
 from .jsonvalues import json_number
 from .routing import (
-    TERMINUS_NAME,
     ArchitectureMode,
     LatencyReport,
     downhaul_latencies,
@@ -35,6 +34,8 @@ from .topology import (
     AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, reroute_penalty,
 )
 
+# Reserved: a station id may not take the name of the terminus.
+TERMINUS_NAME = "terminus"
 DEFAULT_ACTUATOR_FRACTION = 0.15
 DEFAULT_SWEEP_FRACTIONS = tuple(i / 20 for i in range(1, 21))
 

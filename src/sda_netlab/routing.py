@@ -8,36 +8,43 @@ Architecture semantics
   station are resolved by relaying over inter-satellite links to the
   fixpoint of ``L_i = min_j (delay(i, j) + penalty + L_j)``.  Station-backed
   labels act as immutable boundary values: relaying never rewrites them.
-* ``downhaul-optimal``: true shortest path to the terminus over the
-  augmented graph (satellites, stations, terminus), quantifying the cost of
-  the greedy station choice.  Stations only forward toward the terminus;
-  there are no ground-bounce paths back into the constellation.
+* ``downhaul-optimal``: true shortest path to the terminus, quantifying
+  the cost of the greedy station choice.  Every station-visible satellite
+  is seeded with its best downlink offer (downlink delay plus that
+  station's surface leg, minimised over the stations it sees), and relaying
+  over inter-satellite links may beat the offer.  Stations only forward
+  toward the terminus; there are no ground-bounce paths back into the
+  constellation.
 * ``onorbit``: multi-source shortest path over inter-satellite links with
   every actuator at distance zero.  A hop is penalty-free when it lands
   directly on an actuator; every other relay hop pays the reroute penalty.
 
 One engine
 ----------
-Every mode is one relaxation problem over the graph's satellite adjacency,
-which the graph build emits and every solve on the graph shares.  Jacobi
-sweeps apply ``label[v] = min(label[v], weight(u, v) + label[u])`` along
-the hops leaving the nodes whose label dropped in the previous sweep (along
-every hop at once when those are a large share), until a sweep lowers
-nothing, so a relay chain costs O(E) relaxations, not O(V * E).
+Every mode is one seeded relaxation problem over the graph's satellite
+adjacency, one node per satellite, which the graph build emits and every
+solve on the graph shares.  Jacobi sweeps apply
+``label[v] = min(label[v], weight(u, v) + label[u])`` along the hops leaving
+the nodes whose label dropped in the previous sweep (along every hop at
+once when those are a large share), until a sweep lowers nothing, so a
+relay chain costs O(E) relaxations, not O(V * E).
 
 The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
 improves ends at the minimum over paths of the floating-point path cost,
 bit for bit what a heap Dijkstra returns.  The tests keep one as the
-oracle.  Hops, next hop and terminal come from the labels alone: each
-node's parent is an in-hop that attains its label (equal-cost ties broken
-toward the lower node index), and the report reads the resulting forest.
+oracle.  Hops, next hop and terminal come from the labels alone: a node's
+parent is its lowest-index in-hop from a smaller label that attains its
+label exactly; failing that, its own seed if that attains the label (a
+fixed seed always roots); failing that, an attaining in-hop from an equal
+label, whose delay the sum absorbed, taken in rounds only from nodes whose
+parent is already set.  The report reads the resulting forest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -46,8 +53,6 @@ import numpy as np
 from .constellation import ConstellationSnapshot, GroundStationNode
 from .geo import GeodeticPosition, propagation_delay_ms, surface_distance_km
 from .topology import SatAdjacency, VisibilityGraph
-
-TERMINUS_NAME = "terminus"
 
 
 class ArchitectureMode(str, Enum):
@@ -128,14 +133,14 @@ class RelaySeeds:
 
 @dataclass
 class _RelayProblem:
-    """Directed relaxation problem over a graph's satellite adjacency.
+    """Directed relaxation problem over a graph's satellite adjacency, one
+    node per satellite.
 
     Hop (src, dst, weight) means ``label[dst]`` may be improved to
-    ``weight + label[src]``.  A hop between satellites weighs
-    ``delay + penalty_ms`` unless its source is ``exempt``.  The ``ground_*``
-    arrays hold penalty-free hops from seeds past the satellites (the
-    stations of downhaul-optimal) into satellites.  Seed labels are
-    immutable: no hop relaxes into a seed.
+    ``weight + label[src]``.  A hop weighs ``delay + penalty_ms`` unless its
+    source is ``exempt``.  Seeds start at their seed label; with
+    ``fixed_seeds`` no hop relaxes into a seed, otherwise relaying may lower
+    a seed's label like any other.
     """
 
     adjacency: SatAdjacency
@@ -143,17 +148,11 @@ class _RelayProblem:
     exempt: np.ndarray  # (sat_count,) bool
     seeds: RelaySeeds
     node_names: tuple[str, ...]
-    ground_src: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    ground_dst: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    ground_weight: np.ndarray = field(default_factory=lambda: np.empty(0))
+    fixed_seeds: bool = True
 
     @property
     def node_count(self) -> int:
         return len(self.node_names)
-
-    @property
-    def sat_count(self) -> int:
-        return self.adjacency.indptr.size - 1
 
     def sat_weights(self, src: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
         """Penalised weights of satellite hops leaving ``src``."""
@@ -208,18 +207,16 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
     A sweep relaxes the hops leaving the satellites whose label dropped in
     the previous sweep (push), or, when those are a large share, every hop
     by a per-node min-reduce (pull); both give the labels of a full sweep.
-    Ground hops leave immutable seeds, so they are relaxed once, up front.
     """
     n = problem.node_count
     labels = np.full(n, math.inf)
-    fixed = np.zeros(n, dtype=bool)
     labels[problem.seeds.node] = problem.seeds.label_ms
-    fixed[problem.seeds.node] = True
-    np.minimum.at(labels, problem.ground_dst, problem.ground_weight + labels[problem.ground_src])
-    frontier = np.flatnonzero(np.isfinite(labels[: problem.sat_count]))
+    fixed = np.zeros(n, dtype=bool)
+    fixed[problem.seeds.node] = problem.fixed_seeds
+    frontier = np.flatnonzero(np.isfinite(labels))
     stamp = np.zeros(n, dtype=np.int64)
     indptr = problem.adjacency.indptr
-    sweeps, relaxed = 0, problem.ground_src.size
+    sweeps, relaxed = 0, 0
     for _ in range(n + 1):
         frontier_hops = np.sum(indptr[frontier + 1] - indptr[frontier])
         if frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * indptr[-1]:
@@ -247,37 +244,54 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
 
 
 def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
-    """Parent of every reachable node with an attaining in-hop, -1
-    elsewhere.  A seed may get one too; the caller ignores it.
+    """Parent of every reachable node, the node itself at a root, and -1
+    where nothing attains the label.
 
-    Among in-hops that attain the node's label exactly, prefer one that
-    makes strict progress (smaller parent label), then the lower node index.
+    Of the in-hops that attain a node's label exactly, one from a smaller
+    label (strict progress) wins, lowest node index first.  Failing that, a
+    seed whose label is still its seed label is a root; a fixed seed always
+    is.  Failing that, an in-hop from an equal label (the sum absorbed its
+    delay) is taken only from a node whose parent is already set: each round
+    takes the lowest such index per node, and as a round only builds on
+    earlier ones, no parent cycle can form.
     """
     n = problem.node_count
     adj = problem.adjacency
+    seeds = problem.seeds
+
+    def lowest(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+        key = np.full(n, n, dtype=np.int64)
+        np.minimum.at(key, dst, src)
+        return np.where(key < n, key, -1)
+
     cand = problem.in_weights + labels[adj.neighbors]
     # np.repeat of the row labels is faster than gathering them by adj.rows.
-    attain = np.flatnonzero(cand == np.repeat(labels[: problem.sat_count], np.diff(adj.indptr)))
+    attain = np.flatnonzero(cand == np.repeat(labels, np.diff(adj.indptr)))
     dst = adj.rows[attain]
-    src = adj.neighbors[attain].astype(np.int64)
-    ground = problem.ground_weight + labels[problem.ground_src] == labels[problem.ground_dst]
-    dst = np.concatenate([dst, problem.ground_dst[ground]])
-    src = np.concatenate([src, problem.ground_src[ground]])
+    src = adj.neighbors[attain]
     keep = np.isfinite(labels[dst])
     dst, src = dst[keep], src[keep]
-    key = np.where(labels[src] < labels[dst], src, src + n)
-    parent_key = np.full(n, 2 * n, dtype=np.int64)
-    np.minimum.at(parent_key, dst, key)
-    return np.where(parent_key < 2 * n, parent_key % n, -1)
+    strict = labels[src] < labels[dst]
+    parent = lowest(dst[strict], src[strict])
+    roots = seeds.node
+    if not problem.fixed_seeds:
+        roots = roots[(parent[roots] < 0) & (labels[roots] == seeds.label_ms)]
+    parent[roots] = roots
+    dst, src = dst[~strict], src[~strict]
+    while True:
+        take = (parent[dst] < 0) & (parent[src] >= 0)
+        if not take.any():
+            return parent
+        parent = np.where(parent < 0, lowest(dst[take], src[take]), parent)
 
 
 def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport:
     """Derive hops / next hop / terminal from the converged labels.
 
-    The parent rule of :func:`_parents` depends only on the labels; with the
-    seeds as roots it makes a forest.  A seed keeps its own report fields,
-    and every other node takes its root's terminal and hops plus its depth
-    below the root, found by pointer jumping in O(log n) rounds.
+    The parent rule of :func:`_parents` depends only on the labels and makes
+    a forest.  A root keeps its seed's report fields, and every other node
+    takes its root's terminal and hops plus its depth below the root, found
+    by pointer jumping in O(log n) rounds.
     """
     n = problem.node_count
     seeds = problem.seeds
@@ -292,7 +306,6 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport
 
     nodes = np.arange(n)
     parent = _parents(problem, labels)
-    parent[seeds.node] = seeds.node
     orphans = np.flatnonzero(np.isfinite(labels) & (parent < 0))
     if orphans.size:
         node = orphans[np.argmin(labels[orphans])]
@@ -312,15 +325,13 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport
     else:
         raise RuntimeError("zero-delay relay cycle: cannot orient delivery paths")
 
-    m = problem.sat_count
-    parent, root = parent[:m], jump[:m]
     names = np.array(problem.node_names, dtype=object)
     return LatencyReport(
-        sat_ids=problem.node_names[:m],
-        latency_ms=labels[:m],
-        hops=seed_hops[root] + depth[:m],
-        next_hop=np.where(parent == nodes[:m], seed_next_hop[:m], names[parent]),
-        terminal=seed_terminal[root],
+        sat_ids=problem.node_names,
+        latency_ms=labels,
+        hops=seed_hops[jump] + depth,
+        next_hop=np.where(parent == nodes, seed_next_hop, names[parent]),
+        terminal=seed_terminal[jump],
     )
 
 
@@ -333,33 +344,26 @@ def actuator_sources(snapshot: ConstellationSnapshot) -> RelaySeeds:
     return RelaySeeds(node, 0.0, 0, None, np.array(snapshot.ids, dtype=object)[node])
 
 
-def ground_delays_ms(
-    stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: GeodeticPosition,
-) -> list[float]:
-    return [
-        propagation_delay_ms(surface_distance_km(st.geodetic, terminus))
-        for st in stations
-    ]
-
-
-def greedy_downhaul_sources(
+def downlink_seeds(
     graph: VisibilityGraph,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: GeodeticPosition,
+    mode: ArchitectureMode,
 ) -> RelaySeeds:
-    """Label every station-visible satellite with its greedy downlink:
-    nearest visible station by straight-line distance (ties to the lower
-    station index), plus that station's surface leg to the terminus."""
-    rows = graph.station_edges[:, 0]
-    # Stable: among a row's equal delays the first edge, i.e. the lower
+    """Seed every station-visible satellite with one downlink offer: its
+    downlink delay plus the station's surface leg to the terminus.  Greedy
+    takes the visible station of least downlink delay, optimal the one of
+    least offer; ties go to the lower station index."""
+    rows, station = graph.station_edges[:, 0], graph.station_edges[:, 1]
+    legs = np.array([propagation_delay_ms(surface_distance_km(st.geodetic, terminus)) for st in stations])
+    offer = graph.station_delays_ms + legs[station]
+    rank = offer if mode is ArchitectureMode.DOWNHAUL_OPTIMAL else graph.station_delays_ms
+    # Stable: among a row's equal ranks the first edge, i.e. the lower
     # station index, comes first.
-    order = np.lexsort((graph.station_delays_ms, rows))
+    order = np.lexsort((rank, rows))
     first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
-    station = graph.station_edges[first, 1]
-    label = graph.station_delays_ms[first] + np.array(ground_delays_ms(stations, terminus))[station]
-    terminal = np.array([st.id for st in stations], dtype=object)[station]
-    return RelaySeeds(rows[first], label, 2, terminal, terminal)
+    terminal = np.array([st.id for st in stations], dtype=object)[station[first]]
+    return RelaySeeds(rows[first], offer[first], 2, terminal, terminal)
 
 
 # --- Engines --------------------------------------------------------------------
@@ -371,9 +375,9 @@ def _sat_problem(
     sources: RelaySeeds,
     reroute_penalty_ms: float,
     exempt_sources_from_penalty: bool,
+    fixed_seeds: bool = True,
 ) -> _RelayProblem:
-    """Satellites only; with the exemption, hops leaving a source are
-    penalty-free."""
+    """With the exemption, hops leaving a source are penalty-free."""
     exempt = np.zeros(graph.sat_count, dtype=bool)
     if exempt_sources_from_penalty:
         exempt[sources.node] = True
@@ -383,6 +387,7 @@ def _sat_problem(
         exempt=exempt,
         seeds=sources,
         node_names=snapshot.ids,
+        fixed_seeds=fixed_seeds,
     )
 
 
@@ -414,35 +419,9 @@ def downhaul_latencies(
     """Latency to the ground terminus via the station network."""
     if not stations:
         raise ValueError("stations_csv: downhaul modes need at least one ground station")
-    if mode is ArchitectureMode.DOWNHAUL_GREEDY:
-        sources = greedy_downhaul_sources(graph, stations, terminus)
-        return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False))
-    if mode is ArchitectureMode.DOWNHAUL_OPTIMAL:
-        return _route(_augmented_problem(graph, snapshot, stations, terminus, reroute_penalty_ms))
-    raise ValueError(f"downhaul_latencies cannot run mode {mode.value!r}")
-
-
-def _augmented_problem(
-    graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
-    stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
-    terminus: GeodeticPosition,
-    reroute_penalty_ms: float,
-) -> _RelayProblem:
-    """Satellites and stations, directed against the data flow: station ->
-    satellite -> satellite.  Each station is a seed holding its surface leg
-    to the terminus, as if reached over the hop terminus -> station."""
-    n_sat = graph.sat_count
-    station_ids = tuple(st.id for st in stations)
-    legs = ground_delays_ms(stations, terminus)
-    return _RelayProblem(
-        adjacency=graph.adjacency,
-        penalty_ms=reroute_penalty_ms,
-        exempt=np.zeros(n_sat, dtype=bool),
-        seeds=RelaySeeds(n_sat + np.arange(len(stations)), legs, 1, TERMINUS_NAME, station_ids),
-        node_names=snapshot.ids + station_ids,
-        # Station -> satellite downlinks (reverse of the data direction).
-        ground_src=graph.station_edges[:, 1].astype(np.int64) + n_sat,
-        ground_dst=graph.station_edges[:, 0].astype(np.int64),
-        ground_weight=graph.station_delays_ms,
-    )
+    if mode not in (ArchitectureMode.DOWNHAUL_GREEDY, ArchitectureMode.DOWNHAUL_OPTIMAL):
+        raise ValueError(f"downhaul_latencies cannot run mode {mode.value!r}")
+    sources = downlink_seeds(graph, stations, terminus, mode)
+    # Greedy downlinks are final; relaying may beat an optimal offer.
+    fixed = mode is ArchitectureMode.DOWNHAUL_GREEDY
+    return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False, fixed))

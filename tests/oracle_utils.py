@@ -5,8 +5,9 @@ package (sampling instead of minimization, naive sums instead of fsum,
 double loops instead of vectorization, a heap Dijkstra with per-node parent
 scans instead of frontier sweeps over the adjacency, per-edge id matching
 instead of index keys for overlays, a per-edge loop instead of a sort for
-greedy downlinks, a stable sort of an edge list instead of the build's row
-blocks for the satellite adjacency).  The scalar geometry references
+downlink seeds, station and terminus nodes instead of seeded downlink
+offers for downhaul-optimal, a stable sort of an edge list instead of the
+build's row blocks for the satellite adjacency).  The scalar geometry references
 (``min_scaled_norm_sq``, ``has_line_of_sight``, ``euclidean_km``) and the
 TLE writer live here too: only the tests call them.
 """
@@ -30,7 +31,8 @@ from sda_netlab.geo import (
     propagation_delay_ms,
     surface_distance_km,
 )
-from sda_netlab.routing import TERMINUS_NAME, LatencyReport, RelaySeeds, ground_delays_ms
+from sda_netlab.experiments import TERMINUS_NAME
+from sda_netlab.routing import ArchitectureMode, LatencyReport, RelaySeeds
 from sda_netlab.tle import _J2000, TleElements, line_checksum
 from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph, _jammed_mask
 
@@ -231,21 +233,28 @@ def seed_rows(seeds: RelaySeeds) -> list[tuple]:
     )))
 
 
-def greedy_sources_oracle(graph, stations, terminus) -> RelaySeeds:
-    """Greedy downlink seeds by a loop over the station edges in order: a
-    strictly lower delay takes a satellite's downlink, so ties stay with
-    the lower station index.  The reference for
-    ``routing.greedy_downhaul_sources``."""
-    ground = ground_delays_ms(stations, terminus)
-    best_delay = [math.inf] * graph.sat_count
-    best_station = [-1] * graph.sat_count
+def terminus_legs_ms(stations, terminus) -> list[float]:
+    """Each station's surface leg to the terminus, in ms."""
+    return [propagation_delay_ms(surface_distance_km(st.geodetic, terminus)) for st in stations]
+
+
+def downlink_seeds_oracle(graph, stations, terminus, mode) -> RelaySeeds:
+    """Downlink seeds by a loop over the station edges in order: a strictly
+    lower rank (the downlink delay for greedy, delay plus surface leg for
+    optimal) takes a satellite's downlink, so ties stay with the lower
+    station index.  The reference for ``routing.downlink_seeds``."""
+    legs = terminus_legs_ms(stations, terminus)
+    optimal = mode is ArchitectureMode.DOWNHAUL_OPTIMAL
+    best_rank = [math.inf] * graph.sat_count
+    best = [None] * graph.sat_count
     for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
-        if d < best_delay[i]:
-            best_delay[i] = d
-            best_station[i] = g
-    nodes = [i for i, g in enumerate(best_station) if g >= 0]
-    labels = [best_delay[i] + ground[best_station[i]] for i in nodes]
-    ids = [stations[best_station[i]].id for i in nodes]
+        rank = d + legs[g] if optimal else d
+        if rank < best_rank[i]:
+            best_rank[i] = rank
+            best[i] = (g, d + legs[g])
+    nodes = [i for i, pick in enumerate(best) if pick is not None]
+    labels = [best[i][1] for i in nodes]
+    ids = [stations[best[i][0]].id for i in nodes]
     return RelaySeeds(nodes, labels, 2, ids, ids)
 
 
@@ -273,8 +282,7 @@ def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) ->
         edges += [(i, j, d + penalty), (j, i, d + penalty)]
     for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
         edges.append((n_sat + g, i, d))
-    for g, st in enumerate(stations):
-        leg = propagation_delay_ms(surface_distance_km(st.geodetic, terminus))
+    for g, leg in enumerate(terminus_legs_ms(stations, terminus)):
         edges.append((t, n_sat + g, leg))
     names = list(snapshot.ids) + [st.id for st in stations] + [TERMINUS_NAME]
     overrides = {n_sat + g: st.id for g, st in enumerate(stations)}
@@ -287,8 +295,11 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
 
     ``sources`` are (node, label_ms, hops, next_hop, terminal) rows.  A
     node's parent is, among its in-edges whose candidate equals its label
-    exactly, one from a strictly smaller label if any, then the lowest index.
-    Nothing relaxes into a source; a source keeps its own report fields.
+    exactly, the lowest-index one from a strictly smaller label.  Failing
+    that, it is taken in rounds from an equal label: each round gives every
+    node left the lowest-index such in-edge whose source had a parent
+    before the round.  Nothing relaxes into a source; a source is a root
+    and keeps its own report fields.
     """
     seed = {}
     dist = [math.inf] * node_count
@@ -316,14 +327,35 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
                 dist[v] = w + du
                 heapq.heappush(heap, (dist[v], v))
 
+    parent = {v: v for v in seed}
+    equal = {}  # node -> the sources of its attaining in-edges, all at its label
+    for v in range(node_count):
+        if v in parent or not math.isfinite(dist[v]):
+            continue
+        attaining = [u for u, w in into[v] if w + dist[u] == dist[v]]
+        strict = [u for u in attaining if dist[u] < dist[v]]
+        if strict:
+            parent[v] = min(strict)
+        else:
+            equal[v] = attaining
+    while True:
+        found = {
+            v: min(u for u in us if u in parent)
+            for v, us in equal.items() if any(u in parent for u in us)
+        }
+        if not found:
+            break
+        parent.update(found)
+        for v in found:
+            del equal[v]
+    assert not equal, "no attaining in-edge"
+
     fields = dict(seed)
     for start in range(node_count):
         chain, v = [], start
-        while v not in fields and math.isfinite(dist[v]):
-            attaining = [u for u, w in into[v] if w + dist[u] == dist[v]]
-            strict = [u for u in attaining if dist[u] < dist[v]]
+        while v not in fields and v in parent:
             chain.append(v)
-            v = min(strict or attaining)
+            v = parent[v]
             assert len(chain) <= node_count, "parent cycle"
         for child in reversed(chain):
             hops, _, terminal = fields[v]

@@ -41,8 +41,8 @@ from sda_netlab.topology import AttackOverlay, JamRegion, build_visibility_graph
 from oracle_utils import (
     dijkstra_oracle,
     dijkstra_oracle_optimal,
+    downlink_seeds_oracle,
     grazing_pair,
-    greedy_sources_oracle,
     has_line_of_sight,
     min_scaled_norm,
     random_orbital_point,
@@ -238,7 +238,9 @@ def test_criterion_7_oracle_equivalence(stations):
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
         greedy_oracle = dijkstra_oracle(
-            graph, snap, greedy_sources_oracle(graph, stations, terminus), penalty
+            graph, snap,
+            downlink_seeds_oracle(graph, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY),
+            penalty,
         )
         if greedy_engine != greedy_oracle:
             mismatches += 1

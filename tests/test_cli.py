@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,7 +18,10 @@ from sda_netlab import experiments
 from sda_netlab.cli import run, validate_config
 from sda_netlab.constellation import WalkerSpec
 from sda_netlab.experiments import PRESET_NAMES, ConstellationSource, ScenarioConfig, preset_shells
-from sda_netlab.routing import ArchitectureMode
+from sda_netlab.routing import ArchitectureMode, actuator_sources
+from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, downlink_seeds_oracle
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write(path, text):
@@ -526,8 +530,8 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, se
         if overlay is not None:
             cfg["overlay"] = overlay
         path = write(tmp / "scenario.json", json.dumps(cfg))
-        # A run may fail, e.g. near-coincident satellites make a zero-delay
-        # relay cycle; then it must fail alike under either thread count.
+        # A run may fail on its config; then it must fail alike under
+        # either thread count, and never with a runtime error.
         outcomes = {}
         for threads in ("1", "2"):
             for command in commands:
@@ -538,13 +542,51 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, se
                 outcomes.setdefault(command, []).append((code, err.getvalue()))
         for command in commands:
             assert outcomes[command][0] == outcomes[command][1]
+            assert outcomes[command][0][0] != 2, outcomes[command][0]
             one, two = tmp / "1" / command, tmp / "2" / command
             assert sorted(os.listdir(one)) == sorted(os.listdir(two))
             for name in os.listdir(one):
                 assert (one / name).read_bytes() == (two / name).read_bytes(), (command, name)
 
 
-ONEWEB_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "oneweb_like.json")
+def test_near_coincident_satellites_route_in_every_mode(tmp_path):
+    # Two equatorial shells at 400 km with phasing 0 and 1 place satellites
+    # about 1e-12 km apart, and the sum absorbs their link delay.  The
+    # label-only parent rule once made such a pair each other's parent, and
+    # both downhaul modes failed with exit 2.
+    cfg = {
+        "constellation": {"walker": [
+            {"altitude_km": 400.0, "inclination_deg": 0.0, "planes": 3, "sats_per_plane": 5,
+             "phasing_f": phasing, "id_prefix": prefix}
+            for prefix, phasing in (("a", 0), ("b", 1))
+        ]},
+        "stations_csv": os.path.abspath(os.path.join(CONFIG_DIR, "stations_13.csv")),
+        "actuator_fraction": 0.15, "seed": 1,
+    }
+    path = write(tmp_path / "scenario.json", json.dumps(cfg))
+    net = experiments.prepare(validate_config(json.dumps(cfg))[0], threads=1)
+    adj = net.graph.adjacency
+    oracles = {
+        ArchitectureMode.ON_ORBIT: lambda: dijkstra_oracle(
+            net.graph, net.snapshot, actuator_sources(net.snapshot), exempt=True),
+        ArchitectureMode.DOWNHAUL_GREEDY: lambda: dijkstra_oracle(
+            net.graph, net.snapshot,
+            downlink_seeds_oracle(net.graph, net.stations, net.terminus, ArchitectureMode.DOWNHAUL_GREEDY)),
+        ArchitectureMode.DOWNHAUL_OPTIMAL: lambda: dijkstra_oracle_optimal(
+            net.graph, net.snapshot, net.stations, net.terminus),
+    }
+    for mode, oracle in oracles.items():
+        out = str(tmp_path / mode.value)
+        assert run(["simulate", "--config", path, "--mode", mode.value, "--out", out, "--quiet"]) == 0, mode
+        report = net.route(mode)
+        assert report == oracle(), mode
+        if mode is not ArchitectureMode.ON_ORBIT:
+            # The case arises: some reachable label absorbs a link delay.
+            label = report.latency_ms[adj.neighbors]
+            assert (np.isfinite(label) & (adj.delays_ms + label == label)).any(), mode
+
+
+ONEWEB_CONFIG = os.path.join(CONFIG_DIR, "oneweb_like.json")
 
 # sha256 of report.csv and of summary.json without its config block (which
 # echoes absolute paths) for `simulate` on configs/oneweb_like.json.

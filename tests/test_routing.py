@@ -18,8 +18,7 @@ from sda_netlab.routing import (
     _sat_problem,
     actuator_sources,
     downhaul_latencies,
-    greedy_downhaul_sources,
-    ground_delays_ms,
+    downlink_seeds,
     onorbit_latencies,
 )
 from sda_netlab.topology import (
@@ -31,10 +30,11 @@ from sda_netlab.topology import (
 from oracle_utils import (
     dijkstra_oracle,
     dijkstra_oracle_optimal,
+    downlink_seeds_oracle,
     graph_from_edges,
-    greedy_sources_oracle,
     random_shell,
     seed_rows,
+    terminus_legs_ms,
 )
 
 MEAN_R = 6371.0088
@@ -59,6 +59,8 @@ def station_at_arc(station_id, arc_km):
 
 
 TERMINUS = GeodeticPosition(0.0, 0.0, 0.0)
+GREEDY = ArchitectureMode.DOWNHAUL_GREEDY
+OPTIMAL = ArchitectureMode.DOWNHAUL_OPTIMAL
 
 
 def test_greedy_picks_nearest_station_optimal_picks_cheapest_path():
@@ -117,15 +119,36 @@ def test_relay_seeds_broadcast_scalars_and_reject_repeats_and_negative_labels():
 
 
 def test_greedy_ties_go_to_the_lower_station_index():
+    # Both modes rank with one stable sort: greedy by downlink delay, optimal
+    # by downlink delay plus surface leg.  s0 sees both stations at the same
+    # delay; s1 sees B nearer.
     snapshot = ConstellationSnapshot(("s0", "s1"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
-    stations = [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)]
-    # s0 sees both stations at the same delay; s1 sees B nearer.
     graph = manual_graph(2, 2, [], [(0, 0, 500.0), (0, 1, 500.0), (1, 0, 800.0), (1, 1, 300.0)])
-    seeds = greedy_downhaul_sources(graph, stations, TERMINUS)
-    assert seeds.terminal.tolist() == ["A", "B"]
-    assert_same_seeds(seeds, greedy_sources_oracle(graph, stations, TERMINUS))
-    report = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
-    assert report.terminal.tolist() == ["A", "B"]
+    stations = {
+        GREEDY: [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)],
+        # Equal surface legs, so s0's two offers tie as well.
+        OPTIMAL: [station_at_arc("A", 2000.0), station_at_arc("B", 2000.0)],
+    }
+    for mode, at in stations.items():
+        seeds = downlink_seeds(graph, at, TERMINUS, mode)
+        assert seeds.terminal.tolist() == ["A", "B"], mode
+        assert_same_seeds(seeds, downlink_seeds_oracle(graph, at, TERMINUS, mode))
+        report = downhaul_latencies(graph, snapshot, at, TERMINUS, mode)
+        assert report.terminal.tolist() == ["A", "B"], mode
+
+
+def test_an_optimal_relay_path_that_ties_the_own_downlink_wins():
+    # Exact binary delays and a terminus at station 0, whose leg is 0:
+    # A downlinks at 1.0 ms, B at 0.5 ms, and the A-B link is 0.5 ms, so
+    # A's relay via B ties A's own downlink at 1.0 ms.
+    snapshot = ConstellationSnapshot(("A", "B"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
+    stations = [station_at_arc("g0", 0.0)]
+    graph = graph_from_edges(2, 1, [(0, 1)], [0.5], [(0, 0), (1, 0)], [1.0, 0.5])
+    terminus = stations[0].geodetic
+    report = downhaul_latencies(graph, snapshot, stations, terminus, OPTIMAL)
+    assert report.latency_ms.tolist() == [1.0, 0.5]
+    assert (report.next_hop[0], report.hops[0], report.terminal[0]) == ("B", 3, "g0")
+    assert report == dijkstra_oracle_optimal(graph, snapshot, stations, terminus)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -134,8 +157,9 @@ def test_greedy_ties_go_to_the_lower_station_index():
     count=st.integers(1, 80),
     sites=st.lists(st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0)), min_size=1, max_size=6),
     min_elevation_deg=st.sampled_from([None, 10.0]),
+    mode=st.sampled_from([GREEDY, OPTIMAL]),
 )
-def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elevation_deg):
+def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elevation_deg, mode):
     stations = load_ground_stations_csv(
         "id,lat_deg,lon_deg,alt_km\n" + "".join(f"g{k},{lat!r},{lon!r},0\n" for k, (lat, lon) in enumerate(sites))
     )
@@ -143,8 +167,8 @@ def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elev
     snap = random_shell(shell_seed, count=count)
     graph = build_visibility_graph(snap, stations, min_elevation_deg=min_elevation_deg, threads=1)
     assert_same_seeds(
-        greedy_downhaul_sources(graph, stations, terminus),
-        greedy_sources_oracle(graph, stations, terminus),
+        downlink_seeds(graph, stations, terminus, mode),
+        downlink_seeds_oracle(graph, stations, terminus, mode),
     )
 
 
@@ -216,13 +240,16 @@ def test_a_node_tied_with_a_higher_index_seed_gets_its_path_fields():
     assert report.next_hop.tolist() == ["s1", None, "s0"]
 
 
-def test_a_zero_delay_parent_cycle_is_an_error():
-    # Every label is 0, and the label-only parent rule makes nodes 0 and 1
-    # each other's parent: no delivery path can be oriented.
+def test_a_zero_delay_chain_is_oriented_toward_the_seed():
+    # Every label is 0, so no in-hop makes strict progress.  Node 1 takes
+    # the seed at node 2 in the first round; node 0 may take node 1 only
+    # once node 1 has a parent, so 0 and 1 never parent each other.
     snap = _line_snapshot(actuator=2)
     graph = manual_graph(3, 0, [(0, 1, 0.0), (1, 2, 0.0)], [])
-    with pytest.raises(RuntimeError, match="zero-delay relay cycle"):
-        onorbit_latencies(graph, snap)
+    report = onorbit_latencies(graph, snap)
+    assert report == dijkstra_oracle(graph, snap, actuator_sources(snap), exempt=True)
+    assert report.hops.tolist() == [2, 1, 0]
+    assert report.next_hop.tolist() == ["s1", "s2", None]
 
 
 def test_star_topology_single_sweep_matches_dijkstra():
@@ -294,7 +321,7 @@ def test_dijkstra_oracle_equals_greedy_downhaul_engine_on_random_instances():
         engine = downhaul_latencies(
             graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
-        oracle = dijkstra_oracle(graph, snap, greedy_sources_oracle(graph, stations, terminus), penalty)
+        oracle = dijkstra_oracle(graph, snap, downlink_seeds_oracle(graph, stations, terminus, GREEDY), penalty)
         assert engine == oracle
 
 
@@ -322,7 +349,7 @@ def _engine_and_oracle(graph, snap, stations, terminus, penalty):
     """(engine report, oracle report) for every mode."""
     greedy = ArchitectureMode.DOWNHAUL_GREEDY
     optimal = ArchitectureMode.DOWNHAUL_OPTIMAL
-    greedy_sources = greedy_sources_oracle(graph, stations, terminus)
+    greedy_sources = downlink_seeds_oracle(graph, stations, terminus, greedy)
     return {
         "onorbit": (
             onorbit_latencies(graph, snap, penalty),
@@ -387,8 +414,8 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     # this only when every attacked source is a baseline source and every
     # dropped source lost all its inter-satellite links.
     monotone = ["onorbit", "optimal"]
-    base_sources = set(seed_rows(greedy_downhaul_sources(graph, stations, terminus)))
-    attacked_sources = set(seed_rows(greedy_downhaul_sources(attacked, stations, terminus)))
+    base_sources = set(seed_rows(downlink_seeds(graph, stations, terminus, GREEDY)))
+    attacked_sources = set(seed_rows(downlink_seeds(attacked, stations, terminus, GREEDY)))
     dropped = {node for node, *_ in base_sources - attacked_sources}
     if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
         monotone.append("greedy")
@@ -495,7 +522,7 @@ def _edge_delay_maps(graph, snapshot, stations):
 def resum_report(report, graph, snapshot, stations, terminus, penalty, mode):
     """Re-add each reported path's hop delays by walking next_hop chains."""
     sat_w, st_w = _edge_delay_maps(graph, snapshot, stations)
-    ground = dict(zip((s.id for s in stations), ground_delays_ms(stations, terminus))) if stations else {}
+    ground = dict(zip((s.id for s in stations), terminus_legs_ms(stations, terminus)))
     station_ids = {s.id for s in stations}
     actuators = {sat_id for sat_id, flag in zip(snapshot.ids, snapshot.actuators) if flag}
     index = {sid: k for k, sid in enumerate(report.sat_ids)}
