@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sda_netlab import experiments
 from sda_netlab.cli import run, validate_config
 from sda_netlab.constellation import WalkerSpec
-from sda_netlab.experiments import PRESET_NAMES, ConstellationSource, ScenarioConfig, preset_shells
+from sda_netlab.experiments import (
+    PRESET_NAMES, ConstellationSource, ScenarioConfig, config_to_dict, preset_shells,
+)
 from sda_netlab.routing import ArchitectureMode, actuator_sources
 from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, downlink_seeds_oracle
 
@@ -108,39 +110,205 @@ def test_validate_config_rejects_non_json():
     assert cfg is None and "not valid JSON" in errors[0]
 
 
-def test_validate_config_rejects_malformed_overlays_and_numbers():
-    base = {"constellation": {"preset": "oneweb-like"}}
-    shell = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 4, "sats_per_plane": 8}
-    cases = [
-        ({**base, "overlay": {"jam_regions": [{"lat_deg": 0}]}}, "jam_regions"),
-        ({**base, "overlay": {"disabled_links": ["solo"]}}, "id pairs"),
-        ({**base, "actuator_count": 1.5}, "integer"),
-        ({**base, "seed": True}, "integer"),
-        ({**base, "sweep_fractions": [0.2, 1.4]}, "sweep_fractions"),
-        # Wrong-typed overlay fields are errors, not a TypeError.
-        ({**base, "overlay": {"reroute_penalty_ms": None}},
-         "overlay: reroute_penalty_ms: must be a number, got None"),
-        ({**base, "overlay": {"disabled_links": 5}}, "overlay: disabled_links: must be a list, got 5"),
-        ({**base, "overlay": {"disabled_satellites": 5}},
-         "overlay: disabled_satellites: must be a list, got 5"),
-        ({**base, "overlay": {"jam_regions": [{"lat_deg": None, "lon_deg": 0, "radius_km": 500}]}},
-         "overlay: jam_regions[0].lat_deg: must be a number, got None"),
-        # One number rule: a finite JSON number, never a bool or a string.
-        ({**base, "sweep_fractions": ["0.1", 0.2]}, "sweep_fractions[0]: must be a number, got '0.1'"),
-        ({**base, "terminus": {"lat_deg": True, "lon_deg": 0}},
-         "terminus: lat_deg: must be a number, got True"),
-        ({"constellation": {"walker": {**shell, "altitude_km": "550"}}},
-         "constellation.walker[0]: altitude_km: must be a number, got '550'"),
-        ({"constellation": {"walker": {**shell, "inclination_deg": True}}},
-         "constellation.walker[0]: inclination_deg: must be a number, got True"),
-        ({**base, "overlay": {"reroute_penalty_ms": "1.5"}},
-         "overlay: reroute_penalty_ms: must be a number, got '1.5'"),
-        ({**base, "actuator_fraction": True}, "actuator_fraction: must be a number, got True"),
-    ]
-    for payload, needle in cases:
-        cfg, errors = validate_config(json.dumps(payload))
-        assert cfg is None
-        assert any(needle in e for e in errors), (payload, errors)
+SHELL = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 4, "sats_per_plane": 8}
+PRESET = {"constellation": {"preset": "oneweb-like"}}
+
+
+def _preset(**extra):
+    return {**PRESET, **extra}
+
+
+def _walker(*shells):
+    return {"constellation": {"walker": list(shells)}}
+
+
+# Files the rejected configs name, by path relative to the config.
+CORPUS_FILES = {
+    "stations.csv": "id,lat_deg,lon_deg,alt_km\ngA,5,-20,0\n",
+    "sats.csv": "id,x_km,y_km,z_km\na,7000,0,0\n",
+    "sats.tle": "",
+    "list.json": "[]",
+    "broken.json": "{",
+    "latin1.json": b"\xff",
+    "typo.json": '{"disabled_sats": []}',
+}
+
+# One row per message the config stage prints: (id, config document or
+# object, flags, the stderr lines without their "error: " prefix).  Every
+# row exits 1; each names one problem, except the last rows.
+REJECTED_CONFIGS = [
+    ("not-json", "{not json", [],
+     ["config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
+    ("array-root", "[1]", [], ["config must be a JSON object"]),
+    ("unknown-key", _preset(foo=1), [], ["unknown config key 'foo'"]),
+    ("no-constellation", {}, [], ["constellation: required key is missing"]),
+    ("constellation-not-object", {"constellation": "oneweb-like"}, [], ["constellation: must be an object"]),
+    ("no-source", {"constellation": {}}, [],
+     ["constellation: exactly one of preset / walker / snapshot_csv / tle_file must be given, found none"]),
+    ("two-sources", {"constellation": {"preset": "oneweb-like", "tle_file": "sats.tle"}}, [],
+     ["constellation: exactly one of preset / walker / snapshot_csv / tle_file must be given, "
+      "found ['preset', 'tle_file']"]),
+    ("constellation-unknown-keys", {"constellation": {"preset": "oneweb-like", "b": 1, "a": 2}}, [],
+     ["constellation: unknown key(s) a, b"]),
+    ("tle-epoch-without-tle", {"constellation": {"preset": "oneweb-like", "tle_at_seconds": 0}}, [],
+     ["constellation: tle_at_seconds requires tle_file"]),
+    ("unknown-preset", {"constellation": {"preset": "iridium"}}, [],
+     ["constellation.preset: unknown preset 'iridium'"]),
+    ("preset-not-string", {"constellation": {"preset": 5}}, [], ["constellation.preset: unknown preset 5"]),
+    ("walker-not-object", _walker(SHELL, 5), [], ["constellation.walker[1]: walker shell must be an object"]),
+    ("walker-unknown-key", _walker({**SHELL, "a": 1}), [], ["constellation.walker[0]: unknown walker key(s) a"]),
+    ("walker-missing-key", _walker({k: v for k, v in SHELL.items() if k != "planes"}), [],
+     ["constellation.walker[0]: missing required key 'planes'"]),
+    ("walker-empty", _walker(), [], ["constellation.walker: at least one shell is required"]),
+    ("walker-string-number", _walker({**SHELL, "altitude_km": "550"}), [],
+     ["constellation.walker[0]: altitude_km: must be a number, got '550'"]),
+    ("walker-bool-number", _walker({**SHELL, "inclination_deg": True}), [],
+     ["constellation.walker[0]: inclination_deg: must be a number, got True"]),
+    ("walker-fractional-count", _walker(SHELL, {**SHELL, "planes": 2.7}), [],
+     ["constellation.walker[1]: planes: must be an integer, got 2.7"]),
+    ("walker-nan", _walker({**SHELL, "raan_offset_deg": math.nan}), [],
+     ["constellation.walker[0]: raan_offset_deg: must be finite"]),
+    ("walker-no-planes", _walker({**SHELL, "planes": 0}), [],
+     ["constellation.walker[0]: planes and sats_per_plane must be >= 1"]),
+    ("walker-phasing", _walker({**SHELL, "phasing_f": 4}), [],
+     ["constellation.walker[0]: phasing_f must be in [0, 3], got 4"]),
+    ("walker-altitude", _walker({**SHELL, "altitude_km": -10}), [],
+     ["constellation.walker[0]: altitude_km must be positive"]),
+    ("walker-id-prefix", _walker({**SHELL, "id_prefix": 5}), [],
+     ["constellation.walker[0]: id_prefix: must be a string, got 5"]),
+    ("walker-label", _walker({**SHELL, "label": None}), [],
+     ["constellation.walker[0]: label: must be a string, got None"]),
+    ("snapshot-not-string", {"constellation": {"snapshot_csv": 5}}, [],
+     ["constellation.snapshot_csv: must be a string, got 5"]),
+    ("snapshot-missing", {"constellation": {"snapshot_csv": "missing.csv"}}, [],
+     ["constellation.snapshot_csv: file not found: missing.csv"]),
+    ("tle-not-string", {"constellation": {"tle_file": ["a.tle"]}}, [],
+     ["constellation.tle_file: must be a string, got ['a.tle']"]),
+    ("tle-missing", {"constellation": {"tle_file": "missing.tle"}}, [],
+     ["constellation.tle_file: file not found: missing.tle"]),
+    ("tle-epoch-string", {"constellation": {"tle_file": "sats.tle", "tle_at_seconds": "abc"}}, [],
+     ["constellation.tle_at_seconds: must be a number, got 'abc'"]),
+    ("tle-epoch-infinite", {"constellation": {"tle_file": "sats.tle", "tle_at_seconds": math.inf}}, [],
+     ["constellation.tle_at_seconds: must be finite"]),
+    ("stations-not-string", _preset(stations_csv=5), [], ["stations_csv: must be a string, got 5"]),
+    ("stations-missing", _preset(stations_csv="missing.csv"), [], ["stations_csv: file not found: missing.csv"]),
+    ("terminus-not-object", _preset(terminus=[64.8, -147.7]), [],
+     ["terminus: must be an object with lat_deg and lon_deg"]),
+    ("terminus-missing-key", _preset(terminus={"lat_deg": 64.8}), [],
+     ["terminus: must be an object with lat_deg and lon_deg"]),
+    ("terminus-bool", _preset(terminus={"lat_deg": True, "lon_deg": 0}), [],
+     ["terminus: lat_deg: must be a number, got True"]),
+    ("terminus-infinite", _preset(terminus={"lat_deg": 0, "lon_deg": math.inf}), [],
+     ["terminus: lon_deg: must be finite"]),
+    ("terminus-latitude", _preset(terminus={"lat_deg": 100, "lon_deg": 0}), [],
+     ["terminus: latitude must be in [-90, 90], got 100.0"]),
+    ("terminus-altitude", _preset(terminus={"lat_deg": 0, "lon_deg": 0, "alt_km": -1}), [],
+     ["terminus: altitude must be >= -0.5 km, got -1.0"]),
+    ("mode-not-string", _preset(mode=5), [], ["mode: must be a string, got 5"]),
+    ("mode-unknown", _preset(mode="teleport"), [],
+     ["mode: unknown architecture mode 'teleport'; expected one of downhaul-greedy, downhaul-optimal, onorbit"]),
+    ("fraction-range", _preset(actuator_fraction=1.5), [], ["actuator_fraction: must be in [0, 1], got 1.5"]),
+    ("fraction-bool", _preset(actuator_fraction=True), [], ["actuator_fraction: must be a number, got True"]),
+    ("count-fractional", _preset(actuator_count=1.5), [], ["actuator_count: must be an integer, got 1.5"]),
+    ("count-negative", _preset(actuator_count=-1), [], ["actuator_count: must be >= 0, got -1"]),
+    ("fraction-and-count", _preset(actuator_fraction=0.2, actuator_count=5), [],
+     ["actuator_fraction: mutually exclusive with actuator_count"]),
+    ("seed-bool", _preset(seed=True), [], ["seed: must be an integer, got True"]),
+    ("seed-range", _preset(seed=2**64), [], [f"seed: must be an unsigned 64-bit integer, got {2**64}"]),
+    ("margin-negative", _preset(los_margin_km=-2), [], ["los_margin_km: must be >= 0, got -2.0"]),
+    ("margin-infinite", _preset(los_margin_km=math.inf), [], ["los_margin_km: must be finite"]),
+    ("elevation-range", _preset(min_elevation_deg=1000), [], ["min_elevation_deg: must be in [-90, 90], got 1000.0"]),
+    ("penalty-negative", _preset(reroute_penalty_ms=-1), [], ["reroute_penalty_ms: must be >= 0, got -1.0"]),
+    ("sweep-not-array", _preset(sweep_fractions="0.5"), [], ["sweep_fractions: must be a non-empty array of numbers"]),
+    ("sweep-string", _preset(sweep_fractions=["0.1", 0.2]), [], ["sweep_fractions[0]: must be a number, got '0.1'"]),
+    ("sweep-range", _preset(sweep_fractions=[0.2, 1.4]), [], ["sweep_fractions: fraction 1.4 outside [0, 1]"]),
+    ("sweep-order", _preset(sweep_fractions=[0.5, 0.2]), [], ["sweep_fractions: must be sorted ascending"]),
+    ("overlay-not-object", _preset(overlay=5), [], ["overlay: must be a path or an object"]),
+    ("overlay-missing", _preset(overlay="missing.json"), [], ["overlay: file not found: missing.json"]),
+    ("overlay-file-not-json", _preset(overlay="broken.json"), [],
+     ["overlay: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
+    ("overlay-file-not-utf8", _preset(overlay="latin1.json"), [],
+     ["overlay: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]),
+    ("overlay-file-not-object", _preset(overlay="list.json"), [], ["overlay: overlay must be a JSON object"]),
+    ("overlay-file-unknown-key", _preset(overlay="typo.json"), [], ["overlay: unknown overlay key 'disabled_sats'"]),
+    ("overlay-unknown-key", _preset(overlay={"x": 1}), [], ["overlay: unknown overlay key 'x'"]),
+    ("overlay-links-not-list", _preset(overlay={"disabled_links": 5}), [],
+     ["overlay: disabled_links: must be a list, got 5"]),
+    ("overlay-satellites-not-list", _preset(overlay={"disabled_satellites": 5}), [],
+     ["overlay: disabled_satellites: must be a list, got 5"]),
+    ("overlay-station-id", _preset(overlay={"disabled_stations": ["gA", 5, None]}), [],
+     ["overlay: disabled_stations[1]: must be a string, got 5"]),
+    ("overlay-link-not-pair", _preset(overlay={"disabled_links": ["solo"]}), [],
+     ["overlay: disabled_links entries must be id pairs, got 'solo'"]),
+    ("overlay-link-id", _preset(overlay={"disabled_links": [["a", "b"], ["a", 7]]}), [],
+     ["overlay: disabled_links[1][1]: must be a string, got 7"]),
+    ("jam-not-object", _preset(overlay={"jam_regions": [5]}), [],
+     ["overlay: jam_regions entries need lat_deg, lon_deg and radius_km, got 5"]),
+    ("jam-missing-key", _preset(overlay={"jam_regions": [{"lat_deg": 0, "lon_deg": 0}]}), [],
+     ["overlay: jam_regions entries need lat_deg, lon_deg and radius_km, got {'lat_deg': 0, 'lon_deg': 0}"]),
+    ("jam-number", _preset(overlay={"jam_regions": [{"lat_deg": None, "lon_deg": 0, "radius_km": 500}]}), [],
+     ["overlay: jam_regions[0].lat_deg: must be a number, got None"]),
+    ("jam-latitude", _preset(overlay={"jam_regions": [{"lat_deg": 100, "lon_deg": 0, "radius_km": 500}]}), [],
+     ["overlay: latitude must be in [-90, 90], got 100.0"]),
+    ("jam-radius", _preset(overlay={"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 0}]}), [],
+     ["overlay: jam radius must be positive, got 0.0"]),
+    ("overlay-penalty-null", _preset(overlay={"reroute_penalty_ms": None}), [],
+     ["overlay: reroute_penalty_ms: must be a number, got None"]),
+    ("overlay-penalty-string", _preset(overlay={"reroute_penalty_ms": "1.5"}), [],
+     ["overlay: reroute_penalty_ms: must be a number, got '1.5'"]),
+    ("overlay-penalty-negative", _preset(overlay={"reroute_penalty_ms": -1}), [],
+     ["overlay: reroute_penalty_ms: must be >= 0, got -1.0"]),
+    ("many-problems", {
+        "constellation": {"walker": {"altitude_km": 550}, "snapshot_csv": "x.csv"},
+        "terminus": 5, "mode": "teleport", "actuator_fraction": 1.5, "los_margin_km": -2,
+        "overlay": {"disabled_links": 5}, "zeta": 1, "bogus_key": 1,
+    }, [], [
+        "unknown config key 'bogus_key'",
+        "unknown config key 'zeta'",
+        "constellation: exactly one of preset / walker / snapshot_csv / tle_file must be given, "
+        "found ['walker', 'snapshot_csv']",
+        "terminus: must be an object with lat_deg and lon_deg",
+        "mode: unknown architecture mode 'teleport'; expected one of downhaul-greedy, downhaul-optimal, onorbit",
+        "actuator_fraction: must be in [0, 1], got 1.5",
+        "los_margin_km: must be >= 0, got -2.0",
+        "overlay: disabled_links: must be a list, got 5",
+    ]),
+    # A bad flag is reported before the config is read.
+    ("bad-flag-and-config", _preset(foo=1), ["--seed", "abc"], ["--seed: must be an integer, got 'abc'"]),
+    # A flag that overrides a key leaves the config's own errors as they are.
+    ("mode-flag", _preset(mode=5, seed=-1), ["--mode", "onorbit"],
+     ["mode: must be a string, got 5", "seed: must be an unsigned 64-bit integer, got -1"]),
+]
+
+
+def _write_corpus_files(tmp_path):
+    for name, content in CORPUS_FILES.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            write(tmp_path / name, content)
+
+
+def _config_text(config):
+    return config if isinstance(config, str) else json.dumps(config)
+
+
+@pytest.mark.parametrize(
+    "config, flags, expected", [row[1:] for row in REJECTED_CONFIGS], ids=[row[0] for row in REJECTED_CONFIGS]
+)
+def test_rejected_configs_print_exactly_their_error_lines(tmp_path, capsys, config, flags, expected):
+    _write_corpus_files(tmp_path)
+    path = write(tmp_path / "scenario.json", _config_text(config))
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--quiet", *flags]) == 1
+    assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in expected)
+
+
+def test_validate_config_rejects_malformed_overlays_and_numbers(tmp_path):
+    # validate_config itself returns the lines of every corpus row that sets no flag.
+    _write_corpus_files(tmp_path)
+    for name, config, flags, expected in REJECTED_CONFIGS:
+        if not flags:
+            assert validate_config(_config_text(config), base_dir=str(tmp_path)) == (None, expected), name
 
 
 def test_validate_config_rejects_ids_and_paths_that_are_not_strings(tmp_path, capsys):
@@ -463,18 +631,122 @@ def test_cli_simulate_full_actuators_mean_zero(tmp_path):
     assert summary["mean_ms"] == 0.0
 
 
-def test_cli_summary_config_echo_revalidates_to_same_config(tmp_path):
-    cfg_path = tiny_config(tmp_path)
+_ECHO_SHELL = st.fixed_dictionaries(
+    {"altitude_km": st.floats(300.0, 2000.0), "inclination_deg": st.floats(0.0, 180.0),
+     "planes": st.integers(1, 6), "sats_per_plane": st.integers(1, 6)},
+    optional={"phasing_f": st.just(0), "raan_offset_deg": st.floats(0.0, 360.0),
+              "id_prefix": st.text(max_size=3), "label": st.text(max_size=3)},
+)
+_ECHO_CONFIG = st.fixed_dictionaries(
+    {"constellation": st.one_of(
+        st.fixed_dictionaries({"preset": st.sampled_from(PRESET_NAMES)}),
+        st.fixed_dictionaries({"walker": _ECHO_SHELL | st.lists(_ECHO_SHELL, min_size=1, max_size=2)}),
+        st.just({"snapshot_csv": "sats.csv"}),
+        st.fixed_dictionaries({"tle_file": st.just("sats.tle")},
+                              optional={"tle_at_seconds": st.none() | st.floats(-1e6, 1e6)}),
+    )},
+    optional={
+        "stations_csv": st.none() | st.just("stations.csv"),
+        "terminus": st.none() | st.fixed_dictionaries(
+            {"lat_deg": st.floats(-90.0, 90.0), "lon_deg": st.floats(-400.0, 400.0)},
+            optional={"alt_km": st.floats(-0.5, 9.0)},
+        ),
+        "mode": st.sampled_from([m.value for m in ArchitectureMode]),
+        "actuator_fraction": st.none() | st.floats(0.0, 1.0),
+        "seed": st.integers(0, 2**64 - 1),
+        "los_margin_km": st.floats(0.0, 50.0),
+        "min_elevation_deg": st.none() | st.floats(-90.0, 90.0),
+        "reroute_penalty_ms": st.floats(0.0, 5.0),
+        "sweep_fractions": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(sorted),
+    },
+)
+_ECHO_OVERLAY = st.fixed_dictionaries({}, optional={
+    "disabled_satellites": st.lists(st.text(max_size=3), max_size=2),
+    "disabled_stations": st.lists(st.text(max_size=3), max_size=2),
+    "disabled_links": st.lists(st.lists(st.text(max_size=3), min_size=2, max_size=2), max_size=2),
+    "jam_regions": st.lists(st.fixed_dictionaries({
+        "lat_deg": st.floats(-90.0, 90.0), "lon_deg": st.floats(-400.0, 400.0),
+        "radius_km": st.floats(1.0, 3000.0),
+    }), max_size=2),
+    "reroute_penalty_ms": st.floats(0.0, 5.0),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_ECHO_CONFIG, overlay_at=st.sampled_from([None, "inline", "path"]), overlay=_ECHO_OVERLAY)
+def test_cli_summary_config_echo_revalidates_to_same_config(config, overlay_at, overlay):
+    # The echo summary.json carries is config_to_dict of the run's config.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for name in ("sats.csv", "sats.tle", "stations.csv"):
+            write(tmp / name, "")
+        if overlay_at == "inline":
+            config["overlay"] = overlay
+        elif overlay_at == "path":
+            write(tmp / "overlay.json", json.dumps(overlay))
+            config["overlay"] = "overlay.json"
+        cfg, errors = validate_config(json.dumps(config), base_dir=str(tmp))
+        assert errors == []
+        echo = config_to_dict(cfg)
+        again, errors = validate_config(json.dumps(echo, allow_nan=False), base_dir=str(tmp / "elsewhere"))
+        assert errors == [] and again == cfg
+        assert config_to_dict(again) == echo
+
+
+ISS_TLE = (
+    "ISS\n"
+    "1 25544U 98067A   20151.61686127  .00000168  00000-0  11087-4 0  9992\n"
+    "2 25544  51.6444  75.4313 0002297  11.5525  50.1151 15.49398617229298\n"
+)
+TINY_SHELL = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 4, "sats_per_plane": 8, "phasing_f": 1}
+ECHO_OVERLAY = {
+    "disabled_satellites": ["t-p000-s001"], "disabled_links": [["gB", "t-p001-s002"]],
+    "jam_regions": [{"lat_deg": 10.0, "lon_deg": 200.0, "radius_km": 400.0}], "reroute_penalty_ms": 0.25,
+}
+
+# sha256 of the config block that `simulate` writes into summary.json, laid
+# out as summary.json lays it out, with the config's directory written as
+# "<dir>"; one config of each shape the echo takes.
+ECHO_SHAPES = {
+    "two-shell-walker": ({"constellation": {"walker": [
+        {**TINY_SHELL, "id_prefix": "a", "label": "low"},
+        {**TINY_SHELL, "altitude_km": 1300.5, "raan_offset_deg": 7.5, "id_prefix": "b", "label": "high"},
+    ]}}, "e62169b07dc5736fdd24a66fb57a9e5d9eec3b60b5e1c9fee793d8977e7d0d92"),
+    "snapshot-csv": ({"constellation": {"snapshot_csv": "sats.csv"}, "actuator_count": 1},
+                     "b601e3ec77175a968673f5f147d8f06e99bed320bb5f89caa2f393c7ca8f5bf9"),
+    "tle-file": ({"constellation": {"tle_file": "sats.tle", "tle_at_seconds": 600.0}, "seed": 3},
+                 "3ca587d5cc04a949814c549ec30c54a90dc05fa0c2e0a05bb0d295ab0aafe530"),
+    "terminus": ({
+        "constellation": {"walker": {**TINY_SHELL, "id_prefix": "t"}}, "stations_csv": "stations.csv",
+        "terminus": {"lat_deg": 64.8, "lon_deg": -147.7, "alt_km": 0.2}, "mode": "downhaul-greedy",
+        "min_elevation_deg": 5.0, "los_margin_km": 1.5,
+    }, "57cf07395c29af891ed1db42815d17f11d174bbf61dade27f21d44993208a3bf"),
+    "inline-overlay": ({
+        "constellation": {"walker": {**TINY_SHELL, "id_prefix": "t"}}, "stations_csv": "stations.csv",
+        "overlay": ECHO_OVERLAY, "reroute_penalty_ms": 0.5, "sweep_fractions": [0.0, 0.5],
+    }, "b9f213d470cf6bb7a41e464874af8ef3e89d95e13b41892219bfd5354c529123"),
+    "path-overlay": ({
+        "constellation": {"walker": {**TINY_SHELL, "id_prefix": "t"}}, "stations_csv": "stations.csv",
+        "overlay": "overlay.json", "mode": "downhaul-optimal",
+    }, "d81cbaf7b5a4d7f2b16afcb06169ce056cc35f1cfbe05096aee107fc84969c3f"),
+}
+
+
+@pytest.mark.parametrize("config, sha", ECHO_SHAPES.values(), ids=ECHO_SHAPES.keys())
+def test_simulate_echoes_the_pinned_config(tmp_path, config, sha):
+    write(tmp_path / "sats.csv", "id,x_km,y_km,z_km\na,7000,0,0\nb,0,7100.25,0\n")
+    write(tmp_path / "sats.tle", ISS_TLE)
+    write(tmp_path / "stations.csv", "id,lat_deg,lon_deg,alt_km\ngA,5,-20,0\ngB,48,2,0\n")
+    write(tmp_path / "overlay.json", json.dumps(ECHO_OVERLAY))
+    path = write(tmp_path / "scenario.json", json.dumps(config))
     out = tmp_path / "out"
-    assert run(["simulate", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
-    original, errors = validate_config(
-        (tmp_path / "scenario.json").read_text(), base_dir=str(tmp_path)
-    )
-    assert errors == []
+    assert run(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
     echo = json.loads((out / "summary.json").read_text())["config"]
-    revalidated, errors = validate_config(json.dumps(echo), base_dir=str(out))
-    assert errors == []
-    assert revalidated == original
+    text = json.dumps(echo, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert hashlib.sha256(text.replace(str(tmp_path), "<dir>").encode()).hexdigest() == sha
+    # The echo is a config: read back from anywhere, it is the same scenario.
+    assert validate_config(json.dumps(echo), base_dir=str(out)) == validate_config(
+        json.dumps(config), base_dir=str(tmp_path))
 
 
 def test_cli_outputs_are_byte_identical_across_thread_counts(tmp_path):
