@@ -14,203 +14,24 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
-from .constellation import WalkerSpec, snapshot_to_csv
+from .constellation import snapshot_to_csv
 from .experiments import (
-    FIELD_RULES,
-    PRESET_NAMES,
-    ConstellationSource,
     ScenarioConfig,
-    WalkerShell,
     actuator_sweep,
     attack_scenario,
-    check_fields,
     compare_architectures,
     config_to_dict,
     flagged_snapshot,
-    preset_shells,
     report_to_csv,
     run_scenario,
+    validate_config,  # _load_config looks it up here, so cli.validate_config can be wrapped
 )
-from .geo import GeodeticPosition
 from .routing import ArchitectureMode
-from .jsonvalues import json_number, json_string
-from .topology import AttackOverlay, resolve_thread_count
+from .topology import resolve_thread_count
 
 SWEEP_CSV_HEADER = "fraction,mean_ms,median_ms,p95_ms,unreachable"
-
-_WALKER_KEYS = {*(f.name for f in fields(WalkerSpec)), "id_prefix", "label"}
-_TOP_KEYS = {"constellation", "stations_csv", "terminus", "mode", "overlay", *FIELD_RULES}
-
-
-def _parse_walker_shell(data: dict, errors: list[str], where: str) -> WalkerShell | None:
-    if not isinstance(data, dict):
-        errors.append(f"{where}: walker shell must be an object")
-        return None
-    bad = sorted(set(data) - _WALKER_KEYS)
-    if bad:
-        errors.append(f"{where}: unknown walker key(s) {', '.join(bad)}")
-        return None
-    missing = [k for k in ("altitude_km", "inclination_deg", "planes", "sats_per_plane") if k not in data]
-    if missing:
-        errors.append(f"{where}: missing required key {missing[0]!r}")
-        return None
-    try:
-        spec = WalkerSpec(**{key: value for key, value in data.items() if key not in ("id_prefix", "label")})
-        return WalkerShell(
-            spec, json_string(data.get("id_prefix", "sat"), "id_prefix"),
-            json_string(data.get("label", "walker"), "label"),
-        )
-    except ValueError as exc:
-        errors.append(f"{where}: {exc}")
-        return None
-
-
-def _resolve_path(path, base_dir: str, key: str, errors: list[str]) -> str | None:
-    try:
-        path = json_string(path, key)
-    except ValueError as exc:
-        errors.append(str(exc))
-        return None
-    full = os.path.abspath(os.path.join(base_dir, path))
-    if not os.path.isfile(full):
-        errors.append(f"{key}: file not found: {path}")
-        return None
-    return full
-
-
-def _parse_constellation(
-    data, base_dir: str, errors: list[str]
-) -> ConstellationSource | None:
-    if not isinstance(data, dict):
-        errors.append("constellation: must be an object")
-        return None
-    source_keys = [k for k in ("preset", "walker", "snapshot_csv", "tle_file") if k in data]
-    if len(source_keys) != 1:
-        errors.append(
-            "constellation: exactly one of preset / walker / snapshot_csv / tle_file "
-            f"must be given, found {source_keys or 'none'}"
-        )
-        return None
-    extra = sorted(set(data) - {"preset", "walker", "snapshot_csv", "tle_file", "tle_at_seconds"})
-    if extra:
-        errors.append(f"constellation: unknown key(s) {', '.join(extra)}")
-        return None
-    if "tle_at_seconds" in data and source_keys != ["tle_file"]:
-        errors.append("constellation: tle_at_seconds requires tle_file")
-        return None
-
-    if "preset" in data:
-        name = data["preset"]
-        if name not in PRESET_NAMES:
-            errors.append(f"constellation.preset: unknown preset {name!r}")
-            return None
-        return ConstellationSource(walker_shells=preset_shells(name))
-    if "walker" in data:
-        raw = data["walker"]
-        shell_dicts = raw if isinstance(raw, list) else [raw]
-        shells = []
-        for idx, sd in enumerate(shell_dicts):
-            shell = _parse_walker_shell(sd, errors, f"constellation.walker[{idx}]")
-            if shell is None:
-                return None
-            shells.append(shell)
-        if not shells:
-            errors.append("constellation.walker: at least one shell is required")
-            return None
-        return ConstellationSource(walker_shells=tuple(shells))
-    if "snapshot_csv" in data:
-        path = _resolve_path(data["snapshot_csv"], base_dir, "constellation.snapshot_csv", errors)
-        return ConstellationSource(snapshot_csv=path) if path else None
-    path = _resolve_path(data["tle_file"], base_dir, "constellation.tle_file", errors)
-    if path is None:
-        return None
-    try:
-        return ConstellationSource(tle_file=path, tle_at_seconds=data.get("tle_at_seconds"))
-    except ValueError as exc:
-        errors.append(f"constellation.{exc}")
-        return None
-
-
-def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | None, list[str]]:
-    """Parse and fully validate a config document, reporting every error at
-    once rather than stopping at the first."""
-    errors: list[str] = []
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, [f"config is not valid JSON: {exc}"]
-    if not isinstance(data, dict):
-        return None, ["config must be a JSON object"]
-
-    for key in sorted(set(data) - _TOP_KEYS):
-        errors.append(f"unknown config key {key!r}")
-
-    if "constellation" not in data:
-        errors.append("constellation: required key is missing")
-        source = None
-    else:
-        source = _parse_constellation(data["constellation"], base_dir, errors)
-
-    stations_csv = None
-    if data.get("stations_csv") is not None:
-        stations_csv = _resolve_path(data["stations_csv"], base_dir, "stations_csv", errors)
-
-    terminus = None
-    if data.get("terminus") is not None:
-        t = data["terminus"]
-        if not isinstance(t, dict) or not {"lat_deg", "lon_deg"} <= set(t):
-            errors.append("terminus: must be an object with lat_deg and lon_deg")
-        else:
-            try:
-                terminus = GeodeticPosition(
-                    *(json_number(t.get(key, 0.0), key) for key in ("lat_deg", "lon_deg", "alt_km"))
-                )
-            except ValueError as exc:
-                errors.append(f"terminus: {exc}")
-
-    mode = ArchitectureMode.ON_ORBIT
-    if "mode" in data:
-        try:
-            mode = ArchitectureMode.from_string(data["mode"])
-        except ValueError as exc:
-            errors.append(f"mode: {exc}")
-
-    fields, field_errors = check_fields({key: data[key] for key in FIELD_RULES if key in data})
-    errors += field_errors
-
-    overlay = None
-    overlay_path = None
-    if data.get("overlay") is not None:
-        raw = data["overlay"]
-        if isinstance(raw, str):
-            overlay_path = _resolve_path(raw, base_dir, "overlay", errors)
-            if overlay_path is not None:
-                try:
-                    with open(overlay_path, "r", encoding="utf-8") as fh:
-                        overlay = AttackOverlay.from_dict(json.load(fh))
-                except (ValueError, OSError) as exc:
-                    errors.append(f"overlay: {exc}")
-        elif isinstance(raw, dict):
-            try:
-                overlay = AttackOverlay.from_dict(raw)
-            except ValueError as exc:
-                errors.append(f"overlay: {exc}")
-        else:
-            errors.append("overlay: must be a path or an object")
-
-    if errors or source is None:
-        return None, errors
-    return ScenarioConfig(
-        constellation=source,
-        stations_csv=stations_csv,
-        terminus=terminus,
-        mode=mode,
-        overlay=overlay,
-        overlay_path=overlay_path,
-        **fields,
-    ), []
 
 
 # --- Output writers -------------------------------------------------------------

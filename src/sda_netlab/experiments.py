@@ -1,12 +1,13 @@
-"""Experiment orchestration: scenario configuration, metric summaries, the
-shared network stage, architecture comparison, actuator-fraction sweeps,
-and attack scenarios."""
+"""Experiment orchestration: scenario configuration and its JSON schema,
+metric summaries, the shared network stage, architecture comparison,
+actuator-fraction sweeps, and attack scenarios."""
 
 from __future__ import annotations
 
+import json
 import math
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+import os
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .constellation import (
     select_actuators,
 )
 from .geo import GeodeticPosition
-from .jsonvalues import json_number
+from .jsonvalues import config_key, json_number, json_object, json_string, key_errors
 from .routing import (
     ArchitectureMode,
     LatencyReport,
@@ -34,8 +35,6 @@ from .topology import (
     AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, reroute_penalty,
 )
 
-# Reserved: a station id may not take the name of the terminus.
-TERMINUS_NAME = "terminus"
 DEFAULT_ACTUATOR_FRACTION = 0.15
 DEFAULT_SWEEP_FRACTIONS = tuple(i / 20 for i in range(1, 21))
 
@@ -150,7 +149,7 @@ def preset_shells(name: str) -> tuple[WalkerShell, ...]:
         return (oneweb_like_shell(),)
     if name == "combined":
         return (starlink_like_shell(), oneweb_like_shell())
-    raise ValueError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}")
+    raise ValueError(f"unknown preset {name!r}")
 
 
 @dataclass(frozen=True)
@@ -216,20 +215,162 @@ FIELD_RULES = {
 }
 
 
-def check_fields(fields: dict) -> tuple[dict, list[str]]:
-    """Run :data:`FIELD_RULES` on the fields present in ``fields`` and the
+def check_fields(given: dict) -> tuple[dict, list[str]]:
+    """Run :data:`FIELD_RULES` on the fields present in ``given`` and the
     rule that the actuator fraction and count exclude each other.  Returns
     the checked values and every error."""
     values, errors = {}, []
     for key, rule in FIELD_RULES.items():
-        if key in fields:
+        if key in given:
             try:
-                values[key] = rule(fields[key], key)
+                values[key] = rule(given[key], key)
             except ValueError as exc:
                 errors.append(str(exc))
-    if fields.get("actuator_fraction") is not None and fields.get("actuator_count") is not None:
+    if given.get("actuator_fraction") is not None and given.get("actuator_count") is not None:
         errors.append("actuator_fraction: mutually exclusive with actuator_count")
     return values, errors
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _resolve_path(raw, base_dir: str, key: str) -> str:
+    """The absolute path of the existing file ``raw`` names, relative to
+    ``base_dir``; raises ``ValueError`` keyed ``key``."""
+    path = json_string(raw, key)
+    full = os.path.abspath(os.path.join(base_dir, path))
+    if not os.path.isfile(full):
+        raise ValueError(f"{key}: file not found: {path}")
+    return full
+
+
+def _shell_from_json(raw, name: str) -> WalkerShell:
+    spec = fields(WalkerSpec)
+    data = json_object(
+        raw, name, required=[f.name for f in spec if f.default is MISSING],
+        optional=[*(f.name for f in spec if f.default is not MISSING), "id_prefix", "label"],
+    )
+    with config_key(name):
+        return WalkerShell(
+            WalkerSpec(**{key: value for key, value in data.items() if key not in ("id_prefix", "label")}),
+            json_string(data.get("id_prefix", "sat"), "id_prefix"),
+            json_string(data.get("label", "walker"), "label"),
+        )
+
+
+_SOURCES = ("preset", "walker", "snapshot_csv", "tle_file")
+
+
+def _source_from_json(raw, base_dir: str) -> ConstellationSource:
+    data = json_object(raw, "constellation", optional=(*_SOURCES, "tle_at_seconds"))
+    given = [key for key in _SOURCES if key in data]
+    if len(given) != 1:
+        raise ValueError(
+            f"constellation: exactly one of {' / '.join(_SOURCES)} must be given, found {given or 'none'}"
+        )
+    if "tle_at_seconds" in data and given != ["tle_file"]:
+        raise ValueError("constellation: tle_at_seconds requires tle_file")
+    if "preset" in data:
+        with config_key("constellation.preset"):
+            return ConstellationSource(walker_shells=preset_shells(data["preset"]))
+    if "walker" in data:
+        raw = data["walker"]
+        shells = tuple(
+            _shell_from_json(shell, f"constellation.walker[{k}]")
+            for k, shell in enumerate(raw if isinstance(raw, list) else [raw])
+        )
+        if not shells:
+            raise ValueError("constellation.walker: at least one shell is required")
+        return ConstellationSource(walker_shells=shells)
+    if "snapshot_csv" in data:
+        return ConstellationSource(
+            snapshot_csv=_resolve_path(data["snapshot_csv"], base_dir, "constellation.snapshot_csv")
+        )
+    path = _resolve_path(data["tle_file"], base_dir, "constellation.tle_file")
+    at = data.get("tle_at_seconds")
+    return ConstellationSource(
+        tle_file=path, tle_at_seconds=None if at is None else json_number(at, "constellation.tle_at_seconds")
+    )
+
+
+def _source_to_json(cfg: ScenarioConfig) -> dict:
+    source = cfg.constellation
+    if source.walker_shells:
+        return {"walker": [
+            {**asdict(shell.spec), "id_prefix": shell.id_prefix, "label": shell.label}
+            for shell in source.walker_shells
+        ]}
+    if source.snapshot_csv is not None:
+        return {"snapshot_csv": source.snapshot_csv}
+    if source.tle_at_seconds is None:
+        return {"tle_file": source.tle_file}
+    return {"tle_file": source.tle_file, "tle_at_seconds": source.tle_at_seconds}
+
+
+def _terminus_from_json(raw, base_dir: str) -> dict:
+    data = json_object(raw, "terminus", required=("lat_deg", "lon_deg"), optional=("alt_km",))
+    with config_key("terminus"):
+        return {"terminus": GeodeticPosition(
+            *(json_number(data.get(key, 0.0), key) for key in ("lat_deg", "lon_deg", "alt_km"))
+        )}
+
+
+def _terminus_to_json(cfg: ScenarioConfig) -> dict | None:
+    t = cfg.terminus
+    if t is None:
+        return None
+    return {"lat_deg": t.latitude_deg, "lon_deg": t.longitude_deg, "alt_km": t.altitude_km}
+
+
+def _mode_from_json(raw, base_dir: str) -> dict:
+    with config_key("mode"):
+        return {"mode": ArchitectureMode.from_string(raw)}
+
+
+def _overlay_from_json(raw, base_dir: str) -> dict:
+    """An inline overlay object, or the path of a JSON file holding one."""
+    path = None
+    if isinstance(raw, str):
+        path = _resolve_path(raw, base_dir, "overlay")
+        try:
+            raw = json.loads(_read(path))
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"overlay: {exc}") from None
+    elif not isinstance(raw, dict):
+        raise ValueError("overlay: must be a path or an object")
+    return {"overlay": AttackOverlay.from_dict(raw), "overlay_path": path}
+
+
+def _overlay_to_json(cfg: ScenarioConfig) -> str | dict | None:
+    if cfg.overlay_path is not None:
+        return cfg.overlay_path
+    return None if cfg.overlay is None else cfg.overlay.to_dict()
+
+
+def _unless_null(parse):
+    """``parse`` for a key that ``null`` leaves unset, as leaving it out does."""
+    return lambda raw, base_dir: {} if raw is None else parse(raw, base_dir)
+
+
+# The config keys that are not FIELD_RULES fields, by name: ``(parse, echo)``.
+# ``parse(raw, base_dir)`` returns the ScenarioConfig fields the key sets, or
+# raises ``ValueError`` keyed by the key (or a key inside it); ``echo(cfg)``
+# returns the key's JSON value, or None to leave the key out.  validate_config
+# and config_to_dict are loops over this table and FIELD_RULES.
+CONFIG_KEYS = {
+    "constellation": (
+        lambda raw, base_dir: {"constellation": _source_from_json(raw, base_dir)}, _source_to_json,
+    ),
+    "stations_csv": (
+        _unless_null(lambda raw, base_dir: {"stations_csv": _resolve_path(raw, base_dir, "stations_csv")}),
+        lambda cfg: cfg.stations_csv,
+    ),
+    "terminus": (_unless_null(_terminus_from_json), _terminus_to_json),
+    "mode": (_mode_from_json, lambda cfg: cfg.mode.value),
+    "overlay": (_unless_null(_overlay_from_json), _overlay_to_json),
+}
 
 
 @dataclass(frozen=True)
@@ -258,6 +399,40 @@ class ScenarioConfig:
             raise ValueError(errors[0])
 
 
+def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | None, list[str]]:
+    """Parse and fully validate a config document, reporting every error at
+    once rather than stopping at the first.  Relative paths resolve against
+    ``base_dir``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return None, [f"config is not valid JSON: {exc}"]
+    if not isinstance(data, dict):
+        return None, ["config must be a JSON object"]
+    errors = key_errors(data, required=("constellation",), optional=(*CONFIG_KEYS, *FIELD_RULES))
+    values = {}
+    for key, (parse, _) in CONFIG_KEYS.items():
+        if key in data:
+            try:
+                values.update(parse(data[key], base_dir))
+            except ValueError as exc:
+                errors.append(str(exc))
+    checked, field_errors = check_fields({key: data[key] for key in FIELD_RULES if key in data})
+    errors += field_errors
+    if errors:
+        return None, errors
+    return ScenarioConfig(**values, **checked), []
+
+
+def config_to_dict(cfg: ScenarioConfig) -> dict:
+    """Echo a fully resolved config; re-validating the echo yields an equal
+    ScenarioConfig (paths are stored absolute)."""
+    return {key: value for key, value in [
+        *((key, echo(cfg)) for key, (_, echo) in CONFIG_KEYS.items()),
+        *((key, getattr(cfg, key)) for key in FIELD_RULES),
+    ] if value is not None}
+
+
 def half_up_count(fraction: float, total: int) -> int:
     """Round half up; keeps fraction 0 -> 0 and fraction 1 -> total exact."""
     return int(math.floor(fraction * total + 0.5))
@@ -271,37 +446,23 @@ def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
     return half_up_count(cfg.actuator_fraction, total)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-@contextmanager
-def _config_key(key: str):
-    """Prefix a ``ValueError`` raised inside with ``key``, the config key of its input."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
     if source.walker_shells:
-        with _config_key("constellation.walker"):
+        with config_key("constellation.walker"):
             return merge_snapshots(*(
                 generate_walker(shell.spec, id_prefix=shell.id_prefix) for shell in source.walker_shells
             ))
     if source.snapshot_csv is not None:
-        with _config_key("constellation.snapshot_csv"):
+        with config_key("constellation.snapshot_csv"):
             return load_snapshot_csv(_read(source.snapshot_csv))
-    with _config_key("constellation.tle_file"):
+    with config_key("constellation.tle_file"):
         return snapshot_from_tles(load_tle_file(_read(source.tle_file)), source.tle_at_seconds)
 
 
 def resolve_stations(cfg: ScenarioConfig) -> list[GroundStationNode]:
     if cfg.stations_csv is None:
         return []
-    with _config_key("stations_csv"):
+    with config_key("stations_csv"):
         return load_ground_stations_csv(_read(cfg.stations_csv))
 
 
@@ -371,9 +532,8 @@ def prepare(cfg: ScenarioConfig, threads: int | None = None, baseline: bool = Fa
     stations = tuple(resolve_stations(cfg))
     sat_ids = set(snapshot.ids)
     for st in stations:
-        if st.id in sat_ids or st.id == TERMINUS_NAME:
-            what = "a satellite id" if st.id in sat_ids else "reserved for the terminus"
-            raise ValueError(f"stations_csv: station id {st.id!r} is {what}")
+        if st.id in sat_ids:
+            raise ValueError(f"stations_csv: station id {st.id!r} is a satellite id")
     if cfg.overlay is not None:
         cfg.overlay.check_ids(sat_ids, (st.id for st in stations))
     graph = build_visibility_graph(
@@ -490,38 +650,3 @@ def attack_scenario(cfg: ScenarioConfig, threads: int | None = None) -> AttackOu
         delta_mean_ms=math.fsum(deltas) / len(deltas) if deltas else None,
         availability_loss=attacked_summary.unreachable_count - baseline_summary.unreachable_count,
     )
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Echo a fully resolved config; re-validating the echo yields an equal
-    ScenarioConfig (paths are stored absolute)."""
-    source = cfg.constellation
-    if source.walker_shells:
-        constellation = {"walker": [
-            {**asdict(shell.spec), "id_prefix": shell.id_prefix, "label": shell.label}
-            for shell in source.walker_shells
-        ]}
-    elif source.snapshot_csv is not None:
-        constellation = {"snapshot_csv": source.snapshot_csv}
-    else:
-        constellation = {"tle_file": source.tle_file}
-        if source.tle_at_seconds is not None:
-            constellation["tle_at_seconds"] = source.tle_at_seconds
-
-    out: dict = {"constellation": constellation, "mode": cfg.mode.value}
-    for key in FIELD_RULES:
-        if getattr(cfg, key) is not None:
-            out[key] = getattr(cfg, key)
-    if cfg.stations_csv is not None:
-        out["stations_csv"] = cfg.stations_csv
-    if cfg.terminus is not None:
-        out["terminus"] = {
-            "lat_deg": cfg.terminus.latitude_deg,
-            "lon_deg": cfg.terminus.longitude_deg,
-            "alt_km": cfg.terminus.altitude_km,
-        }
-    if cfg.overlay_path is not None:
-        out["overlay"] = cfg.overlay_path
-    elif cfg.overlay is not None:
-        out["overlay"] = cfg.overlay.to_dict()
-    return out

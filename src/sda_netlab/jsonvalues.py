@@ -1,9 +1,11 @@
 """The JSON value rules every config, overlay and Python-built source
-obeys: a finite JSON number of the right kind, or a JSON string."""
+obeys: a finite JSON number of the right kind, a JSON string, or an object
+with known keys; and the config key that prefixes every error."""
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 
 def json_number(raw, name: str, kind: type = float):
@@ -26,3 +28,33 @@ def json_string(raw, name: str) -> str:
     if not isinstance(raw, str):
         raise ValueError(f"{name}: must be a string, got {raw!r}")
     return raw
+
+
+def key_errors(raw: dict, required=(), optional=()) -> list[str]:
+    """Every key error of the object ``raw``: each unknown key in sorted
+    order, then each missing ``required`` key in the order given."""
+    return [f"{key}: unknown key" for key in sorted(set(raw) - {*required, *optional})] + [
+        f"{key}: required key is missing" for key in required if key not in raw
+    ]
+
+
+def json_object(raw, name: str, required=(), optional=()) -> dict:
+    """``raw`` when it is a JSON object whose keys are all ``required`` or
+    ``optional`` and include every ``required`` one; raises ``ValueError``
+    prefixed by ``name`` at the first problem.  Every config object but the
+    top level, whose errors are all reported, goes through here."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name}: must be an object")
+    errors = key_errors(raw, required, optional)
+    if errors:
+        raise ValueError(f"{name}: {errors[0]}")
+    return raw
+
+
+@contextmanager
+def config_key(key: str):
+    """Prefix a ``ValueError`` raised inside with ``key``, the config key of its input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None

@@ -28,7 +28,7 @@ from .geo import (
     ecef_to_geodetic,
     surface_distance_km,
 )
-from .jsonvalues import json_number, json_string
+from .jsonvalues import config_key, json_number, json_object, json_string
 
 _ROW_BLOCK = 128
 
@@ -266,6 +266,9 @@ def reroute_penalty(raw, name: str = "reroute_penalty_ms") -> float:
     return value
 
 
+_JAM_KEYS = ("lat_deg", "lon_deg", "radius_km")
+
+
 @dataclass(frozen=True)
 class JamRegion:
     center: GeodeticPosition
@@ -310,55 +313,42 @@ class AttackOverlay:
                     raise ValueError(f"overlay: link names unknown node: {node}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AttackOverlay":
-        if not isinstance(data, dict):
-            raise ValueError("overlay must be a JSON object")
-        allowed = {
-            "disabled_satellites",
-            "disabled_stations",
-            "disabled_links",
-            "jam_regions",
-            "reroute_penalty_ms",
-        }
-        for key in data:
-            if key not in allowed:
-                raise ValueError(f"unknown overlay key {key!r}")
+    def from_dict(cls, raw) -> "AttackOverlay":
+        """The overlay the JSON object ``raw`` describes; raises ``ValueError``
+        keyed ``overlay``."""
+        data = json_object(raw, "overlay", optional=(
+            "disabled_satellites", "disabled_stations", "disabled_links", "jam_regions", "reroute_penalty_ms",
+        ))
+        with config_key("overlay"):
 
-        def entries(key: str) -> list:
-            value = data.get(key, [])
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{key}: must be a list, got {value!r}")
-            return value
+            def entries(key: str) -> list:
+                value = data.get(key, [])
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{key}: must be a list, got {value!r}")
+                return value
 
-        def ids(key: str) -> frozenset[str]:
-            return frozenset(json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key)))
+            def ids(key: str) -> frozenset[str]:
+                return frozenset(json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key)))
 
-        links = set()
-        for k, pair in enumerate(entries("disabled_links")):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
-            links.add(cls.normalize_link(
-                *(json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair))
-            ))
-        regions = []
-        for k, r in enumerate(entries("jam_regions")):
-            if not isinstance(r, dict) or not {"lat_deg", "lon_deg", "radius_km"} <= set(r):
-                raise ValueError(
-                    "jam_regions entries need lat_deg, lon_deg and radius_km, got "
-                    f"{r!r}"
-                )
-            lat, lon, radius = (
-                json_number(r[key], f"jam_regions[{k}].{key}")
-                for key in ("lat_deg", "lon_deg", "radius_km")
+            links = set()
+            for k, pair in enumerate(entries("disabled_links")):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
+                links.add(cls.normalize_link(
+                    *(json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair))
+                ))
+            regions = []
+            for k, r in enumerate(entries("jam_regions")):
+                region = json_object(r, f"jam_regions[{k}]", required=_JAM_KEYS)
+                lat, lon, radius = (json_number(region[key], f"jam_regions[{k}].{key}") for key in _JAM_KEYS)
+                regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
+            return cls(
+                disabled_satellites=ids("disabled_satellites"),
+                disabled_stations=ids("disabled_stations"),
+                disabled_links=frozenset(links),
+                jam_regions=tuple(regions),
+                reroute_penalty_ms=reroute_penalty(data.get("reroute_penalty_ms", 0.0)),
             )
-            regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
-        return cls(
-            disabled_satellites=ids("disabled_satellites"),
-            disabled_stations=ids("disabled_stations"),
-            disabled_links=frozenset(links),
-            jam_regions=tuple(regions),
-            reroute_penalty_ms=reroute_penalty(data.get("reroute_penalty_ms", 0.0)),
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -31,10 +31,12 @@ from sda_netlab.geo import (
     propagation_delay_ms,
     surface_distance_km,
 )
-from sda_netlab.experiments import TERMINUS_NAME
 from sda_netlab.routing import ArchitectureMode, LatencyReport, RelaySeeds
 from sda_netlab.tle import _J2000, TleElements, line_checksum
 from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph, _jammed_mask
+
+# The name of the root node of the augmented downhaul-optimal graph.
+TERMINUS_NAME = "terminus"
 
 
 def euclidean_km(p: EcefPosition, q: EcefPosition) -> float:

@@ -140,7 +140,7 @@ REJECTED_CONFIGS = [
     ("not-json", "{not json", [],
      ["config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
     ("array-root", "[1]", [], ["config must be a JSON object"]),
-    ("unknown-key", _preset(foo=1), [], ["unknown config key 'foo'"]),
+    ("unknown-key", _preset(foo=1), [], ["foo: unknown key"]),
     ("no-constellation", {}, [], ["constellation: required key is missing"]),
     ("constellation-not-object", {"constellation": "oneweb-like"}, [], ["constellation: must be an object"]),
     ("no-source", {"constellation": {}}, [],
@@ -149,16 +149,16 @@ REJECTED_CONFIGS = [
      ["constellation: exactly one of preset / walker / snapshot_csv / tle_file must be given, "
       "found ['preset', 'tle_file']"]),
     ("constellation-unknown-keys", {"constellation": {"preset": "oneweb-like", "b": 1, "a": 2}}, [],
-     ["constellation: unknown key(s) a, b"]),
+     ["constellation: a: unknown key"]),
     ("tle-epoch-without-tle", {"constellation": {"preset": "oneweb-like", "tle_at_seconds": 0}}, [],
      ["constellation: tle_at_seconds requires tle_file"]),
     ("unknown-preset", {"constellation": {"preset": "iridium"}}, [],
      ["constellation.preset: unknown preset 'iridium'"]),
     ("preset-not-string", {"constellation": {"preset": 5}}, [], ["constellation.preset: unknown preset 5"]),
-    ("walker-not-object", _walker(SHELL, 5), [], ["constellation.walker[1]: walker shell must be an object"]),
-    ("walker-unknown-key", _walker({**SHELL, "a": 1}), [], ["constellation.walker[0]: unknown walker key(s) a"]),
+    ("walker-not-object", _walker(SHELL, 5), [], ["constellation.walker[1]: must be an object"]),
+    ("walker-unknown-key", _walker({**SHELL, "a": 1}), [], ["constellation.walker[0]: a: unknown key"]),
     ("walker-missing-key", _walker({k: v for k, v in SHELL.items() if k != "planes"}), [],
-     ["constellation.walker[0]: missing required key 'planes'"]),
+     ["constellation.walker[0]: planes: required key is missing"]),
     ("walker-empty", _walker(), [], ["constellation.walker: at least one shell is required"]),
     ("walker-string-number", _walker({**SHELL, "altitude_km": "550"}), [],
      ["constellation.walker[0]: altitude_km: must be a number, got '550'"]),
@@ -191,11 +191,13 @@ REJECTED_CONFIGS = [
     ("tle-epoch-infinite", {"constellation": {"tle_file": "sats.tle", "tle_at_seconds": math.inf}}, [],
      ["constellation.tle_at_seconds: must be finite"]),
     ("stations-not-string", _preset(stations_csv=5), [], ["stations_csv: must be a string, got 5"]),
-    ("stations-missing", _preset(stations_csv="missing.csv"), [], ["stations_csv: file not found: missing.csv"]),
-    ("terminus-not-object", _preset(terminus=[64.8, -147.7]), [],
-     ["terminus: must be an object with lat_deg and lon_deg"]),
+    ("stations-missing", _preset(stations_csv="missing.csv"), [],
+     ["stations_csv: file not found: missing.csv"]),
+    ("terminus-not-object", _preset(terminus=[64.8, -147.7]), [], ["terminus: must be an object"]),
     ("terminus-missing-key", _preset(terminus={"lat_deg": 64.8}), [],
-     ["terminus: must be an object with lat_deg and lon_deg"]),
+     ["terminus: lon_deg: required key is missing"]),
+    ("terminus-misspelled-key", _preset(terminus={"lat_deg": 1, "lon_deg": 2, "altitude_km": 5}), [],
+     ["terminus: altitude_km: unknown key"]),
     ("terminus-bool", _preset(terminus={"lat_deg": True, "lon_deg": 0}), [],
      ["terminus: lat_deg: must be a number, got True"]),
     ("terminus-infinite", _preset(terminus={"lat_deg": 0, "lon_deg": math.inf}), [],
@@ -217,10 +219,13 @@ REJECTED_CONFIGS = [
     ("seed-range", _preset(seed=2**64), [], [f"seed: must be an unsigned 64-bit integer, got {2**64}"]),
     ("margin-negative", _preset(los_margin_km=-2), [], ["los_margin_km: must be >= 0, got -2.0"]),
     ("margin-infinite", _preset(los_margin_km=math.inf), [], ["los_margin_km: must be finite"]),
-    ("elevation-range", _preset(min_elevation_deg=1000), [], ["min_elevation_deg: must be in [-90, 90], got 1000.0"]),
+    ("elevation-range", _preset(min_elevation_deg=1000), [],
+     ["min_elevation_deg: must be in [-90, 90], got 1000.0"]),
     ("penalty-negative", _preset(reroute_penalty_ms=-1), [], ["reroute_penalty_ms: must be >= 0, got -1.0"]),
-    ("sweep-not-array", _preset(sweep_fractions="0.5"), [], ["sweep_fractions: must be a non-empty array of numbers"]),
-    ("sweep-string", _preset(sweep_fractions=["0.1", 0.2]), [], ["sweep_fractions[0]: must be a number, got '0.1'"]),
+    ("sweep-not-array", _preset(sweep_fractions="0.5"), [],
+     ["sweep_fractions: must be a non-empty array of numbers"]),
+    ("sweep-string", _preset(sweep_fractions=["0.1", 0.2]), [],
+     ["sweep_fractions[0]: must be a number, got '0.1'"]),
     ("sweep-range", _preset(sweep_fractions=[0.2, 1.4]), [], ["sweep_fractions: fraction 1.4 outside [0, 1]"]),
     ("sweep-order", _preset(sweep_fractions=[0.5, 0.2]), [], ["sweep_fractions: must be sorted ascending"]),
     ("overlay-not-object", _preset(overlay=5), [], ["overlay: must be a path or an object"]),
@@ -229,9 +234,9 @@ REJECTED_CONFIGS = [
      ["overlay: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
     ("overlay-file-not-utf8", _preset(overlay="latin1.json"), [],
      ["overlay: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]),
-    ("overlay-file-not-object", _preset(overlay="list.json"), [], ["overlay: overlay must be a JSON object"]),
-    ("overlay-file-unknown-key", _preset(overlay="typo.json"), [], ["overlay: unknown overlay key 'disabled_sats'"]),
-    ("overlay-unknown-key", _preset(overlay={"x": 1}), [], ["overlay: unknown overlay key 'x'"]),
+    ("overlay-file-not-object", _preset(overlay="list.json"), [], ["overlay: must be an object"]),
+    ("overlay-file-unknown-key", _preset(overlay="typo.json"), [], ["overlay: disabled_sats: unknown key"]),
+    ("overlay-unknown-key", _preset(overlay={"x": 1}), [], ["overlay: x: unknown key"]),
     ("overlay-links-not-list", _preset(overlay={"disabled_links": 5}), [],
      ["overlay: disabled_links: must be a list, got 5"]),
     ("overlay-satellites-not-list", _preset(overlay={"disabled_satellites": 5}), [],
@@ -243,9 +248,12 @@ REJECTED_CONFIGS = [
     ("overlay-link-id", _preset(overlay={"disabled_links": [["a", "b"], ["a", 7]]}), [],
      ["overlay: disabled_links[1][1]: must be a string, got 7"]),
     ("jam-not-object", _preset(overlay={"jam_regions": [5]}), [],
-     ["overlay: jam_regions entries need lat_deg, lon_deg and radius_km, got 5"]),
+     ["overlay: jam_regions[0]: must be an object"]),
     ("jam-missing-key", _preset(overlay={"jam_regions": [{"lat_deg": 0, "lon_deg": 0}]}), [],
-     ["overlay: jam_regions entries need lat_deg, lon_deg and radius_km, got {'lat_deg': 0, 'lon_deg': 0}"]),
+     ["overlay: jam_regions[0]: radius_km: required key is missing"]),
+    ("jam-misspelled-key",
+     _preset(overlay={"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 500, "alt_km": 1}]}), [],
+     ["overlay: jam_regions[0]: alt_km: unknown key"]),
     ("jam-number", _preset(overlay={"jam_regions": [{"lat_deg": None, "lon_deg": 0, "radius_km": 500}]}), [],
      ["overlay: jam_regions[0].lat_deg: must be a number, got None"]),
     ("jam-latitude", _preset(overlay={"jam_regions": [{"lat_deg": 100, "lon_deg": 0, "radius_km": 500}]}), [],
@@ -263,15 +271,15 @@ REJECTED_CONFIGS = [
         "terminus": 5, "mode": "teleport", "actuator_fraction": 1.5, "los_margin_km": -2,
         "overlay": {"disabled_links": 5}, "zeta": 1, "bogus_key": 1,
     }, [], [
-        "unknown config key 'bogus_key'",
-        "unknown config key 'zeta'",
+        "bogus_key: unknown key",
+        "zeta: unknown key",
         "constellation: exactly one of preset / walker / snapshot_csv / tle_file must be given, "
         "found ['walker', 'snapshot_csv']",
-        "terminus: must be an object with lat_deg and lon_deg",
+        "terminus: must be an object",
         "mode: unknown architecture mode 'teleport'; expected one of downhaul-greedy, downhaul-optimal, onorbit",
+        "overlay: disabled_links: must be a list, got 5",
         "actuator_fraction: must be in [0, 1], got 1.5",
         "los_margin_km: must be >= 0, got -2.0",
-        "overlay: disabled_links: must be a list, got 5",
     ]),
     # A bad flag is reported before the config is read.
     ("bad-flag-and-config", _preset(foo=1), ["--seed", "abc"], ["--seed: must be an integer, got 'abc'"]),
@@ -309,6 +317,17 @@ def test_validate_config_rejects_malformed_overlays_and_numbers(tmp_path):
     for name, config, flags, expected in REJECTED_CONFIGS:
         if not flags:
             assert validate_config(_config_text(config), base_dir=str(tmp_path)) == (None, expected), name
+
+
+def test_an_unreadable_overlay_file_is_an_overlay_error(tmp_path, monkeypatch):
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    write(tmp_path / "overlay.json", "{}")
+    monkeypatch.setattr(experiments, "_read", unreadable)
+    text = json.dumps(_preset(overlay="overlay.json"))
+    message = f"overlay: [Errno 13] Permission denied: {str(tmp_path / 'overlay.json')!r}"
+    assert validate_config(text, base_dir=str(tmp_path)) == (None, [message])
 
 
 def test_validate_config_rejects_ids_and_paths_that_are_not_strings(tmp_path, capsys):
@@ -363,10 +382,18 @@ def test_cli_reports_a_wrong_typed_overlay_field_as_an_error(tmp_path, capsys):
 
 def test_cli_rejects_station_ids_that_collide(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
-    for clash, why in [("t-p000-s003", "a satellite id"), ("terminus", "reserved for the terminus")]:
-        write(tmp_path / "stations.csv", f"id,lat_deg,lon_deg,alt_km\ngA,5,-20,0\n{clash},48,2,0\n")
-        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: stations_csv: station id {clash!r} is {why}\n"
+    write(tmp_path / "stations.csv", "id,lat_deg,lon_deg,alt_km\ngA,5,-20,0\nt-p000-s003,48,2,0\n")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: stations_csv: station id 't-p000-s003' is a satellite id\n"
+
+
+def test_a_station_may_be_named_terminus(tmp_path):
+    # No output names a terminus node, so the name is free for a station.
+    cfg = tiny_config(tmp_path)
+    write(tmp_path / "stations.csv", "id,lat_deg,lon_deg,alt_km\ngA,5,-20,0\nterminus,48,2,0\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--mode", "downhaul-greedy", "--out", str(out), "--quiet"]) == 0
+    assert ",terminus\n" in (out / "report.csv").read_text()
 
 
 _JSON = st.recursive(
@@ -536,10 +563,11 @@ _NO_STATIONS = {"stations_csv": None, "terminus": {"lat_deg": 64.8, "lon_deg": -
     ("sweep", {"sweep_fractions": []}, [], {}, "sweep_fractions: must be a non-empty array of numbers"),
     ("simulate", {}, ["--seed", "abc"], {}, "--seed: must be an integer, got 'abc'"),
     ("simulate", {}, ["--threads", "x"], {}, "--threads: must be an integer, got 'x'"),
+    ("simulate", {"foo": 1}, [], {}, "foo: unknown key"),
 ], ids=["overlay-satellite", "overlay-station", "overlay-link", "overlay-penalty", "seed-flag",
         "threads-flag", "threads-env", "header-only-snapshot", "downhaul-no-stations",
         "compare-no-stations", "min-elevation", "infinite-margin", "empty-sweep",
-        "non-integer-seed", "non-integer-threads"])
+        "non-integer-seed", "non-integer-threads", "unknown-top-key"])
 def test_every_rejected_input_ends_as_keyed_error_lines(
     tmp_path, monkeypatch, capsys, command, extra, flags, env, expected
 ):

@@ -307,7 +307,7 @@ def test_overlay_json_round_trip():
     )
     back = AttackOverlay.from_dict(json.loads(json.dumps(overlay.to_dict())))
     assert back == overlay
-    with pytest.raises(ValueError, match="unknown overlay key"):
+    with pytest.raises(ValueError, match="^overlay: disabled_sats: unknown key$"):
         AttackOverlay.from_dict({"disabled_sats": []})
     with pytest.raises(ValueError, match="radius"):
         AttackOverlay.from_dict({"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 0}]})
