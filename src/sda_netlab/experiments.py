@@ -23,7 +23,7 @@ from .constellation import (
     select_actuators,
 )
 from .geo import GeodeticPosition
-from .jsonvalues import config_key, json_number, json_object, json_string, key_errors
+from .jsonvalues import JsonObject, config_key, json_number, json_object, json_string, key_errors
 from .routing import (
     ArchitectureMode,
     LatencyReport,
@@ -127,6 +127,10 @@ class WalkerShell:
     spec: WalkerSpec
     id_prefix: str = "sat"
     label: str = "walker"
+
+    def __post_init__(self) -> None:
+        json_string(self.id_prefix, "id_prefix")
+        json_string(self.label, "label")
 
 
 def starlink_like_shell() -> WalkerShell:
@@ -255,8 +259,7 @@ def _shell_from_json(raw, name: str) -> WalkerShell:
     with config_key(name):
         return WalkerShell(
             WalkerSpec(**{key: value for key, value in data.items() if key not in ("id_prefix", "label")}),
-            json_string(data.get("id_prefix", "sat"), "id_prefix"),
-            json_string(data.get("label", "walker"), "label"),
+            **{key: data[key] for key in ("id_prefix", "label") if key in data},
         )
 
 
@@ -335,7 +338,7 @@ def _overlay_from_json(raw, base_dir: str) -> dict:
     if isinstance(raw, str):
         path = _resolve_path(raw, base_dir, "overlay")
         try:
-            raw = json.loads(_read(path))
+            raw = json.loads(_read(path), object_pairs_hook=JsonObject)
         except (ValueError, OSError) as exc:
             raise ValueError(f"overlay: {exc}") from None
     elif not isinstance(raw, dict):
@@ -404,7 +407,7 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
     once rather than stopping at the first.  Relative paths resolve against
     ``base_dir``."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=JsonObject)
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc}"]
     if not isinstance(data, dict):

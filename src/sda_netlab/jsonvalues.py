@@ -1,10 +1,12 @@
 """The JSON value rules every config, overlay and Python-built source
 obeys: a finite JSON number of the right kind, a JSON string, or an object
-with known keys; and the config key that prefixes every error."""
+with known keys, none of them repeated; and the config key that prefixes
+every error."""
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 
@@ -30,12 +32,24 @@ def json_string(raw, name: str) -> str:
     return raw
 
 
+class JsonObject(dict):
+    """A decoded JSON object that remembers the keys its text repeats, which
+    a plain ``dict`` would resolve to the last value without a word; every
+    config and overlay file is read with it as the ``object_pairs_hook``."""
+
+    def __init__(self, pairs=()):
+        super().__init__(pairs)
+        counts = Counter(key for key, _ in pairs)
+        self.duplicates = sorted(key for key, count in counts.items() if count > 1)
+
+
 def key_errors(raw: dict, required=(), optional=()) -> list[str]:
-    """Every key error of the object ``raw``: each unknown key in sorted
-    order, then each missing ``required`` key in the order given."""
-    return [f"{key}: unknown key" for key in sorted(set(raw) - {*required, *optional})] + [
-        f"{key}: required key is missing" for key in required if key not in raw
-    ]
+    """Every key error of the object ``raw``: each repeated key, then each
+    unknown key, in sorted order, then each missing ``required`` key in the
+    order given."""
+    return [f"{key}: duplicate key" for key in getattr(raw, "duplicates", ())] + [
+        f"{key}: unknown key" for key in sorted(set(raw) - {*required, *optional})
+    ] + [f"{key}: required key is missing" for key in required if key not in raw]
 
 
 def json_object(raw, name: str, required=(), optional=()) -> dict:

@@ -26,8 +26,10 @@ adjacency, one node per satellite, which the graph build emits and every
 solve on the graph shares.  Jacobi sweeps apply
 ``label[v] = min(label[v], weight(u, v) + label[u])`` along the hops leaving
 the nodes whose label dropped in the previous sweep (along every hop at
-once when those are a large share), until a sweep lowers nothing, so a
-relay chain costs O(E) relaxations, not O(V * E).
+once, a pull, when those are a large share), so a relay chain costs O(E)
+relaxations, not O(V * E).  Every solve ends on a pull that lowers
+nothing, and the parent rule reads that pull's candidates, so no second
+pass over the hops follows convergence.
 
 The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
@@ -138,21 +140,23 @@ class _RelayProblem:
 
     Hop (src, dst, weight) means ``label[dst]`` may be improved to
     ``weight + label[src]``.  A hop weighs ``delay + penalty_ms`` unless its
-    source is ``exempt``.  Seeds start at their seed label; with
-    ``fixed_seeds`` no hop relaxes into a seed, otherwise relaying may lower
-    a seed's label like any other.
+    source is a seed and ``exempt_seeds`` is set.  Seeds start at their seed
+    label; with ``fixed_seeds`` no hop relaxes into a seed, otherwise
+    relaying may lower a seed's label like any other.
     """
 
     adjacency: SatAdjacency
     penalty_ms: float
-    exempt: np.ndarray  # (sat_count,) bool
     seeds: RelaySeeds
-    node_names: tuple[str, ...]
     fixed_seeds: bool = True
+    exempt_seeds: bool = False
 
-    @property
-    def node_count(self) -> int:
-        return len(self.node_names)
+    @cached_property
+    def exempt(self) -> np.ndarray:
+        """(sat_count,) bool: the satellites whose hops are penalty-free."""
+        exempt = np.zeros(self.adjacency.indptr.size - 1, dtype=bool)
+        exempt[self.seeds.node] = self.exempt_seeds
+        return exempt
 
     def sat_weights(self, src: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
         """Penalised weights of satellite hops leaving ``src``."""
@@ -178,22 +182,13 @@ class _RelayProblem:
         src = np.repeat(sats, counts)
         return src, adj.neighbors[idx], self.sat_weights(src, adj.delays_ms[idx])
 
-    def best_candidates(self, labels: np.ndarray) -> np.ndarray:
-        """Lowest candidate over all hops between satellites into each node;
-        inf where there is none."""
-        adj = self.adjacency
-        best = np.full(self.node_count, math.inf)
-        rows = np.flatnonzero(np.diff(adj.indptr))
-        cand = self.in_weights + labels[adj.neighbors]
-        best[rows] = np.minimum.reduceat(cand, adj.indptr[rows])
-        return best
-
 
 @dataclass(frozen=True)
 class _Fixpoint:
     labels: np.ndarray
+    candidates: np.ndarray  # each in-hop's weight + label[src] at the fixpoint, per adjacency entry
     sweeps: int  # sweeps that lowered at least one label
-    relaxed_edges: int  # hops whose candidate was evaluated, over all sweeps
+    relaxed_edges: int  # hops whose candidate was evaluated, over all sweeps but the closing pull
 
 
 # A pull sweep reads every hop, at roughly a quarter of a push's cost per hop
@@ -207,22 +202,31 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
     A sweep relaxes the hops leaving the satellites whose label dropped in
     the previous sweep (push), or, when those are a large share, every hop
     by a per-node min-reduce (pull); both give the labels of a full sweep.
+    A push that lowers nothing hands over to one closing pull, so the solve
+    always ends on a pull that lowers nothing, whose candidates it returns.
     """
-    n = problem.node_count
+    indptr = problem.adjacency.indptr
+    n = indptr.size - 1
+    rows = np.flatnonzero(np.diff(indptr))
     labels = np.full(n, math.inf)
     labels[problem.seeds.node] = problem.seeds.label_ms
     fixed = np.zeros(n, dtype=bool)
     fixed[problem.seeds.node] = problem.fixed_seeds
     frontier = np.flatnonzero(np.isfinite(labels))
     stamp = np.zeros(n, dtype=np.int64)
-    indptr = problem.adjacency.indptr
-    sweeps, relaxed = 0, 0
-    for _ in range(n + 1):
+    sweeps, relaxed, closing = 0, 0, False
+    for _ in range(n + 2):
         frontier_hops = np.sum(indptr[frontier + 1] - indptr[frontier])
-        if frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * indptr[-1]:
-            best = problem.best_candidates(labels)
-            relaxed += int(indptr[-1])
+        if closing or frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * indptr[-1]:
+            # In place: a temporary would sit beside the last pull's candidates.
+            candidates = labels[problem.adjacency.neighbors]
+            candidates += problem.in_weights
+            best = np.full(n, math.inf)
+            best[rows] = np.minimum.reduceat(candidates, indptr[rows])
             lowered = (best < labels) & ~fixed
+            if not lowered.any():
+                return _Fixpoint(labels, candidates, sweeps, relaxed)
+            relaxed += int(indptr[-1])
             labels[lowered] = best[lowered]
             frontier = np.flatnonzero(lowered)
         else:
@@ -237,15 +241,15 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
             positions = np.arange(dst.size)
             stamp[dst] = positions
             frontier = dst[stamp[dst] == positions]
-        if frontier.size == 0:
-            return _Fixpoint(labels, sweeps, relaxed)
-        sweeps += 1
+        closing = frontier.size == 0
+        sweeps += not closing
     raise RuntimeError("relay fixpoint failed to stabilize within node-count sweeps")
 
 
-def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
+def _parents(problem: _RelayProblem, labels: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Parent of every reachable node, the node itself at a root, and -1
-    where nothing attains the label.
+    where nothing attains the label, from the converged labels and the
+    candidates of the pull that found them final.
 
     Of the in-hops that attain a node's label exactly, one from a smaller
     label (strict progress) wins, lowest node index first.  Failing that, a
@@ -255,7 +259,7 @@ def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
     takes the lowest such index per node, and as a round only builds on
     earlier ones, no parent cycle can form.
     """
-    n = problem.node_count
+    n = labels.size
     adj = problem.adjacency
     seeds = problem.seeds
 
@@ -264,9 +268,8 @@ def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
         np.minimum.at(key, dst, src)
         return np.where(key < n, key, -1)
 
-    cand = problem.in_weights + labels[adj.neighbors]
     # np.repeat of the row labels is faster than gathering them by adj.rows.
-    attain = np.flatnonzero(cand == np.repeat(labels, np.diff(adj.indptr)))
+    attain = np.flatnonzero(candidates == np.repeat(labels, np.diff(adj.indptr)))
     dst = adj.rows[attain]
     src = adj.neighbors[attain]
     keep = np.isfinite(labels[dst])
@@ -285,15 +288,18 @@ def _parents(problem: _RelayProblem, labels: np.ndarray) -> np.ndarray:
         parent = np.where(parent < 0, lowest(dst[take], src[take]), parent)
 
 
-def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport:
-    """Derive hops / next hop / terminal from the converged labels.
+def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
+    """Solve ``problem`` and derive hops / next hop / terminal from the
+    fixpoint; ``names`` holds the satellite ids.
 
     The parent rule of :func:`_parents` depends only on the labels and makes
     a forest.  A root keeps its seed's report fields, and every other node
     takes its root's terminal and hops plus its depth below the root, found
     by pointer jumping in O(log n) rounds.
     """
-    n = problem.node_count
+    fixpoint = _relax(problem)
+    labels = fixpoint.labels
+    n = labels.size
     seeds = problem.seeds
     # -1 hops marks a node that is no seed: an unreachable node is its own
     # root at depth 0, so it keeps -1 and None.
@@ -305,11 +311,11 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport
     seed_terminal[seeds.node] = seeds.terminal
 
     nodes = np.arange(n)
-    parent = _parents(problem, labels)
+    parent = _parents(problem, labels, fixpoint.candidates)
     orphans = np.flatnonzero(np.isfinite(labels) & (parent < 0))
     if orphans.size:
         node = orphans[np.argmin(labels[orphans])]
-        raise RuntimeError(f"no attaining relay edge for node {problem.node_names[node]}")
+        raise RuntimeError(f"no attaining relay edge for node {names[node]}")
     parent = np.where(parent < 0, nodes, parent)
 
     # After k rounds jump[v] is 2**k steps above v, or v's root, and depth[v]
@@ -325,12 +331,11 @@ def _extract_report(problem: _RelayProblem, labels: np.ndarray) -> LatencyReport
     else:
         raise RuntimeError("zero-delay relay cycle: cannot orient delivery paths")
 
-    names = np.array(problem.node_names, dtype=object)
     return LatencyReport(
-        sat_ids=problem.node_names,
+        sat_ids=names,
         latency_ms=labels,
         hops=seed_hops[jump] + depth,
-        next_hop=np.where(parent == nodes, seed_next_hop, names[parent]),
+        next_hop=np.where(parent == nodes, seed_next_hop, np.array(names, dtype=object)[parent]),
         terminal=seed_terminal[jump],
     )
 
@@ -369,32 +374,6 @@ def downlink_seeds(
 # --- Engines --------------------------------------------------------------------
 
 
-def _sat_problem(
-    graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
-    sources: RelaySeeds,
-    reroute_penalty_ms: float,
-    exempt_sources_from_penalty: bool,
-    fixed_seeds: bool = True,
-) -> _RelayProblem:
-    """With the exemption, hops leaving a source are penalty-free."""
-    exempt = np.zeros(graph.sat_count, dtype=bool)
-    if exempt_sources_from_penalty:
-        exempt[sources.node] = True
-    return _RelayProblem(
-        adjacency=graph.adjacency,
-        penalty_ms=reroute_penalty_ms,
-        exempt=exempt,
-        seeds=sources,
-        node_names=snapshot.ids,
-        fixed_seeds=fixed_seeds,
-    )
-
-
-def _route(problem: _RelayProblem) -> LatencyReport:
-    return _extract_report(problem, _relax(problem).labels)
-
-
 def onorbit_latencies(
     graph: VisibilityGraph,
     snapshot: ConstellationSnapshot,
@@ -404,8 +383,8 @@ def onorbit_latencies(
 
     Zero actuators is legal and yields an all-unreachable report.
     """
-    sources = actuator_sources(snapshot)
-    return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, True))
+    problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, actuator_sources(snapshot), exempt_seeds=True)
+    return _route(problem, snapshot.ids)
 
 
 def downhaul_latencies(
@@ -423,5 +402,6 @@ def downhaul_latencies(
         raise ValueError(f"downhaul_latencies cannot run mode {mode.value!r}")
     sources = downlink_seeds(graph, stations, terminus, mode)
     # Greedy downlinks are final; relaying may beat an optimal offer.
-    fixed = mode is ArchitectureMode.DOWNHAUL_GREEDY
-    return _route(_sat_problem(graph, snapshot, sources, reroute_penalty_ms, False, fixed))
+    problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, sources,
+                            fixed_seeds=mode is ArchitectureMode.DOWNHAUL_GREEDY)
+    return _route(problem, snapshot.ids)

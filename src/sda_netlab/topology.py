@@ -340,8 +340,9 @@ class AttackOverlay:
             regions = []
             for k, r in enumerate(entries("jam_regions")):
                 region = json_object(r, f"jam_regions[{k}]", required=_JAM_KEYS)
-                lat, lon, radius = (json_number(region[key], f"jam_regions[{k}].{key}") for key in _JAM_KEYS)
-                regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
+                with config_key(f"jam_regions[{k}]"):
+                    lat, lon, radius = (json_number(region[key], key) for key in _JAM_KEYS)
+                    regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
             return cls(
                 disabled_satellites=ids("disabled_satellites"),
                 disabled_stations=ids("disabled_stations"),

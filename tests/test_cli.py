@@ -131,6 +131,7 @@ CORPUS_FILES = {
     "broken.json": "{",
     "latin1.json": b"\xff",
     "typo.json": '{"disabled_sats": []}',
+    "repeated.json": '{"disabled_satellites": [], "disabled_satellites": ["x"]}',
 }
 
 # One row per message the config stage prints: (id, config document or
@@ -141,6 +142,19 @@ REJECTED_CONFIGS = [
      ["config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
     ("array-root", "[1]", [], ["config must be a JSON object"]),
     ("unknown-key", _preset(foo=1), [], ["foo: unknown key"]),
+    # A repeated key is an error wherever it is; json.dumps cannot write one.
+    ("duplicate-key", '{"constellation": {"preset": "oneweb-like"}, "seed": 1, "seed": 2}', [],
+     ["seed: duplicate key"]),
+    ("duplicate-preset", '{"constellation": {"preset": "oneweb-like", "preset": "combined"}}', [],
+     ["constellation: preset: duplicate key"]),
+    ("duplicate-walker-key",
+     '{"constellation": {"walker": [{"altitude_km": 1200, "inclination_deg": 87.9, "planes": 4, '
+     '"planes": 5, "sats_per_plane": 8}]}}', [],
+     ["constellation.walker[0]: planes: duplicate key"]),
+    ("duplicate-jam-key",
+     '{"constellation": {"preset": "oneweb-like"}, '
+     '"overlay": {"jam_regions": [{"lat_deg": 0, "lat_deg": 10, "lon_deg": 0, "radius_km": 500}]}}', [],
+     ["overlay: jam_regions[0]: lat_deg: duplicate key"]),
     ("no-constellation", {}, [], ["constellation: required key is missing"]),
     ("constellation-not-object", {"constellation": "oneweb-like"}, [], ["constellation: must be an object"]),
     ("no-source", {"constellation": {}}, [],
@@ -236,6 +250,8 @@ REJECTED_CONFIGS = [
      ["overlay: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]),
     ("overlay-file-not-object", _preset(overlay="list.json"), [], ["overlay: must be an object"]),
     ("overlay-file-unknown-key", _preset(overlay="typo.json"), [], ["overlay: disabled_sats: unknown key"]),
+    ("overlay-file-duplicate-key", _preset(overlay="repeated.json"), [],
+     ["overlay: disabled_satellites: duplicate key"]),
     ("overlay-unknown-key", _preset(overlay={"x": 1}), [], ["overlay: x: unknown key"]),
     ("overlay-links-not-list", _preset(overlay={"disabled_links": 5}), [],
      ["overlay: disabled_links: must be a list, got 5"]),
@@ -255,11 +271,11 @@ REJECTED_CONFIGS = [
      _preset(overlay={"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 500, "alt_km": 1}]}), [],
      ["overlay: jam_regions[0]: alt_km: unknown key"]),
     ("jam-number", _preset(overlay={"jam_regions": [{"lat_deg": None, "lon_deg": 0, "radius_km": 500}]}), [],
-     ["overlay: jam_regions[0].lat_deg: must be a number, got None"]),
+     ["overlay: jam_regions[0]: lat_deg: must be a number, got None"]),
     ("jam-latitude", _preset(overlay={"jam_regions": [{"lat_deg": 100, "lon_deg": 0, "radius_km": 500}]}), [],
-     ["overlay: latitude must be in [-90, 90], got 100.0"]),
+     ["overlay: jam_regions[0]: latitude must be in [-90, 90], got 100.0"]),
     ("jam-radius", _preset(overlay={"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 0}]}), [],
-     ["overlay: jam radius must be positive, got 0.0"]),
+     ["overlay: jam_regions[0]: jam radius must be positive, got 0.0"]),
     ("overlay-penalty-null", _preset(overlay={"reroute_penalty_ms": None}), [],
      ["overlay: reroute_penalty_ms: must be a number, got None"]),
     ("overlay-penalty-string", _preset(overlay={"reroute_penalty_ms": "1.5"}), [],

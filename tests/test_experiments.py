@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -23,6 +24,7 @@ from sda_netlab.experiments import (
     resolve_actuator_count,
     run_scenario,
     summarize,
+    validate_config,
 )
 from sda_netlab.geo import GeodeticPosition
 from sda_netlab.routing import ArchitectureMode, LatencyReport
@@ -286,6 +288,17 @@ def test_attack_overlay_penalty_applies_only_to_attacked_run():
     outcome = attack_scenario(replace(cfg, overlay=overlay), threads=1)
     assert outcome.delta_mean_ms is not None and outcome.delta_mean_ms > 0.0
     assert outcome.availability_loss == 0
+
+
+def test_a_python_built_walker_shell_obeys_the_json_string_rules():
+    spec = WalkerSpec(550.0, 53.0, 4, 8)
+    with pytest.raises(ValueError, match=r"^id_prefix: must be a string, got 5$"):
+        WalkerShell(spec, 5)
+    with pytest.raises(ValueError, match=r"^label: must be a string, got None$"):
+        WalkerShell(spec, "s", None)
+    # A shell it accepts echoes a config that validates back to the same config.
+    cfg = ScenarioConfig(constellation=ConstellationSource(walker_shells=(WalkerShell(spec, "s", "x"),)))
+    assert validate_config(json.dumps(config_to_dict(cfg))) == (cfg, [])
 
 
 def test_config_echo_is_stable():

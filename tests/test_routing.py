@@ -14,8 +14,8 @@ from sda_netlab.geo import GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import (
     ArchitectureMode,
     RelaySeeds,
+    _RelayProblem,
     _relax,
-    _sat_problem,
     actuator_sources,
     downhaul_latencies,
     downlink_seeds,
@@ -260,7 +260,7 @@ def test_star_topology_single_sweep_matches_dijkstra():
     )
     graph = manual_graph(6, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
     sources = actuator_sources(snap)
-    assert _relax(_sat_problem(graph, snap, sources, 0.0, True)).sweeps == 1
+    assert _relax(_RelayProblem(graph.adjacency, 0.0, sources, exempt_seeds=True)).sweeps == 1
     assert onorbit_latencies(graph, snap) == dijkstra_oracle(graph, snap, sources, exempt=True)
 
 
@@ -269,7 +269,7 @@ def test_single_pass_cannot_resolve_a_relay_chain():
     graph = manual_graph(3, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
     sources = actuator_sources(snap)
     # One sweep labels only B; the far node A needs a second.
-    assert _relax(_sat_problem(graph, snap, sources, 0.0, True)).sweeps == 2
+    assert _relax(_RelayProblem(graph.adjacency, 0.0, sources, exempt_seeds=True)).sweeps == 2
     full = onorbit_latencies(graph, snap)
     assert full == dijkstra_oracle(graph, snap, sources, exempt=True)
     assert math.isfinite(full.latency_ms[full.sat_ids.index("A")])
@@ -285,7 +285,7 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     )
     graph = manual_graph(n, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
     sources = actuator_sources(snap)
-    fixpoint = _relax(_sat_problem(graph, snap, sources, 0.25, True))
+    fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
     assert fixpoint.sweeps == n - 1
     assert fixpoint.relaxed_edges <= 2 * graph.sat_edge_count
     engine = onorbit_latencies(graph, snap, 0.25)
@@ -422,6 +422,66 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     for mode in monotone:
         for b, a in zip(before[mode][0].latency_ms, after[mode][0].latency_ms):
             assert a >= b, mode
+
+
+def _relay_problem(graph, snap, stations, terminus, mode, penalty):
+    """The relay problem the engine of ``mode`` solves."""
+    if mode is ArchitectureMode.ON_ORBIT:
+        return _RelayProblem(graph.adjacency, penalty, actuator_sources(snap), exempt_seeds=True)
+    seeds = downlink_seeds(graph, stations, terminus, mode)
+    return _RelayProblem(graph.adjacency, penalty, seeds, fixed_seeds=mode is GREEDY)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(2, 45),
+    mode=st.sampled_from(list(ArchitectureMode)),
+    penalty=st.sampled_from([0.0, 0.25]),
+    attacked=st.booleans(),
+    data=st.data(),
+)
+def test_the_closing_pull_holds_the_exact_candidates_and_lowers_nothing(
+    shell_seed, count, mode, penalty, attacked, data
+):
+    stations = PROPERTY_STATIONS
+    snap = random_shell(shell_seed, count=count)
+    snap = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
+    terminus = data.draw(st.sampled_from(stations)).geodetic
+    graph = build_visibility_graph(snap, stations, threads=1)
+    if attacked:
+        graph = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
+    problem = _relay_problem(graph, snap, stations, terminus, mode, penalty)
+    fixpoint = _relax(problem)
+    adj, labels = graph.adjacency, fixpoint.labels
+    assert fixpoint.candidates.tobytes() == (problem.in_weights + labels[adj.neighbors]).tobytes()
+    fixed = np.zeros(graph.sat_count, dtype=bool)
+    fixed[problem.seeds.node] = problem.fixed_seeds
+    assert ((fixpoint.candidates >= labels[adj.rows]) | fixed[adj.rows]).all()
+
+
+PATH_LINKS = [(k, k + 1, 100.0 + k) for k in range(5)]
+
+
+@pytest.mark.parametrize("links, actuators, sweeps, relaxed_edges", [
+    # From one end of a path: pushes, the last of which lowers nothing.
+    (PATH_LINKS, [0], 5, 10),
+    # From the hub of a star: one lowering pull.
+    ([(0, k, 100.0 * k) for k in range(1, 6)], [0], 1, 10),
+    # Every satellite an actuator: the first sweep is the closing pull.
+    (PATH_LINKS, range(6), 0, 0),
+])
+def test_every_way_into_the_closing_pull_gives_the_oracle_report(links, actuators, sweeps, relaxed_edges):
+    snap = ConstellationSnapshot(
+        tuple(f"s{k}" for k in range(6)), [(7000.0, 100.0 * k, 0.0) for k in range(6)],
+        actuators=np.isin(np.arange(6), list(actuators)),
+    )
+    graph = manual_graph(6, 0, links, [])
+    sources = actuator_sources(snap)
+    fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
+    # The closing pull replaces the report's pass over the hops, so it is not counted.
+    assert (fixpoint.sweeps, fixpoint.relaxed_edges) == (sweeps, relaxed_edges)
+    assert onorbit_latencies(graph, snap, 0.25) == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
 
 
 def test_optimal_never_exceeds_greedy_pointwise():
