@@ -1,11 +1,14 @@
 """Visibility graphs over constellation snapshots, and attack overlays.
 
-The pairwise build is vectorized and may be partitioned across worker
-threads; every row block is computed with the same floating-point
-expressions as the scalar reference ``min_scaled_norm_sq`` in the tests'
-``oracle_utils`` (including the lexicographic endpoint ordering), so the
-edge set is bit-identical to a scalar double loop and independent of the
-thread count.
+The satellite build tests each pair once, in the upper triangle, in row
+blocks that may run on worker threads.  A tangent bound first drops the
+pairs that cannot see each other; the exact test then decides every pair
+that is left.  It uses the same floating-point expressions as the scalar
+reference ``min_scaled_norm_sq`` in the tests' ``oracle_utils`` (including
+the lexicographic endpoint ordering), so the edge set is bit-identical to a
+scalar double loop and independent of the thread count.  The symmetric CSR
+is assembled from the upper pairs without sorting its 2E entries.  The
+station edges go through the same exact test.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .constellation import ConstellationSnapshot, GroundStationNode
 from .geo import (
     LOS_THRESHOLD_SQ,
+    MEAN_RADIUS_KM,
     SEMI_MAJOR_A_KM,
     SEMI_MINOR_B_KM,
     SPEED_OF_LIGHT_KM_S,
@@ -113,33 +117,23 @@ def resolve_thread_count(threads: int | None) -> int:
     return int(env)
 
 
-def _canonical_pairs(
-    pa: np.ndarray, qa: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Order endpoint coordinates lexicographically, mirroring the scalar LOS."""
-    px, py, pz = pa[:, 0:1], pa[:, 1:2], pa[:, 2:3]
-    qx, qy, qz = qa[np.newaxis, :, 0], qa[np.newaxis, :, 1], qa[np.newaxis, :, 2]
+def _line_of_sight(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Visibility of each pair (``p[:, k]``, ``q[:, k]``) of pre-scaled
+    (3, k) endpoint columns.
+
+    The endpoints are put in lexicographic (x, y, z) order first, mirroring
+    the scalar LOS, so the result does not depend on which endpoint is
+    ``p``.  Coincident points produce NaN and compare as not visible.
+    """
+    px, py, pz = p
+    qx, qy, qz = q
     swap = (qx < px) | ((qx == px) & ((qy < py) | ((qy == py) & (qz < pz))))
     ax = np.where(swap, qx, px)
     ay = np.where(swap, qy, py)
     az = np.where(swap, qz, pz)
-    bx = np.where(swap, px, qx)
-    by = np.where(swap, py, qy)
-    bz = np.where(swap, pz, qz)
-    return ax, ay, az, bx, by, bz
-
-
-def _visible_mask(
-    pa_scaled: np.ndarray, qa_scaled: np.ndarray
-) -> np.ndarray:
-    """Visibility of every (row, col) pair from pre-scaled coordinates.
-
-    Coincident points produce NaN and compare as not visible.
-    """
-    ax, ay, az, bx, by, bz = _canonical_pairs(pa_scaled, qa_scaled)
-    dx = bx - ax
-    dy = by - ay
-    dz = bz - az
+    dx = np.where(swap, px, qx) - ax
+    dy = np.where(swap, py, qy) - ay
+    dz = np.where(swap, pz, qz) - az
     dd = (dx * dx + dy * dy) + dz * dz
     pd = (ax * dx + ay * dy) + az * dz
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -163,14 +157,111 @@ def _delays_ms(distances: np.ndarray) -> np.ndarray:
     return distances / SPEED_OF_LIGHT_KM_S * 1000.0
 
 
-def _sat_block(
-    positions: np.ndarray, scaled: np.ndarray, lo: int, hi: int
+def _upper_block(
+    positions: np.ndarray, scaled: np.ndarray, sq: np.ndarray, tangent: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows lo:hi of the adjacency: each row's visible satellites in
-    ascending order, their delays, and the count per row."""
-    rows, cols = np.nonzero(_visible_mask(scaled[lo:hi], scaled))
-    dist = _distances(positions[lo + rows], positions[cols])
-    return cols.astype(np.int32), _delays_ms(dist), np.bincount(rows, minlength=hi - lo)
+    """The edges (i, j) with lo <= i < hi and i < j, in ascending (i, j)
+    order, and their delays: pairs that pass the tangent bound (see
+    :func:`_sat_adjacency`), then pass the exact LOS test."""
+    # |a - b|^2 in the Gram form sq[i] + sq[j] - 2 a.b, with a.b summed from
+    # three outer products: a BLAS product with inner size 3 saves nothing,
+    # and its own threads would compete with the row-block workers.
+    d2 = np.add.outer(sq[lo:hi], sq[lo:])
+    left, right = -2.0 * scaled[lo:hi], scaled.T[:, lo:]
+    for k in range(3):
+        d2 += np.multiply.outer(left[:, k], right[k])
+    limit = tangent[lo:hi, np.newaxis] + tangent[np.newaxis, lo:]
+    limit *= limit
+    limit *= 1.0 + 1e-9
+    limit += 1e-12
+    candidate = d2 <= limit
+    del d2, limit
+    candidate[np.tril_indices(hi - lo)] = False  # the pairs with j <= i
+    rows, cols = np.nonzero(candidate)
+    del candidate
+    i = (rows + lo).astype(np.int32)
+    j = (cols + lo).astype(np.int32)
+    visible = _line_of_sight(scaled.T[:, i], scaled.T[:, j])
+    i, j = i[visible], j[visible]
+    return i, j, _delays_ms(_distances(positions[i], positions[j]))
+
+
+def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | None) -> SatAdjacency:
+    """The satellite CSR: each pair i < j is tested once, in row blocks
+    that may run on worker threads, and listed under both endpoints.
+
+    The exact LOS test decides every edge; a cheap bound only skips pairs
+    that cannot pass it.  Why the bound keeps every visible pair: in the
+    scaled coordinates the test asks whether the segment a-b keeps a
+    squared norm >= T (``LOS_THRESHOLD_SQ``).  Let m be its point nearest
+    the origin.  If m lies inside the segment, m is orthogonal to b - a, so
+    |a - m|^2 = |a|^2 - |m|^2, and the same for b; if m is the endpoint a,
+    then a.(b - a) >= 0 and |b - a|^2 <= |b|^2 - |a|^2.  Either way a pair
+    with |m|^2 >= T' has |a - b| <= t_a + t_b, where t_a = sqrt(|a|^2 - T')
+    is the tangent length from a to the sphere of radius sqrt(T').  A
+    satellite with |a|^2 < T' sees nothing, as |m| <= |a|, so its t = 0
+    loses no pair.  With u = 2**-53 and S = max(1, max |a|^2), two rounding
+    gaps remain:
+
+    - The exact test finds m with a dozen roundings, so it may accept a
+      pair whose true |m|^2 lies below T by up to about 20 u S.  The
+      tangent lengths are therefore taken to T' = T - 1e-12 S, which also
+      absorbs the rounding of |a|^2.  With T' = T, a satellite on the
+      threshold sphere (t = 0) would lose the partners whose segment dips
+      below its tangent plane by less than the test resolves: an error of
+      1e-16 in |m|^2 moves that tangent length by 1e-8.
+    - The Gram form |a|^2 + |b|^2 - 2 a.b of |a - b|^2 errs by less than
+      16 u (|a|^2 + |b|^2), summed in any order.  The slack
+      (t_a + t_b)^2 (1 + 1e-9) + 1e-12 covers it on its own: the absolute
+      1e-12 while |a|^2 + |b|^2 < 500; beyond that, (t_a + t_b)^2 >=
+      max(|a|^2, |b|^2) - 1 > 240, and the relative 1e-9 does.  The
+      relative term also absorbs the roundings of t_a + t_b and its square.
+
+    The upper pairs arrive in ascending (i, j) order.  Row r lists its
+    lower neighbours first, the pairs (i, r), which a stable sort of the
+    columns yields in ascending i; its upper neighbours, the pairs (r, j),
+    follow as they arrive.  One mask of per-row runs places both kinds, so
+    the 2E entries are never sorted.  Each E-sized transient is dropped as
+    soon as it has been used.
+    """
+    n = positions.shape[0]
+    sq = np.einsum("ij,ij->i", scaled, scaled)
+    tangent = np.sqrt(np.maximum(sq - (LOS_THRESHOLD_SQ - 1e-12 * max(1.0, float(sq.max()))), 0.0))
+    blocks = [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
+    workers = min(resolve_thread_count(threads), len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda b: _upper_block(positions, scaled, sq, tangent, *b), blocks))
+    else:
+        results = [_upper_block(positions, scaled, sq, tangent, lo, hi) for lo, hi in blocks]
+    i, j, delays = (np.concatenate(part) for part in zip(*results))
+    del results
+
+    # The LOS test orders the two endpoints and (p - q)**2 == (q - p)**2, so
+    # each pair's one test and one delay serve both of its entries.  A
+    # satellite never sees itself: coincident points are not visible.
+    lower = np.bincount(j, minlength=n)
+    upper = np.bincount(i, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lower + upper, out=indptr[1:])
+    by_column = np.argsort(j, kind="stable")
+    lower_neighbors = i[by_column]
+    del i
+    lower_delays = delays[by_column]
+    del by_column
+    in_lower = np.repeat(np.tile(np.array([True, False]), n), np.stack([lower, upper], axis=1).ravel())
+    delays_ms = np.empty(indptr[-1], dtype=np.float64)
+    delays_ms[in_lower] = lower_delays
+    del lower_delays
+    neighbors = np.empty(indptr[-1], dtype=np.int32)
+    neighbors[in_lower] = lower_neighbors
+    del lower_neighbors
+    np.logical_not(in_lower, out=in_lower)
+    delays_ms[in_lower] = delays
+    del delays
+    neighbors[in_lower] = j
+    del j, in_lower
+    return SatAdjacency(indptr=indptr, neighbors=neighbors, delays_ms=delays_ms)
 
 
 def build_visibility_graph(
@@ -190,49 +281,23 @@ def build_visibility_graph(
         raise ValueError(f"margin_km must be >= 0, got {margin_km}")
     n = len(snapshot)
     positions = snapshot.positions
-    inv_ae = 1.0 / (SEMI_MAJOR_A_KM + margin_km)
-    inv_be = 1.0 / (SEMI_MINOR_B_KM + margin_km)
-    scaled = positions * np.array([inv_ae, inv_ae, inv_be])
+    axes = np.array([1.0 / (SEMI_MAJOR_A_KM + margin_km)] * 2 + [1.0 / (SEMI_MINOR_B_KM + margin_km)])
+    scaled = positions * axes
+    adjacency = _sat_adjacency(positions, scaled, threads)
 
-    blocks = [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
-    workers = min(resolve_thread_count(threads), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _sat_block(positions, scaled, *b), blocks))
-    else:
-        results = [_sat_block(positions, scaled, lo, hi) for lo, hi in blocks]
-
-    # A row lists both orders of each pair: the LOS test orders the two
-    # endpoints and (p - q)**2 == (q - p)**2, so both entries of a pair carry
-    # the same bits.  A satellite never sees itself: coincident points are
-    # not visible.
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([r[2] for r in results]), out=indptr[1:])
-    adjacency = SatAdjacency(
-        indptr=indptr,
-        neighbors=np.concatenate([r[0] for r in results]),
-        delays_ms=np.concatenate([r[1] for r in results]),
-    )
-
-    if stations:
-        st_pos = np.array([s.ecef.as_tuple() for s in stations], dtype=np.float64)
-        st_scaled = st_pos * np.array([inv_ae, inv_ae, inv_be])
-        visible = _visible_mask(scaled, st_scaled)
-        if min_elevation_deg is not None:
-            visible &= _elevation_mask(positions, stations, min_elevation_deg)
-        rows, cols = np.nonzero(visible)
-        dist = _distances(positions[rows], st_pos[cols])
-        station_edges = np.stack([rows, cols], axis=1).astype(np.int32)
-        station_delays = _delays_ms(dist)
-    else:
-        station_edges = np.empty((0, 2), dtype=np.int32)
-        station_delays = np.empty(0, dtype=np.float64)
-
+    # Every (satellite, station) pair in ascending (i, g) order.
+    st_pos = np.array([s.ecef.as_tuple() for s in stations], dtype=np.float64).reshape(-1, 3)
+    sats = np.repeat(np.arange(n), len(stations))
+    grounds = np.tile(np.arange(len(stations)), n)
+    visible = _line_of_sight(scaled.T[:, sats], (st_pos * axes).T[:, grounds])
+    if min_elevation_deg is not None:
+        visible &= _elevation_mask(positions, stations, min_elevation_deg).ravel()
+    sats, grounds = sats[visible], grounds[visible]
     return VisibilityGraph(
         station_count=len(stations),
         adjacency=adjacency,
-        station_edges=station_edges,
-        station_delays_ms=station_delays,
+        station_edges=np.stack([sats, grounds], axis=1).astype(np.int32),
+        station_delays_ms=_delays_ms(_distances(positions[sats], st_pos[grounds])),
     )
 
 
@@ -368,22 +433,45 @@ class AttackOverlay:
         }
 
 
+# The geodetic and the geocentric latitude of a point above the ellipsoid
+# differ by at most 0.1924 degrees; the bound rounds that up.
+_LATITUDE_GAP_RAD = math.radians(0.2)
+
+
 def _jammed_mask(
     snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     regions: tuple[JamRegion, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes whose sub-point falls inside any jam region (the surface
-    distance reads only latitude and longitude)."""
+    distance reads only latitude and longitude).
+
+    Only the satellites near a region get the exact test.  A sub-point and
+    the satellite's own direction share a meridian and differ in latitude
+    by at most the geodetic-geocentric gap, so the triangle inequality on
+    the sphere puts every jammed satellite within radius / MEAN_RADIUS_KM
+    plus that gap of a region's centre, as seen from the Earth's centre.
+    The cosine cut is lowered by 1e-9, far above the rounding of the unit
+    vectors and of their dot product."""
     n = len(snapshot)
     if not regions:
         return np.zeros(n, dtype=bool), np.zeros(len(stations), dtype=bool)
-    subs = [ecef_to_geodetic(EcefPosition(*p)) for p in snapshot.positions.tolist()]
-    subs += [st.geodetic for st in stations]
-    jammed = np.array([
-        any(surface_distance_km(sub, r.center) <= r.radius_km for r in regions) for sub in subs
-    ], dtype=bool)
-    return jammed[:n], jammed[n:]
+    positions = snapshot.positions
+    directions = positions / np.sqrt(np.einsum("ij,ij->i", positions, positions))[:, np.newaxis]
+    near = np.zeros(n, dtype=bool)
+    for r in regions:
+        lat, lon = math.radians(r.center.latitude_deg), math.radians(r.center.longitude_deg)
+        centre = np.array([math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)])
+        reach = min(r.radius_km / MEAN_RADIUS_KM + _LATITUDE_GAP_RAD, math.pi)
+        near |= directions @ centre >= math.cos(reach) - 1e-9
+
+    def jammed(sub: GeodeticPosition) -> bool:
+        return any(surface_distance_km(sub, r.center) <= r.radius_km for r in regions)
+
+    sat_jam = np.zeros(n, dtype=bool)
+    for k in np.flatnonzero(near).tolist():
+        sat_jam[k] = jammed(ecef_to_geodetic(EcefPosition(*positions[k].tolist())))
+    return sat_jam, np.array([jammed(st.geodetic) for st in stations], dtype=bool)
 
 
 def _clear_listed(keep: np.ndarray, first: np.ndarray, second: np.ndarray, width: int, keys: list[int]) -> None:

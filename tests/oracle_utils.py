@@ -4,10 +4,11 @@ These deliberately re-derive results through different code paths than the
 package (sampling instead of minimization, naive sums instead of fsum,
 double loops instead of vectorization, a heap Dijkstra with per-node parent
 scans instead of frontier sweeps over the adjacency, per-edge id matching
-instead of index keys for overlays, a per-edge loop instead of a sort for
+instead of index keys for overlays, a scalar surface distance for every
+node instead of a pre-filtered jam mask, a per-edge loop instead of a sort for
 downlink seeds, station and terminus nodes instead of seeded downlink
 offers for downhaul-optimal, a stable sort of an edge list instead of the
-build's row blocks for the satellite adjacency).  The scalar geometry references
+build's upper-triangle runs for the satellite adjacency).  The scalar geometry references
 (``min_scaled_norm_sq``, ``has_line_of_sight``, ``euclidean_km``) and the
 TLE writer live here too: only the tests call them.
 """
@@ -28,12 +29,13 @@ from sda_netlab.geo import (
     SEMI_MINOR_B_KM,
     EcefPosition,
     GeodeticPosition,
+    ecef_to_geodetic,
     propagation_delay_ms,
     surface_distance_km,
 )
 from sda_netlab.routing import ArchitectureMode, LatencyReport, RelaySeeds
 from sda_netlab.tle import _J2000, TleElements, line_checksum
-from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph, _jammed_mask
+from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph
 
 # The name of the root node of the augmented downhaul-optimal graph.
 TERMINUS_NAME = "terminus"
@@ -77,7 +79,9 @@ def min_scaled_norm_sq(
     dz = qhz - phz
     dd = (dx * dx + dy * dy) + dz * dz
     pd = (phx * dx + phy * dy) + phz * dz
-    t = -pd / dd
+    # IEEE division, as in the vectorized test: two points 1 ulp apart may
+    # coincide once scaled, and 0 / 0 is NaN, which is not visible.
+    t = -pd / dd if dd != 0.0 else math.nan
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
@@ -376,12 +380,23 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
     )
 
 
+def jammed_nodes(snapshot, stations, regions) -> tuple[np.ndarray, np.ndarray]:
+    """The satellites and stations whose sub-point lies inside a jam region,
+    by the scalar surface distance of every node, with no pre-filter."""
+    subs = [ecef_to_geodetic(EcefPosition(*p)) for p in snapshot.positions.tolist()]
+    subs += [st.geodetic for st in stations]
+    jammed = np.array([
+        any(surface_distance_km(sub, r.center) <= r.radius_km for r in regions) for sub in subs
+    ], dtype=bool)
+    return jammed[:len(snapshot)], jammed[len(snapshot):]
+
+
 def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
     """The attacked graph by matching every surviving edge's id pair
     against ``overlay.disabled_links`` in a Python loop."""
     sat_ids = snapshot.ids
     station_ids = [st.id for st in stations]
-    sat_dead, st_dead = _jammed_mask(snapshot, stations, overlay.jam_regions)
+    sat_dead, st_dead = jammed_nodes(snapshot, stations, overlay.jam_regions)
     sat_dead |= np.array([s in overlay.disabled_satellites for s in sat_ids], dtype=bool)
     st_dead |= np.array([s in overlay.disabled_stations for s in station_ids], dtype=bool)
 

@@ -13,11 +13,23 @@ from sda_netlab.constellation import (
     generate_walker,
     load_ground_stations_csv,
 )
-from sda_netlab.geo import EcefPosition, GeodeticPosition, propagation_delay_ms
+from sda_netlab.geo import (
+    LOS_THRESHOLD_SQ,
+    MEAN_RADIUS_KM,
+    SEMI_MAJOR_A_KM,
+    SEMI_MINOR_B_KM,
+    SPEED_OF_LIGHT_KM_S,
+    EcefPosition,
+    GeodeticPosition,
+    geodetic_to_ecef,
+    propagation_delay_ms,
+)
 from sda_netlab.topology import (
     AttackOverlay,
     JamRegion,
     _elevation_mask,
+    _jammed_mask,
+    _line_of_sight,
     apply_overlay,
     build_visibility_graph,
     resolve_thread_count,
@@ -28,7 +40,9 @@ from oracle_utils import (
     graph_from_edges,
     grazing_pair,
     has_line_of_sight,
+    jammed_nodes,
     overlay_oracle,
+    random_orbital_point,
     random_shell,
 )
 
@@ -68,28 +82,58 @@ def test_build_matches_brute_force_double_loop_exactly():
     assert graph.station_delays_ms.tolist() == gd
 
 
-@settings(max_examples=25, deadline=None, database=None)
+def on_inflated_surface(rng, margin_km):
+    """A point on the ellipsoid inflated by ``margin_km``: its scaled norm is
+    1 up to rounding, so its tangent length is close to 0."""
+    lat, lon = rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(-math.pi, math.pi)
+    return (
+        (SEMI_MAJOR_A_KM + margin_km) * math.cos(lat) * math.cos(lon),
+        (SEMI_MAJOR_A_KM + margin_km) * math.cos(lat) * math.sin(lon),
+        (SEMI_MINOR_B_KM + margin_km) * math.sin(lat),
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
 @given(
     shells=st.lists(
         st.tuples(st.integers(0, 2**31), st.integers(1, 100), st.floats(300.0, 2500.0), st.floats(0.0, 1500.0)),
         min_size=1, max_size=3,
     ),
-    grazing_seed=st.integers(0, 2**31),
+    extra_seed=st.integers(0, 2**31),
     grazing_pairs=st.integers(0, 4),
-    margin_km=st.just(0.0) | st.floats(0.0, 200.0),
+    ulp_pairs=st.integers(0, 3),
+    surface_points=st.integers(0, 4),
+    # Up to 200 km, or at and above the shell altitudes, where some
+    # satellites sit inside the inflated ellipsoid.
+    margin_km=st.just(0.0) | st.floats(0.0, 200.0) | st.floats(300.0, 4000.0),
     coincident=st.booleans(),
+    # Around the row-block edges.
+    size=st.none() | st.sampled_from((1, 127, 128, 129, 257)),
 )
-def test_adjacency_equals_the_edge_list_reference(shells, grazing_seed, grazing_pairs, margin_km, coincident):
-    # Multi-shell snapshots with pairs near the limb and, maybe, two
-    # satellites at one point.
+def test_adjacency_equals_the_edge_list_reference(
+    shells, extra_seed, grazing_pairs, ulp_pairs, surface_points, margin_km, coincident, size
+):
+    # Multi-shell snapshots with pairs near the limb, pairs 1 ulp apart,
+    # points on the inflated ellipsoid and, maybe, two satellites at one
+    # point.  The special points come first, so a cut to ``size`` keeps them.
+    rng = random.Random(extra_seed)
     points = []
-    for seed, count, alt_lo, span in shells:
-        points += random_shell(seed, count, alt_lo, alt_lo + span).positions.tolist()
-    rng = random.Random(grazing_seed)
     for _ in range(grazing_pairs):
         points += [p.as_tuple() for p in grazing_pair(rng, rng.uniform(6800.0, 8500.0))]
+    for _ in range(ulp_pairs):
+        p = random_orbital_point(rng).as_tuple()
+        axis = rng.randrange(3)
+        points += [p, tuple(math.nextafter(v, math.inf) if k == axis else v for k, v in enumerate(p))]
+    if margin_km > 25.0:  # the inflated poles are then above the surface
+        points += [on_inflated_surface(rng, margin_km) for _ in range(surface_points)]
     if coincident:
-        points.append(points[-1])
+        p = random_orbital_point(rng).as_tuple()
+        points += [p, p]
+    for seed, count, alt_lo, span in shells:
+        points += random_shell(seed, count, alt_lo, alt_lo + span).positions.tolist()
+    if size is not None and len(points) < size:
+        points += random_shell(extra_seed, size - len(points)).positions.tolist()
+    points = points[:size]
     snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(len(points))), points)
     graph = build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=1)
 
@@ -101,6 +145,62 @@ def test_adjacency_equals_the_edge_list_reference(shells, grazing_seed, grazing_
     assert np.all(np.diff(adj.neighbors.astype(np.int64))[same_row] > 0)
     for threads in (2, 3):
         assert_same_graph(build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=threads), graph)
+
+
+def exact_edges_over_all_pairs(snap, margin_km):
+    """The satellite edges and delays of the exact LOS test run over every
+    pair i < j, with no prune."""
+    n = len(snap)
+    i, j = np.triu_indices(n, 1)
+    axes = np.array([1.0 / (SEMI_MAJOR_A_KM + margin_km)] * 2 + [1.0 / (SEMI_MINOR_B_KM + margin_km)])
+    scaled = (snap.positions * axes).T
+    visible = _line_of_sight(scaled[:, i], scaled[:, j])
+    i, j = i[visible], j[visible]
+    d = snap.positions[i] - snap.positions[j]
+    dist = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+    return np.stack([i, j], axis=1).astype(np.int32), dist / SPEED_OF_LIGHT_KM_S * 1000.0
+
+
+@pytest.mark.parametrize("margin_km", [0.0, 1200.0])
+def test_pruned_build_equals_the_exact_test_over_all_pairs(margin_km):
+    # At 1200 km the oneweb-like shell lies on the inflated ellipsoid.
+    snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
+    graph = build_visibility_graph(snap, margin_km=margin_km, threads=2)
+    edges, delays = exact_edges_over_all_pairs(snap, margin_km)
+    assert graph.sat_edge_count > 0
+    assert graph.sat_edges.tobytes() == edges.tobytes()
+    assert graph.sat_delays_ms.tobytes() == delays.tobytes()
+
+
+def test_prune_keeps_partners_on_the_tangent_plane_of_a_threshold_satellite():
+    # Satellites whose scaled norm is sqrt(LOS_THRESHOLD_SQ) up to rounding,
+    # each with partners whose segment dips below its tangent plane by less
+    # than the exact test resolves.  The exact test accepts some of these
+    # pairs, so a tangent bound taken to the threshold sphere itself drops
+    # them.
+    rng = random.Random(3)
+    margin_km = 550.0
+    radii = np.array([SEMI_MAJOR_A_KM + margin_km] * 2 + [SEMI_MINOR_B_KM + margin_km])
+    r = math.sqrt(LOS_THRESHOLD_SQ)
+    points = []
+    for _ in range(4):
+        u = np.array([rng.gauss(0, 1) for _ in range(3)])
+        u /= np.linalg.norm(u)
+        w = np.cross(u, rng.choice(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+        w /= np.linalg.norm(w)
+        points.append(tuple(r * u * radii))
+        for _ in range(40):
+            phi, beta = rng.uniform(-0.3, 0.3), rng.uniform(-3e-8, 3e-8)
+            along = math.cos(phi) * w + math.sin(phi) * np.cross(u, w)  # in the tangent plane
+            v = math.cos(beta) * along - math.sin(beta) * u
+            points.append(tuple((r * u + rng.uniform(0.2, 1.0) * v) * radii))
+    snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(len(points))), points)
+    graph = build_visibility_graph(snap, margin_km=margin_km, threads=1)
+    edges, delays = exact_edges_over_all_pairs(snap, margin_km)
+    assert graph.sat_edges.tobytes() == edges.tobytes()
+    assert graph.sat_delays_ms.tobytes() == delays.tobytes()
+    ss, sd, _, _ = brute_force_edges(snap, (), margin_km)
+    assert [tuple(e) for e in graph.sat_edges.tolist()] == ss
 
 
 def test_adjacency_lists_each_edge_under_both_endpoints():
@@ -270,6 +370,45 @@ def test_jam_region_isolates_exactly_the_satellite_underneath():
     removed = {tuple(e) for e in graph.sat_edges.tolist()} - {tuple(e) for e in jammed.sat_edges.tolist()}
     assert removed == {tuple(e) for e in graph.sat_edges.tolist() if 0 in e}
     assert len(removed) > 0
+
+
+def near_edge(center, radius_km, scale, bearing_rad, alt_km):
+    """The geodetic point ``scale * radius_km`` from ``center`` along the
+    great circle at ``bearing_rad``, at ``alt_km``."""
+    lat1, lon1 = math.radians(center.latitude_deg), math.radians(center.longitude_deg)
+    delta = scale * radius_km / MEAN_RADIUS_KM
+    lat2 = math.asin(math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(bearing_rad))
+    lon2 = lon1 + math.atan2(
+        math.sin(bearing_rad) * math.sin(delta) * math.cos(lat1), math.cos(delta) - math.sin(lat1) * math.sin(lat2)
+    )
+    return GeodeticPosition(math.degrees(lat2), math.degrees(lon2), alt_km)
+
+
+def test_jammed_mask_equals_the_scalar_oracle_near_region_edges():
+    # Nodes just inside and just outside each region's edge, at latitudes
+    # where the geodetic and the geocentric latitude differ most, at orbit
+    # altitudes and on the surface; one region covers the whole Earth.
+    rng = random.Random(8)
+    regions = tuple(
+        JamRegion(GeodeticPosition(lat, rng.uniform(-180.0, 180.0), 0.0), radius)
+        for lat, radius in ((45.0, 40.0), (-44.0, 900.0), (0.0, 2500.0), (89.5, 300.0), (62.0, 20100.0))
+    )
+    sites = [
+        near_edge(region.center, region.radius_km, scale, rng.uniform(-math.pi, math.pi), alt)
+        for region in regions[:4]
+        for scale in (0.99, 0.999999, 1.000001, 1.01)
+        for alt in (0.0, 550.0, 1200.0, 20000.0)
+        for _ in range(6)
+    ]
+    sats = [geodetic_to_ecef(g).as_tuple() for g in sites if g.altitude_km > 0.0]
+    snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(len(sats))), sats)
+    stations = load_ground_stations_csv("id,lat_deg,lon_deg,alt_km\n" + "".join(
+        f"g{k},{g.latitude_deg!r},{g.longitude_deg!r},0\n" for k, g in enumerate(sites) if g.altitude_km == 0.0
+    ))
+    for picked in (regions[:1], regions[1:2], regions[2:4], regions[:4], regions):
+        got, want = _jammed_mask(snap, stations, picked), jammed_nodes(snap, stations, picked)
+        assert 0 < got[0].sum() < len(snap) or picked == regions
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_overlay_monotone_edge_subsets():
