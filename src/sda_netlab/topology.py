@@ -35,6 +35,11 @@ from .geo import (
 from .jsonvalues import config_key, json_number, json_object, json_string
 
 _ROW_BLOCK = 128
+# Satellite pairs each worker thread must have before the build splits
+# across threads: about 40 ms of single-thread work.  Below it the workers
+# gain little and contend for the interpreter lock, so a build of a few
+# hundred satellites is faster and far steadier on one thread.
+_PAIRS_PER_WORKER = 500_000
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,8 @@ def _upper_block(
 
 def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | None) -> SatAdjacency:
     """The satellite CSR: each pair i < j is tested once, in row blocks
-    that may run on worker threads, and listed under both endpoints.
+    that may run on worker threads, and listed under both endpoints.  Each
+    worker gets at least ``_PAIRS_PER_WORKER`` pairs.
 
     The exact LOS test decides every edge; a cheap bound only skips pairs
     that cannot pass it.  Why the bound keeps every visible pair: in the
@@ -228,7 +234,7 @@ def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | Non
     sq = np.einsum("ij,ij->i", scaled, scaled)
     tangent = np.sqrt(np.maximum(sq - (LOS_THRESHOLD_SQ - 1e-12 * max(1.0, float(sq.max()))), 0.0))
     blocks = [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
-    workers = min(resolve_thread_count(threads), len(blocks))
+    workers = min(resolve_thread_count(threads), len(blocks), max(1, n * (n - 1) // 2 // _PAIRS_PER_WORKER))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda b: _upper_block(positions, scaled, sq, tangent, *b), blocks))

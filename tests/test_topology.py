@@ -1,7 +1,9 @@
 import json
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from sda_netlab.geo import (
     geodetic_to_ecef,
     propagation_delay_ms,
 )
+from sda_netlab import topology
 from sda_netlab.topology import (
     AttackOverlay,
     JamRegion,
@@ -70,6 +73,13 @@ def brute_force_edges(snapshot, stations, margin_km=0.0):
                 st_edges.append((i, g))
                 st_delays.append(propagation_delay_ms(euclidean_km(sats[i], st.ecef)))
     return sat_edges, sat_delays, st_edges, st_delays
+
+
+def threaded_build(*args, **kwargs):
+    """``build_visibility_graph`` with no minimum of pairs per worker, so a
+    small snapshot still splits across the requested threads."""
+    with mock.patch.object(topology, "_PAIRS_PER_WORKER", 1):
+        return build_visibility_graph(*args, **kwargs)
 
 
 def test_build_matches_brute_force_double_loop_exactly():
@@ -144,7 +154,7 @@ def test_adjacency_equals_the_edge_list_reference(
     same_row = adj.rows[1:] == adj.rows[:-1]
     assert np.all(np.diff(adj.neighbors.astype(np.int64))[same_row] > 0)
     for threads in (2, 3):
-        assert_same_graph(build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=threads), graph)
+        assert_same_graph(threaded_build(snap, STATIONS, margin_km=margin_km, threads=threads), graph)
 
 
 def exact_edges_over_all_pairs(snap, margin_km):
@@ -165,7 +175,7 @@ def exact_edges_over_all_pairs(snap, margin_km):
 def test_pruned_build_equals_the_exact_test_over_all_pairs(margin_km):
     # At 1200 km the oneweb-like shell lies on the inflated ellipsoid.
     snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
-    graph = build_visibility_graph(snap, margin_km=margin_km, threads=2)
+    graph = threaded_build(snap, margin_km=margin_km, threads=2)
     edges, delays = exact_edges_over_all_pairs(snap, margin_km)
     assert graph.sat_edge_count > 0
     assert graph.sat_edges.tobytes() == edges.tobytes()
@@ -233,7 +243,7 @@ def test_build_trivial_two_satellite_cases():
 def test_build_is_independent_of_thread_count():
     snap = generate_walker(WalkerSpec(1200.0, 87.9, 6, 12, phasing_f=1))
     one = build_visibility_graph(snap, STATIONS, threads=1)
-    four = build_visibility_graph(snap, STATIONS, threads=4)
+    four = threaded_build(snap, STATIONS, threads=4)
     assert np.array_equal(one.sat_edges, four.sat_edges)
     assert np.array_equal(one.sat_delays_ms, four.sat_delays_ms)
     assert np.array_equal(one.station_edges, four.station_edges)
@@ -243,7 +253,7 @@ def test_build_is_independent_of_thread_count():
 def test_oneweb_like_shell_build_is_bit_reproducible():
     snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
     first = build_visibility_graph(snap, threads=1)
-    second = build_visibility_graph(snap, threads=3)
+    second = threaded_build(snap, threads=3)
     assert first.sat_edge_count == second.sat_edge_count
     assert np.array_equal(first.sat_edges, second.sat_edges)
     assert np.array_equal(first.sat_delays_ms, second.sat_delays_ms)
@@ -302,6 +312,24 @@ def test_elevation_mask_agrees_with_the_scalar_elevation_angle():
         assert clear.mean() > 0.99
         mask = _elevation_mask(positions, stations, min_elev)
         assert np.array_equal(mask[clear], (angles >= min_elev)[clear]), min_elev
+
+
+def test_build_splits_across_threads_only_with_enough_pairs_per_worker(monkeypatch):
+    # 630 satellites are too few pairs for two workers: the build stays on
+    # the calling thread.  1500 satellites are enough for two, not three.
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(topology, "ThreadPoolExecutor", CountingPool)
+    oneweb = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
+    build_visibility_graph(oneweb, threads=2)
+    assert pools == []
+    build_visibility_graph(random_shell(2, count=1500), threads=3)
+    assert pools == [2]
 
 
 def test_resolve_thread_count(monkeypatch):
@@ -490,7 +518,7 @@ def test_overlay_equals_the_id_matching_oracle(shell_seed, count, sites, data):
     order = data.draw(st.permutations(range(count)))
     snap = ConstellationSnapshot(tuple(shell.ids[k] for k in order), shell.positions[order])
     graph = build_visibility_graph(snap, stations, threads=1)
-    assert_same_graph(build_visibility_graph(snap, stations, threads=2), graph)
+    assert_same_graph(threaded_build(snap, stations, threads=2), graph)
     assert_keys_increase(graph)
 
     sat_ids = list(snap.ids)
