@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from .routing import (
 from .tle import load_tle_file, snapshot_from_tles
 from .topology import (
     AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, reroute_penalty,
+    resolve_thread_count,
 )
 
 DEFAULT_ACTUATOR_FRACTION = 0.15
@@ -607,17 +609,27 @@ def actuator_sweep(
     permutation), which makes the mean over finite latencies exactly
     non-increasing on a connected shell.  ``independent_draws`` redraws the
     selection per point instead.
+
+    Every point's seed is drawn first, in fraction order; the points then
+    run on up to ``threads`` workers and come back in fraction order, so
+    the result does not depend on the thread count.  A failing point raises
+    as it would serially: the lowest failing fraction's exception surfaces.
     """
     network = prepare(cfg, threads)
     n = len(network.snapshot)
     rng = SplitMix64(cfg.seed)
-    points = []
-    for fraction in cfg.sweep_fractions:
-        point_seed = rng.next_u64() if independent_draws else cfg.seed
-        flagged = select_actuators(network.snapshot, half_up_count(fraction, n), point_seed)
+    seeds = [rng.next_u64() if independent_draws else cfg.seed for _ in cfg.sweep_fractions]
+
+    def point(fraction: float, seed: int) -> SweepPoint:
+        flagged = select_actuators(network.snapshot, half_up_count(fraction, n), seed)
         report = replace(network, snapshot=flagged).route(cfg.mode)
-        points.append(SweepPoint(fraction, int(flagged.actuators.sum()), summarize(report)))
-    return points
+        return SweepPoint(fraction, int(flagged.actuators.sum()), summarize(report))
+
+    workers = min(resolve_thread_count(threads), len(seeds))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(point, cfg.sweep_fractions, seeds))
+    return [point(fraction, seed) for fraction, seed in zip(cfg.sweep_fractions, seeds)]
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 import json
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sda_netlab.constellation import WalkerSpec, generate_walker, select_actuators
+from sda_netlab import experiments
+from sda_netlab.constellation import SplitMix64, WalkerSpec, generate_walker, select_actuators
 from sda_netlab.experiments import (
     ArchitectureComparison,
     ConstellationSource,
     ScenarioConfig,
+    SweepPoint,
     WalkerShell,
     actuator_sweep,
     attack_scenario,
@@ -20,6 +24,7 @@ from sda_netlab.experiments import (
     config_to_dict,
     half_up_count,
     nearest_rank_percentile,
+    prepare,
     report_to_csv,
     resolve_actuator_count,
     run_scenario,
@@ -200,6 +205,73 @@ def test_actuator_sweep_independent_draws_runs_and_differs():
     independent = actuator_sweep(cfg, independent_draws=True, threads=1)
     assert len(independent) == 2
     assert [p.actuator_count for p in independent] == [p.actuator_count for p in nested]
+
+
+def serial_sweep(cfg, independent_draws):
+    """The sweep as one loop over the fractions, each point's seed drawn as
+    the loop reaches it."""
+    network = prepare(cfg, threads=1)
+    n = len(network.snapshot)
+    rng = SplitMix64(cfg.seed)
+    points = []
+    for fraction in cfg.sweep_fractions:
+        point_seed = rng.next_u64() if independent_draws else cfg.seed
+        flagged = select_actuators(network.snapshot, half_up_count(fraction, n), point_seed)
+        report = replace(network, snapshot=flagged).route(cfg.mode)
+        points.append(SweepPoint(fraction, int(flagged.actuators.sum()), summarize(report)))
+    return points
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    planes=st.integers(1, 5),
+    spp=st.integers(2, 9),
+    altitude=st.floats(500.0, 2000.0),
+    inclination=st.floats(30.0, 98.0),
+    downhaul=st.sampled_from([ArchitectureMode.DOWNHAUL_GREEDY, ArchitectureMode.DOWNHAUL_OPTIMAL]),
+    seed=st.integers(0, 2**64 - 1),
+    penalty=st.sampled_from([0.0, 0.3]),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7).map(sorted),
+    independent_draws=st.booleans(),
+)
+def test_actuator_sweep_equals_the_serial_loop_at_every_thread_count(
+    stations_csv, planes, spp, altitude, inclination, downhaul, seed, penalty, fractions, independent_draws
+):
+    source = ConstellationSource(walker_shells=(
+        WalkerShell(WalkerSpec(altitude, inclination, planes, spp, phasing_f=planes - 1), "r", "random"),
+    ))
+    # Only on-orbit latencies depend on the actuators, so every example runs
+    # it, which pins each point's seed; a downhaul mode runs the other solves.
+    for mode in (ArchitectureMode.ON_ORBIT, downhaul):
+        cfg = ScenarioConfig(
+            constellation=source, stations_csv=stations_csv, mode=mode, seed=seed,
+            reroute_penalty_ms=penalty, sweep_fractions=tuple(fractions),
+        )
+        want = serial_sweep(cfg, independent_draws)
+        for threads in (1, 2, 3):
+            assert actuator_sweep(cfg, independent_draws=independent_draws, threads=threads) == want, (mode, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_failing_sweep_point_raises_the_lowest_failing_fraction(threads):
+    # 40 satellites: the fractions flag 4, 12, 20, 28 and 36 actuators, and
+    # the points at 12 and 28 fail.  The lower one fails last in time, after
+    # the higher one has raised on another worker.
+    cfg = ScenarioConfig(constellation=small_source(planes=4, spp=10), seed=5,
+                         sweep_fractions=(0.1, 0.3, 0.5, 0.7, 0.9))
+    solve = experiments.onorbit_latencies
+
+    def failing(graph, snapshot, penalty_ms):
+        count = int(snapshot.actuators.sum())
+        if count == 12:
+            time.sleep(0.2)
+        if count in (12, 28):
+            raise RuntimeError(f"point with {count} actuators failed")
+        return solve(graph, snapshot, penalty_ms)
+
+    with mock.patch.object(experiments, "onorbit_latencies", failing):
+        with pytest.raises(RuntimeError, match="point with 12 actuators failed"):
+            actuator_sweep(cfg, threads=threads)
 
 
 def test_attack_scenario_identity_and_total_station_denial(tmp_path):

@@ -1,10 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sda_netlab import routing
 from sda_netlab.constellation import (
     ConstellationSnapshot,
     load_ground_stations_csv,
@@ -16,6 +18,7 @@ from sda_netlab.routing import (
     RelaySeeds,
     _RelayProblem,
     _relax,
+    _row_blocks,
     actuator_sources,
     downhaul_latencies,
     downlink_seeds,
@@ -38,6 +41,17 @@ from oracle_utils import (
 )
 
 MEAN_R = 6371.0088
+
+# Block sizes for the pull: rows longer than a block, blocks that start or
+# end on empty rows, a last block that ends the adjacency, and the default.
+BLOCK_SIZES = [1, 2, 3, 7, 64, routing._BLOCK_ENTRIES]
+
+
+def blocked_pull(block_entries, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` with every pull walking the adjacency in
+    blocks of ``block_entries`` entries."""
+    with mock.patch.object(routing, "_BLOCK_ENTRIES", block_entries):
+        return solve(*args, **kwargs)
 
 
 def manual_graph(sat_count, station_count, sat_links, station_links):
@@ -397,13 +411,15 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     snap = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
     terminus = data.draw(st.sampled_from(stations)).geodetic
     penalty = data.draw(st.sampled_from([0.0, 0.25, 1.75]))
+    block_entries = data.draw(st.sampled_from([3, routing._BLOCK_ENTRIES]))
     graph = build_visibility_graph(snap, stations, threads=1)
     overlay = _draw_overlay(data, graph, snap, stations)
     attacked = apply_overlay(graph, snap, stations, overlay)
 
-    before = _engine_and_oracle(graph, snap, stations, terminus, penalty)
-    after = _engine_and_oracle(
-        attacked, snap, stations, terminus, penalty + overlay.reroute_penalty_ms
+    before = blocked_pull(block_entries, _engine_and_oracle, graph, snap, stations, terminus, penalty)
+    after = blocked_pull(
+        block_entries, _engine_and_oracle,
+        attacked, snap, stations, terminus, penalty + overlay.reroute_penalty_ms,
     )
     for mode in before:
         assert before[mode][0] == before[mode][1], mode
@@ -439,10 +455,11 @@ def _relay_problem(graph, snap, stations, terminus, mode, penalty):
     mode=st.sampled_from(list(ArchitectureMode)),
     penalty=st.sampled_from([0.0, 0.25]),
     attacked=st.booleans(),
+    block_entries=st.sampled_from(BLOCK_SIZES),
     data=st.data(),
 )
-def test_the_closing_pull_holds_the_exact_candidates_and_lowers_nothing(
-    shell_seed, count, mode, penalty, attacked, data
+def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
+    shell_seed, count, mode, penalty, attacked, block_entries, data
 ):
     stations = PROPERTY_STATIONS
     snap = random_shell(shell_seed, count=count)
@@ -452,12 +469,29 @@ def test_the_closing_pull_holds_the_exact_candidates_and_lowers_nothing(
     if attacked:
         graph = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
     problem = _relay_problem(graph, snap, stations, terminus, mode, penalty)
-    fixpoint = _relax(problem)
+    fixpoint = blocked_pull(block_entries, _relax, problem)
     adj, labels = graph.adjacency, fixpoint.labels
-    assert fixpoint.candidates.tobytes() == (problem.in_weights + labels[adj.neighbors]).tobytes()
+    # The unblocked candidates of every hop at the fixpoint.
+    candidates = problem.in_weights + labels[adj.neighbors]
+    assert fixpoint.attain.dtype == np.int64
+    assert fixpoint.attain.tobytes() == np.flatnonzero(candidates == labels[adj.rows]).tobytes()
     fixed = np.zeros(graph.sat_count, dtype=bool)
     fixed[problem.seeds.node] = problem.fixed_seeds
-    assert ((fixpoint.candidates >= labels[adj.rows]) | fixed[adj.rows]).all()
+    assert ((candidates >= labels[adj.rows]) | fixed[adj.rows]).all()
+
+
+@pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+def test_pull_blocks_cover_the_rows_in_order_within_the_block_size(block_entries):
+    # Empty rows at both ends and inside, and a row of 9 entries.
+    counts = np.array([0, 0, 3, 1, 0, 9, 2, 0, 0, 4, 1, 0])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    with mock.patch.object(routing, "_BLOCK_ENTRIES", block_entries):
+        blocks = _row_blocks(indptr)
+    assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]
+    assert blocks[-1][1] == counts.size
+    for r0, r1 in blocks:
+        assert r1 > r0
+        assert indptr[r1] - indptr[r0] <= block_entries or r1 == r0 + 1
 
 
 PATH_LINKS = [(k, k + 1, 100.0 + k) for k in range(5)]
