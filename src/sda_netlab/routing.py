@@ -28,10 +28,11 @@ solve on the graph shares.  Jacobi sweeps apply
 the nodes whose label dropped in the previous sweep (along every hop at
 once, a pull, when those are a large share), so a relay chain costs O(E)
 relaxations, not O(V * E).  A pull walks the hops in row-aligned blocks
-and records the entries whose candidate equals their row's label.  Every
-solve ends on a pull that lowers nothing, so those are exactly the hops
-that attain the final labels; the parent rule reads them, and no second
-pass over the hops, nor any array of one candidate per hop, follows.
+and, until a block lowers a label, records the entries whose candidate
+equals their row's label.  Every solve ends on a pull that lowers nothing,
+so those are exactly the hops that attain the final labels; the parent
+rule reads them, and no second pass over the hops, nor any array of one
+candidate per hop, follows.
 
 The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
@@ -217,12 +218,14 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _pull(
-    problem: _RelayProblem, labels: np.ndarray, blocks: list[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
+    problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray, blocks: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray | None]:
     """One pull over every hop, block by block, reading ``labels`` only:
     each node's least candidate ``in_weights[k] + labels[neighbors[k]]``
     (inf without in-hops), and the ascending indices of the entries whose
-    candidate equals their row's label."""
+    candidate equals their row's label.  Those are kept only while no block
+    has lowered a label outside ``fixed``; a pull that lowers one returns
+    None for them."""
     adj = problem.adjacency
     best = np.full(labels.size, math.inf)
     attain = []
@@ -233,8 +236,12 @@ def _pull(
         counts = np.diff(adj.indptr[r0:r1 + 1])
         rows = r0 + np.flatnonzero(counts)
         best[rows] = np.minimum.reduceat(cand, adj.indptr[rows] - e0)
-        attain.append(e0 + np.flatnonzero(cand == np.repeat(labels[r0:r1], counts)))
-    return best, np.concatenate(attain)
+        if attain is not None:
+            if ((best[r0:r1] < labels[r0:r1]) & ~fixed[r0:r1]).any():
+                attain = None
+            else:
+                attain.append(e0 + np.flatnonzero(cand == np.repeat(labels[r0:r1], counts)))
+    return best, None if attain is None else np.concatenate(attain)
 
 
 def _relax(problem: _RelayProblem) -> _Fixpoint:
@@ -260,11 +267,11 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
     for _ in range(n + 2):
         frontier_hops = np.sum(indptr[frontier + 1] - indptr[frontier])
         if closing or frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * indptr[-1]:
-            best, attain = _pull(problem, labels, blocks)
-            lowered = (best < labels) & ~fixed
-            if not lowered.any():
+            best, attain = _pull(problem, labels, fixed, blocks)
+            if attain is not None:
                 # Nothing dropped, so every block compared against the final labels.
                 return _Fixpoint(labels, attain, sweeps, relaxed)
+            lowered = (best < labels) & ~fixed
             relaxed += int(indptr[-1])
             labels[lowered] = best[lowered]
             frontier = np.flatnonzero(lowered)

@@ -1,9 +1,10 @@
 """Visibility graphs over constellation snapshots, and attack overlays.
 
 The satellite build tests each pair once, in the upper triangle, in row
-blocks that may run on worker threads.  A tangent bound first drops the
-pairs that cannot see each other; the exact test then decides every pair
-that is left.  It uses the same floating-point expressions as the scalar
+blocks that may run on worker threads.  A tangent bound prunes, an inner
+bound accepts, and the exact test decides the band between them: the
+pruned pairs cannot see each other, and the accepted ones pass the exact
+test.  That test uses the same floating-point expressions as the scalar
 reference ``min_scaled_norm_sq`` in the tests' ``oracle_utils`` (including
 the lexicographic endpoint ordering), so the edge set is bit-identical to a
 scalar double loop and independent of the thread count.  The symmetric CSR
@@ -163,11 +164,19 @@ def _delays_ms(distances: np.ndarray) -> np.ndarray:
 
 
 def _upper_block(
-    positions: np.ndarray, scaled: np.ndarray, sq: np.ndarray, tangent: np.ndarray, lo: int, hi: int
+    positions: np.ndarray,
+    scaled: np.ndarray,
+    sq: np.ndarray,
+    tangent: np.ndarray,
+    inner: np.ndarray,
+    slack: float,
+    lo: int,
+    hi: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges (i, j) with lo <= i < hi and i < j, in ascending (i, j)
-    order, and their delays: pairs that pass the tangent bound (see
-    :func:`_sat_adjacency`), then pass the exact LOS test."""
+    order, and their delays: the pairs that pass the tangent bound and then
+    either the inner bound or the exact LOS test (see
+    :func:`_sat_adjacency`).  ``slack`` is 1e-12 max(1, max |a|^2)."""
     # |a - b|^2 in the Gram form sq[i] + sq[j] - 2 a.b, with a.b summed from
     # three outer products: a BLAS product with inner size 3 saves nothing,
     # and its own threads would compete with the row-block workers.
@@ -180,13 +189,26 @@ def _upper_block(
     limit *= 1.0 + 1e-9
     limit += 1e-12
     candidate = d2 <= limit
-    del d2, limit
+    del limit
     candidate[np.tril_indices(hi - lo)] = False  # the pairs with j <= i
+    gram = d2[candidate]
+    del d2
     rows, cols = np.nonzero(candidate)
     del candidate
     i = (rows + lo).astype(np.int32)
     j = (cols + lo).astype(np.int32)
-    visible = _line_of_sight(scaled.T[:, i], scaled.T[:, j])
+    del rows, cols
+    # ``inner`` is NaN where the inner tangent length is not > 0, so such a
+    # pair fails the bound; so does one whose Gram value may be that of two
+    # equal scaled points.  Both go to the exact test.
+    bound = inner[i] + inner[j]
+    bound *= bound
+    bound *= 1.0 - 1e-9
+    bound -= 1e-12
+    visible = (gram <= bound) & (gram > slack)
+    del gram, bound
+    band = np.flatnonzero(~visible)
+    visible[band] = _line_of_sight(scaled.T[:, i[band]], scaled.T[:, j[band]])
     i, j = i[visible], j[visible]
     return i, j, _delays_ms(_distances(positions[i], positions[j]))
 
@@ -196,32 +218,50 @@ def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | Non
     that may run on worker threads, and listed under both endpoints.  Each
     worker gets at least ``_PAIRS_PER_WORKER`` pairs.
 
-    The exact LOS test decides every edge; a cheap bound only skips pairs
-    that cannot pass it.  Why the bound keeps every visible pair: in the
-    scaled coordinates the test asks whether the segment a-b keeps a
-    squared norm >= T (``LOS_THRESHOLD_SQ``).  Let m be its point nearest
-    the origin.  If m lies inside the segment, m is orthogonal to b - a, so
-    |a - m|^2 = |a|^2 - |m|^2, and the same for b; if m is the endpoint a,
-    then a.(b - a) >= 0 and |b - a|^2 <= |b|^2 - |a|^2.  Either way a pair
-    with |m|^2 >= T' has |a - b| <= t_a + t_b, where t_a = sqrt(|a|^2 - T')
-    is the tangent length from a to the sphere of radius sqrt(T').  A
-    satellite with |a|^2 < T' sees nothing, as |m| <= |a|, so its t = 0
-    loses no pair.  With u = 2**-53 and S = max(1, max |a|^2), two rounding
-    gaps remain:
+    A tangent bound prunes, an inner bound accepts, and the exact LOS test
+    decides the band between them, so the edges are exactly the pairs the
+    exact test accepts.  In the scaled coordinates the test asks whether
+    the segment a-b keeps a squared norm >= T (``LOS_THRESHOLD_SQ``).  Let
+    m be its point nearest the origin.  If m lies inside the segment, m is
+    orthogonal to b - a, so |a - m|^2 = |a|^2 - |m|^2, and the same for b;
+    if m is the endpoint a, then a.(b - a) >= 0 and |b - a|^2 <= |b|^2 -
+    |a|^2.
+
+    - The tangent bound keeps every visible pair: a pair with |m|^2 >= T'
+      has |a - b| <= t_a + t_b, where t_a = sqrt(|a|^2 - T') is the
+      tangent length from a to the sphere of radius sqrt(T').  A satellite
+      with |a|^2 < T' sees nothing, as |m| <= |a|, so its t = 0 loses no
+      pair.
+    - The inner bound accepts only visible pairs: let s_a = sqrt(|a|^2 -
+      T'').  If a != b, |a|^2 and |b|^2 are both >= T'' and |a - b| <= s_a
+      + s_b, then |m|^2 >= T''.  With m inside the segment, |a - b| =
+      sqrt(|a|^2 - |m|^2) + sqrt(|b|^2 - |m|^2), which falls as |m|^2
+      grows; with m at an endpoint, |m|^2 is that endpoint's squared norm.
+
+    With u = 2**-53 and S = max(1, max |a|^2), these rounding gaps remain:
 
     - The exact test finds m with a dozen roundings, so it may accept a
-      pair whose true |m|^2 lies below T by up to about 20 u S.  The
-      tangent lengths are therefore taken to T' = T - 1e-12 S, which also
-      absorbs the rounding of |a|^2.  With T' = T, a satellite on the
-      threshold sphere (t = 0) would lose the partners whose segment dips
-      below its tangent plane by less than the test resolves: an error of
-      1e-16 in |m|^2 moves that tangent length by 1e-8.
+      pair whose true |m|^2 lies below T by up to about 20 u S.  It
+      evaluates a point a + t d with t clipped to [0, 1], so it cannot
+      read below the true minimum by more than that either.  The tangent
+      lengths are therefore taken to T' = T - 1e-12 S and the inner ones to
+      T'' = T + 1e-12 S, which also absorbs the rounding of |a|^2.  With
+      T' = T, a satellite on the threshold sphere (t = 0) would lose the
+      partners whose segment dips below its tangent plane by less than the
+      test resolves: an error of 1e-16 in |m|^2 moves that tangent length
+      by 1e-8.
     - The Gram form |a|^2 + |b|^2 - 2 a.b of |a - b|^2 errs by less than
       16 u (|a|^2 + |b|^2), summed in any order.  The slack
       (t_a + t_b)^2 (1 + 1e-9) + 1e-12 covers it on its own: the absolute
       1e-12 while |a|^2 + |b|^2 < 500; beyond that, (t_a + t_b)^2 >=
       max(|a|^2, |b|^2) - 1 > 240, and the relative 1e-9 does.  The
       relative term also absorbs the roundings of t_a + t_b and its square.
+      The inner bound (s_a + s_b)^2 (1 - 1e-9) - 1e-12 mirrors it.
+    - A Gram value <= 1e-12 S may belong to two satellites whose scaled
+      points are equal, coincident or a few ulp apart before the scaling,
+      and the exact test rejects those.  Above it the Gram error (< 32 u S)
+      leaves a != b.  Such pairs, and every pair of a satellite with
+      |a|^2 <= T'' (no s > 0), go to the exact test.
 
     The upper pairs arrive in ascending (i, j) order.  Row r lists its
     lower neighbours first, the pairs (i, r), which a stable sort of the
@@ -232,14 +272,21 @@ def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | Non
     """
     n = positions.shape[0]
     sq = np.einsum("ij,ij->i", scaled, scaled)
-    tangent = np.sqrt(np.maximum(sq - (LOS_THRESHOLD_SQ - 1e-12 * max(1.0, float(sq.max()))), 0.0))
+    slack = 1e-12 * max(1.0, float(sq.max()))
+    tangent = np.sqrt(np.maximum(sq - (LOS_THRESHOLD_SQ - slack), 0.0))
+    above = sq - (LOS_THRESHOLD_SQ + slack)
+    inner = np.sqrt(above, out=np.full(n, np.nan), where=above > 0.0)
     blocks = [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
     workers = min(resolve_thread_count(threads), len(blocks), max(1, n * (n - 1) // 2 // _PAIRS_PER_WORKER))
+
+    def block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _upper_block(positions, scaled, sq, tangent, inner, slack, *bounds)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _upper_block(positions, scaled, sq, tangent, *b), blocks))
+            results = list(pool.map(block, blocks))
     else:
-        results = [_upper_block(positions, scaled, sq, tangent, lo, hi) for lo, hi in blocks]
+        results = list(map(block, blocks))
     i, j, delays = (np.concatenate(part) for part in zip(*results))
     del results
 

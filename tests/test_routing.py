@@ -481,6 +481,36 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
 
 
 @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+def test_only_a_pull_that_lowers_no_free_label_keeps_its_attaining_entries(block_entries):
+    snap = select_actuators(random_shell(4, count=40), 2, 4)
+    graph = build_visibility_graph(snap, threads=1)
+    problem = _RelayProblem(graph.adjacency, 0.25, actuator_sources(snap), exempt_seeds=True)
+    adj = graph.adjacency
+    blocks = blocked_pull(block_entries, _row_blocks, adj.indptr)
+    free = np.zeros(graph.sat_count, dtype=bool)
+    # From the seed labels alone, the pull lowers the actuators' neighbours.
+    labels = np.full(graph.sat_count, math.inf)
+    labels[problem.seeds.node] = 0.0
+    best, attain = routing._pull(problem, labels, free, blocks)
+    assert attain is None and (best < labels).any()
+    # At the fixpoint it lowers nothing and keeps every attaining entry.
+    labels = _relax(problem).labels
+
+    def attaining():
+        return np.flatnonzero(problem.in_weights + labels[adj.neighbors] == labels[adj.rows])
+
+    best, attain = routing._pull(problem, labels, free, blocks)
+    assert attain.tobytes() == attaining().tobytes()
+    # Raised above the fixpoint, the last relayed label is lowered again;
+    # where it is fixed, that does not count.
+    labels[np.flatnonzero(np.isfinite(labels) & (labels > 0.0))[-1]] += 1.0
+    assert routing._pull(problem, labels, free, blocks)[1] is None
+    best, attain = routing._pull(problem, labels, ~free, blocks)
+    assert (best < labels).any() and attain.size > 0
+    assert attain.tobytes() == attaining().tobytes()
+
+
+@pytest.mark.parametrize("block_entries", BLOCK_SIZES)
 def test_pull_blocks_cover_the_rows_in_order_within_the_block_size(block_entries):
     # Empty rows at both ends and inside, and a row of 9 entries.
     counts = np.array([0, 0, 3, 1, 0, 9, 2, 0, 0, 4, 1, 0])

@@ -103,29 +103,15 @@ def on_inflated_surface(rng, margin_km):
     )
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(
-    shells=st.lists(
-        st.tuples(st.integers(0, 2**31), st.integers(1, 100), st.floats(300.0, 2500.0), st.floats(0.0, 1500.0)),
-        min_size=1, max_size=3,
-    ),
-    extra_seed=st.integers(0, 2**31),
-    grazing_pairs=st.integers(0, 4),
-    ulp_pairs=st.integers(0, 3),
-    surface_points=st.integers(0, 4),
-    # Up to 200 km, or at and above the shell altitudes, where some
-    # satellites sit inside the inflated ellipsoid.
-    margin_km=st.just(0.0) | st.floats(0.0, 200.0) | st.floats(300.0, 4000.0),
-    coincident=st.booleans(),
-    # Around the row-block edges.
-    size=st.none() | st.sampled_from((1, 127, 128, 129, 257)),
-)
-def test_adjacency_equals_the_edge_list_reference(
-    shells, extra_seed, grazing_pairs, ulp_pairs, surface_points, margin_km, coincident, size
-):
-    # Multi-shell snapshots with pairs near the limb, pairs 1 ulp apart,
-    # points on the inflated ellipsoid and, maybe, two satellites at one
-    # point.  The special points come first, so a cut to ``size`` keeps them.
+def snapshot_of(points):
+    return ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(len(points))), points)
+
+
+def mixed_snapshot(shells, extra_seed, grazing_pairs, ulp_pairs, surface_points, margin_km, coincident, size):
+    """A multi-shell snapshot with pairs near the limb, pairs 1 ulp apart,
+    points on the inflated ellipsoid and, maybe, two satellites at one
+    point, and the LOS margin to build it with.  The special points come
+    first, so a cut to ``size`` keeps them."""
     rng = random.Random(extra_seed)
     points = []
     for _ in range(grazing_pairs):
@@ -143,8 +129,32 @@ def test_adjacency_equals_the_edge_list_reference(
         points += random_shell(seed, count, alt_lo, alt_lo + span).positions.tolist()
     if size is not None and len(points) < size:
         points += random_shell(extra_seed, size - len(points)).positions.tolist()
-    points = points[:size]
-    snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(len(points))), points)
+    return snapshot_of(points[:size]), margin_km
+
+
+MIXED_SNAPSHOTS = st.builds(
+    mixed_snapshot,
+    shells=st.lists(
+        st.tuples(st.integers(0, 2**31), st.integers(1, 100), st.floats(300.0, 2500.0), st.floats(0.0, 1500.0)),
+        min_size=1, max_size=3,
+    ),
+    extra_seed=st.integers(0, 2**31),
+    grazing_pairs=st.integers(0, 4),
+    ulp_pairs=st.integers(0, 3),
+    surface_points=st.integers(0, 4),
+    # Up to 200 km, or at and above the shell altitudes, where some
+    # satellites sit inside the inflated ellipsoid.
+    margin_km=st.just(0.0) | st.floats(0.0, 200.0) | st.floats(300.0, 4000.0),
+    coincident=st.booleans(),
+    # Around the row-block edges.
+    size=st.none() | st.sampled_from((1, 127, 128, 129, 257)),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=MIXED_SNAPSHOTS)
+def test_adjacency_equals_the_edge_list_reference(case):
+    snap, margin_km = case
     graph = build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=1)
 
     reference = graph_from_edges(len(snap), len(STATIONS), *brute_force_edges(snap, STATIONS, margin_km))
@@ -157,13 +167,19 @@ def test_adjacency_equals_the_edge_list_reference(
         assert_same_graph(threaded_build(snap, STATIONS, margin_km=margin_km, threads=threads), graph)
 
 
+def scaling_axes(margin_km):
+    """The factors that map ECEF kilometres to the build's scaled
+    coordinates, in which the ellipsoid inflated by ``margin_km`` is the
+    unit sphere."""
+    return np.array([1.0 / (SEMI_MAJOR_A_KM + margin_km)] * 2 + [1.0 / (SEMI_MINOR_B_KM + margin_km)])
+
+
 def exact_edges_over_all_pairs(snap, margin_km):
     """The satellite edges and delays of the exact LOS test run over every
     pair i < j, with no prune."""
     n = len(snap)
     i, j = np.triu_indices(n, 1)
-    axes = np.array([1.0 / (SEMI_MAJOR_A_KM + margin_km)] * 2 + [1.0 / (SEMI_MINOR_B_KM + margin_km)])
-    scaled = (snap.positions * axes).T
+    scaled = (snap.positions * scaling_axes(margin_km)).T
     visible = _line_of_sight(scaled[:, i], scaled[:, j])
     i, j = i[visible], j[visible]
     d = snap.positions[i] - snap.positions[j]
@@ -211,6 +227,124 @@ def test_prune_keeps_partners_on_the_tangent_plane_of_a_threshold_satellite():
     assert graph.sat_delays_ms.tobytes() == delays.tobytes()
     ss, sd, _, _ = brute_force_edges(snap, (), margin_km)
     assert [tuple(e) for e in graph.sat_edges.tolist()] == ss
+
+
+def edges_if_the_exact_test_says(verdict, snap, margin_km):
+    """The satellite edges of a build whose exact test returns ``verdict``
+    for every pair it is given: with False the pairs the inner bound
+    accepts, with True the pairs the tangent bound keeps."""
+    with mock.patch.object(topology, "_line_of_sight", lambda p, q: np.full(p.shape[1], verdict)):
+        return edge_set(build_visibility_graph(snap, margin_km=margin_km, threads=1).sat_edges)
+
+
+def edge_set(edges):
+    return {tuple(e) for e in edges.tolist()}
+
+
+def assert_build_equals_the_exact_test(snap, margin_km):
+    """The one- and two-thread builds list exactly the exact test's edges
+    over all pairs, with its delays; returns those edges as a set."""
+    edges, delays = exact_edges_over_all_pairs(snap, margin_km)
+    for graph in (build_visibility_graph(snap, margin_km=margin_km, threads=1),
+                  threaded_build(snap, margin_km=margin_km, threads=2)):
+        assert graph.sat_edges.tobytes() == edges.tobytes()
+        assert graph.sat_delays_ms.tobytes() == delays.tobytes()
+    return edge_set(edges)
+
+
+def test_coincident_satellites_do_not_see_each_other():
+    # Two pairs of satellites at one point each, in a shell: the Gram value
+    # of each pair is zero up to rounding, far inside both bounds.
+    shell = random_shell(12, count=60).positions.tolist()
+    snap = snapshot_of([shell[0], shell[0], shell[1], shell[1]] + shell[2:])
+    visible = assert_build_equals_the_exact_test(snap, 0.0)
+    assert (0, 1) not in visible and (2, 3) not in visible
+    partners = [{j for i, j in visible if i == k and j > 3} for k in range(4)]
+    assert partners[0] == partners[1] and partners[2] == partners[3] and partners[0]
+
+
+def collapsing_ulp_pair(rng, margin_km):
+    """Two satellites 1 ulp apart in one coordinate whose scaled
+    coordinates are equal."""
+    axes = scaling_axes(margin_km)
+    while True:
+        p = np.array(random_orbital_point(rng).as_tuple())
+        q = p.copy()
+        axis = rng.randrange(3)
+        q[axis] = math.nextafter(q[axis], math.inf)
+        if np.array_equal(p * axes, q * axes):
+            return tuple(p), tuple(q)
+
+
+def test_satellites_one_ulp_apart_that_scale_to_one_point_do_not_see_each_other():
+    rng = random.Random(5)
+    pairs = [collapsing_ulp_pair(rng, 0.0) for _ in range(3)]
+    snap = snapshot_of([p for pair in pairs for p in pair] + random_shell(13, count=60).positions.tolist())
+    visible = assert_build_equals_the_exact_test(snap, 0.0)
+    assert not {(0, 1), (2, 3), (4, 5)} & visible
+    assert len(visible) > 100
+
+
+def test_satellites_below_the_inner_sphere_go_to_the_exact_test():
+    # With a 600 km margin a 450-550 km shell sits inside the inflated
+    # ellipsoid, under a 1100-1300 km shell, so many low satellites are
+    # closer to a high one than its inner tangent length and see nothing.
+    # Satellites whose squared scaled norm lies within 1e-12 of the
+    # threshold have no inner tangent length either.
+    margin_km = 600.0
+    rng = random.Random(14)
+    points = random_shell(14, count=50, alt_lo_km=1100.0, alt_hi_km=1300.0).positions.tolist()
+    points += random_shell(15, count=50, alt_lo_km=450.0, alt_hi_km=550.0).positions.tolist()
+    radii = 1.0 / scaling_axes(margin_km)
+    scale = max(1.0, float(np.max(np.sum((np.array(points) / radii) ** 2, axis=1))))
+    for offset in (-0.5, 0.0, 0.5, 0.9):
+        u = np.array(random_orbital_point(rng).as_tuple())
+        u /= np.linalg.norm(u)
+        points.append(tuple(math.sqrt(LOS_THRESHOLD_SQ + offset * 1e-12 * scale) * u * radii))
+    snap = snapshot_of(points)
+    visible = assert_build_equals_the_exact_test(snap, margin_km)
+    sure = edges_if_the_exact_test_says(False, snap, margin_km)
+    assert not any(j >= 50 for _, j in sure)
+    assert not any(50 <= k < 100 for pair in visible for k in pair)
+    assert any(j >= 100 for _, j in visible)
+
+
+def bound_straddling_pairs(rng, excess):
+    """Pairs of scaled points, each in a random plane, whose segment has its
+    point nearest the origin inside it at squared norm ``LOS_THRESHOLD_SQ +
+    e`` for each ``e`` in ``excess``."""
+    points = []
+    for e in excess:
+        u, w = (np.array([rng.gauss(0, 1) for _ in range(3)]) for _ in range(2))
+        u /= np.linalg.norm(u)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        rho = math.sqrt(LOS_THRESHOLD_SQ + e)
+        r_a, r_b = rng.uniform(1.1, 1.3), rng.uniform(1.1, 1.3)
+        angle = math.acos(rho / r_a) + math.acos(rho / r_b)
+        points += [r_a * u, r_b * (math.cos(angle) * u + math.sin(angle) * w)]
+    return points
+
+
+def test_pairs_just_inside_and_just_outside_the_inner_bound():
+    # Segments that pass the threshold sphere by -2e-9 to 2e-9 in squared
+    # norm: the tangent bound drops some, the inner bound accepts some, and
+    # between them lie pairs the exact test accepts and pairs it rejects.
+    radii = 1.0 / scaling_axes(0.0)
+    points = bound_straddling_pairs(random.Random(6), np.linspace(-2e-9, 2e-9, 41).tolist() * 3)
+    snap = snapshot_of([tuple(p * radii) for p in points])
+    visible = assert_build_equals_the_exact_test(snap, 0.0)
+    sure, kept = (edges_if_the_exact_test_says(verdict, snap, 0.0) for verdict in (False, True))
+    constructed = {(k, k + 1) for k in range(0, len(points), 2)}
+    assert sure & constructed < visible & constructed < kept & constructed < constructed
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=MIXED_SNAPSHOTS)
+def test_every_pair_the_inner_bound_accepts_passes_the_exact_test(case):
+    snap, margin_km = case
+    sure = edges_if_the_exact_test_says(False, snap, margin_km)
+    assert sure <= edge_set(exact_edges_over_all_pairs(snap, margin_km)[0])
 
 
 def test_adjacency_lists_each_edge_under_both_endpoints():
