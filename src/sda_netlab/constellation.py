@@ -44,8 +44,8 @@ class ConstellationSnapshot:
     Row ``i`` is satellite ``ids[i]`` at ECEF ``positions[i]`` (km, an
     ``(n, 3)`` float64 array), flagged as an actuator where ``actuators[i]``
     (an ``(n,)`` bool array, all False unless given).  Both arrays are
-    read-only copies.  A satellite that breaks a rule raises
-    :class:`SnapshotRowError`.
+    read-only copies.  Ids are unique and are single CSV fields.  A
+    satellite that breaks a rule raises :class:`SnapshotRowError`.
     """
 
     ids: tuple[str, ...]
@@ -66,6 +66,10 @@ class ConstellationSnapshot:
                              f"or of actuators {actuators.shape}")
         seen: set[str] = set()
         for row, sat_id in enumerate(ids):
+            # The CSV files split on commas and lines and strip each field.
+            if "," in sat_id or sat_id.strip() != sat_id or len(sat_id.splitlines()) > 1:
+                raise SnapshotRowError(row, f"satellite id {sat_id!r} must not contain a comma or a line "
+                                            "break, nor start or end with whitespace")
             if sat_id in seen:
                 raise SnapshotRowError(row, f"duplicate satellite id {sat_id!r}")
             seen.add(sat_id)

@@ -165,7 +165,10 @@ class _RelayProblem:
         """Penalised weights of satellite hops leaving ``src``."""
         if self.penalty_ms == 0.0:
             return delays_ms
-        return np.where(self.exempt[src], delays_ms, delays_ms + self.penalty_ms)
+        weights = delays_ms + self.penalty_ms
+        if self.exempt_seeds:
+            np.copyto(weights, delays_ms, where=self.exempt[src])
+        return weights
 
     @cached_property
     def in_weights(self) -> np.ndarray:
@@ -314,7 +317,7 @@ def _parents(problem: _RelayProblem, labels: np.ndarray, attain: np.ndarray) -> 
         np.minimum.at(key, dst, src)
         return np.where(key < n, key, -1)
 
-    dst = adj.rows[attain]
+    dst = np.searchsorted(adj.indptr, attain, side="right") - 1
     src = adj.neighbors[attain]
     keep = np.isfinite(labels[dst])
     dst, src = dst[keep], src[keep]

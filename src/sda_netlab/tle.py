@@ -192,7 +192,8 @@ def snapshot_from_tles(
     entries: list[tuple[str, TleElements]],
     t_seconds_j2000: float | None = None,
 ) -> ConstellationSnapshot:
-    """Evaluate every element set at one common time (default: first epoch)."""
+    """Evaluate every element set at one common time (default: first epoch);
+    an id already taken gets ``#<entry index>`` appended until it is fresh."""
     if not entries:
         raise ValueError("no TLE entries to build a snapshot from")
     if t_seconds_j2000 is None:
@@ -201,7 +202,7 @@ def snapshot_from_tles(
     seen: set[str] = set()
     for idx, (name, el) in enumerate(entries):
         sat_id = name or el.catalog_id or f"tle-{idx:05d}"
-        if sat_id in seen:
+        while sat_id in seen:
             sat_id = f"{sat_id}#{idx}"
         seen.add(sat_id)
         ids.append(sat_id)

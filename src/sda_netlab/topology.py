@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +49,11 @@ class SatAdjacency:
     neighbours ``neighbors[indptr[u]:indptr[u + 1]]`` in ascending order,
     and the one-way delays to them.  Every edge appears once in each
     endpoint's row, with the same delay bits; no row lists its own
-    satellite.  ``rows[k]`` is the row of entry ``k``."""
+    satellite; an entry's row is found from ``indptr``."""
 
     indptr: np.ndarray  # (sat_count + 1,) int64
     neighbors: np.ndarray  # (2E,) int32
     delays_ms: np.ndarray  # (2E,) float64
-    rows: np.ndarray = field(init=False, repr=False)  # (2E,) int32
-
-    def __post_init__(self) -> None:
-        counts = np.diff(self.indptr)
-        object.__setattr__(self, "rows", np.repeat(np.arange(counts.size, dtype=np.int32), counts))
 
 
 @dataclass(frozen=True)
@@ -88,21 +83,25 @@ class VisibilityGraph:
     def station_edge_count(self) -> int:
         return int(self.station_edges.shape[0])
 
+    def _upper_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry's int32 row, and the mask of the entries above their row."""
+        adj = self.adjacency
+        rows = np.repeat(np.arange(self.sat_count, dtype=np.int32), np.diff(adj.indptr))
+        return rows, adj.neighbors > rows
+
     @property
     def sat_edges(self) -> np.ndarray:
         """(E, 2) int32 read-only pairs (i, j) with i < j in ascending (i, j)
         order, derived from the adjacency on each access."""
-        adj = self.adjacency
-        upper = adj.neighbors > adj.rows
-        edges = np.stack([adj.rows[upper], adj.neighbors[upper]], axis=1)
+        rows, upper = self._upper_entries()
+        edges = np.stack([rows[upper], self.adjacency.neighbors[upper]], axis=1)
         edges.flags.writeable = False
         return edges
 
     @property
     def sat_delays_ms(self) -> np.ndarray:
         """(E,) float64 read-only delays aligned with :attr:`sat_edges`."""
-        adj = self.adjacency
-        delays = adj.delays_ms[adj.neighbors > adj.rows]
+        delays = self.adjacency.delays_ms[self._upper_entries()[1]]
         delays.flags.writeable = False
         return delays
 
@@ -527,18 +526,13 @@ def _jammed_mask(
     return sat_jam, np.array([jammed(st.geodetic) for st in stations], dtype=bool)
 
 
-def _clear_listed(keep: np.ndarray, first: np.ndarray, second: np.ndarray, width: int, keys: list[int]) -> None:
-    """Clear ``keep`` at every entry whose key ``first * width + second`` is
-    in ``keys``.  The entry keys must be strictly increasing; one int64 key
-    array is the only entry-sized transient."""
-    if not keys or not len(first):
-        return
-    entry_keys = first.astype(np.int64)
-    entry_keys *= width
-    entry_keys += second
-    wanted = np.array(keys, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(entry_keys, wanted), len(entry_keys) - 1)
-    keep[pos[entry_keys[pos] == wanted]] = False
+def _listed_entry(indptr: np.ndarray, targets: np.ndarray, row: int, target: int) -> list[int]:
+    """The index of the entry ``target`` in row ``row`` of a CSR whose rows
+    list ascending ``targets``, as a one-element list; empty if the row
+    does not list it."""
+    lo, hi = int(indptr[row]), int(indptr[row + 1])
+    k = lo + int(np.searchsorted(targets[lo:hi], target))
+    return [k] if k < hi and targets[k] == target else []
 
 
 def apply_overlay(
@@ -552,51 +546,47 @@ def apply_overlay(
     input's, in the same order: its adjacency is the input's with the
     removed entries masked out.
 
-    Listed links are matched by index key, not by id: a satellite pair
-    (i, j) clears the adjacency entries ``i * sat_count + j`` and
-    ``j * sat_count + i``, and a satellite-station pair (i, g) is
-    ``i * station_count + g``; the adjacency and the station edges are
-    sorted by these keys, so one binary search finds each link.  A link
-    between two stations, from a node to itself, or between nodes with no
-    edge removes nothing.  Ids the snapshot and the stations do not know
-    raise ``ValueError`` (:meth:`AttackOverlay.check_ids`)."""
+    Listed links are matched by index, not by id: a satellite pair (i, j)
+    clears the entry j of row i and the entry i of row j, and a
+    satellite-station pair (i, g) clears the station edge (i, g).  Each row
+    lists its neighbours, and the station edges their stations, in
+    ascending order, so one binary search inside the row finds each entry.
+    A link between two stations, from a node to itself, or between nodes
+    with no edge removes nothing.  Ids the snapshot and the stations do not
+    know raise ``ValueError`` (:meth:`AttackOverlay.check_ids`)."""
     sat_index = {s: i for i, s in enumerate(snapshot.ids)}
     station_index = {st.id: i for i, st in enumerate(stations)}
     overlay.check_ids(sat_index, station_index)
 
-    sat_dead = np.zeros(graph.sat_count, dtype=bool)
-    for s in overlay.disabled_satellites:
-        sat_dead[sat_index[s]] = True
-    st_dead = np.zeros(graph.station_count, dtype=bool)
-    for s in overlay.disabled_stations:
-        st_dead[station_index[s]] = True
-    sat_jam, st_jam = _jammed_mask(snapshot, stations, overlay.jam_regions)
-    sat_dead |= sat_jam
-    st_dead |= st_jam
+    sat_dead, st_dead = _jammed_mask(snapshot, stations, overlay.jam_regions)
+    sat_dead[[sat_index[s] for s in overlay.disabled_satellites]] = True
+    st_dead[[station_index[s] for s in overlay.disabled_stations]] = True
 
-    adj = graph.adjacency
-    keep_ss = ~(sat_dead[adj.rows] | sat_dead[adj.neighbors])
-    keep_sg = ~(
-        sat_dead[graph.station_edges[:, 0]] | st_dead[graph.station_edges[:, 1]]
-    ) if graph.station_edge_count else np.zeros(0, dtype=bool)
+    n, adj = graph.sat_count, graph.adjacency
+    counts = np.diff(adj.indptr)
+    dead_ss = np.repeat(sat_dead, counts)
+    dead_ss |= sat_dead[adj.neighbors]
+    sats, grounds = graph.station_edges[:, 0], graph.station_edges[:, 1]
+    dead_sg = sat_dead[sats] | st_dead[grounds]
+    station_indptr = np.searchsorted(sats, np.arange(n + 1))
 
-    n, stations_n = graph.sat_count, graph.station_count
-    ss_keys, sg_keys = [], []
     for a, b in overlay.disabled_links:
         ia, ib = sat_index.get(a), sat_index.get(b)
         if ia is not None and ib is not None:
-            ss_keys += [ia * n + ib, ib * n + ia]
+            dead_ss[_listed_entry(adj.indptr, adj.neighbors, ia, ib)] = True
+            dead_ss[_listed_entry(adj.indptr, adj.neighbors, ib, ia)] = True
         for i, g in ((ia, station_index.get(b)), (ib, station_index.get(a))):
             if i is not None and g is not None:
-                sg_keys.append(i * stations_n + g)
-    _clear_listed(keep_ss, adj.rows, adj.neighbors, n, ss_keys)
-    _clear_listed(keep_sg, graph.station_edges[:, 0], graph.station_edges[:, 1], stations_n, sg_keys)
+                dead_sg[_listed_entry(station_indptr, grounds, i, g)] = True
 
-    kept = np.zeros(keep_ss.size + 1, dtype=np.int64)
-    np.cumsum(keep_ss, out=kept[1:])
+    removed = np.flatnonzero(dead_ss)
+    counts -= np.bincount(np.searchsorted(adj.indptr, removed, side="right") - 1, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    keep_ss, keep_sg = np.logical_not(dead_ss, out=dead_ss), ~dead_sg
     return VisibilityGraph(
         station_count=graph.station_count,
-        adjacency=SatAdjacency(kept[adj.indptr], adj.neighbors[keep_ss], adj.delays_ms[keep_ss]),
+        adjacency=SatAdjacency(indptr, adj.neighbors[keep_ss], adj.delays_ms[keep_ss]),
         station_edges=graph.station_edges[keep_sg],
         station_delays_ms=graph.station_delays_ms[keep_sg],
     )

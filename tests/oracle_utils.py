@@ -422,6 +422,12 @@ def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
     )
 
 
+def entry_rows(adjacency: SatAdjacency) -> np.ndarray:
+    """The row of every adjacency entry, repeated from ``indptr``."""
+    counts = np.diff(adjacency.indptr)
+    return np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+
+
 def graph_from_edges(
     sat_count, station_count, sat_edges, sat_delays_ms, station_edges, station_delays_ms
 ) -> VisibilityGraph:

@@ -945,6 +945,11 @@ def test_generate_writes_the_pinned_merged_snapshot(tmp_path):
 
 
 WALKER_SHELL = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 1, "sats_per_plane": 4}
+ISS_TLE = (
+    "1 25544U 98067A   20151.61686127  .00000168  00000-0  11087-4 0  9992\n"
+    "2 25544  51.6444  75.4313 0002297  11.5525  50.1151 15.49398617229298\n"
+)
+ID_RULE = "must not contain a comma or a line break, nor start or end with whitespace"
 
 
 @pytest.mark.parametrize("source, files, expected", [
@@ -956,7 +961,17 @@ WALKER_SHELL = {"altitude_km": 1200.0, "inclination_deg": 87.9, "planes": 1, "sa
      "constellation.tle_file: no TLE entries to build a snapshot from"),
     ({"walker": WALKER_SHELL}, {"stations.csv": "id,lat_deg,lon_deg,alt_km\ng1,0,0,0\ng1,10,0,0\n"},
      "stations_csv: line 3: duplicate station id 'g1'"),
-], ids=["walker", "snapshot_csv", "tle_file", "stations_csv"])
+    # Ids that snapshot.csv and report.csv could not hold as one field.
+    ({"walker": dict(WALKER_SHELL, id_prefix="a,b")}, {},
+     f"constellation.walker: satellite id 'a,b-p000-s000' {ID_RULE}"),
+    ({"walker": [WALKER_SHELL, dict(WALKER_SHELL, id_prefix=" sat")]}, {},
+     f"constellation.walker: satellite id ' sat-p000-s000' {ID_RULE}"),
+    ({"walker": dict(WALKER_SHELL, id_prefix="a\nb")}, {},
+     f"constellation.walker: satellite id 'a\\nb-p000-s000' {ID_RULE}"),
+    ({"tle_file": "sats.tle"}, {"sats.tle": "ISS, ZARYA\n" + ISS_TLE},
+     f"constellation.tle_file: satellite id 'ISS, ZARYA' {ID_RULE}"),
+], ids=["walker", "snapshot_csv", "tle_file", "stations_csv",
+        "walker-id-comma", "walker-id-space", "walker-id-line-break", "tle-name-comma"])
 def test_cli_names_the_config_key_of_a_bad_input_file(tmp_path, capsys, source, files, expected):
     for name, text in files.items():
         write(tmp_path / name, text)
@@ -966,6 +981,18 @@ def test_cli_names_the_config_key_of_a_bad_input_file(tmp_path, capsys, source, 
     path = write(tmp_path / "scenario.json", json.dumps(cfg))
     assert run(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_renamed_tle_repeats_stay_unique_and_read_back(tmp_path):
+    # The third entry's first rename, A#2, is the second entry's own name.
+    tle = write(tmp_path / "sats.tle", "".join(f"{name}\n{ISS_TLE}" for name in ("A", "A#2", "A", "A#2")))
+    first = write(tmp_path / "tle.json", json.dumps({"constellation": {"tle_file": tle}}))
+    assert run(["generate", "--config", first, "--out", str(tmp_path / "first"), "--quiet"]) == 0
+    snapshot = tmp_path / "first" / "snapshot.csv"
+    assert [line.split(",")[0] for line in snapshot.read_text().splitlines()] == ["id", "A", "A#2", "A#2#2", "A#2#3"]
+    again = write(tmp_path / "csv.json", json.dumps({"constellation": {"snapshot_csv": str(snapshot)}}))
+    assert run(["generate", "--config", again, "--out", str(tmp_path / "again"), "--quiet"]) == 0
+    assert (tmp_path / "again" / "snapshot.csv").read_bytes() == snapshot.read_bytes()
 
 
 def test_cli_sweep_and_compare(tmp_path):

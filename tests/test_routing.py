@@ -34,6 +34,7 @@ from oracle_utils import (
     dijkstra_oracle,
     dijkstra_oracle_optimal,
     downlink_seeds_oracle,
+    entry_rows,
     graph_from_edges,
     random_shell,
     seed_rows,
@@ -471,13 +472,14 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
     problem = _relay_problem(graph, snap, stations, terminus, mode, penalty)
     fixpoint = blocked_pull(block_entries, _relax, problem)
     adj, labels = graph.adjacency, fixpoint.labels
+    rows = entry_rows(adj)
     # The unblocked candidates of every hop at the fixpoint.
     candidates = problem.in_weights + labels[adj.neighbors]
     assert fixpoint.attain.dtype == np.int64
-    assert fixpoint.attain.tobytes() == np.flatnonzero(candidates == labels[adj.rows]).tobytes()
+    assert fixpoint.attain.tobytes() == np.flatnonzero(candidates == labels[rows]).tobytes()
     fixed = np.zeros(graph.sat_count, dtype=bool)
     fixed[problem.seeds.node] = problem.fixed_seeds
-    assert ((candidates >= labels[adj.rows]) | fixed[adj.rows]).all()
+    assert ((candidates >= labels[rows]) | fixed[rows]).all()
 
 
 @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
@@ -497,7 +499,7 @@ def test_only_a_pull_that_lowers_no_free_label_keeps_its_attaining_entries(block
     labels = _relax(problem).labels
 
     def attaining():
-        return np.flatnonzero(problem.in_weights + labels[adj.neighbors] == labels[adj.rows])
+        return np.flatnonzero(problem.in_weights + labels[adj.neighbors] == labels[entry_rows(adj)])
 
     best, attain = routing._pull(problem, labels, free, blocks)
     assert attain.tobytes() == attaining().tobytes()

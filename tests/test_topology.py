@@ -39,6 +39,7 @@ from sda_netlab.topology import (
 )
 from oracle_utils import (
     elevation_angle_deg,
+    entry_rows,
     euclidean_km,
     graph_from_edges,
     grazing_pair,
@@ -159,9 +160,9 @@ def test_adjacency_equals_the_edge_list_reference(case):
 
     reference = graph_from_edges(len(snap), len(STATIONS), *brute_force_edges(snap, STATIONS, margin_km))
     assert_same_graph(graph, reference)
-    adj = graph.adjacency
-    assert np.all(adj.neighbors != adj.rows)
-    same_row = adj.rows[1:] == adj.rows[:-1]
+    adj, rows = graph.adjacency, entry_rows(graph.adjacency)
+    assert np.all(adj.neighbors != rows)
+    same_row = rows[1:] == rows[:-1]
     assert np.all(np.diff(adj.neighbors.astype(np.int64))[same_row] > 0)
     for threads in (2, 3):
         assert_same_graph(threaded_build(snap, STATIONS, margin_km=margin_km, threads=threads), graph)
@@ -615,7 +616,7 @@ def test_overlay_json_round_trip():
 
 
 GRAPH_FIELDS = (
-    "adjacency.indptr", "adjacency.neighbors", "adjacency.delays_ms", "adjacency.rows",
+    "adjacency.indptr", "adjacency.neighbors", "adjacency.delays_ms",
     "sat_edges", "sat_delays_ms", "station_edges", "station_delays_ms",
 )
 
@@ -672,6 +673,11 @@ def test_overlay_equals_the_id_matching_oracle(shell_seed, count, sites, data):
     any_pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
     self_pair = st.sampled_from(nodes).map(lambda v: (v, v))
     links += data.draw(st.lists(any_pair | self_pair, max_size=4))
+    # Links that name the last row, or a satellite whose row is empty here or
+    # once the overlay has disabled it.
+    empty = [sat_ids[k] for k in np.flatnonzero(np.diff(graph.adjacency.indptr) == 0)]
+    ends = st.sampled_from(empty + dead_sats + [sat_ids[-1]])
+    links += data.draw(st.lists(st.tuples(ends, st.sampled_from(nodes)), min_size=1, max_size=4))
     if st_ids:
         links += data.draw(st.lists(st.tuples(st.sampled_from(st_ids), st.sampled_from(st_ids)), max_size=2))
     flips = data.draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links)))
@@ -686,7 +692,9 @@ def test_overlay_equals_the_id_matching_oracle(shell_seed, count, sites, data):
         "jam_regions": [{"lat_deg": lat, "lon_deg": lon, "radius_km": r} for lat, lon, r in regions],
     })
 
-    for ov in (overlay, AttackOverlay()):
-        attacked = apply_overlay(graph, snap, stations, ov)
-        assert_same_graph(attacked, overlay_oracle(graph, snap, stations, ov))
-        assert_keys_increase(attacked)
+    attacked = apply_overlay(graph, snap, stations, overlay)
+    # Applied again, the overlay names satellites whose rows it emptied.
+    for base, ov in ((graph, overlay), (graph, AttackOverlay()), (attacked, overlay)):
+        got = apply_overlay(base, snap, stations, ov)
+        assert_same_graph(got, overlay_oracle(base, snap, stations, ov))
+        assert_keys_increase(got)
