@@ -4,7 +4,7 @@ and deterministic actuator selection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,17 @@ class SnapshotRowError(ValueError):
         self.row = row
 
 
+def _actuator_mask(actuators: np.ndarray | None, n: int) -> np.ndarray:
+    """A read-only copy of an ``(n,)`` bool actuator mask, all False for None."""
+    mask = np.zeros(n, dtype=bool) if actuators is None else np.array(actuators)
+    if mask.shape != (n,):
+        raise ValueError(f"{n} ids do not match the shape of actuators {mask.shape}")
+    if mask.dtype != bool:
+        raise ValueError(f"actuators must be a bool array, got dtype {mask.dtype}")
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class ConstellationSnapshot:
     """Instantaneous, immutable set of satellites, one column per field.
@@ -56,14 +67,10 @@ class ConstellationSnapshot:
         ids = tuple(self.ids)
         n = len(ids)
         positions = np.array(self.positions, dtype=np.float64)
-        actuators = np.zeros(n, dtype=bool)
-        if self.actuators is not None:
-            actuators = np.array(self.actuators, dtype=bool)
         if n == 0:
             raise ValueError("snapshot must contain at least one satellite")
-        if positions.shape != (n, 3) or actuators.shape != (n,):
-            raise ValueError(f"{n} ids do not match the shape of positions {positions.shape} "
-                             f"or of actuators {actuators.shape}")
+        if positions.shape != (n, 3):
+            raise ValueError(f"{n} ids do not match the shape of positions {positions.shape}")
         seen: set[str] = set()
         for row, sat_id in enumerate(ids):
             # The CSV files split on commas and lines and strip each field.
@@ -82,10 +89,20 @@ class ConstellationSnapshot:
         if buried.any():
             row = int(np.argmax(buried))
             raise SnapshotRowError(row, f"satellite {ids[row]!r} is not above the surface")
-        positions.flags.writeable = actuators.flags.writeable = False
+        positions.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "actuators", actuators)
+        object.__setattr__(self, "actuators", _actuator_mask(self.actuators, n))
+
+    def with_actuators(self, actuators: np.ndarray) -> "ConstellationSnapshot":
+        """This snapshot with ``actuators`` flagged.  Only the mask is
+        checked; the new snapshot shares the ids and the read-only positions,
+        which this one has already checked."""
+        flagged = object.__new__(ConstellationSnapshot)
+        object.__setattr__(flagged, "ids", self.ids)
+        object.__setattr__(flagged, "positions", self.positions)
+        object.__setattr__(flagged, "actuators", _actuator_mask(actuators, len(self.ids)))
+        return flagged
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -255,6 +272,11 @@ def load_ground_stations_csv(text: str) -> list[GroundStationNode]:
 # --- Deterministic actuator selection ------------------------------------------
 
 
+# SplitMix64: the state advances by _GAMMA, and each draw mixes the new state.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
 class SplitMix64:
     """SplitMix64 generator: a documented 64-bit mix so selections are
     bit-reproducible across implementations."""
@@ -263,10 +285,10 @@ class SplitMix64:
         self._state = seed & _U64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
+        self._state = (self._state + _GAMMA) & _U64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        z = ((z ^ (z >> 30)) * _MIX[0]) & _U64
+        z = ((z ^ (z >> 27)) * _MIX[1]) & _U64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
@@ -277,11 +299,18 @@ class SplitMix64:
 
 
 def seeded_permutation(n: int, seed: int) -> list[int]:
-    """Fisher-Yates permutation of range(n) driven by SplitMix64."""
-    rng = SplitMix64(seed)
+    """Fisher-Yates permutation of range(n): step ``i`` (from ``n - 1`` down
+    to 1) swaps ``i`` with ``SplitMix64(seed).below(i + 1)`` of the running
+    stream.  SplitMix64 is counter-based, draw ``k`` (from 1) mixing
+    ``seed + k * _GAMMA``, so every draw and its bound is computed at once in
+    wrapping uint64 arithmetic, and only the swaps run one by one."""
+    z = np.uint64(seed & _U64) + np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX[0])
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX[1])
+    z ^= z >> np.uint64(31)
+    draws = (z % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]
     return perm
 
@@ -302,4 +331,4 @@ def select_actuators(
         raise ValueError(f"actuator_count: {count} exceeds {n} satellites")
     mask = np.zeros(n, dtype=bool)
     mask[seeded_permutation(n, seed)[:count]] = True
-    return replace(snapshot, actuators=mask)
+    return snapshot.with_actuators(mask)

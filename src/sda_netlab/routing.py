@@ -25,14 +25,21 @@ Every mode is one seeded relaxation problem over the graph's satellite
 adjacency, one node per satellite, which the graph build emits and every
 solve on the graph shares.  Jacobi sweeps apply
 ``label[v] = min(label[v], weight(u, v) + label[u])`` along the hops leaving
-the nodes whose label dropped in the previous sweep (along every hop at
-once, a pull, when those are a large share), so a relay chain costs O(E)
-relaxations, not O(V * E).  A pull walks the hops in row-aligned blocks
-and, until a block lowers a label, records the entries whose candidate
-equals their row's label.  Every solve ends on a pull that lowers nothing,
-so those are exactly the hops that attain the final labels; the parent
-rule reads them, and no second pass over the hops, nor any array of one
-candidate per hop, follows.
+the nodes whose label dropped in the previous sweep (a push, in runs of
+frontier nodes with a bounded number of out-hops), or, when those are a
+large share of the hops into rows that may still drop, along all of these
+at once (a pull), so a relay chain costs O(E) relaxations, not O(V * E).
+A fixed seed is never lowered, so a pull reads only the free rows: once
+per solve the rows outside the fixed seeds are gathered, with their
+penalised weights, into a CSR of their own when the fixed rows hold half
+the entries or more; below that cut-off the adjacency itself serves, with
+the fixed rows masked.  With no free hop at all nothing can drop, and the
+solve returns at once.  A pull walks its CSR in row-aligned blocks and,
+until a block lowers a label, records the hops whose candidate equals
+their row's label.  Every solve ends on a pull that lowers nothing, so
+those are exactly the hops into free rows that attain the final labels;
+the parent rule reads them as ``(dst, src)`` pairs, and no second pass
+over the hops, nor any array of one candidate per hop, follows.
 
 The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
@@ -170,43 +177,54 @@ class _RelayProblem:
             np.copyto(weights, delays_ms, where=self.exempt[src])
         return weights
 
-    @cached_property
-    def in_weights(self) -> np.ndarray:
-        """Penalised weight of every adjacency entry read as the hop
-        ``neighbors[k] -> row``: row ``v`` lists the hops into ``v``."""
-        return self.sat_weights(self.adjacency.neighbors, self.adjacency.delays_ms)
 
-    def out_hops(self, sats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every hop between satellites leaving ``sats`` (distinct satellite
-        indices) as (src, dst, weight)."""
-        adj = self.adjacency
-        starts = adj.indptr[sats]
-        counts = adj.indptr[sats + 1] - starts
-        ends = np.cumsum(counts)
-        # Concatenated ranges starts[k]:starts[k] + counts[k], without a loop.
-        idx = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
-        src = np.repeat(sats, counts)
-        return src, adj.neighbors[idx], self.sat_weights(src, adj.delays_ms[idx])
+@dataclass(frozen=True)
+class _FreeRows:
+    """The rows a solve may lower, as a CSR over the hops into them: row
+    ``r`` is node ``nodes[r]``, and entry ``k`` in ``indptr[r]:indptr[r + 1]``
+    is the hop ``neighbors[k] -> nodes[r]`` of penalised weight
+    ``weights[k]``.  Either the fixed rows are compacted away, or every node
+    keeps its row and ``fixed`` masks those that no hop may lower."""
+
+    nodes: np.ndarray
+    indptr: np.ndarray
+    neighbors: np.ndarray
+    weights: np.ndarray
+    fixed: np.ndarray
+    blocks: list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class _Fixpoint:
     labels: np.ndarray
-    attain: np.ndarray  # ascending int64 adjacency entries whose candidate equals their row's label
+    # The hops src -> dst whose candidate equals the label of dst, over the
+    # free rows of finite label, in ascending (dst, src) order.
+    attain_dst: np.ndarray
+    attain_src: np.ndarray
     sweeps: int  # sweeps that lowered at least one label
     relaxed_edges: int  # hops whose candidate was evaluated, over all sweeps but the closing pull
 
 
-# A pull sweep reads every hop, at roughly a quarter of a push's cost per hop
-# (one gather and a contiguous min-reduce instead of gathers and a scatter).
+# A pull sweep reads every free hop, at roughly a quarter of a push's cost per
+# hop (one gather and a contiguous min-reduce instead of gathers and a scatter).
 _PULL_WHEN_FRONTIER_HOPS_EXCEED = 0.25
 
-# A pull walks the adjacency in row-aligned blocks of about this many entries,
-# so a solve holds one block of candidates, not one float64 per hop.  Of
-# 2**14 to 2**18, 2**16 gave the fastest starlink-like on-orbit solves (2-vCPU
-# host: 39-43 ms against 42-51 ms at the other sizes and fractions 0.01 and
-# 1.0); smaller blocks pay more calls per pull, larger ones leave the cache.
+# A pull walks the free rows in row-aligned blocks of about this many entries,
+# and a push the frontier in runs of about this many out-hops, so a solve
+# holds one block of candidates, not one float64 per hop.  Of 2**14 to 2**18,
+# 2**16 gave the fastest starlink-like on-orbit solves (2-vCPU host: 39-43 ms
+# against 42-51 ms at the other sizes and fractions 0.01 and 1.0); smaller
+# blocks pay more calls per pull, larger ones leave the cache.
 _BLOCK_ENTRIES = 1 << 16
+
+# The free rows are a compacted copy once the fixed rows hold this share of
+# the entries; below it the copy, 12 bytes written per free entry, costs more
+# than the fixed rows' reads it saves.  A quarter paid on starlink-like, whose
+# 20 sweep points reuse their memory, but a fresh oneweb-like `compare`
+# process paid about 0.7 ms more per on-orbit solve at fractions 0.25-0.45
+# (2.4 -> 3.1 ms, 15 processes each; the copy's fresh pages fault); at a half
+# neither graph lost at any fraction (2-vCPU host, one thread).
+_COMPACT_WHEN_FIXED_ENTRIES_REACH = 0.5
 
 
 def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
@@ -220,85 +238,132 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def _pull(
-    problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray, blocks: list[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One pull over every hop, block by block, reading ``labels`` only:
-    each node's least candidate ``in_weights[k] + labels[neighbors[k]]``
-    (inf without in-hops), and the ascending indices of the entries whose
-    candidate equals their row's label.  Those are kept only while no block
-    has lowered a label outside ``fixed``; a pull that lowers one returns
-    None for them."""
+def _free_rows(problem: _RelayProblem, fixed: np.ndarray) -> _FreeRows:
+    """The CSR of the rows outside ``fixed``, with their penalised weights:
+    a compacted copy when the fixed rows hold enough entries, else the
+    adjacency itself with ``fixed`` as its mask."""
     adj = problem.adjacency
-    best = np.full(labels.size, math.inf)
+    counts = np.diff(adj.indptr)
+    if counts[fixed].sum() < _COMPACT_WHEN_FIXED_ENTRIES_REACH * adj.indptr[-1]:
+        nodes, indptr, neighbors, delays_ms, row_fixed = (
+            np.arange(fixed.size), adj.indptr, adj.neighbors, adj.delays_ms, fixed)
+    else:
+        nodes = np.flatnonzero(~fixed)
+        indptr = np.zeros(nodes.size + 1, dtype=adj.indptr.dtype)
+        np.cumsum(counts[nodes], out=indptr[1:])
+        keep = np.repeat(~fixed, counts)
+        neighbors, delays_ms = adj.neighbors[keep], adj.delays_ms[keep]
+        row_fixed = np.zeros(nodes.size, dtype=bool)
+    return _FreeRows(nodes, indptr, neighbors, problem.sat_weights(neighbors, delays_ms),
+                     row_fixed, _row_blocks(indptr))
+
+
+def _pull(rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """One pull over every hop of ``rows``, block by block, reading
+    ``labels`` only: each row's least candidate
+    ``weights[k] + labels[neighbors[k]]`` (inf without hops), and the
+    ascending entries into free rows of finite label whose candidate equals
+    their row's label.  Those are kept only while no block has lowered the
+    label of a row outside ``rows.fixed``; a pull that lowers one returns
+    None for them."""
+    row_labels = labels[rows.nodes]
+    # No candidate equals NaN: a fixed or unreachable row records no entry.
+    attainable = np.where(rows.fixed | np.isinf(row_labels), math.nan, row_labels)
+    best = np.full(rows.nodes.size, math.inf)
     attain = []
-    for r0, r1 in blocks:
-        e0, e1 = int(adj.indptr[r0]), int(adj.indptr[r1])
-        cand = labels[adj.neighbors[e0:e1]]
-        cand += problem.in_weights[e0:e1]
-        counts = np.diff(adj.indptr[r0:r1 + 1])
-        rows = r0 + np.flatnonzero(counts)
-        best[rows] = np.minimum.reduceat(cand, adj.indptr[rows] - e0)
+    for r0, r1 in rows.blocks:
+        e0, e1 = int(rows.indptr[r0]), int(rows.indptr[r1])
+        cand = labels[rows.neighbors[e0:e1]]
+        cand += rows.weights[e0:e1]
+        counts = np.diff(rows.indptr[r0:r1 + 1])
+        nonempty = r0 + np.flatnonzero(counts)
+        best[nonempty] = np.minimum.reduceat(cand, rows.indptr[nonempty] - e0)
         if attain is not None:
-            if ((best[r0:r1] < labels[r0:r1]) & ~fixed[r0:r1]).any():
+            if ((best[r0:r1] < row_labels[r0:r1]) & ~rows.fixed[r0:r1]).any():
                 attain = None
             else:
-                attain.append(e0 + np.flatnonzero(cand == np.repeat(labels[r0:r1], counts)))
+                attain.append(e0 + np.flatnonzero(cand == np.repeat(attainable[r0:r1], counts)))
     return best, None if attain is None else np.concatenate(attain)
+
+
+def _push(problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray,
+          frontier: np.ndarray) -> tuple[np.ndarray, int]:
+    """One Jacobi sweep along the hops leaving ``frontier`` into the nodes
+    outside ``fixed``, in runs of frontier nodes with at most
+    ``_BLOCK_ENTRIES`` out-hops (a node with more is a run alone).  The
+    frontier's labels are read once, before any run lowers one.  Returns the
+    ascending nodes whose label dropped and the number of hops relaxed."""
+    adj = problem.adjacency
+    starts = adj.indptr[frontier]
+    counts = adj.indptr[frontier + 1] - starts
+    offsets = np.zeros(frontier.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    frontier_labels = labels[frontier]
+    lowered = np.zeros(labels.size, dtype=bool)
+    for f0, f1 in _row_blocks(offsets):
+        run = counts[f0:f1]
+        # Concatenated ranges starts[k]:starts[k] + counts[k] of the run.
+        idx = np.repeat(starts[f0:f1] - (offsets[f0:f1] - offsets[f0]), run)
+        idx += np.arange(idx.size)
+        dst = adj.neighbors[idx]
+        cand = problem.sat_weights(np.repeat(frontier[f0:f1], run), adj.delays_ms[idx])
+        cand += np.repeat(frontier_labels[f0:f1], run)
+        better = (cand < labels[dst]) & ~fixed[dst]
+        dst = dst[better]
+        np.minimum.at(labels, dst, cand[better])
+        lowered[dst] = True
+    return np.flatnonzero(lowered), int(offsets[-1])
 
 
 def _relax(problem: _RelayProblem) -> _Fixpoint:
     """Jacobi sweeps of the relay update until no label drops.
 
     A sweep relaxes the hops leaving the satellites whose label dropped in
-    the previous sweep (push), or, when those are a large share, every hop
-    by a blocked per-node min-reduce (pull); both give the labels of a full
-    sweep.  A push that lowers nothing hands over to one closing pull, so
-    the solve always ends on a pull that lowers nothing, whose attaining
-    entries it returns.
+    the previous sweep (push), or, when those are a large share of the free
+    hops, every hop into a free row by a blocked per-row min-reduce (pull);
+    both give the labels of a full sweep.  A push that lowers nothing hands
+    over to one closing pull, so the solve always ends on a pull that lowers
+    nothing, whose attaining hops it returns; with no free hop at all,
+    nothing can drop and it returns at once.
     """
     indptr = problem.adjacency.indptr
     n = indptr.size - 1
-    blocks = _row_blocks(indptr)
     labels = np.full(n, math.inf)
     labels[problem.seeds.node] = problem.seeds.label_ms
     fixed = np.zeros(n, dtype=bool)
     fixed[problem.seeds.node] = problem.fixed_seeds
+    rows = _free_rows(problem, fixed)
+    free_hops = int(rows.indptr[-1])
+    if free_hops == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return _Fixpoint(labels, none, none, 0, 0)
     frontier = np.flatnonzero(np.isfinite(labels))
-    stamp = np.zeros(n, dtype=np.int64)
     sweeps, relaxed, closing = 0, 0, False
     for _ in range(n + 2):
         frontier_hops = np.sum(indptr[frontier + 1] - indptr[frontier])
-        if closing or frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * indptr[-1]:
-            best, attain = _pull(problem, labels, fixed, blocks)
+        if closing or frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * free_hops:
+            best, attain = _pull(rows, labels)
             if attain is not None:
                 # Nothing dropped, so every block compared against the final labels.
-                return _Fixpoint(labels, attain, sweeps, relaxed)
-            lowered = (best < labels) & ~fixed
-            relaxed += int(indptr[-1])
-            labels[lowered] = best[lowered]
-            frontier = np.flatnonzero(lowered)
+                dst = rows.nodes[np.searchsorted(rows.indptr, attain, side="right") - 1]
+                return _Fixpoint(labels, dst, rows.neighbors[attain].astype(np.int64), sweeps, relaxed)
+            lowered = (best < labels[rows.nodes]) & ~rows.fixed
+            relaxed += free_hops
+            frontier = rows.nodes[lowered]
+            labels[frontier] = best[lowered]
         else:
-            src, dst, weight = problem.out_hops(frontier)
-            relaxed += src.size
-            cand = weight + labels[src]
-            better = (cand < labels[dst]) & ~fixed[dst]
-            dst = dst[better]
-            np.minimum.at(labels, dst, cand[better])
-            # Distinct nodes of dst in O(len(dst)): exactly one position of
-            # each node holds the stamp that node received.
-            positions = np.arange(dst.size)
-            stamp[dst] = positions
-            frontier = dst[stamp[dst] == positions]
+            frontier, hops = _push(problem, labels, fixed, frontier)
+            relaxed += hops
         closing = frontier.size == 0
         sweeps += not closing
     raise RuntimeError("relay fixpoint failed to stabilize within node-count sweeps")
 
 
-def _parents(problem: _RelayProblem, labels: np.ndarray, attain: np.ndarray) -> np.ndarray:
+def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
     """Parent of every reachable node, the node itself at a root, and -1
     where nothing attains the label, from the converged labels and the
-    attaining entries of the pull that found them final.
+    attaining hops of the pull that found them final.  Those cover the free
+    rows only, and every fixed row is a seed's, hence a root.
 
     Of the in-hops that attain a node's label exactly, one from a smaller
     label (strict progress) wins, lowest node index first.  Failing that, a
@@ -308,8 +373,8 @@ def _parents(problem: _RelayProblem, labels: np.ndarray, attain: np.ndarray) -> 
     takes the lowest such index per node, and as a round only builds on
     earlier ones, no parent cycle can form.
     """
+    labels, dst, src = fixpoint.labels, fixpoint.attain_dst, fixpoint.attain_src
     n = labels.size
-    adj = problem.adjacency
     seeds = problem.seeds
 
     def lowest(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -317,10 +382,6 @@ def _parents(problem: _RelayProblem, labels: np.ndarray, attain: np.ndarray) -> 
         np.minimum.at(key, dst, src)
         return np.where(key < n, key, -1)
 
-    dst = np.searchsorted(adj.indptr, attain, side="right") - 1
-    src = adj.neighbors[attain]
-    keep = np.isfinite(labels[dst])
-    dst, src = dst[keep], src[keep]
     strict = labels[src] < labels[dst]
     parent = lowest(dst[strict], src[strict])
     roots = seeds.node
@@ -358,7 +419,7 @@ def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
     seed_terminal[seeds.node] = seeds.terminal
 
     nodes = np.arange(n)
-    parent = _parents(problem, labels, fixpoint.attain)
+    parent = _parents(problem, fixpoint)
     orphans = np.flatnonzero(np.isfinite(labels) & (parent < 0))
     if orphans.size:
         node = orphans[np.argmin(labels[orphans])]

@@ -1,8 +1,11 @@
 import math
 import os
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
@@ -174,6 +177,54 @@ def test_seeded_permutation_matches_manual_fisher_yates():
         j = stream.next_u64() % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     assert seeded_permutation(n, seed) == perm
+
+
+def stream_permutation(n, seed):
+    """Fisher-Yates over ``SplitMix64.next_u64``, one draw at a time."""
+    stream = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.next_u64() % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 630, 5760, 6390])
+@pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1, 16972620001984871180])
+def test_seeded_permutation_draws_the_splitmix64_stream_at_once(n, seed):
+    # The preset sizes, and 64-bit seeds whose counter sums wrap.
+    assert seeded_permutation(n, seed) == stream_permutation(n, seed)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(0, 300), seed=st.integers(-(1 << 64), (1 << 65)))
+def test_seeded_permutation_equals_the_stream_for_any_size_and_seed(n, seed):
+    assert seeded_permutation(n, seed) == stream_permutation(n, seed)
+
+
+def test_with_actuators_checks_only_the_mask_and_shares_the_checked_columns():
+    snap = generate_walker(WalkerSpec(550.0, 53.0, 4, 5))
+    mask = np.arange(len(snap)) % 3 == 0
+    flagged = snap.with_actuators(mask)
+    replaced = dataclasses.replace(snap, actuators=mask)
+    assert flagged.ids == replaced.ids
+    assert flagged.positions.tobytes() == replaced.positions.tobytes()
+    assert flagged.actuators.tolist() == replaced.actuators.tolist() == mask.tolist()
+    assert flagged.ids is snap.ids and flagged.positions is snap.positions
+    mask[0] = False  # the snapshot holds a read-only copy
+    assert flagged.actuators[0] and not flagged.actuators.flags.writeable
+    assert select_actuators(snap, 7, 3).actuators.tolist() == \
+        dataclasses.replace(snap, actuators=select_actuators(snap, 7, 3).actuators).actuators.tolist()
+    for bad in (mask[:-1], np.ones((len(snap), 1), dtype=bool)):
+        with pytest.raises(ValueError, match="shape"):
+            snap.with_actuators(bad)
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(snap, actuators=bad)
+    for bad in (mask.astype(np.int64), mask.astype(float)):
+        with pytest.raises(ValueError, match="bool"):
+            snap.with_actuators(bad)
+        with pytest.raises(ValueError, match="bool"):
+            dataclasses.replace(snap, actuators=bad)
 
 
 def test_select_actuators_endpoints_and_errors():

@@ -48,11 +48,43 @@ MEAN_R = 6371.0088
 BLOCK_SIZES = [1, 2, 3, 7, 64, routing._BLOCK_ENTRIES]
 
 
-def blocked_pull(block_entries, solve, *args, **kwargs):
-    """``solve(*args, **kwargs)`` with every pull walking the adjacency in
-    blocks of ``block_entries`` entries."""
+# Compaction cut-offs on both sides of every solve: 0 compacts the free rows
+# of every solve, 2 never does (the fixed rows are masked instead).
+COMPACT_CUTS = [0.0, 2.0]
+
+
+def blocked_pull(block_entries, solve, *args, compact_cut=None, **kwargs):
+    """``solve(*args, **kwargs)`` with every pull walking the free rows in
+    blocks, and every push the frontier in runs, of ``block_entries``
+    entries; with ``compact_cut``, the free rows are compacted once the
+    fixed rows hold that share of the entries."""
     with mock.patch.object(routing, "_BLOCK_ENTRIES", block_entries):
-        return solve(*args, **kwargs)
+        if compact_cut is None:
+            return solve(*args, **kwargs)
+        with mock.patch.object(routing, "_COMPACT_WHEN_FIXED_ENTRIES_REACH", compact_cut):
+            return solve(*args, **kwargs)
+
+
+def attaining_pairs(problem, labels, fixed):
+    """The (dst, src) hops into free rows of finite label whose candidate,
+    unblocked and uncompacted, equals the label of dst, in ascending order."""
+    adj = problem.adjacency
+    rows = entry_rows(adj).astype(np.int64)
+    candidates = problem.sat_weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
+    attain = (candidates == labels[rows]) & ~fixed[rows] & np.isfinite(labels[rows])
+    return rows[attain], adj.neighbors[attain].astype(np.int64)
+
+
+def seed_mask(problem):
+    fixed = np.zeros(problem.adjacency.indptr.size - 1, dtype=bool)
+    fixed[problem.seeds.node] = problem.fixed_seeds
+    return fixed
+
+
+def same_fixpoint(a, b):
+    return (a.labels.tobytes() == b.labels.tobytes() and a.sweeps == b.sweeps
+            and a.attain_dst.tobytes() == b.attain_dst.tobytes()
+            and a.attain_src.tobytes() == b.attain_src.tobytes())
 
 
 def manual_graph(sat_count, station_count, sat_links, station_links):
@@ -457,10 +489,11 @@ def _relay_problem(graph, snap, stations, terminus, mode, penalty):
     penalty=st.sampled_from([0.0, 0.25]),
     attacked=st.booleans(),
     block_entries=st.sampled_from(BLOCK_SIZES),
+    compact_cut=st.sampled_from(COMPACT_CUTS),
     data=st.data(),
 )
 def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
-    shell_seed, count, mode, penalty, attacked, block_entries, data
+    shell_seed, count, mode, penalty, attacked, block_entries, compact_cut, data
 ):
     stations = PROPERTY_STATIONS
     snap = random_shell(shell_seed, count=count)
@@ -470,15 +503,15 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
     if attacked:
         graph = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
     problem = _relay_problem(graph, snap, stations, terminus, mode, penalty)
-    fixpoint = blocked_pull(block_entries, _relax, problem)
-    adj, labels = graph.adjacency, fixpoint.labels
+    fixpoint = blocked_pull(block_entries, _relax, problem, compact_cut=compact_cut)
+    adj, labels, fixed = graph.adjacency, fixpoint.labels, seed_mask(problem)
+    dst, src = attaining_pairs(problem, labels, fixed)
+    assert fixpoint.attain_dst.dtype == fixpoint.attain_src.dtype == np.int64
+    assert fixpoint.attain_dst.tobytes() == dst.tobytes()
+    assert fixpoint.attain_src.tobytes() == src.tobytes()
+    # No hop lowers a free label: the unblocked candidates of every hop.
     rows = entry_rows(adj)
-    # The unblocked candidates of every hop at the fixpoint.
-    candidates = problem.in_weights + labels[adj.neighbors]
-    assert fixpoint.attain.dtype == np.int64
-    assert fixpoint.attain.tobytes() == np.flatnonzero(candidates == labels[rows]).tobytes()
-    fixed = np.zeros(graph.sat_count, dtype=bool)
-    fixed[problem.seeds.node] = problem.fixed_seeds
+    candidates = problem.sat_weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
     assert ((candidates >= labels[rows]) | fixed[rows]).all()
 
 
@@ -488,28 +521,36 @@ def test_only_a_pull_that_lowers_no_free_label_keeps_its_attaining_entries(block
     graph = build_visibility_graph(snap, threads=1)
     problem = _RelayProblem(graph.adjacency, 0.25, actuator_sources(snap), exempt_seeds=True)
     adj = graph.adjacency
-    blocks = blocked_pull(block_entries, _row_blocks, adj.indptr)
-    free = np.zeros(graph.sat_count, dtype=bool)
+    none_fixed = np.zeros(graph.sat_count, dtype=bool)
+    rows = blocked_pull(block_entries, routing._free_rows, problem, none_fixed)
+    assert rows.indptr is adj.indptr and rows.nodes.tolist() == list(range(graph.sat_count))
     # From the seed labels alone, the pull lowers the actuators' neighbours.
     labels = np.full(graph.sat_count, math.inf)
     labels[problem.seeds.node] = 0.0
-    best, attain = routing._pull(problem, labels, free, blocks)
+    best, attain = routing._pull(rows, labels)
     assert attain is None and (best < labels).any()
     # At the fixpoint it lowers nothing and keeps every attaining entry.
     labels = _relax(problem).labels
 
-    def attaining():
-        return np.flatnonzero(problem.in_weights + labels[adj.neighbors] == labels[entry_rows(adj)])
+    def attaining(fixed):
+        weights = problem.sat_weights(adj.neighbors, adj.delays_ms)
+        rows = entry_rows(adj)
+        return np.flatnonzero((weights + labels[adj.neighbors] == labels[rows])
+                              & np.isfinite(labels[rows]) & ~fixed[rows])
 
-    best, attain = routing._pull(problem, labels, free, blocks)
-    assert attain.tobytes() == attaining().tobytes()
+    best, attain = routing._pull(rows, labels)
+    assert attain.tobytes() == attaining(none_fixed).tobytes()
     # Raised above the fixpoint, the last relayed label is lowered again;
-    # where it is fixed, that does not count.
-    labels[np.flatnonzero(np.isfinite(labels) & (labels > 0.0))[-1]] += 1.0
-    assert routing._pull(problem, labels, free, blocks)[1] is None
-    best, attain = routing._pull(problem, labels, ~free, blocks)
-    assert (best < labels).any() and attain.size > 0
-    assert attain.tobytes() == attaining().tobytes()
+    # where it is fixed, that does not count, and its row records nothing.
+    raised = np.flatnonzero(np.isfinite(labels) & (labels > 0.0))[-1]
+    labels[raised] += 1.0
+    assert routing._pull(rows, labels)[1] is None
+    only_raised = np.arange(graph.sat_count) == raised
+    masked = blocked_pull(block_entries, routing._free_rows, problem, only_raised, compact_cut=2.0)
+    assert masked.indptr is adj.indptr and masked.fixed.tolist() == only_raised.tolist()
+    best, attain = routing._pull(masked, labels)
+    assert best[raised] < labels[raised] and attain.size > 0
+    assert attain.tobytes() == attaining(only_raised).tobytes()
 
 
 @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
@@ -532,9 +573,10 @@ PATH_LINKS = [(k, k + 1, 100.0 + k) for k in range(5)]
 @pytest.mark.parametrize("links, actuators, sweeps, relaxed_edges", [
     # From one end of a path: pushes, the last of which lowers nothing.
     (PATH_LINKS, [0], 5, 10),
-    # From the hub of a star: one lowering pull.
-    ([(0, k, 100.0 * k) for k in range(1, 6)], [0], 1, 10),
-    # Every satellite an actuator: the first sweep is the closing pull.
+    # From the hub of a star: one lowering pull over the leaves' rows, as the
+    # hub's row holds half the entries and is compacted away.
+    ([(0, k, 100.0 * k) for k in range(1, 6)], [0], 1, 5),
+    # Every satellite an actuator: no free row, so no sweep at all.
     (PATH_LINKS, range(6), 0, 0),
 ])
 def test_every_way_into_the_closing_pull_gives_the_oracle_report(links, actuators, sweeps, relaxed_edges):
@@ -545,9 +587,123 @@ def test_every_way_into_the_closing_pull_gives_the_oracle_report(links, actuator
     graph = manual_graph(6, 0, links, [])
     sources = actuator_sources(snap)
     fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
-    # The closing pull replaces the report's pass over the hops, so it is not counted.
+    # The closing pull replaces the report's pass over the hops, so it is not
+    # counted; a pull counts the entries of the rows it reads.
     assert (fixpoint.sweeps, fixpoint.relaxed_edges) == (sweeps, relaxed_edges)
     assert onorbit_latencies(graph, snap, 0.25) == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
+
+
+@pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.7, 1.0])
+def test_free_row_solves_equal_the_oracle_and_the_full_csr_path(fraction, block_entries):
+    # The same solves with the fixed rows compacted away and with them
+    # masked: every mode, penalised, at fractions with no fixed actuator
+    # rows, with all of them, and on either side of the default cut-off.
+    snap = random_shell(17, count=40)
+    snap = select_actuators(snap, round(fraction * len(snap)), 17)
+    stations = PROPERTY_STATIONS
+    terminus = stations[1].geodetic
+    graph = build_visibility_graph(snap, stations, threads=1)
+    reports = {
+        cut: blocked_pull(block_entries, _engine_and_oracle, graph, snap, stations, terminus, 0.25,
+                          compact_cut=cut)
+        for cut in COMPACT_CUTS
+    }
+    for mode, (engine, oracle) in reports[COMPACT_CUTS[0]].items():
+        assert engine == oracle, mode
+        assert reports[COMPACT_CUTS[1]][mode][0] == engine, mode
+    for mode in ArchitectureMode:
+        problem = _relay_problem(graph, snap, stations, terminus, mode, 0.25)
+        compacted, masked = (
+            blocked_pull(block_entries, _relax, problem, compact_cut=cut) for cut in COMPACT_CUTS
+        )
+        assert same_fixpoint(compacted, masked), mode
+        dst, src = attaining_pairs(problem, compacted.labels, seed_mask(problem))
+        assert (compacted.attain_dst.tobytes(), compacted.attain_src.tobytes()) == (dst.tobytes(), src.tobytes())
+
+
+def test_free_rows_that_are_all_empty_return_without_a_pull():
+    # s0 and s1 are actuators linked to each other; s2 and s3 have no link.
+    snap = ConstellationSnapshot(
+        ("s0", "s1", "s2", "s3"), [(7000.0, 100.0 * k, 0.0) for k in range(4)],
+        actuators=np.arange(4) < 2,
+    )
+    graph = manual_graph(4, 0, [(0, 1, 100.0)], [])
+    sources = actuator_sources(snap)
+    with mock.patch.object(routing, "_pull", side_effect=AssertionError("pulled")), \
+            mock.patch.object(routing, "_push", side_effect=AssertionError("pushed")):
+        fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
+        report = onorbit_latencies(graph, snap, 0.25)
+    assert fixpoint.labels.tolist() == [0.0, 0.0, math.inf, math.inf]
+    assert (fixpoint.sweeps, fixpoint.relaxed_edges, fixpoint.attain_dst.size) == (0, 0, 0)
+    assert report == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
+    assert report.hops.tolist() == [0, 0, -1, -1]
+
+
+@pytest.mark.parametrize("compact_cut", COMPACT_CUTS)
+def test_a_hop_that_ties_a_fixed_label_is_no_attaining_hop(compact_cut):
+    # Actuators s0 and s1 coincide, so each attains the other's label 0; s2
+    # hangs off s1.  Only the hop into the free row counts, masked or not.
+    snap = ConstellationSnapshot(
+        ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)], actuators=np.arange(3) < 2,
+    )
+    graph = manual_graph(3, 0, [(0, 1, 0.0), (1, 2, 100.0)], [])
+    problem = _RelayProblem(graph.adjacency, 0.0, actuator_sources(snap), exempt_seeds=True)
+    fixpoint = blocked_pull(routing._BLOCK_ENTRIES, _relax, problem, compact_cut=compact_cut)
+    assert (fixpoint.attain_dst.tolist(), fixpoint.attain_src.tolist()) == ([2], [1])
+    assert onorbit_latencies(graph, snap) == dijkstra_oracle(graph, snap, actuator_sources(snap), exempt=True)
+
+
+@pytest.mark.parametrize("compact_cut", COMPACT_CUTS)
+def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
+    # A ring of 8 with actuators at 0, 3 and 4: the free rows 2 and 5 take
+    # one hop from an actuator (penalty-free) and one from a relay (penalised).
+    n, penalty = 8, 0.75
+    snap = ConstellationSnapshot(
+        tuple(f"r{k}" for k in range(n)), [(7000.0, 100.0 * k, 0.0) for k in range(n)],
+        actuators=np.isin(np.arange(n), [0, 3, 4]),
+    )
+    graph = manual_graph(n, 0, [(k, (k + 1) % n, 300.0 + 10.0 * k) for k in range(n)], [])
+    sources = actuator_sources(snap)
+    problem = _RelayProblem(graph.adjacency, penalty, sources, exempt_seeds=True)
+    rows = blocked_pull(routing._BLOCK_ENTRIES, routing._free_rows, problem, seed_mask(problem),
+                        compact_cut=compact_cut)
+    adj = graph.adjacency
+    delay = {(int(v), int(u)): d for v, u, d in zip(entry_rows(adj), adj.neighbors, adj.delays_ms)}
+    hop_rows = np.repeat(rows.nodes, np.diff(rows.indptr))
+    for v, u, weight in zip(hop_rows.tolist(), rows.neighbors.tolist(), rows.weights.tolist()):
+        assert weight == delay[v, u] + (0.0 if snap.actuators[u] else penalty), (u, v)
+    assert rows.fixed.any() == (compact_cut > 1.0)
+    assert rows.nodes.size == (n if compact_cut > 1.0 else n - 3)
+    fixpoint = blocked_pull(routing._BLOCK_ENTRIES, _relax, problem, compact_cut=compact_cut)
+    report = blocked_pull(routing._BLOCK_ENTRIES, onorbit_latencies, graph, snap, penalty,
+                          compact_cut=compact_cut)
+    assert report == dijkstra_oracle(graph, snap, sources, penalty, exempt=True)
+    assert fixpoint.labels[2] == delay[2, 3] and fixpoint.labels[5] == delay[5, 4]
+    assert fixpoint.labels[1] == delay[1, 0]
+    # Relay 6 is two hops from either actuator: the hop from relay 5 pays.
+    assert fixpoint.labels[6] == min(delay[6, 5] + penalty + delay[5, 4], delay[6, 7] + penalty + delay[7, 0])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(2, 45),
+    actuators=st.integers(1, 3),
+    penalty=st.sampled_from([0.0, 0.25]),
+    block_entries=st.sampled_from(BLOCK_SIZES[:-1]),
+)
+def test_a_blocked_push_is_the_unblocked_sweep(shell_seed, count, actuators, penalty, block_entries):
+    snap = select_actuators(random_shell(shell_seed, count=count), min(actuators, count), shell_seed)
+    graph = build_visibility_graph(snap, threads=1)
+    problem = _RelayProblem(graph.adjacency, penalty, actuator_sources(snap), exempt_seeds=True)
+    pushes = []
+    for entries in (block_entries, 1 << 62):  # the last: every push is a single run
+        with mock.patch.object(routing, "_push", wraps=routing._push) as push:
+            pushes.append((blocked_pull(entries, _relax, problem), push.call_count))
+    (blocked, blocked_pushes), (unblocked, unblocked_pushes) = pushes
+    assert same_fixpoint(blocked, unblocked)
+    assert (blocked.relaxed_edges, blocked_pushes) == (unblocked.relaxed_edges, unblocked_pushes)
 
 
 def test_optimal_never_exceeds_greedy_pointwise():
