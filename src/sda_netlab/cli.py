@@ -23,8 +23,9 @@ from .experiments import (
     attack_scenario,
     compare_architectures,
     config_to_dict,
-    flagged_snapshot,
     report_to_csv,
+    resolve_actuator_count,
+    resolve_snapshot,
     run_scenario,
     validate_config,  # _load_config looks it up here, so cli.validate_config can be wrapped
 )
@@ -132,7 +133,8 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
 
 
 def _cmd_generate(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
-    snapshot = flagged_snapshot(cfg)
+    snapshot = resolve_snapshot(cfg.constellation)
+    resolve_actuator_count(cfg, len(snapshot))  # rejects a count above the satellites
     path = os.path.join(out_dir, "snapshot.csv")
     _write_text(path, snapshot_to_csv(snapshot))
     say(f"wrote {path} ({len(snapshot)} satellites)")

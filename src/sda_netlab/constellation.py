@@ -37,31 +37,18 @@ class SnapshotRowError(ValueError):
         self.row = row
 
 
-def _actuator_mask(actuators: np.ndarray | None, n: int) -> np.ndarray:
-    """A read-only copy of an ``(n,)`` bool actuator mask, all False for None."""
-    mask = np.zeros(n, dtype=bool) if actuators is None else np.array(actuators)
-    if mask.shape != (n,):
-        raise ValueError(f"{n} ids do not match the shape of actuators {mask.shape}")
-    if mask.dtype != bool:
-        raise ValueError(f"actuators must be a bool array, got dtype {mask.dtype}")
-    mask.flags.writeable = False
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class ConstellationSnapshot:
     """Instantaneous, immutable set of satellites, one column per field.
 
     Row ``i`` is satellite ``ids[i]`` at ECEF ``positions[i]`` (km, an
-    ``(n, 3)`` float64 array), flagged as an actuator where ``actuators[i]``
-    (an ``(n,)`` bool array, all False unless given).  Both arrays are
-    read-only copies.  Ids are unique and are single CSV fields.  A
-    satellite that breaks a rule raises :class:`SnapshotRowError`.
+    ``(n, 3)`` float64 array, a read-only copy).  Ids are unique and are
+    single CSV fields.  A satellite that breaks a rule raises
+    :class:`SnapshotRowError`.
     """
 
     ids: tuple[str, ...]
     positions: np.ndarray
-    actuators: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         ids = tuple(self.ids)
@@ -92,17 +79,6 @@ class ConstellationSnapshot:
         positions.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "actuators", _actuator_mask(self.actuators, n))
-
-    def with_actuators(self, actuators: np.ndarray) -> "ConstellationSnapshot":
-        """This snapshot with ``actuators`` flagged.  Only the mask is
-        checked; the new snapshot shares the ids and the read-only positions,
-        which this one has already checked."""
-        flagged = object.__new__(ConstellationSnapshot)
-        object.__setattr__(flagged, "ids", self.ids)
-        object.__setattr__(flagged, "positions", self.positions)
-        object.__setattr__(flagged, "actuators", _actuator_mask(actuators, len(self.ids)))
-        return flagged
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -183,9 +159,7 @@ def merge_snapshots(*snapshots: ConstellationSnapshot) -> ConstellationSnapshot:
     if not snapshots:
         raise ValueError("need at least one snapshot to merge")
     ids = tuple(sat_id for snap in snapshots for sat_id in snap.ids)
-    positions = np.concatenate([snap.positions for snap in snapshots])
-    actuators = np.concatenate([snap.actuators for snap in snapshots])
-    return ConstellationSnapshot(ids, positions, actuators)
+    return ConstellationSnapshot(ids, np.concatenate([snap.positions for snap in snapshots]))
 
 
 # --- CSV interchange ----------------------------------------------------------
@@ -291,19 +265,15 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX[1]) & _U64
         return z ^ (z >> 31)
 
-    def below(self, bound: int) -> int:
-        # Modulo reduction; the tiny bias is irrelevant at constellation sizes.
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
 
 def seeded_permutation(n: int, seed: int) -> list[int]:
     """Fisher-Yates permutation of range(n): step ``i`` (from ``n - 1`` down
-    to 1) swaps ``i`` with ``SplitMix64(seed).below(i + 1)`` of the running
-    stream.  SplitMix64 is counter-based, draw ``k`` (from 1) mixing
-    ``seed + k * _GAMMA``, so every draw and its bound is computed at once in
-    wrapping uint64 arithmetic, and only the swaps run one by one."""
+    to 1) swaps ``i`` with ``next_u64() % (i + 1)``, the next draw of one
+    ``SplitMix64(seed)`` stream reduced modulo ``i + 1`` (the bias is
+    negligible at constellation sizes).  SplitMix64 is counter-based, draw
+    ``k`` (from 1) mixing ``seed + k * _GAMMA``, so every draw and its
+    reduction is computed at once in wrapping uint64 arithmetic, and only the
+    swaps run one by one."""
     z = np.uint64(seed & _U64) + np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX[0])
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX[1])
@@ -315,20 +285,17 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     return perm
 
 
-def select_actuators(
-    snapshot: ConstellationSnapshot, count: int, seed: int
-) -> ConstellationSnapshot:
-    """Flag exactly ``count`` satellites as actuators.
+def select_actuators(snapshot: ConstellationSnapshot, count: int, seed: int) -> np.ndarray:
+    """A read-only ``(n,)`` bool mask of exactly ``count`` actuators.
 
     The selection is the first ``count`` entries of the seed-determined
     permutation, so for a fixed seed the selected sets are nested in
     ``count``.
     """
     n = len(snapshot)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count > n:
-        raise ValueError(f"actuator_count: {count} exceeds {n} satellites")
+    if not 0 <= count <= n:
+        raise ValueError(f"count must be in [0, {n}], got {count}")
     mask = np.zeros(n, dtype=bool)
     mask[seeded_permutation(n, seed)[:count]] = True
-    return snapshot.with_actuators(mask)
+    mask.flags.writeable = False
+    return mask

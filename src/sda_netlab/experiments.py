@@ -1,6 +1,10 @@
 """Experiment orchestration: scenario configuration and its JSON schema,
 metric summaries, the shared network stage, architecture comparison,
-actuator-fraction sweeps, and attack scenarios."""
+actuator-fraction sweeps, and attack scenarios.
+
+A snapshot is geometry only.  The actuators are a study's choice: the
+network stage draws them as a mask beside the snapshot, a sweep point swaps
+that mask, and routing takes it as an input."""
 
 from __future__ import annotations
 
@@ -444,11 +448,13 @@ def half_up_count(fraction: float, total: int) -> int:
 
 
 def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
-    """The configured count, or the fraction of ``total``; ``select_actuators``
-    rejects a count above ``total``."""
-    if cfg.actuator_count is not None:
-        return cfg.actuator_count
-    return half_up_count(cfg.actuator_fraction, total)
+    """The configured count, or the fraction of ``total``; a count above
+    ``total`` raises ``ValueError`` keyed ``actuator_count``."""
+    if cfg.actuator_count is None:
+        return half_up_count(cfg.actuator_fraction, total)
+    if cfg.actuator_count > total:
+        raise ValueError(f"actuator_count: {cfg.actuator_count} exceeds {total} satellites")
+    return cfg.actuator_count
 
 
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
@@ -482,15 +488,17 @@ def resolve_terminus(cfg: ScenarioConfig, stations: list[GroundStationNode]) -> 
 
 def route_report(
     graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
+    actuators: np.ndarray,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: GeodeticPosition | None,
     mode: ArchitectureMode,
     reroute_penalty_ms: float,
 ) -> LatencyReport:
+    """Route ``mode`` on ``graph``: on-orbit reads only the ``actuators``
+    mask, a downhaul mode only the stations and the terminus."""
     if mode is ArchitectureMode.ON_ORBIT:
-        return onorbit_latencies(graph, snapshot, reroute_penalty_ms)
-    return downhaul_latencies(graph, snapshot, stations, terminus, mode, reroute_penalty_ms)
+        return onorbit_latencies(graph, actuators, reroute_penalty_ms)
+    return downhaul_latencies(graph, stations, terminus, mode, reroute_penalty_ms)
 
 
 # --- The shared network stage ---------------------------------------------------
@@ -498,11 +506,13 @@ def route_report(
 
 @dataclass(frozen=True)
 class Network:
-    """What every study routes: the actuator-flagged snapshot, the stations,
-    the terminus, and the visibility graph with any overlay applied.
-    ``penalty_ms`` is the config's reroute penalty plus the overlay's."""
+    """What every study routes: the snapshot, its actuator mask, the
+    stations, the terminus, and the visibility graph with any overlay
+    applied.  ``penalty_ms`` is the config's reroute penalty plus the
+    overlay's."""
 
     snapshot: ConstellationSnapshot
+    actuators: np.ndarray
     stations: tuple[GroundStationNode, ...]
     terminus: GeodeticPosition | None
     graph: VisibilityGraph
@@ -510,7 +520,7 @@ class Network:
 
     def route(self, mode: ArchitectureMode) -> LatencyReport:
         return route_report(
-            self.graph, self.snapshot, self.stations, self.terminus, mode, self.penalty_ms
+            self.graph, self.actuators, self.stations, self.terminus, mode, self.penalty_ms
         )
 
     def with_overlay(self, overlay: AttackOverlay) -> "Network":
@@ -521,19 +531,14 @@ class Network:
         )
 
 
-def flagged_snapshot(cfg: ScenarioConfig) -> ConstellationSnapshot:
-    """The configured snapshot with the configured actuators flagged."""
-    snapshot = resolve_snapshot(cfg.constellation)
-    return select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
-
-
 def prepare(cfg: ScenarioConfig, threads: int | None = None, baseline: bool = False) -> Network:
-    """The one network stage: resolve and flag the snapshot, load the
-    stations and the terminus, check the ids of ``cfg.overlay``, build the
-    visibility graph, apply the overlay unless ``baseline``.  ``simulate``,
-    ``sweep`` and ``compare`` route this network; ``attack`` routes the
-    baseline and then applies the overlay."""
-    snapshot = flagged_snapshot(cfg)
+    """The one network stage: resolve the snapshot and select its
+    actuators, load the stations and the terminus, check the ids of
+    ``cfg.overlay``, build the visibility graph, apply the overlay unless
+    ``baseline``.  ``simulate``, ``sweep`` and ``compare`` route this
+    network; ``attack`` routes the baseline and then applies the overlay."""
+    snapshot = resolve_snapshot(cfg.constellation)
+    actuators = select_actuators(snapshot, resolve_actuator_count(cfg, len(snapshot)), cfg.seed)
     stations = tuple(resolve_stations(cfg))
     sat_ids = set(snapshot.ids)
     for st in stations:
@@ -546,7 +551,7 @@ def prepare(cfg: ScenarioConfig, threads: int | None = None, baseline: bool = Fa
         min_elevation_deg=cfg.min_elevation_deg, threads=threads,
     )
     network = Network(
-        snapshot, stations, resolve_terminus(cfg, stations), graph, cfg.reroute_penalty_ms
+        snapshot, actuators, stations, resolve_terminus(cfg, stations), graph, cfg.reroute_penalty_ms
     )
     return network if cfg.overlay is None or baseline else network.with_overlay(cfg.overlay)
 
@@ -621,9 +626,9 @@ def actuator_sweep(
     seeds = [rng.next_u64() if independent_draws else cfg.seed for _ in cfg.sweep_fractions]
 
     def point(fraction: float, seed: int) -> SweepPoint:
-        flagged = select_actuators(network.snapshot, half_up_count(fraction, n), seed)
-        report = replace(network, snapshot=flagged).route(cfg.mode)
-        return SweepPoint(fraction, int(flagged.actuators.sum()), summarize(report))
+        actuators = select_actuators(network.snapshot, half_up_count(fraction, n), seed)
+        report = replace(network, actuators=actuators).route(cfg.mode)
+        return SweepPoint(fraction, int(actuators.sum()), summarize(report))
 
     workers = min(resolve_thread_count(threads), len(seeds))
     if workers > 1:

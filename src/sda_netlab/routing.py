@@ -18,6 +18,11 @@ Architecture semantics
 * ``onorbit``: multi-source shortest path over inter-satellite links with
   every actuator at distance zero.  A hop is penalty-free when it lands
   directly on an actuator; every other relay hop pays the reroute penalty.
+  The actuators are a per-run input, an ``(n,)`` bool mask over the graph's
+  satellites (``constellation.select_actuators``), not part of the graph.
+
+Every engine reads the satellite ids from ``VisibilityGraph.sat_ids``, so a
+report needs the graph alone and never the snapshot it was built from.
 
 One engine
 ----------
@@ -62,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constellation import ConstellationSnapshot, GroundStationNode
+from .constellation import GroundStationNode
 from .geo import GeodeticPosition, propagation_delay_ms, surface_distance_km
 from .topology import SatAdjacency, VisibilityGraph
 
@@ -88,7 +93,7 @@ class ArchitectureMode(str, Enum):
 @dataclass(frozen=True, eq=False)
 class LatencyReport:
     """Delivery results, one array per field, each aligned with
-    ``snapshot.ids``.
+    ``sat_ids``, the ids of the routed graph.
 
     ``latency_ms`` is float64 with ``inf`` for an unreachable satellite;
     ``hops`` is int64 with -1 for one; ``next_hop`` and ``terminal`` are
@@ -451,10 +456,16 @@ def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
 # --- Source builders ----------------------------------------------------------
 
 
-def actuator_sources(snapshot: ConstellationSnapshot) -> RelaySeeds:
-    """On-orbit boundary: every actuator delivers to itself at zero cost."""
-    node = np.flatnonzero(snapshot.actuators)
-    return RelaySeeds(node, 0.0, 0, None, np.array(snapshot.ids, dtype=object)[node])
+def actuator_sources(graph: VisibilityGraph, actuators: np.ndarray) -> RelaySeeds:
+    """On-orbit boundary: every actuator delivers to itself at zero cost.
+    ``actuators`` must be an ``(n,)`` bool mask over the graph's satellites."""
+    actuators = np.asarray(actuators)
+    if actuators.shape != (graph.sat_count,):
+        raise ValueError(f"{graph.sat_count} satellites do not match actuators of shape {actuators.shape}")
+    if actuators.dtype != bool:
+        raise ValueError(f"actuators must be a bool array, got dtype {actuators.dtype}")
+    node = np.flatnonzero(actuators)
+    return RelaySeeds(node, 0.0, 0, None, np.array(graph.sat_ids, dtype=object)[node])
 
 
 def downlink_seeds(
@@ -484,20 +495,21 @@ def downlink_seeds(
 
 def onorbit_latencies(
     graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
+    actuators: np.ndarray,
     reroute_penalty_ms: float = 0.0,
 ) -> LatencyReport:
-    """Latency to the nearest on-orbit actuator over inter-satellite links.
+    """Latency to the nearest of the ``actuators`` (a bool mask over the
+    graph's satellites) over inter-satellite links.
 
     Zero actuators is legal and yields an all-unreachable report.
     """
-    problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, actuator_sources(snapshot), exempt_seeds=True)
-    return _route(problem, snapshot.ids)
+    problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, actuator_sources(graph, actuators),
+                            exempt_seeds=True)
+    return _route(problem, graph.sat_ids)
 
 
 def downhaul_latencies(
     graph: VisibilityGraph,
-    snapshot: ConstellationSnapshot,
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: GeodeticPosition,
     mode: ArchitectureMode = ArchitectureMode.DOWNHAUL_GREEDY,
@@ -512,4 +524,4 @@ def downhaul_latencies(
     # Greedy downlinks are final; relaying may beat an optimal offer.
     problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, sources,
                             fixed_seeds=mode is ArchitectureMode.DOWNHAUL_GREEDY)
-    return _route(problem, snapshot.ids)
+    return _route(problem, graph.sat_ids)

@@ -60,12 +60,14 @@ class SatAdjacency:
 class VisibilityGraph:
     """Immutable weighted visibility graph.
 
-    ``adjacency`` holds the inter-satellite links; ``station_edges`` holds
-    (satellite index, station index) pairs in ascending (i, g) order, which
-    :func:`apply_overlay` relies on.  Delays are one-way propagation times
-    in milliseconds.
+    Satellite ``i`` is ``sat_ids[i]``, row ``i`` of the snapshot the graph
+    was built from.  ``adjacency`` holds the inter-satellite links;
+    ``station_edges`` holds (satellite index, station index) pairs in
+    ascending (i, g) order, which :func:`apply_overlay` relies on.  Delays
+    are one-way propagation times in milliseconds.
     """
 
+    sat_ids: tuple[str, ...]
     station_count: int
     adjacency: SatAdjacency
     station_edges: np.ndarray  # (F, 2) int32
@@ -346,6 +348,7 @@ def build_visibility_graph(
         visible &= _elevation_mask(positions, stations, min_elevation_deg).ravel()
     sats, grounds = sats[visible], grounds[visible]
     return VisibilityGraph(
+        sat_ids=snapshot.ids,
         station_count=len(stations),
         adjacency=adjacency,
         station_edges=np.stack([sats, grounds], axis=1).astype(np.int32),
@@ -585,6 +588,7 @@ def apply_overlay(
     np.cumsum(counts, out=indptr[1:])
     keep_ss, keep_sg = np.logical_not(dead_ss, out=dead_ss), ~dead_sg
     return VisibilityGraph(
+        sat_ids=graph.sat_ids,
         station_count=graph.station_count,
         adjacency=SatAdjacency(indptr, adj.neighbors[keep_ss], adj.delays_ms[keep_ss]),
         station_edges=graph.station_edges[keep_sg],

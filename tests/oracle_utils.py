@@ -416,7 +416,7 @@ def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
             keep_sg[k] = False
 
     return graph_from_edges(
-        graph.sat_count, graph.station_count,
+        graph.sat_ids, graph.station_count,
         sat_edges[keep_ss], graph.sat_delays_ms[keep_ss],
         graph.station_edges[keep_sg], graph.station_delays_ms[keep_sg],
     )
@@ -429,11 +429,13 @@ def entry_rows(adjacency: SatAdjacency) -> np.ndarray:
 
 
 def graph_from_edges(
-    sat_count, station_count, sat_edges, sat_delays_ms, station_edges, station_delays_ms
+    sat_ids, station_count, sat_edges, sat_delays_ms, station_edges, station_delays_ms
 ) -> VisibilityGraph:
-    """The graph whose satellite links are the (i, j) pairs of ``sat_edges``
-    (i < j, ascending), listed under both endpoints by a stable argsort of
-    the rows: the reference adjacency for the build and the overlay."""
+    """The graph over the satellites ``sat_ids`` whose links are the (i, j)
+    pairs of ``sat_edges`` (i < j, ascending), listed under both endpoints by
+    a stable argsort of the rows: the reference adjacency for the build and
+    the overlay."""
+    sat_count = len(sat_ids)
     sat_edges = np.asarray(sat_edges, dtype=np.int32).reshape(-1, 2)
     sat_delays_ms = np.asarray(sat_delays_ms, dtype=np.float64)
     i, j = sat_edges[:, 0], sat_edges[:, 1]
@@ -447,6 +449,7 @@ def graph_from_edges(
         delays_ms=np.concatenate([sat_delays_ms, sat_delays_ms])[order],
     )
     return VisibilityGraph(
+        tuple(sat_ids),
         station_count,
         adjacency,
         np.asarray(station_edges, dtype=np.int32).reshape(-1, 2),

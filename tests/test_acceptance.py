@@ -74,8 +74,8 @@ def oneweb_bundle(stations):
     graph = build_visibility_graph(snapshot, stations)
     means = []
     for seed in SEEDS:
-        flagged = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), seed)
-        means.append(summarize(onorbit_latencies(graph, flagged)).mean_ms)
+        actuators = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), seed)
+        means.append(summarize(onorbit_latencies(graph, actuators)).mean_ms)
     elapsed = time.perf_counter() - start
     return {"snapshot": snapshot, "graph": graph, "means": means, "seconds": elapsed}
 
@@ -86,10 +86,10 @@ def starlink_bundle(stations):
     snapshot = resolve_snapshot(ConstellationSource(walker_shells=(starlink_like_shell(),)))
     start = time.perf_counter()
     graph = build_visibility_graph(snapshot, stations)
-    flagged = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
-    summary = summarize(onorbit_latencies(graph, flagged))
+    actuators = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
+    summary = summarize(onorbit_latencies(graph, actuators))
     elapsed = time.perf_counter() - start
-    return {"snapshot": flagged, "graph": graph, "summary": summary, "seconds": elapsed}
+    return {"snapshot": snapshot, "graph": graph, "summary": summary, "seconds": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +97,9 @@ def combined_bundle(stations):
     source = ConstellationSource(walker_shells=(starlink_like_shell(), oneweb_like_shell()))
     snapshot = resolve_snapshot(source)
     graph = build_visibility_graph(snapshot, stations)
-    flagged = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
-    summary = summarize(onorbit_latencies(graph, flagged))
-    return {"snapshot": flagged, "graph": graph, "summary": summary}
+    actuators = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
+    summary = summarize(onorbit_latencies(graph, actuators))
+    return {"snapshot": snapshot, "graph": graph, "summary": summary}
 
 
 def test_criterion_1_oneweb_analog_band(oneweb_bundle):
@@ -151,13 +151,8 @@ def test_criterion_4_downhaul_dominates_onorbit(
                      combined_bundle["summary"].mean_ms),
     }
     for name, (snapshot, graph, onorbit_mean) in cases.items():
-        flagged = snapshot
-        if name == "oneweb":
-            flagged = select_actuators(
-                snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0]
-            )
         greedy = summarize(
-            downhaul_latencies(graph, flagged, stations, default_terminus,
+            downhaul_latencies(graph, stations, default_terminus,
                                ArchitectureMode.DOWNHAUL_GREEDY)
         ).mean_ms
         greedy_means[name] = greedy
@@ -169,9 +164,8 @@ def test_criterion_4_downhaul_dominates_onorbit(
     for terminus in (GeodeticPosition(0.0, 0.0, 0.0),
                      GeodeticPosition(-5.0, 160.0, 0.0)):
         snapshot, graph, onorbit_mean = cases["oneweb"]
-        flagged = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
         greedy = summarize(
-            downhaul_latencies(graph, flagged, stations, terminus,
+            downhaul_latencies(graph, stations, terminus,
                                ArchitectureMode.DOWNHAUL_GREEDY)
         ).mean_ms
         ok &= greedy / onorbit_mean >= 5.0
@@ -226,16 +220,16 @@ def test_criterion_7_oracle_equivalence(stations):
     for seed in range(100):
         rng = random.Random(seed)
         snap = random_shell(seed, count=50)
-        snap = select_actuators(snap, rng.randint(0, 12), seed)
+        actuators = select_actuators(snap, rng.randint(0, 12), seed)
         graph = build_visibility_graph(snap, stations, threads=1)
         penalty = rng.choice([0.0, 0.0, 0.3, 1.1])
-        engine = onorbit_latencies(graph, snap, penalty)
-        oracle = dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True)
+        engine = onorbit_latencies(graph, actuators, penalty)
+        oracle = dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True)
         if engine != oracle:
             mismatches += 1
         terminus = stations[0].geodetic
         greedy_engine = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
+            graph, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
         greedy_oracle = dijkstra_oracle(
             graph, snap,
@@ -245,7 +239,7 @@ def test_criterion_7_oracle_equivalence(stations):
         if greedy_engine != greedy_oracle:
             mismatches += 1
         optimal_engine = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
+            graph, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
         )
         if optimal_engine != dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty):
             mismatches += 1
@@ -289,7 +283,7 @@ def test_criterion_8_attack_properties(stations):
 
     solo_cfg = ScenarioConfig(constellation=source, actuator_count=1, seed=SEEDS[0])
     snap = resolve_snapshot(source)
-    solo_id = snap.ids[int(np.flatnonzero(select_actuators(snap, 1, SEEDS[0]).actuators)[0])]
+    solo_id = snap.ids[int(np.flatnonzero(select_actuators(snap, 1, SEEDS[0]))[0])]
     solo = attack_scenario(
         replace(solo_cfg, overlay=AttackOverlay(disabled_satellites=frozenset({solo_id})))
     )

@@ -884,7 +884,7 @@ def test_near_coincident_satellites_route_in_every_mode(tmp_path):
     adj = net.graph.adjacency
     oracles = {
         ArchitectureMode.ON_ORBIT: lambda: dijkstra_oracle(
-            net.graph, net.snapshot, actuator_sources(net.snapshot), exempt=True),
+            net.graph, net.snapshot, actuator_sources(net.graph, net.actuators), exempt=True),
         ArchitectureMode.DOWNHAUL_GREEDY: lambda: dijkstra_oracle(
             net.graph, net.snapshot,
             downlink_seeds_oracle(net.graph, net.stations, net.terminus, ArchitectureMode.DOWNHAUL_GREEDY)),
@@ -1058,8 +1058,11 @@ def test_cli_exit_codes_for_bad_configs(tmp_path, capsys):
         }},
         "actuator_count": 100,
     }))
-    assert run(["simulate", "--config", too_many, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: actuator_count: 100 exceeds 6 satellites\n"
+    for command in ("simulate", "generate"):
+        out = tmp_path / f"too_many_{command}"
+        assert run([command, "--config", too_many, "--out", str(out)]) == 1, command
+        assert capsys.readouterr().err == "error: actuator_count: 100 exceeds 6 satellites\n", command
+        assert not (out / "snapshot.csv").exists()
 
     assert run(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
     assert run(["simulate"]) == 1  # missing --config is a usage/validation error

@@ -1,8 +1,6 @@
 import math
 import os
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,15 +85,12 @@ def test_snapshot_rejects_duplicate_ids_and_buried_satellites():
             ConstellationSnapshot(("a", "b"), [pos, (7000.0, bad, 0.0)])
     with pytest.raises(ValueError, match="shape"):
         ConstellationSnapshot(("a", "b"), [pos])
-    with pytest.raises(ValueError, match="shape"):
-        ConstellationSnapshot(("a",), [pos], actuators=[True, False])
 
     given = np.array([pos, (0.0, 7000.0, 0.0)])
     snap = ConstellationSnapshot(("a", "b"), given)
-    assert snap.actuators.tolist() == [False, False]
     given[0, 0] = 8000.0  # the snapshot holds a copy
     assert snap.positions[0, 0] == 7000.0
-    for column in (snap.positions, snap.actuators):
+    for column in (snap.positions, select_actuators(snap, 1, 0)):
         assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
@@ -144,9 +139,8 @@ def test_merge_snapshots_rejects_id_collisions():
     b = generate_walker(WalkerSpec(1200.0, 87.9, 1, 4), id_prefix="b")
     merged = merge_snapshots(a, b)
     assert len(merged) == 8
-    flagged = merge_snapshots(select_actuators(a, 4, 1), b)
-    assert flagged.actuators.tolist() == [True] * 4 + [False] * 4
-    assert flagged.positions.tolist() == a.positions.tolist() + b.positions.tolist()
+    assert merged.ids == a.ids + b.ids
+    assert merged.positions.tolist() == a.positions.tolist() + b.positions.tolist()
     with pytest.raises(ValueError, match="duplicate"):
         merge_snapshots(a, a)
 
@@ -202,35 +196,12 @@ def test_seeded_permutation_equals_the_stream_for_any_size_and_seed(n, seed):
     assert seeded_permutation(n, seed) == stream_permutation(n, seed)
 
 
-def test_with_actuators_checks_only_the_mask_and_shares_the_checked_columns():
-    snap = generate_walker(WalkerSpec(550.0, 53.0, 4, 5))
-    mask = np.arange(len(snap)) % 3 == 0
-    flagged = snap.with_actuators(mask)
-    replaced = dataclasses.replace(snap, actuators=mask)
-    assert flagged.ids == replaced.ids
-    assert flagged.positions.tobytes() == replaced.positions.tobytes()
-    assert flagged.actuators.tolist() == replaced.actuators.tolist() == mask.tolist()
-    assert flagged.ids is snap.ids and flagged.positions is snap.positions
-    mask[0] = False  # the snapshot holds a read-only copy
-    assert flagged.actuators[0] and not flagged.actuators.flags.writeable
-    assert select_actuators(snap, 7, 3).actuators.tolist() == \
-        dataclasses.replace(snap, actuators=select_actuators(snap, 7, 3).actuators).actuators.tolist()
-    for bad in (mask[:-1], np.ones((len(snap), 1), dtype=bool)):
-        with pytest.raises(ValueError, match="shape"):
-            snap.with_actuators(bad)
-        with pytest.raises(ValueError, match="shape"):
-            dataclasses.replace(snap, actuators=bad)
-    for bad in (mask.astype(np.int64), mask.astype(float)):
-        with pytest.raises(ValueError, match="bool"):
-            snap.with_actuators(bad)
-        with pytest.raises(ValueError, match="bool"):
-            dataclasses.replace(snap, actuators=bad)
-
-
 def test_select_actuators_endpoints_and_errors():
     snap = generate_walker(WalkerSpec(550.0, 53.0, 4, 5))
-    assert not select_actuators(snap, 0, 5).actuators.any()
-    assert select_actuators(snap, 20, 5).actuators.all()
+    assert not select_actuators(snap, 0, 5).any()
+    assert select_actuators(snap, 20, 5).all()
+    mask = select_actuators(snap, 7, 3)
+    assert mask.dtype == bool and mask.shape == (len(snap),) and not mask.flags.writeable
     with pytest.raises(ValueError):
         select_actuators(snap, 21, 5)
     with pytest.raises(ValueError):
@@ -240,13 +211,13 @@ def test_select_actuators_endpoints_and_errors():
 def test_select_actuators_nested_and_deterministic():
     snap = generate_walker(WalkerSpec(1200.0, 87.9, 6, 10))
     for seed in (0, 3, 12345):
-        small = select_actuators(snap, 5, seed).actuators
-        large = select_actuators(snap, 10, seed).actuators
+        small = select_actuators(snap, 5, seed)
+        large = select_actuators(snap, 10, seed)
         assert small.sum() == 5 and large.sum() == 10
         assert not (small & ~large).any()
-        again = select_actuators(snap, 5, seed).actuators
+        again = select_actuators(snap, 5, seed)
         assert np.array_equal(small, again)
         assert np.flatnonzero(small).tolist() == sorted(seeded_permutation(len(snap), seed)[:5])
-    a = select_actuators(snap, 10, 1).actuators
-    b = select_actuators(snap, 10, 2).actuators
+    a = select_actuators(snap, 10, 1)
+    b = select_actuators(snap, 10, 2)
     assert not np.array_equal(a, b)

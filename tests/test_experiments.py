@@ -216,9 +216,9 @@ def serial_sweep(cfg, independent_draws):
     points = []
     for fraction in cfg.sweep_fractions:
         point_seed = rng.next_u64() if independent_draws else cfg.seed
-        flagged = select_actuators(network.snapshot, half_up_count(fraction, n), point_seed)
-        report = replace(network, snapshot=flagged).route(cfg.mode)
-        points.append(SweepPoint(fraction, int(flagged.actuators.sum()), summarize(report)))
+        actuators = select_actuators(network.snapshot, half_up_count(fraction, n), point_seed)
+        report = replace(network, actuators=actuators).route(cfg.mode)
+        points.append(SweepPoint(fraction, int(actuators.sum()), summarize(report)))
     return points
 
 
@@ -261,13 +261,13 @@ def test_a_failing_sweep_point_raises_the_lowest_failing_fraction(threads):
                          sweep_fractions=(0.1, 0.3, 0.5, 0.7, 0.9))
     solve = experiments.onorbit_latencies
 
-    def failing(graph, snapshot, penalty_ms):
-        count = int(snapshot.actuators.sum())
+    def failing(graph, actuators, penalty_ms):
+        count = int(actuators.sum())
         if count == 12:
             time.sleep(0.2)
         if count in (12, 28):
             raise RuntimeError(f"point with {count} actuators failed")
-        return solve(graph, snapshot, penalty_ms)
+        return solve(graph, actuators, penalty_ms)
 
     with mock.patch.object(experiments, "onorbit_latencies", failing):
         with pytest.raises(RuntimeError, match="point with 12 actuators failed"):
@@ -294,7 +294,7 @@ def test_attack_scenario_identity_and_total_station_denial(tmp_path):
 def test_attack_scenario_jamming_the_sole_actuator():
     cfg = ScenarioConfig(constellation=small_source(planes=6, spp=10), actuator_count=1, seed=11)
     base = run_scenario(cfg, threads=1)
-    (the_actuator,) = np.flatnonzero(base.snapshot.actuators)
+    (the_actuator,) = np.flatnonzero(select_actuators(base.snapshot, 1, cfg.seed))
     overlay = AttackOverlay(disabled_satellites=frozenset({base.snapshot.ids[the_actuator]}))
     outcome = attack_scenario(replace(cfg, overlay=overlay), threads=1)
     # A jammed actuator loses its links, not its own data: every OTHER

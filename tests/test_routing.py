@@ -87,13 +87,13 @@ def same_fixpoint(a, b):
             and a.attain_src.tobytes() == b.attain_src.tobytes())
 
 
-def manual_graph(sat_count, station_count, sat_links, station_links):
-    """Graph from explicit (i, j, distance_km) triples."""
+def manual_graph(sat_ids, station_count, sat_links, station_links):
+    """Graph over the satellites ``sat_ids`` from explicit (i, j, distance_km) triples."""
     sat_edges = np.array([(i, j) for i, j, _ in sat_links], dtype=np.int32).reshape(-1, 2)
     sat_delays = np.array([propagation_delay_ms(d) for _, _, d in sat_links])
     st_edges = np.array([(i, g) for i, g, _ in station_links], dtype=np.int32).reshape(-1, 2)
     st_delays = np.array([propagation_delay_ms(d) for _, _, d in station_links])
-    return graph_from_edges(sat_count, station_count, sat_edges, sat_delays, st_edges, st_delays)
+    return graph_from_edges(sat_ids, station_count, sat_edges, sat_delays, st_edges, st_delays)
 
 
 def single_sat_snapshot():
@@ -114,15 +114,15 @@ def test_greedy_picks_nearest_station_optimal_picks_cheapest_path():
     # Station A: 500 km uplink but 9000 km of ground; B: 800 km uplink, 2000 km ground.
     snapshot = single_sat_snapshot()
     stations = [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)]
-    graph = manual_graph(1, 2, [], [(0, 0, 500.0), (0, 1, 800.0)])
+    graph = manual_graph(snapshot.ids, 2, [], [(0, 0, 500.0), (0, 1, 800.0)])
 
-    greedy = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
+    greedy = downhaul_latencies(graph, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
     assert greedy.latency_ms[0] == pytest.approx(31.688589043824443, abs=2e-3)
     assert greedy.terminal[0] == "A"
     assert greedy.next_hop[0] == "A"
     assert greedy.hops[0] == 2
 
-    optimal = downhaul_latencies(graph, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_OPTIMAL)
+    optimal = downhaul_latencies(graph, stations, TERMINUS, ArchitectureMode.DOWNHAUL_OPTIMAL)
     assert optimal.latency_ms[0] == pytest.approx(9.339794665548258, abs=2e-3)
     assert optimal.terminal[0] == "B"
     assert optimal.hops[0] == 2
@@ -131,18 +131,18 @@ def test_greedy_picks_nearest_station_optimal_picks_cheapest_path():
 def test_downhaul_unreachable_and_colocated_terminus():
     snapshot = single_sat_snapshot()
     stations = [station_at_arc("A", 9000.0)]
-    isolated = manual_graph(1, 1, [], [])
-    report = downhaul_latencies(isolated, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
+    isolated = manual_graph(snapshot.ids, 1, [], [])
+    report = downhaul_latencies(isolated, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
     assert report.latency_ms[0] == math.inf
     assert report.hops[0] == -1 and report.terminal[0] is None
 
-    graph = manual_graph(1, 1, [], [(0, 0, 500.0)])
+    graph = manual_graph(snapshot.ids, 1, [], [(0, 0, 500.0)])
     colocated = stations[0].geodetic
-    report = downhaul_latencies(graph, snapshot, stations, colocated, ArchitectureMode.DOWNHAUL_GREEDY)
+    report = downhaul_latencies(graph, stations, colocated, ArchitectureMode.DOWNHAUL_GREEDY)
     assert report.latency_ms[0] == propagation_delay_ms(500.0)
 
     with pytest.raises(ValueError, match="ground station"):
-        downhaul_latencies(graph, snapshot, [], TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
+        downhaul_latencies(graph, [], TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
 
 
 def assert_same_seeds(got, want):
@@ -170,7 +170,7 @@ def test_greedy_ties_go_to_the_lower_station_index():
     # by downlink delay plus surface leg.  s0 sees both stations at the same
     # delay; s1 sees B nearer.
     snapshot = ConstellationSnapshot(("s0", "s1"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
-    graph = manual_graph(2, 2, [], [(0, 0, 500.0), (0, 1, 500.0), (1, 0, 800.0), (1, 1, 300.0)])
+    graph = manual_graph(snapshot.ids, 2, [], [(0, 0, 500.0), (0, 1, 500.0), (1, 0, 800.0), (1, 1, 300.0)])
     stations = {
         GREEDY: [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)],
         # Equal surface legs, so s0's two offers tie as well.
@@ -180,7 +180,7 @@ def test_greedy_ties_go_to_the_lower_station_index():
         seeds = downlink_seeds(graph, at, TERMINUS, mode)
         assert seeds.terminal.tolist() == ["A", "B"], mode
         assert_same_seeds(seeds, downlink_seeds_oracle(graph, at, TERMINUS, mode))
-        report = downhaul_latencies(graph, snapshot, at, TERMINUS, mode)
+        report = downhaul_latencies(graph, at, TERMINUS, mode)
         assert report.terminal.tolist() == ["A", "B"], mode
 
 
@@ -190,9 +190,9 @@ def test_an_optimal_relay_path_that_ties_the_own_downlink_wins():
     # A's relay via B ties A's own downlink at 1.0 ms.
     snapshot = ConstellationSnapshot(("A", "B"), [(7000.0, 0.0, 0.0), (7000.0, 100.0, 0.0)])
     stations = [station_at_arc("g0", 0.0)]
-    graph = graph_from_edges(2, 1, [(0, 1)], [0.5], [(0, 0), (1, 0)], [1.0, 0.5])
+    graph = graph_from_edges(snapshot.ids, 1, [(0, 1)], [0.5], [(0, 0), (1, 0)], [1.0, 0.5])
     terminus = stations[0].geodetic
-    report = downhaul_latencies(graph, snapshot, stations, terminus, OPTIMAL)
+    report = downhaul_latencies(graph, stations, terminus, OPTIMAL)
     assert report.latency_ms.tolist() == [1.0, 0.5]
     assert (report.next_hop[0], report.hops[0], report.terminal[0]) == ("B", 3, "g0")
     assert report == dijkstra_oracle_optimal(graph, snapshot, stations, terminus)
@@ -219,38 +219,56 @@ def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elev
     )
 
 
-def chain_snapshot(actuators=(False, False, True)):
+def chain_snapshot():
     positions = [(7000.0, 0.0, 0.0), (7000.0, 1000.0, 0.0), (7000.0, 2000.0, 0.0)]
-    return ConstellationSnapshot(("A", "B", "C"), positions, actuators)
+    return ConstellationSnapshot(("A", "B", "C"), positions)
+
+
+CHAIN_ACTUATORS = np.array([False, False, True])
 
 
 def test_onorbit_trivial_cases_and_forced_chain():
     snap = chain_snapshot()
-    graph = manual_graph(3, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
+    graph = manual_graph(snap.ids, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
 
-    all_act = chain_snapshot(actuators=(True, True, True))
+    all_act = np.array([True, True, True])
     report = onorbit_latencies(graph, all_act)
     assert all(
         latency == 0.0 and hops == 0 and terminal == sat_id
         for sat_id, latency, hops, terminal in zip(report.sat_ids, report.latency_ms, report.hops, report.terminal)
     )
 
-    none_act = chain_snapshot(actuators=(False, False, False))
+    none_act = np.array([False, False, False])
     report = onorbit_latencies(graph, none_act)
     assert all(latency == math.inf for latency in report.latency_ms)
 
-    report = onorbit_latencies(graph, snap)
+    report = onorbit_latencies(graph, CHAIN_ACTUATORS)
     assert report.latency_ms[0] == pytest.approx(6.671281903963041, abs=1e-9)
     assert (report.hops[0], report.next_hop[0], report.terminal[0]) == (2, "B", "C")
     assert (report.hops[1], report.next_hop[1], report.terminal[1]) == (1, "C", "C")
     assert (report.latency_ms[2], report.hops[2], report.next_hop[2], report.terminal[2]) == (0.0, 0, None, "C")
 
 
+def test_onorbit_latencies_rejects_a_mask_of_the_wrong_shape_or_dtype():
+    snap = random_shell(3, count=20)
+    graph = build_visibility_graph(snap, threads=1)
+    mask = np.arange(len(snap)) % 3 == 0
+    report = onorbit_latencies(graph, mask)
+    assert report.sat_ids == snap.ids
+    assert (report.hops == 0).tolist() == mask.tolist()
+    for bad in (mask[:-1], np.ones((len(snap), 1), dtype=bool)):
+        with pytest.raises(ValueError, match="shape"):
+            onorbit_latencies(graph, bad)
+    for bad in (mask.astype(np.int64), mask.astype(float)):
+        with pytest.raises(ValueError, match="bool"):
+            onorbit_latencies(graph, bad)
+
+
 def test_onorbit_penalty_applies_beyond_first_hop():
     snap = chain_snapshot()
-    graph = manual_graph(3, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
+    graph = manual_graph(snap.ids, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
     pen = 0.5
-    report = onorbit_latencies(graph, snap, reroute_penalty_ms=pen)
+    report = onorbit_latencies(graph, CHAIN_ACTUATORS, reroute_penalty_ms=pen)
     w = propagation_delay_ms(1000.0)
     assert report.latency_ms[1] == w  # direct hop to the actuator: no penalty
     assert report.latency_ms[0] == pytest.approx((w + pen) + w, abs=0.0)
@@ -260,29 +278,27 @@ def test_onorbit_ties_break_to_lower_index():
     snap = ConstellationSnapshot(
         ("mid", "left", "right"),
         [(7000.0, 0.0, 0.0), (7000.0, -500.0, 0.0), (7000.0, 500.0, 0.0)],
-        actuators=(False, True, True),
     )
     graph = build_visibility_graph(snap, threads=1)
-    report = onorbit_latencies(graph, snap)
+    report = onorbit_latencies(graph, np.array([False, True, True]))
     mid = report.sat_ids.index("mid")
     assert report.terminal[mid] == "left"
     assert report.next_hop[mid] == "left"
 
 
 def _line_snapshot(actuator):
-    return ConstellationSnapshot(
-        ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)],
-        actuators=np.arange(3) == actuator,
-    )
+    """Three satellites in a line, and the mask of the one actuator."""
+    snap = ConstellationSnapshot(("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)])
+    return snap, np.arange(3) == actuator
 
 
 def test_a_node_tied_with_a_higher_index_seed_gets_its_path_fields():
     # Node 0 reaches the seed at node 1 over a zero-delay link, so it ties
     # the seed's label and precedes it in label order; node 2 hangs off node 0.
-    snap = _line_snapshot(actuator=1)
-    graph = manual_graph(3, 0, [(0, 1, 0.0), (0, 2, 100.0)], [])
-    report = onorbit_latencies(graph, snap)
-    assert report == dijkstra_oracle(graph, snap, actuator_sources(snap), exempt=True)
+    snap, actuators = _line_snapshot(actuator=1)
+    graph = manual_graph(snap.ids, 0, [(0, 1, 0.0), (0, 2, 100.0)], [])
+    report = onorbit_latencies(graph, actuators)
+    assert report == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), exempt=True)
     assert report.hops.tolist() == [1, 0, 2]
     assert report.next_hop.tolist() == ["s1", None, "s0"]
 
@@ -291,10 +307,10 @@ def test_a_zero_delay_chain_is_oriented_toward_the_seed():
     # Every label is 0, so no in-hop makes strict progress.  Node 1 takes
     # the seed at node 2 in the first round; node 0 may take node 1 only
     # once node 1 has a parent, so 0 and 1 never parent each other.
-    snap = _line_snapshot(actuator=2)
-    graph = manual_graph(3, 0, [(0, 1, 0.0), (1, 2, 0.0)], [])
-    report = onorbit_latencies(graph, snap)
-    assert report == dijkstra_oracle(graph, snap, actuator_sources(snap), exempt=True)
+    snap, actuators = _line_snapshot(actuator=2)
+    graph = manual_graph(snap.ids, 0, [(0, 1, 0.0), (1, 2, 0.0)], [])
+    report = onorbit_latencies(graph, actuators)
+    assert report == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), exempt=True)
     assert report.hops.tolist() == [2, 1, 0]
     assert report.next_hop.tolist() == ["s1", "s2", None]
 
@@ -303,21 +319,21 @@ def test_star_topology_single_sweep_matches_dijkstra():
     snap = ConstellationSnapshot(
         ("hub",) + tuple(f"leaf{k}" for k in range(5)),
         [(7000.0, 100.0 * k, 0.0) for k in range(6)],
-        actuators=np.arange(6) == 0,
     )
-    graph = manual_graph(6, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
-    sources = actuator_sources(snap)
+    actuators = np.arange(6) == 0
+    graph = manual_graph(snap.ids, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
+    sources = actuator_sources(graph, actuators)
     assert _relax(_RelayProblem(graph.adjacency, 0.0, sources, exempt_seeds=True)).sweeps == 1
-    assert onorbit_latencies(graph, snap) == dijkstra_oracle(graph, snap, sources, exempt=True)
+    assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, sources, exempt=True)
 
 
 def test_single_pass_cannot_resolve_a_relay_chain():
     snap = chain_snapshot()
-    graph = manual_graph(3, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
-    sources = actuator_sources(snap)
+    graph = manual_graph(snap.ids, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
+    sources = actuator_sources(graph, CHAIN_ACTUATORS)
     # One sweep labels only B; the far node A needs a second.
     assert _relax(_RelayProblem(graph.adjacency, 0.0, sources, exempt_seeds=True)).sweeps == 2
-    full = onorbit_latencies(graph, snap)
+    full = onorbit_latencies(graph, CHAIN_ACTUATORS)
     assert full == dijkstra_oracle(graph, snap, sources, exempt=True)
     assert math.isfinite(full.latency_ms[full.sat_ids.index("A")])
 
@@ -328,14 +344,14 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     n = 3000
     snap = ConstellationSnapshot(
         tuple(f"p{k:04d}" for k in range(n)), [(7000.0, 10.0 * k, 0.0) for k in range(n)],
-        actuators=np.arange(n) == 0,
     )
-    graph = manual_graph(n, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
-    sources = actuator_sources(snap)
+    actuators = np.arange(n) == 0
+    graph = manual_graph(snap.ids, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
+    sources = actuator_sources(graph, actuators)
     fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
     assert fixpoint.sweeps == n - 1
     assert fixpoint.relaxed_edges <= 2 * graph.sat_edge_count
-    engine = onorbit_latencies(graph, snap, 0.25)
+    engine = onorbit_latencies(graph, actuators, 0.25)
     assert engine == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
     assert engine.hops[-1] == n - 1
 
@@ -343,17 +359,17 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
 def _random_instance(seed):
     rng = random.Random(seed)
     snap = random_shell(seed, count=50)
-    snap = select_actuators(snap, rng.randint(0, 12), seed)
+    actuators = select_actuators(snap, rng.randint(0, 12), seed)
     graph = build_visibility_graph(snap, threads=1)
     penalty = rng.choice([0.0, 0.0, 0.25, 1.75])
-    return snap, graph, penalty
+    return snap, actuators, graph, penalty
 
 
 def test_dijkstra_oracle_equals_onorbit_engine_on_random_instances():
     for seed in range(40):
-        snap, graph, penalty = _random_instance(seed)
-        engine = onorbit_latencies(graph, snap, penalty)
-        oracle = dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True)
+        snap, actuators, graph, penalty = _random_instance(seed)
+        engine = onorbit_latencies(graph, actuators, penalty)
+        oracle = dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True)
         assert engine == oracle
 
 
@@ -363,10 +379,10 @@ def test_dijkstra_oracle_equals_greedy_downhaul_engine_on_random_instances():
     )
     terminus = stations[0].geodetic
     for seed in range(25):
-        snap, graph, penalty = _random_instance(seed + 1000)
+        snap, _, graph, penalty = _random_instance(seed + 1000)
         graph = build_visibility_graph(snap, stations, threads=1)
         engine = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
+            graph, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
         oracle = dijkstra_oracle(graph, snap, downlink_seeds_oracle(graph, stations, terminus, GREEDY), penalty)
         assert engine == oracle
@@ -378,10 +394,10 @@ def test_bellman_solver_equals_dijkstra_for_optimal_mode():
     )
     terminus = stations[1].geodetic
     for seed in range(15):
-        snap, _, penalty = _random_instance(seed + 2000)
+        snap, _, _, penalty = _random_instance(seed + 2000)
         graph = build_visibility_graph(snap, stations, threads=1)
         via_bellman = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
+            graph, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
         )
         via_dijkstra = dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty)
         assert via_dijkstra == via_bellman
@@ -392,22 +408,22 @@ PROPERTY_STATIONS = load_ground_stations_csv(
 )
 
 
-def _engine_and_oracle(graph, snap, stations, terminus, penalty):
+def _engine_and_oracle(graph, snap, actuators, stations, terminus, penalty):
     """(engine report, oracle report) for every mode."""
     greedy = ArchitectureMode.DOWNHAUL_GREEDY
     optimal = ArchitectureMode.DOWNHAUL_OPTIMAL
     greedy_sources = downlink_seeds_oracle(graph, stations, terminus, greedy)
     return {
         "onorbit": (
-            onorbit_latencies(graph, snap, penalty),
-            dijkstra_oracle(graph, snap, actuator_sources(snap), penalty, exempt=True),
+            onorbit_latencies(graph, actuators, penalty),
+            dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True),
         ),
         "greedy": (
-            downhaul_latencies(graph, snap, stations, terminus, greedy, penalty),
+            downhaul_latencies(graph, stations, terminus, greedy, penalty),
             dijkstra_oracle(graph, snap, greedy_sources, penalty),
         ),
         "optimal": (
-            downhaul_latencies(graph, snap, stations, terminus, optimal, penalty),
+            downhaul_latencies(graph, stations, terminus, optimal, penalty),
             dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty),
         ),
     }
@@ -441,7 +457,7 @@ def _draw_overlay(data, graph, snap, stations):
 def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count, data):
     stations = PROPERTY_STATIONS
     snap = random_shell(shell_seed, count=count)
-    snap = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
+    actuators = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
     terminus = data.draw(st.sampled_from(stations)).geodetic
     penalty = data.draw(st.sampled_from([0.0, 0.25, 1.75]))
     block_entries = data.draw(st.sampled_from([3, routing._BLOCK_ENTRIES]))
@@ -449,10 +465,10 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     overlay = _draw_overlay(data, graph, snap, stations)
     attacked = apply_overlay(graph, snap, stations, overlay)
 
-    before = blocked_pull(block_entries, _engine_and_oracle, graph, snap, stations, terminus, penalty)
+    before = blocked_pull(block_entries, _engine_and_oracle, graph, snap, actuators, stations, terminus, penalty)
     after = blocked_pull(
         block_entries, _engine_and_oracle,
-        attacked, snap, stations, terminus, penalty + overlay.reroute_penalty_ms,
+        attacked, snap, actuators, stations, terminus, penalty + overlay.reroute_penalty_ms,
     )
     for mode in before:
         assert before[mode][0] == before[mode][1], mode
@@ -473,10 +489,10 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
             assert a >= b, mode
 
 
-def _relay_problem(graph, snap, stations, terminus, mode, penalty):
+def _relay_problem(graph, actuators, stations, terminus, mode, penalty):
     """The relay problem the engine of ``mode`` solves."""
     if mode is ArchitectureMode.ON_ORBIT:
-        return _RelayProblem(graph.adjacency, penalty, actuator_sources(snap), exempt_seeds=True)
+        return _RelayProblem(graph.adjacency, penalty, actuator_sources(graph, actuators), exempt_seeds=True)
     seeds = downlink_seeds(graph, stations, terminus, mode)
     return _RelayProblem(graph.adjacency, penalty, seeds, fixed_seeds=mode is GREEDY)
 
@@ -497,12 +513,12 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
 ):
     stations = PROPERTY_STATIONS
     snap = random_shell(shell_seed, count=count)
-    snap = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
+    actuators = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
     terminus = data.draw(st.sampled_from(stations)).geodetic
     graph = build_visibility_graph(snap, stations, threads=1)
     if attacked:
         graph = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
-    problem = _relay_problem(graph, snap, stations, terminus, mode, penalty)
+    problem = _relay_problem(graph, actuators, stations, terminus, mode, penalty)
     fixpoint = blocked_pull(block_entries, _relax, problem, compact_cut=compact_cut)
     adj, labels, fixed = graph.adjacency, fixpoint.labels, seed_mask(problem)
     dst, src = attaining_pairs(problem, labels, fixed)
@@ -517,9 +533,10 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
 
 @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
 def test_only_a_pull_that_lowers_no_free_label_keeps_its_attaining_entries(block_entries):
-    snap = select_actuators(random_shell(4, count=40), 2, 4)
+    snap = random_shell(4, count=40)
     graph = build_visibility_graph(snap, threads=1)
-    problem = _RelayProblem(graph.adjacency, 0.25, actuator_sources(snap), exempt_seeds=True)
+    problem = _RelayProblem(graph.adjacency, 0.25, actuator_sources(graph, select_actuators(snap, 2, 4)),
+                            exempt_seeds=True)
     adj = graph.adjacency
     none_fixed = np.zeros(graph.sat_count, dtype=bool)
     rows = blocked_pull(block_entries, routing._free_rows, problem, none_fixed)
@@ -582,15 +599,15 @@ PATH_LINKS = [(k, k + 1, 100.0 + k) for k in range(5)]
 def test_every_way_into_the_closing_pull_gives_the_oracle_report(links, actuators, sweeps, relaxed_edges):
     snap = ConstellationSnapshot(
         tuple(f"s{k}" for k in range(6)), [(7000.0, 100.0 * k, 0.0) for k in range(6)],
-        actuators=np.isin(np.arange(6), list(actuators)),
     )
-    graph = manual_graph(6, 0, links, [])
-    sources = actuator_sources(snap)
+    actuators = np.isin(np.arange(6), list(actuators))
+    graph = manual_graph(snap.ids, 0, links, [])
+    sources = actuator_sources(graph, actuators)
     fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
     # The closing pull replaces the report's pass over the hops, so it is not
     # counted; a pull counts the entries of the rows it reads.
     assert (fixpoint.sweeps, fixpoint.relaxed_edges) == (sweeps, relaxed_edges)
-    assert onorbit_latencies(graph, snap, 0.25) == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
+    assert onorbit_latencies(graph, actuators, 0.25) == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
 
 
 @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
@@ -600,12 +617,12 @@ def test_free_row_solves_equal_the_oracle_and_the_full_csr_path(fraction, block_
     # masked: every mode, penalised, at fractions with no fixed actuator
     # rows, with all of them, and on either side of the default cut-off.
     snap = random_shell(17, count=40)
-    snap = select_actuators(snap, round(fraction * len(snap)), 17)
+    actuators = select_actuators(snap, round(fraction * len(snap)), 17)
     stations = PROPERTY_STATIONS
     terminus = stations[1].geodetic
     graph = build_visibility_graph(snap, stations, threads=1)
     reports = {
-        cut: blocked_pull(block_entries, _engine_and_oracle, graph, snap, stations, terminus, 0.25,
+        cut: blocked_pull(block_entries, _engine_and_oracle, graph, snap, actuators, stations, terminus, 0.25,
                           compact_cut=cut)
         for cut in COMPACT_CUTS
     }
@@ -613,7 +630,7 @@ def test_free_row_solves_equal_the_oracle_and_the_full_csr_path(fraction, block_
         assert engine == oracle, mode
         assert reports[COMPACT_CUTS[1]][mode][0] == engine, mode
     for mode in ArchitectureMode:
-        problem = _relay_problem(graph, snap, stations, terminus, mode, 0.25)
+        problem = _relay_problem(graph, actuators, stations, terminus, mode, 0.25)
         compacted, masked = (
             blocked_pull(block_entries, _relax, problem, compact_cut=cut) for cut in COMPACT_CUTS
         )
@@ -626,14 +643,14 @@ def test_free_rows_that_are_all_empty_return_without_a_pull():
     # s0 and s1 are actuators linked to each other; s2 and s3 have no link.
     snap = ConstellationSnapshot(
         ("s0", "s1", "s2", "s3"), [(7000.0, 100.0 * k, 0.0) for k in range(4)],
-        actuators=np.arange(4) < 2,
     )
-    graph = manual_graph(4, 0, [(0, 1, 100.0)], [])
-    sources = actuator_sources(snap)
+    actuators = np.arange(4) < 2
+    graph = manual_graph(snap.ids, 0, [(0, 1, 100.0)], [])
+    sources = actuator_sources(graph, actuators)
     with mock.patch.object(routing, "_pull", side_effect=AssertionError("pulled")), \
             mock.patch.object(routing, "_push", side_effect=AssertionError("pushed")):
         fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
-        report = onorbit_latencies(graph, snap, 0.25)
+        report = onorbit_latencies(graph, actuators, 0.25)
     assert fixpoint.labels.tolist() == [0.0, 0.0, math.inf, math.inf]
     assert (fixpoint.sweeps, fixpoint.relaxed_edges, fixpoint.attain_dst.size) == (0, 0, 0)
     assert report == dijkstra_oracle(graph, snap, sources, 0.25, exempt=True)
@@ -645,13 +662,15 @@ def test_a_hop_that_ties_a_fixed_label_is_no_attaining_hop(compact_cut):
     # Actuators s0 and s1 coincide, so each attains the other's label 0; s2
     # hangs off s1.  Only the hop into the free row counts, masked or not.
     snap = ConstellationSnapshot(
-        ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)], actuators=np.arange(3) < 2,
+        ("s0", "s1", "s2"), [(7000.0, 100.0 * k, 0.0) for k in range(3)],
     )
-    graph = manual_graph(3, 0, [(0, 1, 0.0), (1, 2, 100.0)], [])
-    problem = _RelayProblem(graph.adjacency, 0.0, actuator_sources(snap), exempt_seeds=True)
+    actuators = np.arange(3) < 2
+    graph = manual_graph(snap.ids, 0, [(0, 1, 0.0), (1, 2, 100.0)], [])
+    problem = _RelayProblem(graph.adjacency, 0.0, actuator_sources(graph, actuators), exempt_seeds=True)
     fixpoint = blocked_pull(routing._BLOCK_ENTRIES, _relax, problem, compact_cut=compact_cut)
     assert (fixpoint.attain_dst.tolist(), fixpoint.attain_src.tolist()) == ([2], [1])
-    assert onorbit_latencies(graph, snap) == dijkstra_oracle(graph, snap, actuator_sources(snap), exempt=True)
+    assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators),
+                                                                  exempt=True)
 
 
 @pytest.mark.parametrize("compact_cut", COMPACT_CUTS)
@@ -661,10 +680,10 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     n, penalty = 8, 0.75
     snap = ConstellationSnapshot(
         tuple(f"r{k}" for k in range(n)), [(7000.0, 100.0 * k, 0.0) for k in range(n)],
-        actuators=np.isin(np.arange(n), [0, 3, 4]),
     )
-    graph = manual_graph(n, 0, [(k, (k + 1) % n, 300.0 + 10.0 * k) for k in range(n)], [])
-    sources = actuator_sources(snap)
+    actuators = np.isin(np.arange(n), [0, 3, 4])
+    graph = manual_graph(snap.ids, 0, [(k, (k + 1) % n, 300.0 + 10.0 * k) for k in range(n)], [])
+    sources = actuator_sources(graph, actuators)
     problem = _RelayProblem(graph.adjacency, penalty, sources, exempt_seeds=True)
     rows = blocked_pull(routing._BLOCK_ENTRIES, routing._free_rows, problem, seed_mask(problem),
                         compact_cut=compact_cut)
@@ -672,11 +691,11 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     delay = {(int(v), int(u)): d for v, u, d in zip(entry_rows(adj), adj.neighbors, adj.delays_ms)}
     hop_rows = np.repeat(rows.nodes, np.diff(rows.indptr))
     for v, u, weight in zip(hop_rows.tolist(), rows.neighbors.tolist(), rows.weights.tolist()):
-        assert weight == delay[v, u] + (0.0 if snap.actuators[u] else penalty), (u, v)
+        assert weight == delay[v, u] + (0.0 if actuators[u] else penalty), (u, v)
     assert rows.fixed.any() == (compact_cut > 1.0)
     assert rows.nodes.size == (n if compact_cut > 1.0 else n - 3)
     fixpoint = blocked_pull(routing._BLOCK_ENTRIES, _relax, problem, compact_cut=compact_cut)
-    report = blocked_pull(routing._BLOCK_ENTRIES, onorbit_latencies, graph, snap, penalty,
+    report = blocked_pull(routing._BLOCK_ENTRIES, onorbit_latencies, graph, actuators, penalty,
                           compact_cut=compact_cut)
     assert report == dijkstra_oracle(graph, snap, sources, penalty, exempt=True)
     assert fixpoint.labels[2] == delay[2, 3] and fixpoint.labels[5] == delay[5, 4]
@@ -694,9 +713,10 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     block_entries=st.sampled_from(BLOCK_SIZES[:-1]),
 )
 def test_a_blocked_push_is_the_unblocked_sweep(shell_seed, count, actuators, penalty, block_entries):
-    snap = select_actuators(random_shell(shell_seed, count=count), min(actuators, count), shell_seed)
+    snap = random_shell(shell_seed, count=count)
     graph = build_visibility_graph(snap, threads=1)
-    problem = _RelayProblem(graph.adjacency, penalty, actuator_sources(snap), exempt_seeds=True)
+    mask = select_actuators(snap, min(actuators, count), shell_seed)
+    problem = _RelayProblem(graph.adjacency, penalty, actuator_sources(graph, mask), exempt_seeds=True)
     pushes = []
     for entries in (block_entries, 1 << 62):  # the last: every push is a single run
         with mock.patch.object(routing, "_push", wraps=routing._push) as push:
@@ -712,13 +732,13 @@ def test_optimal_never_exceeds_greedy_pointwise():
     )
     terminus = stations[0].geodetic
     for seed in range(10):
-        snap, _, penalty = _random_instance(seed + 3000)
+        snap, _, _, penalty = _random_instance(seed + 3000)
         graph = build_visibility_graph(snap, stations, threads=1)
         greedy = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
+            graph, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty
         )
         optimal = downhaul_latencies(
-            graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
+            graph, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty
         )
         for g, o in zip(greedy.latency_ms, optimal.latency_ms):
             assert o <= g
@@ -738,16 +758,16 @@ def test_edge_removal_never_decreases_shortest_path_latency():
     rng = random.Random(31)
     for seed in range(8):
         snap = random_shell(seed + 5000, count=60)
-        snap = select_actuators(snap, 8, seed)
+        actuators = select_actuators(snap, 8, seed)
         graph = build_visibility_graph(snap, threads=1)
         keep = np.array([rng.random() > 0.3 for _ in range(graph.sat_edge_count)])
         pruned = graph_from_edges(
-            graph.sat_count, graph.station_count,
+            graph.sat_ids, graph.station_count,
             graph.sat_edges[keep], graph.sat_delays_ms[keep],
             graph.station_edges, graph.station_delays_ms,
         )
-        before = onorbit_latencies(graph, snap)
-        after = onorbit_latencies(pruned, snap)
+        before = onorbit_latencies(graph, actuators)
+        after = onorbit_latencies(pruned, actuators)
         for b, a in zip(before.latency_ms, after.latency_ms):
             assert a >= b
 
@@ -757,10 +777,10 @@ def test_greedy_latency_can_legitimately_drop_when_an_edge_is_removed():
     # station with a far shorter ground leg: greedy is not monotone.
     snapshot = single_sat_snapshot()
     stations = [station_at_arc("A", 9000.0), station_at_arc("B", 2000.0)]
-    full = manual_graph(1, 2, [], [(0, 0, 500.0), (0, 1, 800.0)])
-    cut = manual_graph(1, 2, [], [(0, 1, 800.0)])
-    before = downhaul_latencies(full, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
-    after = downhaul_latencies(cut, snapshot, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
+    full = manual_graph(snapshot.ids, 2, [], [(0, 0, 500.0), (0, 1, 800.0)])
+    cut = manual_graph(snapshot.ids, 2, [], [(0, 1, 800.0)])
+    before = downhaul_latencies(full, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
+    after = downhaul_latencies(cut, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
     assert after.latency_ms[0] < before.latency_ms[0]
 
 
@@ -775,12 +795,12 @@ def test_all_visible_means_direct_delay_to_nearest_actuator():
         r = 6378.137 + 5000.0
         positions.append((r * s * math.cos(az), r * s * math.sin(az), r * z))
     snap = ConstellationSnapshot(tuple(f"s{k:03d}" for k in range(25)), positions)
-    snap = select_actuators(snap, 5, 3)
+    mask = select_actuators(snap, 5, 3)
     graph = build_visibility_graph(snap, threads=1)
     assert graph.sat_edge_count == 25 * 24 // 2
-    report = onorbit_latencies(graph, snap)
+    report = onorbit_latencies(graph, mask)
     delays = {tuple(sorted((int(i), int(j)))): d for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist())}
-    actuators = set(np.flatnonzero(snap.actuators).tolist())
+    actuators = set(np.flatnonzero(mask).tolist())
     for idx in range(len(report)):
         if idx in actuators:
             assert report.latency_ms[idx] == 0.0
@@ -801,12 +821,12 @@ def _edge_delay_maps(graph, snapshot, stations):
     return sat, st
 
 
-def resum_report(report, graph, snapshot, stations, terminus, penalty, mode):
+def resum_report(report, graph, snapshot, actuators, stations, terminus, penalty, mode):
     """Re-add each reported path's hop delays by walking next_hop chains."""
     sat_w, st_w = _edge_delay_maps(graph, snapshot, stations)
     ground = dict(zip((s.id for s in stations), terminus_legs_ms(stations, terminus)))
     station_ids = {s.id for s in stations}
-    actuators = {sat_id for sat_id, flag in zip(snapshot.ids, snapshot.actuators) if flag}
+    actuators = {sat_id for sat_id, flag in zip(snapshot.ids, actuators) if flag}
     index = {sid: k for k, sid in enumerate(report.sat_ids)}
     memo = {}
 
@@ -839,23 +859,23 @@ def test_reported_paths_resum_to_reported_latency():
     )
     terminus = stations[0].geodetic
     for seed in (1, 2, 3):
-        snap, _, penalty = _random_instance(seed + 7000)
+        snap, actuators, _, penalty = _random_instance(seed + 7000)
         graph = build_visibility_graph(snap, stations, threads=1)
         resum_report(
-            onorbit_latencies(graph, snap, penalty), graph, snap, stations, terminus,
+            onorbit_latencies(graph, actuators, penalty), graph, snap, actuators, stations, terminus,
             penalty, ArchitectureMode.ON_ORBIT,
         )
         resum_report(
-            downhaul_latencies(graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty),
-            graph, snap, stations, terminus, penalty, ArchitectureMode.DOWNHAUL_GREEDY,
+            downhaul_latencies(graph, stations, terminus, ArchitectureMode.DOWNHAUL_GREEDY, penalty),
+            graph, snap, actuators, stations, terminus, penalty, ArchitectureMode.DOWNHAUL_GREEDY,
         )
         resum_report(
-            downhaul_latencies(graph, snap, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty),
-            graph, snap, stations, terminus, penalty, ArchitectureMode.DOWNHAUL_OPTIMAL,
+            downhaul_latencies(graph, stations, terminus, ArchitectureMode.DOWNHAUL_OPTIMAL, penalty),
+            graph, snap, actuators, stations, terminus, penalty, ArchitectureMode.DOWNHAUL_OPTIMAL,
         )
 
 
 def test_report_covers_every_satellite_exactly_once():
-    snap, graph, _ = _random_instance(8000)
-    report = onorbit_latencies(graph, snap)
+    snap, actuators, graph, _ = _random_instance(8000)
+    report = onorbit_latencies(graph, actuators)
     assert report.sat_ids == snap.ids

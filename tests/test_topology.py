@@ -158,7 +158,7 @@ def test_adjacency_equals_the_edge_list_reference(case):
     snap, margin_km = case
     graph = build_visibility_graph(snap, STATIONS, margin_km=margin_km, threads=1)
 
-    reference = graph_from_edges(len(snap), len(STATIONS), *brute_force_edges(snap, STATIONS, margin_km))
+    reference = graph_from_edges(snap.ids, len(STATIONS), *brute_force_edges(snap, STATIONS, margin_km))
     assert_same_graph(graph, reference)
     adj, rows = graph.adjacency, entry_rows(graph.adjacency)
     assert np.all(adj.neighbors != rows)
@@ -507,6 +507,20 @@ def test_overlay_disable_satellite_and_link():
     assert first_edge not in {tuple(e) for e in cut.sat_edges.tolist()}
 
 
+def test_the_build_names_the_snapshot_rows_and_an_overlay_keeps_the_names():
+    snap = random_shell(8)
+    graph = build_visibility_graph(snap, STATIONS, threads=1)
+    assert graph.sat_ids == snap.ids and graph.sat_count == len(snap)
+    overlay = AttackOverlay(
+        disabled_satellites=frozenset({snap.ids[3]}),
+        disabled_links=frozenset({AttackOverlay.normalize_link(*(snap.ids[k] for k in graph.sat_edges[0]))}),
+        jam_regions=(JamRegion(GeodeticPosition(0.0, 0.0, 0.0), 2500.0),),
+    )
+    attacked = apply_overlay(graph, snap, STATIONS, overlay)
+    assert attacked.sat_edge_count < graph.sat_edge_count
+    assert attacked.sat_ids is graph.sat_ids
+
+
 def test_overlay_unknown_ids_are_rejected():
     snap = random_shell(6)
     graph = build_visibility_graph(snap, STATIONS, threads=1)
@@ -622,7 +636,7 @@ GRAPH_FIELDS = (
 
 
 def assert_same_graph(got, want):
-    assert (got.sat_count, got.station_count) == (want.sat_count, want.station_count)
+    assert (got.sat_ids, got.sat_count, got.station_count) == (want.sat_ids, want.sat_count, want.station_count)
     for field in GRAPH_FIELDS:
         a, b = attrgetter(field)(got), attrgetter(field)(want)
         assert a.dtype == b.dtype and a.shape == b.shape, field
