@@ -128,7 +128,7 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
     except ValueError as exc:
         return None, [f"--{exc}" if args.threads is not None else str(exc)]
     if args.mode is not None:
-        cfg = replace(cfg, mode=ArchitectureMode.from_string(args.mode))
+        cfg = replace(cfg, mode=args.mode)
     return cfg, []
 
 

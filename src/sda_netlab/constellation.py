@@ -4,7 +4,7 @@ and deterministic actuator selection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,18 +84,6 @@ class ConstellationSnapshot:
         return len(self.ids)
 
 
-# The kind of each WalkerSpec field, in field order: an int field takes
-# only an integer.
-_WALKER_NUMBERS = {
-    "altitude_km": float,
-    "inclination_deg": float,
-    "planes": int,
-    "sats_per_plane": int,
-    "phasing_f": int,
-    "raan_offset_deg": float,
-}
-
-
 @dataclass(frozen=True)
 class WalkerSpec:
     """Walker-delta shell: circular orbits on evenly spaced planes."""
@@ -108,8 +96,9 @@ class WalkerSpec:
     raan_offset_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, kind in _WALKER_NUMBERS.items():
-            object.__setattr__(self, name, json_number(getattr(self, name), name, kind))
+        for f in fields(self):  # an ``int`` field (a postponed annotation) takes only an integer
+            kind = int if f.type == "int" else float
+            object.__setattr__(self, f.name, json_number(getattr(self, f.name), f.name, kind))
         if self.planes < 1 or self.sats_per_plane < 1:
             raise ValueError("planes and sats_per_plane must be >= 1")
         if not 0 <= self.phasing_f <= self.planes - 1:
@@ -246,39 +235,29 @@ def load_ground_stations_csv(text: str) -> list[GroundStationNode]:
 # --- Deterministic actuator selection ------------------------------------------
 
 
-# SplitMix64: the state advances by _GAMMA, and each draw mixes the new state.
+# SplitMix64: the state increment and the two multipliers of the mix.
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
-class SplitMix64:
-    """SplitMix64 generator: a documented 64-bit mix so selections are
-    bit-reproducible across implementations."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _U64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX[0]) & _U64
-        z = ((z ^ (z >> 27)) * _MIX[1]) & _U64
-        return z ^ (z >> 31)
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """Draws 1 to ``count`` of the SplitMix64 stream of ``seed``, as a uint64
+    array: a documented 64-bit mix, so selections are bit-reproducible
+    across implementations.  The state advances by ``_GAMMA`` and each draw
+    mixes the new state, so draw ``k`` mixes ``seed + k * _GAMMA`` and every
+    draw is computed at once in wrapping uint64 arithmetic."""
+    z = np.uint64(seed & _U64) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX[0])
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX[1])
+    return z ^ (z >> np.uint64(31))
 
 
 def seeded_permutation(n: int, seed: int) -> list[int]:
     """Fisher-Yates permutation of range(n): step ``i`` (from ``n - 1`` down
-    to 1) swaps ``i`` with ``next_u64() % (i + 1)``, the next draw of one
-    ``SplitMix64(seed)`` stream reduced modulo ``i + 1`` (the bias is
-    negligible at constellation sizes).  SplitMix64 is counter-based, draw
-    ``k`` (from 1) mixing ``seed + k * _GAMMA``, so every draw and its
-    reduction is computed at once in wrapping uint64 arithmetic, and only the
-    swaps run one by one."""
-    z = np.uint64(seed & _U64) + np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX[0])
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX[1])
-    z ^= z >> np.uint64(31)
-    draws = (z % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    to 1) swaps ``i`` with the next of the ``splitmix64(seed, n - 1)`` draws
+    modulo ``i + 1`` (the bias is negligible at constellation sizes).  Only
+    the swaps run one by one."""
+    draws = (splitmix64(seed, max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
     perm = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]

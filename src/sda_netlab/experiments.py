@@ -20,12 +20,12 @@ from .constellation import (
     ConstellationSnapshot,
     GroundStationNode,
     WalkerSpec,
-    SplitMix64,
     generate_walker,
     load_ground_stations_csv,
     load_snapshot_csv,
     merge_snapshots,
     select_actuators,
+    splitmix64,
 )
 from .geo import GeodeticPosition
 from .jsonvalues import JsonObject, config_key, json_number, json_object, json_string, key_errors
@@ -172,9 +172,8 @@ class ConstellationSource:
     tle_at_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        given = sum(
-            [bool(self.walker_shells), self.snapshot_csv is not None, self.tle_file is not None]
-        )
+        object.__setattr__(self, "walker_shells", tuple(self.walker_shells))
+        given = sum([bool(self.walker_shells), self.snapshot_csv is not None, self.tle_file is not None])
         if given != 1:
             raise ValueError("exactly one constellation source must be given")
         if self.tle_at_seconds is not None:
@@ -212,8 +211,9 @@ def _sweep_fractions(value, key: str) -> tuple[float, ...]:
 
 # The rule of each checked ScenarioConfig field, by name: ``rule(value, key)``
 # returns the value as the field holds it, or raises ``ValueError`` keyed
-# ``key``.  ScenarioConfig raises the first error of check_fields, and
-# validate_config reports them all, so JSON and Python configs obey one set.
+# ``key``.  ScenarioConfig holds what check_fields returns or raises its
+# first error, and validate_config reports them all, so a JSON config and
+# its Python twin obey one set and hold equal values.
 FIELD_RULES = {
     "actuator_fraction": _bounded(float, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]", optional=True),
     "actuator_count": _bounded(int, lambda v: v >= 0, "must be >= 0", optional=True),
@@ -286,10 +286,10 @@ def _source_from_json(raw, base_dir: str) -> ConstellationSource:
             return ConstellationSource(walker_shells=preset_shells(data["preset"]))
     if "walker" in data:
         raw = data["walker"]
-        shells = tuple(
+        shells = [
             _shell_from_json(shell, f"constellation.walker[{k}]")
             for k, shell in enumerate(raw if isinstance(raw, list) else [raw])
-        )
+        ]
         if not shells:
             raise ValueError("constellation.walker: at least one shell is required")
         return ConstellationSource(walker_shells=shells)
@@ -333,9 +333,10 @@ def _terminus_to_json(cfg: ScenarioConfig) -> dict | None:
     return {"lat_deg": t.latitude_deg, "lon_deg": t.longitude_deg, "alt_km": t.altitude_km}
 
 
-def _mode_from_json(raw, base_dir: str) -> dict:
+def _mode(raw) -> ArchitectureMode:
+    """The mode ``raw`` names; raises ``ValueError`` keyed ``mode``."""
     with config_key("mode"):
-        return {"mode": ArchitectureMode.from_string(raw)}
+        return ArchitectureMode.from_string(raw)
 
 
 def _overlay_from_json(raw, base_dir: str) -> dict:
@@ -377,14 +378,15 @@ CONFIG_KEYS = {
         lambda cfg: cfg.stations_csv,
     ),
     "terminus": (_unless_null(_terminus_from_json), _terminus_to_json),
-    "mode": (_mode_from_json, lambda cfg: cfg.mode.value),
+    "mode": (lambda raw, base_dir: {"mode": _mode(raw)}, lambda cfg: cfg.mode.value),
     "overlay": (_unless_null(_overlay_from_json), _overlay_to_json),
 }
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One full experiment description; see README for the JSON schema."""
+    """One full experiment description; see README for the JSON schema.
+    ``mode`` holds the :class:`ArchitectureMode` its name (or member) names."""
 
     constellation: ConstellationSource
     stations_csv: str | None = None
@@ -403,9 +405,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.actuator_fraction is None and self.actuator_count is None:
             object.__setattr__(self, "actuator_fraction", DEFAULT_ACTUATOR_FRACTION)
-        _, errors = check_fields(vars(self))
+        object.__setattr__(self, "mode", _mode(self.mode))
+        values, errors = check_fields(vars(self))
         if errors:
             raise ValueError(errors[0])
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
 
 
 def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | None, list[str]]:
@@ -426,11 +431,11 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
                 values.update(parse(data[key], base_dir))
             except ValueError as exc:
                 errors.append(str(exc))
-    checked, field_errors = check_fields({key: data[key] for key in FIELD_RULES if key in data})
-    errors += field_errors
+    given = {key: data[key] for key in FIELD_RULES if key in data}
+    errors += check_fields(given)[1]
     if errors:
         return None, errors
-    return ScenarioConfig(**values, **checked), []
+    return ScenarioConfig(**values, **given), []
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -615,15 +620,21 @@ def actuator_sweep(
     non-increasing on a connected shell.  ``independent_draws`` redraws the
     selection per point instead.
 
-    Every point's seed is drawn first, in fraction order; the points then
-    run on up to ``threads`` workers and come back in fraction order, so
-    the result does not depend on the thread count.  A failing point raises
-    as it would serially: the lowest failing fraction's exception surfaces.
+    Only on-orbit routing reads the actuators, so a downhaul mode routes
+    once and every point carries that summary.  On orbit, every point's seed
+    is drawn first, in fraction order (draws 1 to k of ``splitmix64``); the
+    points then run on up to ``threads`` workers and come back in fraction
+    order, so the result does not depend on the thread count.  A failing
+    point raises as it would serially: the lowest failing fraction's
+    exception surfaces.
     """
     network = prepare(cfg, threads)
     n = len(network.snapshot)
-    rng = SplitMix64(cfg.seed)
-    seeds = [rng.next_u64() if independent_draws else cfg.seed for _ in cfg.sweep_fractions]
+    if cfg.mode is not ArchitectureMode.ON_ORBIT:
+        summary = summarize(network.route(cfg.mode))
+        return [SweepPoint(fraction, half_up_count(fraction, n), summary) for fraction in cfg.sweep_fractions]
+    k = len(cfg.sweep_fractions)
+    seeds = splitmix64(cfg.seed, k).tolist() if independent_draws else [cfg.seed] * k
 
     def point(fraction: float, seed: int) -> SweepPoint:
         actuators = select_actuators(network.snapshot, half_up_count(fraction, n), seed)

@@ -395,14 +395,17 @@ class JamRegion:
     radius_km: float
 
     def __post_init__(self) -> None:
-        if self.radius_km <= 0.0:
-            raise ValueError(f"jam radius must be positive, got {self.radius_km}")
+        radius = json_number(self.radius_km, "radius_km")
+        if radius <= 0.0:
+            raise ValueError(f"jam radius must be positive, got {radius}")
+        object.__setattr__(self, "radius_km", radius)
 
 
 @dataclass(frozen=True)
 class AttackOverlay:
     """Link-layer availability attack: disabled nodes and links, jammed
-    regions, and a per-relay-hop monitoring penalty."""
+    regions, and a per-relay-hop monitoring penalty.  It holds frozensets of
+    ids, :meth:`normalize_link` pairs, a tuple of regions and a float penalty."""
 
     disabled_satellites: frozenset[str] = frozenset()
     disabled_stations: frozenset[str] = frozenset()
@@ -411,7 +414,12 @@ class AttackOverlay:
     reroute_penalty_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        reroute_penalty(self.reroute_penalty_ms)
+        object.__setattr__(self, "disabled_satellites", frozenset(self.disabled_satellites))
+        object.__setattr__(self, "disabled_stations", frozenset(self.disabled_stations))
+        links = frozenset(self.normalize_link(*pair) for pair in self.disabled_links)
+        object.__setattr__(self, "disabled_links", links)
+        object.__setattr__(self, "jam_regions", tuple(self.jam_regions))
+        object.__setattr__(self, "reroute_penalty_ms", reroute_penalty(self.reroute_penalty_ms))
 
     @staticmethod
     def normalize_link(a: str, b: str) -> tuple[str, str]:
@@ -421,10 +429,10 @@ class AttackOverlay:
         """Raise ``ValueError`` keyed ``overlay`` at the first id that is
         neither in ``sat_ids`` nor in ``station_ids``."""
         sats, stations = set(sat_ids), set(station_ids)
-        unknown = sorted(set(self.disabled_satellites) - sats)
+        unknown = sorted(self.disabled_satellites - sats)
         if unknown:
             raise ValueError(f"overlay: names unknown satellites: {', '.join(unknown)}")
-        unknown = sorted(set(self.disabled_stations) - stations)
+        unknown = sorted(self.disabled_stations - stations)
         if unknown:
             raise ValueError(f"overlay: names unknown stations: {', '.join(unknown)}")
         for a, b in sorted(self.disabled_links):
@@ -447,16 +455,16 @@ class AttackOverlay:
                     raise ValueError(f"{key}: must be a list, got {value!r}")
                 return value
 
-            def ids(key: str) -> frozenset[str]:
-                return frozenset(json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key)))
+            def ids(key: str) -> list[str]:
+                return [json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key))]
 
-            links = set()
+            links = []
             for k, pair in enumerate(entries("disabled_links")):
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
-                links.add(cls.normalize_link(
-                    *(json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair))
-                ))
+                links.append(
+                    [json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair)]
+                )
             regions = []
             for k, r in enumerate(entries("jam_regions")):
                 region = json_object(r, f"jam_regions[{k}]", required=_JAM_KEYS)
@@ -466,9 +474,9 @@ class AttackOverlay:
             return cls(
                 disabled_satellites=ids("disabled_satellites"),
                 disabled_stations=ids("disabled_stations"),
-                disabled_links=frozenset(links),
-                jam_regions=tuple(regions),
-                reroute_penalty_ms=reroute_penalty(data.get("reroute_penalty_ms", 0.0)),
+                disabled_links=links,
+                jam_regions=regions,
+                reroute_penalty_ms=data.get("reroute_penalty_ms", 0.0),
             )
 
     def to_dict(self) -> dict:

@@ -8,7 +8,8 @@ instead of index keys for overlays, a scalar surface distance for every
 node instead of a pre-filtered jam mask, a per-edge loop instead of a sort for
 downlink seeds, station and terminus nodes instead of seeded downlink
 offers for downhaul-optimal, a stable sort of an edge list instead of the
-build's upper-triangle runs for the satellite adjacency).  The scalar geometry references
+build's upper-triangle runs for the satellite adjacency, a scalar
+SplitMix64 stream instead of all draws at once).  The scalar geometry references
 (``min_scaled_norm_sq``, ``has_line_of_sight``, ``euclidean_km``) and the
 TLE writer live here too: only the tests call them.
 """
@@ -39,6 +40,23 @@ from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph
 
 # The name of the root node of the augmented downhaul-optimal graph.
 TERMINUS_NAME = "terminus"
+
+_U64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """The scalar SplitMix64 stream: the state advances by the golden-ratio
+    gamma, and each draw mixes the new state."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _U64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        return z ^ (z >> 31)
 
 
 def euclidean_km(p: EcefPosition, q: EcefPosition) -> float:

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sda_netlab import experiments
-from sda_netlab.cli import run, validate_config
+from sda_netlab.cli import _sweep_csv, run, validate_config
 from sda_netlab.constellation import WalkerSpec
 from sda_netlab.experiments import (
-    PRESET_NAMES, ConstellationSource, ScenarioConfig, config_to_dict, preset_shells,
+    PRESET_NAMES, ConstellationSource, ScenarioConfig, WalkerShell, config_to_dict, preset_shells,
 )
 from sda_netlab.routing import ArchitectureMode, actuator_sources
 from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, downlink_seeds_oracle
@@ -510,14 +510,30 @@ _FIELDS = st.fixed_dictionaries({}, optional={
 @given(fields=_FIELDS)
 def test_python_and_json_configs_obey_the_same_rules(fields):
     validated, errors = validate_config(json.dumps({"constellation": {"preset": "oneweb-like"}, **fields}))
-    source = ConstellationSource(walker_shells=preset_shells("oneweb-like"))
-    python_fields = {k: tuple(v) if k == "sweep_fractions" else v for k, v in fields.items()}
+    source = ConstellationSource(walker_shells=list(preset_shells("oneweb-like")))
     try:
-        direct = ScenarioConfig(constellation=source, **python_fields)
+        direct = ScenarioConfig(constellation=source, **fields)  # lists and ints as drawn
     except ValueError as exc:
         assert validated is None and str(exc) in errors, (exc, errors)
     else:
         assert errors == [] and validated == direct
+        assert json.dumps(config_to_dict(direct)) == json.dumps(config_to_dict(validated))
+        assert hash(direct) == hash(validated)
+
+
+def test_a_python_built_mode_is_the_mode_member_and_obeys_the_json_rule():
+    source = ConstellationSource(walker_shells=(WalkerShell(WalkerSpec(1200.0, 87.9, 4, 8, phasing_f=1), "t"),))
+    cfg = ScenarioConfig(constellation=source, mode="onorbit")
+    assert cfg.mode is ArchitectureMode.ON_ORBIT
+    assert config_to_dict(cfg) == config_to_dict(ScenarioConfig(constellation=source))
+    # The name routes as its member: on-orbit needs no ground station.
+    assert experiments.run_scenario(cfg, threads=1).summary == experiments.run_scenario(
+        ScenarioConfig(constellation=source), threads=1
+    ).summary
+    _, errors = validate_config(json.dumps({"constellation": {"preset": "oneweb-like"}, "mode": "x"}))
+    with pytest.raises(ValueError) as exc:
+        ScenarioConfig(constellation=source, mode="x")
+    assert errors == [str(exc.value)]
 
 
 _WALKER_NUMBER = st.integers(-2, 40) | st.floats(-100.0, 2000.0) | st.sampled_from(
@@ -1013,6 +1029,20 @@ def test_cli_sweep_and_compare(tmp_path):
     down = (out / "report_downhaul.csv").read_text().splitlines()
     orbit = (out / "report_onorbit.csv").read_text().splitlines()
     assert len(down) == len(orbit) == 33
+
+
+def test_a_python_built_sweep_writes_the_sweep_csv_of_its_json_twin(tmp_path):
+    cfg_path = tiny_config(tmp_path, sweep_fractions=[0, 1])
+    assert run(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    cfg = ScenarioConfig(
+        constellation=ConstellationSource(walker_shells=[
+            WalkerShell(WalkerSpec(1200, 87.9, 4, 8, phasing_f=1), "t"),
+        ]),
+        stations_csv=str(tmp_path / "stations.csv"), mode="onorbit", actuator_fraction=0.2, seed=7,
+        sweep_fractions=[0, 1],
+    )
+    assert _sweep_csv(experiments.actuator_sweep(cfg, threads=1)) == (tmp_path / "out" / "sweep.csv").read_text()
+    assert validate_config(pathlib.Path(cfg_path).read_text())[0] == cfg
 
 
 def test_cli_attack(tmp_path):

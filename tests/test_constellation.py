@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
-    SplitMix64,
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
@@ -16,8 +15,11 @@ from sda_netlab.constellation import (
     seeded_permutation,
     select_actuators,
     snapshot_to_csv,
+    splitmix64,
 )
 from sda_netlab.geo import SEMI_MAJOR_A_KM
+
+from oracle_utils import SplitMix64
 
 
 def test_walker_equatorial_square():
@@ -161,6 +163,15 @@ def test_splitmix64_matches_independent_reimplementation():
     for seed in (0, 1, 0xDEADBEEF, (1 << 64) - 1):
         rng = SplitMix64(seed)
         assert [rng.next_u64() for _ in range(8)] == reference_stream(seed, 8)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8])
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_splitmix64_draws_the_stream_at_once(count, seed):
+    stream = SplitMix64(seed)
+    draws = splitmix64(seed, count)
+    assert draws.dtype == np.uint64
+    assert draws.tolist() == [stream.next_u64() for _ in range(count)]
 
 
 def test_seeded_permutation_matches_manual_fisher_yates():

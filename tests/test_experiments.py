@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sda_netlab import experiments
-from sda_netlab.constellation import SplitMix64, WalkerSpec, generate_walker, select_actuators
+from sda_netlab.constellation import WalkerSpec, generate_walker, select_actuators
 from sda_netlab.experiments import (
     ArchitectureComparison,
     ConstellationSource,
@@ -34,6 +34,8 @@ from sda_netlab.experiments import (
 from sda_netlab.geo import GeodeticPosition
 from sda_netlab.routing import ArchitectureMode, LatencyReport
 from sda_netlab.topology import AttackOverlay, JamRegion
+
+from oracle_utils import SplitMix64
 
 
 def report_of(latencies, hops=None):
@@ -371,6 +373,38 @@ def test_a_python_built_walker_shell_obeys_the_json_string_rules():
     # A shell it accepts echoes a config that validates back to the same config.
     cfg = ScenarioConfig(constellation=ConstellationSource(walker_shells=(WalkerShell(spec, "s", "x"),)))
     assert validate_config(json.dumps(config_to_dict(cfg))) == (cfg, [])
+
+
+def test_a_python_built_overlay_equals_its_json_twin():
+    overlay = AttackOverlay(
+        disabled_satellites={"x"}, disabled_stations=["gA", "gA"], disabled_links={("b", "a")},
+        jam_regions=[JamRegion(GeodeticPosition(10.0, 20.0), 300)], reroute_penalty_ms=1,
+    )
+    twin = AttackOverlay.from_dict({
+        "disabled_satellites": ["x"], "disabled_stations": ["gA"], "disabled_links": [["a", "b"]],
+        "jam_regions": [{"lat_deg": 10.0, "lon_deg": 20.0, "radius_km": 300.0}], "reroute_penalty_ms": 1.0,
+    })
+    assert overlay == twin and hash(overlay) == hash(twin)
+    assert json.dumps(overlay.to_dict()) == json.dumps(twin.to_dict())
+    assert overlay.to_dict()["disabled_links"] == [["a", "b"]]
+    assert overlay.reroute_penalty_ms == 1.0 and isinstance(overlay.reroute_penalty_ms, float)
+    with pytest.raises(ValueError, match=r"^radius_km: must be a number, got '300'$"):
+        JamRegion(GeodeticPosition(10.0, 20.0), "300")
+
+
+def test_a_downhaul_sweep_routes_once_and_draws_no_point_actuators(stations_csv):
+    cfg = ScenarioConfig(
+        constellation=small_source(planes=6, spp=10), stations_csv=stations_csv,
+        mode=ArchitectureMode.DOWNHAUL_GREEDY, seed=3, sweep_fractions=(0.0, 0.25, 1.0),
+    )
+    want = serial_sweep(cfg, independent_draws=True)
+    with mock.patch.object(experiments, "downhaul_latencies", wraps=experiments.downhaul_latencies) as solve, \
+            mock.patch.object(experiments, "select_actuators", wraps=experiments.select_actuators) as draw:
+        points = actuator_sweep(cfg, independent_draws=True, threads=2)
+    assert points == want
+    assert [p.actuator_count for p in points] == [0, 15, 60]
+    assert solve.call_count == 1
+    assert draw.call_count == 1  # the network's own mask, drawn by prepare
 
 
 def test_config_echo_is_stable():
