@@ -9,9 +9,21 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geo import SEMI_MAJOR_A_KM, EcefPosition, GeodeticPosition, geodetic_to_ecef
-from .jsonvalues import json_number
+from .jsonvalues import config_key, json_number
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _id_field_problem(node_id: str, kind: str) -> str | None:
+    """What keeps ``node_id`` from being one field of the CSV files, which
+    split on commas and lines and strip each field; None when nothing does.
+    Satellite and station ids obey this rule."""
+    if not node_id:
+        return f"empty {kind} id"
+    if "," in node_id or node_id.strip() != node_id or len(node_id.splitlines()) > 1:
+        return (f"{kind} id {node_id!r} must not contain a comma or a line break, "
+                "nor start or end with whitespace")
+    return None
 
 
 @dataclass(frozen=True)
@@ -19,6 +31,11 @@ class GroundStationNode:
     id: str
     geodetic: GeodeticPosition
     ecef: EcefPosition
+
+    def __post_init__(self) -> None:
+        problem = _id_field_problem(self.id, "station")
+        if problem:
+            raise ValueError(problem)
 
     @classmethod
     def from_geodetic(cls, station_id: str, geodetic: GeodeticPosition) -> "GroundStationNode":
@@ -42,9 +59,10 @@ class ConstellationSnapshot:
     """Instantaneous, immutable set of satellites, one column per field.
 
     Row ``i`` is satellite ``ids[i]`` at ECEF ``positions[i]`` (km, an
-    ``(n, 3)`` float64 array, a read-only copy).  Ids are unique and are
-    single CSV fields.  A satellite that breaks a rule raises
-    :class:`SnapshotRowError`.
+    ``(n, 3)`` float64 array, a read-only copy).  Ids are unique and obey
+    :func:`_id_field_problem`; a position is finite, above the surface, and
+    near enough that 4 times its squared norm is finite.  A satellite that
+    breaks a rule raises :class:`SnapshotRowError`.
     """
 
     ids: tuple[str, ...]
@@ -60,10 +78,9 @@ class ConstellationSnapshot:
             raise ValueError(f"{n} ids do not match the shape of positions {positions.shape}")
         seen: set[str] = set()
         for row, sat_id in enumerate(ids):
-            # The CSV files split on commas and lines and strip each field.
-            if "," in sat_id or sat_id.strip() != sat_id or len(sat_id.splitlines()) > 1:
-                raise SnapshotRowError(row, f"satellite id {sat_id!r} must not contain a comma or a line "
-                                            "break, nor start or end with whitespace")
+            problem = _id_field_problem(sat_id, "satellite")
+            if problem:
+                raise SnapshotRowError(row, problem)
             if sat_id in seen:
                 raise SnapshotRowError(row, f"duplicate satellite id {sat_id!r}")
             seen.add(sat_id)
@@ -72,7 +89,14 @@ class ConstellationSnapshot:
             row = int(np.argmin(finite))
             raise SnapshotRowError(row, f"satellite {ids[row]!r} has a non-finite position")
         x, y, z = positions.T
-        buried = np.sqrt((x * x + y * y) + z * z) <= SEMI_MAJOR_A_KM
+        with np.errstate(over="ignore"):
+            sq = (x * x + y * y) + z * z
+            far = ~np.isfinite(4.0 * sq)  # else a squared distance between two satellites may overflow
+        if far.any():
+            row = int(np.argmax(far))
+            raise SnapshotRowError(row, f"satellite {ids[row]!r} is too far out: 4 times its squared norm "
+                                        "is not finite")
+        buried = np.sqrt(sq) <= SEMI_MAJOR_A_KM
         if buried.any():
             row = int(np.argmax(buried))
             raise SnapshotRowError(row, f"satellite {ids[row]!r} is not above the surface")
@@ -165,41 +189,40 @@ def snapshot_to_csv(snapshot: ConstellationSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_csv_line(line: str, expected: int, line_no: int) -> list[str]:
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != expected:
-        raise ValueError(
-            f"line {line_no}: expected {expected} comma-separated fields, got {len(fields)}"
-        )
-    return fields
-
-
-def _parse_float(text: str, column: str, line_no: int) -> float:
+def _parse_float(text: str, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"line {line_no}: column {column!r} is not a number: {text!r}") from None
+        raise ValueError(f"column {column!r} is not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"line {line_no}: column {column!r} must be finite, got {text!r}")
+        raise ValueError(f"column {column!r} must be finite, got {text!r}")
     return value
+
+
+def _read_csv(text: str, header: str) -> tuple[list[str], list[list[float]]]:
+    """The id field and the three number fields, as floats, of each data
+    line of the CSV ``text`` under ``header``; data row ``k`` is line
+    ``k + 2`` (blank lines do not count).  Only the syntax is checked here,
+    and an error names its line; the type that holds the values checks
+    them."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"line 1: expected header {header!r}")
+    columns = header.split(",")[1:]
+    ids, rows = [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        with config_key(f"line {line_no}"):
+            node_id, *numbers = (f.strip() for f in line.split(","))
+            if len(numbers) != 3:
+                raise ValueError(f"expected 4 comma-separated fields, got {len(numbers) + 1}")
+            rows.append([_parse_float(number, column) for number, column in zip(numbers, columns)])
+        ids.append(node_id)
+    return ids, rows
 
 
 def load_snapshot_csv(text: str) -> ConstellationSnapshot:
     """The snapshot checks the parsed rows; an error names the row's line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != SNAPSHOT_CSV_HEADER:
-        raise ValueError(f"line 1: expected header {SNAPSHOT_CSV_HEADER!r}")
-    ids, positions = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        sat_id, xs, ys, zs = _split_csv_line(line, 4, line_no)
-        if not sat_id:
-            raise ValueError(f"line {line_no}: empty satellite id")
-        ids.append(sat_id)
-        positions.append((
-            _parse_float(xs, "x_km", line_no),
-            _parse_float(ys, "y_km", line_no),
-            _parse_float(zs, "z_km", line_no),
-        ))
+    ids, positions = _read_csv(text, SNAPSHOT_CSV_HEADER)
     try:
         return ConstellationSnapshot(tuple(ids), np.reshape(positions, (len(ids), 3)))
     except SnapshotRowError as exc:
@@ -207,29 +230,14 @@ def load_snapshot_csv(text: str) -> ConstellationSnapshot:
 
 
 def load_ground_stations_csv(text: str) -> list[GroundStationNode]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != STATIONS_CSV_HEADER:
-        raise ValueError(f"line 1: expected header {STATIONS_CSV_HEADER!r}")
-    stations: list[GroundStationNode] = []
-    seen: set[str] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        station_id, lat, lon, alt = _split_csv_line(line, 4, line_no)
-        if not station_id:
-            raise ValueError(f"line {line_no}: empty station id")
-        if station_id in seen:
-            raise ValueError(f"line {line_no}: duplicate station id {station_id!r}")
-        seen.add(station_id)
-        try:
-            geodetic = GeodeticPosition(
-                _parse_float(lat, "lat_deg", line_no),
-                _parse_float(lon, "lon_deg", line_no),
-                _parse_float(alt, "alt_km", line_no),
-            )
-            station = GroundStationNode.from_geodetic(station_id, geodetic)
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-        stations.append(station)
-    return stations
+    """Each station checks its own values; an error names the line."""
+    stations: dict[str, GroundStationNode] = {}
+    for line_no, (station_id, numbers) in enumerate(zip(*_read_csv(text, STATIONS_CSV_HEADER)), start=2):
+        with config_key(f"line {line_no}"):
+            if station_id in stations:
+                raise ValueError(f"duplicate station id {station_id!r}")
+            stations[station_id] = GroundStationNode.from_geodetic(station_id, GeodeticPosition(*numbers))
+    return list(stations.values())
 
 
 # --- Deterministic actuator selection ------------------------------------------

@@ -321,9 +321,7 @@ def _source_to_json(cfg: ScenarioConfig) -> dict:
 def _terminus_from_json(raw, base_dir: str) -> dict:
     data = json_object(raw, "terminus", required=("lat_deg", "lon_deg"), optional=("alt_km",))
     with config_key("terminus"):
-        return {"terminus": GeodeticPosition(
-            *(json_number(data.get(key, 0.0), key) for key in ("lat_deg", "lon_deg", "alt_km"))
-        )}
+        return {"terminus": GeodeticPosition(data["lat_deg"], data["lon_deg"], data.get("alt_km", 0.0))}
 
 
 def _terminus_to_json(cfg: ScenarioConfig) -> dict | None:

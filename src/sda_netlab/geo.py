@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .jsonvalues import json_number
+
 SPEED_OF_LIGHT_KM_S = 299792.458
 
 # Visibility cut on the squared scaled norm.  Endpoints sitting exactly on the
@@ -55,6 +57,8 @@ class EcefPosition:
 class GeodeticPosition:
     """Geodetic latitude/longitude in degrees, altitude in kilometers.
 
+    Each field is a number by :func:`json_number`, keyed ``lat_deg``,
+    ``lon_deg`` and ``alt_km`` as in the config, and held as a float.
     Longitude is normalized into (-180, 180]; latitude and altitude are
     validated, not normalized.
     """
@@ -64,11 +68,11 @@ class GeodeticPosition:
     altitude_km: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.latitude_deg) or not -90.0 <= self.latitude_deg <= 90.0:
+        for name, key in (("latitude_deg", "lat_deg"), ("longitude_deg", "lon_deg"), ("altitude_km", "alt_km")):
+            object.__setattr__(self, name, json_number(getattr(self, name), key))
+        if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude must be in [-90, 90], got {self.latitude_deg}")
-        if not math.isfinite(self.longitude_deg):
-            raise ValueError("longitude must be finite")
-        if not math.isfinite(self.altitude_km) or self.altitude_km < -0.5:
+        if self.altitude_km < -0.5:
             raise ValueError(f"altitude must be >= -0.5 km, got {self.altitude_km}")
         lon = math.fmod(self.longitude_deg, 360.0)
         if lon <= -180.0:
@@ -115,30 +119,21 @@ def ecef_to_geodetic(p: EcefPosition, max_iterations: int = 20) -> GeodeticPosit
         lon_deg += 360.0
 
     lat = math.atan2(p.z, p_xy * (1.0 - e2))
-    for _ in range(max_iterations):
+    converged = False
+    # One pass more than the budget: the altitude of the settled latitude.
+    for _ in range(max_iterations + 1):
         sin_lat = math.sin(lat)
         n = SEMI_MAJOR_A_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
         if abs(sin_lat) < 0.7071067811865476:
             alt = p_xy / math.cos(lat) - n
         else:
             alt = p.z / sin_lat - n * (1.0 - e2)
+        if converged:
+            return GeodeticPosition(math.degrees(lat), lon_deg, alt)
         new_lat = math.atan2(p.z, p_xy * (1.0 - e2 * n / (n + alt)))
-        done = abs(new_lat - lat) < 1e-12
+        converged = abs(new_lat - lat) < 1e-12
         lat = new_lat
-        if done:
-            break
-    else:
-        raise ConvergenceError(
-            f"latitude iteration did not converge for point ({p.x}, {p.y}, {p.z})"
-        )
-
-    sin_lat = math.sin(lat)
-    n = SEMI_MAJOR_A_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
-    if abs(sin_lat) < 0.7071067811865476:
-        alt = p_xy / math.cos(lat) - n
-    else:
-        alt = p.z / sin_lat - n * (1.0 - e2)
-    return GeodeticPosition(math.degrees(lat), lon_deg, alt)
+    raise ConvergenceError(f"latitude iteration did not converge for point ({p.x}, {p.y}, {p.z})")
 
 
 def surface_distance_km(g1: GeodeticPosition, g2: GeodeticPosition) -> float:

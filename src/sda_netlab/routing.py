@@ -142,8 +142,9 @@ class RelaySeeds:
                             ("next_hop", object), ("terminal", object)):
             column = np.broadcast_to(np.asarray(getattr(self, name), dtype=dtype), shape)
             object.__setattr__(self, name, column)
-        if not (self.label_ms >= 0.0).all():
-            raise ValueError(f"seed labels must be >= 0, got {self.label_ms.min()}")
+        bad = ~((self.label_ms >= 0.0) & np.isfinite(self.label_ms))
+        if bad.any():
+            raise ValueError(f"seed labels must be >= 0 and finite, got {self.label_ms[bad][0]}")
         if np.unique(self.node).size != self.node.size:
             raise ValueError("a node is seeded more than once")
 

@@ -386,9 +386,6 @@ def reroute_penalty(raw, name: str = "reroute_penalty_ms") -> float:
     return value
 
 
-_JAM_KEYS = ("lat_deg", "lon_deg", "radius_km")
-
-
 @dataclass(frozen=True)
 class JamRegion:
     center: GeodeticPosition
@@ -400,12 +397,24 @@ class JamRegion:
             raise ValueError(f"jam radius must be positive, got {radius}")
         object.__setattr__(self, "radius_km", radius)
 
+    @classmethod
+    def from_dict(cls, raw, name: str) -> "JamRegion":
+        """The region the JSON object ``raw`` describes; raises ``ValueError``
+        keyed ``name``."""
+        data = json_object(raw, name, required=("lat_deg", "lon_deg", "radius_km"))
+        with config_key(name):
+            return cls(GeodeticPosition(data["lat_deg"], data["lon_deg"]), data["radius_km"])
+
 
 @dataclass(frozen=True)
 class AttackOverlay:
     """Link-layer availability attack: disabled nodes and links, jammed
     regions, and a per-relay-hop monitoring penalty.  It holds frozensets of
-    ids, :meth:`normalize_link` pairs, a tuple of regions and a float penalty."""
+    ids, :meth:`normalize_link` pairs, a tuple of regions and a float penalty.
+
+    Each collection field is a list (a tuple or a set too), each id a string
+    by :func:`json_string` keyed like ``disabled_satellites[k]``, and each
+    link a pair of ids."""
 
     disabled_satellites: frozenset[str] = frozenset()
     disabled_stations: frozenset[str] = frozenset()
@@ -414,11 +423,24 @@ class AttackOverlay:
     reroute_penalty_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "disabled_satellites", frozenset(self.disabled_satellites))
-        object.__setattr__(self, "disabled_stations", frozenset(self.disabled_stations))
-        links = frozenset(self.normalize_link(*pair) for pair in self.disabled_links)
-        object.__setattr__(self, "disabled_links", links)
-        object.__setattr__(self, "jam_regions", tuple(self.jam_regions))
+        def entries(key: str):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple, set, frozenset)):
+                raise ValueError(f"{key}: must be a list, got {value!r}")
+            return value
+
+        links = []
+        for k, pair in enumerate(entries("disabled_links")):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
+            links.append(self.normalize_link(
+                *(json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair))
+            ))
+        object.__setattr__(self, "disabled_links", frozenset(links))
+        object.__setattr__(self, "jam_regions", tuple(entries("jam_regions")))
+        for key in ("disabled_satellites", "disabled_stations"):
+            ids = frozenset(json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key)))
+            object.__setattr__(self, key, ids)
         object.__setattr__(self, "reroute_penalty_ms", reroute_penalty(self.reroute_penalty_ms))
 
     @staticmethod
@@ -444,40 +466,14 @@ class AttackOverlay:
     def from_dict(cls, raw) -> "AttackOverlay":
         """The overlay the JSON object ``raw`` describes; raises ``ValueError``
         keyed ``overlay``."""
-        data = json_object(raw, "overlay", optional=(
+        data = dict(json_object(raw, "overlay", optional=(
             "disabled_satellites", "disabled_stations", "disabled_links", "jam_regions", "reroute_penalty_ms",
-        ))
+        )))
         with config_key("overlay"):
-
-            def entries(key: str) -> list:
-                value = data.get(key, [])
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"{key}: must be a list, got {value!r}")
-                return value
-
-            def ids(key: str) -> list[str]:
-                return [json_string(v, f"{key}[{k}]") for k, v in enumerate(entries(key))]
-
-            links = []
-            for k, pair in enumerate(entries("disabled_links")):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ValueError(f"disabled_links entries must be id pairs, got {pair!r}")
-                links.append(
-                    [json_string(node, f"disabled_links[{k}][{end}]") for end, node in enumerate(pair)]
-                )
-            regions = []
-            for k, r in enumerate(entries("jam_regions")):
-                region = json_object(r, f"jam_regions[{k}]", required=_JAM_KEYS)
-                with config_key(f"jam_regions[{k}]"):
-                    lat, lon, radius = (json_number(region[key], key) for key in _JAM_KEYS)
-                    regions.append(JamRegion(GeodeticPosition(lat, lon, 0.0), radius))
-            return cls(
-                disabled_satellites=ids("disabled_satellites"),
-                disabled_stations=ids("disabled_stations"),
-                disabled_links=links,
-                jam_regions=regions,
-                reroute_penalty_ms=data.get("reroute_penalty_ms", 0.0),
-            )
+            regions = data.get("jam_regions")
+            if isinstance(regions, (list, tuple)):
+                data["jam_regions"] = [JamRegion.from_dict(r, f"jam_regions[{k}]") for k, r in enumerate(regions)]
+            return cls(**data)
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,5 @@
 import contextlib
+import fnmatch
 import hashlib
 import io
 import json
@@ -16,11 +17,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sda_netlab import experiments
 from sda_netlab.cli import _sweep_csv, run, validate_config
-from sda_netlab.constellation import WalkerSpec
+from sda_netlab.constellation import (
+    ConstellationSnapshot, GroundStationNode, WalkerSpec, generate_walker, merge_snapshots, snapshot_to_csv,
+)
 from sda_netlab.experiments import (
     PRESET_NAMES, ConstellationSource, ScenarioConfig, WalkerShell, config_to_dict, preset_shells,
 )
+from sda_netlab.geo import GeodeticPosition
 from sda_netlab.routing import ArchitectureMode, actuator_sources
+from sda_netlab.topology import AttackOverlay, JamRegion
 from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, downlink_seeds_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -541,19 +546,80 @@ _WALKER_NUMBER = st.integers(-2, 40) | st.floats(-100.0, 2000.0) | st.sampled_fr
 )
 
 
+_GEO_NUMBER = st.integers(-400, 400) | st.floats(-400.0, 400.0) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, True, "4", None, 10**400, -0.5, -0.6, 90.0, -90.5]
+)
+_ID = st.text(max_size=2) | st.sampled_from([5, None, 1.5, ["a"]])
+_IDS = st.lists(_ID, max_size=3) | _ID
+_PRESET = {"preset": "oneweb-like"}
+
+# Each input a user writes as a JSON object: how to draw the object, the
+# config that holds it, the key that prefixes its errors, how Python builds
+# it from the same values, and where the validated config holds it.
+_TWINS = {
+    "walker-shell": (
+        st.fixed_dictionaries(
+            {key: _WALKER_NUMBER for key in ("altitude_km", "inclination_deg", "planes", "sats_per_plane")},
+            optional={"phasing_f": _WALKER_NUMBER, "raan_offset_deg": _WALKER_NUMBER},
+        ),
+        lambda raw: {"constellation": {"walker": raw}},
+        "constellation.walker[0]",
+        lambda raw: WalkerSpec(**raw),
+        lambda cfg: cfg.constellation.walker_shells[0].spec,
+    ),
+    "terminus": (
+        st.fixed_dictionaries({"lat_deg": _GEO_NUMBER, "lon_deg": _GEO_NUMBER}, optional={"alt_km": _GEO_NUMBER}),
+        lambda raw: {"constellation": _PRESET, "terminus": raw},
+        "terminus",
+        lambda raw: GeodeticPosition(raw["lat_deg"], raw["lon_deg"], raw.get("alt_km", 0.0)),
+        lambda cfg: cfg.terminus,
+    ),
+    "jam-region": (
+        st.fixed_dictionaries({key: _GEO_NUMBER for key in ("lat_deg", "lon_deg", "radius_km")}),
+        lambda raw: {"constellation": _PRESET, "overlay": {"jam_regions": [raw]}},
+        "overlay: jam_regions[0]",
+        lambda raw: JamRegion(GeodeticPosition(raw["lat_deg"], raw["lon_deg"]), raw["radius_km"]),
+        lambda cfg: cfg.overlay.jam_regions[0],
+    ),
+    "overlay-ids": (
+        st.fixed_dictionaries({}, optional={
+            "disabled_satellites": _IDS, "disabled_stations": _IDS,
+            "disabled_links": st.lists(_IDS, max_size=3) | _ID,
+        }),
+        lambda raw: {"constellation": _PRESET, "overlay": raw},
+        "overlay",
+        lambda raw: AttackOverlay(**raw),
+        lambda cfg: cfg.overlay,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _TWINS)
 @settings(max_examples=300, deadline=None)
-@given(shell=st.fixed_dictionaries(
-    {key: _WALKER_NUMBER for key in ("altitude_km", "inclination_deg", "planes", "sats_per_plane")},
-    optional={"phasing_f": _WALKER_NUMBER, "raan_offset_deg": _WALKER_NUMBER},
-))
-def test_python_and_json_walker_shells_obey_the_same_rules(shell):
-    validated, errors = validate_config(json.dumps({"constellation": {"walker": shell}}))
+@given(data=st.data())
+def test_python_and_json_walker_shells_obey_the_same_rules(name, data):
+    # Built in Python, an input raises the error validate_config reports for
+    # its JSON twin, without the key, or it equals the validated value.
+    draw, config, key, build, held = _TWINS[name]
+    raw = data.draw(draw)
+    validated, errors = validate_config(json.dumps(config(raw)))
     try:
-        spec = WalkerSpec(**shell)
+        value = build(raw)
     except ValueError as exc:
-        assert validated is None and errors == [f"constellation.walker[0]: {exc}"], (exc, errors)
+        assert validated is None and errors == [f"{key}: {exc}"], (exc, errors)
     else:
-        assert errors == [] and validated.constellation.walker_shells[0].spec == spec
+        assert errors == [] and held(validated) == value
+
+
+def test_a_python_built_terminus_echoes_its_json_twin():
+    source = ConstellationSource(walker_shells=preset_shells("oneweb-like"))
+    direct = ScenarioConfig(constellation=source, terminus=GeodeticPosition(10, 20))
+    terminus = {"lat_deg": 10, "lon_deg": 20}
+    validated, errors = validate_config(json.dumps({"constellation": _PRESET, "terminus": terminus}))
+    assert errors == [] and direct == validated
+    # The echo said `"lat_deg": 10` where the JSON twin's says `10.0`.
+    assert json.dumps(config_to_dict(direct)) == json.dumps(config_to_dict(validated))
+    assert json.dumps(config_to_dict(direct)["terminus"]) == '{"lat_deg": 10.0, "lon_deg": 20.0, "alt_km": 0.0}'
 
 
 @pytest.mark.parametrize("build, message", [
@@ -561,8 +627,29 @@ def test_python_and_json_walker_shells_obey_the_same_rules(shell):
     (lambda: WalkerSpec(550.0, 53.0, 2.5, 2), "planes: must be an integer, got 2.5"),
     (lambda: WalkerSpec(True, 53.0, 2, 2), "altitude_km: must be a number, got True"),
     (lambda: ConstellationSource(tle_file="x", tle_at_seconds=math.nan), "tle_at_seconds: must be finite"),
-], ids=["infinite-inclination", "fractional-planes", "bool-altitude", "nan-tle-epoch"])
+    (lambda: GeodeticPosition("10", 20), "lat_deg: must be a number, got '10'"),
+    (lambda: JamRegion(GeodeticPosition(0.0, math.inf), 300.0), "lon_deg: must be finite"),
+], ids=["infinite-inclination", "fractional-planes", "bool-altitude", "nan-tle-epoch", "string-latitude",
+        "infinite-jam-longitude"])
 def test_python_built_sources_obey_the_json_number_rule(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AttackOverlay(disabled_satellites={5}), "disabled_satellites[0]: must be a string, got 5"),
+    (lambda: AttackOverlay(disabled_links=[("a",)]), "disabled_links entries must be id pairs, got ('a',)"),
+    (lambda: AttackOverlay(disabled_stations="gA"), "disabled_stations: must be a list, got 'gA'"),
+    (lambda: ConstellationSnapshot(("",), [(7000.0, 0.0, 0.0)]), "empty satellite id"),
+    (lambda: GroundStationNode.from_geodetic("a,b", GeodeticPosition(10.0, 20.0)),
+     "station id 'a,b' must not contain a comma or a line break, nor start or end with whitespace"),
+    (lambda: GroundStationNode.from_geodetic("", GeodeticPosition(10.0, 20.0)), "empty station id"),
+], ids=["int-overlay-id", "one-id-link", "string-overlay-ids", "empty-satellite-id", "comma-station-id",
+        "empty-station-id"])
+def test_python_built_ids_obey_the_file_rules(build, message):
+    # Each of these was accepted, or failed with a TypeError, until the
+    # types held the rules that only the file readers ran.
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
@@ -825,15 +912,34 @@ _SHELL = st.tuples(
 )
 
 
+# The largest norm a snapshot accepts: 4 times its square is the largest float.
+_FAR_BOUND = math.sqrt(sys.float_info.max / 4.0)
+
+
+def _far_position(log_norm, lat, lon):
+    norm = 10.0 ** log_norm
+    lat, lon = math.radians(lat), math.radians(lon)
+    return (norm * math.cos(lat) * math.cos(lon), norm * math.cos(lat) * math.sin(lon), norm * math.sin(lat))
+
+
+# Satellites from just above the surface out to the largest accepted norm,
+# their norms log-uniform.
+_FAR = st.builds(
+    _far_position, st.floats(math.log10(6400.0), math.log10(_FAR_BOUND)), st.floats(-90.0, 90.0),
+    st.floats(-180.0, 180.0),
+)
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     shells=st.lists(_SHELL, min_size=1, max_size=2),
+    far=st.lists(_FAR, max_size=3),
     mode=st.sampled_from([m.value for m in ArchitectureMode]),
     fraction=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64 - 1),
     data=st.data(),
 )
-def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, seed, data):
+def test_whole_runs_do_not_depend_on_the_thread_count(shells, far, mode, fraction, seed, data):
     walker, ids = [], []
     for prefix, (altitude, inclination, planes, per_plane, phasing) in zip("ab", shells):
         walker.append({
@@ -841,6 +947,7 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, se
             "sats_per_plane": per_plane, "phasing_f": phasing % planes, "id_prefix": prefix,
         })
         ids += [f"{prefix}-p{p:03d}-s{k:03d}" for p in range(planes) for k in range(per_plane)]
+    ids += [f"far{k}" for k in range(len(far))]
     nodes = ids + ["gA", "gB", "gC", "gD", "gE"]
     overlay = data.draw(st.none() | st.fixed_dictionaries({
         "disabled_satellites": st.lists(st.sampled_from(ids), max_size=3),
@@ -861,6 +968,14 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, se
         }
         if overlay is not None:
             cfg["overlay"] = overlay
+        if far:
+            # The walker satellites and the far ones, as one snapshot file.
+            snapshot = merge_snapshots(*(generate_walker(
+                WalkerSpec(**{key: value for key, value in shell.items() if key != "id_prefix"}),
+                shell["id_prefix"],
+            ) for shell in walker))
+            rows = "".join(f"far{k},{x!r},{y!r},{z!r}\n" for k, (x, y, z) in enumerate(far))
+            cfg["constellation"] = {"snapshot_csv": write(tmp / "snapshot.csv", snapshot_to_csv(snapshot) + rows)}
         path = write(tmp / "scenario.json", json.dumps(cfg))
         # A run may fail on its config; then it must fail alike under
         # either thread count, and never with a runtime error.
@@ -879,6 +994,12 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, mode, fraction, se
             assert sorted(os.listdir(one)) == sorted(os.listdir(two))
             for name in os.listdir(one):
                 assert (one / name).read_bytes() == (two / name).read_bytes(), (command, name)
+            # A satellite is unreachable (latency inf) exactly when its row
+            # names no hop count and no terminal.
+            for name in fnmatch.filter(os.listdir(one), "report*.csv"):
+                for row in (one / name).read_text().splitlines()[1:]:
+                    _, latency, hops, terminal = row.split(",")
+                    assert (latency == "inf") == (hops == terminal == ""), (name, row)
 
 
 def test_near_coincident_satellites_route_in_every_mode(tmp_path):
@@ -986,8 +1107,23 @@ ID_RULE = "must not contain a comma or a line break, nor start or end with white
      f"constellation.walker: satellite id 'a\\nb-p000-s000' {ID_RULE}"),
     ({"tle_file": "sats.tle"}, {"sats.tle": "ISS, ZARYA\n" + ISS_TLE},
      f"constellation.tle_file: satellite id 'ISS, ZARYA' {ID_RULE}"),
+    ({"snapshot_csv": "sats.csv"}, {"sats.csv": "id,x_km,y_km,z_km\n,7000,0,0\n"},
+     "constellation.snapshot_csv: line 2: empty satellite id"),
+    # The station reader once named the line twice: `line 2: line 2: column ...`.
+    ({"walker": WALKER_SHELL}, {"stations.csv": "id,lat_deg,lon_deg,alt_km\ng1,x,0,0\n"},
+     "stations_csv: line 2: column 'lat_deg' is not a number: 'x'"),
+    ({"walker": WALKER_SHELL}, {"stations.csv": "id,lat_deg,lon_deg,alt_km\ng1,0,0,0\n,10,0,0\n"},
+     "stations_csv: line 3: empty station id"),
+    # Its delays would overflow: the run wrote `a,inf,2,g1` and counted `a`
+    # as unreachable in the summary.
+    ({"snapshot_csv": "sats.csv"}, {
+        "sats.csv": "id,x_km,y_km,z_km\na,1e155,0,0\nc,7000,10,0\n",
+        "stations.csv": "id,lat_deg,lon_deg,alt_km\ng1,10,20,0\n",
+    }, "constellation.snapshot_csv: line 2: satellite 'a' is too far out: 4 times its squared norm "
+       "is not finite"),
 ], ids=["walker", "snapshot_csv", "tle_file", "stations_csv",
-        "walker-id-comma", "walker-id-space", "walker-id-line-break", "tle-name-comma"])
+        "walker-id-comma", "walker-id-space", "walker-id-line-break", "tle-name-comma",
+        "empty-satellite-id", "station-number", "empty-station-id", "far-satellite"])
 def test_cli_names_the_config_key_of_a_bad_input_file(tmp_path, capsys, source, files, expected):
     for name, text in files.items():
         write(tmp_path / name, text)
@@ -995,7 +1131,8 @@ def test_cli_names_the_config_key_of_a_bad_input_file(tmp_path, capsys, source, 
     if "stations.csv" in files:
         cfg["stations_csv"] = "stations.csv"
     path = write(tmp_path / "scenario.json", json.dumps(cfg))
-    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    mode = ["--mode", "downhaul-greedy"] if "stations.csv" in files else []
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out"), *mode]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 

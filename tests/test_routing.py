@@ -158,7 +158,7 @@ def test_relay_seeds_broadcast_scalars_and_reject_repeats_and_negative_labels():
     assert seeds.label_ms.tolist() == [0.5, 0.5] and seeds.next_hop.tolist() == [None, None]
     with pytest.raises(ValueError, match="more than once"):
         RelaySeeds([3, 1, 3], 0.0, 0, None, "a")
-    for bad in (-1.0, math.nan):
+    for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="must be >= 0"):
             RelaySeeds([0, 1], [0.0, bad], 0, None, "a")
     with pytest.raises(ValueError):
