@@ -199,40 +199,41 @@ def _parse_float(text: str, column: str) -> float:
     return value
 
 
-def _read_csv(text: str, header: str) -> tuple[list[str], list[list[float]]]:
-    """The id field and the three number fields, as floats, of each data
-    line of the CSV ``text`` under ``header``; data row ``k`` is line
-    ``k + 2`` (blank lines do not count).  Only the syntax is checked here,
-    and an error names its line; the type that holds the values checks
-    them."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != header:
-        raise ValueError(f"line 1: expected header {header!r}")
+def _read_csv(text: str, header: str) -> tuple[list[int], list[str], list[list[float]]]:
+    """The line number, the id field and the three number fields, as
+    floats, of each data line of the CSV ``text`` under ``header``.  Lines
+    are numbered as in the file, blank ones included, and blank lines are
+    skipped.  Only the syntax is checked here, and an error names its line;
+    the type that holds the values checks them."""
+    lines = [(line_no, ln) for line_no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != header:
+        raise ValueError(f"line {lines[0][0] if lines else 1}: expected header {header!r}")
     columns = header.split(",")[1:]
-    ids, rows = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    line_nos, ids, rows = [], [], []
+    for line_no, line in lines[1:]:
         with config_key(f"line {line_no}"):
             node_id, *numbers = (f.strip() for f in line.split(","))
             if len(numbers) != 3:
                 raise ValueError(f"expected 4 comma-separated fields, got {len(numbers) + 1}")
             rows.append([_parse_float(number, column) for number, column in zip(numbers, columns)])
+        line_nos.append(line_no)
         ids.append(node_id)
-    return ids, rows
+    return line_nos, ids, rows
 
 
 def load_snapshot_csv(text: str) -> ConstellationSnapshot:
     """The snapshot checks the parsed rows; an error names the row's line."""
-    ids, positions = _read_csv(text, SNAPSHOT_CSV_HEADER)
+    line_nos, ids, positions = _read_csv(text, SNAPSHOT_CSV_HEADER)
     try:
         return ConstellationSnapshot(tuple(ids), np.reshape(positions, (len(ids), 3)))
     except SnapshotRowError as exc:
-        raise ValueError(f"line {exc.row + 2}: {exc}") from None
+        raise ValueError(f"line {line_nos[exc.row]}: {exc}") from None
 
 
 def load_ground_stations_csv(text: str) -> list[GroundStationNode]:
     """Each station checks its own values; an error names the line."""
     stations: dict[str, GroundStationNode] = {}
-    for line_no, (station_id, numbers) in enumerate(zip(*_read_csv(text, STATIONS_CSV_HEADER)), start=2):
+    for line_no, station_id, numbers in zip(*_read_csv(text, STATIONS_CSV_HEADER)):
         with config_key(f"line {line_no}"):
             if station_id in stations:
                 raise ValueError(f"duplicate station id {station_id!r}")

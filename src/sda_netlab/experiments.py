@@ -37,8 +37,8 @@ from .routing import (
 )
 from .tle import load_tle_file, snapshot_from_tles
 from .topology import (
-    AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph, reroute_penalty,
-    resolve_thread_count,
+    MAX_REROUTE_PENALTY_MS, AttackOverlay, VisibilityGraph, apply_overlay, build_visibility_graph,
+    reroute_penalty, resolve_thread_count,
 )
 
 DEFAULT_ACTUATOR_FRACTION = 0.15
@@ -226,9 +226,10 @@ FIELD_RULES = {
 
 
 def check_fields(given: dict) -> tuple[dict, list[str]]:
-    """Run :data:`FIELD_RULES` on the fields present in ``given`` and the
-    rule that the actuator fraction and count exclude each other.  Returns
-    the checked values and every error."""
+    """Run :data:`FIELD_RULES` on the fields present in ``given``, the rule
+    that the actuator fraction and count exclude each other, and the bound
+    on the reroute penalty plus the ``overlay``'s.  Returns the checked
+    values and every error."""
     values, errors = {}, []
     for key, rule in FIELD_RULES.items():
         if key in given:
@@ -238,6 +239,12 @@ def check_fields(given: dict) -> tuple[dict, list[str]]:
                 errors.append(str(exc))
     if given.get("actuator_fraction") is not None and given.get("actuator_count") is not None:
         errors.append("actuator_fraction: mutually exclusive with actuator_count")
+    overlay = given.get("overlay")
+    if overlay is not None and "reroute_penalty_ms" in values:
+        penalty, extra = values["reroute_penalty_ms"], overlay.reroute_penalty_ms
+        if penalty + extra > MAX_REROUTE_PENALTY_MS:
+            errors.append(f"reroute_penalty_ms: {penalty} plus the overlay's {extra} must be "
+                          f"<= {MAX_REROUTE_PENALTY_MS:g}")
     return values, errors
 
 
@@ -430,7 +437,7 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
             except ValueError as exc:
                 errors.append(str(exc))
     given = {key: data[key] for key in FIELD_RULES if key in data}
-    errors += check_fields(given)[1]
+    errors += check_fields({**values, **given})[1]
     if errors:
         return None, errors
     return ScenarioConfig(**values, **given), []

@@ -36,10 +36,11 @@ large share of the hops into rows that may still drop, along all of these
 at once (a pull), so a relay chain costs O(E) relaxations, not O(V * E).
 A fixed seed is never lowered, so a pull reads only the free rows: once
 per solve the rows outside the fixed seeds are gathered, with their
-penalised weights, into a CSR of their own when the fixed rows hold half
-the entries or more; below that cut-off the adjacency itself serves, with
-the fixed rows masked.  With no free hop at all nothing can drop, and the
-solve returns at once.  A pull walks its CSR in row-aligned blocks and,
+delays, into a CSR of their own when the fixed rows hold half the entries
+or more; below that cut-off the adjacency itself serves, with the fixed
+rows masked.  A pull adds the reroute penalty block by block, so no solve
+holds one weight per hop.  With no free hop at all nothing can drop, and
+the solve returns at once.  A pull walks its CSR in row-aligned blocks and,
 until a block lowers a label, records the hops whose candidate equals
 their row's label.  Every solve ends on a pull that lowers nothing, so
 those are exactly the hops into free rows that attain the final labels;
@@ -61,6 +62,7 @@ parent is already set.  The report reads the resulting forest.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -188,16 +190,18 @@ class _RelayProblem:
 class _FreeRows:
     """The rows a solve may lower, as a CSR over the hops into them: row
     ``r`` is node ``nodes[r]``, and entry ``k`` in ``indptr[r]:indptr[r + 1]``
-    is the hop ``neighbors[k] -> nodes[r]`` of penalised weight
-    ``weights[k]``.  Either the fixed rows are compacted away, or every node
-    keeps its row and ``fixed`` masks those that no hop may lower."""
+    is the hop ``neighbors[k] -> nodes[r]`` of delay ``delays_ms[k]``, whose
+    penalised weight ``weigh(sources, delays)`` gives a block at a time.
+    Either the fixed rows are compacted away, or every node keeps its row
+    and ``fixed`` masks those that no hop may lower."""
 
     nodes: np.ndarray
     indptr: np.ndarray
     neighbors: np.ndarray
-    weights: np.ndarray
+    delays_ms: np.ndarray
     fixed: np.ndarray
     blocks: list[tuple[int, int]]
+    weigh: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -245,8 +249,8 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _free_rows(problem: _RelayProblem, fixed: np.ndarray) -> _FreeRows:
-    """The CSR of the rows outside ``fixed``, with their penalised weights:
-    a compacted copy when the fixed rows hold enough entries, else the
+    """The CSR of the rows outside ``fixed``, with their delays: a
+    compacted copy when the fixed rows hold enough entries, else the
     adjacency itself with ``fixed`` as its mask."""
     adj = problem.adjacency
     counts = np.diff(adj.indptr)
@@ -260,14 +264,13 @@ def _free_rows(problem: _RelayProblem, fixed: np.ndarray) -> _FreeRows:
         keep = np.repeat(~fixed, counts)
         neighbors, delays_ms = adj.neighbors[keep], adj.delays_ms[keep]
         row_fixed = np.zeros(nodes.size, dtype=bool)
-    return _FreeRows(nodes, indptr, neighbors, problem.sat_weights(neighbors, delays_ms),
-                     row_fixed, _row_blocks(indptr))
+    return _FreeRows(nodes, indptr, neighbors, delays_ms, row_fixed, _row_blocks(indptr), problem.sat_weights)
 
 
 def _pull(rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """One pull over every hop of ``rows``, block by block, reading
-    ``labels`` only: each row's least candidate
-    ``weights[k] + labels[neighbors[k]]`` (inf without hops), and the
+    ``labels`` only: each row's least candidate, the penalised weight of
+    hop ``k`` plus ``labels[neighbors[k]]`` (inf without hops), and the
     ascending entries into free rows of finite label whose candidate equals
     their row's label.  Those are kept only while no block has lowered the
     label of a row outside ``rows.fixed``; a pull that lowers one returns
@@ -279,8 +282,9 @@ def _pull(rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray |
     attain = []
     for r0, r1 in rows.blocks:
         e0, e1 = int(rows.indptr[r0]), int(rows.indptr[r1])
-        cand = labels[rows.neighbors[e0:e1]]
-        cand += rows.weights[e0:e1]
+        sources = rows.neighbors[e0:e1]
+        cand = labels[sources]
+        cand += rows.weigh(sources, rows.delays_ms[e0:e1])
         counts = np.diff(rows.indptr[r0:r1 + 1])
         nonempty = r0 + np.flatnonzero(counts)
         best[nonempty] = np.minimum.reduceat(cand, rows.indptr[nonempty] - e0)

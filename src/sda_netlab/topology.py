@@ -1,15 +1,17 @@
 """Visibility graphs over constellation snapshots, and attack overlays.
 
 The satellite build tests each pair once, in the upper triangle, in row
-blocks that may run on worker threads.  A tangent bound prunes, an inner
-bound accepts, and the exact test decides the band between them: the
-pruned pairs cannot see each other, and the accepted ones pass the exact
-test.  That test uses the same floating-point expressions as the scalar
-reference ``min_scaled_norm_sq`` in the tests' ``oracle_utils`` (including
-the lexicographic endpoint ordering), so the edge set is bit-identical to a
-scalar double loop and independent of the thread count.  The symmetric CSR
-is assembled from the upper pairs without sorting its 2E entries.  The
-station edges go through the same exact test.
+blocks that may run on worker threads.  A float32 tangent bound prunes
+(one augmented dot product per pair, with a slack that covers its
+rounding), a float64 inner bound accepts, and the exact test decides the
+band between them: the pruned pairs cannot see each other, and the accepted
+ones pass the exact test.  That test uses the same floating-point
+expressions as the scalar reference ``min_scaled_norm_sq`` in the tests'
+``oracle_utils`` (including the lexicographic endpoint ordering), so the
+edge set is bit-identical to a scalar double loop and independent of the
+thread count.  A second parallel pass writes the symmetric CSR in place,
+from per-block counts, without sorting its 2E entries.  The station edges
+go through the same exact test.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +40,17 @@ from .jsonvalues import config_key, json_number, json_object, json_string
 
 _ROW_BLOCK = 128
 # Satellite pairs each worker thread must have before the build splits
-# across threads: about 40 ms of single-thread work.  Below it the workers
-# gain little and contend for the interpreter lock, so a build of a few
-# hundred satellites is faster and far steadier on one thread.
+# across threads: about 20 ms of single-thread work (a 1001-satellite shell
+# on a 2-vCPU host).  Below it the workers gain little and contend for the
+# interpreter lock, so a build of a few hundred satellites is faster and far
+# steadier on one thread.
 _PAIRS_PER_WORKER = 500_000
+# The float32 prune keeps every pair whose augmented dot product reads at
+# least T'/S - _PRUNE_SLACK, 32 times float32's unit roundoff 2**-24 (see
+# _sat_adjacency).
+_PRUNE_SLACK = 2.0**-19
+# The pairs j > i of a block's first _ROW_BLOCK columns.
+_ABOVE_DIAGONAL = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), 1)
 
 
 @dataclass(frozen=True)
@@ -164,60 +174,119 @@ def _delays_ms(distances: np.ndarray) -> np.ndarray:
     return distances / SPEED_OF_LIGHT_KM_S * 1000.0
 
 
+class _UpperBlock(NamedTuple):
+    """The edges (i, j), i < j, of the rows lo <= i < hi, in ascending (i, j)
+    order."""
+
+    row_counts: np.ndarray  # (hi - lo,) int64: the edges of each row
+    columns: np.ndarray  # (m,) int32: j
+    delays_ms: np.ndarray  # (m,) float64
+    column_counts: np.ndarray  # (n,) int64: the bincount of ``columns``
+
+
 def _upper_block(
-    positions: np.ndarray,
+    prune: np.ndarray,
+    cut: np.float32,
+    coords: np.ndarray,
+    axes_sq: np.ndarray,
     scaled: np.ndarray,
-    sq: np.ndarray,
-    tangent: np.ndarray,
     inner: np.ndarray,
     slack: float,
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges (i, j) with lo <= i < hi and i < j, in ascending (i, j)
-    order, and their delays: the pairs that pass the tangent bound and then
-    either the inner bound or the exact LOS test (see
-    :func:`_sat_adjacency`).  ``slack`` is 1e-12 max(1, max |a|^2)."""
-    # |a - b|^2 in the Gram form sq[i] + sq[j] - 2 a.b, with a.b summed from
-    # three outer products: a BLAS product with inner size 3 saves nothing,
-    # and its own threads would compete with the row-block workers.
-    d2 = np.add.outer(sq[lo:hi], sq[lo:])
-    left, right = -2.0 * scaled[lo:hi], scaled.T[:, lo:]
-    for k in range(3):
-        d2 += np.multiply.outer(left[:, k], right[k])
-    limit = tangent[lo:hi, np.newaxis] + tangent[np.newaxis, lo:]
-    limit *= limit
-    limit *= 1.0 + 1e-9
-    limit += 1e-12
-    candidate = d2 <= limit
-    del limit
-    candidate[np.tril_indices(hi - lo)] = False  # the pairs with j <= i
-    gram = d2[candidate]
-    del d2
-    rows, cols = np.nonzero(candidate)
-    del candidate
-    i = (rows + lo).astype(np.int32)
-    j = (cols + lo).astype(np.int32)
-    del rows, cols
+) -> _UpperBlock:
+    """Pass 1 of :func:`_sat_adjacency` on the rows lo <= i < hi.
+    ``prune`` holds the (4, n) float32 prune vectors and ``cut`` their
+    threshold, ``coords`` the (3, n) positions, ``axes_sq`` the squared
+    scale factors, ``scaled`` the (3, n) scaled coordinates, ``inner`` the
+    inner tangent lengths and ``slack`` 1e-12 S."""
+    n = prune.shape[1]
+    left, right = prune[:, lo:hi], prune[:, lo:]
+    # Four outer multiply-adds: a BLAS product with inner size 4 saves
+    # nothing, and its own threads would compete with the row-block workers.
+    dot = np.multiply.outer(left[0], right[0])
+    term = np.empty_like(dot)
+    for k in range(1, 4):
+        np.multiply.outer(left[k], right[k], out=term)
+        dot += term
+    del term
+    keep = dot >= cut
+    del dot
+    keep[:, :hi - lo] &= _ABOVE_DIAGONAL[:hi - lo, :hi - lo]
+    # Row r of the block holds the flat indices r * width + j - lo.
+    flat = np.flatnonzero(keep)
+    del keep
+    width = n - lo
+    starts = np.searchsorted(flat, np.arange(hi - lo + 1) * width)
+    counts = np.diff(starts)
+    j = flat - np.repeat(np.arange(hi - lo) * width - lo, counts)
+    del flat
+    # The squared position differences of each kept pair, from 1-D column
+    # gathers.  x and y share one scale factor (an ellipsoid of revolution).
+    sx, sy, sz = (np.repeat(axis[lo:hi], counts) - axis[j] for axis in coords)
+    sx *= sx
+    sy *= sy
+    sz *= sz
+    sx += sy
+    del sy
+    d2 = sx * axes_sq[0]  # |a - b|^2 in the scaled coordinates
+    d2 += sz * axes_sq[2]
+    sx += sz  # |p - q|^2 in km^2, summed as _distances sums it
+    del sz
     # ``inner`` is NaN where the inner tangent length is not > 0, so such a
-    # pair fails the bound; so does one whose Gram value may be that of two
-    # equal scaled points.  Both go to the exact test.
-    bound = inner[i] + inner[j]
+    # pair fails the bound; so does one whose points may be equal.  Both go
+    # to the exact test.
+    bound = np.repeat(inner[lo:hi], counts) + inner[j]
     bound *= bound
     bound *= 1.0 - 1e-9
     bound -= 1e-12
-    visible = (gram <= bound) & (gram > slack)
-    del gram, bound
+    visible = (d2 <= bound) & (d2 > slack)
+    del d2, bound
     band = np.flatnonzero(~visible)
-    visible[band] = _line_of_sight(scaled.T[:, i[band]], scaled.T[:, j[band]])
-    i, j = i[visible], j[visible]
-    return i, j, _delays_ms(_distances(positions[i], positions[j]))
+    i = lo + np.searchsorted(starts, band, side="right") - 1
+    visible[band] = _line_of_sight(scaled[:, i], scaled[:, j[band]])
+    before = np.zeros(visible.size + 1, dtype=np.int64)  # the visible pairs before each kept one
+    np.cumsum(visible, out=before[1:])
+    j = j[visible]
+    return _UpperBlock(np.diff(before[starts]), j.astype(np.int32),
+                       _delays_ms(np.sqrt(sx[visible])), np.bincount(j, minlength=n))
 
 
-def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | None) -> SatAdjacency:
-    """The satellite CSR: each pair i < j is tested once, in row blocks
-    that may run on worker threads, and listed under both endpoints.  Each
-    worker gets at least ``_PAIRS_PER_WORKER`` pairs.
+def _scatter_block(
+    block: _UpperBlock,
+    lo: int,
+    upper_first: np.ndarray,
+    lower_first: np.ndarray,
+    neighbors: np.ndarray,
+    delays_ms: np.ndarray,
+) -> None:
+    """Pass 2 of :func:`_sat_adjacency`: write one block's edges into the
+    CSR under both endpoints.  Row ``lo + r`` lists its edges of the block
+    from slot ``upper_first[r]`` on, and row ``c`` those in column ``c``
+    from slot ``lower_first[c]`` on, in ascending row order."""
+    run = np.arange(block.columns.size)
+    first = np.cumsum(block.row_counts) - block.row_counts
+    slot = np.repeat(upper_first - first, block.row_counts)
+    slot += run
+    neighbors[slot] = block.columns
+    delays_ms[slot] = block.delays_ms
+    # A stable sort of the columns keeps each column's rows ascending.
+    by_column = np.argsort(block.columns, kind="stable")
+    first = np.cumsum(block.column_counts) - block.column_counts
+    slot = np.repeat(lower_first - first, block.column_counts)
+    slot += run
+    rows = np.repeat(np.arange(lo, lo + block.row_counts.size, dtype=np.int32), block.row_counts)
+    neighbors[slot] = rows[by_column]
+    delays_ms[slot] = block.delays_ms[by_column]
+
+
+def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, axes: np.ndarray,
+                   threads: int | None) -> SatAdjacency:
+    """The satellite CSR, in two passes over row blocks of ``_ROW_BLOCK``
+    rows that may run on worker threads, each with at least
+    ``_PAIRS_PER_WORKER`` pairs.  Pass 1 tests each pair i < j once and
+    keeps a block's edges (:class:`_UpperBlock`); pass 2 writes each edge
+    under both endpoints.
 
     A tangent bound prunes, an inner bound accepts, and the exact LOS test
     decides the band between them, so the edges are exactly the pairs the
@@ -230,92 +299,110 @@ def _sat_adjacency(positions: np.ndarray, scaled: np.ndarray, threads: int | Non
 
     - The tangent bound keeps every visible pair: a pair with |m|^2 >= T'
       has |a - b| <= t_a + t_b, where t_a = sqrt(|a|^2 - T') is the
-      tangent length from a to the sphere of radius sqrt(T').  A satellite
-      with |a|^2 < T' sees nothing, as |m| <= |a|, so its t = 0 loses no
-      pair.
+      tangent length from a to the sphere of radius sqrt(T').  For |a|^2,
+      |b|^2 >= T' that is the same test as a.b + t_a t_b >= T', as
+      |a - b|^2 = |a|^2 + |b|^2 - 2 a.b and t_a^2 = |a|^2 - T'.  So the
+      prune is one dot product of the float32 vectors [a, t_a] / sqrt(S)
+      against T' / S less a slack.  A satellite with |a|^2 < T' sees
+      nothing, as |m| <= |a|: its vector is zero, and its pairs fail.
     - The inner bound accepts only visible pairs: let s_a = sqrt(|a|^2 -
       T'').  If a != b, |a|^2 and |b|^2 are both >= T'' and |a - b| <= s_a
       + s_b, then |m|^2 >= T''.  With m inside the segment, |a - b| =
       sqrt(|a|^2 - |m|^2) + sqrt(|b|^2 - |m|^2), which falls as |m|^2
       grows; with m at an endpoint, |m|^2 is that endpoint's squared norm.
 
-    With u = 2**-53 and S = max(1, max |a|^2), these rounding gaps remain:
+    With u = 2**-53 for float64, u' = 2**-24 for float32 and S = max(1,
+    max |a|^2), these rounding gaps remain:
 
     - The exact test finds m with a dozen roundings, so it may accept a
       pair whose true |m|^2 lies below T by up to about 20 u S.  It
       evaluates a point a + t d with t clipped to [0, 1], so it cannot
       read below the true minimum by more than that either.  The tangent
       lengths are therefore taken to T' = T - 1e-12 S and the inner ones to
-      T'' = T + 1e-12 S, which also absorbs the rounding of |a|^2.  With
-      T' = T, a satellite on the threshold sphere (t = 0) would lose the
-      partners whose segment dips below its tangent plane by less than the
-      test resolves: an error of 1e-16 in |m|^2 moves that tangent length
-      by 1e-8.
-    - The Gram form |a|^2 + |b|^2 - 2 a.b of |a - b|^2 errs by less than
-      16 u (|a|^2 + |b|^2), summed in any order.  The slack
-      (t_a + t_b)^2 (1 + 1e-9) + 1e-12 covers it on its own: the absolute
-      1e-12 while |a|^2 + |b|^2 < 500; beyond that, (t_a + t_b)^2 >=
-      max(|a|^2, |b|^2) - 1 > 240, and the relative 1e-9 does.  The
-      relative term also absorbs the roundings of t_a + t_b and its square.
-      The inner bound (s_a + s_b)^2 (1 - 1e-9) - 1e-12 mirrors it.
-    - A Gram value <= 1e-12 S may belong to two satellites whose scaled
-      points are equal, coincident or a few ulp apart before the scaling,
-      and the exact test rejects those.  Above it the Gram error (< 32 u S)
-      leaves a != b.  Such pairs, and every pair of a satellite with
-      |a|^2 <= T'' (no s > 0), go to the exact test.
+      T'' = T + 1e-12 S, which also absorbs the rounding of |a|^2 and of
+      the lengths.  With T' = T, a satellite on the threshold sphere (t =
+      0) would lose the partners whose segment dips below its tangent
+      plane by less than the test resolves: an error of 1e-16 in |m|^2
+      moves that tangent length by 1e-8.
+    - The prune vectors have norm <= sqrt(2), so their rounding to float32
+      and the dot product's four products and three sums err by less than
+      12 u' in all, and ``cut``, T' / S - ``_PRUNE_SLACK`` (32 u') rounded
+      to float32, by u' more.  The pruned pairs therefore fail the exact
+      tangent bound.  When T' / S is below the slack, zero vectors pass it
+      too, and the exact test rejects their pairs.
+    - Each kept pair's |a - b|^2 comes from its position differences,
+      (dx^2 + dy^2) k_x^2 + dz^2 k_z^2 with k_x, k_z the scale factors.
+      Since a and b are the rounded p * axes, it errs by less than 20 u
+      (|a|^2 + |b|^2).  The inner bound (s_a + s_b)^2 (1 - 1e-9) - 1e-12
+      covers that: the absolute 1e-12 while |a|^2 + |b|^2 < 400; beyond
+      that, (s_a + s_b)^2 >= max(|a|^2, |b|^2) - T'' > 199, and the
+      relative 1e-9 does.  The relative term also absorbs the roundings of
+      s_a + s_b and its square.
+    - A value <= 1e-12 S may belong to two satellites whose scaled points
+      are equal, coincident or a few ulp apart before the scaling, and the
+      exact test rejects those.  Above it the error (< 40 u S) leaves a !=
+      b.  Such pairs, and every pair of a satellite with |a|^2 <= T'' (no
+      s > 0), go to the exact test.
 
-    The upper pairs arrive in ascending (i, j) order.  Row r lists its
-    lower neighbours first, the pairs (i, r), which a stable sort of the
-    columns yields in ascending i; its upper neighbours, the pairs (r, j),
-    follow as they arrive.  One mask of per-row runs places both kinds, so
-    the 2E entries are never sorted.  Each E-sized transient is dropped as
-    soon as it has been used.
+    The delays come from the same position differences, summed as
+    :func:`_distances` sums them, so they are its bits.  The LOS test orders
+    the two endpoints and (p - q)**2 == (q - p)**2, so each pair's one test
+    and one delay serve both of its entries; a satellite never sees itself,
+    as coincident points are not visible.  Row c lists its lower
+    neighbours first, the pairs (i, c) in ascending i, then its upper ones,
+    the pairs (c, j).  Pass 1 counts each block's edges per row and per
+    column; exclusive prefix sums over the blocks then give every entry its
+    slot, and pass 2 writes a block's upper entries in order and its lower
+    ones after a stable sort of that block's columns, so the 2E entries are
+    never sorted.  Each block's edges are dropped once written.
     """
     n = positions.shape[0]
     sq = np.einsum("ij,ij->i", scaled, scaled)
-    slack = 1e-12 * max(1.0, float(sq.max()))
-    tangent = np.sqrt(np.maximum(sq - (LOS_THRESHOLD_SQ - slack), 0.0))
+    scale = max(1.0, float(sq.max()))
+    slack = 1e-12 * scale
+    above = sq - (LOS_THRESHOLD_SQ - slack)
+    sees = above >= 0.0
+    root = 1.0 / math.sqrt(scale)
+    prune = np.zeros((4, n), dtype=np.float32)
+    prune[:3, sees] = scaled[sees].T * root
+    prune[3, sees] = np.sqrt(above[sees]) * root
+    cut = np.float32((LOS_THRESHOLD_SQ - slack) / scale - _PRUNE_SLACK)
     above = sq - (LOS_THRESHOLD_SQ + slack)
     inner = np.sqrt(above, out=np.full(n, np.nan), where=above > 0.0)
+    args = (prune, cut, np.ascontiguousarray(positions.T), axes * axes, np.ascontiguousarray(scaled.T),
+            inner, slack)
     blocks = [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
     workers = min(resolve_thread_count(threads), len(blocks), max(1, n * (n - 1) // 2 // _PAIRS_PER_WORKER))
 
-    def block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _upper_block(positions, scaled, sq, tangent, inner, slack, *bounds)
+    def assemble(each) -> SatAdjacency:
+        found = list(each(lambda bounds: _upper_block(*args, *bounds), blocks))
+        column_counts = np.stack([block.column_counts for block in found])
+        lower = column_counts.sum(axis=0)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lower + np.concatenate([block.row_counts for block in found]), out=indptr[1:])
+        # Row c lists its lower entries (i, c) first, block by block, then
+        # its upper entries (c, j).  Exclusive prefix sums over the blocks'
+        # column counts give each block's first lower slot in each row.
+        lower_first = np.cumsum(column_counts, axis=0)
+        lower_first -= column_counts
+        lower_first += indptr[:-1]
+        del column_counts
+        upper_first = indptr[:-1] + lower
+        neighbors = np.empty(indptr[-1], dtype=np.int32)
+        delays_ms = np.empty(indptr[-1], dtype=np.float64)
+
+        def scatter(b: int) -> None:
+            (lo, hi), block = blocks[b], found[b]
+            found[b] = None  # each block's edges are dropped once written
+            _scatter_block(block, lo, upper_first[lo:hi], lower_first[b], neighbors, delays_ms)
+
+        list(each(scatter, range(len(blocks))))
+        return SatAdjacency(indptr=indptr, neighbors=neighbors, delays_ms=delays_ms)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block, blocks))
-    else:
-        results = list(map(block, blocks))
-    i, j, delays = (np.concatenate(part) for part in zip(*results))
-    del results
-
-    # The LOS test orders the two endpoints and (p - q)**2 == (q - p)**2, so
-    # each pair's one test and one delay serve both of its entries.  A
-    # satellite never sees itself: coincident points are not visible.
-    lower = np.bincount(j, minlength=n)
-    upper = np.bincount(i, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lower + upper, out=indptr[1:])
-    by_column = np.argsort(j, kind="stable")
-    lower_neighbors = i[by_column]
-    del i
-    lower_delays = delays[by_column]
-    del by_column
-    in_lower = np.repeat(np.tile(np.array([True, False]), n), np.stack([lower, upper], axis=1).ravel())
-    delays_ms = np.empty(indptr[-1], dtype=np.float64)
-    delays_ms[in_lower] = lower_delays
-    del lower_delays
-    neighbors = np.empty(indptr[-1], dtype=np.int32)
-    neighbors[in_lower] = lower_neighbors
-    del lower_neighbors
-    np.logical_not(in_lower, out=in_lower)
-    delays_ms[in_lower] = delays
-    del delays
-    neighbors[in_lower] = j
-    del j, in_lower
-    return SatAdjacency(indptr=indptr, neighbors=neighbors, delays_ms=delays_ms)
+            return assemble(pool.map)
+    return assemble(map)
 
 
 def build_visibility_graph(
@@ -337,7 +424,7 @@ def build_visibility_graph(
     positions = snapshot.positions
     axes = np.array([1.0 / (SEMI_MAJOR_A_KM + margin_km)] * 2 + [1.0 / (SEMI_MINOR_B_KM + margin_km)])
     scaled = positions * axes
-    adjacency = _sat_adjacency(positions, scaled, threads)
+    adjacency = _sat_adjacency(positions, scaled, axes, threads)
 
     # Every (satellite, station) pair in ascending (i, g) order.
     st_pos = np.array([s.ecef.as_tuple() for s in stations], dtype=np.float64).reshape(-1, 3)
@@ -377,12 +464,22 @@ def _elevation_mask(
 # --- Attack overlays ------------------------------------------------------------
 
 
+# The largest per-relay-hop penalty a run may apply, the config's and the
+# overlay's summed: about 32 years.  A path has fewer than 2**31 hops and a
+# hop's delay is below 1e152 ms (the snapshot keeps 4 |p|^2 finite), so below
+# it no label, nor the sum of a report's labels, leaves the float64 range.
+MAX_REROUTE_PENALTY_MS = 1e12
+
+
 def reroute_penalty(raw, name: str = "reroute_penalty_ms") -> float:
-    """``raw`` as a per-relay-hop penalty: a number by :func:`json_number`
-    and >= 0.  The config and the overlay penalty both go through here."""
+    """``raw`` as a per-relay-hop penalty: a number by :func:`json_number`,
+    >= 0 and <= ``MAX_REROUTE_PENALTY_MS``.  The config and the overlay
+    penalty both go through here."""
     value = json_number(raw, name)
     if value < 0.0:
         raise ValueError(f"{name}: must be >= 0, got {value}")
+    if value > MAX_REROUTE_PENALTY_MS:
+        raise ValueError(f"{name}: must be <= {MAX_REROUTE_PENALTY_MS:g}, got {value}")
     return value
 
 

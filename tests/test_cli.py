@@ -241,6 +241,9 @@ REJECTED_CONFIGS = [
     ("elevation-range", _preset(min_elevation_deg=1000), [],
      ["min_elevation_deg: must be in [-90, 90], got 1000.0"]),
     ("penalty-negative", _preset(reroute_penalty_ms=-1), [], ["reroute_penalty_ms: must be >= 0, got -1.0"]),
+    # Until the penalty had an upper bound, 1e308 overflowed the relay labels
+    # and the run ended as a runtime error (exit 2).
+    ("penalty-huge", _preset(reroute_penalty_ms=1e308), [], ["reroute_penalty_ms: must be <= 1e+12, got 1e+308"]),
     ("sweep-not-array", _preset(sweep_fractions="0.5"), [],
      ["sweep_fractions: must be a non-empty array of numbers"]),
     ("sweep-string", _preset(sweep_fractions=["0.1", 0.2]), [],
@@ -287,6 +290,10 @@ REJECTED_CONFIGS = [
      ["overlay: reroute_penalty_ms: must be a number, got '1.5'"]),
     ("overlay-penalty-negative", _preset(overlay={"reroute_penalty_ms": -1}), [],
      ["overlay: reroute_penalty_ms: must be >= 0, got -1.0"]),
+    ("overlay-penalty-huge", _preset(overlay={"reroute_penalty_ms": 1e308}), [],
+     ["overlay: reroute_penalty_ms: must be <= 1e+12, got 1e+308"]),
+    ("penalty-sum-huge", _preset(reroute_penalty_ms=6e11, overlay={"reroute_penalty_ms": 6e11}), [],
+     ["reroute_penalty_ms: 600000000000.0 plus the overlay's 600000000000.0 must be <= 1e+12"]),
     ("many-problems", {
         "constellation": {"walker": {"altitude_km": 550}, "snapshot_csv": "x.csv"},
         "terminus": 5, "mode": "teleport", "actuator_fraction": 1.5, "los_margin_km": -2,
@@ -506,7 +513,7 @@ _FIELDS = st.fixed_dictionaries({}, optional={
     "seed": _around(0, 2**64 - 1, 3),
     "los_margin_km": _around(0.0, 0.0, 5.0),
     "min_elevation_deg": _around(-90.0, 90.0, 1000.0),
-    "reroute_penalty_ms": _around(0.0, 0.0, 5.0),
+    "reroute_penalty_ms": _around(0.0, 1e12, 5.0),
     "sweep_fractions": st.lists(_around(0.0, 1.0, 0.5), max_size=3),
 })
 

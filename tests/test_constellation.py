@@ -118,6 +118,25 @@ def test_snapshot_csv_errors_name_the_line():
         load_snapshot_csv("id,x_km,y_km,z_km\na,seven,0,0\n")
 
 
+@pytest.mark.parametrize("load, text, message", [
+    # A row-level error of the snapshot, after a blank line.
+    (load_snapshot_csv, "id,x_km,y_km,z_km\na,7000,0,0\n\nb,6000,0,0\n",
+     "line 4: satellite 'b' is not above the surface"),
+    # A field error, after blank lines before and after the header.
+    (load_snapshot_csv, "\nid,x_km,y_km,z_km\n\n\na,seven,0,0\n", "line 5: column 'x_km' is not a number"),
+    (load_snapshot_csv, "\n\nwrong,header\n", "line 3: expected header"),
+    (load_ground_stations_csv, "id,lat_deg,lon_deg,alt_km\n\ng1,0,0,0\n  \ng1,1,1,0\n",
+     "line 5: duplicate station id 'g1'"),
+    (load_ground_stations_csv, "id,lat_deg,lon_deg,alt_km\n\n\ng1,91,0,0\n", "line 4: latitude"),
+])
+def test_csv_errors_count_blank_lines(load, text, message):
+    # The readers numbered the lines after dropping the blank ones, so each
+    # of these named an earlier line than the one at fault.
+    with pytest.raises(ValueError) as exc:
+        load(text)
+    assert str(exc.value).startswith(message), str(exc.value)
+
+
 def test_ground_station_csv():
     stations = load_ground_stations_csv("id,lat_deg,lon_deg,alt_km\ngs1,0,0,0\n")
     assert len(stations) == 1

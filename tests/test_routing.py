@@ -690,7 +690,8 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     adj = graph.adjacency
     delay = {(int(v), int(u)): d for v, u, d in zip(entry_rows(adj), adj.neighbors, adj.delays_ms)}
     hop_rows = np.repeat(rows.nodes, np.diff(rows.indptr))
-    for v, u, weight in zip(hop_rows.tolist(), rows.neighbors.tolist(), rows.weights.tolist()):
+    weights = rows.weigh(rows.neighbors, rows.delays_ms)
+    for v, u, weight in zip(hop_rows.tolist(), rows.neighbors.tolist(), weights.tolist()):
         assert weight == delay[v, u] + (0.0 if actuators[u] else penalty), (u, v)
     assert rows.fixed.any() == (compact_cut > 1.0)
     assert rows.nodes.size == (n if compact_cut > 1.0 else n - 3)

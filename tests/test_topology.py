@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from unittest import mock
@@ -329,15 +330,22 @@ def bound_straddling_pairs(rng, excess):
 
 def test_pairs_just_inside_and_just_outside_the_inner_bound():
     # Segments that pass the threshold sphere by -2e-9 to 2e-9 in squared
-    # norm: the tangent bound drops some, the inner bound accepts some, and
-    # between them lie pairs the exact test accepts and pairs it rejects.
+    # norm straddle the inner bound and the exact test: the inner bound
+    # accepts some, and beside them lie pairs the exact test accepts and
+    # pairs it rejects.  Those that pass it by -4e-6 to -4e-7 straddle the
+    # float32 prune, whose slack keeps pairs down to about 1.7e-6 below the
+    # threshold sphere here: it drops some and keeps some.
     radii = 1.0 / scaling_axes(0.0)
-    points = bound_straddling_pairs(random.Random(6), np.linspace(-2e-9, 2e-9, 41).tolist() * 3)
+    excess = np.linspace(-2e-9, 2e-9, 41).tolist() * 2 + np.linspace(-4e-6, -4e-7, 19).tolist() * 2
+    points = bound_straddling_pairs(random.Random(6), excess)
     snap = snapshot_of([tuple(p * radii) for p in points])
     visible = assert_build_equals_the_exact_test(snap, 0.0)
     sure, kept = (edges_if_the_exact_test_says(verdict, snap, 0.0) for verdict in (False, True))
     constructed = {(k, k + 1) for k in range(0, len(points), 2)}
     assert sure & constructed < visible & constructed < kept & constructed < constructed
+    near = {(2 * k, 2 * k + 1) for k, e in enumerate(excess) if abs(e) <= 2e-9}
+    assert near <= kept and near - visible and near & visible - sure
+    assert constructed - near - kept and constructed - near & kept
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -346,6 +354,32 @@ def test_every_pair_the_inner_bound_accepts_passes_the_exact_test(case):
     snap, margin_km = case
     sure = edges_if_the_exact_test_says(False, snap, margin_km)
     assert sure <= edge_set(exact_edges_over_all_pairs(snap, margin_km)[0])
+
+
+# The largest norm a snapshot takes: 4 times its square is the largest finite double.
+FAR_OUT_KM = math.sqrt(np.finfo(np.float64).max / 4.0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    case=MIXED_SNAPSHOTS,
+    far=st.lists(
+        st.tuples(st.integers(0, 2**31), st.floats(4.0, 7.0) | st.floats(150.0, math.log10(FAR_OUT_KM))),
+        max_size=3,
+    ),
+)
+def test_the_float32_prune_keeps_every_pair_the_exact_test_accepts(case, far):
+    # Satellites from 10,000 km out up to the far-out bound widen S, so the
+    # prune's vectors shrink toward float32's underflow and its cut may drop
+    # below zero.
+    snap, margin_km = case
+    points = snap.positions.tolist()
+    for seed, exponent in far:
+        u = np.random.default_rng(seed).normal(size=3)
+        points.append(tuple(min(10.0**exponent, 0.999999 * FAR_OUT_KM) * u / np.linalg.norm(u)))
+    snap = snapshot_of(points)
+    visible = assert_build_equals_the_exact_test(snap, margin_km)
+    assert visible <= edges_if_the_exact_test_says(True, snap, margin_km)
 
 
 def test_adjacency_lists_each_edge_under_both_endpoints():
@@ -383,6 +417,21 @@ def test_build_is_independent_of_thread_count():
     assert np.array_equal(one.sat_delays_ms, four.sat_delays_ms)
     assert np.array_equal(one.station_edges, four.station_edges)
     assert np.array_equal(one.station_delays_ms, four.station_delays_ms)
+
+
+def test_workers_write_the_same_csr_under_frequent_thread_switches():
+    # Both passes share the output arrays among more workers than cores;
+    # a lost or misplaced write would change the CSR bytes.
+    snap = random_shell(21, count=700)
+    one = build_visibility_graph(snap, threads=1).adjacency
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = threaded_build(snap, threads=6).adjacency
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("indptr", "neighbors", "delays_ms"):
+        assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), name
 
 
 def test_oneweb_like_shell_build_is_bit_reproducible():
