@@ -19,7 +19,6 @@ from .experiments import (
     MetricsSummary,
     ScenarioConfig,
     SweepPoint,
-    WalkerShell,
     actuator_sweep,
     attack_scenario,
     compare_architectures,

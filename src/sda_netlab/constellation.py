@@ -4,12 +4,12 @@ and deterministic actuator selection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .geo import SEMI_MAJOR_A_KM, EcefPosition, GeodeticPosition, geodetic_to_ecef
-from .jsonvalues import config_key, json_number
+from .jsonvalues import config_key, json_number, json_string
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -28,22 +28,19 @@ def _id_field_problem(node_id: str, kind: str) -> str | None:
 
 @dataclass(frozen=True)
 class GroundStationNode:
+    """A ground station at ``geodetic``; ``ecef`` is derived from it."""
+
     id: str
     geodetic: GeodeticPosition
-    ecef: EcefPosition
+    ecef: EcefPosition = field(init=False)
 
     def __post_init__(self) -> None:
+        if not -0.5 <= self.geodetic.altitude_km <= 9.0:
+            raise ValueError(f"station altitude must be in [-0.5, 9] km, got {self.geodetic.altitude_km}")
         problem = _id_field_problem(self.id, "station")
         if problem:
             raise ValueError(problem)
-
-    @classmethod
-    def from_geodetic(cls, station_id: str, geodetic: GeodeticPosition) -> "GroundStationNode":
-        if not -0.5 <= geodetic.altitude_km <= 9.0:
-            raise ValueError(
-                f"station altitude must be in [-0.5, 9] km, got {geodetic.altitude_km}"
-            )
-        return cls(station_id, geodetic, geodetic_to_ecef(geodetic))
+        object.__setattr__(self, "ecef", geodetic_to_ecef(self.geodetic))
 
 
 class SnapshotRowError(ValueError):
@@ -110,7 +107,8 @@ class ConstellationSnapshot:
 
 @dataclass(frozen=True)
 class WalkerSpec:
-    """Walker-delta shell: circular orbits on evenly spaced planes."""
+    """Walker-delta shell: circular orbits on evenly spaced planes.  Its
+    satellites are named ``<id_prefix>-pPPP-sSSS``; ``label`` is only echoed."""
 
     altitude_km: float
     inclination_deg: float
@@ -118,11 +116,14 @@ class WalkerSpec:
     sats_per_plane: int
     phasing_f: int = 0
     raan_offset_deg: float = 0.0
+    id_prefix: str = "sat"
+    label: str = "walker"
 
     def __post_init__(self) -> None:
         for f in fields(self):  # an ``int`` field (a postponed annotation) takes only an integer
-            kind = int if f.type == "int" else float
-            object.__setattr__(self, f.name, json_number(getattr(self, f.name), f.name, kind))
+            if f.type != "str":
+                kind = int if f.type == "int" else float
+                object.__setattr__(self, f.name, json_number(getattr(self, f.name), f.name, kind))
         if self.planes < 1 or self.sats_per_plane < 1:
             raise ValueError("planes and sats_per_plane must be >= 1")
         if not 0 <= self.phasing_f <= self.planes - 1:
@@ -131,13 +132,11 @@ class WalkerSpec:
             )
         if self.altitude_km <= 0.0:
             raise ValueError("altitude_km must be positive")
-
-    @property
-    def total(self) -> int:
-        return self.planes * self.sats_per_plane
+        json_string(self.id_prefix, "id_prefix")
+        json_string(self.label, "label")
 
 
-def generate_walker(spec: WalkerSpec, id_prefix: str = "sat") -> ConstellationSnapshot:
+def generate_walker(spec: WalkerSpec) -> ConstellationSnapshot:
     """Build a snapshot of a Walker-delta shell.
 
     Plane p (0-indexed) has RAAN = raan_offset + 360*p/P; satellite k in
@@ -162,7 +161,7 @@ def generate_walker(spec: WalkerSpec, id_prefix: str = "sat") -> ConstellationSn
             z1 = y0 * sin_i
             x = x0 * cos_o - y1 * sin_o
             y = x0 * sin_o + y1 * cos_o
-            ids.append(f"{id_prefix}-p{p:03d}-s{k:03d}")
+            ids.append(f"{spec.id_prefix}-p{p:03d}-s{k:03d}")
             positions.append((x, y, z1))
     return ConstellationSnapshot(tuple(ids), positions)
 
@@ -237,7 +236,7 @@ def load_ground_stations_csv(text: str) -> list[GroundStationNode]:
         with config_key(f"line {line_no}"):
             if station_id in stations:
                 raise ValueError(f"duplicate station id {station_id!r}")
-            stations[station_id] = GroundStationNode.from_geodetic(station_id, GeodeticPosition(*numbers))
+            stations[station_id] = GroundStationNode(station_id, GeodeticPosition(*numbers))
     return list(stations.values())
 
 

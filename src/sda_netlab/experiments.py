@@ -128,31 +128,20 @@ def report_to_csv(report: LatencyReport) -> str:
 # --- Scenario configuration -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WalkerShell:
-    spec: WalkerSpec
-    id_prefix: str = "sat"
-    label: str = "walker"
-
-    def __post_init__(self) -> None:
-        json_string(self.id_prefix, "id_prefix")
-        json_string(self.label, "label")
-
-
-def starlink_like_shell() -> WalkerShell:
+def starlink_like_shell() -> WalkerSpec:
     """550 km / 53 deg shell sized to match a 5760-satellite constellation."""
-    return WalkerShell(WalkerSpec(550.0, 53.0, 72, 80, phasing_f=1), "sl", "starlink-like")
+    return WalkerSpec(550.0, 53.0, 72, 80, phasing_f=1, id_prefix="sl", label="starlink-like")
 
 
-def oneweb_like_shell() -> WalkerShell:
+def oneweb_like_shell() -> WalkerSpec:
     """1200 km / 87.9 deg shell sized to match a 630-satellite constellation."""
-    return WalkerShell(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), "ow", "oneweb-like")
+    return WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1, id_prefix="ow", label="oneweb-like")
 
 
 PRESET_NAMES = ("starlink-like", "oneweb-like", "combined")
 
 
-def preset_shells(name: str) -> tuple[WalkerShell, ...]:
+def preset_shells(name: str) -> tuple[WalkerSpec, ...]:
     if name == "starlink-like":
         return (starlink_like_shell(),)
     if name == "oneweb-like":
@@ -166,16 +155,18 @@ def preset_shells(name: str) -> tuple[WalkerShell, ...]:
 class ConstellationSource:
     """Exactly one of: Walker shells, a snapshot CSV, or a TLE file."""
 
-    walker_shells: tuple[WalkerShell, ...] = ()
+    walker_shells: tuple[WalkerSpec, ...] = ()
     snapshot_csv: str | None = None
     tle_file: str | None = None
     tle_at_seconds: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "walker_shells", tuple(self.walker_shells))
-        given = sum([bool(self.walker_shells), self.snapshot_csv is not None, self.tle_file is not None])
-        if given != 1:
+        paths = [key for key in ("snapshot_csv", "tle_file") if getattr(self, key) is not None]
+        if bool(self.walker_shells) + len(paths) != 1:
             raise ValueError("exactly one constellation source must be given")
+        for key in paths:
+            json_string(getattr(self, key), key)
         if self.tle_at_seconds is not None:
             if self.tle_file is None:
                 raise ValueError("tle_at_seconds requires tle_file")
@@ -263,17 +254,11 @@ def _resolve_path(raw, base_dir: str, key: str) -> str:
     return full
 
 
-def _shell_from_json(raw, name: str) -> WalkerShell:
-    spec = fields(WalkerSpec)
-    data = json_object(
-        raw, name, required=[f.name for f in spec if f.default is MISSING],
-        optional=[*(f.name for f in spec if f.default is not MISSING), "id_prefix", "label"],
-    )
+def _shell_from_json(raw, name: str) -> WalkerSpec:
+    required = [f.name for f in fields(WalkerSpec) if f.default is MISSING]
+    data = json_object(raw, name, required, [f.name for f in fields(WalkerSpec) if f.name not in required])
     with config_key(name):
-        return WalkerShell(
-            WalkerSpec(**{key: value for key, value in data.items() if key not in ("id_prefix", "label")}),
-            **{key: data[key] for key in ("id_prefix", "label") if key in data},
-        )
+        return WalkerSpec(**data)
 
 
 _SOURCES = ("preset", "walker", "snapshot_csv", "tle_file")
@@ -314,10 +299,7 @@ def _source_from_json(raw, base_dir: str) -> ConstellationSource:
 def _source_to_json(cfg: ScenarioConfig) -> dict:
     source = cfg.constellation
     if source.walker_shells:
-        return {"walker": [
-            {**asdict(shell.spec), "id_prefix": shell.id_prefix, "label": shell.label}
-            for shell in source.walker_shells
-        ]}
+        return {"walker": [asdict(shell) for shell in source.walker_shells]}
     if source.snapshot_csv is not None:
         return {"snapshot_csv": source.snapshot_csv}
     if source.tle_at_seconds is None:
@@ -391,7 +373,8 @@ CONFIG_KEYS = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One full experiment description; see README for the JSON schema.
-    ``mode`` holds the :class:`ArchitectureMode` its name (or member) names."""
+    ``mode`` holds the :class:`ArchitectureMode` its name (or member) names;
+    ``overlay_path``, the file ``overlay`` was read from, is echoed in its place."""
 
     constellation: ConstellationSource
     stations_csv: str | None = None
@@ -411,6 +394,11 @@ class ScenarioConfig:
         if self.actuator_fraction is None and self.actuator_count is None:
             object.__setattr__(self, "actuator_fraction", DEFAULT_ACTUATOR_FRACTION)
         object.__setattr__(self, "mode", _mode(self.mode))
+        for key in ("stations_csv", "overlay_path"):
+            if getattr(self, key) is not None:
+                json_string(getattr(self, key), key)
+        if self.overlay_path is not None and self.overlay is None:
+            raise ValueError("overlay_path: requires an overlay")
         values, errors = check_fields(vars(self))
         if errors:
             raise ValueError(errors[0])
@@ -470,9 +458,7 @@ def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
     if source.walker_shells:
         with config_key("constellation.walker"):
-            return merge_snapshots(*(
-                generate_walker(shell.spec, id_prefix=shell.id_prefix) for shell in source.walker_shells
-            ))
+            return merge_snapshots(*map(generate_walker, source.walker_shells))
     if source.snapshot_csv is not None:
         with config_key("constellation.snapshot_csv"):
             return load_snapshot_csv(_read(source.snapshot_csv))

@@ -32,6 +32,8 @@ SEMI_MINOR_B_KM = SEMI_MAJOR_A_KM * (1.0 - FLATTENING_F)
 ECCENTRICITY_SQ = FLATTENING_F * (2.0 - FLATTENING_F)
 MEAN_RADIUS_KM = 6371.0088
 
+MAX_LATITUDE_ITERATIONS = 20  # the budget of ecef_to_geodetic's latitude iteration
+
 
 @dataclass(frozen=True)
 class EcefPosition:
@@ -96,14 +98,14 @@ def geodetic_to_ecef(g: GeodeticPosition) -> EcefPosition:
     return EcefPosition(x, y, z)
 
 
-def ecef_to_geodetic(p: EcefPosition, max_iterations: int = 20) -> GeodeticPosition:
+def ecef_to_geodetic(p: EcefPosition) -> GeodeticPosition:
     """Convert ECEF to geodetic by fixed-point iteration on latitude, until
     the latitude moves less than 1e-12 rad.
 
     Raises:
         ConvergenceError: the latitude iteration did not settle within
-            ``max_iterations``; this signals degenerate input near the
-            Earth's center.
+            ``MAX_LATITUDE_ITERATIONS``; this signals degenerate input near
+            the Earth's center.
     """
     if p.norm() == 0.0:
         raise ValueError("cannot convert the Earth-center point to geodetic coordinates")
@@ -121,7 +123,7 @@ def ecef_to_geodetic(p: EcefPosition, max_iterations: int = 20) -> GeodeticPosit
     lat = math.atan2(p.z, p_xy * (1.0 - e2))
     converged = False
     # One pass more than the budget: the altitude of the settled latitude.
-    for _ in range(max_iterations + 1):
+    for _ in range(MAX_LATITUDE_ITERATIONS + 1):
         sin_lat = math.sin(lat)
         n = SEMI_MAJOR_A_KM / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
         if abs(sin_lat) < 0.7071067811865476:

@@ -26,7 +26,12 @@ _J2000 = datetime(2000, 1, 1, 12, 0, 0)
 
 
 class TleFormatError(ValueError):
-    """Raised for malformed TLE lines (length, columns, checksum)."""
+    """A malformed TLE line (length, columns, checksum, epoch range) in line
+    ``which``, 1 or 2, of its element set."""
+
+    def __init__(self, which: int, message: str) -> None:
+        super().__init__(message)
+        self.which = which
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,13 @@ def line_checksum(line: str) -> int:
 
 def _check_line(line: str, which: int) -> None:
     if len(line) != 69:
-        raise TleFormatError(f"line {which} must be 69 characters, got {len(line)}")
+        raise TleFormatError(which, f"line {which} must be 69 characters, got {len(line)}")
     if line[0] != str(which):
-        raise TleFormatError(f"line {which} must start with '{which}', got {line[0]!r}")
+        raise TleFormatError(which, f"line {which} must start with '{which}', got {line[0]!r}")
     expected = line[68]
     if not expected.isdigit() or int(expected) != line_checksum(line):
         raise TleFormatError(
-            f"line {which} checksum mismatch (computed {line_checksum(line)}, found {expected!r})"
+            which, f"line {which} checksum mismatch (computed {line_checksum(line)}, found {expected!r})"
         )
 
 
@@ -75,12 +80,15 @@ def _field_float(line: str, lo: int, hi: int, name: str, which: int) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise TleFormatError(f"line {which}: malformed {name} field {raw!r}") from None
+        raise TleFormatError(which, f"line {which}: malformed {name} field {raw!r}") from None
 
 
 def _epoch_to_j2000_seconds(year_2digit: int, day_of_year: float) -> float:
     year = 2000 + year_2digit if year_2digit < 57 else 1900 + year_2digit
-    moment = datetime(year, 1, 1) + timedelta(days=day_of_year - 1.0)
+    try:
+        moment = datetime(year, 1, 1) + timedelta(days=day_of_year - 1.0)
+    except (OverflowError, ValueError):  # a day that is not finite or leaves the datetime range
+        raise TleFormatError(1, f"line 1: epoch day {day_of_year} is out of range") from None
     return (moment - _J2000).total_seconds()
 
 
@@ -90,14 +98,12 @@ def parse_tle(line1: str, line2: str) -> TleElements:
     _check_line(line1, 1)
     _check_line(line2, 2)
     if line1[2:7] != line2[2:7]:
-        raise TleFormatError(
-            f"catalog ids differ between lines: {line1[2:7]!r} vs {line2[2:7]!r}"
-        )
+        raise TleFormatError(2, f"catalog ids differ between lines: {line1[2:7]!r} vs {line2[2:7]!r}")
     year = int(_field_float(line1, 18, 20, "epoch year", 1))
     day = _field_float(line1, 20, 32, "epoch day", 1)
     ecc_raw = line2[26:33].strip()
     if not ecc_raw.isdigit():
-        raise TleFormatError(f"line 2: malformed eccentricity field {line2[26:33]!r}")
+        raise TleFormatError(2, f"line 2: malformed eccentricity field {line2[26:33]!r}")
     return TleElements(
         catalog_id=line1[2:7].strip(),
         epoch_seconds=_epoch_to_j2000_seconds(year, day),
@@ -111,17 +117,22 @@ def parse_tle(line1: str, line2: str) -> TleElements:
 
 
 def load_tle_file(text: str) -> list[tuple[str, TleElements]]:
-    """Parse a file of TLEs in either 2-line or named 3-line form."""
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
+    """Parse a file of TLEs in either 2-line or named 3-line form.  An error
+    starts with ``line N: ``, the file line at fault, counting blank lines."""
+    lines = [(line_no, ln.rstrip()) for line_no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     out: list[tuple[str, TleElements]] = []
     name = ""
     i = 0
     while i < len(lines):
-        line = lines[i]
+        line_no, line = lines[i]
         if line.startswith("1 "):
             if i + 1 >= len(lines):
-                raise TleFormatError(f"entry {len(out) + 1}: line 1 without a line 2")
-            out.append((name, parse_tle(line, lines[i + 1])))
+                raise TleFormatError(1, f"line {line_no}: entry {len(out) + 1}: line 1 without a line 2")
+            try:
+                out.append((name, parse_tle(line, lines[i + 1][1])))
+            except ValueError as exc:  # a TleElements range error is on line 2
+                which = getattr(exc, "which", 2)
+                raise TleFormatError(which, f"line {lines[i + which - 1][0]}: {exc}") from None
             name = ""
             i += 2
         else:

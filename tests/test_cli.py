@@ -21,7 +21,7 @@ from sda_netlab.constellation import (
     ConstellationSnapshot, GroundStationNode, WalkerSpec, generate_walker, merge_snapshots, snapshot_to_csv,
 )
 from sda_netlab.experiments import (
-    PRESET_NAMES, ConstellationSource, ScenarioConfig, WalkerShell, config_to_dict, preset_shells,
+    PRESET_NAMES, ConstellationSource, ScenarioConfig, config_to_dict, preset_shells,
 )
 from sda_netlab.geo import GeodeticPosition
 from sda_netlab.routing import ArchitectureMode, actuator_sources
@@ -66,7 +66,7 @@ def test_validate_config_minimal_defaults(tmp_path):
     assert cfg.actuator_fraction == 0.15
     assert cfg.seed == 0
     assert cfg.mode is ArchitectureMode.ON_ORBIT
-    assert cfg.constellation.walker_shells[0].spec.planes == 18
+    assert cfg.constellation.walker_shells[0].planes == 18
 
     text = json.dumps({"constellation": {"preset": "oneweb-like"}, "min_elevation_deg": None})
     cfg, errors = validate_config(text, base_dir=str(tmp_path))
@@ -534,7 +534,7 @@ def test_python_and_json_configs_obey_the_same_rules(fields):
 
 
 def test_a_python_built_mode_is_the_mode_member_and_obeys_the_json_rule():
-    source = ConstellationSource(walker_shells=(WalkerShell(WalkerSpec(1200.0, 87.9, 4, 8, phasing_f=1), "t"),))
+    source = ConstellationSource(walker_shells=(WalkerSpec(1200.0, 87.9, 4, 8, phasing_f=1, id_prefix="t"),))
     cfg = ScenarioConfig(constellation=source, mode="onorbit")
     assert cfg.mode is ArchitectureMode.ON_ORBIT
     assert config_to_dict(cfg) == config_to_dict(ScenarioConfig(constellation=source))
@@ -567,12 +567,13 @@ _TWINS = {
     "walker-shell": (
         st.fixed_dictionaries(
             {key: _WALKER_NUMBER for key in ("altitude_km", "inclination_deg", "planes", "sats_per_plane")},
-            optional={"phasing_f": _WALKER_NUMBER, "raan_offset_deg": _WALKER_NUMBER},
+            optional={"phasing_f": _WALKER_NUMBER, "raan_offset_deg": _WALKER_NUMBER, "id_prefix": _ID,
+                      "label": _ID},
         ),
         lambda raw: {"constellation": {"walker": raw}},
         "constellation.walker[0]",
         lambda raw: WalkerSpec(**raw),
-        lambda cfg: cfg.constellation.walker_shells[0].spec,
+        lambda cfg: cfg.constellation.walker_shells[0],
     ),
     "terminus": (
         st.fixed_dictionaries({"lat_deg": _GEO_NUMBER, "lon_deg": _GEO_NUMBER}, optional={"alt_km": _GEO_NUMBER}),
@@ -649,17 +650,45 @@ def test_python_built_sources_obey_the_json_number_rule(build, message):
     (lambda: AttackOverlay(disabled_links=[("a",)]), "disabled_links entries must be id pairs, got ('a',)"),
     (lambda: AttackOverlay(disabled_stations="gA"), "disabled_stations: must be a list, got 'gA'"),
     (lambda: ConstellationSnapshot(("",), [(7000.0, 0.0, 0.0)]), "empty satellite id"),
-    (lambda: GroundStationNode.from_geodetic("a,b", GeodeticPosition(10.0, 20.0)),
+    (lambda: GroundStationNode("a,b", GeodeticPosition(10.0, 20.0)),
      "station id 'a,b' must not contain a comma or a line break, nor start or end with whitespace"),
-    (lambda: GroundStationNode.from_geodetic("", GeodeticPosition(10.0, 20.0)), "empty station id"),
+    (lambda: GroundStationNode("", GeodeticPosition(10.0, 20.0)), "empty station id"),
+    (lambda: GroundStationNode("a", GeodeticPosition(10.0, 20.0, 500.0)),
+     "station altitude must be in [-0.5, 9] km, got 500.0"),
+    (lambda: GroundStationNode("", GeodeticPosition(10.0, 20.0, 500.0)),
+     "station altitude must be in [-0.5, 9] km, got 500.0"),
 ], ids=["int-overlay-id", "one-id-link", "string-overlay-ids", "empty-satellite-id", "comma-station-id",
-        "empty-station-id"])
+        "empty-station-id", "high-station", "high-station-empty-id"])
 def test_python_built_ids_obey_the_file_rules(build, message):
     # Each of these was accepted, or failed with a TypeError, until the
     # types held the rules that only the file readers ran.
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, twin, key", [
+    (lambda: ConstellationSource(snapshot_csv=0), {"constellation": {"snapshot_csv": 0}}, "constellation."),
+    (lambda: ConstellationSource(tle_file=["a.tle"]), {"constellation": {"tle_file": ["a.tle"]}}, "constellation."),
+    (lambda: ScenarioConfig(ConstellationSource(preset_shells("oneweb-like")), stations_csv=0),
+     {"constellation": _PRESET, "stations_csv": 0}, ""),
+], ids=["snapshot-fd", "tle-list", "stations-fd"])
+def test_python_built_paths_obey_the_json_string_rule(build, twin, key):
+    # Each was accepted; snapshot_csv=0 then read file descriptor 0 (stdin).
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert validate_config(json.dumps(twin)) == (None, [f"{key}{exc.value}"])
+
+
+def test_an_overlay_path_needs_an_overlay():
+    # The path was echoed as the overlay into summary.json, yet no overlay applied.
+    source = ConstellationSource(preset_shells("oneweb-like"))
+    with pytest.raises(ValueError, match=r"^overlay_path: requires an overlay$"):
+        ScenarioConfig(source, overlay_path="/x.json")
+    with pytest.raises(ValueError, match=r"^overlay_path: must be a string, got 5$"):
+        ScenarioConfig(source, overlay=AttackOverlay(), overlay_path=5)
+    cfg = ScenarioConfig(source, overlay=AttackOverlay(), overlay_path="/x.json")
+    assert config_to_dict(cfg)["overlay"] == "/x.json"
 
 
 _NO_STATIONS = {"stations_csv": None, "terminus": {"lat_deg": 64.8, "lon_deg": -147.7}}
@@ -977,10 +1006,7 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, far, mode, fractio
             cfg["overlay"] = overlay
         if far:
             # The walker satellites and the far ones, as one snapshot file.
-            snapshot = merge_snapshots(*(generate_walker(
-                WalkerSpec(**{key: value for key, value in shell.items() if key != "id_prefix"}),
-                shell["id_prefix"],
-            ) for shell in walker))
+            snapshot = merge_snapshots(*(generate_walker(WalkerSpec(**shell)) for shell in walker))
             rows = "".join(f"far{k},{x!r},{y!r},{z!r}\n" for k, (x, y, z) in enumerate(far))
             cfg["constellation"] = {"snapshot_csv": write(tmp / "snapshot.csv", snapshot_to_csv(snapshot) + rows)}
         path = write(tmp / "scenario.json", json.dumps(cfg))
@@ -1180,7 +1206,7 @@ def test_a_python_built_sweep_writes_the_sweep_csv_of_its_json_twin(tmp_path):
     assert run(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
     cfg = ScenarioConfig(
         constellation=ConstellationSource(walker_shells=[
-            WalkerShell(WalkerSpec(1200, 87.9, 4, 8, phasing_f=1), "t"),
+            WalkerSpec(1200, 87.9, 4, 8, phasing_f=1, id_prefix="t"),
         ]),
         stations_csv=str(tmp_path / "stations.csv"), mode="onorbit", actuator_fraction=0.2, seed=7,
         sweep_fractions=[0, 1],

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sda_netlab.constellation import (
     ConstellationSnapshot,
+    GroundStationNode,
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
@@ -17,7 +18,7 @@ from sda_netlab.constellation import (
     snapshot_to_csv,
     splitmix64,
 )
-from sda_netlab.geo import SEMI_MAJOR_A_KM
+from sda_netlab.geo import SEMI_MAJOR_A_KM, EcefPosition, GeodeticPosition, geodetic_to_ecef
 
 from oracle_utils import SplitMix64
 
@@ -147,6 +148,14 @@ def test_ground_station_csv():
         load_ground_stations_csv("id,lat_deg,lon_deg,alt_km\ngs1,0,0,20\n")
 
 
+def test_a_ground_station_derives_its_ecef_point():
+    # A Python-built station held any ECEF point beside its geodetic one.
+    site = GeodeticPosition(48.0, 2.0, 0.1)
+    assert GroundStationNode("g", site).ecef == geodetic_to_ecef(site)
+    with pytest.raises(TypeError):
+        GroundStationNode("g", site, EcefPosition(1e5, 0.0, 0.0))
+
+
 def test_ground_station_csv_thirteen_rows():
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "stations_13.csv")
     with open(path, "r", encoding="utf-8") as fh:
@@ -156,8 +165,8 @@ def test_ground_station_csv_thirteen_rows():
 
 
 def test_merge_snapshots_rejects_id_collisions():
-    a = generate_walker(WalkerSpec(550.0, 53.0, 1, 4), id_prefix="a")
-    b = generate_walker(WalkerSpec(1200.0, 87.9, 1, 4), id_prefix="b")
+    a = generate_walker(WalkerSpec(550.0, 53.0, 1, 4, id_prefix="a"))
+    b = generate_walker(WalkerSpec(1200.0, 87.9, 1, 4, id_prefix="b"))
     merged = merge_snapshots(a, b)
     assert len(merged) == 8
     assert merged.ids == a.ids + b.ids

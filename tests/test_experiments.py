@@ -17,7 +17,6 @@ from sda_netlab.experiments import (
     ConstellationSource,
     ScenarioConfig,
     SweepPoint,
-    WalkerShell,
     actuator_sweep,
     attack_scenario,
     compare_architectures,
@@ -52,7 +51,7 @@ def report_of(latencies, hops=None):
 
 def small_source(planes=4, spp=8, altitude=1200.0):
     return ConstellationSource(
-        walker_shells=(WalkerShell(WalkerSpec(altitude, 87.9, planes, spp, phasing_f=1), "t", "tiny"),)
+        walker_shells=(WalkerSpec(altitude, 87.9, planes, spp, phasing_f=1, id_prefix="t", label="tiny"),)
     )
 
 
@@ -240,7 +239,7 @@ def test_actuator_sweep_equals_the_serial_loop_at_every_thread_count(
     stations_csv, planes, spp, altitude, inclination, downhaul, seed, penalty, fractions, independent_draws
 ):
     source = ConstellationSource(walker_shells=(
-        WalkerShell(WalkerSpec(altitude, inclination, planes, spp, phasing_f=planes - 1), "r", "random"),
+        WalkerSpec(altitude, inclination, planes, spp, phasing_f=planes - 1, id_prefix="r", label="random"),
     ))
     # Only on-orbit latencies depend on the actuators, so every example runs
     # it, which pins each point's seed; a downhaul mode runs the other solves.
@@ -365,13 +364,16 @@ def test_attack_overlay_penalty_applies_only_to_attacked_run():
 
 
 def test_a_python_built_walker_shell_obeys_the_json_string_rules():
-    spec = WalkerSpec(550.0, 53.0, 4, 8)
     with pytest.raises(ValueError, match=r"^id_prefix: must be a string, got 5$"):
-        WalkerShell(spec, 5)
+        WalkerSpec(550.0, 53.0, 4, 8, id_prefix=5)
     with pytest.raises(ValueError, match=r"^label: must be a string, got None$"):
-        WalkerShell(spec, "s", None)
+        WalkerSpec(550.0, 53.0, 4, 8, id_prefix="s", label=None)
+    # The range rules run first: a bad range and a bad id_prefix report the range.
+    with pytest.raises(ValueError, match=r"^planes and sats_per_plane must be >= 1$"):
+        WalkerSpec(550.0, 53.0, 0, 8, id_prefix=5)
     # A shell it accepts echoes a config that validates back to the same config.
-    cfg = ScenarioConfig(constellation=ConstellationSource(walker_shells=(WalkerShell(spec, "s", "x"),)))
+    spec = WalkerSpec(550.0, 53.0, 4, 8, id_prefix="s", label="x")
+    cfg = ScenarioConfig(constellation=ConstellationSource(walker_shells=(spec,)))
     assert validate_config(json.dumps(config_to_dict(cfg))) == (cfg, [])
 
 

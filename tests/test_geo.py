@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sda_netlab import geo
 from sda_netlab.geo import (
     ConvergenceError,
     EcefPosition,
@@ -72,10 +73,11 @@ def test_geodetic_roundtrip_random_points():
         assert abs(p2.x - p.x) < 1e-6 and abs(p2.y - p.y) < 1e-6 and abs(p2.z - p.z) < 1e-6
 
 
-def test_ecef_to_geodetic_reports_nonconvergence():
+def test_ecef_to_geodetic_reports_nonconvergence(monkeypatch):
     point = geodetic_to_ecef(GeodeticPosition(45.0, 10.0, 2000.0))
+    monkeypatch.setattr(geo, "MAX_LATITUDE_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
-        ecef_to_geodetic(point, max_iterations=1)
+        ecef_to_geodetic(point)
 
 
 def test_geodetic_position_validation():

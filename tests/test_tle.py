@@ -121,3 +121,29 @@ def test_load_tle_file_with_and_without_names():
     assert len(set(snap.ids)) == 2
     with pytest.raises(TleFormatError, match="line 2"):
         load_tle_file(ISS_L1)
+
+
+def test_load_tle_file_errors_name_the_file_line():
+    # Errors named the line of the element set ("line 2"), not of the file.
+    bad_l1 = ISS_L1[:68] + ("0" if ISS_L1[68] != "0" else "1")
+    bad_l2 = ISS_L2[:68] + ("0" if ISS_L2[68] != "0" else "1")
+    entries = f"A\n{ISS_L1}\n{ISS_L2}\nB\n{ISS_L1}\n{ISS_L2}\n\nC\n"
+    cases = [
+        (entries + f"{ISS_L1}\n{bad_l2}\n", "line 10: line 2 checksum mismatch (computed "),
+        (entries + f"{bad_l1}\n{ISS_L2}\n", "line 9: line 1 checksum mismatch (computed "),
+        (entries + f"{ISS_L1}\n", "line 9: entry 3: line 1 without a line 2"),
+        (entries + f"{ISS_L1}\n{_with_checksum(ISS_L2[:52] + '00.00000000' + ISS_L2[63:68])}\n",
+         "line 10: mean motion must be positive"),
+        (entries + f"{_with_checksum(ISS_L1[:2] + '11111' + ISS_L1[7:68])}\n{ISS_L2}\n",
+         "line 10: catalog ids differ between lines"),
+        # An epoch day that is not finite, or beyond the datetime range, was
+        # a ValueError without a line, or an OverflowError (exit 2).
+        (entries + f"{_with_checksum(ISS_L1[:20] + 'nan'.ljust(12) + ISS_L1[32:68])}\n{ISS_L2}\n",
+         "line 9: line 1: epoch day nan is out of range"),
+        (entries + f"{_with_checksum(ISS_L1[:20] + '99999999.999' + ISS_L1[32:68])}\n{ISS_L2}\n",
+         "line 9: line 1: epoch day 99999999.999 is out of range"),
+    ]
+    for text, message in cases:
+        with pytest.raises(TleFormatError) as exc:
+            load_tle_file(text)
+        assert str(exc.value).startswith(message), str(exc.value)

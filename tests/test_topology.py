@@ -192,7 +192,7 @@ def exact_edges_over_all_pairs(snap, margin_km):
 @pytest.mark.parametrize("margin_km", [0.0, 1200.0])
 def test_pruned_build_equals_the_exact_test_over_all_pairs(margin_km):
     # At 1200 km the oneweb-like shell lies on the inflated ellipsoid.
-    snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
+    snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1, id_prefix="ow"))
     graph = threaded_build(snap, margin_km=margin_km, threads=2)
     edges, delays = exact_edges_over_all_pairs(snap, margin_km)
     assert graph.sat_edge_count > 0
@@ -435,7 +435,7 @@ def test_workers_write_the_same_csr_under_frequent_thread_switches():
 
 
 def test_oneweb_like_shell_build_is_bit_reproducible():
-    snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
+    snap = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1, id_prefix="ow"))
     first = build_visibility_graph(snap, threads=1)
     second = threaded_build(snap, threads=3)
     assert first.sat_edge_count == second.sat_edge_count
@@ -509,7 +509,7 @@ def test_build_splits_across_threads_only_with_enough_pairs_per_worker(monkeypat
             super().__init__(max_workers)
 
     monkeypatch.setattr(topology, "ThreadPoolExecutor", CountingPool)
-    oneweb = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1), id_prefix="ow")
+    oneweb = generate_walker(WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1, id_prefix="ow"))
     build_visibility_graph(oneweb, threads=2)
     assert pools == []
     build_visibility_graph(random_shell(2, count=1500), threads=3)
