@@ -8,7 +8,6 @@ from .constellation import (
     generate_walker,
     load_ground_stations_csv,
     load_snapshot_csv,
-    merge_snapshots,
     select_actuators,
     snapshot_to_csv,
 )

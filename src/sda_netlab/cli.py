@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     # one ends as a keyed error line rather than a usage block.
     common.add_argument("--seed", default=None, help="override the config seed")
     common.add_argument("--threads", default=None,
-                        help="worker threads (default: SDA_NETLAB_THREADS or all cores)")
+                        help="worker threads (default: all cores)")
     common.add_argument("--mode", default=None,
                         choices=[m.value for m in ArchitectureMode],
                         help="override the architecture mode")
@@ -126,7 +126,7 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
     try:
         resolve_thread_count(args.threads)
     except ValueError as exc:
-        return None, [f"--{exc}" if args.threads is not None else str(exc)]
+        return None, [f"--{exc}"]
     if args.mode is not None:
         cfg = replace(cfg, mode=args.mode)
     return cfg, []

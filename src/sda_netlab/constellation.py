@@ -136,42 +136,36 @@ class WalkerSpec:
         json_string(self.label, "label")
 
 
-def generate_walker(spec: WalkerSpec) -> ConstellationSnapshot:
-    """Build a snapshot of a Walker-delta shell.
+def generate_walker(*specs: WalkerSpec) -> ConstellationSnapshot:
+    """Build one snapshot of Walker-delta shells, their satellites in the
+    order given, checked once.
 
     Plane p (0-indexed) has RAAN = raan_offset + 360*p/P; satellite k in
     plane p sits at in-plane angle u = 360*k/spp + 360*F*p/(P*spp).  The
     orbital frame is identified with ECEF at snapshot time: only relative
     geometry matters for latency.
     """
-    radius = SEMI_MAJOR_A_KM + spec.altitude_km
-    inc = math.radians(spec.inclination_deg)
-    cos_i, sin_i = math.cos(inc), math.sin(inc)
     ids, positions = [], []
-    for p in range(spec.planes):
-        raan = math.radians(spec.raan_offset_deg + 360.0 * p / spec.planes)
-        cos_o, sin_o = math.cos(raan), math.sin(raan)
-        phase = 360.0 * spec.phasing_f * p / (spec.planes * spec.sats_per_plane)
-        for k in range(spec.sats_per_plane):
-            u = math.radians(360.0 * k / spec.sats_per_plane + phase)
-            x0 = radius * math.cos(u)
-            y0 = radius * math.sin(u)
-            # Rx(inclination) then Rz(RAAN) applied to the in-plane point.
-            y1 = y0 * cos_i
-            z1 = y0 * sin_i
-            x = x0 * cos_o - y1 * sin_o
-            y = x0 * sin_o + y1 * cos_o
-            ids.append(f"{spec.id_prefix}-p{p:03d}-s{k:03d}")
-            positions.append((x, y, z1))
+    for spec in specs:
+        radius = SEMI_MAJOR_A_KM + spec.altitude_km
+        inc = math.radians(spec.inclination_deg)
+        cos_i, sin_i = math.cos(inc), math.sin(inc)
+        for p in range(spec.planes):
+            raan = math.radians(spec.raan_offset_deg + 360.0 * p / spec.planes)
+            cos_o, sin_o = math.cos(raan), math.sin(raan)
+            phase = 360.0 * spec.phasing_f * p / (spec.planes * spec.sats_per_plane)
+            for k in range(spec.sats_per_plane):
+                u = math.radians(360.0 * k / spec.sats_per_plane + phase)
+                x0 = radius * math.cos(u)
+                y0 = radius * math.sin(u)
+                # Rx(inclination) then Rz(RAAN) applied to the in-plane point.
+                y1 = y0 * cos_i
+                z1 = y0 * sin_i
+                x = x0 * cos_o - y1 * sin_o
+                y = x0 * sin_o + y1 * cos_o
+                ids.append(f"{spec.id_prefix}-p{p:03d}-s{k:03d}")
+                positions.append((x, y, z1))
     return ConstellationSnapshot(tuple(ids), positions)
-
-
-def merge_snapshots(*snapshots: ConstellationSnapshot) -> ConstellationSnapshot:
-    """Union of snapshots, preserving order; ids must stay unique."""
-    if not snapshots:
-        raise ValueError("need at least one snapshot to merge")
-    ids = tuple(sat_id for snap in snapshots for sat_id in snap.ids)
-    return ConstellationSnapshot(ids, np.concatenate([snap.positions for snap in snapshots]))
 
 
 # --- CSV interchange ----------------------------------------------------------

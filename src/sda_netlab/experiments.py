@@ -23,7 +23,6 @@ from .constellation import (
     generate_walker,
     load_ground_stations_csv,
     load_snapshot_csv,
-    merge_snapshots,
     select_actuators,
     splitmix64,
 )
@@ -128,27 +127,17 @@ def report_to_csv(report: LatencyReport) -> str:
 # --- Scenario configuration -----------------------------------------------------
 
 
-def starlink_like_shell() -> WalkerSpec:
-    """550 km / 53 deg shell sized to match a 5760-satellite constellation."""
-    return WalkerSpec(550.0, 53.0, 72, 80, phasing_f=1, id_prefix="sl", label="starlink-like")
-
-
-def oneweb_like_shell() -> WalkerSpec:
-    """1200 km / 87.9 deg shell sized to match a 630-satellite constellation."""
-    return WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1, id_prefix="ow", label="oneweb-like")
-
-
-PRESET_NAMES = ("starlink-like", "oneweb-like", "combined")
-
-
-def preset_shells(name: str) -> tuple[WalkerSpec, ...]:
-    if name == "starlink-like":
-        return (starlink_like_shell(),)
-    if name == "oneweb-like":
-        return (oneweb_like_shell(),)
-    if name == "combined":
-        return (starlink_like_shell(), oneweb_like_shell())
-    raise ValueError(f"unknown preset {name!r}")
+# The presets by name.  Each shell is sized like a familiar LEO
+# constellation: starlink-like is 550 km / 53 deg with 72 x 80 = 5760
+# satellites, oneweb-like 1200 km / 87.9 deg with 18 x 35 = 630, and
+# combined is their union (6390).
+_STARLINK_LIKE = WalkerSpec(550.0, 53.0, 72, 80, phasing_f=1, id_prefix="sl", label="starlink-like")
+_ONEWEB_LIKE = WalkerSpec(1200.0, 87.9, 18, 35, phasing_f=1, id_prefix="ow", label="oneweb-like")
+PRESETS: dict[str, tuple[WalkerSpec, ...]] = {
+    "starlink-like": (_STARLINK_LIKE,),
+    "oneweb-like": (_ONEWEB_LIKE,),
+    "combined": (_STARLINK_LIKE, _ONEWEB_LIKE),
+}
 
 
 @dataclass(frozen=True)
@@ -274,8 +263,10 @@ def _source_from_json(raw, base_dir: str) -> ConstellationSource:
     if "tle_at_seconds" in data and given != ["tle_file"]:
         raise ValueError("constellation: tle_at_seconds requires tle_file")
     if "preset" in data:
-        with config_key("constellation.preset"):
-            return ConstellationSource(walker_shells=preset_shells(data["preset"]))
+        name = data["preset"]
+        if not isinstance(name, str) or name not in PRESETS:
+            raise ValueError(f"constellation.preset: unknown preset {name!r}")
+        return ConstellationSource(walker_shells=PRESETS[name])
     if "walker" in data:
         raw = data["walker"]
         shells = [
@@ -458,7 +449,7 @@ def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
     if source.walker_shells:
         with config_key("constellation.walker"):
-            return merge_snapshots(*map(generate_walker, source.walker_shells))
+            return generate_walker(*source.walker_shells)
     if source.snapshot_csv is not None:
         with config_key("constellation.snapshot_csv"):
             return load_snapshot_csv(_read(source.snapshot_csv))

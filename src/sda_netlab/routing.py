@@ -120,9 +120,6 @@ class LatencyReport:
             for name in ("latency_ms", "hops", "next_hop", "terminal")
         )
 
-    def unreachable_count(self) -> int:
-        return int(np.count_nonzero(np.isinf(self.latency_ms)))
-
 
 @dataclass(frozen=True, eq=False)
 class RelaySeeds:

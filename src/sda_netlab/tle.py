@@ -46,6 +46,11 @@ class TleElements:
     mean_motion_rev_per_day: float
 
     def __post_init__(self) -> None:
+        for key in ("inclination_deg", "raan_deg", "arg_perigee_deg", "mean_anomaly_deg",
+                    "mean_motion_rev_per_day"):  # float() reads a "nan" or "inf" field too
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError(f"eccentricity must be in [0, 1), got {self.eccentricity}")
         if self.mean_motion_rev_per_day <= 0.0:

@@ -119,19 +119,13 @@ class VisibilityGraph:
 
 
 def resolve_thread_count(threads: int | None) -> int:
-    """Explicit value > SDA_NETLAB_THREADS env var > available parallelism.
-    A bad value raises ``ValueError`` keyed by its source: ``threads`` or
-    ``SDA_NETLAB_THREADS``."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads: must be >= 1, got {threads}")
-        return threads
-    env = os.environ.get("SDA_NETLAB_THREADS", "").strip()
-    if not env:
+    """``threads``, or the core count when it is None; a count below 1
+    raises ``ValueError`` keyed ``threads``."""
+    if threads is None:
         return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"SDA_NETLAB_THREADS: must be an integer >= 1, got {env!r}")
-    return int(env)
+    if threads < 1:
+        raise ValueError(f"threads: must be >= 1, got {threads}")
+    return threads
 
 
 def _line_of_sight(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -20,14 +20,13 @@ from sda_netlab.constellation import (
     select_actuators,
 )
 from sda_netlab.experiments import (
+    PRESETS,
     ConstellationSource,
     ScenarioConfig,
     actuator_sweep,
     attack_scenario,
     half_up_count,
-    oneweb_like_shell,
     resolve_snapshot,
-    starlink_like_shell,
     summarize,
 )
 from sda_netlab.geo import SEMI_MAJOR_A_KM, GeodeticPosition
@@ -69,7 +68,7 @@ def stations():
 @pytest.fixture(scope="module")
 def oneweb_bundle(stations):
     """OneWeb-analog snapshot and graph plus the 5-seed on-orbit means."""
-    snapshot = resolve_snapshot(ConstellationSource(walker_shells=(oneweb_like_shell(),)))
+    snapshot = resolve_snapshot(ConstellationSource(walker_shells=PRESETS["oneweb-like"]))
     start = time.perf_counter()
     graph = build_visibility_graph(snapshot, stations)
     means = []
@@ -83,7 +82,7 @@ def oneweb_bundle(stations):
 @pytest.fixture(scope="module")
 def starlink_bundle(stations):
     """Starlink-analog run, timed end to end including the O(N^2) build."""
-    snapshot = resolve_snapshot(ConstellationSource(walker_shells=(starlink_like_shell(),)))
+    snapshot = resolve_snapshot(ConstellationSource(walker_shells=PRESETS["starlink-like"]))
     start = time.perf_counter()
     graph = build_visibility_graph(snapshot, stations)
     actuators = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
@@ -94,7 +93,7 @@ def starlink_bundle(stations):
 
 @pytest.fixture(scope="module")
 def combined_bundle(stations):
-    source = ConstellationSource(walker_shells=(starlink_like_shell(), oneweb_like_shell()))
+    source = ConstellationSource(walker_shells=PRESETS["combined"])
     snapshot = resolve_snapshot(source)
     graph = build_visibility_graph(snapshot, stations)
     actuators = select_actuators(snapshot, half_up_count(ACTUATOR_FRACTION, len(snapshot)), SEEDS[0])
@@ -191,14 +190,14 @@ def test_criterion_5_trivial_actuator_endpoints(oneweb_bundle):
     ok = all_unreachable and mean == 0.0
     report_line(
         5, ok,
-        f"fraction 0: {none.unreachable_count()}/{len(none)} unreachable (exact); "
+        f"fraction 0: {summarize(none).unreachable_count}/{len(none)} unreachable (exact); "
         f"fraction 1: mean exactly {mean}",
     )
 
 
 def test_criterion_6_diminishing_returns():
     cfg = ScenarioConfig(
-        constellation=ConstellationSource(walker_shells=(oneweb_like_shell(),)),
+        constellation=ConstellationSource(walker_shells=PRESETS["oneweb-like"]),
         seed=SEEDS[0],
     )
     fractions = tuple(i / 20 for i in range(1, 21))
@@ -267,7 +266,7 @@ def test_criterion_7_oracle_equivalence(stations):
 
 
 def test_criterion_8_attack_properties(stations):
-    source = ConstellationSource(walker_shells=(oneweb_like_shell(),))
+    source = ConstellationSource(walker_shells=PRESETS["oneweb-like"])
     downhaul_cfg = ScenarioConfig(
         constellation=source, stations_csv=os.path.abspath(STATIONS_FILE),
         mode=ArchitectureMode.DOWNHAUL_GREEDY, seed=SEEDS[0],

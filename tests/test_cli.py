@@ -18,11 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sda_netlab import experiments
 from sda_netlab.cli import _sweep_csv, run, validate_config
 from sda_netlab.constellation import (
-    ConstellationSnapshot, GroundStationNode, WalkerSpec, generate_walker, merge_snapshots, snapshot_to_csv,
+    ConstellationSnapshot, GroundStationNode, WalkerSpec, generate_walker, snapshot_to_csv,
 )
-from sda_netlab.experiments import (
-    PRESET_NAMES, ConstellationSource, ScenarioConfig, config_to_dict, preset_shells,
-)
+from sda_netlab.experiments import PRESETS, ConstellationSource, ScenarioConfig, config_to_dict
 from sda_netlab.geo import GeodeticPosition
 from sda_netlab.routing import ArchitectureMode, actuator_sources
 from sda_netlab.topology import AttackOverlay, JamRegion
@@ -174,6 +172,8 @@ REJECTED_CONFIGS = [
     ("unknown-preset", {"constellation": {"preset": "iridium"}}, [],
      ["constellation.preset: unknown preset 'iridium'"]),
     ("preset-not-string", {"constellation": {"preset": 5}}, [], ["constellation.preset: unknown preset 5"]),
+    ("preset-unhashable", {"constellation": {"preset": ["oneweb-like"]}}, [],
+     ["constellation.preset: unknown preset ['oneweb-like']"]),
     ("walker-not-object", _walker(SHELL, 5), [], ["constellation.walker[1]: must be an object"]),
     ("walker-unknown-key", _walker({**SHELL, "a": 1}), [], ["constellation.walker[0]: a: unknown key"]),
     ("walker-missing-key", _walker({k: v for k, v in SHELL.items() if k != "planes"}), [],
@@ -455,10 +455,10 @@ _WALKER = _schema(
 _CONFIG = _schema(
     ("constellation",),
     constellation=st.one_of(
-        _schema(("preset",), preset=st.sampled_from(PRESET_NAMES)),
+        _schema(("preset",), preset=st.sampled_from(tuple(PRESETS))),
         _schema(("walker",), walker=_WALKER | st.lists(_WALKER, max_size=2)),
         _schema(
-            preset=st.sampled_from(PRESET_NAMES), walker=_WALKER,
+            preset=st.sampled_from(tuple(PRESETS)), walker=_WALKER,
             snapshot_csv=st.text(max_size=4), tle_file=st.text(max_size=4), tle_at_seconds=st.floats(),
         ),
     ),
@@ -522,7 +522,7 @@ _FIELDS = st.fixed_dictionaries({}, optional={
 @given(fields=_FIELDS)
 def test_python_and_json_configs_obey_the_same_rules(fields):
     validated, errors = validate_config(json.dumps({"constellation": {"preset": "oneweb-like"}, **fields}))
-    source = ConstellationSource(walker_shells=list(preset_shells("oneweb-like")))
+    source = ConstellationSource(walker_shells=list(PRESETS["oneweb-like"]))
     try:
         direct = ScenarioConfig(constellation=source, **fields)  # lists and ints as drawn
     except ValueError as exc:
@@ -620,7 +620,7 @@ def test_python_and_json_walker_shells_obey_the_same_rules(name, data):
 
 
 def test_a_python_built_terminus_echoes_its_json_twin():
-    source = ConstellationSource(walker_shells=preset_shells("oneweb-like"))
+    source = ConstellationSource(walker_shells=PRESETS["oneweb-like"])
     direct = ScenarioConfig(constellation=source, terminus=GeodeticPosition(10, 20))
     terminus = {"lat_deg": 10, "lon_deg": 20}
     validated, errors = validate_config(json.dumps({"constellation": _PRESET, "terminus": terminus}))
@@ -670,7 +670,7 @@ def test_python_built_ids_obey_the_file_rules(build, message):
 @pytest.mark.parametrize("build, twin, key", [
     (lambda: ConstellationSource(snapshot_csv=0), {"constellation": {"snapshot_csv": 0}}, "constellation."),
     (lambda: ConstellationSource(tle_file=["a.tle"]), {"constellation": {"tle_file": ["a.tle"]}}, "constellation."),
-    (lambda: ScenarioConfig(ConstellationSource(preset_shells("oneweb-like")), stations_csv=0),
+    (lambda: ScenarioConfig(ConstellationSource(PRESETS["oneweb-like"]), stations_csv=0),
      {"constellation": _PRESET, "stations_csv": 0}, ""),
 ], ids=["snapshot-fd", "tle-list", "stations-fd"])
 def test_python_built_paths_obey_the_json_string_rule(build, twin, key):
@@ -682,7 +682,7 @@ def test_python_built_paths_obey_the_json_string_rule(build, twin, key):
 
 def test_an_overlay_path_needs_an_overlay():
     # The path was echoed as the overlay into summary.json, yet no overlay applied.
-    source = ConstellationSource(preset_shells("oneweb-like"))
+    source = ConstellationSource(PRESETS["oneweb-like"])
     with pytest.raises(ValueError, match=r"^overlay_path: requires an overlay$"):
         ScenarioConfig(source, overlay_path="/x.json")
     with pytest.raises(ValueError, match=r"^overlay_path: must be a string, got 5$"):
@@ -694,41 +694,37 @@ def test_an_overlay_path_needs_an_overlay():
 _NO_STATIONS = {"stations_csv": None, "terminus": {"lat_deg": 64.8, "lon_deg": -147.7}}
 
 
-@pytest.mark.parametrize("command, extra, flags, env, expected", [
-    ("simulate", {"overlay": {"disabled_satellites": ["nope"]}}, [], {},
+@pytest.mark.parametrize("command, extra, flags, expected", [
+    ("simulate", {"overlay": {"disabled_satellites": ["nope"]}}, [],
      "overlay: names unknown satellites: nope"),
-    ("attack", {"overlay": {"disabled_stations": ["nope"]}}, [], {},
+    ("attack", {"overlay": {"disabled_stations": ["nope"]}}, [],
      "overlay: names unknown stations: nope"),
-    ("sweep", {"overlay": {"disabled_links": [["gA", "nope"]]}}, [], {},
+    ("sweep", {"overlay": {"disabled_links": [["gA", "nope"]]}}, [],
      "overlay: link names unknown node: nope"),
-    ("attack", {"overlay": {"reroute_penalty_ms": -1}}, [], {},
+    ("attack", {"overlay": {"reroute_penalty_ms": -1}}, [],
      "overlay: reroute_penalty_ms: must be >= 0, got -1.0"),
-    ("simulate", {}, ["--seed", str(2**64)], {},
+    ("simulate", {}, ["--seed", str(2**64)],
      f"--seed: must be an unsigned 64-bit integer, got {2**64}"),
-    ("simulate", {}, ["--threads", "0"], {}, "--threads: must be >= 1, got 0"),
-    ("generate", {}, [], {"SDA_NETLAB_THREADS": "abc"},
-     "SDA_NETLAB_THREADS: must be an integer >= 1, got 'abc'"),
-    ("generate", {"constellation": {"snapshot_csv": "header_only.csv"}}, [], {},
+    ("simulate", {}, ["--threads", "0"], "--threads: must be >= 1, got 0"),
+    ("generate", {"constellation": {"snapshot_csv": "header_only.csv"}}, [],
      "constellation.snapshot_csv: snapshot must contain at least one satellite"),
-    ("simulate", _NO_STATIONS, ["--mode", "downhaul-greedy"], {},
+    ("simulate", _NO_STATIONS, ["--mode", "downhaul-greedy"],
      "stations_csv: downhaul modes need at least one ground station"),
-    ("compare", _NO_STATIONS, [], {}, "stations_csv: downhaul modes need at least one ground station"),
-    ("simulate", {"min_elevation_deg": 1000}, [], {}, "min_elevation_deg: must be in [-90, 90], got 1000.0"),
-    ("simulate", {"los_margin_km": math.inf}, [], {}, "los_margin_km: must be finite"),
-    ("sweep", {"sweep_fractions": []}, [], {}, "sweep_fractions: must be a non-empty array of numbers"),
-    ("simulate", {}, ["--seed", "abc"], {}, "--seed: must be an integer, got 'abc'"),
-    ("simulate", {}, ["--threads", "x"], {}, "--threads: must be an integer, got 'x'"),
-    ("simulate", {"foo": 1}, [], {}, "foo: unknown key"),
+    ("compare", _NO_STATIONS, [], "stations_csv: downhaul modes need at least one ground station"),
+    ("simulate", {"min_elevation_deg": 1000}, [], "min_elevation_deg: must be in [-90, 90], got 1000.0"),
+    ("simulate", {"los_margin_km": math.inf}, [], "los_margin_km: must be finite"),
+    ("sweep", {"sweep_fractions": []}, [], "sweep_fractions: must be a non-empty array of numbers"),
+    ("simulate", {}, ["--seed", "abc"], "--seed: must be an integer, got 'abc'"),
+    ("simulate", {}, ["--threads", "x"], "--threads: must be an integer, got 'x'"),
+    ("simulate", {"foo": 1}, [], "foo: unknown key"),
 ], ids=["overlay-satellite", "overlay-station", "overlay-link", "overlay-penalty", "seed-flag",
-        "threads-flag", "threads-env", "header-only-snapshot", "downhaul-no-stations",
+        "threads-flag", "header-only-snapshot", "downhaul-no-stations",
         "compare-no-stations", "min-elevation", "infinite-margin", "empty-sweep",
         "non-integer-seed", "non-integer-threads", "unknown-top-key"])
 def test_every_rejected_input_ends_as_keyed_error_lines(
-    tmp_path, monkeypatch, capsys, command, extra, flags, env, expected
+    tmp_path, capsys, command, extra, flags, expected
 ):
     write(tmp_path / "header_only.csv", "id,x_km,y_km,z_km\n")
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     cfg = tiny_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet", *flags]) == 1
     err = capsys.readouterr().err
@@ -822,7 +818,7 @@ _ECHO_SHELL = st.fixed_dictionaries(
 )
 _ECHO_CONFIG = st.fixed_dictionaries(
     {"constellation": st.one_of(
-        st.fixed_dictionaries({"preset": st.sampled_from(PRESET_NAMES)}),
+        st.fixed_dictionaries({"preset": st.sampled_from(tuple(PRESETS))}),
         st.fixed_dictionaries({"walker": _ECHO_SHELL | st.lists(_ECHO_SHELL, min_size=1, max_size=2)}),
         st.just({"snapshot_csv": "sats.csv"}),
         st.fixed_dictionaries({"tle_file": st.just("sats.tle")},
@@ -1006,7 +1002,7 @@ def test_whole_runs_do_not_depend_on_the_thread_count(shells, far, mode, fractio
             cfg["overlay"] = overlay
         if far:
             # The walker satellites and the far ones, as one snapshot file.
-            snapshot = merge_snapshots(*(generate_walker(WalkerSpec(**shell)) for shell in walker))
+            snapshot = generate_walker(*(WalkerSpec(**shell) for shell in walker))
             rows = "".join(f"far{k},{x!r},{y!r},{z!r}\n" for k, (x, y, z) in enumerate(far))
             cfg["constellation"] = {"snapshot_csv": write(tmp / "snapshot.csv", snapshot_to_csv(snapshot) + rows)}
         path = write(tmp / "scenario.json", json.dumps(cfg))

@@ -12,7 +12,6 @@ from sda_netlab.constellation import (
     generate_walker,
     load_ground_stations_csv,
     load_snapshot_csv,
-    merge_snapshots,
     seeded_permutation,
     select_actuators,
     snapshot_to_csv,
@@ -164,15 +163,15 @@ def test_ground_station_csv_thirteen_rows():
     assert len({s.id for s in stations}) == 13
 
 
-def test_merge_snapshots_rejects_id_collisions():
-    a = generate_walker(WalkerSpec(550.0, 53.0, 1, 4, id_prefix="a"))
-    b = generate_walker(WalkerSpec(1200.0, 87.9, 1, 4, id_prefix="b"))
-    merged = merge_snapshots(a, b)
-    assert len(merged) == 8
-    assert merged.ids == a.ids + b.ids
-    assert merged.positions.tolist() == a.positions.tolist() + b.positions.tolist()
-    with pytest.raises(ValueError, match="duplicate"):
-        merge_snapshots(a, a)
+def test_generate_walker_concatenates_shells_and_rejects_id_collisions():
+    a = WalkerSpec(550.0, 53.0, 3, 4, phasing_f=1, id_prefix="a")
+    b = WalkerSpec(1200.0, 87.9, 2, 5, raan_offset_deg=7.5, id_prefix="b")
+    both, first, second = generate_walker(a, b), generate_walker(a), generate_walker(b)
+    assert len(both) == 22
+    assert both.ids == first.ids + second.ids
+    assert both.positions.tobytes() == first.positions.tobytes() + second.positions.tobytes()
+    with pytest.raises(ValueError, match=r"^duplicate satellite id 'a-p000-s000'$"):
+        generate_walker(a, a)
 
 
 def test_splitmix64_matches_independent_reimplementation():

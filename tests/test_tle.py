@@ -142,6 +142,13 @@ def test_load_tle_file_errors_name_the_file_line():
          "line 9: line 1: epoch day nan is out of range"),
         (entries + f"{_with_checksum(ISS_L1[:20] + '99999999.999' + ISS_L1[32:68])}\n{ISS_L2}\n",
          "line 9: line 1: epoch day 99999999.999 is out of range"),
+        # A line-2 angle or mean motion that reads nan or inf passed the
+        # reader and failed later, in the Kepler solver, naming no line.
+        *((entries + f"{ISS_L1}\n{_with_checksum(ISS_L2[:lo] + field.rjust(hi - lo) + ISS_L2[hi:68])}\n",
+           f"line 10: {key} must be finite, got {field}")
+          for key, lo, hi in [("inclination_deg", 8, 16), ("raan_deg", 17, 25), ("arg_perigee_deg", 34, 42),
+                              ("mean_anomaly_deg", 43, 51), ("mean_motion_rev_per_day", 52, 63)]
+          for field in ("nan", "inf", "-inf")),
     ]
     for text, message in cases:
         with pytest.raises(TleFormatError) as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -516,12 +517,9 @@ def test_build_splits_across_threads_only_with_enough_pairs_per_worker(monkeypat
     assert pools == [2]
 
 
-def test_resolve_thread_count(monkeypatch):
-    monkeypatch.delenv("SDA_NETLAB_THREADS", raising=False)
+def test_resolve_thread_count():
     assert resolve_thread_count(3) == 3
-    assert resolve_thread_count(None) >= 1
-    monkeypatch.setenv("SDA_NETLAB_THREADS", "5")
-    assert resolve_thread_count(None) == 5
+    assert resolve_thread_count(None) == (os.cpu_count() or 1)
     with pytest.raises(ValueError):
         resolve_thread_count(0)
 
