@@ -19,6 +19,7 @@ import numpy as np
 from .constellation import (
     ConstellationSnapshot,
     GroundStationNode,
+    SnapshotRowError,
     WalkerSpec,
     generate_walker,
     load_ground_stations_csv,
@@ -447,9 +448,14 @@ def resolve_actuator_count(cfg: ScenarioConfig, total: int) -> int:
 
 
 def resolve_snapshot(source: ConstellationSource) -> ConstellationSnapshot:
+    """The snapshot of ``source``; a Walker error names the shell of its row."""
     if source.walker_shells:
-        with config_key("constellation.walker"):
+        try:
             return generate_walker(*source.walker_shells)
+        except SnapshotRowError as exc:
+            ends = np.cumsum([shell.planes * shell.sats_per_plane for shell in source.walker_shells])
+            shell = np.searchsorted(ends, exc.row, side="right")
+            raise ValueError(f"constellation.walker[{shell}]: {exc}") from None
     if source.snapshot_csv is not None:
         with config_key("constellation.snapshot_csv"):
             return load_snapshot_csv(_read(source.snapshot_csv))

@@ -51,12 +51,13 @@ The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
 improves ends at the minimum over paths of the floating-point path cost,
 bit for bit what a heap Dijkstra returns.  The tests keep one as the
-oracle.  Hops, next hop and terminal come from the labels alone: a node's
-parent is its lowest-index in-hop from a smaller label that attains its
-label exactly; failing that, its own seed if that attains the label (a
-fixed seed always roots); failing that, an attaining in-hop from an equal
-label, whose delay the sum absorbed, taken in rounds only from nodes whose
-parent is already set.  The report reads the resulting forest.
+oracle.  The parent forest comes from the labels alone: a node's parent
+is its lowest-index in-hop from a smaller label that attains its label
+exactly; failing that, its own seed if that attains the label (a fixed seed
+always roots); failing that, an attaining in-hop from an equal label, whose
+delay the sum absorbed, taken in rounds only from nodes whose parent is
+already set.  The report holds the forest and the hops and terminal read
+off it.
 """
 
 from __future__ import annotations
@@ -98,15 +99,17 @@ class LatencyReport:
     ``sat_ids``, the ids of the routed graph.
 
     ``latency_ms`` is float64 with ``inf`` for an unreachable satellite;
-    ``hops`` is int64 with -1 for one; ``next_hop`` and ``terminal`` are
-    object arrays of ``str`` or ``None`` (None when unreachable; ``next_hop``
-    is also None at a satellite that delivers to itself).
+    ``hops`` is int64 with -1 for one.  ``parent`` is int64: the index of the
+    next satellite on the delivery path, the satellite's own index where it
+    delivers directly (an actuator, or a satellite that downlinks), and -1
+    when it is unreachable.  ``terminal`` is an object array of ``str`` or
+    ``None`` (None when unreachable).
     """
 
     sat_ids: tuple[str, ...]
     latency_ms: np.ndarray
     hops: np.ndarray
-    next_hop: np.ndarray
+    parent: np.ndarray
     terminal: np.ndarray
 
     def __len__(self) -> int:
@@ -117,28 +120,26 @@ class LatencyReport:
             return NotImplemented
         return self.sat_ids == other.sat_ids and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("latency_ms", "hops", "next_hop", "terminal")
+            for name in ("latency_ms", "hops", "parent", "terminal")
         )
 
 
 @dataclass(frozen=True, eq=False)
 class RelaySeeds:
     """The nodes that deliver directly, one entry per node, with each one's
-    fixed boundary label and the report fields to emit where it is used
-    as-is: aligned columns ``node`` and ``hops`` (int64), ``label_ms``
-    (float64), ``next_hop`` and ``terminal`` (``str`` or ``None``).  A
-    scalar field is broadcast to every node."""
+    fixed boundary label and the report fields to emit where it is a root:
+    aligned columns ``node`` and ``hops`` (int64), ``label_ms`` (float64) and
+    ``terminal`` (``str``).  A scalar field is broadcast to every node."""
 
     node: np.ndarray
     label_ms: np.ndarray
     hops: np.ndarray
-    next_hop: np.ndarray
     terminal: np.ndarray
 
     def __post_init__(self) -> None:
         shape = np.shape(self.node)
         for name, dtype in (("node", np.int64), ("label_ms", np.float64), ("hops", np.int64),
-                            ("next_hop", object), ("terminal", object)):
+                            ("terminal", object)):
             column = np.broadcast_to(np.asarray(getattr(self, name), dtype=dtype), shape)
             object.__setattr__(self, name, column)
         bad = ~((self.label_ms >= 0.0) & np.isfinite(self.label_ms))
@@ -404,8 +405,8 @@ def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
 
 
 def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
-    """Solve ``problem`` and derive hops / next hop / terminal from the
-    fixpoint; ``names`` holds the satellite ids.
+    """Solve ``problem`` and derive the parent forest, hops and terminal
+    from the fixpoint; ``names`` holds the satellite ids.
 
     The parent rule of :func:`_parents` depends only on the labels and makes
     a forest.  A root keeps its seed's report fields, and every other node
@@ -419,10 +420,8 @@ def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
     # -1 hops marks a node that is no seed: an unreachable node is its own
     # root at depth 0, so it keeps -1 and None.
     seed_hops = np.full(n, -1, dtype=np.int64)
-    seed_next_hop = np.full(n, None, dtype=object)
     seed_terminal = np.full(n, None, dtype=object)
     seed_hops[seeds.node] = seeds.hops
-    seed_next_hop[seeds.node] = seeds.next_hop
     seed_terminal[seeds.node] = seeds.terminal
 
     nodes = np.arange(n)
@@ -431,15 +430,15 @@ def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
     if orphans.size:
         node = orphans[np.argmin(labels[orphans])]
         raise RuntimeError(f"no attaining relay edge for node {names[node]}")
-    parent = np.where(parent < 0, nodes, parent)
+    up = np.where(parent < 0, nodes, parent)
 
     # After k rounds jump[v] is 2**k steps above v, or v's root, and depth[v]
     # counts the steps; a path of n nodes reaches its root within
     # n.bit_length() rounds, and a parent cycle never does.
-    jump = parent
-    depth = (parent != nodes).astype(np.int64)
+    jump = up
+    depth = (up != nodes).astype(np.int64)
     for _ in range(n.bit_length() + 1):
-        if np.array_equal(parent[jump], jump):
+        if np.array_equal(up[jump], jump):
             break
         depth += depth[jump]
         jump = jump[jump]
@@ -450,7 +449,7 @@ def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
         sat_ids=names,
         latency_ms=labels,
         hops=seed_hops[jump] + depth,
-        next_hop=np.where(parent == nodes, seed_next_hop, np.array(names, dtype=object)[parent]),
+        parent=parent,
         terminal=seed_terminal[jump],
     )
 
@@ -467,7 +466,7 @@ def actuator_sources(graph: VisibilityGraph, actuators: np.ndarray) -> RelaySeed
     if actuators.dtype != bool:
         raise ValueError(f"actuators must be a bool array, got dtype {actuators.dtype}")
     node = np.flatnonzero(actuators)
-    return RelaySeeds(node, 0.0, 0, None, np.array(graph.sat_ids, dtype=object)[node])
+    return RelaySeeds(node, 0.0, 0, np.array(graph.sat_ids, dtype=object)[node])
 
 
 def downlink_seeds(
@@ -489,7 +488,7 @@ def downlink_seeds(
     order = np.lexsort((rank, rows))
     first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
     terminal = np.array([st.id for st in stations], dtype=object)[station[first]]
-    return RelaySeeds(rows[first], offer[first], 2, terminal, terminal)
+    return RelaySeeds(rows[first], offer[first], 2, terminal)
 
 
 # --- Engines --------------------------------------------------------------------

@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from .constellation import ConstellationSnapshot
+from .constellation import ConstellationSnapshot, SnapshotRowError
 from .geo import ConvergenceError, EcefPosition
+from .jsonvalues import config_key
 
 EARTH_GM_KM3_S2 = 398600.4418
 _J2000 = datetime(2000, 1, 1, 12, 0, 0)
@@ -55,6 +56,9 @@ class TleElements:
             raise ValueError(f"eccentricity must be in [0, 1), got {self.eccentricity}")
         if self.mean_motion_rev_per_day <= 0.0:
             raise ValueError("mean motion must be positive")
+        if not math.isfinite(semi_major_axis_km(self.mean_motion_rev_per_day)):
+            raise ValueError(f"mean motion {self.mean_motion_rev_per_day} is too small for a finite "
+                             "semi-major axis")
 
 
 def line_checksum(line: str) -> int:
@@ -121,12 +125,15 @@ def parse_tle(line1: str, line2: str) -> TleElements:
     )
 
 
-def load_tle_file(text: str) -> list[tuple[str, TleElements]]:
-    """Parse a file of TLEs in either 2-line or named 3-line form.  An error
-    starts with ``line N: ``, the file line at fault, counting blank lines."""
+def load_tle_file(text: str) -> list[tuple[str, TleElements, int]]:
+    """Parse a file of TLEs in either 2-line or named 3-line form into
+    ``(name, elements, line)`` entries: the name ("" without one) and the
+    entry's first file line, its name line or else its line 1.  Lines are
+    counted with the blank ones.  An error starts with ``line N: ``, the
+    file line at fault."""
     lines = [(line_no, ln.rstrip()) for line_no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    out: list[tuple[str, TleElements]] = []
-    name = ""
+    out: list[tuple[str, TleElements, int]] = []
+    name, name_line = "", 0
     i = 0
     while i < len(lines):
         line_no, line = lines[i]
@@ -134,21 +141,23 @@ def load_tle_file(text: str) -> list[tuple[str, TleElements]]:
             if i + 1 >= len(lines):
                 raise TleFormatError(1, f"line {line_no}: entry {len(out) + 1}: line 1 without a line 2")
             try:
-                out.append((name, parse_tle(line, lines[i + 1][1])))
+                out.append((name, parse_tle(line, lines[i + 1][1]), name_line if name else line_no))
             except ValueError as exc:  # a TleElements range error is on line 2
                 which = getattr(exc, "which", 2)
                 raise TleFormatError(which, f"line {lines[i + which - 1][0]}: {exc}") from None
             name = ""
             i += 2
         else:
-            name = line.strip()
+            name, name_line = line.strip(), line_no
             i += 1
     return out
 
 
 def semi_major_axis_km(mean_motion_rev_per_day: float) -> float:
+    """By Kepler's third law; inf once the squared angular rate underflows."""
     n_rad_s = mean_motion_rev_per_day * 2.0 * math.pi / 86400.0
-    return (EARTH_GM_KM3_S2 / (n_rad_s * n_rad_s)) ** (1.0 / 3.0)
+    n_sq = n_rad_s * n_rad_s
+    return (EARTH_GM_KM3_S2 / n_sq) ** (1.0 / 3.0) if n_sq > 0.0 else math.inf
 
 
 def solve_kepler(mean_anomaly_rad: float, eccentricity: float) -> float:
@@ -205,22 +214,27 @@ def tle_to_position(el: TleElements, t_seconds_j2000: float) -> EcefPosition:
 
 
 def snapshot_from_tles(
-    entries: list[tuple[str, TleElements]],
+    entries: list[tuple[str, TleElements, int]],
     t_seconds_j2000: float | None = None,
 ) -> ConstellationSnapshot:
-    """Evaluate every element set at one common time (default: first epoch);
-    an id already taken gets ``#<entry index>`` appended until it is fresh."""
+    """Evaluate every ``load_tle_file`` entry at one common time (default:
+    first epoch); an id already taken gets ``#<entry index>`` appended until
+    it is fresh.  An error starts with ``line N: ``, the entry's first line."""
     if not entries:
         raise ValueError("no TLE entries to build a snapshot from")
     if t_seconds_j2000 is None:
         t_seconds_j2000 = entries[0][1].epoch_seconds
     ids, positions = [], []
     seen: set[str] = set()
-    for idx, (name, el) in enumerate(entries):
+    for idx, (name, el, line_no) in enumerate(entries):
         sat_id = name or el.catalog_id or f"tle-{idx:05d}"
         while sat_id in seen:
             sat_id = f"{sat_id}#{idx}"
         seen.add(sat_id)
         ids.append(sat_id)
-        positions.append(tle_to_position(el, t_seconds_j2000).as_tuple())
-    return ConstellationSnapshot(tuple(ids), positions)
+        with config_key(f"line {line_no}"):
+            positions.append(tle_to_position(el, t_seconds_j2000).as_tuple())
+    try:
+        return ConstellationSnapshot(tuple(ids), positions)
+    except SnapshotRowError as exc:
+        raise ValueError(f"line {entries[exc.row][2]}: {exc}") from None

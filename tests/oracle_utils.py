@@ -251,10 +251,8 @@ def elevation_angle_deg(station: GeodeticPosition, station_ecef: EcefPosition, t
 
 
 def seed_rows(seeds: RelaySeeds) -> list[tuple]:
-    """(node, label_ms, hops, next_hop, terminal) for every seed."""
-    return list(zip(*(
-        getattr(seeds, name).tolist() for name in ("node", "label_ms", "hops", "next_hop", "terminal")
-    )))
+    """(node, label_ms, hops, terminal) for every seed."""
+    return list(zip(*(getattr(seeds, name).tolist() for name in ("node", "label_ms", "hops", "terminal"))))
 
 
 def terminus_legs_ms(stations, terminus) -> list[float]:
@@ -279,7 +277,7 @@ def downlink_seeds_oracle(graph, stations, terminus, mode) -> RelaySeeds:
     nodes = [i for i, pick in enumerate(best) if pick is not None]
     labels = [best[i][1] for i in nodes]
     ids = [stations[best[i][0]].id for i in nodes]
-    return RelaySeeds(nodes, labels, 2, ids, ids)
+    return RelaySeeds(nodes, labels, 2, ids)
 
 
 def dijkstra_oracle(graph, snapshot, sources, penalty=0.0, exempt=False) -> LatencyReport:
@@ -292,13 +290,15 @@ def dijkstra_oracle(graph, snapshot, sources, penalty=0.0, exempt=False) -> Late
     for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
         for u, v in ((i, j), (j, i)):
             edges.append((u, v, d if u in exempt_nodes else d + penalty))
-    return _dijkstra_report(snapshot, graph.sat_count, edges, rows, list(snapshot.ids), {})
+    return _dijkstra_report(snapshot, graph.sat_count, edges, rows, {})
 
 
 def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) -> LatencyReport:
     """downhaul-optimal on the augmented graph: the terminus (the one
     source) reaches each station over its surface leg, each station reaches
-    the satellites it sees, and satellites relay with the penalty."""
+    the satellites it sees, and satellites relay with the penalty.  A
+    satellite whose parent is a station downlinks, so it is its own parent
+    in the report."""
     n_sat = graph.sat_count
     t = n_sat + len(stations)
     edges = []
@@ -308,29 +308,30 @@ def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) ->
         edges.append((n_sat + g, i, d))
     for g, leg in enumerate(terminus_legs_ms(stations, terminus)):
         edges.append((t, n_sat + g, leg))
-    names = list(snapshot.ids) + [st.id for st in stations] + [TERMINUS_NAME]
     overrides = {n_sat + g: st.id for g, st in enumerate(stations)}
-    seeds = [(t, 0.0, 0, None, TERMINUS_NAME)]
-    return _dijkstra_report(snapshot, t + 1, edges, seeds, names, overrides)
+    seeds = [(t, 0.0, 0, TERMINUS_NAME)]
+    return _dijkstra_report(snapshot, t + 1, edges, seeds, overrides)
 
 
-def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> LatencyReport:
+def _dijkstra_report(snapshot, node_count, edges, sources, overrides) -> LatencyReport:
     """Heap Dijkstra to every node, then the report's path fields.
 
-    ``sources`` are (node, label_ms, hops, next_hop, terminal) rows.  A
+    ``sources`` are (node, label_ms, hops, terminal) rows.  A
     node's parent is, among its in-edges whose candidate equals its label
     exactly, the lowest-index one from a strictly smaller label.  Failing
     that, it is taken in rounds from an equal label: each round gives every
     node left the lowest-index such in-edge whose source had a parent
     before the round.  Nothing relaxes into a source; a source is a root
-    and keeps its own report fields.
+    and keeps its own report fields.  ``overrides`` names the terminal of
+    the paths through a node.  A satellite's report parent is its parent
+    when that is a satellite, else its own index.
     """
     seed = {}
     dist = [math.inf] * node_count
-    for node, label_ms, hops, next_hop, terminal in sources:
+    for node, label_ms, hops, terminal in sources:
         if label_ms < dist[node]:
             dist[node] = label_ms
-            seed[node] = (hops, next_hop, terminal)
+            seed[node] = (hops, terminal)
     out = [[] for _ in range(node_count)]
     into = [[] for _ in range(node_count)]
     for u, v, w in edges:
@@ -382,19 +383,21 @@ def _dijkstra_report(snapshot, node_count, edges, sources, names, overrides) -> 
             v = parent[v]
             assert len(chain) <= node_count, "parent cycle"
         for child in reversed(chain):
-            hops, _, terminal = fields[v]
-            fields[child] = (hops + 1, names[v], overrides.get(v, terminal))
+            hops, terminal = fields[v]
+            fields[child] = (hops + 1, overrides.get(v, terminal))
             v = child
 
-    rows = [
-        fields[i] if math.isfinite(dist[i]) else (-1, None, None) for i in range(len(snapshot))
+    n_sat = len(snapshot)
+    rows = [fields[i] if math.isfinite(dist[i]) else (-1, None) for i in range(n_sat)]
+    parents = [
+        -1 if not math.isfinite(dist[i]) else parent[i] if parent[i] < n_sat else i for i in range(n_sat)
     ]
     return LatencyReport(
         sat_ids=snapshot.ids,
-        latency_ms=np.array(dist[: len(snapshot)], dtype=np.float64),
-        hops=np.array([hops for hops, _, _ in rows], dtype=np.int64),
-        next_hop=np.array([next_hop for _, next_hop, _ in rows], dtype=object),
-        terminal=np.array([terminal for _, _, terminal in rows], dtype=object),
+        latency_ms=np.array(dist[:n_sat], dtype=np.float64),
+        hops=np.array([hops for hops, _ in rows], dtype=np.int64),
+        parent=np.array(parents, dtype=np.int64),
+        terminal=np.array([terminal for _, terminal in rows], dtype=object),
     )
 
 

@@ -1119,8 +1119,9 @@ ID_RULE = "must not contain a comma or a line break, nor start or end with white
 
 
 @pytest.mark.parametrize("source, files, expected", [
+    # A Walker error names its shell, a TLE snapshot error its entry's first line.
     ({"walker": [dict(WALKER_SHELL, id_prefix="a"), dict(WALKER_SHELL, id_prefix="a")]}, {},
-     "constellation.walker: duplicate satellite id 'a-p000-s000'"),
+     "constellation.walker[1]: duplicate satellite id 'a-p000-s000'"),
     ({"snapshot_csv": "sats.csv"}, {"sats.csv": "id,x_km,y_km,z_km\na,7000,0,0\na,7100,0,0\n"},
      "constellation.snapshot_csv: line 3: duplicate satellite id 'a'"),
     ({"tle_file": "empty.tle"}, {"empty.tle": "\n"},
@@ -1129,13 +1130,13 @@ ID_RULE = "must not contain a comma or a line break, nor start or end with white
      "stations_csv: line 3: duplicate station id 'g1'"),
     # Ids that snapshot.csv and report.csv could not hold as one field.
     ({"walker": dict(WALKER_SHELL, id_prefix="a,b")}, {},
-     f"constellation.walker: satellite id 'a,b-p000-s000' {ID_RULE}"),
+     f"constellation.walker[0]: satellite id 'a,b-p000-s000' {ID_RULE}"),
     ({"walker": [WALKER_SHELL, dict(WALKER_SHELL, id_prefix=" sat")]}, {},
-     f"constellation.walker: satellite id ' sat-p000-s000' {ID_RULE}"),
+     f"constellation.walker[1]: satellite id ' sat-p000-s000' {ID_RULE}"),
     ({"walker": dict(WALKER_SHELL, id_prefix="a\nb")}, {},
-     f"constellation.walker: satellite id 'a\\nb-p000-s000' {ID_RULE}"),
+     f"constellation.walker[0]: satellite id 'a\\nb-p000-s000' {ID_RULE}"),
     ({"tle_file": "sats.tle"}, {"sats.tle": "ISS, ZARYA\n" + ISS_TLE},
-     f"constellation.tle_file: satellite id 'ISS, ZARYA' {ID_RULE}"),
+     f"constellation.tle_file: line 1: satellite id 'ISS, ZARYA' {ID_RULE}"),
     ({"snapshot_csv": "sats.csv"}, {"sats.csv": "id,x_km,y_km,z_km\n,7000,0,0\n"},
      "constellation.snapshot_csv: line 2: empty satellite id"),
     # The station reader once named the line twice: `line 2: line 2: column ...`.
@@ -1150,9 +1151,20 @@ ID_RULE = "must not contain a comma or a line break, nor start or end with white
         "stations.csv": "id,lat_deg,lon_deg,alt_km\ng1,10,20,0\n",
     }, "constellation.snapshot_csv: line 2: satellite 'a' is too far out: 4 times its squared norm "
        "is not finite"),
+    # Two shells of default ids, and a far second shell: both were keyed
+    # `constellation.walker`, naming no shell.
+    ({"walker": [dict(WALKER_SHELL, planes=2, sats_per_plane=3)] * 2}, {},
+     "constellation.walker[1]: duplicate satellite id 'sat-p000-s000'"),
+    ({"walker": [WALKER_SHELL, dict(WALKER_SHELL, altitude_km=1e300, id_prefix="b")]}, {},
+     "constellation.walker[1]: satellite 'b-p000-s000' is too far out: 4 times its squared norm is not finite"),
+    # A mean motion whose squared angular rate underflows was a float division
+    # by zero (exit 2).
+    ({"tle_file": "sats.tle"}, {"sats.tle": "N\n" + ISS_TLE.replace("15.49398617229298", "     1e-300229290")},
+     "constellation.tle_file: line 3: mean motion 1e-300 is too small for a finite semi-major axis"),
 ], ids=["walker", "snapshot_csv", "tle_file", "stations_csv",
         "walker-id-comma", "walker-id-space", "walker-id-line-break", "tle-name-comma",
-        "empty-satellite-id", "station-number", "empty-station-id", "far-satellite"])
+        "empty-satellite-id", "station-number", "empty-station-id", "far-satellite",
+        "walker-duplicate", "walker-far", "tle-mean-motion-underflow"])
 def test_cli_names_the_config_key_of_a_bad_input_file(tmp_path, capsys, source, files, expected):
     for name, text in files.items():
         write(tmp_path / name, text)

@@ -44,7 +44,7 @@ def report_of(latencies, hops=None):
         latency_ms=np.array(latencies, dtype=np.float64),
         hops=np.array([-1 if math.isinf(value) else (hops[k] if hops else 1)
                        for k, value in enumerate(latencies)], dtype=np.int64),
-        next_hop=np.full(n, None, dtype=object),
+        parent=np.full(n, -1, dtype=np.int64),
         terminal=np.full(n, None, dtype=object),
     )
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_greedy_picks_nearest_station_optimal_picks_cheapest_path():
     greedy = downhaul_latencies(graph, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
     assert greedy.latency_ms[0] == pytest.approx(31.688589043824443, abs=2e-3)
     assert greedy.terminal[0] == "A"
-    assert greedy.next_hop[0] == "A"
+    assert greedy.parent[0] == 0  # it downlinks, so it is its own parent
     assert greedy.hops[0] == 2
 
     optimal = downhaul_latencies(graph, stations, TERMINUS, ArchitectureMode.DOWNHAUL_OPTIMAL)
@@ -134,7 +135,7 @@ def test_downhaul_unreachable_and_colocated_terminus():
     isolated = manual_graph(snapshot.ids, 1, [], [])
     report = downhaul_latencies(isolated, stations, TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
     assert report.latency_ms[0] == math.inf
-    assert report.hops[0] == -1 and report.terminal[0] is None
+    assert report.hops[0] == -1 and report.parent[0] == -1 and report.terminal[0] is None
 
     graph = manual_graph(snapshot.ids, 1, [], [(0, 0, 500.0)])
     colocated = stations[0].geodetic
@@ -146,23 +147,24 @@ def test_downhaul_unreachable_and_colocated_terminus():
 
 
 def assert_same_seeds(got, want):
-    for name in ("node", "label_ms", "hops", "next_hop", "terminal"):
+    for name in ("node", "label_ms", "hops", "terminal"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
 
 
 def test_relay_seeds_broadcast_scalars_and_reject_repeats_and_negative_labels():
-    seeds = RelaySeeds([3, 1], 0.5, 2, None, ["a", "b"])
+    assert [f.name for f in fields(RelaySeeds)] == ["node", "label_ms", "hops", "terminal"]
+    seeds = RelaySeeds([3, 1], 0.5, 2, "a")
     assert seeds.node.dtype == np.int64 and seeds.hops.tolist() == [2, 2]
-    assert seeds.label_ms.tolist() == [0.5, 0.5] and seeds.next_hop.tolist() == [None, None]
+    assert seeds.label_ms.tolist() == [0.5, 0.5] and seeds.terminal.tolist() == ["a", "a"]
     with pytest.raises(ValueError, match="more than once"):
-        RelaySeeds([3, 1, 3], 0.0, 0, None, "a")
+        RelaySeeds([3, 1, 3], 0.0, 0, "a")
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="must be >= 0"):
-            RelaySeeds([0, 1], [0.0, bad], 0, None, "a")
+            RelaySeeds([0, 1], [0.0, bad], 0, "a")
     with pytest.raises(ValueError):
-        RelaySeeds([0, 1], 0.0, 0, None, ["a", "b", "c"])  # a column of the wrong length
+        RelaySeeds([0, 1], 0.0, 0, ["a", "b", "c"])  # a column of the wrong length
 
 
 def test_greedy_ties_go_to_the_lower_station_index():
@@ -194,7 +196,8 @@ def test_an_optimal_relay_path_that_ties_the_own_downlink_wins():
     terminus = stations[0].geodetic
     report = downhaul_latencies(graph, stations, terminus, OPTIMAL)
     assert report.latency_ms.tolist() == [1.0, 0.5]
-    assert (report.next_hop[0], report.hops[0], report.terminal[0]) == ("B", 3, "g0")
+    assert report.parent.tolist() == [1, 1] and report.hops.tolist() == [3, 2]
+    assert report.terminal.tolist() == ["g0", "g0"]
     assert report == dijkstra_oracle_optimal(graph, snapshot, stations, terminus)
 
 
@@ -244,9 +247,9 @@ def test_onorbit_trivial_cases_and_forced_chain():
 
     report = onorbit_latencies(graph, CHAIN_ACTUATORS)
     assert report.latency_ms[0] == pytest.approx(6.671281903963041, abs=1e-9)
-    assert (report.hops[0], report.next_hop[0], report.terminal[0]) == (2, "B", "C")
-    assert (report.hops[1], report.next_hop[1], report.terminal[1]) == (1, "C", "C")
-    assert (report.latency_ms[2], report.hops[2], report.next_hop[2], report.terminal[2]) == (0.0, 0, None, "C")
+    assert (report.hops[0], report.parent[0], report.terminal[0]) == (2, 1, "C")
+    assert (report.hops[1], report.parent[1], report.terminal[1]) == (1, 2, "C")
+    assert (report.latency_ms[2], report.hops[2], report.parent[2], report.terminal[2]) == (0.0, 0, 2, "C")
 
 
 def test_onorbit_latencies_rejects_a_mask_of_the_wrong_shape_or_dtype():
@@ -283,7 +286,7 @@ def test_onorbit_ties_break_to_lower_index():
     report = onorbit_latencies(graph, np.array([False, True, True]))
     mid = report.sat_ids.index("mid")
     assert report.terminal[mid] == "left"
-    assert report.next_hop[mid] == "left"
+    assert report.parent[mid] == report.sat_ids.index("left")
 
 
 def _line_snapshot(actuator):
@@ -300,7 +303,7 @@ def test_a_node_tied_with_a_higher_index_seed_gets_its_path_fields():
     report = onorbit_latencies(graph, actuators)
     assert report == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), exempt=True)
     assert report.hops.tolist() == [1, 0, 2]
-    assert report.next_hop.tolist() == ["s1", None, "s0"]
+    assert report.parent.tolist() == [1, 1, 0]
 
 
 def test_a_zero_delay_chain_is_oriented_toward_the_seed():
@@ -312,7 +315,7 @@ def test_a_zero_delay_chain_is_oriented_toward_the_seed():
     report = onorbit_latencies(graph, actuators)
     assert report == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), exempt=True)
     assert report.hops.tolist() == [2, 1, 0]
-    assert report.next_hop.tolist() == ["s1", "s2", None]
+    assert report.parent.tolist() == [1, 2, 2]
 
 
 def test_star_topology_single_sweep_matches_dijkstra():
@@ -410,20 +413,18 @@ PROPERTY_STATIONS = load_ground_stations_csv(
 
 def _engine_and_oracle(graph, snap, actuators, stations, terminus, penalty):
     """(engine report, oracle report) for every mode."""
-    greedy = ArchitectureMode.DOWNHAUL_GREEDY
-    optimal = ArchitectureMode.DOWNHAUL_OPTIMAL
-    greedy_sources = downlink_seeds_oracle(graph, stations, terminus, greedy)
+    greedy_sources = downlink_seeds_oracle(graph, stations, terminus, GREEDY)
     return {
-        "onorbit": (
+        ArchitectureMode.ON_ORBIT: (
             onorbit_latencies(graph, actuators, penalty),
             dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True),
         ),
-        "greedy": (
-            downhaul_latencies(graph, stations, terminus, greedy, penalty),
+        GREEDY: (
+            downhaul_latencies(graph, stations, terminus, GREEDY, penalty),
             dijkstra_oracle(graph, snap, greedy_sources, penalty),
         ),
-        "optimal": (
-            downhaul_latencies(graph, stations, terminus, optimal, penalty),
+        OPTIMAL: (
+            downhaul_latencies(graph, stations, terminus, OPTIMAL, penalty),
             dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty),
         ),
     }
@@ -473,17 +474,21 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     for mode in before:
         assert before[mode][0] == before[mode][1], mode
         assert after[mode][0] == after[mode][1], mode
+        resum_report(before[mode][0], graph, snap, actuators, stations, terminus, penalty, mode)
+        resum_report(
+            after[mode][0], attacked, snap, actuators, stations, terminus, penalty + overlay.reroute_penalty_ms, mode,
+        )
 
     # Shortest paths only lose edges and gain penalty.  Greedy labels can
     # drop when an attack moves a satellite's downlink, so greedy is held to
     # this only when every attacked source is a baseline source and every
     # dropped source lost all its inter-satellite links.
-    monotone = ["onorbit", "optimal"]
+    monotone = [ArchitectureMode.ON_ORBIT, OPTIMAL]
     base_sources = set(seed_rows(downlink_seeds(graph, stations, terminus, GREEDY)))
     attacked_sources = set(seed_rows(downlink_seeds(attacked, stations, terminus, GREEDY)))
     dropped = {node for node, *_ in base_sources - attacked_sources}
     if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
-        monotone.append("greedy")
+        monotone.append(GREEDY)
     for mode in monotone:
         for b, a in zip(before[mode][0].latency_ms, after[mode][0].latency_ms):
             assert a >= b, mode
@@ -823,35 +828,31 @@ def _edge_delay_maps(graph, snapshot, stations):
 
 
 def resum_report(report, graph, snapshot, actuators, stations, terminus, penalty, mode):
-    """Re-add each reported path's hop delays by walking next_hop chains."""
+    """Re-add each reported path's hop delays by walking ``parent`` to its
+    root, and require the reported latency bit for bit: the engine's label
+    along a parent hop is ``fl(label + weight)``, and a downlink root's label
+    is ``fl(delay + leg)``."""
     sat_w, st_w = _edge_delay_maps(graph, snapshot, stations)
     ground = dict(zip((s.id for s in stations), terminus_legs_ms(stations, terminus)))
-    station_ids = {s.id for s in stations}
-    actuators = {sat_id for sat_id, flag in zip(snapshot.ids, actuators) if flag}
-    index = {sid: k for k, sid in enumerate(report.sat_ids)}
+    ids, parent = report.sat_ids, report.parent.tolist()
+    assert [p < 0 for p in parent] == np.isinf(report.latency_ms).tolist()
     memo = {}
 
-    def total(sid):
-        if sid in memo:
-            return memo[sid]
-        nh = report.next_hop[index[sid]]
-        if nh is None:
-            value = 0.0  # actuator self-delivery
-        elif nh in station_ids:
-            value = st_w[(sid, nh)] + ground[nh]
-        else:
-            w = sat_w[frozenset((sid, nh))]
-            if mode is ArchitectureMode.ON_ORBIT and nh in actuators:
-                pen = 0.0
+    def total(k):
+        if k not in memo:
+            up = parent[k]
+            if up != k:
+                pen = 0.0 if mode is ArchitectureMode.ON_ORBIT and actuators[up] else penalty
+                memo[k] = (sat_w[frozenset((ids[k], ids[up]))] + pen) + total(up)
+            elif mode is ArchitectureMode.ON_ORBIT:
+                memo[k] = 0.0  # an actuator delivers to itself
             else:
-                pen = penalty
-            value = (w + pen) + total(nh)
-        memo[sid] = value
-        return value
+                memo[k] = st_w[(ids[k], report.terminal[k])] + ground[report.terminal[k]]
+        return memo[k]
 
-    for sid, latency in zip(report.sat_ids, report.latency_ms):
-        if math.isfinite(latency):
-            assert abs(total(sid) - latency) <= 1e-9
+    for k, latency in enumerate(report.latency_ms.tolist()):
+        if parent[k] >= 0:
+            assert total(k) == latency, ids[k]
 
 
 def test_reported_paths_resum_to_reported_latency():

@@ -110,12 +110,18 @@ def test_format_parse_is_idempotent_at_printed_precision():
     assert once.mean_motion_rev_per_day == el.mean_motion_rev_per_day
 
 
+def _mean_motion(field: str) -> str:
+    """ISS_L2 with ``field`` in its mean-motion columns."""
+    return _with_checksum(ISS_L2[:52] + field.rjust(11) + ISS_L2[63:68])
+
+
 def test_load_tle_file_with_and_without_names():
     text = f"ISS (ZARYA)\n{ISS_L1}\n{ISS_L2}\n{ISS_L1}\n{ISS_L2}\n"
     entries = load_tle_file(text)
     assert len(entries) == 2
     assert entries[0][0] == "ISS (ZARYA)"
     assert entries[1][0] == ""
+    assert [line for _, _, line in entries] == [1, 4]  # the name line, else line 1
     snap = snapshot_from_tles(entries)
     assert len(snap) == 2
     assert len(set(snap.ids)) == 2
@@ -149,8 +155,25 @@ def test_load_tle_file_errors_name_the_file_line():
           for key, lo, hi in [("inclination_deg", 8, 16), ("raan_deg", 17, 25), ("arg_perigee_deg", 34, 42),
                               ("mean_anomaly_deg", 43, 51), ("mean_motion_rev_per_day", 52, 63)]
           for field in ("nan", "inf", "-inf")),
+        # A mean motion too small for a finite orbit ended as a ZeroDivisionError
+        # (exit 2) at 1e-300, and as a non-finite position naming no line at 1e-157.
+        *((f"N\n{ISS_L1}\n{_mean_motion(value)}\n",
+           f"line 3: mean motion {value} is too small for a finite semi-major axis")
+          for value in ("1e-300", "1e-157")),
     ]
     for text, message in cases:
         with pytest.raises(TleFormatError) as exc:
             load_tle_file(text)
+        assert str(exc.value).startswith(message), str(exc.value)
+    # The snapshot's own rules name the entry's first line: its name line,
+    # else its line 1.  They named no line.
+    low = _mean_motion("17.50000000")  # a semi-major axis of about 6267 km
+    snapshot_cases = [
+        (f"A\n{ISS_L1}\n{ISS_L2}\n\nLOW\n{ISS_L1}\n{low}\n", "line 5: satellite 'LOW' is not above the surface"),
+        (f"{ISS_L1}\n{ISS_L2}\n\n{ISS_L1}\n{low}\n", "line 4: satellite '25544#1' is not above the surface"),
+        (f"A\n{ISS_L1}\n{ISS_L2}\nB,C\n{ISS_L1}\n{ISS_L2}\n", "line 4: satellite id 'B,C' must not contain "),
+    ]
+    for text, message in snapshot_cases:
+        with pytest.raises(ValueError) as exc:
+            snapshot_from_tles(load_tle_file(text))
         assert str(exc.value).startswith(message), str(exc.value)
