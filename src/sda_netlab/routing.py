@@ -47,6 +47,25 @@ those are exactly the hops into free rows that attain the final labels;
 the parent rule reads them as ``(dst, src)`` pairs, and no second pass
 over the hops, nor any array of one candidate per hop, follows.
 
+An on-orbit solve reads only the hops that can matter once the actuators
+are dense, after the light/heavy split of delta-stepping (Meyer and
+Sanders, J. Algorithms 49(1), 2003).  Each adjacency derives once, on
+first use, its light hops: the entries of delay at most D, about the 10%
+quantile of the delays (``SatAdjacency.light``).  Phase 1 solves the
+seeded problem on the light hops alone; phase 2 solves the full adjacency
+from phase 1's labels, with every row labelled at most D fixed, so its
+pulls read only the hops into the rows left.  This is exact: every weight
+is at least its delay and ``fl`` is monotone, so a label at most D is
+reached by a path of light hops, and phase 1 finds it; a hop that attains
+such a label has a delay at most the label, so phase 1 records it; and a
+row above D offers every neighbour a candidate above D, so it can neither
+lower nor attain a light row's label.  The attaining hops are phase 1's
+into the light rows plus phase 2's.  With sparse actuators most rows stay
+above D, and phase 2 is nearly the whole single-phase solve, so a solve
+takes the light phase only when the actuators cover enough of the rows by
+one light hop (``_LIGHT_FIRST_WHEN_COVERAGE_REACHES``).  Downhaul solves
+never take it: in those modes most hops can attain a label.
+
 The labels do not depend on the relaxation order: every weight is >= 0 and
 ``fl(w + a)`` is monotone in ``a``, so any order that runs until no hop
 improves ends at the minimum over paths of the floating-point path cost,
@@ -64,7 +83,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -72,7 +91,7 @@ import numpy as np
 
 from .constellation import GroundStationNode
 from .geo import GeodeticPosition, propagation_delay_ms, surface_distance_km
-from .topology import SatAdjacency, VisibilityGraph
+from .topology import LightHops, SatAdjacency, VisibilityGraph
 
 
 class ArchitectureMode(str, Enum):
@@ -155,8 +174,9 @@ class _RelayProblem:
     node per satellite.
 
     Hop (src, dst, weight) means ``label[dst]`` may be improved to
-    ``weight + label[src]``.  A hop weighs ``delay + penalty_ms`` unless its
-    source is a seed and ``exempt_seeds`` is set.  Seeds start at their seed
+    ``weight + label[src]``.  A hop weighs ``delay + hop_penalty[src]``:
+    ``penalty_ms``, or 0.0 where the source is a seed and ``exempt_seeds``
+    is set, and ``fl(delay + 0.0)`` is the delay.  Seeds start at their seed
     label; with ``fixed_seeds`` no hop relaxes into a seed, otherwise
     relaying may lower a seed's label like any other.
     """
@@ -168,20 +188,20 @@ class _RelayProblem:
     exempt_seeds: bool = False
 
     @cached_property
-    def exempt(self) -> np.ndarray:
-        """(sat_count,) bool: the satellites whose hops are penalty-free."""
-        exempt = np.zeros(self.adjacency.indptr.size - 1, dtype=bool)
-        exempt[self.seeds.node] = self.exempt_seeds
-        return exempt
+    def hop_penalty(self) -> np.ndarray:
+        """(sat_count,) float64: the penalty of every hop leaving each satellite."""
+        penalty = np.full(self.adjacency.indptr.size - 1, self.penalty_ms)
+        if self.exempt_seeds:
+            penalty[self.seeds.node] = 0.0
+        return penalty
 
     def sat_weights(self, src: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
         """Penalised weights of satellite hops leaving ``src``."""
         if self.penalty_ms == 0.0:
             return delays_ms
-        weights = delays_ms + self.penalty_ms
-        if self.exempt_seeds:
-            np.copyto(weights, delays_ms, where=self.exempt[src])
-        return weights
+        if not self.exempt_seeds:
+            return delays_ms + self.penalty_ms
+        return delays_ms + self.hop_penalty[src]
 
 
 @dataclass(frozen=True)
@@ -206,7 +226,9 @@ class _FreeRows:
 class _Fixpoint:
     labels: np.ndarray
     # The hops src -> dst whose candidate equals the label of dst, over the
-    # free rows of finite label, in ascending (dst, src) order.
+    # free rows of finite label.  One _relax gives them in ascending
+    # (dst, src) order; the light-first solve joins two such runs, which
+    # is not ascending, and the parent rule does not need it to be.
     attain_dst: np.ndarray
     attain_src: np.ndarray
     sweeps: int  # sweeps that lowered at least one label
@@ -234,6 +256,40 @@ _BLOCK_ENTRIES = 1 << 16
 # neither graph lost at any fraction (2-vCPU host, one thread).
 _COMPACT_WHEN_FIXED_ENTRIES_REACH = 0.5
 
+# A compacted copy gathers the free rows by their index ranges while they
+# hold under this share of the entries, else by an entry mask.  On
+# starlink-like with scattered free rows the ranges took 0.17 ms at 1% of
+# the entries against 2.3 ms for the mask, were even at 10%, and took twice
+# as long at 30-50% (2-vCPU host).
+_GATHER_RANGES_BELOW = 1 / 16
+
+# An on-orbit solve takes the light hops first (_light_first) once the
+# actuators cover this share of the rows, by being one or by one light hop
+# from one.  Below it too many rows stay above the cut for phase 2, and the
+# light phase is extra work.  Light-first over single-phase solve time
+# (2-vCPU host, one thread, min of 9, penalty 0):
+#   starlink-like  coverage 0.595 (1%) 1.29, 0.746 (1.5%) 0.99, 0.809 (2%) 0.81
+#   combined       coverage 0.654 (1%) 1.20, 0.785 (1.5%) 0.90, 0.868 (2%) 0.69
+#   oneweb-like    coverage 0.586 (5%) 1.45, 0.771 (10%) 0.98, 0.816 (12%) 0.89
+# With a 0.4 ms penalty the ratios at coverage 0.75-0.8 were 0.86-0.94.
+_LIGHT_FIRST_WHEN_COVERAGE_REACHES = 0.8
+
+
+def _light_coverage(light: SatAdjacency, nodes: np.ndarray) -> float:
+    """The share of the rows that are ``nodes`` or hold a light hop from one."""
+    covered = np.zeros(light.indptr.size - 1, dtype=bool)
+    covered[nodes] = True
+    starts = light.indptr[nodes]
+    covered[light.neighbors[_concat_ranges(starts, light.indptr[nodes + 1] - starts)]] = True
+    return float(np.count_nonzero(covered)) / max(covered.size, 1)
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k]:starts[k] + counts[k]``, concatenated in order."""
+    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    idx += np.arange(idx.size)
+    return idx
+
 
 def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
     """Row ranges ``r0:r1`` that cover every row in order, each holding at
@@ -259,7 +315,10 @@ def _free_rows(problem: _RelayProblem, fixed: np.ndarray) -> _FreeRows:
         nodes = np.flatnonzero(~fixed)
         indptr = np.zeros(nodes.size + 1, dtype=adj.indptr.dtype)
         np.cumsum(counts[nodes], out=indptr[1:])
-        keep = np.repeat(~fixed, counts)
+        if indptr[-1] < _GATHER_RANGES_BELOW * adj.indptr[-1]:
+            keep = _concat_ranges(adj.indptr[nodes], counts[nodes])
+        else:
+            keep = np.repeat(~fixed, counts)
         neighbors, delays_ms = adj.neighbors[keep], adj.delays_ms[keep]
         row_fixed = np.zeros(nodes.size, dtype=bool)
     return _FreeRows(nodes, indptr, neighbors, delays_ms, row_fixed, _row_blocks(indptr), problem.sat_weights)
@@ -310,9 +369,7 @@ def _push(problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray,
     lowered = np.zeros(labels.size, dtype=bool)
     for f0, f1 in _row_blocks(offsets):
         run = counts[f0:f1]
-        # Concatenated ranges starts[k]:starts[k] + counts[k] of the run.
-        idx = np.repeat(starts[f0:f1] - (offsets[f0:f1] - offsets[f0]), run)
-        idx += np.arange(idx.size)
+        idx = _concat_ranges(starts[f0:f1], run)
         dst = adj.neighbors[idx]
         cand = problem.sat_weights(np.repeat(frontier[f0:f1], run), adj.delays_ms[idx])
         cand += np.repeat(frontier_labels[f0:f1], run)
@@ -323,23 +380,29 @@ def _push(problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray,
     return np.flatnonzero(lowered), int(offsets[-1])
 
 
-def _relax(problem: _RelayProblem) -> _Fixpoint:
+def _relax(problem: _RelayProblem, labels: np.ndarray | None = None,
+           fixed: np.ndarray | None = None) -> _Fixpoint:
     """Jacobi sweeps of the relay update until no label drops.
 
-    A sweep relaxes the hops leaving the satellites whose label dropped in
-    the previous sweep (push), or, when those are a large share of the free
-    hops, every hop into a free row by a blocked per-row min-reduce (pull);
-    both give the labels of a full sweep.  A push that lowers nothing hands
-    over to one closing pull, so the solve always ends on a pull that lowers
-    nothing, whose attaining hops it returns; with no free hop at all,
-    nothing can drop and it returns at once.
+    The labels start at the seed labels, or at ``labels``, which the solve
+    then lowers in place; no hop lowers a row of the ``fixed`` mask, by
+    default the seeds' rows where the seeds are fixed.  A sweep relaxes the
+    hops leaving the satellites whose label dropped in the previous sweep
+    (push), or, when those are a large share of the free hops, every hop
+    into a free row by a blocked per-row min-reduce (pull); both give the
+    labels of a full sweep.  A push that lowers nothing hands over to one
+    closing pull, so the solve always ends on a pull that lowers nothing,
+    whose attaining hops it returns; with no free hop at all, nothing can
+    drop and it returns at once.
     """
     indptr = problem.adjacency.indptr
     n = indptr.size - 1
-    labels = np.full(n, math.inf)
-    labels[problem.seeds.node] = problem.seeds.label_ms
-    fixed = np.zeros(n, dtype=bool)
-    fixed[problem.seeds.node] = problem.fixed_seeds
+    if labels is None:
+        labels = np.full(n, math.inf)
+        labels[problem.seeds.node] = problem.seeds.label_ms
+    if fixed is None:
+        fixed = np.zeros(n, dtype=bool)
+        fixed[problem.seeds.node] = problem.fixed_seeds
     rows = _free_rows(problem, fixed)
     free_hops = int(rows.indptr[-1])
     if free_hops == 0:
@@ -365,6 +428,33 @@ def _relax(problem: _RelayProblem) -> _Fixpoint:
         closing = frontier.size == 0
         sweeps += not closing
     raise RuntimeError("relay fixpoint failed to stabilize within node-count sweeps")
+
+
+def _light_first(problem: _RelayProblem, light: LightHops) -> _Fixpoint:
+    """The fixpoint of ``problem``, whose seeds are fixed at label 0.0, in
+    two phases: the light hops first, then every hop into the rows left.
+
+    Phase 1 relaxes the problem on ``light`` alone.  Every weight is at
+    least its delay and ``fl`` is monotone, so a label at most
+    ``light.max_delay_ms`` (D) is reached by a path of light hops alone:
+    the rows phase 1 labels at most D are final, the seeds among them.
+    Phase 2 relaxes the full adjacency from phase 1's labels with those rows
+    fixed, so its pulls read only the hops into the rows left.  The hops
+    that attain a final row's label have delays at most that label, and no
+    hop from a row above D attains it, so they are phase 1's attaining hops
+    into final rows; phase 2's closing pull gives those of the other rows.
+    """
+    first = _relax(replace(problem, adjacency=light.adjacency))
+    final = first.labels <= light.max_delay_ms
+    second = _relax(problem, first.labels, final)
+    keep = final[first.attain_dst]
+    return _Fixpoint(
+        second.labels,
+        np.concatenate([first.attain_dst[keep], second.attain_dst]),
+        np.concatenate([first.attain_src[keep], second.attain_src]),
+        first.sweeps + second.sweeps,
+        first.relaxed_edges + second.relaxed_edges,
+    )
 
 
 def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
@@ -404,16 +494,15 @@ def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
         parent = np.where(parent < 0, lowest(dst[take], src[take]), parent)
 
 
-def _route(problem: _RelayProblem, names: tuple[str, ...]) -> LatencyReport:
-    """Solve ``problem`` and derive the parent forest, hops and terminal
-    from the fixpoint; ``names`` holds the satellite ids.
+def _route(problem: _RelayProblem, fixpoint: _Fixpoint, names: tuple[str, ...]) -> LatencyReport:
+    """Derive the parent forest, hops and terminal of ``problem`` from its
+    ``fixpoint``; ``names`` holds the satellite ids.
 
     The parent rule of :func:`_parents` depends only on the labels and makes
     a forest.  A root keeps its seed's report fields, and every other node
     takes its root's terminal and hops plus its depth below the root, found
     by pointer jumping in O(log n) rounds.
     """
-    fixpoint = _relax(problem)
     labels = fixpoint.labels
     n = labels.size
     seeds = problem.seeds
@@ -506,7 +595,10 @@ def onorbit_latencies(
     """
     problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, actuator_sources(graph, actuators),
                             exempt_seeds=True)
-    return _route(problem, graph.sat_ids)
+    light = graph.adjacency.light
+    if _light_coverage(light.adjacency, problem.seeds.node) >= _LIGHT_FIRST_WHEN_COVERAGE_REACHES:
+        return _route(problem, _light_first(problem, light), graph.sat_ids)
+    return _route(problem, _relax(problem), graph.sat_ids)
 
 
 def downhaul_latencies(
@@ -525,4 +617,4 @@ def downhaul_latencies(
     # Greedy downlinks are final; relaying may beat an optimal offer.
     problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, sources,
                             fixed_seeds=mode is ArchitectureMode.DOWNHAUL_GREEDY)
-    return _route(problem, graph.sat_ids)
+    return _route(problem, _relax(problem), graph.sat_ids)

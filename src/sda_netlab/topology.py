@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,6 +65,52 @@ class SatAdjacency:
     indptr: np.ndarray  # (sat_count + 1,) int64
     neighbors: np.ndarray  # (2E,) int32
     delays_ms: np.ndarray  # (2E,) float64
+
+    @property
+    def light(self) -> "LightHops":
+        """The light hops of this adjacency (:func:`_light_hops`), derived
+        on first use and then kept.  The derivation runs under a lock, so
+        solves on several threads share one copy."""
+        with _LIGHT_LOCK:
+            light = self.__dict__.get("_light")
+            if light is None:
+                # A frozen dataclass: the cache goes into the instance dict,
+                # as ``functools.cached_property`` would put it.
+                light = self.__dict__["_light"] = _light_hops(self)
+        return light
+
+
+class LightHops(NamedTuple):
+    """The entries of an adjacency whose delay is at most ``max_delay_ms``,
+    as a CSR of their own in the same row order; a subset of the entries,
+    so it keeps every invariant of :class:`SatAdjacency`."""
+
+    max_delay_ms: float
+    adjacency: SatAdjacency
+
+
+# Light hops are about this share of the entries: the cut is this quantile
+# of every _LIGHT_SAMPLE_STRIDE-th delay.  A strided sample's partition took
+# 5-7 ms on starlink-like, against 64-110 ms for np.quantile over every entry.
+_LIGHT_SHARE = 0.1
+_LIGHT_SAMPLE_STRIDE = 16
+_LIGHT_LOCK = threading.Lock()
+
+
+def _light_hops(adj: SatAdjacency, max_delay_ms: float | None = None) -> LightHops:
+    """The entries of ``adj`` of delay at most ``max_delay_ms``, by default
+    about the ``_LIGHT_SHARE`` quantile of the delays (0.0 without entries).
+    A row starts at the count of light entries before its first entry, a
+    binary search in their ascending indices: this took half the time of
+    per-row ``add.reduceat`` counts and two mask gathers (starlink-like,
+    19 against 38 ms)."""
+    if max_delay_ms is None:
+        sample = adj.delays_ms[::_LIGHT_SAMPLE_STRIDE]
+        k = int(sample.size * _LIGHT_SHARE)
+        max_delay_ms = float(np.partition(sample, k)[k]) if sample.size else 0.0
+    light = np.flatnonzero(adj.delays_ms <= max_delay_ms)
+    indptr = np.searchsorted(light, adj.indptr).astype(np.int64, copy=False)
+    return LightHops(max_delay_ms, SatAdjacency(indptr, adj.neighbors[light], adj.delays_ms[light]))
 
 
 @dataclass(frozen=True)

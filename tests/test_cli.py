@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sda_netlab import experiments
+from sda_netlab import experiments, topology
 from sda_netlab.cli import _sweep_csv, run, validate_config
 from sda_netlab.constellation import (
     ConstellationSnapshot, GroundStationNode, WalkerSpec, generate_walker, snapshot_to_csv,
@@ -759,6 +759,30 @@ def test_compare_writes_what_two_simulate_runs_write(tmp_path):
         simulated = json.loads((sim / "summary.json").read_text())
         del simulated["config"]
         assert compared[block] == simulated
+
+
+@pytest.mark.parametrize("argv, derived", [
+    # A downhaul mode never reads the light hops, with or without an overlay.
+    *((["simulate", "attack_links_oneweb.json", "--mode", mode], 0) for mode in ("downhaul-greedy", "downhaul-optimal")),
+    *((["attack", "attack_links_oneweb.json", "--mode", mode], 0) for mode in ("downhaul-greedy", "downhaul-optimal")),
+    # The sweep points share one graph and derive its light hops once.
+    (["sweep", "oneweb_like.json", "--threads", "2"], 1),
+    # The overlaid graph is a graph of its own, so it derives its own.
+    (["attack", "attack_links_oneweb.json", "--mode", "onorbit"], 2),
+])
+def test_the_light_hops_are_derived_only_where_an_on_orbit_solve_reads_them(tmp_path, monkeypatch, argv, derived):
+    derive, adjacencies = topology._light_hops, []
+
+    def counted(adjacency):
+        adjacencies.append(adjacency)
+        return derive(adjacency)
+
+    monkeypatch.setattr(topology, "_light_hops", counted)
+    command, config, *flags = argv
+    assert run([command, "--config", os.path.join(CONFIG_DIR, config), "--out", str(tmp_path), "--quiet",
+                *flags]) == 0
+    assert len(adjacencies) == derived
+    assert len({id(adjacency) for adjacency in adjacencies}) == derived
 
 
 def test_cli_rejects_a_non_numeric_tle_epoch(tmp_path, capsys):

@@ -1,13 +1,13 @@
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sda_netlab import routing
+from sda_netlab import routing, topology
 from sda_netlab.constellation import (
     ConstellationSnapshot,
     load_ground_stations_csv,
@@ -18,7 +18,9 @@ from sda_netlab.routing import (
     ArchitectureMode,
     RelaySeeds,
     _RelayProblem,
+    _light_first,
     _relax,
+    _route,
     _row_blocks,
     actuator_sources,
     downhaul_latencies,
@@ -708,6 +710,110 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     assert fixpoint.labels[1] == delay[1, 0]
     # Relay 6 is two hops from either actuator: the hop from relay 5 pays.
     assert fixpoint.labels[6] == min(delay[6, 5] + penalty + delay[5, 4], delay[6, 7] + penalty + delay[7, 0])
+
+
+def attaining_set(fixpoint):
+    return sorted(zip(fixpoint.attain_dst.tolist(), fixpoint.attain_src.tolist()))
+
+
+# Light-hop cuts: none light but zero-delay hops, the median delay (so some
+# hop sits at the cut), and every hop light.
+LIGHT_CUTS = ["zero", "middle", "above"]
+
+
+def light_cut_ms(adjacency, cut):
+    delays = np.sort(adjacency.delays_ms)
+    if cut == "zero" or delays.size == 0:
+        return 0.0
+    return float(delays[delays.size // 2] if cut == "middle" else delays[-1] + 1.0)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(2, 45),
+    penalty=st.sampled_from([0.0, 0.25]),
+    cut=st.sampled_from(LIGHT_CUTS),
+    block_entries=st.sampled_from(BLOCK_SIZES),
+    compact_cut=st.sampled_from(COMPACT_CUTS),
+    coverage_cut=st.sampled_from([0.0, routing._LIGHT_FIRST_WHEN_COVERAGE_REACHES, 2.0]),
+    data=st.data(),
+)
+def test_the_light_first_solve_equals_the_single_phase_route_and_the_oracle(
+    shell_seed, count, penalty, cut, block_entries, compact_cut, coverage_cut, data
+):
+    snap = random_shell(shell_seed, count=count)
+    actuators = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
+    graph = build_visibility_graph(snap, threads=1)
+    sources = actuator_sources(graph, actuators)
+    problem = _RelayProblem(graph.adjacency, penalty, sources, exempt_seeds=True)
+    max_delay_ms = light_cut_ms(graph.adjacency, cut)
+    light = topology._light_hops(graph.adjacency, max_delay_ms)
+    single = blocked_pull(block_entries, _relax, problem, compact_cut=compact_cut)
+    two = blocked_pull(block_entries, _light_first, problem, light, compact_cut=compact_cut)
+    assert two.labels.tobytes() == single.labels.tobytes()
+    assert attaining_set(two) == attaining_set(single)
+    oracle = dijkstra_oracle(graph, snap, sources, penalty, exempt=True)
+    assert _route(problem, two, graph.sat_ids) == _route(problem, single, graph.sat_ids) == oracle
+
+    # The engine, with the skip rule taken or not, on a graph whose light
+    # hops are cut at the same delay.
+    graph = build_visibility_graph(snap, threads=1)
+    light_hops = topology._light_hops
+    with mock.patch.object(topology, "_light_hops", lambda adj: light_hops(adj, max_delay_ms)), \
+            mock.patch.object(routing, "_LIGHT_FIRST_WHEN_COVERAGE_REACHES", coverage_cut), \
+            mock.patch.object(routing, "_light_first", wraps=_light_first) as light_first:
+        report = blocked_pull(block_entries, onorbit_latencies, graph, actuators, penalty, compact_cut=compact_cut)
+    assert report == oracle
+    coverage = routing._light_coverage(graph.adjacency.light.adjacency, sources.node)
+    assert light_first.call_count == (coverage >= coverage_cut)
+
+
+def light_case(links, actuators, max_delay_ms):
+    """The problem over the satellites s0..s{n-1} linked by ``links`` of
+    (i, j, delay_ms), with light hops cut at ``max_delay_ms``."""
+    n = 1 + max(max(i, j) for i, j, _ in links)
+    snap = ConstellationSnapshot(tuple(f"s{k}" for k in range(n)), [(7000.0, 100.0 * k, 0.0) for k in range(n)])
+    sat_edges = np.array([(i, j) for i, j, _ in links])
+    graph = graph_from_edges(snap.ids, 0, sat_edges, [d for *_, d in links], [], [])
+    actuators = np.isin(np.arange(n), actuators)
+    problem = _RelayProblem(graph.adjacency, 0.0, actuator_sources(graph, actuators), exempt_seeds=True)
+    light = topology._light_hops(graph.adjacency, max_delay_ms)
+    first = _relax(replace(problem, adjacency=light.adjacency))
+    return snap, graph, problem, light, first
+
+
+def test_phase_two_lowers_heavy_rows_through_a_heavy_hop_and_a_light_hop():
+    # Actuator s0.  Light hops (delay 1) chain s0-s1-s2-s3 and join s4-s3;
+    # the heavy hop s0-s4 (delay 1.5) reaches s4 directly.  Phase 1 labels
+    # s4 through s3 at 4 and s3 at 3; phase 2 lowers s4 through the heavy
+    # hop to 1.5, then s3 through the light hop from s4 to 2.5.
+    links = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.5)]
+    snap, graph, problem, light, first = light_case(links, [0], 1.0)
+    assert first.labels.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    fixpoint = _light_first(problem, light)
+    assert fixpoint.labels.tolist() == [0.0, 1.0, 2.0, 2.5, 1.5]
+    assert fixpoint.labels.tobytes() == _relax(problem).labels.tobytes()
+    assert attaining_set(fixpoint) == attaining_set(_relax(problem)) == [(1, 0), (2, 1), (3, 4), (4, 0)]
+    report = _route(problem, fixpoint, graph.sat_ids)
+    assert report == dijkstra_oracle(graph, snap, problem.seeds, exempt=True)
+    assert report.parent.tolist() == [0, 0, 1, 4, 0]
+
+
+def test_a_delay_absorbed_into_a_label_at_the_light_cut_keeps_the_strict_parent():
+    # s1 and s2 both hang off actuator s0 by a hop of delay exactly the cut,
+    # and s1-s2 is a hop so short that 1.0 + 2**-60 rounds to 1.0: each of
+    # s1 and s2 attains the other's label.  The hops at the cut are light,
+    # so s2 keeps its strict parent s0, not the equal-label hop from s1.
+    links = [(0, 1, 1.0), (1, 2, 2.0**-60), (0, 2, 1.0)]
+    snap, graph, problem, light, first = light_case(links, [0], 1.0)
+    assert light.adjacency.indptr[-1] == graph.adjacency.indptr[-1]
+    assert first.labels.tolist() == [0.0, 1.0, 1.0]
+    fixpoint = _light_first(problem, light)
+    assert attaining_set(fixpoint) == [(1, 0), (1, 2), (2, 0), (2, 1)]
+    report = _route(problem, fixpoint, graph.sat_ids)
+    assert report == dijkstra_oracle(graph, snap, problem.seeds, exempt=True)
+    assert report.parent.tolist() == [0, 0, 0]
 
 
 @settings(max_examples=40, deadline=None, database=None)

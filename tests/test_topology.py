@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from unittest import mock
@@ -401,6 +402,46 @@ def test_adjacency_lists_each_edge_under_both_endpoints():
     )
     assert listed == expected
     assert adj.indptr[0] == 0 and adj.indptr[-1] == 2 * graph.sat_edge_count
+
+
+@pytest.mark.parametrize("count", [1, 2, 40, 300])
+def test_light_hops_are_the_entries_at_most_the_cut_in_row_order(count):
+    # Empty rows at the ends and inside come from the satellites that see
+    # no other; the cut is about the 10% quantile of the delays.
+    adj = build_visibility_graph(random_shell(7, count=count), threads=1).adjacency
+    cut, light = adj.light
+    rows = entry_rows(adj)
+    keep = adj.delays_ms <= cut
+    assert light.indptr.tolist() == np.concatenate([[0], np.cumsum(np.bincount(
+        rows[keep], minlength=adj.indptr.size - 1))]).tolist()
+    assert light.neighbors.tobytes() == adj.neighbors[keep].tobytes()
+    assert light.delays_ms.tobytes() == adj.delays_ms[keep].tobytes()
+    sample = np.sort(adj.delays_ms[::16])
+    assert cut == (sample[int(0.1 * sample.size)] if sample.size else 0.0)
+    assert adj.light is adj.light
+    for forced in (-1.0, 0.0, math.inf):
+        assert topology._light_hops(adj, forced).adjacency.indptr[-1] == np.count_nonzero(adj.delays_ms <= forced)
+
+
+def test_light_hops_are_derived_once_under_many_threads(monkeypatch):
+    adj = build_visibility_graph(random_shell(3, count=60), threads=1).adjacency
+    derive, calls = topology._light_hops, []
+
+    def slow(adjacency):
+        calls.append(adjacency)
+        time.sleep(0.05)
+        return derive(adjacency)
+
+    monkeypatch.setattr(topology, "_light_hops", slow)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            seen = list(pool.map(lambda _: adj.light, range(12), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1 and calls[0] is adj
+    assert all(light is seen[0] for light in seen)
 
 
 def test_build_trivial_two_satellite_cases():
