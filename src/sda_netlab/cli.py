@@ -111,7 +111,7 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, [f"config: {exc}"]
     cfg, errors = validate_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
     if cfg is None:

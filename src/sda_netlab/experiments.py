@@ -325,7 +325,7 @@ def _overlay_from_json(raw, base_dir: str) -> dict:
         path = _resolve_path(raw, base_dir, "overlay")
         try:
             raw = json.loads(_read(path), object_pairs_hook=JsonObject)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, RecursionError) as exc:
             raise ValueError(f"overlay: {exc}") from None
     elif not isinstance(raw, dict):
         raise ValueError("overlay: must be a path or an object")
@@ -406,6 +406,9 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
         data = json.loads(text, object_pairs_hook=JsonObject)
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc}"]
+    except (ValueError, RecursionError) as exc:
+        # An integer past the digit limit, or nesting past the recursion limit.
+        return None, [f"config: {exc}"]
     if not isinstance(data, dict):
         return None, ["config must be a JSON object"]
     errors = key_errors(data, required=("constellation",), optional=(*CONFIG_KEYS, *FIELD_RULES))

@@ -28,24 +28,27 @@ One engine
 ----------
 Every mode is one seeded relaxation problem over the graph's satellite
 adjacency, one node per satellite, which the graph build emits and every
-solve on the graph shares.  Jacobi sweeps apply
+solve on the graph shares.  Each engine's builder states the problem as
+data: the seeds, the rows no hop may lower (on orbit the actuators, greedy
+its downlink seeds, optimal none) and a hop penalty, one float or one per
+source node (0.0 at the actuators).  Jacobi sweeps apply
 ``label[v] = min(label[v], weight(u, v) + label[u])`` along the hops leaving
 the nodes whose label dropped in the previous sweep (a push, in runs of
 frontier nodes with a bounded number of out-hops), or, when those are a
 large share of the hops into rows that may still drop, along all of these
 at once (a pull), so a relay chain costs O(E) relaxations, not O(V * E).
-A fixed seed is never lowered, so a pull reads only the free rows: once
-per solve the rows outside the fixed seeds are gathered, with their
-delays, into a CSR of their own when the fixed rows hold half the entries
-or more; below that cut-off the adjacency itself serves, with the fixed
-rows masked.  A pull adds the reroute penalty block by block, so no solve
-holds one weight per hop.  With no free hop at all nothing can drop, and
-the solve returns at once.  A pull walks its CSR in row-aligned blocks and,
-until a block lowers a label, records the hops whose candidate equals
-their row's label.  Every solve ends on a pull that lowers nothing, so
-those are exactly the hops into free rows that attain the final labels;
-the parent rule reads them as ``(dst, src)`` pairs, and no second pass
-over the hops, nor any array of one candidate per hop, follows.
+A fixed row is never lowered, so a pull reads only the free rows: once
+per solve the other rows are gathered, with their delays, into a CSR of
+their own when the fixed rows hold half the entries or more; below that
+cut-off the adjacency itself serves, with the fixed rows masked.  A pull
+adds the penalty block by block, so no solve holds one weight per hop.
+With no free hop at all nothing can drop, and the solve returns at once.
+A pull walks its CSR in row-aligned blocks and, until a block lowers a
+label, records the hops whose candidate equals their row's label.  Every
+solve ends on a pull that lowers nothing, so those are exactly the hops
+into free rows that attain the final labels; the parent rule reads them
+as ``(dst, src)`` pairs, and no second pass over the hops, nor any array
+of one candidate per hop, follows.
 
 An on-orbit solve reads only the hops that can matter once the actuators
 are dense, after the light/heavy split of delta-stepping (Meyer and
@@ -72,20 +75,18 @@ improves ends at the minimum over paths of the floating-point path cost,
 bit for bit what a heap Dijkstra returns.  The tests keep one as the
 oracle.  The parent forest comes from the labels alone: a node's parent
 is its lowest-index in-hop from a smaller label that attains its label
-exactly; failing that, its own seed if that attains the label (a fixed seed
-always roots); failing that, an attaining in-hop from an equal label, whose
-delay the sum absorbed, taken in rounds only from nodes whose parent is
-already set.  The report holds the forest and the hops and terminal read
-off it.
+exactly; failing that, the node itself if it is a seed still at its seed
+label (a fixed seed always is); failing that, an attaining in-hop from an
+equal label, whose delay the sum absorbed, taken in rounds only from nodes
+whose parent is already set.  The report holds the forest and the hops and
+terminal read off it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -168,48 +169,35 @@ class RelaySeeds:
             raise ValueError("a node is seeded more than once")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _RelayProblem:
     """Directed relaxation problem over a graph's satellite adjacency, one
-    node per satellite.
+    node per satellite, as data that each engine's builder fills in.
 
-    Hop (src, dst, weight) means ``label[dst]`` may be improved to
-    ``weight + label[src]``.  A hop weighs ``delay + hop_penalty[src]``:
-    ``penalty_ms``, or 0.0 where the source is a seed and ``exempt_seeds``
-    is set, and ``fl(delay + 0.0)`` is the delay.  Seeds start at their seed
-    label; with ``fixed_seeds`` no hop relaxes into a seed, otherwise
-    relaying may lower a seed's label like any other.
+    Hop (src, dst) may lower ``label[dst]`` to ``weight + label[src]``, and
+    weighs ``delay + hop_penalty``, the penalty one float or an ``(n,)``
+    float64 array read at ``src``; ``fl(delay + 0.0)`` is the delay.  Seeds
+    start at their seed label, every other node at inf, and no hop lowers a
+    row of the ``(n,)`` bool mask ``fixed``.
     """
 
     adjacency: SatAdjacency
-    penalty_ms: float
     seeds: RelaySeeds
-    fixed_seeds: bool = True
-    exempt_seeds: bool = False
+    fixed: np.ndarray
+    hop_penalty: float | np.ndarray
 
-    @cached_property
-    def hop_penalty(self) -> np.ndarray:
-        """(sat_count,) float64: the penalty of every hop leaving each satellite."""
-        penalty = np.full(self.adjacency.indptr.size - 1, self.penalty_ms)
-        if self.exempt_seeds:
-            penalty[self.seeds.node] = 0.0
-        return penalty
-
-    def sat_weights(self, src: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
-        """Penalised weights of satellite hops leaving ``src``."""
-        if self.penalty_ms == 0.0:
-            return delays_ms
-        if not self.exempt_seeds:
-            return delays_ms + self.penalty_ms
-        return delays_ms + self.hop_penalty[src]
+    def weights(self, sources: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
+        """Penalised weights of the hops of ``delays_ms`` leaving ``sources``."""
+        if isinstance(self.hop_penalty, np.ndarray):
+            return delays_ms + self.hop_penalty[sources]
+        return delays_ms + self.hop_penalty if self.hop_penalty else delays_ms
 
 
 @dataclass(frozen=True)
 class _FreeRows:
     """The rows a solve may lower, as a CSR over the hops into them: row
     ``r`` is node ``nodes[r]``, and entry ``k`` in ``indptr[r]:indptr[r + 1]``
-    is the hop ``neighbors[k] -> nodes[r]`` of delay ``delays_ms[k]``, whose
-    penalised weight ``weigh(sources, delays)`` gives a block at a time.
+    is the hop ``neighbors[k] -> nodes[r]`` of delay ``delays_ms[k]``.
     Either the fixed rows are compacted away, or every node keeps its row
     and ``fixed`` masks those that no hop may lower."""
 
@@ -219,7 +207,6 @@ class _FreeRows:
     delays_ms: np.ndarray
     fixed: np.ndarray
     blocks: list[tuple[int, int]]
-    weigh: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -302,11 +289,11 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def _free_rows(problem: _RelayProblem, fixed: np.ndarray) -> _FreeRows:
-    """The CSR of the rows outside ``fixed``, with their delays: a
+def _free_rows(problem: _RelayProblem) -> _FreeRows:
+    """The CSR of the rows outside ``problem.fixed``, with their delays: a
     compacted copy when the fixed rows hold enough entries, else the
     adjacency itself with ``fixed`` as its mask."""
-    adj = problem.adjacency
+    adj, fixed = problem.adjacency, problem.fixed
     counts = np.diff(adj.indptr)
     if counts[fixed].sum() < _COMPACT_WHEN_FIXED_ENTRIES_REACH * adj.indptr[-1]:
         nodes, indptr, neighbors, delays_ms, row_fixed = (
@@ -321,13 +308,13 @@ def _free_rows(problem: _RelayProblem, fixed: np.ndarray) -> _FreeRows:
             keep = np.repeat(~fixed, counts)
         neighbors, delays_ms = adj.neighbors[keep], adj.delays_ms[keep]
         row_fixed = np.zeros(nodes.size, dtype=bool)
-    return _FreeRows(nodes, indptr, neighbors, delays_ms, row_fixed, _row_blocks(indptr), problem.sat_weights)
+    return _FreeRows(nodes, indptr, neighbors, delays_ms, row_fixed, _row_blocks(indptr))
 
 
-def _pull(rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _pull(problem: _RelayProblem, rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """One pull over every hop of ``rows``, block by block, reading
-    ``labels`` only: each row's least candidate, the penalised weight of
-    hop ``k`` plus ``labels[neighbors[k]]`` (inf without hops), and the
+    ``labels`` only: each row's least candidate, the weight in ``problem``
+    of hop ``k`` plus ``labels[neighbors[k]]`` (inf without hops), and the
     ascending entries into free rows of finite label whose candidate equals
     their row's label.  Those are kept only while no block has lowered the
     label of a row outside ``rows.fixed``; a pull that lowers one returns
@@ -341,7 +328,7 @@ def _pull(rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray |
         e0, e1 = int(rows.indptr[r0]), int(rows.indptr[r1])
         sources = rows.neighbors[e0:e1]
         cand = labels[sources]
-        cand += rows.weigh(sources, rows.delays_ms[e0:e1])
+        cand += problem.weights(sources, rows.delays_ms[e0:e1])
         counts = np.diff(rows.indptr[r0:r1 + 1])
         nonempty = r0 + np.flatnonzero(counts)
         best[nonempty] = np.minimum.reduceat(cand, rows.indptr[nonempty] - e0)
@@ -353,10 +340,9 @@ def _pull(rows: _FreeRows, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray |
     return best, None if attain is None else np.concatenate(attain)
 
 
-def _push(problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray,
-          frontier: np.ndarray) -> tuple[np.ndarray, int]:
+def _push(problem: _RelayProblem, labels: np.ndarray, frontier: np.ndarray) -> tuple[np.ndarray, int]:
     """One Jacobi sweep along the hops leaving ``frontier`` into the nodes
-    outside ``fixed``, in runs of frontier nodes with at most
+    outside ``problem.fixed``, in runs of frontier nodes with at most
     ``_BLOCK_ENTRIES`` out-hops (a node with more is a run alone).  The
     frontier's labels are read once, before any run lowers one.  Returns the
     ascending nodes whose label dropped and the number of hops relaxed."""
@@ -371,39 +357,34 @@ def _push(problem: _RelayProblem, labels: np.ndarray, fixed: np.ndarray,
         run = counts[f0:f1]
         idx = _concat_ranges(starts[f0:f1], run)
         dst = adj.neighbors[idx]
-        cand = problem.sat_weights(np.repeat(frontier[f0:f1], run), adj.delays_ms[idx])
+        cand = problem.weights(np.repeat(frontier[f0:f1], run), adj.delays_ms[idx])
         cand += np.repeat(frontier_labels[f0:f1], run)
-        better = (cand < labels[dst]) & ~fixed[dst]
+        better = (cand < labels[dst]) & ~problem.fixed[dst]
         dst = dst[better]
         np.minimum.at(labels, dst, cand[better])
         lowered[dst] = True
     return np.flatnonzero(lowered), int(offsets[-1])
 
 
-def _relax(problem: _RelayProblem, labels: np.ndarray | None = None,
-           fixed: np.ndarray | None = None) -> _Fixpoint:
+def _relax(problem: _RelayProblem, labels: np.ndarray | None = None) -> _Fixpoint:
     """Jacobi sweeps of the relay update until no label drops.
 
     The labels start at the seed labels, or at ``labels``, which the solve
-    then lowers in place; no hop lowers a row of the ``fixed`` mask, by
-    default the seeds' rows where the seeds are fixed.  A sweep relaxes the
-    hops leaving the satellites whose label dropped in the previous sweep
-    (push), or, when those are a large share of the free hops, every hop
-    into a free row by a blocked per-row min-reduce (pull); both give the
-    labels of a full sweep.  A push that lowers nothing hands over to one
-    closing pull, so the solve always ends on a pull that lowers nothing,
-    whose attaining hops it returns; with no free hop at all, nothing can
-    drop and it returns at once.
+    then lowers in place; no hop lowers a row of ``problem.fixed``.  A sweep
+    relaxes the hops leaving the satellites whose label dropped in the
+    previous sweep (push), or, when those are a large share of the free
+    hops, every hop into a free row by a blocked per-row min-reduce (pull);
+    both give the labels of a full sweep.  A push that lowers nothing hands
+    over to one closing pull, so the solve always ends on a pull that lowers
+    nothing, whose attaining hops it returns; with no free hop at all,
+    nothing can drop and it returns at once.
     """
     indptr = problem.adjacency.indptr
     n = indptr.size - 1
     if labels is None:
         labels = np.full(n, math.inf)
         labels[problem.seeds.node] = problem.seeds.label_ms
-    if fixed is None:
-        fixed = np.zeros(n, dtype=bool)
-        fixed[problem.seeds.node] = problem.fixed_seeds
-    rows = _free_rows(problem, fixed)
+    rows = _free_rows(problem)
     free_hops = int(rows.indptr[-1])
     if free_hops == 0:
         none = np.zeros(0, dtype=np.int64)
@@ -413,7 +394,7 @@ def _relax(problem: _RelayProblem, labels: np.ndarray | None = None,
     for _ in range(n + 2):
         frontier_hops = np.sum(indptr[frontier + 1] - indptr[frontier])
         if closing or frontier_hops > _PULL_WHEN_FRONTIER_HOPS_EXCEED * free_hops:
-            best, attain = _pull(rows, labels)
+            best, attain = _pull(problem, rows, labels)
             if attain is not None:
                 # Nothing dropped, so every block compared against the final labels.
                 dst = rows.nodes[np.searchsorted(rows.indptr, attain, side="right") - 1]
@@ -423,7 +404,7 @@ def _relax(problem: _RelayProblem, labels: np.ndarray | None = None,
             frontier = rows.nodes[lowered]
             labels[frontier] = best[lowered]
         else:
-            frontier, hops = _push(problem, labels, fixed, frontier)
+            frontier, hops = _push(problem, labels, frontier)
             relaxed += hops
         closing = frontier.size == 0
         sweeps += not closing
@@ -446,7 +427,7 @@ def _light_first(problem: _RelayProblem, light: LightHops) -> _Fixpoint:
     """
     first = _relax(replace(problem, adjacency=light.adjacency))
     final = first.labels <= light.max_delay_ms
-    second = _relax(problem, first.labels, final)
+    second = _relax(replace(problem, fixed=final), first.labels)
     keep = final[first.attain_dst]
     return _Fixpoint(
         second.labels,
@@ -461,15 +442,16 @@ def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
     """Parent of every reachable node, the node itself at a root, and -1
     where nothing attains the label, from the converged labels and the
     attaining hops of the pull that found them final.  Those cover the free
-    rows only, and every fixed row is a seed's, hence a root.
+    rows only.
 
     Of the in-hops that attain a node's label exactly, one from a smaller
     label (strict progress) wins, lowest node index first.  Failing that, a
-    seed whose label is still its seed label is a root; a fixed seed always
-    is.  Failing that, an in-hop from an equal label (the sum absorbed its
-    delay) is taken only from a node whose parent is already set: each round
-    takes the lowest such index per node, and as a round only builds on
-    earlier ones, no parent cycle can form.
+    seed still at its seed label is a root: one rule in every mode, as a
+    fixed row records no attaining hop and keeps its seed label.  Failing
+    that, an in-hop from an equal label (the sum absorbed its delay) is
+    taken only from a node whose parent is already set: each round takes
+    the lowest such index per node, and as a round only builds on earlier
+    ones, no parent cycle can form.
     """
     labels, dst, src = fixpoint.labels, fixpoint.attain_dst, fixpoint.attain_src
     n = labels.size
@@ -482,9 +464,7 @@ def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
 
     strict = labels[src] < labels[dst]
     parent = lowest(dst[strict], src[strict])
-    roots = seeds.node
-    if not problem.fixed_seeds:
-        roots = roots[(parent[roots] < 0) & (labels[roots] == seeds.label_ms)]
+    roots = seeds.node[(parent[seeds.node] < 0) & (labels[seeds.node] == seeds.label_ms)]
     parent[roots] = roots
     dst, src = dst[~strict], src[~strict]
     while True:
@@ -543,7 +523,7 @@ def _route(problem: _RelayProblem, fixpoint: _Fixpoint, names: tuple[str, ...]) 
     )
 
 
-# --- Source builders ----------------------------------------------------------
+# --- Seed and problem builders -------------------------------------------------
 
 
 def actuator_sources(graph: VisibilityGraph, actuators: np.ndarray) -> RelaySeeds:
@@ -555,7 +535,7 @@ def actuator_sources(graph: VisibilityGraph, actuators: np.ndarray) -> RelaySeed
     if actuators.dtype != bool:
         raise ValueError(f"actuators must be a bool array, got dtype {actuators.dtype}")
     node = np.flatnonzero(actuators)
-    return RelaySeeds(node, 0.0, 0, np.array(graph.sat_ids, dtype=object)[node])
+    return RelaySeeds(node, 0.0, 0, np.array([graph.sat_ids[k] for k in node.tolist()], dtype=object))
 
 
 def downlink_seeds(
@@ -580,6 +560,24 @@ def downlink_seeds(
     return RelaySeeds(rows[first], offer[first], 2, terminal)
 
 
+def _onorbit_problem(graph: VisibilityGraph, actuators: np.ndarray, reroute_penalty_ms: float) -> _RelayProblem:
+    """The actuators are fixed at label 0, and a hop leaving one is penalty-free."""
+    seeds = actuator_sources(graph, actuators)
+    fixed = np.asarray(actuators)
+    hop_penalty = np.where(fixed, 0.0, reroute_penalty_ms) if reroute_penalty_ms else 0.0
+    return _RelayProblem(graph.adjacency, seeds, fixed, hop_penalty)
+
+
+def _downhaul_problem(graph: VisibilityGraph, stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
+                      terminus: GeodeticPosition, mode: ArchitectureMode, reroute_penalty_ms: float) -> _RelayProblem:
+    """Greedy downlinks are fixed, and relaying may beat an optimal offer;
+    every hop pays the penalty."""
+    seeds = downlink_seeds(graph, stations, terminus, mode)
+    fixed = np.zeros(graph.sat_count, dtype=bool)
+    fixed[seeds.node] = mode is ArchitectureMode.DOWNHAUL_GREEDY
+    return _RelayProblem(graph.adjacency, seeds, fixed, float(reroute_penalty_ms))
+
+
 # --- Engines --------------------------------------------------------------------
 
 
@@ -593,8 +591,7 @@ def onorbit_latencies(
 
     Zero actuators is legal and yields an all-unreachable report.
     """
-    problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, actuator_sources(graph, actuators),
-                            exempt_seeds=True)
+    problem = _onorbit_problem(graph, actuators, reroute_penalty_ms)
     light = graph.adjacency.light
     if _light_coverage(light.adjacency, problem.seeds.node) >= _LIGHT_FIRST_WHEN_COVERAGE_REACHES:
         return _route(problem, _light_first(problem, light), graph.sat_ids)
@@ -613,8 +610,5 @@ def downhaul_latencies(
         raise ValueError("stations_csv: downhaul modes need at least one ground station")
     if mode not in (ArchitectureMode.DOWNHAUL_GREEDY, ArchitectureMode.DOWNHAUL_OPTIMAL):
         raise ValueError(f"downhaul_latencies cannot run mode {mode.value!r}")
-    sources = downlink_seeds(graph, stations, terminus, mode)
-    # Greedy downlinks are final; relaying may beat an optimal offer.
-    problem = _RelayProblem(graph.adjacency, reroute_penalty_ms, sources,
-                            fixed_seeds=mode is ArchitectureMode.DOWNHAUL_GREEDY)
+    problem = _downhaul_problem(graph, stations, terminus, mode, reroute_penalty_ms)
     return _route(problem, _relax(problem), graph.sat_ids)

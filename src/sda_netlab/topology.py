@@ -74,8 +74,7 @@ class SatAdjacency:
         with _LIGHT_LOCK:
             light = self.__dict__.get("_light")
             if light is None:
-                # A frozen dataclass: the cache goes into the instance dict,
-                # as ``functools.cached_property`` would put it.
+                # A frozen dataclass: the cache goes into the instance dict.
                 light = self.__dict__["_light"] = _light_hops(self)
         return light
 
@@ -498,7 +497,10 @@ def _elevation_mask(
         st_pos[k] = st.ecef.as_tuple()
     rel = positions[:, np.newaxis, :] - st_pos[np.newaxis, :, :]
     norms = np.sqrt(np.sum(rel * rel, axis=2))
-    sin_el = np.sum(rel * ups[np.newaxis, :, :], axis=2) / norms
+    # A satellite on its station reads 0 / 0, a NaN that fails the mask; the
+    # LOS test fails that pair already.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_el = np.sum(rel * ups[np.newaxis, :, :], axis=2) / norms
     return sin_el >= math.sin(math.radians(min_elevation_deg))
 
 

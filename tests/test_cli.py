@@ -347,6 +347,33 @@ def test_validate_config_rejects_malformed_overlays_and_numbers(tmp_path):
             assert validate_config(_config_text(config), base_dir=str(tmp_path)) == (None, expected), name
 
 
+# Config documents that the JSON reader cannot read: (id, the config file's
+# bytes, the keys its one error line may name).  Each ended as a traceback.
+# The digit limit's message is Python's own, and a Python without the limit
+# reads the number and rejects it as a seed.
+UNREADABLE_CONFIGS = [
+    ("config-not-utf8", b'{"constellation": {"preset": "oneweb-like"}, "seed": "\xff"}', "config"),
+    ("config-integer-past-digit-limit", b'{"constellation": {"preset": "oneweb-like"}, "seed": ' + b"9" * 5000 + b"}",
+     "config|seed"),
+    ("config-nested-too-deep", b"[" * 100_000, "config"),
+    ("overlay-file-nested-too-deep", b'{"constellation": {"preset": "oneweb-like"}, "overlay": "deep.json"}',
+     "overlay"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, keys", [row[1:] for row in UNREADABLE_CONFIGS], ids=[row[0] for row in UNREADABLE_CONFIGS]
+)
+def test_a_config_that_cannot_be_read_is_one_keyed_error_line(tmp_path, capsys, config, keys):
+    (tmp_path / "deep.json").write_bytes(b"[" * 100_000)
+    (tmp_path / "scenario.json").write_bytes(config)
+    assert run(["simulate", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "out"),
+                "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(rf"error: ({keys}): [^\n]+\n", err), err
+
+
 def test_an_unreadable_overlay_file_is_an_overlay_error(tmp_path, monkeypatch):
     def unreadable(path):
         raise PermissionError(13, "Permission denied", path)
@@ -783,6 +810,23 @@ def test_the_light_hops_are_derived_only_where_an_on_orbit_solve_reads_them(tmp_
                 *flags]) == 0
     assert len(adjacencies) == derived
     assert len({id(adjacency) for adjacency in adjacencies}) == derived
+
+
+def test_a_satellite_on_its_station_is_invisible_without_a_numpy_warning(tmp_path, capsys):
+    # The station stands 9 km up on the equator at longitude 0, where the
+    # satellite is: the elevation mask divided 0 by 0 there, and numpy warned.
+    write(tmp_path / "sats.csv", "id,x_km,y_km,z_km\non,6387.137,0,0\n")
+    write(tmp_path / "stations.csv", "id,lat_deg,lon_deg,alt_km\ng,0,0,9\n")
+    cfg = write(tmp_path / "scenario.json", json.dumps({
+        "constellation": {"snapshot_csv": "sats.csv"}, "stations_csv": "stations.csv", "min_elevation_deg": 5,
+    }))
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    station = GroundStationNode("g", GeodeticPosition(0.0, 0.0, 9.0))
+    assert station.ecef.as_tuple() == (6387.137, 0.0, 0.0)
+    graph = topology.build_visibility_graph(ConstellationSnapshot(("on",), [(6387.137, 0.0, 0.0)]), [station],
+                                            min_elevation_deg=5.0)
+    assert graph.station_edges.shape == (0, 2)
 
 
 def test_cli_rejects_a_non_numeric_tle_epoch(tmp_path, capsys):

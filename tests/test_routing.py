@@ -17,8 +17,9 @@ from sda_netlab.geo import GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import (
     ArchitectureMode,
     RelaySeeds,
-    _RelayProblem,
+    _downhaul_problem,
     _light_first,
+    _onorbit_problem,
     _relax,
     _route,
     _row_blocks,
@@ -68,20 +69,14 @@ def blocked_pull(block_entries, solve, *args, compact_cut=None, **kwargs):
             return solve(*args, **kwargs)
 
 
-def attaining_pairs(problem, labels, fixed):
+def attaining_pairs(problem, labels):
     """The (dst, src) hops into free rows of finite label whose candidate,
     unblocked and uncompacted, equals the label of dst, in ascending order."""
     adj = problem.adjacency
     rows = entry_rows(adj).astype(np.int64)
-    candidates = problem.sat_weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
-    attain = (candidates == labels[rows]) & ~fixed[rows] & np.isfinite(labels[rows])
+    candidates = problem.weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
+    attain = (candidates == labels[rows]) & ~problem.fixed[rows] & np.isfinite(labels[rows])
     return rows[attain], adj.neighbors[attain].astype(np.int64)
-
-
-def seed_mask(problem):
-    fixed = np.zeros(problem.adjacency.indptr.size - 1, dtype=bool)
-    fixed[problem.seeds.node] = problem.fixed_seeds
-    return fixed
 
 
 def same_fixpoint(a, b):
@@ -328,7 +323,7 @@ def test_star_topology_single_sweep_matches_dijkstra():
     actuators = np.arange(6) == 0
     graph = manual_graph(snap.ids, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
     sources = actuator_sources(graph, actuators)
-    assert _relax(_RelayProblem(graph.adjacency, 0.0, sources, exempt_seeds=True)).sweeps == 1
+    assert _relax(_onorbit_problem(graph, actuators, 0.0)).sweeps == 1
     assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, sources, exempt=True)
 
 
@@ -337,7 +332,7 @@ def test_single_pass_cannot_resolve_a_relay_chain():
     graph = manual_graph(snap.ids, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
     sources = actuator_sources(graph, CHAIN_ACTUATORS)
     # One sweep labels only B; the far node A needs a second.
-    assert _relax(_RelayProblem(graph.adjacency, 0.0, sources, exempt_seeds=True)).sweeps == 2
+    assert _relax(_onorbit_problem(graph, CHAIN_ACTUATORS, 0.0)).sweeps == 2
     full = onorbit_latencies(graph, CHAIN_ACTUATORS)
     assert full == dijkstra_oracle(graph, snap, sources, exempt=True)
     assert math.isfinite(full.latency_ms[full.sat_ids.index("A")])
@@ -353,7 +348,7 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     actuators = np.arange(n) == 0
     graph = manual_graph(snap.ids, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
     sources = actuator_sources(graph, actuators)
-    fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
+    fixpoint = _relax(_onorbit_problem(graph, actuators, 0.25))
     assert fixpoint.sweeps == n - 1
     assert fixpoint.relaxed_edges <= 2 * graph.sat_edge_count
     engine = onorbit_latencies(graph, actuators, 0.25)
@@ -499,9 +494,32 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
 def _relay_problem(graph, actuators, stations, terminus, mode, penalty):
     """The relay problem the engine of ``mode`` solves."""
     if mode is ArchitectureMode.ON_ORBIT:
-        return _RelayProblem(graph.adjacency, penalty, actuator_sources(graph, actuators), exempt_seeds=True)
-    seeds = downlink_seeds(graph, stations, terminus, mode)
-    return _RelayProblem(graph.adjacency, penalty, seeds, fixed_seeds=mode is GREEDY)
+        return _onorbit_problem(graph, actuators, penalty)
+    return _downhaul_problem(graph, stations, terminus, mode, penalty)
+
+
+@pytest.mark.parametrize("penalty", [0.0, 0.25, np.float64(0.25)])
+def test_each_engine_states_its_fixed_rows_and_hop_penalty(penalty):
+    snap = random_shell(5, count=40)
+    stations = PROPERTY_STATIONS
+    graph = build_visibility_graph(snap, stations, threads=1)
+    actuators = select_actuators(snap, 7, 5)
+    onorbit = _onorbit_problem(graph, actuators, penalty)
+    assert onorbit.fixed.dtype == bool and onorbit.fixed.tolist() == actuators.tolist()
+    if penalty == 0.0:
+        assert type(onorbit.hop_penalty) is float and onorbit.hop_penalty == 0.0
+    else:
+        assert onorbit.hop_penalty.dtype == np.float64
+        assert onorbit.hop_penalty.tolist() == [0.0 if a else 0.25 for a in actuators.tolist()]
+    terminus = stations[1].geodetic
+    greedy, optimal = (_downhaul_problem(graph, stations, terminus, mode, penalty) for mode in (GREEDY, OPTIMAL))
+    assert 0 < greedy.seeds.node.size < graph.sat_count
+    assert greedy.fixed.shape == optimal.fixed.shape == (graph.sat_count,)
+    assert np.flatnonzero(greedy.fixed).tolist() == sorted(greedy.seeds.node.tolist())
+    assert not optimal.fixed.any()
+    for problem in (greedy, optimal):
+        # A scalar penalty: no downhaul pull gathers one per node.
+        assert type(problem.hop_penalty) is float and problem.hop_penalty == penalty
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -527,14 +545,14 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
         graph = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
     problem = _relay_problem(graph, actuators, stations, terminus, mode, penalty)
     fixpoint = blocked_pull(block_entries, _relax, problem, compact_cut=compact_cut)
-    adj, labels, fixed = graph.adjacency, fixpoint.labels, seed_mask(problem)
-    dst, src = attaining_pairs(problem, labels, fixed)
+    adj, labels, fixed = graph.adjacency, fixpoint.labels, problem.fixed
+    dst, src = attaining_pairs(problem, labels)
     assert fixpoint.attain_dst.dtype == fixpoint.attain_src.dtype == np.int64
     assert fixpoint.attain_dst.tobytes() == dst.tobytes()
     assert fixpoint.attain_src.tobytes() == src.tobytes()
     # No hop lowers a free label: the unblocked candidates of every hop.
     rows = entry_rows(adj)
-    candidates = problem.sat_weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
+    candidates = problem.weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
     assert ((candidates >= labels[rows]) | fixed[rows]).all()
 
 
@@ -542,37 +560,36 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
 def test_only_a_pull_that_lowers_no_free_label_keeps_its_attaining_entries(block_entries):
     snap = random_shell(4, count=40)
     graph = build_visibility_graph(snap, threads=1)
-    problem = _RelayProblem(graph.adjacency, 0.25, actuator_sources(graph, select_actuators(snap, 2, 4)),
-                            exempt_seeds=True)
+    problem = _onorbit_problem(graph, select_actuators(snap, 2, 4), 0.25)
     adj = graph.adjacency
     none_fixed = np.zeros(graph.sat_count, dtype=bool)
-    rows = blocked_pull(block_entries, routing._free_rows, problem, none_fixed)
+    rows = blocked_pull(block_entries, routing._free_rows, replace(problem, fixed=none_fixed))
     assert rows.indptr is adj.indptr and rows.nodes.tolist() == list(range(graph.sat_count))
     # From the seed labels alone, the pull lowers the actuators' neighbours.
     labels = np.full(graph.sat_count, math.inf)
     labels[problem.seeds.node] = 0.0
-    best, attain = routing._pull(rows, labels)
+    best, attain = routing._pull(problem, rows, labels)
     assert attain is None and (best < labels).any()
     # At the fixpoint it lowers nothing and keeps every attaining entry.
     labels = _relax(problem).labels
 
     def attaining(fixed):
-        weights = problem.sat_weights(adj.neighbors, adj.delays_ms)
+        weights = problem.weights(adj.neighbors, adj.delays_ms)
         rows = entry_rows(adj)
         return np.flatnonzero((weights + labels[adj.neighbors] == labels[rows])
                               & np.isfinite(labels[rows]) & ~fixed[rows])
 
-    best, attain = routing._pull(rows, labels)
+    best, attain = routing._pull(problem, rows, labels)
     assert attain.tobytes() == attaining(none_fixed).tobytes()
     # Raised above the fixpoint, the last relayed label is lowered again;
     # where it is fixed, that does not count, and its row records nothing.
     raised = np.flatnonzero(np.isfinite(labels) & (labels > 0.0))[-1]
     labels[raised] += 1.0
-    assert routing._pull(rows, labels)[1] is None
+    assert routing._pull(problem, rows, labels)[1] is None
     only_raised = np.arange(graph.sat_count) == raised
-    masked = blocked_pull(block_entries, routing._free_rows, problem, only_raised, compact_cut=2.0)
+    masked = blocked_pull(block_entries, routing._free_rows, replace(problem, fixed=only_raised), compact_cut=2.0)
     assert masked.indptr is adj.indptr and masked.fixed.tolist() == only_raised.tolist()
-    best, attain = routing._pull(masked, labels)
+    best, attain = routing._pull(problem, masked, labels)
     assert best[raised] < labels[raised] and attain.size > 0
     assert attain.tobytes() == attaining(only_raised).tobytes()
 
@@ -610,7 +627,7 @@ def test_every_way_into_the_closing_pull_gives_the_oracle_report(links, actuator
     actuators = np.isin(np.arange(6), list(actuators))
     graph = manual_graph(snap.ids, 0, links, [])
     sources = actuator_sources(graph, actuators)
-    fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
+    fixpoint = _relax(_onorbit_problem(graph, actuators, 0.25))
     # The closing pull replaces the report's pass over the hops, so it is not
     # counted; a pull counts the entries of the rows it reads.
     assert (fixpoint.sweeps, fixpoint.relaxed_edges) == (sweeps, relaxed_edges)
@@ -642,7 +659,7 @@ def test_free_row_solves_equal_the_oracle_and_the_full_csr_path(fraction, block_
             blocked_pull(block_entries, _relax, problem, compact_cut=cut) for cut in COMPACT_CUTS
         )
         assert same_fixpoint(compacted, masked), mode
-        dst, src = attaining_pairs(problem, compacted.labels, seed_mask(problem))
+        dst, src = attaining_pairs(problem, compacted.labels)
         assert (compacted.attain_dst.tobytes(), compacted.attain_src.tobytes()) == (dst.tobytes(), src.tobytes())
 
 
@@ -656,7 +673,7 @@ def test_free_rows_that_are_all_empty_return_without_a_pull():
     sources = actuator_sources(graph, actuators)
     with mock.patch.object(routing, "_pull", side_effect=AssertionError("pulled")), \
             mock.patch.object(routing, "_push", side_effect=AssertionError("pushed")):
-        fixpoint = _relax(_RelayProblem(graph.adjacency, 0.25, sources, exempt_seeds=True))
+        fixpoint = _relax(_onorbit_problem(graph, actuators, 0.25))
         report = onorbit_latencies(graph, actuators, 0.25)
     assert fixpoint.labels.tolist() == [0.0, 0.0, math.inf, math.inf]
     assert (fixpoint.sweeps, fixpoint.relaxed_edges, fixpoint.attain_dst.size) == (0, 0, 0)
@@ -673,7 +690,7 @@ def test_a_hop_that_ties_a_fixed_label_is_no_attaining_hop(compact_cut):
     )
     actuators = np.arange(3) < 2
     graph = manual_graph(snap.ids, 0, [(0, 1, 0.0), (1, 2, 100.0)], [])
-    problem = _RelayProblem(graph.adjacency, 0.0, actuator_sources(graph, actuators), exempt_seeds=True)
+    problem = _onorbit_problem(graph, actuators, 0.0)
     fixpoint = blocked_pull(routing._BLOCK_ENTRIES, _relax, problem, compact_cut=compact_cut)
     assert (fixpoint.attain_dst.tolist(), fixpoint.attain_src.tolist()) == ([2], [1])
     assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators),
@@ -691,13 +708,12 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     actuators = np.isin(np.arange(n), [0, 3, 4])
     graph = manual_graph(snap.ids, 0, [(k, (k + 1) % n, 300.0 + 10.0 * k) for k in range(n)], [])
     sources = actuator_sources(graph, actuators)
-    problem = _RelayProblem(graph.adjacency, penalty, sources, exempt_seeds=True)
-    rows = blocked_pull(routing._BLOCK_ENTRIES, routing._free_rows, problem, seed_mask(problem),
-                        compact_cut=compact_cut)
+    problem = _onorbit_problem(graph, actuators, penalty)
+    rows = blocked_pull(routing._BLOCK_ENTRIES, routing._free_rows, problem, compact_cut=compact_cut)
     adj = graph.adjacency
     delay = {(int(v), int(u)): d for v, u, d in zip(entry_rows(adj), adj.neighbors, adj.delays_ms)}
     hop_rows = np.repeat(rows.nodes, np.diff(rows.indptr))
-    weights = rows.weigh(rows.neighbors, rows.delays_ms)
+    weights = problem.weights(rows.neighbors, rows.delays_ms)
     for v, u, weight in zip(hop_rows.tolist(), rows.neighbors.tolist(), weights.tolist()):
         assert weight == delay[v, u] + (0.0 if actuators[u] else penalty), (u, v)
     assert rows.fixed.any() == (compact_cut > 1.0)
@@ -746,7 +762,7 @@ def test_the_light_first_solve_equals_the_single_phase_route_and_the_oracle(
     actuators = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
     graph = build_visibility_graph(snap, threads=1)
     sources = actuator_sources(graph, actuators)
-    problem = _RelayProblem(graph.adjacency, penalty, sources, exempt_seeds=True)
+    problem = _onorbit_problem(graph, actuators, penalty)
     max_delay_ms = light_cut_ms(graph.adjacency, cut)
     light = topology._light_hops(graph.adjacency, max_delay_ms)
     single = blocked_pull(block_entries, _relax, problem, compact_cut=compact_cut)
@@ -777,7 +793,7 @@ def light_case(links, actuators, max_delay_ms):
     sat_edges = np.array([(i, j) for i, j, _ in links])
     graph = graph_from_edges(snap.ids, 0, sat_edges, [d for *_, d in links], [], [])
     actuators = np.isin(np.arange(n), actuators)
-    problem = _RelayProblem(graph.adjacency, 0.0, actuator_sources(graph, actuators), exempt_seeds=True)
+    problem = _onorbit_problem(graph, actuators, 0.0)
     light = topology._light_hops(graph.adjacency, max_delay_ms)
     first = _relax(replace(problem, adjacency=light.adjacency))
     return snap, graph, problem, light, first
@@ -828,7 +844,7 @@ def test_a_blocked_push_is_the_unblocked_sweep(shell_seed, count, actuators, pen
     snap = random_shell(shell_seed, count=count)
     graph = build_visibility_graph(snap, threads=1)
     mask = select_actuators(snap, min(actuators, count), shell_seed)
-    problem = _RelayProblem(graph.adjacency, penalty, actuator_sources(graph, mask), exempt_seeds=True)
+    problem = _onorbit_problem(graph, mask, penalty)
     pushes = []
     for entries in (block_entries, 1 << 62):  # the last: every push is a single run
         with mock.patch.object(routing, "_push", wraps=routing._push) as push:
