@@ -5,7 +5,9 @@ plain CSV/JSON written with LF newlines and repr-precision floats, so runs
 with identical inputs and seed are byte-identical regardless of the thread
 count.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+Exit codes: 0 success, 1 configuration/validation error (an unreadable
+input file and an ``--out`` that cannot be created among them), 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -212,14 +214,18 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
 
     cfg, errors = _load_config(args)
+    out_dir = os.path.abspath(args.out)
+    if cfg is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            cfg, errors = None, [f"--out: {exc}"]
     if cfg is None:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 1
 
     try:
-        out_dir = os.path.abspath(args.out)
-        os.makedirs(out_dir, exist_ok=True)
         say = (lambda msg: None) if args.quiet else (lambda msg: print(msg))
         _COMMANDS[args.command](cfg, args, out_dir, say)
         return 0

@@ -405,12 +405,12 @@ def validate_config(text: str, base_dir: str = ".") -> tuple[ScenarioConfig | No
     try:
         data = json.loads(text, object_pairs_hook=JsonObject)
     except json.JSONDecodeError as exc:
-        return None, [f"config is not valid JSON: {exc}"]
+        return None, [f"config: not valid JSON: {exc}"]
     except (ValueError, RecursionError) as exc:
         # An integer past the digit limit, or nesting past the recursion limit.
         return None, [f"config: {exc}"]
     if not isinstance(data, dict):
-        return None, ["config must be a JSON object"]
+        return None, ["config: must be an object"]
     errors = key_errors(data, required=("constellation",), optional=(*CONFIG_KEYS, *FIELD_RULES))
     values = {}
     for key, (parse, _) in CONFIG_KEYS.items():

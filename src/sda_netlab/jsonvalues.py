@@ -67,8 +67,9 @@ def json_object(raw, name: str, required=(), optional=()) -> dict:
 
 @contextmanager
 def config_key(key: str):
-    """Prefix a ``ValueError`` raised inside with ``key``, the config key of its input."""
+    """Prefix a ``ValueError`` raised inside with ``key``, the config key of
+    its input, and raise an ``OSError`` that reading the input met as one."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{key}: {exc}") from None

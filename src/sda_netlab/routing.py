@@ -29,9 +29,11 @@ One engine
 Every mode is one seeded relaxation problem over the graph's satellite
 adjacency, one node per satellite, which the graph build emits and every
 solve on the graph shares.  Each engine's builder states the problem as
-data: the seeds, the rows no hop may lower (on orbit the actuators, greedy
-its downlink seeds, optimal none) and a hop penalty, one float or one per
-source node (0.0 at the actuators).  Jacobi sweeps apply
+data: the seeds as per-node columns (a label, inf at a node that is no
+seed, and the id each seed delivers to), the hops a seed reports, the rows
+no hop may lower (on orbit the actuators, greedy its downlink seeds,
+optimal none) and a hop penalty, one float or one per source node (0.0 at
+the actuators).  Jacobi sweeps apply
 ``label[v] = min(label[v], weight(u, v) + label[u])`` along the hops leaving
 the nodes whose label dropped in the previous sweep (a push, in runs of
 frontier nodes with a bounded number of out-hops), or, when those are a
@@ -75,11 +77,11 @@ improves ends at the minimum over paths of the floating-point path cost,
 bit for bit what a heap Dijkstra returns.  The tests keep one as the
 oracle.  The parent forest comes from the labels alone: a node's parent
 is its lowest-index in-hop from a smaller label that attains its label
-exactly; failing that, the node itself if it is a seed still at its seed
-label (a fixed seed always is); failing that, an attaining in-hop from an
-equal label, whose delay the sum absorbed, taken in rounds only from nodes
-whose parent is already set.  The report holds the forest and the hops and
-terminal read off it.
+exactly; failing that, the node itself if its finite label still equals
+its seed label (a fixed seed's always does); failing that, an attaining
+in-hop from an equal label, whose delay the sum absorbed, taken in rounds
+only from nodes whose parent is already set.  The report holds the forest
+and the hops and terminal read off it.
 """
 
 from __future__ import annotations
@@ -145,46 +147,32 @@ class LatencyReport:
 
 
 @dataclass(frozen=True, eq=False)
-class RelaySeeds:
-    """The nodes that deliver directly, one entry per node, with each one's
-    fixed boundary label and the report fields to emit where it is a root:
-    aligned columns ``node`` and ``hops`` (int64), ``label_ms`` (float64) and
-    ``terminal`` (``str``).  A scalar field is broadcast to every node."""
-
-    node: np.ndarray
-    label_ms: np.ndarray
-    hops: np.ndarray
-    terminal: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = np.shape(self.node)
-        for name, dtype in (("node", np.int64), ("label_ms", np.float64), ("hops", np.int64),
-                            ("terminal", object)):
-            column = np.broadcast_to(np.asarray(getattr(self, name), dtype=dtype), shape)
-            object.__setattr__(self, name, column)
-        bad = ~((self.label_ms >= 0.0) & np.isfinite(self.label_ms))
-        if bad.any():
-            raise ValueError(f"seed labels must be >= 0 and finite, got {self.label_ms[bad][0]}")
-        if np.unique(self.node).size != self.node.size:
-            raise ValueError("a node is seeded more than once")
-
-
-@dataclass(frozen=True, eq=False)
 class _RelayProblem:
     """Directed relaxation problem over a graph's satellite adjacency, one
     node per satellite, as data that each engine's builder fills in.
 
+    The seeds are per-node columns: ``seed_ms`` is a seed's label and inf at
+    any other node, ``terminal`` the id a seed delivers to and None at any
+    other node, and every seed that stays a root reports ``seed_hops`` hops.
     Hop (src, dst) may lower ``label[dst]`` to ``weight + label[src]``, and
     weighs ``delay + hop_penalty``, the penalty one float or an ``(n,)``
-    float64 array read at ``src``; ``fl(delay + 0.0)`` is the delay.  Seeds
-    start at their seed label, every other node at inf, and no hop lowers a
-    row of the ``(n,)`` bool mask ``fixed``.
+    float64 array read at ``src``; ``fl(delay + 0.0)`` is the delay.  The
+    labels start at ``seed_ms``, and no hop lowers a row of the ``(n,)``
+    bool mask ``fixed``.
     """
 
     adjacency: SatAdjacency
-    seeds: RelaySeeds
+    seed_ms: np.ndarray
+    terminal: np.ndarray
+    seed_hops: int
     fixed: np.ndarray
     hop_penalty: float | np.ndarray
+
+    def __post_init__(self) -> None:
+        # Rejects NaN as well as a negative label.
+        bad = ~(self.seed_ms >= 0.0)
+        if bad.any():
+            raise ValueError(f"seed labels must be >= 0, got {self.seed_ms[bad][0]}")
 
     def weights(self, sources: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
         """Penalised weights of the hops of ``delays_ms`` leaving ``sources``."""
@@ -382,8 +370,7 @@ def _relax(problem: _RelayProblem, labels: np.ndarray | None = None) -> _Fixpoin
     indptr = problem.adjacency.indptr
     n = indptr.size - 1
     if labels is None:
-        labels = np.full(n, math.inf)
-        labels[problem.seeds.node] = problem.seeds.label_ms
+        labels = problem.seed_ms.copy()
     rows = _free_rows(problem)
     free_hops = int(rows.indptr[-1])
     if free_hops == 0:
@@ -446,16 +433,15 @@ def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
 
     Of the in-hops that attain a node's label exactly, one from a smaller
     label (strict progress) wins, lowest node index first.  Failing that, a
-    seed still at its seed label is a root: one rule in every mode, as a
-    fixed row records no attaining hop and keeps its seed label.  Failing
-    that, an in-hop from an equal label (the sum absorbed its delay) is
-    taken only from a node whose parent is already set: each round takes
-    the lowest such index per node, and as a round only builds on earlier
-    ones, no parent cycle can form.
+    node whose finite label still equals its ``seed_ms`` is a root: one rule
+    in every mode, as a fixed row records no attaining hop and keeps its
+    seed label.  Failing that, an in-hop from an equal label (the sum
+    absorbed its delay) is taken only from a node whose parent is already
+    set: each round takes the lowest such index per node, and as a round
+    only builds on earlier ones, no parent cycle can form.
     """
     labels, dst, src = fixpoint.labels, fixpoint.attain_dst, fixpoint.attain_src
     n = labels.size
-    seeds = problem.seeds
 
     def lowest(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
         key = np.full(n, n, dtype=np.int64)
@@ -464,7 +450,7 @@ def _parents(problem: _RelayProblem, fixpoint: _Fixpoint) -> np.ndarray:
 
     strict = labels[src] < labels[dst]
     parent = lowest(dst[strict], src[strict])
-    roots = seeds.node[(parent[seeds.node] < 0) & (labels[seeds.node] == seeds.label_ms)]
+    roots = np.flatnonzero((parent < 0) & np.isfinite(labels) & (labels == problem.seed_ms))
     parent[roots] = roots
     dst, src = dst[~strict], src[~strict]
     while True:
@@ -479,20 +465,12 @@ def _route(problem: _RelayProblem, fixpoint: _Fixpoint, names: tuple[str, ...]) 
     ``fixpoint``; ``names`` holds the satellite ids.
 
     The parent rule of :func:`_parents` depends only on the labels and makes
-    a forest.  A root keeps its seed's report fields, and every other node
-    takes its root's terminal and hops plus its depth below the root, found
-    by pointer jumping in O(log n) rounds.
+    a forest.  A root reports its ``terminal`` entry and ``seed_hops``, and
+    every other node its root's terminal and ``seed_hops`` plus its depth
+    below the root, found by pointer jumping in O(log n) rounds.
     """
     labels = fixpoint.labels
     n = labels.size
-    seeds = problem.seeds
-    # -1 hops marks a node that is no seed: an unreachable node is its own
-    # root at depth 0, so it keeps -1 and None.
-    seed_hops = np.full(n, -1, dtype=np.int64)
-    seed_terminal = np.full(n, None, dtype=object)
-    seed_hops[seeds.node] = seeds.hops
-    seed_terminal[seeds.node] = seeds.terminal
-
     nodes = np.arange(n)
     parent = _parents(problem, fixpoint)
     orphans = np.flatnonzero(np.isfinite(labels) & (parent < 0))
@@ -517,25 +495,14 @@ def _route(problem: _RelayProblem, fixpoint: _Fixpoint, names: tuple[str, ...]) 
     return LatencyReport(
         sat_ids=names,
         latency_ms=labels,
-        hops=seed_hops[jump] + depth,
+        # An unreachable node is its own root and no seed: -1 hops, terminal None.
+        hops=np.where(np.isfinite(labels), problem.seed_hops + depth, -1),
         parent=parent,
-        terminal=seed_terminal[jump],
+        terminal=problem.terminal[jump],
     )
 
 
 # --- Seed and problem builders -------------------------------------------------
-
-
-def actuator_sources(graph: VisibilityGraph, actuators: np.ndarray) -> RelaySeeds:
-    """On-orbit boundary: every actuator delivers to itself at zero cost.
-    ``actuators`` must be an ``(n,)`` bool mask over the graph's satellites."""
-    actuators = np.asarray(actuators)
-    if actuators.shape != (graph.sat_count,):
-        raise ValueError(f"{graph.sat_count} satellites do not match actuators of shape {actuators.shape}")
-    if actuators.dtype != bool:
-        raise ValueError(f"actuators must be a bool array, got dtype {actuators.dtype}")
-    node = np.flatnonzero(actuators)
-    return RelaySeeds(node, 0.0, 0, np.array([graph.sat_ids[k] for k in node.tolist()], dtype=object))
 
 
 def downlink_seeds(
@@ -543,8 +510,9 @@ def downlink_seeds(
     stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
     terminus: GeodeticPosition,
     mode: ArchitectureMode,
-) -> RelaySeeds:
-    """Seed every station-visible satellite with one downlink offer: its
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``seed_ms`` and ``terminal`` columns of a downhaul problem: every
+    station-visible satellite is seeded with one downlink offer, its
     downlink delay plus the station's surface leg to the terminus.  Greedy
     takes the visible station of least downlink delay, optimal the one of
     least offer; ties go to the lower station index."""
@@ -556,26 +524,35 @@ def downlink_seeds(
     # station index, comes first.
     order = np.lexsort((rank, rows))
     first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
-    terminal = np.array([st.id for st in stations], dtype=object)[station[first]]
-    return RelaySeeds(rows[first], offer[first], 2, terminal)
+    seed_ms = np.full(graph.sat_count, math.inf)
+    seed_ms[rows[first]] = offer[first]
+    terminal = np.full(graph.sat_count, None, dtype=object)
+    terminal[rows[first]] = np.array([st.id for st in stations], dtype=object)[station[first]]
+    return seed_ms, terminal
 
 
 def _onorbit_problem(graph: VisibilityGraph, actuators: np.ndarray, reroute_penalty_ms: float) -> _RelayProblem:
-    """The actuators are fixed at label 0, and a hop leaving one is penalty-free."""
-    seeds = actuator_sources(graph, actuators)
-    fixed = np.asarray(actuators)
-    hop_penalty = np.where(fixed, 0.0, reroute_penalty_ms) if reroute_penalty_ms else 0.0
-    return _RelayProblem(graph.adjacency, seeds, fixed, hop_penalty)
+    """Every actuator delivers to itself and is fixed at label 0, and a hop
+    leaving one is penalty-free.  ``actuators`` must be an ``(n,)`` bool mask
+    over the graph's satellites."""
+    actuators = np.asarray(actuators)
+    if actuators.shape != (graph.sat_count,):
+        raise ValueError(f"{graph.sat_count} satellites do not match actuators of shape {actuators.shape}")
+    if actuators.dtype != bool:
+        raise ValueError(f"actuators must be a bool array, got dtype {actuators.dtype}")
+    terminal = np.full(graph.sat_count, None, dtype=object)
+    terminal[actuators] = [graph.sat_ids[k] for k in np.flatnonzero(actuators).tolist()]
+    hop_penalty = np.where(actuators, 0.0, reroute_penalty_ms) if reroute_penalty_ms else 0.0
+    return _RelayProblem(graph.adjacency, np.where(actuators, 0.0, math.inf), terminal, 0, actuators, hop_penalty)
 
 
 def _downhaul_problem(graph: VisibilityGraph, stations: list[GroundStationNode] | tuple[GroundStationNode, ...],
                       terminus: GeodeticPosition, mode: ArchitectureMode, reroute_penalty_ms: float) -> _RelayProblem:
     """Greedy downlinks are fixed, and relaying may beat an optimal offer;
     every hop pays the penalty."""
-    seeds = downlink_seeds(graph, stations, terminus, mode)
-    fixed = np.zeros(graph.sat_count, dtype=bool)
-    fixed[seeds.node] = mode is ArchitectureMode.DOWNHAUL_GREEDY
-    return _RelayProblem(graph.adjacency, seeds, fixed, float(reroute_penalty_ms))
+    seed_ms, terminal = downlink_seeds(graph, stations, terminus, mode)
+    fixed = np.isfinite(seed_ms) & (mode is ArchitectureMode.DOWNHAUL_GREEDY)
+    return _RelayProblem(graph.adjacency, seed_ms, terminal, 2, fixed, float(reroute_penalty_ms))
 
 
 # --- Engines --------------------------------------------------------------------
@@ -593,7 +570,7 @@ def onorbit_latencies(
     """
     problem = _onorbit_problem(graph, actuators, reroute_penalty_ms)
     light = graph.adjacency.light
-    if _light_coverage(light.adjacency, problem.seeds.node) >= _LIGHT_FIRST_WHEN_COVERAGE_REACHES:
+    if _light_coverage(light.adjacency, np.flatnonzero(problem.fixed)) >= _LIGHT_FIRST_WHEN_COVERAGE_REACHES:
         return _route(problem, _light_first(problem, light), graph.sat_ids)
     return _route(problem, _relax(problem), graph.sat_ids)
 

@@ -34,7 +34,7 @@ from sda_netlab.geo import (
     propagation_delay_ms,
     surface_distance_km,
 )
-from sda_netlab.routing import ArchitectureMode, LatencyReport, RelaySeeds
+from sda_netlab.routing import ArchitectureMode, LatencyReport
 from sda_netlab.tle import _J2000, TleElements, line_checksum
 from sda_netlab.topology import AttackOverlay, SatAdjacency, VisibilityGraph
 
@@ -250,9 +250,16 @@ def elevation_angle_deg(station: GeodeticPosition, station_ecef: EcefPosition, t
     return math.degrees(math.asin(sin_el))
 
 
-def seed_rows(seeds: RelaySeeds) -> list[tuple]:
-    """(node, label_ms, hops, terminal) for every seed."""
-    return list(zip(*(getattr(seeds, name).tolist() for name in ("node", "label_ms", "hops", "terminal"))))
+def seed_rows(seed_ms, terminal, hops) -> list[tuple]:
+    """(node, label_ms, hops, terminal) for every seed of the per-node
+    columns ``seed_ms`` (inf at a node that is no seed) and ``terminal``."""
+    return [(k, float(seed_ms[k]), hops, terminal[k]) for k in np.flatnonzero(np.isfinite(seed_ms)).tolist()]
+
+
+def actuator_seed_rows(graph, actuators) -> list[tuple]:
+    """On-orbit seed rows: every actuator of the bool mask ``actuators``
+    delivers to itself at label 0.0 and 0 hops."""
+    return [(k, 0.0, 0, graph.sat_ids[k]) for k, on in enumerate(actuators.tolist()) if on]
 
 
 def terminus_legs_ms(stations, terminus) -> list[float]:
@@ -260,11 +267,12 @@ def terminus_legs_ms(stations, terminus) -> list[float]:
     return [propagation_delay_ms(surface_distance_km(st.geodetic, terminus)) for st in stations]
 
 
-def downlink_seeds_oracle(graph, stations, terminus, mode) -> RelaySeeds:
+def downlink_seeds_oracle(graph, stations, terminus, mode) -> list[tuple]:
     """Downlink seeds by a loop over the station edges in order: a strictly
     lower rank (the downlink delay for greedy, delay plus surface leg for
     optimal) takes a satellite's downlink, so ties stay with the lower
-    station index.  The reference for ``routing.downlink_seeds``."""
+    station index.  The reference for ``routing.downlink_seeds``, as
+    (node, label_ms, hops, terminal) rows."""
     legs = terminus_legs_ms(stations, terminus)
     optimal = mode is ArchitectureMode.DOWNHAUL_OPTIMAL
     best_rank = [math.inf] * graph.sat_count
@@ -274,17 +282,13 @@ def downlink_seeds_oracle(graph, stations, terminus, mode) -> RelaySeeds:
         if rank < best_rank[i]:
             best_rank[i] = rank
             best[i] = (g, d + legs[g])
-    nodes = [i for i, pick in enumerate(best) if pick is not None]
-    labels = [best[i][1] for i in nodes]
-    ids = [stations[best[i][0]].id for i in nodes]
-    return RelaySeeds(nodes, labels, 2, ids)
+    return [(i, pick[1], 2, stations[pick[0]].id) for i, pick in enumerate(best) if pick is not None]
 
 
-def dijkstra_oracle(graph, snapshot, sources, penalty=0.0, exempt=False) -> LatencyReport:
+def dijkstra_oracle(graph, snapshot, rows, penalty=0.0, exempt=False) -> LatencyReport:
     """Shortest relay paths over the inter-satellite links from the given
-    immutable sources (a ``RelaySeeds``).  Every hop pays ``penalty``
-    unless ``exempt`` is set and the hop leaves a source."""
-    rows = seed_rows(sources)
+    immutable sources, (node, label_ms, hops, terminal) rows.  Every hop
+    pays ``penalty`` unless ``exempt`` is set and the hop leaves a source."""
     exempt_nodes = {row[0] for row in rows} if exempt else set()
     edges = []
     for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):

@@ -32,12 +32,12 @@ from sda_netlab.experiments import (
 from sda_netlab.geo import SEMI_MAJOR_A_KM, GeodeticPosition
 from sda_netlab.routing import (
     ArchitectureMode,
-    actuator_sources,
     downhaul_latencies,
     onorbit_latencies,
 )
 from sda_netlab.topology import AttackOverlay, JamRegion, build_visibility_graph
 from oracle_utils import (
+    actuator_seed_rows,
     dijkstra_oracle,
     dijkstra_oracle_optimal,
     downlink_seeds_oracle,
@@ -223,7 +223,7 @@ def test_criterion_7_oracle_equivalence(stations):
         graph = build_visibility_graph(snap, stations, threads=1)
         penalty = rng.choice([0.0, 0.0, 0.3, 1.1])
         engine = onorbit_latencies(graph, actuators, penalty)
-        oracle = dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True)
+        oracle = dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), penalty, exempt=True)
         if engine != oracle:
             mismatches += 1
         terminus = stations[0].geodetic

@@ -22,9 +22,9 @@ from sda_netlab.constellation import (
 )
 from sda_netlab.experiments import PRESETS, ConstellationSource, ScenarioConfig, config_to_dict
 from sda_netlab.geo import GeodeticPosition
-from sda_netlab.routing import ArchitectureMode, actuator_sources
+from sda_netlab.routing import ArchitectureMode
 from sda_netlab.topology import AttackOverlay, JamRegion
-from oracle_utils import dijkstra_oracle, dijkstra_oracle_optimal, downlink_seeds_oracle
+from oracle_utils import actuator_seed_rows, dijkstra_oracle, dijkstra_oracle_optimal, downlink_seeds_oracle
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -142,8 +142,8 @@ CORPUS_FILES = {
 # row exits 1; each names one problem, except the last rows.
 REJECTED_CONFIGS = [
     ("not-json", "{not json", [],
-     ["config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
-    ("array-root", "[1]", [], ["config must be a JSON object"]),
+     ["config: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"]),
+    ("array-root", "[1]", [], ["config: must be an object"]),
     ("unknown-key", _preset(foo=1), [], ["foo: unknown key"]),
     # A repeated key is an error wherever it is; json.dumps cannot write one.
     ("duplicate-key", '{"constellation": {"preset": "oneweb-like"}, "seed": 1, "seed": 2}', [],
@@ -339,6 +339,13 @@ def test_rejected_configs_print_exactly_their_error_lines(tmp_path, capsys, conf
     assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in expected)
 
 
+def test_every_rejected_config_line_names_its_key():
+    keyed = re.compile(r"^(--)?[A-Za-z_][A-Za-z0-9_.\[\]]*: ")
+    for name, _, _, expected in REJECTED_CONFIGS:
+        for line in expected:
+            assert keyed.match(line), (name, line)
+
+
 def test_validate_config_rejects_malformed_overlays_and_numbers(tmp_path):
     # validate_config itself returns the lines of every corpus row that sets no flag.
     _write_corpus_files(tmp_path)
@@ -383,6 +390,23 @@ def test_an_unreadable_overlay_file_is_an_overlay_error(tmp_path, monkeypatch):
     text = json.dumps(_preset(overlay="overlay.json"))
     message = f"overlay: [Errno 13] Permission denied: {str(tmp_path / 'overlay.json')!r}"
     assert validate_config(text, base_dir=str(tmp_path)) == (None, [message])
+
+
+@pytest.mark.parametrize("key", ["constellation.snapshot_csv", "constellation.tle_file", "stations_csv"])
+def test_an_unreadable_input_file_is_an_error_of_its_key(tmp_path, monkeypatch, capsys, key):
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = write(tmp_path / "input", "")
+    cfg = {"constellation": {"preset": "oneweb-like"}}
+    if key == "stations_csv":
+        cfg["stations_csv"] = path
+    else:
+        cfg["constellation"] = {key.split(".")[1]: path}
+    monkeypatch.setattr(experiments, "_read", unreadable)
+    config = write(tmp_path / "scenario.json", json.dumps(cfg))
+    assert run(["simulate", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {key}: [Errno 13] Permission denied: {path!r}\n"
 
 
 def test_validate_config_rejects_ids_and_paths_that_are_not_strings(tmp_path, capsys):
@@ -760,6 +784,13 @@ def test_every_rejected_input_ends_as_keyed_error_lines(
     assert err == f"error: {expected}\n"
 
 
+def test_an_out_that_cannot_be_created_is_a_flag_error(tmp_path, capsys):
+    out = write(tmp_path / "out", "a file, not a directory")
+    cfg = tiny_config(tmp_path)
+    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: --out: [Errno 17] File exists: {out!r}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "compare", "attack"])
 def test_overlay_ids_are_checked_before_the_graph_build(tmp_path, monkeypatch, capsys, command):
     def no_build(*args, **kwargs):
@@ -1118,7 +1149,7 @@ def test_near_coincident_satellites_route_in_every_mode(tmp_path):
     adj = net.graph.adjacency
     oracles = {
         ArchitectureMode.ON_ORBIT: lambda: dijkstra_oracle(
-            net.graph, net.snapshot, actuator_sources(net.graph, net.actuators), exempt=True),
+            net.graph, net.snapshot, actuator_seed_rows(net.graph, net.actuators), exempt=True),
         ArchitectureMode.DOWNHAUL_GREEDY: lambda: dijkstra_oracle(
             net.graph, net.snapshot,
             downlink_seeds_oracle(net.graph, net.stations, net.terminus, ArchitectureMode.DOWNHAUL_GREEDY)),

@@ -16,14 +16,13 @@ from sda_netlab.constellation import (
 from sda_netlab.geo import GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import (
     ArchitectureMode,
-    RelaySeeds,
+    _RelayProblem,
     _downhaul_problem,
     _light_first,
     _onorbit_problem,
     _relax,
     _route,
     _row_blocks,
-    actuator_sources,
     downhaul_latencies,
     downlink_seeds,
     onorbit_latencies,
@@ -35,6 +34,7 @@ from sda_netlab.topology import (
     build_visibility_graph,
 )
 from oracle_utils import (
+    actuator_seed_rows,
     dijkstra_oracle,
     dijkstra_oracle_optimal,
     downlink_seeds_oracle,
@@ -143,25 +143,31 @@ def test_downhaul_unreachable_and_colocated_terminus():
         downhaul_latencies(graph, [], TERMINUS, ArchitectureMode.DOWNHAUL_GREEDY)
 
 
-def assert_same_seeds(got, want):
-    for name in ("node", "label_ms", "hops", "terminal"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert np.array_equal(a, b), name
+def assert_same_seeds(columns, hops, rows):
+    """The per-node seed columns ``(seed_ms, terminal)`` hold exactly the
+    oracle's seed ``rows``, and None at every node that is no seed."""
+    seed_ms, terminal = columns
+    assert seed_ms.dtype == np.float64 and terminal.dtype == object
+    assert seed_ms.shape == terminal.shape == (seed_ms.size,)
+    assert seed_rows(seed_ms, terminal, hops) == rows
+    assert all(t is None for t in terminal[np.isinf(seed_ms)].tolist())
 
 
-def test_relay_seeds_broadcast_scalars_and_reject_repeats_and_negative_labels():
-    assert [f.name for f in fields(RelaySeeds)] == ["node", "label_ms", "hops", "terminal"]
-    seeds = RelaySeeds([3, 1], 0.5, 2, "a")
-    assert seeds.node.dtype == np.int64 and seeds.hops.tolist() == [2, 2]
-    assert seeds.label_ms.tolist() == [0.5, 0.5] and seeds.terminal.tolist() == ["a", "a"]
-    with pytest.raises(ValueError, match="more than once"):
-        RelaySeeds([3, 1, 3], 0.0, 0, "a")
-    for bad in (-1.0, math.nan, math.inf):
+def test_a_relay_problem_rejects_a_negative_or_nan_seed_label():
+    assert [f.name for f in fields(_RelayProblem)] == [
+        "adjacency", "seed_ms", "terminal", "seed_hops", "fixed", "hop_penalty"]
+    snap = chain_snapshot()
+    graph = manual_graph(snap.ids, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
+    problem = _onorbit_problem(graph, CHAIN_ACTUATORS, 0.0)
+    for bad in (-1.0, -math.inf, math.nan):
+        seed_ms = problem.seed_ms.copy()
+        seed_ms[0] = bad
         with pytest.raises(ValueError, match="must be >= 0"):
-            RelaySeeds([0, 1], [0.0, bad], 0, "a")
-    with pytest.raises(ValueError):
-        RelaySeeds([0, 1], 0.0, 0, ["a", "b", "c"])  # a column of the wrong length
+            replace(problem, seed_ms=seed_ms)
+    # inf marks a node that is no seed, and any finite label >= 0 seeds one.
+    seeded = replace(problem, seed_ms=np.array([math.inf, 0.5, 0.0]))
+    report = _route(seeded, _relax(seeded), graph.sat_ids)
+    assert report.latency_ms[1] == 0.5 and report.parent.tolist() == [1, 1, 2]
 
 
 def test_greedy_ties_go_to_the_lower_station_index():
@@ -177,8 +183,8 @@ def test_greedy_ties_go_to_the_lower_station_index():
     }
     for mode, at in stations.items():
         seeds = downlink_seeds(graph, at, TERMINUS, mode)
-        assert seeds.terminal.tolist() == ["A", "B"], mode
-        assert_same_seeds(seeds, downlink_seeds_oracle(graph, at, TERMINUS, mode))
+        assert seeds[1].tolist() == ["A", "B"], mode
+        assert_same_seeds(seeds, 2, downlink_seeds_oracle(graph, at, TERMINUS, mode))
         report = downhaul_latencies(graph, at, TERMINUS, mode)
         assert report.terminal.tolist() == ["A", "B"], mode
 
@@ -214,7 +220,7 @@ def test_greedy_sources_equal_the_loop_oracle(shell_seed, count, sites, min_elev
     snap = random_shell(shell_seed, count=count)
     graph = build_visibility_graph(snap, stations, min_elevation_deg=min_elevation_deg, threads=1)
     assert_same_seeds(
-        downlink_seeds(graph, stations, terminus, mode),
+        downlink_seeds(graph, stations, terminus, mode), 2,
         downlink_seeds_oracle(graph, stations, terminus, mode),
     )
 
@@ -298,7 +304,7 @@ def test_a_node_tied_with_a_higher_index_seed_gets_its_path_fields():
     snap, actuators = _line_snapshot(actuator=1)
     graph = manual_graph(snap.ids, 0, [(0, 1, 0.0), (0, 2, 100.0)], [])
     report = onorbit_latencies(graph, actuators)
-    assert report == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), exempt=True)
+    assert report == dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), exempt=True)
     assert report.hops.tolist() == [1, 0, 2]
     assert report.parent.tolist() == [1, 1, 0]
 
@@ -310,7 +316,7 @@ def test_a_zero_delay_chain_is_oriented_toward_the_seed():
     snap, actuators = _line_snapshot(actuator=2)
     graph = manual_graph(snap.ids, 0, [(0, 1, 0.0), (1, 2, 0.0)], [])
     report = onorbit_latencies(graph, actuators)
-    assert report == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), exempt=True)
+    assert report == dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), exempt=True)
     assert report.hops.tolist() == [2, 1, 0]
     assert report.parent.tolist() == [1, 2, 2]
 
@@ -322,7 +328,7 @@ def test_star_topology_single_sweep_matches_dijkstra():
     )
     actuators = np.arange(6) == 0
     graph = manual_graph(snap.ids, 0, [(0, k + 1, 100.0 * (k + 1)) for k in range(5)], [])
-    sources = actuator_sources(graph, actuators)
+    sources = actuator_seed_rows(graph, actuators)
     assert _relax(_onorbit_problem(graph, actuators, 0.0)).sweeps == 1
     assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, sources, exempt=True)
 
@@ -330,7 +336,7 @@ def test_star_topology_single_sweep_matches_dijkstra():
 def test_single_pass_cannot_resolve_a_relay_chain():
     snap = chain_snapshot()
     graph = manual_graph(snap.ids, 0, [(0, 1, 1000.0), (1, 2, 1000.0)], [])
-    sources = actuator_sources(graph, CHAIN_ACTUATORS)
+    sources = actuator_seed_rows(graph, CHAIN_ACTUATORS)
     # One sweep labels only B; the far node A needs a second.
     assert _relax(_onorbit_problem(graph, CHAIN_ACTUATORS, 0.0)).sweeps == 2
     full = onorbit_latencies(graph, CHAIN_ACTUATORS)
@@ -347,7 +353,7 @@ def test_frontier_relaxes_a_long_path_in_linear_work():
     )
     actuators = np.arange(n) == 0
     graph = manual_graph(snap.ids, 0, [(k, k + 1, 10.0 + k % 7) for k in range(n - 1)], [])
-    sources = actuator_sources(graph, actuators)
+    sources = actuator_seed_rows(graph, actuators)
     fixpoint = _relax(_onorbit_problem(graph, actuators, 0.25))
     assert fixpoint.sweeps == n - 1
     assert fixpoint.relaxed_edges <= 2 * graph.sat_edge_count
@@ -369,7 +375,7 @@ def test_dijkstra_oracle_equals_onorbit_engine_on_random_instances():
     for seed in range(40):
         snap, actuators, graph, penalty = _random_instance(seed)
         engine = onorbit_latencies(graph, actuators, penalty)
-        oracle = dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True)
+        oracle = dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), penalty, exempt=True)
         assert engine == oracle
 
 
@@ -414,7 +420,7 @@ def _engine_and_oracle(graph, snap, actuators, stations, terminus, penalty):
     return {
         ArchitectureMode.ON_ORBIT: (
             onorbit_latencies(graph, actuators, penalty),
-            dijkstra_oracle(graph, snap, actuator_sources(graph, actuators), penalty, exempt=True),
+            dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), penalty, exempt=True),
         ),
         GREEDY: (
             downhaul_latencies(graph, stations, terminus, GREEDY, penalty),
@@ -481,8 +487,8 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
     # this only when every attacked source is a baseline source and every
     # dropped source lost all its inter-satellite links.
     monotone = [ArchitectureMode.ON_ORBIT, OPTIMAL]
-    base_sources = set(seed_rows(downlink_seeds(graph, stations, terminus, GREEDY)))
-    attacked_sources = set(seed_rows(downlink_seeds(attacked, stations, terminus, GREEDY)))
+    base_sources = set(seed_rows(*downlink_seeds(graph, stations, terminus, GREEDY), 2))
+    attacked_sources = set(seed_rows(*downlink_seeds(attacked, stations, terminus, GREEDY), 2))
     dropped = {node for node, *_ in base_sources - attacked_sources}
     if attacked_sources <= base_sources and not dropped & set(attacked.sat_edges.ravel().tolist()):
         monotone.append(GREEDY)
@@ -506,6 +512,8 @@ def test_each_engine_states_its_fixed_rows_and_hop_penalty(penalty):
     actuators = select_actuators(snap, 7, 5)
     onorbit = _onorbit_problem(graph, actuators, penalty)
     assert onorbit.fixed.dtype == bool and onorbit.fixed.tolist() == actuators.tolist()
+    assert onorbit.seed_hops == 0
+    assert_same_seeds((onorbit.seed_ms, onorbit.terminal), 0, actuator_seed_rows(graph, actuators))
     if penalty == 0.0:
         assert type(onorbit.hop_penalty) is float and onorbit.hop_penalty == 0.0
     else:
@@ -513,11 +521,14 @@ def test_each_engine_states_its_fixed_rows_and_hop_penalty(penalty):
         assert onorbit.hop_penalty.tolist() == [0.0 if a else 0.25 for a in actuators.tolist()]
     terminus = stations[1].geodetic
     greedy, optimal = (_downhaul_problem(graph, stations, terminus, mode, penalty) for mode in (GREEDY, OPTIMAL))
-    assert 0 < greedy.seeds.node.size < graph.sat_count
+    assert 0 < np.isfinite(greedy.seed_ms).sum() < graph.sat_count
     assert greedy.fixed.shape == optimal.fixed.shape == (graph.sat_count,)
-    assert np.flatnonzero(greedy.fixed).tolist() == sorted(greedy.seeds.node.tolist())
+    assert greedy.fixed.tolist() == np.isfinite(greedy.seed_ms).tolist()
     assert not optimal.fixed.any()
-    for problem in (greedy, optimal):
+    for problem, mode in ((greedy, GREEDY), (optimal, OPTIMAL)):
+        assert problem.seed_hops == 2
+        assert_same_seeds((problem.seed_ms, problem.terminal), 2,
+                          downlink_seeds_oracle(graph, stations, terminus, mode))
         # A scalar penalty: no downhaul pull gathers one per node.
         assert type(problem.hop_penalty) is float and problem.hop_penalty == penalty
 
@@ -566,8 +577,7 @@ def test_only_a_pull_that_lowers_no_free_label_keeps_its_attaining_entries(block
     rows = blocked_pull(block_entries, routing._free_rows, replace(problem, fixed=none_fixed))
     assert rows.indptr is adj.indptr and rows.nodes.tolist() == list(range(graph.sat_count))
     # From the seed labels alone, the pull lowers the actuators' neighbours.
-    labels = np.full(graph.sat_count, math.inf)
-    labels[problem.seeds.node] = 0.0
+    labels = problem.seed_ms.copy()
     best, attain = routing._pull(problem, rows, labels)
     assert attain is None and (best < labels).any()
     # At the fixpoint it lowers nothing and keeps every attaining entry.
@@ -626,7 +636,7 @@ def test_every_way_into_the_closing_pull_gives_the_oracle_report(links, actuator
     )
     actuators = np.isin(np.arange(6), list(actuators))
     graph = manual_graph(snap.ids, 0, links, [])
-    sources = actuator_sources(graph, actuators)
+    sources = actuator_seed_rows(graph, actuators)
     fixpoint = _relax(_onorbit_problem(graph, actuators, 0.25))
     # The closing pull replaces the report's pass over the hops, so it is not
     # counted; a pull counts the entries of the rows it reads.
@@ -670,7 +680,7 @@ def test_free_rows_that_are_all_empty_return_without_a_pull():
     )
     actuators = np.arange(4) < 2
     graph = manual_graph(snap.ids, 0, [(0, 1, 100.0)], [])
-    sources = actuator_sources(graph, actuators)
+    sources = actuator_seed_rows(graph, actuators)
     with mock.patch.object(routing, "_pull", side_effect=AssertionError("pulled")), \
             mock.patch.object(routing, "_push", side_effect=AssertionError("pushed")):
         fixpoint = _relax(_onorbit_problem(graph, actuators, 0.25))
@@ -693,7 +703,7 @@ def test_a_hop_that_ties_a_fixed_label_is_no_attaining_hop(compact_cut):
     problem = _onorbit_problem(graph, actuators, 0.0)
     fixpoint = blocked_pull(routing._BLOCK_ENTRIES, _relax, problem, compact_cut=compact_cut)
     assert (fixpoint.attain_dst.tolist(), fixpoint.attain_src.tolist()) == ([2], [1])
-    assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, actuator_sources(graph, actuators),
+    assert onorbit_latencies(graph, actuators) == dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators),
                                                                   exempt=True)
 
 
@@ -707,7 +717,7 @@ def test_penalised_free_rows_exempt_only_the_hops_from_actuators(compact_cut):
     )
     actuators = np.isin(np.arange(n), [0, 3, 4])
     graph = manual_graph(snap.ids, 0, [(k, (k + 1) % n, 300.0 + 10.0 * k) for k in range(n)], [])
-    sources = actuator_sources(graph, actuators)
+    sources = actuator_seed_rows(graph, actuators)
     problem = _onorbit_problem(graph, actuators, penalty)
     rows = blocked_pull(routing._BLOCK_ENTRIES, routing._free_rows, problem, compact_cut=compact_cut)
     adj = graph.adjacency
@@ -761,7 +771,7 @@ def test_the_light_first_solve_equals_the_single_phase_route_and_the_oracle(
     snap = random_shell(shell_seed, count=count)
     actuators = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
     graph = build_visibility_graph(snap, threads=1)
-    sources = actuator_sources(graph, actuators)
+    sources = actuator_seed_rows(graph, actuators)
     problem = _onorbit_problem(graph, actuators, penalty)
     max_delay_ms = light_cut_ms(graph.adjacency, cut)
     light = topology._light_hops(graph.adjacency, max_delay_ms)
@@ -781,13 +791,14 @@ def test_the_light_first_solve_equals_the_single_phase_route_and_the_oracle(
             mock.patch.object(routing, "_light_first", wraps=_light_first) as light_first:
         report = blocked_pull(block_entries, onorbit_latencies, graph, actuators, penalty, compact_cut=compact_cut)
     assert report == oracle
-    coverage = routing._light_coverage(graph.adjacency.light.adjacency, sources.node)
+    coverage = routing._light_coverage(graph.adjacency.light.adjacency, np.flatnonzero(actuators))
     assert light_first.call_count == (coverage >= coverage_cut)
 
 
 def light_case(links, actuators, max_delay_ms):
     """The problem over the satellites s0..s{n-1} linked by ``links`` of
-    (i, j, delay_ms), with light hops cut at ``max_delay_ms``."""
+    (i, j, delay_ms), with light hops cut at ``max_delay_ms``: the graph, the
+    problem, its light hops, phase 1's fixpoint and the oracle report."""
     n = 1 + max(max(i, j) for i, j, _ in links)
     snap = ConstellationSnapshot(tuple(f"s{k}" for k in range(n)), [(7000.0, 100.0 * k, 0.0) for k in range(n)])
     sat_edges = np.array([(i, j) for i, j, _ in links])
@@ -796,7 +807,8 @@ def light_case(links, actuators, max_delay_ms):
     problem = _onorbit_problem(graph, actuators, 0.0)
     light = topology._light_hops(graph.adjacency, max_delay_ms)
     first = _relax(replace(problem, adjacency=light.adjacency))
-    return snap, graph, problem, light, first
+    oracle = dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), exempt=True)
+    return graph, problem, light, first, oracle
 
 
 def test_phase_two_lowers_heavy_rows_through_a_heavy_hop_and_a_light_hop():
@@ -805,14 +817,14 @@ def test_phase_two_lowers_heavy_rows_through_a_heavy_hop_and_a_light_hop():
     # s4 through s3 at 4 and s3 at 3; phase 2 lowers s4 through the heavy
     # hop to 1.5, then s3 through the light hop from s4 to 2.5.
     links = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.5)]
-    snap, graph, problem, light, first = light_case(links, [0], 1.0)
+    graph, problem, light, first, oracle = light_case(links, [0], 1.0)
     assert first.labels.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     fixpoint = _light_first(problem, light)
     assert fixpoint.labels.tolist() == [0.0, 1.0, 2.0, 2.5, 1.5]
     assert fixpoint.labels.tobytes() == _relax(problem).labels.tobytes()
     assert attaining_set(fixpoint) == attaining_set(_relax(problem)) == [(1, 0), (2, 1), (3, 4), (4, 0)]
     report = _route(problem, fixpoint, graph.sat_ids)
-    assert report == dijkstra_oracle(graph, snap, problem.seeds, exempt=True)
+    assert report == oracle
     assert report.parent.tolist() == [0, 0, 1, 4, 0]
 
 
@@ -822,13 +834,13 @@ def test_a_delay_absorbed_into_a_label_at_the_light_cut_keeps_the_strict_parent(
     # s1 and s2 attains the other's label.  The hops at the cut are light,
     # so s2 keeps its strict parent s0, not the equal-label hop from s1.
     links = [(0, 1, 1.0), (1, 2, 2.0**-60), (0, 2, 1.0)]
-    snap, graph, problem, light, first = light_case(links, [0], 1.0)
+    graph, problem, light, first, oracle = light_case(links, [0], 1.0)
     assert light.adjacency.indptr[-1] == graph.adjacency.indptr[-1]
     assert first.labels.tolist() == [0.0, 1.0, 1.0]
     fixpoint = _light_first(problem, light)
     assert attaining_set(fixpoint) == [(1, 0), (1, 2), (2, 0), (2, 1)]
     report = _route(problem, fixpoint, graph.sat_ids)
-    assert report == dijkstra_oracle(graph, snap, problem.seeds, exempt=True)
+    assert report == oracle
     assert report.parent.tolist() == [0, 0, 0]
 
 
