@@ -6,13 +6,14 @@ with identical inputs and seed are byte-identical regardless of the thread
 count.
 
 Exit codes: 0 success, 1 configuration/validation error (an unreadable
-input file and an ``--out`` that cannot be created among them), 2 runtime
-error.
+input file, and an ``--out`` that cannot be created or holds an output
+path that cannot be written, among them), 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -47,6 +48,16 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the ``OSError`` that writing the file ``path`` would meet
+    first: it is a directory, or the process may not write it (or, while it
+    does not exist, its directory).  Nothing is created."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else os.path.dirname(path), os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _sweep_csv(points) -> str:
@@ -134,18 +145,17 @@ def _load_config(args) -> tuple[ScenarioConfig | None, list[str]]:
     return cfg, []
 
 
-def _cmd_generate(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
+def _cmd_generate(cfg: ScenarioConfig, args, paths: list[str], say) -> None:
     snapshot = resolve_snapshot(cfg.constellation)
     resolve_actuator_count(cfg, len(snapshot))  # rejects a count above the satellites
-    path = os.path.join(out_dir, "snapshot.csv")
+    [path] = paths
     _write_text(path, snapshot_to_csv(snapshot))
     say(f"wrote {path} ({len(snapshot)} satellites)")
 
 
-def _cmd_simulate(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
+def _cmd_simulate(cfg: ScenarioConfig, args, paths: list[str], say) -> None:
     run = run_scenario(cfg, threads=args.threads)
-    report_path = os.path.join(out_dir, "report.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
+    report_path, summary_path = paths
     _write_text(report_path, report_to_csv(run.report))
     _write_json(summary_path, {**run.summary.to_dict(), "config": config_to_dict(cfg)})
     mean = run.summary.mean_ms
@@ -154,18 +164,18 @@ def _cmd_simulate(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
         f"unreachable={run.summary.unreachable_count}/{run.summary.satellite_count}")
 
 
-def _cmd_sweep(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
+def _cmd_sweep(cfg: ScenarioConfig, args, paths: list[str], say) -> None:
     points = actuator_sweep(
         cfg, independent_draws=args.independent_draws, threads=args.threads
     )
-    path = os.path.join(out_dir, "sweep.csv")
+    [path] = paths
     _write_text(path, _sweep_csv(points))
     say(f"wrote {path} ({len(points)} fractions)")
 
 
-def _cmd_attack(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
+def _cmd_attack(cfg: ScenarioConfig, args, paths: list[str], say) -> None:
     outcome = attack_scenario(cfg, threads=args.threads)
-    path = os.path.join(out_dir, "attack.json")
+    [path] = paths
     _write_json(path, {
         "baseline": outcome.baseline.to_dict(),
         "attacked": outcome.attacked.to_dict(),
@@ -177,11 +187,9 @@ def _cmd_attack(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
     say(f"wrote {path} (availability loss {outcome.availability_loss})")
 
 
-def _cmd_compare(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
+def _cmd_compare(cfg: ScenarioConfig, args, paths: list[str], say) -> None:
     result = compare_architectures(cfg, threads=args.threads)
-    down_path = os.path.join(out_dir, "report_downhaul.csv")
-    orbit_path = os.path.join(out_dir, "report_onorbit.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
+    down_path, orbit_path, summary_path = paths
     _write_text(down_path, report_to_csv(result.downhaul_report))
     _write_text(orbit_path, report_to_csv(result.onorbit_report))
     _write_json(summary_path, {
@@ -196,12 +204,14 @@ def _cmd_compare(cfg: ScenarioConfig, args, out_dir: str, say) -> None:
         f"onorbit mean_ms={'n/a' if orbit_mean is None else f'{orbit_mean:.4f}'}")
 
 
+# Each command, and the files it writes under --out, in the order it takes
+# their paths.
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "attack": _cmd_attack,
-    "compare": _cmd_compare,
+    "generate": (_cmd_generate, ("snapshot.csv",)),
+    "simulate": (_cmd_simulate, ("report.csv", "summary.json")),
+    "sweep": (_cmd_sweep, ("sweep.csv",)),
+    "attack": (_cmd_attack, ("attack.json",)),
+    "compare": (_cmd_compare, ("report_downhaul.csv", "report_onorbit.csv", "summary.json")),
 }
 
 
@@ -215,9 +225,14 @@ def run(argv: list[str]) -> int:
 
     cfg, errors = _load_config(args)
     out_dir = os.path.abspath(args.out)
+    command, names = _COMMANDS[args.command]
+    paths = [os.path.join(out_dir, name) for name in names]
     if cfg is not None:
+        # Every output path is checked before any work, so a bad one writes nothing.
         try:
             os.makedirs(out_dir, exist_ok=True)
+            for path in paths:
+                _check_writable(path)
         except OSError as exc:
             cfg, errors = None, [f"--out: {exc}"]
     if cfg is None:
@@ -227,7 +242,7 @@ def run(argv: list[str]) -> int:
 
     try:
         say = (lambda msg: None) if args.quiet else (lambda msg: print(msg))
-        _COMMANDS[args.command](cfg, args, out_dir, say)
+        command(cfg, args, paths, say)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

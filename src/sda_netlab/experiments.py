@@ -658,8 +658,8 @@ def attack_scenario(cfg: ScenarioConfig, threads: int | None = None) -> AttackOu
         raise ValueError("overlay: the attack subcommand requires an overlay in the config")
     network = prepare(cfg, threads, baseline=True)
     baseline = network.route(cfg.mode)
-    # The attacked adjacency is a masked copy of the baseline's; rebinding frees
-    # the baseline graph before the attacked solve.
+    # The attacked adjacency shares the baseline's buffers and adds one mask
+    # byte per entry, so the two graphs hold one satellite CSR between them.
     network = network.with_overlay(cfg.overlay)
     attacked = network.route(cfg.mode)
     both = np.isfinite(attacked.latency_ms) & np.isfinite(baseline.latency_ms)

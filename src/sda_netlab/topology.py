@@ -60,11 +60,17 @@ class SatAdjacency:
     neighbours ``neighbors[indptr[u]:indptr[u + 1]]`` in ascending order,
     and the one-way delays to them.  Every edge appears once in each
     endpoint's row, with the same delay bits; no row lists its own
-    satellite; an entry's row is found from ``indptr``."""
+    satellite; an entry's row is found from ``indptr``.
+
+    ``live`` is None for a built graph.  An overlay's adjacency shares the
+    three arrays of the one it masks and sets ``live`` False at every entry
+    it removed, at both entries of an edge; the edges are the live entries
+    alone, and nothing reads a dead one."""
 
     indptr: np.ndarray  # (sat_count + 1,) int64
     neighbors: np.ndarray  # (2E,) int32
     delays_ms: np.ndarray  # (2E,) float64
+    live: np.ndarray | None = None  # (2E,) bool
 
     @property
     def light(self) -> "LightHops":
@@ -97,7 +103,7 @@ _LIGHT_LOCK = threading.Lock()
 
 
 def _light_hops(adj: SatAdjacency, max_delay_ms: float | None = None) -> LightHops:
-    """The entries of ``adj`` of delay at most ``max_delay_ms``, by default
+    """The live entries of ``adj`` of delay at most ``max_delay_ms``, by default
     about the ``_LIGHT_SHARE`` quantile of the delays (0.0 without entries).
     A row starts at the count of light entries before its first entry, a
     binary search in their ascending indices: this took half the time of
@@ -107,7 +113,10 @@ def _light_hops(adj: SatAdjacency, max_delay_ms: float | None = None) -> LightHo
         sample = adj.delays_ms[::_LIGHT_SAMPLE_STRIDE]
         k = int(sample.size * _LIGHT_SHARE)
         max_delay_ms = float(np.partition(sample, k)[k]) if sample.size else 0.0
-    light = np.flatnonzero(adj.delays_ms <= max_delay_ms)
+    light = adj.delays_ms <= max_delay_ms
+    if adj.live is not None:
+        light &= adj.live
+    light = np.flatnonzero(light)
     indptr = np.searchsorted(light, adj.indptr).astype(np.int64, copy=False)
     return LightHops(max_delay_ms, SatAdjacency(indptr, adj.neighbors[light], adj.delays_ms[light]))
 
@@ -117,10 +126,12 @@ class VisibilityGraph:
     """Immutable weighted visibility graph.
 
     Satellite ``i`` is ``sat_ids[i]``, row ``i`` of the snapshot the graph
-    was built from.  ``adjacency`` holds the inter-satellite links;
-    ``station_edges`` holds (satellite index, station index) pairs in
-    ascending (i, g) order, which :func:`apply_overlay` relies on.  Delays
-    are one-way propagation times in milliseconds.
+    was built from.  ``adjacency`` holds the inter-satellite links, its
+    live entries under an overlay: an attacked graph shares the baseline's
+    adjacency buffers and adds a mask (:func:`apply_overlay`), so neither
+    graph writes them.  ``station_edges`` holds (satellite index, station
+    index) pairs in ascending (i, g) order, which :func:`apply_overlay`
+    relies on.  Delays are one-way propagation times in milliseconds.
     """
 
     sat_ids: tuple[str, ...]
@@ -135,17 +146,22 @@ class VisibilityGraph:
 
     @property
     def sat_edge_count(self) -> int:
-        return int(self.adjacency.indptr[-1]) // 2
+        adj = self.adjacency
+        return (int(adj.indptr[-1]) if adj.live is None else int(np.count_nonzero(adj.live))) // 2
 
     @property
     def station_edge_count(self) -> int:
         return int(self.station_edges.shape[0])
 
     def _upper_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each entry's int32 row, and the mask of the entries above their row."""
+        """Each entry's int32 row, and the mask of the live entries above
+        their row."""
         adj = self.adjacency
         rows = np.repeat(np.arange(self.sat_count, dtype=np.int32), np.diff(adj.indptr))
-        return rows, adj.neighbors > rows
+        upper = adj.neighbors > rows
+        if adj.live is not None:
+            upper &= adj.live
+        return rows, upper
 
     @property
     def sat_edges(self) -> np.ndarray:
@@ -690,8 +706,11 @@ def apply_overlay(
 ) -> VisibilityGraph:
     """Remove every edge incident to a disabled or jammed node, plus the
     explicitly listed links.  The result's edge set is a subset of the
-    input's, in the same order: its adjacency is the input's with the
-    removed entries masked out.
+    input's, in the same order.  Its adjacency shares the input's
+    ``indptr``, ``neighbors`` and ``delays_ms`` and marks the removed
+    entries dead in its ``live`` mask (ANDed with the input's own), so the
+    input stays as it was and the result adds one byte per entry; the
+    station edges are copied.
 
     Listed links are matched by index, not by id: a satellite pair (i, j)
     clears the entry j of row i and the entry i of row j, and a
@@ -710,8 +729,7 @@ def apply_overlay(
     st_dead[[station_index[s] for s in overlay.disabled_stations]] = True
 
     n, adj = graph.sat_count, graph.adjacency
-    counts = np.diff(adj.indptr)
-    dead_ss = np.repeat(sat_dead, counts)
+    dead_ss = np.repeat(sat_dead, np.diff(adj.indptr))
     dead_ss |= sat_dead[adj.neighbors]
     sats, grounds = graph.station_edges[:, 0], graph.station_edges[:, 1]
     dead_sg = sat_dead[sats] | st_dead[grounds]
@@ -726,15 +744,13 @@ def apply_overlay(
             if i is not None and g is not None:
                 dead_sg[_listed_entry(station_indptr, grounds, i, g)] = True
 
-    removed = np.flatnonzero(dead_ss)
-    counts -= np.bincount(np.searchsorted(adj.indptr, removed, side="right") - 1, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    keep_ss, keep_sg = np.logical_not(dead_ss, out=dead_ss), ~dead_sg
+    live, keep_sg = np.logical_not(dead_ss, out=dead_ss), ~dead_sg
+    if adj.live is not None:
+        live &= adj.live
     return VisibilityGraph(
         sat_ids=graph.sat_ids,
         station_count=graph.station_count,
-        adjacency=SatAdjacency(indptr, adj.neighbors[keep_ss], adj.delays_ms[keep_ss]),
+        adjacency=SatAdjacency(adj.indptr, adj.neighbors, adj.delays_ms, live),
         station_edges=graph.station_edges[keep_sg],
         station_delays_ms=graph.station_delays_ms[keep_sg],
     )

@@ -4,7 +4,8 @@ These deliberately re-derive results through different code paths than the
 package (sampling instead of minimization, naive sums instead of fsum,
 double loops instead of vectorization, a heap Dijkstra with per-node parent
 scans instead of frontier sweeps over the adjacency, per-edge id matching
-instead of index keys for overlays, a scalar surface distance for every
+instead of index keys for overlays, an explicitly compacted copy of an
+overlay's live entries instead of its mask, a scalar surface distance for every
 node instead of a pre-filtered jam mask, a per-edge loop instead of a sort for
 downlink seeds, station and terminus nodes instead of seeded downlink
 offers for downhaul-optimal, a stable sort of an edge list instead of the
@@ -20,6 +21,7 @@ import heapq
 import math
 import random
 from datetime import datetime, timedelta
+from operator import attrgetter
 
 import numpy as np
 
@@ -291,7 +293,7 @@ def dijkstra_oracle(graph, snapshot, rows, penalty=0.0, exempt=False) -> Latency
     pays ``penalty`` unless ``exempt`` is set and the hop leaves a source."""
     exempt_nodes = {row[0] for row in rows} if exempt else set()
     edges = []
-    for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
+    for (i, j), d in zip(*(column.tolist() for column in sat_edge_list(graph))):
         for u, v in ((i, j), (j, i)):
             edges.append((u, v, d if u in exempt_nodes else d + penalty))
     return _dijkstra_report(snapshot, graph.sat_count, edges, rows, {})
@@ -306,7 +308,7 @@ def dijkstra_oracle_optimal(graph, snapshot, stations, terminus, penalty=0.0) ->
     n_sat = graph.sat_count
     t = n_sat + len(stations)
     edges = []
-    for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
+    for (i, j), d in zip(*(column.tolist() for column in sat_edge_list(graph))):
         edges += [(i, j, d + penalty), (j, i, d + penalty)]
     for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
         edges.append((n_sat + g, i, d))
@@ -405,6 +407,46 @@ def _dijkstra_report(snapshot, node_count, edges, sources, overrides) -> Latency
     )
 
 
+def _edge_delay_maps(graph, snapshot, stations):
+    ids = snapshot.ids
+    sat = {}
+    for (i, j), d in zip(*(column.tolist() for column in sat_edge_list(graph))):
+        sat[frozenset((ids[i], ids[j]))] = d
+    st = {}
+    for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
+        st[(ids[i], stations[g].id)] = d
+    return sat, st
+
+
+def resum_report(report, graph, snapshot, actuators, stations, terminus, penalty, mode):
+    """Re-add each reported path's hop delays, read off the graph's live
+    entries, by walking ``parent`` to its root, and require the reported
+    latency bit for bit: the engine's label along a parent hop is
+    ``fl(label + weight)``, and a downlink root's label is
+    ``fl(delay + leg)``."""
+    sat_w, st_w = _edge_delay_maps(graph, snapshot, stations)
+    ground = dict(zip((s.id for s in stations), terminus_legs_ms(stations, terminus)))
+    ids, parent = report.sat_ids, report.parent.tolist()
+    assert [p < 0 for p in parent] == np.isinf(report.latency_ms).tolist()
+    memo = {}
+
+    def total(k):
+        if k not in memo:
+            up = parent[k]
+            if up != k:
+                pen = 0.0 if mode is ArchitectureMode.ON_ORBIT and actuators[up] else penalty
+                memo[k] = (sat_w[frozenset((ids[k], ids[up]))] + pen) + total(up)
+            elif mode is ArchitectureMode.ON_ORBIT:
+                memo[k] = 0.0  # an actuator delivers to itself
+            else:
+                memo[k] = st_w[(ids[k], report.terminal[k])] + ground[report.terminal[k]]
+        return memo[k]
+
+    for k, latency in enumerate(report.latency_ms.tolist()):
+        if parent[k] >= 0:
+            assert total(k) == latency, ids[k]
+
+
 def jammed_nodes(snapshot, stations, regions) -> tuple[np.ndarray, np.ndarray]:
     """The satellites and stations whose sub-point lies inside a jam region,
     by the scalar surface distance of every node, with no pre-filter."""
@@ -417,15 +459,16 @@ def jammed_nodes(snapshot, stations, regions) -> tuple[np.ndarray, np.ndarray]:
 
 
 def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
-    """The attacked graph by matching every surviving edge's id pair
-    against ``overlay.disabled_links`` in a Python loop."""
+    """The attacked graph by matching every live edge's id pair against
+    ``overlay.disabled_links`` in a Python loop, built afresh from the
+    edges that survive, with no mask."""
     sat_ids = snapshot.ids
     station_ids = [st.id for st in stations]
     sat_dead, st_dead = jammed_nodes(snapshot, stations, overlay.jam_regions)
     sat_dead |= np.array([s in overlay.disabled_satellites for s in sat_ids], dtype=bool)
     st_dead |= np.array([s in overlay.disabled_stations for s in station_ids], dtype=bool)
 
-    sat_edges = graph.sat_edges  # derived on each access
+    sat_edges, sat_delays_ms = sat_edge_list(graph)
     keep_ss = ~(sat_dead[sat_edges[:, 0]] | sat_dead[sat_edges[:, 1]])
     keep_sg = ~(
         sat_dead[graph.station_edges[:, 0]] | st_dead[graph.station_edges[:, 1]]
@@ -442,15 +485,72 @@ def overlay_oracle(graph, snapshot, stations, overlay) -> VisibilityGraph:
 
     return graph_from_edges(
         graph.sat_ids, graph.station_count,
-        sat_edges[keep_ss], graph.sat_delays_ms[keep_ss],
+        sat_edges[keep_ss], sat_delays_ms[keep_ss],
         graph.station_edges[keep_sg], graph.station_delays_ms[keep_sg],
     )
 
 
 def entry_rows(adjacency: SatAdjacency) -> np.ndarray:
-    """The row of every adjacency entry, repeated from ``indptr``."""
+    """The row of every adjacency entry, dead or live, repeated from ``indptr``."""
     counts = np.diff(adjacency.indptr)
     return np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+
+
+def live_entries(adjacency: SatAdjacency) -> np.ndarray:
+    """The bool mask of the entries an overlay left live (all of them when
+    the adjacency has no mask)."""
+    if adjacency.live is None:
+        return np.ones(adjacency.neighbors.size, dtype=bool)
+    return adjacency.live
+
+
+def compact_graph(graph: VisibilityGraph) -> VisibilityGraph:
+    """A copy of ``graph`` whose adjacency holds only the live entries and
+    no mask, built the way the overlay once built it: each row's live
+    entries recounted into a fresh ``indptr``, and ``neighbors`` and
+    ``delays_ms`` copied through the mask."""
+    adj = graph.adjacency
+    keep = live_entries(adj)
+    indptr = np.zeros(graph.sat_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_rows(adj)[keep], minlength=graph.sat_count), out=indptr[1:])
+    return VisibilityGraph(
+        graph.sat_ids, graph.station_count,
+        SatAdjacency(indptr, adj.neighbors[keep].copy(), adj.delays_ms[keep].copy()),
+        graph.station_edges.copy(), graph.station_delays_ms.copy(),
+    )
+
+
+def sat_edge_list(graph: VisibilityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j), i < j, live satellite edges of ``graph`` in ascending
+    order and their delays, read off the compacted adjacency's upper
+    entries: the reference for ``sat_edges`` and ``sat_delays_ms``."""
+    adj = compact_graph(graph).adjacency
+    rows = entry_rows(adj)
+    upper = adj.neighbors > rows
+    return np.stack([rows[upper], adj.neighbors[upper]], axis=1), adj.delays_ms[upper]
+
+
+GRAPH_FIELDS = (
+    "adjacency.indptr", "adjacency.neighbors", "adjacency.delays_ms",
+    "sat_edges", "sat_delays_ms", "station_edges", "station_delays_ms",
+)
+
+
+def assert_same_graph(got: VisibilityGraph, want: VisibilityGraph) -> None:
+    """The two graphs name the same satellites and stations and hold the
+    same live entries and station edges, bit for bit: the adjacency fields
+    are compared once compacted, and the edge lists as each graph derives
+    them, which must also equal :func:`sat_edge_list`."""
+    assert (got.sat_ids, got.sat_count, got.station_count) == (want.sat_ids, want.sat_count, want.station_count)
+    assert (got.sat_edge_count, got.station_edge_count) == (want.sat_edge_count, want.station_edge_count)
+    pairs = [(compact_graph(got), compact_graph(want))] * 3 + [(got, want)] * 4
+    for field, (a, b) in zip(GRAPH_FIELDS, pairs):
+        a, b = attrgetter(field)(a), attrgetter(field)(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    for graph in (got, want):
+        edges, delays = sat_edge_list(graph)
+        assert graph.sat_edges.tobytes() == edges.tobytes() and graph.sat_delays_ms.tobytes() == delays.tobytes()
 
 
 def graph_from_edges(

@@ -791,6 +791,42 @@ def test_an_out_that_cannot_be_created_is_a_flag_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: --out: [Errno 17] File exists: {out!r}\n"
 
 
+@pytest.mark.parametrize("command, blocked", [("simulate", "report.csv"), ("compare", "report_onorbit.csv")])
+def test_an_output_path_that_is_a_directory_fails_before_any_work_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, command, blocked
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(experiments, "build_visibility_graph", no_build)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = tiny_config(tmp_path)
+    assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    path = str(out / blocked)
+    assert capsys.readouterr().err == f"error: --out: [Errno 21] Is a directory: {path!r}\n"
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
+def test_an_output_file_that_may_not_be_written_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # The summary exists and may not be written; the report does not exist
+    # yet, so its directory is what must be writable.
+    out = tmp_path / "out"
+    out.mkdir()
+    summary = write(out / "summary.json", "kept")
+    cfg = tiny_config(tmp_path)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != summary and access(path, mode))
+    assert run(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: --out: [Errno 13] Permission denied: {summary!r}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    assert (out / "summary.json").read_text() == "kept"
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(out) and access(path, mode))
+    assert run(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = str(out / "report.csv")
+    assert capsys.readouterr().err == f"error: --out: [Errno 13] Permission denied: {report!r}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "compare", "attack"])
 def test_overlay_ids_are_checked_before_the_graph_build(tmp_path, monkeypatch, capsys, command):
     def no_build(*args, **kwargs):

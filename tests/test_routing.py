@@ -13,6 +13,7 @@ from sda_netlab.constellation import (
     load_ground_stations_csv,
     select_actuators,
 )
+from sda_netlab.experiments import route_report
 from sda_netlab.geo import GeodeticPosition, propagation_delay_ms
 from sda_netlab.routing import (
     ArchitectureMode,
@@ -35,14 +36,16 @@ from sda_netlab.topology import (
 )
 from oracle_utils import (
     actuator_seed_rows,
+    compact_graph,
     dijkstra_oracle,
     dijkstra_oracle_optimal,
     downlink_seeds_oracle,
     entry_rows,
     graph_from_edges,
+    live_entries,
     random_shell,
+    resum_report,
     seed_rows,
-    terminus_legs_ms,
 )
 
 MEAN_R = 6371.0088
@@ -70,12 +73,13 @@ def blocked_pull(block_entries, solve, *args, compact_cut=None, **kwargs):
 
 
 def attaining_pairs(problem, labels):
-    """The (dst, src) hops into free rows of finite label whose candidate,
-    unblocked and uncompacted, equals the label of dst, in ascending order."""
+    """The live (dst, src) hops into free rows of finite label whose
+    candidate, unblocked and uncompacted, equals the label of dst, in
+    ascending order."""
     adj = problem.adjacency
     rows = entry_rows(adj).astype(np.int64)
     candidates = problem.weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
-    attain = (candidates == labels[rows]) & ~problem.fixed[rows] & np.isfinite(labels[rows])
+    attain = (candidates == labels[rows]) & ~problem.fixed[rows] & np.isfinite(labels[rows]) & live_entries(adj)
     return rows[attain], adj.neighbors[attain].astype(np.int64)
 
 
@@ -414,22 +418,21 @@ PROPERTY_STATIONS = load_ground_stations_csv(
 )
 
 
+def _oracle(graph, snap, actuators, stations, terminus, mode, penalty):
+    """The heap-Dijkstra report of ``mode``."""
+    if mode is ArchitectureMode.ON_ORBIT:
+        return dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), penalty, exempt=True)
+    if mode is GREEDY:
+        return dijkstra_oracle(graph, snap, downlink_seeds_oracle(graph, stations, terminus, GREEDY), penalty)
+    return dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty)
+
+
 def _engine_and_oracle(graph, snap, actuators, stations, terminus, penalty):
     """(engine report, oracle report) for every mode."""
-    greedy_sources = downlink_seeds_oracle(graph, stations, terminus, GREEDY)
     return {
-        ArchitectureMode.ON_ORBIT: (
-            onorbit_latencies(graph, actuators, penalty),
-            dijkstra_oracle(graph, snap, actuator_seed_rows(graph, actuators), penalty, exempt=True),
-        ),
-        GREEDY: (
-            downhaul_latencies(graph, stations, terminus, GREEDY, penalty),
-            dijkstra_oracle(graph, snap, greedy_sources, penalty),
-        ),
-        OPTIMAL: (
-            downhaul_latencies(graph, stations, terminus, OPTIMAL, penalty),
-            dijkstra_oracle_optimal(graph, snap, stations, terminus, penalty),
-        ),
+        mode: (route_report(graph, actuators, stations, terminus, mode, penalty),
+               _oracle(graph, snap, actuators, stations, terminus, mode, penalty))
+        for mode in ArchitectureMode
     }
 
 
@@ -497,6 +500,49 @@ def test_every_mode_equals_the_oracle_and_overlays_never_help(shell_seed, count,
             assert a >= b, mode
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(2, 45),
+    mode=st.sampled_from(list(ArchitectureMode)),
+    penalty=st.sampled_from([0.0, 0.25]),
+    threads=st.sampled_from([1, 2]),
+    twice=st.booleans(),
+    block_entries=st.sampled_from(BLOCK_SIZES),
+    compact_cut=st.sampled_from(COMPACT_CUTS),
+    gather_cut=st.sampled_from([0.0, 2.0]),
+    coverage_cut=st.sampled_from([0.0, 2.0]),
+    data=st.data(),
+)
+def test_a_masked_overlay_routes_as_its_compacted_copy_and_the_oracle(
+    shell_seed, count, mode, penalty, threads, twice, block_entries, compact_cut, gather_cut, coverage_cut, data
+):
+    # Masked pulls (compaction cut 2), the masked copy of the free rows
+    # (cut 0) through an entry mask (gather cut 0) or by row ranges (2), and
+    # on orbit the light-first solve on a masked adjacency (coverage cut 0)
+    # or the single-phase one (2), on graphs built on one thread and on two.
+    stations = PROPERTY_STATIONS
+    snap = random_shell(shell_seed, count=count)
+    actuators = select_actuators(snap, data.draw(st.integers(0, count)), shell_seed)
+    terminus = data.draw(st.sampled_from(stations)).geodetic
+    with mock.patch.object(topology, "_PAIRS_PER_WORKER", 1):
+        graph = build_visibility_graph(snap, stations, threads=threads)
+    attacked = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
+    if twice:
+        attacked = apply_overlay(attacked, snap, stations, _draw_overlay(data, attacked, snap, stations))
+    compacted = compact_graph(attacked)
+    assert compacted.adjacency.live is None
+    with mock.patch.object(routing, "_LIGHT_FIRST_WHEN_COVERAGE_REACHES", coverage_cut), \
+            mock.patch.object(routing, "_GATHER_RANGES_BELOW", gather_cut):
+        masked, plain = (
+            blocked_pull(block_entries, route_report, g, actuators, stations, terminus, mode, penalty,
+                         compact_cut=compact_cut)
+            for g in (attacked, compacted)
+        )
+    assert masked == plain == _oracle(attacked, snap, actuators, stations, terminus, mode, penalty)
+    resum_report(masked, attacked, snap, actuators, stations, terminus, penalty, mode)
+
+
 def _relay_problem(graph, actuators, stations, terminus, mode, penalty):
     """The relay problem the engine of ``mode`` solves."""
     if mode is ArchitectureMode.ON_ORBIT:
@@ -561,10 +607,10 @@ def test_the_closing_pull_holds_the_exact_attaining_entries_and_lowers_nothing(
     assert fixpoint.attain_dst.dtype == fixpoint.attain_src.dtype == np.int64
     assert fixpoint.attain_dst.tobytes() == dst.tobytes()
     assert fixpoint.attain_src.tobytes() == src.tobytes()
-    # No hop lowers a free label: the unblocked candidates of every hop.
+    # No live hop lowers a free label: the unblocked candidates of every hop.
     rows = entry_rows(adj)
     candidates = problem.weights(adj.neighbors, adj.delays_ms) + labels[adj.neighbors]
-    assert ((candidates >= labels[rows]) | fixed[rows]).all()
+    assert ((candidates >= labels[rows]) | fixed[rows] | ~live_entries(adj)).all()
 
 
 @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
@@ -795,6 +841,36 @@ def test_the_light_first_solve_equals_the_single_phase_route_and_the_oracle(
     assert light_first.call_count == (coverage >= coverage_cut)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shell_seed=st.integers(0, 2**31),
+    count=st.integers(1, 120),
+    cut=st.sampled_from([0.0, 0.5, routing._LIGHT_FIRST_WHEN_COVERAGE_REACHES, 1.0]) | st.floats(0.0, 1.0),
+    chunk=st.sampled_from([1, 2, 7, routing._COVERAGE_CHUNK]),
+    attacked=st.booleans(),
+    data=st.data(),
+)
+def test_light_coverage_stops_at_the_cut_with_the_full_count_s_decision(
+    shell_seed, count, cut, chunk, attacked, data
+):
+    stations = PROPERTY_STATIONS
+    snap = random_shell(shell_seed, count=count)
+    graph = build_visibility_graph(snap, stations, threads=1)
+    if attacked:
+        graph = apply_overlay(graph, snap, stations, _draw_overlay(data, graph, snap, stations))
+    light = graph.adjacency.light.adjacency
+    nodes = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    covered = set(nodes.tolist())
+    for u in nodes.tolist():
+        covered.update(light.neighbors[light.indptr[u]:light.indptr[u + 1]].tolist())
+    full = len(covered) / count
+    with mock.patch.object(routing, "_LIGHT_FIRST_WHEN_COVERAGE_REACHES", cut), \
+            mock.patch.object(routing, "_COVERAGE_CHUNK", chunk):
+        share = routing._light_coverage(light, nodes)
+    assert (share >= cut) == (full >= cut)
+    assert share == full or cut <= share < full
+
+
 def light_case(links, actuators, max_delay_ms):
     """The problem over the satellites s0..s{n-1} linked by ``links`` of
     (i, j, delay_ms), with light hops cut at ``max_delay_ms``: the graph, the
@@ -948,45 +1024,6 @@ def test_all_visible_means_direct_delay_to_nearest_actuator():
         direct = min(delays[tuple(sorted((idx, a)))] for a in actuators)
         assert report.latency_ms[idx] == direct
         assert report.hops[idx] == 1
-
-
-def _edge_delay_maps(graph, snapshot, stations):
-    ids = snapshot.ids
-    sat = {}
-    for (i, j), d in zip(graph.sat_edges.tolist(), graph.sat_delays_ms.tolist()):
-        sat[frozenset((ids[i], ids[j]))] = d
-    st = {}
-    for (i, g), d in zip(graph.station_edges.tolist(), graph.station_delays_ms.tolist()):
-        st[(ids[i], stations[g].id)] = d
-    return sat, st
-
-
-def resum_report(report, graph, snapshot, actuators, stations, terminus, penalty, mode):
-    """Re-add each reported path's hop delays by walking ``parent`` to its
-    root, and require the reported latency bit for bit: the engine's label
-    along a parent hop is ``fl(label + weight)``, and a downlink root's label
-    is ``fl(delay + leg)``."""
-    sat_w, st_w = _edge_delay_maps(graph, snapshot, stations)
-    ground = dict(zip((s.id for s in stations), terminus_legs_ms(stations, terminus)))
-    ids, parent = report.sat_ids, report.parent.tolist()
-    assert [p < 0 for p in parent] == np.isinf(report.latency_ms).tolist()
-    memo = {}
-
-    def total(k):
-        if k not in memo:
-            up = parent[k]
-            if up != k:
-                pen = 0.0 if mode is ArchitectureMode.ON_ORBIT and actuators[up] else penalty
-                memo[k] = (sat_w[frozenset((ids[k], ids[up]))] + pen) + total(up)
-            elif mode is ArchitectureMode.ON_ORBIT:
-                memo[k] = 0.0  # an actuator delivers to itself
-            else:
-                memo[k] = st_w[(ids[k], report.terminal[k])] + ground[report.terminal[k]]
-        return memo[k]
-
-    for k, latency in enumerate(report.latency_ms.tolist()):
-        if parent[k] >= 0:
-            assert total(k) == latency, ids[k]
 
 
 def test_reported_paths_resum_to_reported_latency():

@@ -4,8 +4,8 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -41,6 +41,7 @@ from sda_netlab.topology import (
     resolve_thread_count,
 )
 from oracle_utils import (
+    assert_same_graph,
     elevation_angle_deg,
     entry_rows,
     euclidean_km,
@@ -48,6 +49,7 @@ from oracle_utils import (
     grazing_pair,
     has_line_of_sight,
     jammed_nodes,
+    live_entries,
     overlay_oracle,
     random_orbital_point,
     random_shell,
@@ -404,14 +406,22 @@ def test_adjacency_lists_each_edge_under_both_endpoints():
     assert adj.indptr[0] == 0 and adj.indptr[-1] == 2 * graph.sat_edge_count
 
 
+@pytest.mark.parametrize("attacked", [False, True])
 @pytest.mark.parametrize("count", [1, 2, 40, 300])
-def test_light_hops_are_the_entries_at_most_the_cut_in_row_order(count):
+def test_light_hops_are_the_entries_at_most_the_cut_in_row_order(count, attacked):
     # Empty rows at the ends and inside come from the satellites that see
-    # no other; the cut is about the 10% quantile of the delays.
-    adj = build_visibility_graph(random_shell(7, count=count), threads=1).adjacency
+    # no other; the cut is about the 10% quantile of the delays.  Under an
+    # overlay the light hops are the live entries at most the cut.
+    snap = random_shell(7, count=count)
+    graph = build_visibility_graph(snap, threads=1)
+    if attacked:
+        overlay = AttackOverlay(disabled_satellites=frozenset(snap.ids[::3]),
+                                jam_regions=(JamRegion(GeodeticPosition(20.0, 30.0, 0.0), 2000.0),))
+        graph = apply_overlay(graph, snap, (), overlay)
+    adj = graph.adjacency
     cut, light = adj.light
     rows = entry_rows(adj)
-    keep = adj.delays_ms <= cut
+    keep = (adj.delays_ms <= cut) & live_entries(adj)
     assert light.indptr.tolist() == np.concatenate([[0], np.cumsum(np.bincount(
         rows[keep], minlength=adj.indptr.size - 1))]).tolist()
     assert light.neighbors.tobytes() == adj.neighbors[keep].tobytes()
@@ -420,7 +430,8 @@ def test_light_hops_are_the_entries_at_most_the_cut_in_row_order(count):
     assert cut == (sample[int(0.1 * sample.size)] if sample.size else 0.0)
     assert adj.light is adj.light
     for forced in (-1.0, 0.0, math.inf):
-        assert topology._light_hops(adj, forced).adjacency.indptr[-1] == np.count_nonzero(adj.delays_ms <= forced)
+        assert topology._light_hops(adj, forced).adjacency.indptr[-1] == np.count_nonzero(
+            (adj.delays_ms <= forced) & live_entries(adj))
 
 
 def test_light_hops_are_derived_once_under_many_threads(monkeypatch):
@@ -609,6 +620,43 @@ def test_the_build_names_the_snapshot_rows_and_an_overlay_keeps_the_names():
     assert attacked.sat_ids is graph.sat_ids
 
 
+def test_an_overlay_shares_the_baseline_buffers_and_adds_about_two_bytes_per_entry():
+    # 2,400 satellites and about 890,000 entries.  Copying the kept entries,
+    # as the overlay once did, took about 13 bytes per entry here.
+    snap = generate_walker(WalkerSpec(550.0, 53.0, 40, 60, phasing_f=1, id_prefix="m"))
+    graph = build_visibility_graph(snap, STATIONS, threads=1)
+    adj, ids = graph.adjacency, snap.ids
+    names = ("indptr", "neighbors", "delays_ms")
+    before = {name: getattr(adj, name).tobytes() for name in names}
+    overlay = AttackOverlay(
+        disabled_satellites=frozenset(ids[::120]),
+        disabled_stations=frozenset({STATIONS[1].id}),
+        disabled_links=frozenset(AttackOverlay.normalize_link(ids[k], ids[k + 1]) for k in range(0, 2000, 20)),
+        jam_regions=(JamRegion(GeodeticPosition(20.0, 30.0, 0.0), 1000.0),),
+    )
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        attacked = apply_overlay(graph, snap, STATIONS, overlay)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The mask and one temporary bool per entry, plus per-satellite data
+    # such as the id index.
+    assert peak - live <= 2 * adj.neighbors.size + 128 * graph.sat_count
+    assert adj.live is None and attacked.adjacency.live.dtype == bool
+    assert 0 < attacked.sat_edge_count < graph.sat_edge_count
+    # Applied again, the masks are ANDed; no graph writes another's buffers.
+    mask = attacked.adjacency.live.tobytes()
+    again = apply_overlay(attacked, snap, STATIONS, AttackOverlay(disabled_satellites=frozenset(ids[1::120])))
+    assert again.sat_edge_count < attacked.sat_edge_count
+    assert attacked.adjacency.live.tobytes() == mask
+    for name in names:
+        for masked in (attacked, again):
+            assert np.shares_memory(getattr(masked.adjacency, name), getattr(adj, name)), name
+        assert getattr(adj, name).tobytes() == before[name], name
+
+
 def test_overlay_unknown_ids_are_rejected():
     snap = random_shell(6)
     graph = build_visibility_graph(snap, STATIONS, threads=1)
@@ -715,20 +763,6 @@ def test_overlay_json_round_trip():
         AttackOverlay.from_dict({"disabled_sats": []})
     with pytest.raises(ValueError, match="radius"):
         AttackOverlay.from_dict({"jam_regions": [{"lat_deg": 0, "lon_deg": 0, "radius_km": 0}]})
-
-
-GRAPH_FIELDS = (
-    "adjacency.indptr", "adjacency.neighbors", "adjacency.delays_ms",
-    "sat_edges", "sat_delays_ms", "station_edges", "station_delays_ms",
-)
-
-
-def assert_same_graph(got, want):
-    assert (got.sat_ids, got.sat_count, got.station_count) == (want.sat_ids, want.sat_count, want.station_count)
-    for field in GRAPH_FIELDS:
-        a, b = attrgetter(field)(got), attrgetter(field)(want)
-        assert a.dtype == b.dtype and a.shape == b.shape, field
-        assert a.tobytes() == b.tobytes(), field
 
 
 def assert_keys_increase(graph):
