@@ -191,15 +191,14 @@ class _FreeRows:
     is the hop ``neighbors[k] -> nodes[r]`` of delay ``delays_ms[k]``.
     Either the fixed rows and the dead entries are compacted away, or every
     node keeps its row, ``fixed`` masks those that no hop may lower and
-    ``dead`` lists the adjacency's dead entries in ascending order (None
-    without a mask)."""
+    ``live`` is the adjacency's own entry mask (None without one)."""
 
     nodes: np.ndarray
     indptr: np.ndarray
     neighbors: np.ndarray
     delays_ms: np.ndarray
     fixed: np.ndarray
-    dead: np.ndarray | None
+    live: np.ndarray | None
     blocks: list[tuple[int, int]]
 
 
@@ -305,28 +304,25 @@ def _row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
 def _free_rows(problem: _RelayProblem) -> _FreeRows:
     """The CSR of the rows outside ``problem.fixed``, with their delays: a
     compacted copy of their live entries when the fixed rows hold enough
-    entries, else the adjacency itself with ``fixed`` masking its rows and
-    the indices of its dead entries beside it."""
+    of the live entries, else the adjacency itself with ``fixed`` masking
+    its rows and ``live`` its entries."""
     adj, fixed = problem.adjacency, problem.fixed
-    counts = np.diff(adj.indptr)
-    dead = None if adj.live is None else np.flatnonzero(~adj.live)
-    if counts[fixed].sum() < _COMPACT_WHEN_FIXED_ENTRIES_REACH * adj.indptr[-1]:
-        return _FreeRows(np.arange(fixed.size), adj.indptr, adj.neighbors, adj.delays_ms, fixed, dead,
+    counts = adj.live_counts
+    if counts[fixed].sum() < _COMPACT_WHEN_FIXED_ENTRIES_REACH * counts.sum():
+        return _FreeRows(np.arange(fixed.size), adj.indptr, adj.neighbors, adj.delays_ms, fixed, adj.live,
                          _row_blocks(adj.indptr))
     nodes = np.flatnonzero(~fixed)
-    if counts[nodes].sum() < _GATHER_RANGES_BELOW * adj.indptr[-1]:
-        keep = _concat_ranges(adj.indptr[nodes], counts[nodes])
-        if dead is not None:
-            keep = keep[adj.live[keep]]
-    else:
-        keep = np.repeat(~fixed, counts)
-        if dead is not None:
-            keep[dead] = False
-    if dead is not None:
-        # The dead entries of each free row leave its count.
-        counts = counts - np.bincount(np.searchsorted(adj.indptr, dead, side="right") - 1, minlength=fixed.size)
     indptr = np.zeros(nodes.size + 1, dtype=adj.indptr.dtype)
     np.cumsum(counts[nodes], out=indptr[1:])
+    entries = np.diff(adj.indptr)
+    if indptr[-1] < _GATHER_RANGES_BELOW * counts.sum():
+        keep = _concat_ranges(adj.indptr[nodes], entries[nodes])
+        if adj.live is not None:
+            keep = keep[adj.live[keep]]
+    else:
+        keep = np.repeat(~fixed, entries)
+        if adj.live is not None:
+            keep &= adj.live
     return _FreeRows(nodes, indptr, adj.neighbors[keep], adj.delays_ms[keep], np.zeros(nodes.size, dtype=bool),
                      None, _row_blocks(indptr))
 
@@ -349,10 +345,9 @@ def _pull(problem: _RelayProblem, rows: _FreeRows, labels: np.ndarray) -> tuple[
         sources = rows.neighbors[e0:e1]
         cand = labels[sources]
         cand += problem.weights(sources, rows.delays_ms[e0:e1])
-        if rows.dead is not None:
+        if rows.live is not None:
             # A dead hop can neither lower a label nor equal a finite one.
-            d0, d1 = np.searchsorted(rows.dead, (e0, e1))
-            cand[rows.dead[d0:d1] - e0] = math.inf
+            cand[~rows.live[e0:e1]] = math.inf
         counts = np.diff(rows.indptr[r0:r1 + 1])
         nonempty = r0 + np.flatnonzero(counts)
         best[nonempty] = np.minimum.reduceat(cand, rows.indptr[nonempty] - e0)

@@ -75,14 +75,24 @@ class SatAdjacency:
     @property
     def light(self) -> "LightHops":
         """The light hops of this adjacency (:func:`_light_hops`), derived
-        on first use and then kept.  The derivation runs under a lock, so
-        solves on several threads share one copy."""
-        with _LIGHT_LOCK:
-            light = self.__dict__.get("_light")
-            if light is None:
-                # A frozen dataclass: the cache goes into the instance dict.
-                light = self.__dict__["_light"] = _light_hops(self)
-        return light
+        on first use and then kept."""
+        return self._derived("_light", _light_hops)
+
+    @property
+    def live_counts(self) -> np.ndarray:
+        """Each row's live entries (all of them without a mask), derived on
+        first use and then kept."""
+        return self._derived("_live_counts", _live_counts)
+
+    def _derived(self, key: str, derive):
+        # The derivation runs under a lock, so solves on several threads
+        # share one copy.  A frozen dataclass: the cache goes into the
+        # instance dict.
+        with _DERIVED_LOCK:
+            value = self.__dict__.get(key)
+            if value is None:
+                value = self.__dict__[key] = derive(self)
+        return value
 
 
 class LightHops(NamedTuple):
@@ -99,18 +109,19 @@ class LightHops(NamedTuple):
 # 5-7 ms on starlink-like, against 64-110 ms for np.quantile over every entry.
 _LIGHT_SHARE = 0.1
 _LIGHT_SAMPLE_STRIDE = 16
-_LIGHT_LOCK = threading.Lock()
+_DERIVED_LOCK = threading.Lock()
 
 
 def _light_hops(adj: SatAdjacency, max_delay_ms: float | None = None) -> LightHops:
     """The live entries of ``adj`` of delay at most ``max_delay_ms``, by default
-    about the ``_LIGHT_SHARE`` quantile of the delays (0.0 without entries).
-    A row starts at the count of light entries before its first entry, a
-    binary search in their ascending indices: this took half the time of
-    per-row ``add.reduceat`` counts and two mask gathers (starlink-like,
-    19 against 38 ms)."""
+    about the ``_LIGHT_SHARE`` quantile of the live delays (0.0 without
+    entries).  A row starts at the count of light entries before its first
+    entry, a binary search in their ascending indices: this took half the
+    time of per-row ``add.reduceat`` counts and two mask gathers
+    (starlink-like, 19 against 38 ms)."""
     if max_delay_ms is None:
-        sample = adj.delays_ms[::_LIGHT_SAMPLE_STRIDE]
+        live_delays = adj.delays_ms if adj.live is None else adj.delays_ms[adj.live]
+        sample = live_delays[::_LIGHT_SAMPLE_STRIDE]
         k = int(sample.size * _LIGHT_SHARE)
         max_delay_ms = float(np.partition(sample, k)[k]) if sample.size else 0.0
     light = adj.delays_ms <= max_delay_ms
@@ -119,6 +130,15 @@ def _light_hops(adj: SatAdjacency, max_delay_ms: float | None = None) -> LightHo
     light = np.flatnonzero(light)
     indptr = np.searchsorted(light, adj.indptr).astype(np.int64, copy=False)
     return LightHops(max_delay_ms, SatAdjacency(indptr, adj.neighbors[light], adj.delays_ms[light]))
+
+
+def _live_counts(adj: SatAdjacency) -> np.ndarray:
+    """Each row's entry count less its dead entries."""
+    counts = np.diff(adj.indptr)
+    if adj.live is not None:
+        dead = np.flatnonzero(~adj.live)
+        counts -= np.bincount(np.searchsorted(adj.indptr, dead, side="right") - 1, minlength=counts.size)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from sda_netlab.topology import (
 )
 from oracle_utils import (
     assert_same_graph,
+    compact_graph,
     elevation_angle_deg,
     entry_rows,
     euclidean_km,
@@ -411,7 +412,8 @@ def test_adjacency_lists_each_edge_under_both_endpoints():
 def test_light_hops_are_the_entries_at_most_the_cut_in_row_order(count, attacked):
     # Empty rows at the ends and inside come from the satellites that see
     # no other; the cut is about the 10% quantile of the delays.  Under an
-    # overlay the light hops are the live entries at most the cut.
+    # overlay the light hops are the live entries at most the cut, and the
+    # cut is taken over the live delays alone, as in a compacted copy.
     snap = random_shell(7, count=count)
     graph = build_visibility_graph(snap, threads=1)
     if attacked:
@@ -426,7 +428,7 @@ def test_light_hops_are_the_entries_at_most_the_cut_in_row_order(count, attacked
         rows[keep], minlength=adj.indptr.size - 1))]).tolist()
     assert light.neighbors.tobytes() == adj.neighbors[keep].tobytes()
     assert light.delays_ms.tobytes() == adj.delays_ms[keep].tobytes()
-    sample = np.sort(adj.delays_ms[::16])
+    sample = np.sort(compact_graph(graph).adjacency.delays_ms[::16])
     assert cut == (sample[int(0.1 * sample.size)] if sample.size else 0.0)
     assert adj.light is adj.light
     for forced in (-1.0, 0.0, math.inf):
@@ -655,6 +657,10 @@ def test_an_overlay_shares_the_baseline_buffers_and_adds_about_two_bytes_per_ent
         for masked in (attacked, again):
             assert np.shares_memory(getattr(masked.adjacency, name), getattr(adj, name)), name
         assert getattr(adj, name).tobytes() == before[name], name
+    # A row's live count is its row length in a compacted copy.
+    for g in (graph, attacked, again):
+        assert g.adjacency.live_counts.tolist() == np.diff(compact_graph(g).adjacency.indptr).tolist()
+        assert g.adjacency.live_counts is g.adjacency.live_counts
 
 
 def test_overlay_unknown_ids_are_rejected():
